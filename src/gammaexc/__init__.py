@@ -44,7 +44,6 @@ from .groups import (
     WindowError,
     cardinality,
     cycle_type,
-    first_entries,
     iterate,
     parse_window,
     partitions,
@@ -97,7 +96,7 @@ __all__ = [
     "UnknownVariable", "UnsupportedClass", "WeightSpec", "WindowError",
     "ZeroPolynomial", "cardinality", "coeff_tables", "conj_exc_closed",
     "cycle_type", "derangement_closed", "dexc_jump_tail", "dist_poly",
-    "eulerian", "eulerian_t", "family_poly", "first_entries",
+    "eulerian", "eulerian_t", "family_poly",
     "gamma_decompose", "gamma_recompose", "half", "half_sum_closed",
     "iterate", "jump4", "jump_tables", "palindrome_info", "parse_window",
     "partitions", "q_refined", "set_partition_count", "sgn_aexc_closed",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -1139,7 +1138,7 @@ def all_check_ids():
     return tuple(c.check_id for c in REGISTRY)
 
 
-def run_suite(suite, limits=None, jobs=1):
+def run_suite(suite, limits=None):
     """Run a suite (or "all"); returns CheckResults in registry order."""
     limits = limits or VerifyLimits()
     if suite != "all" and suite not in SUITES:
@@ -1159,9 +1158,4 @@ def run_suite(suite, limits=None, jobs=1):
         return CheckResult(check.check_id, check.suite, n_range or "-", status,
                            witness, time.perf_counter() - start)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(c) for c in selected]
-    return results
+    return [run_one(c) for c in selected]

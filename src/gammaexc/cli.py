@@ -2,8 +2,9 @@
 
 Output is byte-deterministic for fixed inputs: polynomials print with terms
 in a fixed order, JSON uses sorted canonical term lists, and verification
-reports are assembled in registry order whatever the --jobs setting (timings
-are only shown on request, since they are not deterministic).  Usage errors
+reports list checks in registry order (timings are only shown on request,
+since they are not deterministic).  Family names, their classes, default
+gamma modes and engines all come from ``oracle.FAMILIES``.  Usage errors
 exit with status 2; failed verification checks exit with status 1.
 """
 
@@ -28,7 +29,6 @@ from .poly import (
     gamma_decompose,
 )
 
-_UNIVARIATE_FAMILIES = {"aderexc", "conjexc", "qrefined"}
 _MODE_FLAGS = {"uni": UNIVARIATE, "biv": BIVARIATE, "q": Q_COEFFICIENTS}
 
 
@@ -50,19 +50,15 @@ def _family_spec(args):
     )
 
 
-def _compute(spec, engine, budget, jobs):
-    if engine == "oracle":
-        return oracle.family_poly(spec, budget=budget, jobs=jobs)
-    if engine == "closed":
+def _compute(spec, engine, budget):
+    # default: closed where available, oracle otherwise
+    if engine != "oracle":
         try:
             return closedforms.closed_family(spec)
         except closedforms.NoClosedForm as exc:
-            raise UsageError(f"{exc}; pass --engine oracle") from None
-    # default: closed where available, oracle otherwise
-    try:
-        return closedforms.closed_family(spec)
-    except closedforms.NoClosedForm:
-        return oracle.family_poly(spec, budget=budget, jobs=jobs)
+            if engine == "closed":
+                raise UsageError(f"{exc}; pass --engine oracle") from None
+    return oracle.family_poly(spec, budget=budget)
 
 
 def _print_poly(poly, fmt, out):
@@ -74,17 +70,15 @@ def _print_poly(poly, fmt, out):
 
 def _cmd_compute(args, out):
     spec = _family_spec(args)
-    poly = _compute(spec, args.engine, args.budget, args.jobs)
+    poly = _compute(spec, args.engine, args.budget)
     _print_poly(poly, args.format, out)
     return 0
 
 
-def _auto_mode(spec):
-    if spec.family == "qrefined":
-        return Q_COEFFICIENTS
-    if spec.family in _UNIVARIATE_FAMILIES:
-        return UNIVARIATE
-    return BIVARIATE
+def _mode(args, spec):
+    if args.mode:
+        return _MODE_FLAGS[args.mode]
+    return oracle.FAMILIES[spec.family].mode
 
 
 def _prepare_for_mode(poly, mode):
@@ -96,8 +90,8 @@ def _prepare_for_mode(poly, mode):
 
 def _cmd_gamma(args, out):
     spec = _family_spec(args)
-    poly = _compute(spec, args.engine, args.budget, args.jobs)
-    mode = _MODE_FLAGS[args.mode] if args.mode else _auto_mode(spec)
+    poly = _compute(spec, args.engine, args.budget)
+    mode = _mode(args, spec)
     poly = _prepare_for_mode(poly, mode)
     try:
         expansion = gamma_decompose(poly, mode)
@@ -135,8 +129,8 @@ def _table_rows(args):
     for n in range(lo, hi + 1):
         spec = FamilySpec(args.family, n, args.cls, fixed=args.fixed,
                           stat=args.stat)
-        poly = _compute(spec, args.engine, args.budget, args.jobs)
-        mode = _MODE_FLAGS[args.mode] if args.mode else _auto_mode(spec)
+        poly = _compute(spec, args.engine, args.budget)
+        mode = _mode(args, spec)
         poly = _prepare_for_mode(poly, mode)
         expansion = None if poly.is_zero else _gamma_or_none(poly, mode)
         if poly.is_zero:
@@ -200,7 +194,7 @@ def _cmd_verify(args, out):
         max_n_d=args.max_n if args.max_n is not None else args.max_n_d,
         budget=args.budget,
     )
-    results = checks.run_suite(args.suite, limits, jobs=args.jobs)
+    results = checks.run_suite(args.suite, limits)
     failed = skipped = 0
     for res in results:
         stamp = f"  [{res.seconds:7.3f}s]" if args.timings else ""
@@ -221,7 +215,7 @@ def _cmd_conjugacy(args, out):
     lam = tuple(int(x) for x in args.lam.split(","))
     n = sum(lam)
     spec = FamilySpec("conjexc", n, lam=lam)
-    poly = _compute(spec, args.engine, args.budget, args.jobs)
+    poly = _compute(spec, args.engine, args.budget)
     _print_poly(poly, args.format, out)
     return 0
 
@@ -256,7 +250,6 @@ def build_parser():
                        help="default: closed form when one exists")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="enumeration budget (windows visited)")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--format", choices=["text", "json"], default="text")
 
     compute = sub.add_parser("compute", help="print one family polynomial")
@@ -293,15 +286,15 @@ def build_parser():
     verify.add_argument("--max-n-a", type=int, default=8)
     verify.add_argument("--max-n-b", type=int, default=6)
     verify.add_argument("--max-n-d", type=int, default=6)
-    verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock times (non-deterministic)")
 
     table = sub.add_parser("table", help="batch emission over a range of n")
     table.add_argument("--family", required=True,
-                       choices=sorted(f for f in oracle.FAMILIES
-                                      if f != "conjexc"))
+                       choices=sorted(name for name, family
+                                      in oracle.FAMILIES.items()
+                                      if family.by_rank))
     table.add_argument("--n-range", type=_parse_range, required=True,
                        metavar="A..B")
     table.add_argument("--fixed", type=int, default=None)

@@ -35,9 +35,18 @@ class NoClosedForm(ValueError):
     """The family is defined by enumeration only."""
 
 
+class RankOutOfRange(NoClosedForm):
+    """The closed engine starts above the requested rank; the oracle may not."""
+
+
 def _require(condition, message):
     if not condition:
         raise ValueError(message)
+
+
+def _require_rank(condition, message):
+    if not condition:
+        raise RankOutOfRange(message)
 
 
 # -- Eulerian engines ----------------------------------------------------------
@@ -49,7 +58,7 @@ _EULERIAN_B = [None, _S + _T]
 def eulerian(kind, n):
     """Bivariate Eulerian polynomial of S_n (kind "A") or B_n (kind "B")."""
     _require(kind in ("A", "B"), f"kind must be A or B, got {kind!r}")
-    _require(n >= 1, "n must be at least 1")
+    _require_rank(n >= 1, "n must be at least 1")
     cache = _EULERIAN_A if kind == "A" else _EULERIAN_B
     scale = 1 if kind == "A" else 2
     while len(cache) <= n:
@@ -68,19 +77,19 @@ def eulerian_t(kind, n):
 
 def sgn_aexc_closed(n):
     """Signed type-A excedance sum: (s-t)^(n-1)."""
-    _require(n >= 1, "n must be at least 1")
+    _require_rank(n >= 1, "n must be at least 1")
     return (_S - _T) ** (n - 1)
 
 
 def sgn_bexc_closed(n):
     """Signed type-B excedance sum: (s-t)^n."""
-    _require(n >= 1, "n must be at least 1")
+    _require_rank(n >= 1, "n must be at least 1")
     return (_S - _T) ** n
 
 
 def sgn_dexc_closed(n):
     """Signed type-D excedance sum: (s-t)^n for even n, s(s-t)^(n-1) for odd."""
-    _require(n >= 1, "n must be at least 1")
+    _require_rank(n >= 1, "n must be at least 1")
     if n % 2 == 0:
         return (_S - _T) ** n
     return _S * (_S - _T) ** (n - 1)
@@ -88,8 +97,12 @@ def sgn_dexc_closed(n):
 
 def sgnb_des_u_closed(n):
     """Signed descent-ascent-position sum: (s-t)^n u^n."""
-    _require(n >= 1, "n must be at least 1")
+    _require_rank(n >= 1, "n must be at least 1")
     return (_S - _T) ** n * Poly.variable("u") ** n
+
+
+# family -> (Eulerian kind, lowest rank, signed closed form)
+_HALF_SUMS = {"aexc": ("A", 2, sgn_aexc_closed), "bexc": ("B", 1, sgn_bexc_closed)}
 
 
 def half_sum_closed(family, n, cls):
@@ -99,90 +112,70 @@ def half_sum_closed(family, n, cls):
     bexc: (B_n +- (s-t)^n) / 2 for n >= 1.  Divisions are exact.
     """
     _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
+    _require(family in _HALF_SUMS, f"half-sum covers aexc and bexc, not {family!r}")
+    kind, low, signed = _HALF_SUMS[family]
+    _require_rank(n >= low, f"{family} half-sum needs n >= {low}")
     sign = 1 if cls == "plus" else -1
-    if family == "aexc":
-        _require(n >= 2, "aexc half-sum needs n >= 2")
-        return half(eulerian("A", n) + sign * sgn_aexc_closed(n))
-    if family == "bexc":
-        _require(n >= 1, "bexc half-sum needs n >= 1")
-        return half(eulerian("B", n) + sign * sgn_bexc_closed(n))
-    raise ValueError(f"half-sum covers aexc and bexc, not {family!r}")
+    return half(eulerian(kind, n) + sign * signed(n))
 
 
 # -- one-step recurrences --------------------------------------------------------
 
-_AEXC_STEP = {2: {"plus": _S, "minus": _T}}
-_BEXC_STEP = {1: {"plus": _S, "minus": _T}}
-_DEXC_STEP = {2: (_S ** 2 + 2 * _S * _T + _T ** 2, 4 * _S * _T)}
+
+def _grow_a(m):
+    return half(_S * _T * D(eulerian("A", m - 1)))
 
 
-def _aexc_step(n):
-    top = max(_AEXC_STEP)
-    for m in range(top + 1, n + 1):
-        prev = _AEXC_STEP[m - 1]
-        grow = half(_S * _T * D(eulerian("A", m - 1)))
-        _AEXC_STEP[m] = {
-            "plus": _S * prev["plus"] + _T * prev["minus"] + grow,
-            "minus": _S * prev["minus"] + _T * prev["plus"] + grow,
-        }
-    return _AEXC_STEP[n]
+def _grow_b(m):
+    return _S * _T * D(eulerian("B", m - 1))
 
 
-def _bexc_step(n):
-    top = max(_BEXC_STEP)
-    for m in range(top + 1, n + 1):
-        prev = _BEXC_STEP[m - 1]
-        grow = _S * _T * D(eulerian("B", m - 1))
-        _BEXC_STEP[m] = {
-            "plus": _S * prev["plus"] + _T * prev["minus"] + grow,
-            "minus": _S * prev["minus"] + _T * prev["plus"] + grow,
-        }
-    return _BEXC_STEP[n]
+def _halves(pair, n, cls):
+    return pair[0] + pair[1] if cls == "all" else pair[("plus", "minus").index(cls)]
 
 
-def _dexc_step(n):
-    top = max(_DEXC_STEP)
-    for m in range(top + 1, n + 1):
-        d, bd = _DEXC_STEP[m - 1]
-        grow = _S * _T * D(eulerian("B", m - 1))
-        _DEXC_STEP[m] = (_S * d + _T * bd + grow, _T * d + _S * bd + grow)
-    return _DEXC_STEP[n]
+def _dexc_view(pair, n, cls):
+    if cls == "all":
+        return pair[0]
+    return half(pair[0] + (1 if cls == "plus" else -1) * sgn_dexc_closed(n))
+
+
+def _bdexc_view(pair, n, cls):
+    _require(cls == "all", "bdexc has no plus/minus split")
+    return pair[1]
+
+
+_DEXC_PAIRS = {2: (_S ** 2 + 2 * _S * _T + _T ** 2, 4 * _S * _T)}
+
+# family -> (memo: level -> pair (X, Y), growth term at level m, what the
+# family reads off the pair).  Every engine steps the same coupled shape.
+_STEPS = {
+    "aexc": ({2: (_S, _T)}, _grow_a, _halves),
+    "bexc": ({1: (_S, _T)}, _grow_b, _halves),
+    "dexc": (_DEXC_PAIRS, _grow_b, _dexc_view),
+    "bdexc": (_DEXC_PAIRS, _grow_b, _bdexc_view),
+}
 
 
 def step_recurrence(family, n, cls="all"):
     """One-step recurrence engines for the excedance families.
 
-    aexc (n >= 2): X_n^+- = s X_{n-1}^+- + t X_{n-1}^-+ + st D A_{n-1} / 2,
-    seeded with (s, t) at n = 2.  bexc (n >= 1): same shape with st D B_{n-1}
-    and seeds (s, t) at n = 1.  dexc/bdexc (n >= 2): the coupled pair
-    D_n = s D_{n-1} + t E_{n-1} + st D B_{n-1},
-    E_n = t D_{n-1} + s E_{n-1} + st D B_{n-1}, seeded at n = 2; the
+    Each steps a pair X_n = s X_{n-1} + t Y_{n-1} + g_n,
+    Y_n = t X_{n-1} + s Y_{n-1} + g_n.  aexc (n >= 2): the plus/minus halves,
+    g_n = st D A_{n-1} / 2, seeded with (s, t) at n = 2.  bexc (n >= 1): same
+    with g_n = st D B_{n-1} and seeds (s, t) at n = 1.  dexc/bdexc (n >= 2):
+    the pair (D_n, (B-D)_n) with g_n = st D B_{n-1}, seeded at n = 2; the
     plus/minus halves of dexc come from the signed closed form.
     """
-    if family == "aexc":
-        _require(n >= 2, "aexc step recurrence starts at n = 2")
-        table = _aexc_step(n)
-        if cls == "all":
-            return table["plus"] + table["minus"]
-        return table[cls]
-    if family == "bexc":
-        _require(n >= 1, "bexc step recurrence starts at n = 1")
-        table = _bexc_step(n)
-        if cls == "all":
-            return table["plus"] + table["minus"]
-        return table[cls]
-    if family == "dexc":
-        _require(n >= 2, "dexc step recurrence starts at n = 2")
-        d, _ = _dexc_step(n)
-        if cls == "all":
-            return d
-        sign = 1 if cls == "plus" else -1
-        return half(d + sign * sgn_dexc_closed(n))
-    if family == "bdexc":
-        _require(n >= 2, "bdexc step recurrence starts at n = 2")
-        _require(cls == "all", "bdexc has no plus/minus split")
-        return _dexc_step(n)[1]
-    raise ValueError(f"unknown family {family!r}")
+    _require(family in _STEPS, f"unknown family {family!r}")
+    memo, grow, view = _STEPS[family]
+    low = min(memo)
+    _require_rank(n >= low, f"{family} step recurrence starts at n = {low}")
+    for m in range(max(memo) + 1, n + 1):
+        x, y = memo[m - 1]
+        g = grow(m)
+        memo[m] = (_S * x + _T * y + g, _T * x + _S * y + g)
+    return view(memo[n], n, cls)
 
 
 # -- coefficient triangles -------------------------------------------------------
@@ -313,26 +306,20 @@ def dexc_jump_tail(n):
             + tab["R7"][0] * _iterated_d(b_n2, 2))
 
 
-def _jump_level(family, n):
-    """Level-n plus/minus pair computed through the jump engine only."""
-    base = _AEXC_JUMP_BASE if family == "aexc" else _DEXC_JUMP_BASE
-    if n in base:
-        return dict(base[n])
-    low = n - 4
-    if low < min(base):
-        raise MissingBase(f"no jump seed at or below level {n} for {family}")
-    prev = _jump_level(family, low)
-    if family == "aexc":
-        tab = jump_tables()
-        out = {}
-        for cls, other in (("plus", "minus"), ("minus", "plus")):
-            P, M = prev[cls], prev[other]
-            out[cls] = (tab["L1"][0] * P + tab["L2"][0] * M
-                        + tab["L3"][0] * D(P)
-                        + tab["L4"][0] * _iterated_d(P, 2)
-                        + tab["L5"][0] * _iterated_d(P, 3)
-                        + tab["L6"][0] * _iterated_d(P, 4))
-        return out
+def _aexc_jump(prev, low):
+    tab = jump_tables()
+    out = {}
+    for cls, other in (("plus", "minus"), ("minus", "plus")):
+        P, M = prev[cls], prev[other]
+        out[cls] = (tab["L1"][0] * P + tab["L2"][0] * M
+                    + tab["L3"][0] * D(P)
+                    + tab["L4"][0] * _iterated_d(P, 2)
+                    + tab["L5"][0] * _iterated_d(P, 3)
+                    + tab["L6"][0] * _iterated_d(P, 4))
+    return out
+
+
+def _dexc_jump(prev, low):
     r1 = jump_tables()["R1"][0]
     swing = (_S - _T) ** 4
     tail = dexc_jump_tail(low)
@@ -343,6 +330,22 @@ def _jump_level(family, n):
     return out
 
 
+# family -> (seed levels, the four-step jump from level-low data)
+_JUMPS = {"aexc": (_AEXC_JUMP_BASE, _aexc_jump),
+          "dexc": (_DEXC_JUMP_BASE, _dexc_jump)}
+
+
+def _jump_level(family, n):
+    """Level-n plus/minus pair computed through the jump engine only."""
+    base, jump = _JUMPS[family]
+    if n in base:
+        return dict(base[n])
+    low = n - 4
+    if low < min(base):
+        raise MissingBase(f"no jump seed at or below level {n} for {family}")
+    return jump(_jump_level(family, low), low)
+
+
 def jump4(family, n, cls):
     """The level-(n+4) polynomial from level-n data via the L/R tables.
 
@@ -350,9 +353,9 @@ def jump4(family, n, cls):
     must be reachable from a seed in steps of four (MissingBase otherwise).
     Cross-checked against four applications of ``step_recurrence``.
     """
-    _require(family in ("aexc", "dexc"), "jump is defined for aexc and dexc")
+    _require(family in _JUMPS, "jump is defined for aexc and dexc")
     _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
-    base = _AEXC_JUMP_BASE if family == "aexc" else _DEXC_JUMP_BASE
+    base = _JUMPS[family][0]
     if n < min(base):
         raise MissingBase(f"no level-{n} data for {family}")
     if (n - min(base)) % 2:
@@ -399,7 +402,7 @@ def derangement_closed(n, cls="all", fixed=None):
     even (plus) or odd (minus) ones.  Computed as the sum of the class
     product formulas, never by enumeration.
     """
-    _require(n >= 0, "n must be non-negative")
+    _require_rank(n >= 0, "n must be non-negative")
     sign = {"all": None, "plus": 1, "minus": -1}[cls]
     m1 = 0 if fixed is None else fixed
     total = Poly.zero(("t",))
@@ -412,48 +415,11 @@ def derangement_closed(n, cls="all", fixed=None):
 
 
 def closed_family(fs):
-    """Closed-form engine for a FamilySpec (mirrors oracle.family_poly)."""
-    from .oracle import UnsupportedClass
+    """Closed-form engine for a FamilySpec, as listed in the family table."""
+    from .oracle import FAMILIES
 
-    family, n, cls = fs.family, fs.n, fs.cls
-
-    def need_all():
-        if cls != "all":
-            raise UnsupportedClass(f"{family} has no plus/minus split")
-
-    if family == "a_des":
-        need_all()
-        return eulerian("A", n)
-    if family == "b_des":
-        return eulerian("B", n) if cls == "all" else half_sum_closed("bexc", n, cls)
-    if family == "aexc":
-        return eulerian("A", n) if cls == "all" else half_sum_closed("aexc", n, cls)
-    if family == "bexc":
-        return eulerian("B", n) if cls == "all" else half_sum_closed("bexc", n, cls)
-    if family == "dexc":
-        return step_recurrence("dexc", n, cls)
-    if family == "bdexc":
-        need_all()
-        return step_recurrence("bdexc", n)
-    if family == "sgn_aexc":
-        need_all()
-        return sgn_aexc_closed(n)
-    if family == "sgn_bexc":
-        need_all()
-        return sgn_bexc_closed(n)
-    if family == "sgn_dexc":
-        need_all()
-        return sgn_dexc_closed(n)
-    if family == "sgnb_des_u":
-        need_all()
-        return sgnb_des_u_closed(n)
-    if family == "aderexc":
-        return derangement_closed(n, cls, fs.fixed)
-    if family == "conjexc":
-        need_all()
-        if fs.lam is None:
-            raise ValueError("conjexc needs a cycle type")
-        return conj_exc_closed(CycleType(fs.lam))
-    if family == "qrefined":
+    engine = FAMILIES[fs.family].closed
+    if engine is None:
+        # qrefined is the one family without a closed engine
         raise NoClosedForm("the q-refined family is enumeration-only")
-    raise ValueError(f"unknown family {fs.family!r}")
+    return engine(fs)

@@ -20,9 +20,7 @@ that adds the (negative) sum of negative letters to the ordinary inversion
 number is exposed as ``inv_b_negsum`` for parity comparisons.  Type D drops
 the #Negs term:  inv_D = inv + #{i<j: -sigma_i > sigma_j}.
 
-Iterators yield in lexicographic window order and accept an optional first
-window entry, so disjoint ranges can be enumerated independently and merged
-by any order-insensitive aggregation.
+Iterators yield in lexicographic window order.
 """
 
 from __future__ import annotations
@@ -85,13 +83,18 @@ def _validate_signed(window):
 
 
 class Perm:
-    """A permutation of [n] in window notation."""
+    """A permutation of [n] in window notation.
+
+    Equality, hash and repr are class-exact: a ``SignedPerm`` never equals a
+    ``Perm`` with the same window.
+    """
 
     __slots__ = ("window",)
+    _validate = staticmethod(_validate_perm)
 
     def __init__(self, window):
         window = tuple(window)
-        _validate_perm(window)
+        self._validate(window)
         object.__setattr__(self, "window", window)
 
     @classmethod
@@ -118,72 +121,30 @@ class Perm:
         return self.window[i]
 
     def __eq__(self, other):
-        return isinstance(other, Perm) and self.window == other.window
+        return type(other) is type(self) and self.window == other.window
 
     def __hash__(self):
-        return hash(("Perm", self.window))
+        return hash((type(self).__name__, self.window))
 
     def __str__(self):
         return ",".join(str(v) for v in self.window)
 
     def __repr__(self):
-        return f"Perm({self})"
+        return f"{type(self).__name__}({self})"
 
     def __setattr__(self, *args):
-        raise AttributeError("Perm is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class SignedPerm:
+class SignedPerm(Perm):
     """A signed permutation (hyperoctahedral element) in window notation."""
 
-    __slots__ = ("window",)
-
-    def __init__(self, window):
-        window = tuple(window)
-        _validate_signed(window)
-        object.__setattr__(self, "window", window)
-
-    @classmethod
-    def _trusted(cls, window):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "window", window)
-        return obj
-
-    @classmethod
-    def parse(cls, text):
-        return cls(parse_window(text))
-
-    @classmethod
-    def identity(cls, n):
-        return cls._trusted(tuple(range(1, n + 1)))
-
-    def __len__(self):
-        return len(self.window)
-
-    def __iter__(self):
-        return iter(self.window)
-
-    def __getitem__(self, i):
-        return self.window[i]
-
-    def __eq__(self, other):
-        return isinstance(other, SignedPerm) and self.window == other.window
-
-    def __hash__(self):
-        return hash(("SignedPerm", self.window))
-
-    def __str__(self):
-        return ",".join(str(v) for v in self.window)
-
-    def __repr__(self):
-        return f"SignedPerm({self})"
-
-    def __setattr__(self, *args):
-        raise AttributeError("SignedPerm is immutable")
+    __slots__ = ()
+    _validate = staticmethod(_validate_signed)
 
 
 def _window(x):
-    return x.window if isinstance(x, (Perm, SignedPerm)) else tuple(x)
+    return x.window if isinstance(x, Perm) else tuple(x)
 
 
 # -- type A statistics -------------------------------------------------------
@@ -309,16 +270,7 @@ def asc_b(p):
 
 
 def inv_b(p):
-    w = _window(p)
-    n = len(w)
-    count = sum(1 for v in w if v < 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i] > w[j]:
-                count += 1
-            if -w[i] > w[j]:
-                count += 1
-    return count
+    return inv_d(p) + negs(p)
 
 
 def inv_b_negsum(p):
@@ -351,17 +303,7 @@ def stats_b(p):
 
 exc_d = exc_b
 nexc_d = nexc_b
-
-
-def wkexc_d(p):
-    w = _window(p)
-    count = 0
-    for i, v in enumerate(w, start=1):
-        if w[abs(v) - 1] > v:
-            count += 1
-        elif v == i:
-            count += 1
-    return count
+wkexc_d = wkexc_b
 
 
 def inv_d(p):
@@ -568,33 +510,17 @@ def enumeration_cost(spec):
     return (2 ** max(spec.n - 1, 0)) * fact
 
 
-def _perm_windows(n, first=None):
-    if n == 0:
-        if first is None:
-            yield ()
-        return
-    if first is None:
-        yield from _itertools_permutations(range(1, n + 1))
-        return
-    if not 1 <= first <= n:
-        return
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in _itertools_permutations(rest):
-        yield (first,) + tail
+def _perm_windows(n):
+    return _itertools_permutations(range(1, n + 1))
 
 
-def _perm_windows_pos_n(n, r, first=None):
+def _perm_windows_pos_n(n, r):
     """Windows of S_n with letter n at position r, in lexicographic order."""
-    if n == 0:
-        return
-    for reduced in _perm_windows(n - 1, first=None if r == 1 else first):
-        w = reduced[:r - 1] + (n,) + reduced[r - 1:]
-        if first is not None and w[0] != first:
-            continue
-        yield w
+    for reduced in _perm_windows(n - 1):
+        yield reduced[:r - 1] + (n,) + reduced[r - 1:]
 
 
-def _signed_windows(letters, negs_parity=None, first=None):
+def _signed_windows(letters, negs_parity=None):
     """Signed windows over ``letters`` in lexicographic order.
 
     ``negs_parity`` (0 or 1) prunes the last sign choice so only windows with
@@ -602,17 +528,14 @@ def _signed_windows(letters, negs_parity=None, first=None):
     """
     n = len(letters)
     if n == 0:
-        if first is None and negs_parity in (None, 0):
+        if negs_parity in (None, 0):
             yield ()
         return
 
     def rec(prefix, remaining, neg_count):
         depth = len(prefix)
         if depth == n:
-            # the depth n-1 prune is skipped when the first entry was fixed
-            # externally and n == 1, so re-check the parity here
-            if negs_parity is None or neg_count % 2 == negs_parity:
-                yield prefix
+            yield prefix
             return
         candidates = sorted([-a for a in remaining] + list(remaining))
         if negs_parity is not None and depth == n - 1:
@@ -624,31 +547,13 @@ def _signed_windows(letters, negs_parity=None, first=None):
             yield from rec(prefix + (v,), remaining - {abs(v)},
                            neg_count + (1 if v < 0 else 0))
 
-    all_letters = frozenset(letters)
-    if first is None:
-        yield from rec((), all_letters, 0)
-    else:
-        if abs(first) not in all_letters:
-            return
-        yield from rec((first,), all_letters - {abs(first)},
-                       1 if first < 0 else 0)
+    yield from rec((), frozenset(letters), 0)
 
 
-def first_entries(spec):
-    """The possible first window entries, for partitioned enumeration."""
-    if spec.n == 0:
-        return ()
-    if spec.kind == "S":
-        return tuple(range(1, spec.n + 1))
-    return tuple(sorted(list(range(-spec.n, 0)) + list(range(1, spec.n + 1))))
-
-
-def iterate(spec, budget=DEFAULT_BUDGET, first=None):
+def iterate(spec, budget=DEFAULT_BUDGET):
     """Yield each element of the spec's domain exactly once, in window order.
 
-    ``first`` restricts to windows with that first entry, so the partitions
-    over ``first_entries(spec)`` are disjoint and cover the stream.  Raises
-    BudgetExceeded before any work when the ambient scan is too large.
+    Raises BudgetExceeded before any work when the ambient scan is too large.
     """
     if budget is not None and enumeration_cost(spec) > budget:
         raise BudgetExceeded(
@@ -657,9 +562,9 @@ def iterate(spec, budget=DEFAULT_BUDGET, first=None):
         )
     if spec.kind == "S":
         if spec.pos_n is not None:
-            stream = _perm_windows_pos_n(spec.n, spec.pos_n, first=first)
+            stream = _perm_windows_pos_n(spec.n, spec.pos_n)
         else:
-            stream = _perm_windows(spec.n, first=first)
+            stream = _perm_windows(spec.n)
         for w in stream:
             if spec.fixed_points is not None:
                 if sum(1 for i, v in enumerate(w, 1) if v == i) != spec.fixed_points:
@@ -674,11 +579,11 @@ def iterate(spec, budget=DEFAULT_BUDGET, first=None):
 
     letters = tuple(range(1, spec.n + 1))
     if spec.kind == "B":
-        stream = _signed_windows(letters, first=first)
+        stream = _signed_windows(letters)
     elif spec.kind == "D":
-        stream = _signed_windows(letters, negs_parity=0, first=first)
+        stream = _signed_windows(letters, negs_parity=0)
     else:  # B-D
-        stream = _signed_windows(letters, negs_parity=1, first=first)
+        stream = _signed_windows(letters, negs_parity=1)
     length_stat = inv_d if spec.kind == "D" else inv_b
     for w in stream:
         if spec.parity != "all":

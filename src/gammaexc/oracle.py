@@ -10,16 +10,19 @@ sign statistic contributing (-1)^stat.
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
 sums, derangement and conjugacy-class restrictions, and the q-refinements.
-The derangement and conjugacy-class families are univariate in t, matching
-their closed product forms; bivariate variants remain one ``dist_poly`` call
-away.
+Each is one ``Family`` record in ``FAMILIES``, which pairs its enumeration
+domain with its closed engine; the closed engines and the CLI read the same
+table.  The derangement and conjugacy-class families are univariate in t,
+matching their closed product forms; bivariate variants remain one
+``dist_poly`` call away.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
+from . import closedforms
 from .groups import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -33,7 +36,6 @@ from .groups import (
     exc,
     exc_b,
     exc_d,
-    first_entries,
     fixed_points,
     inv,
     inv_b,
@@ -47,7 +49,7 @@ from .groups import (
     wkexc_b,
     wkexc_d,
 )
-from .poly import Poly, _VAR_RANK
+from .poly import BIVARIATE, Poly, Q_COEFFICIENTS, UNIVARIATE, _VAR_RANK
 
 
 class UndefinedStatistic(ValueError):
@@ -139,9 +141,11 @@ def _resolve(weight, spec):
     return funcs, sign_func
 
 
-def _accumulate(spec, funcs, sign_func, budget, first):
+def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
+    """Exact sum of the weight monomial over the domain's stream."""
+    funcs, sign_func = _resolve(weight, spec)
     acc = {}
-    for element in iterate(spec, budget=budget, first=first):
+    for element in iterate(spec, budget=budget):
         w = element.window
         key = []
         for func, off in funcs:
@@ -155,37 +159,6 @@ def _accumulate(spec, funcs, sign_func, budget, first):
         value = 1 if sign_func is None else (1 if sign_func(w) % 2 == 0 else -1)
         key = tuple(key)
         acc[key] = acc.get(key, 0) + value
-    return acc
-
-
-def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET, jobs=1):
-    """Exact sum of the weight monomial over the domain's stream.
-
-    With ``jobs > 1`` the stream is partitioned by first window entry and the
-    partial polynomials are added; addition is commutative, so the result is
-    identical to the sequential scan.
-    """
-    funcs, sign_func = _resolve(weight, spec)
-    if jobs > 1 and spec.n > 1:
-        # budget is charged once up front for the whole stream
-        from .groups import enumeration_cost
-
-        if budget is not None and enumeration_cost(spec) > budget:
-            raise BudgetExceeded(
-                f"enumerating {spec} visits {enumeration_cost(spec)} windows, "
-                f"over the budget of {budget}"
-            )
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                lambda v: _accumulate(spec, funcs, sign_func, None, v),
-                first_entries(spec),
-            )
-            acc = {}
-            for part in parts:
-                for key, value in part.items():
-                    acc[key] = acc.get(key, 0) + value
-    else:
-        acc = _accumulate(spec, funcs, sign_func, budget, None)
     return Poly(weight.variables, acc)
 
 
@@ -198,7 +171,8 @@ class FamilySpec:
 
     ``fixed`` selects permutations with exactly that many fixed points (the
     derangement families), ``lam`` a conjugacy class, ``stat`` the refining
-    statistic of the q-families.
+    statistic of the q-families.  The family must be in ``FAMILIES``, split
+    into plus/minus if the class asks for it, and n at least its lowest rank.
     """
 
     family: str
@@ -214,6 +188,15 @@ class FamilySpec:
             raise InvalidSpec(f"class must be all/plus/minus, got {self.cls!r}")
         if self.lam is not None:
             object.__setattr__(self, "lam", tuple(self.lam))
+        record = FAMILIES.get(self.family)
+        if record is None:
+            raise InvalidSpec(f"unknown family {self.family!r}; "
+                              f"known: {tuple(FAMILIES)}")
+        if self.cls != "all" and not record.split:
+            raise UnsupportedClass(f"{self.family} has no plus/minus split")
+        if self.n < record.min_n:
+            raise InvalidSpec(f"{self.family} needs n >= {record.min_n}, "
+                              f"got n = {self.n}")
 
     def __str__(self):
         bits = [self.family, f"n={self.n}"]
@@ -228,6 +211,29 @@ class FamilySpec:
         return " ".join(bits)
 
 
+@dataclass(frozen=True)
+class Family:
+    """Everything the library knows about one named family.
+
+    ``domain`` maps a FamilySpec to the (GroupSpec, WeightSpec) pair the
+    oracle sums over; None means ``sgnb_des_u`` enumerates it.  ``closed``
+    maps a FamilySpec to its closed-engine polynomial, or is None when the
+    family is enumeration-only.  ``split``: the family has plus/minus halves.
+    ``mode``: the default gamma mode.  ``min_n``: the lowest valid rank.
+    ``by_rank``: n alone fixes the domain, so ``table`` can sweep it.
+
+    Closed engines are looked up on the ``closedforms`` module at call time,
+    never captured, so a patched engine is the one that runs.
+    """
+
+    domain: Callable | None
+    closed: Callable | None
+    split: bool = False
+    mode: str = BIVARIATE
+    min_n: int = 0
+    by_rank: bool = True
+
+
 _PARITY = {"all": "all", "plus": "even", "minus": "odd"}
 
 AEXC_WEIGHT = WeightSpec((("t", "exc", 0), ("s", "nexc", -1)))
@@ -237,70 +243,88 @@ BDES_WEIGHT = WeightSpec((("t", "des_b", 0), ("s", "asc_b", 0)))
 DEXC_WEIGHT = WeightSpec((("t", "exc_d", 0), ("s", "nexc_d", 0)))
 T_EXC_WEIGHT = WeightSpec((("t", "exc", 0),))
 
-FAMILIES = (
-    "a_des", "aexc", "aderexc", "conjexc",
-    "b_des", "bexc", "dexc", "bdexc",
-    "sgn_aexc", "sgn_bexc", "sgn_dexc", "sgnb_des_u",
-    "qrefined",
-)
+
+def _group(kind, weight, sign_stat=None):
+    """Domain builder: the group of that kind, or its even/odd half."""
+    if sign_stat is not None:
+        weight = WeightSpec(weight.exponents, sign_stat=sign_stat)
+    return lambda fs: (GroupSpec(kind, fs.n, parity=_PARITY[fs.cls]), weight)
+
+
+def _derangements(fs):
+    fixed = 0 if fs.fixed is None else fs.fixed
+    spec = GroupSpec("S", fs.n, parity=_PARITY[fs.cls], fixed_points=fixed)
+    return spec, T_EXC_WEIGHT
+
+
+def _cycle_type(fs):
+    if fs.lam is None:
+        raise InvalidSpec("conjexc needs a cycle type")
+    return fs.lam
+
+
+def _q_refined(fs):
+    if fs.stat not in ("inv", "cyc"):
+        raise InvalidSpec("qrefined needs stat inv or cyc")
+    spec = GroupSpec("S", fs.n, parity=_PARITY[fs.cls], fixed_points=0)
+    return spec, WeightSpec((("t", "exc", 0), ("q", fs.stat, 0)))
+
+
+def _eulerian_or_half(kind, half_family):
+    return lambda fs: (
+        closedforms.eulerian(kind, fs.n) if fs.cls == "all"
+        else closedforms.half_sum_closed(half_family, fs.n, fs.cls))
+
+
+FAMILIES = {
+    "a_des": Family(_group("S", ADES_WEIGHT),
+                    lambda fs: closedforms.eulerian("A", fs.n)),
+    "aexc": Family(_group("S", AEXC_WEIGHT), _eulerian_or_half("A", "aexc"),
+                   split=True, min_n=1),
+    "aderexc": Family(
+        _derangements,
+        lambda fs: closedforms.derangement_closed(fs.n, fs.cls, fs.fixed),
+        split=True, mode=UNIVARIATE),
+    "conjexc": Family(
+        lambda fs: (GroupSpec("S", fs.n, cycle_type=_cycle_type(fs)),
+                    T_EXC_WEIGHT),
+        lambda fs: closedforms.conj_exc_closed(_cycle_type(fs)),
+        mode=UNIVARIATE, by_rank=False),
+    "b_des": Family(_group("B", BDES_WEIGHT), _eulerian_or_half("B", "bexc"),
+                    split=True),
+    "bexc": Family(_group("B", BEXC_WEIGHT), _eulerian_or_half("B", "bexc"),
+                   split=True),
+    "dexc": Family(_group("D", DEXC_WEIGHT),
+                   lambda fs: closedforms.step_recurrence("dexc", fs.n, fs.cls),
+                   split=True),
+    "bdexc": Family(_group("B-D", DEXC_WEIGHT),
+                    lambda fs: closedforms.step_recurrence("bdexc", fs.n)),
+    "sgn_aexc": Family(_group("S", AEXC_WEIGHT, "inv"),
+                       lambda fs: closedforms.sgn_aexc_closed(fs.n), min_n=1),
+    "sgn_bexc": Family(_group("B", BEXC_WEIGHT, "inv_b"),
+                       lambda fs: closedforms.sgn_bexc_closed(fs.n)),
+    "sgn_dexc": Family(_group("D", DEXC_WEIGHT, "inv_d"),
+                       lambda fs: closedforms.sgn_dexc_closed(fs.n)),
+    "sgnb_des_u": Family(None, lambda fs: closedforms.sgnb_des_u_closed(fs.n)),
+    "qrefined": Family(_q_refined, None, split=True, mode=Q_COEFFICIENTS),
+}
 
 
 def family_domain(fs):
     """The (GroupSpec, WeightSpec) pair a family sums over."""
-    family, n, cls = fs.family, fs.n, fs.cls
-
-    def need_all():
-        if cls != "all":
-            raise UnsupportedClass(f"{family} has no plus/minus split")
-
-    if family == "a_des":
-        need_all()
-        return GroupSpec("S", n), ADES_WEIGHT
-    if family == "aexc":
-        return GroupSpec("S", n, parity=_PARITY[cls]), AEXC_WEIGHT
-    if family == "aderexc":
-        fixed = 0 if fs.fixed is None else fs.fixed
-        spec = GroupSpec("S", n, parity=_PARITY[cls], fixed_points=fixed)
-        return spec, T_EXC_WEIGHT
-    if family == "conjexc":
-        need_all()
-        if fs.lam is None:
-            raise InvalidSpec("conjexc needs a cycle type")
-        return GroupSpec("S", n, cycle_type=fs.lam), T_EXC_WEIGHT
-    if family == "b_des":
-        return GroupSpec("B", n, parity=_PARITY[cls]), BDES_WEIGHT
-    if family == "bexc":
-        return GroupSpec("B", n, parity=_PARITY[cls]), BEXC_WEIGHT
-    if family == "dexc":
-        return GroupSpec("D", n, parity=_PARITY[cls]), DEXC_WEIGHT
-    if family == "bdexc":
-        need_all()
-        return GroupSpec("B-D", n), DEXC_WEIGHT
-    if family == "sgn_aexc":
-        need_all()
-        return GroupSpec("S", n), WeightSpec(AEXC_WEIGHT.exponents, sign_stat="inv")
-    if family == "sgn_bexc":
-        need_all()
-        return GroupSpec("B", n), WeightSpec(BEXC_WEIGHT.exponents, sign_stat="inv_b")
-    if family == "sgn_dexc":
-        need_all()
-        return GroupSpec("D", n), WeightSpec(DEXC_WEIGHT.exponents, sign_stat="inv_d")
-    if family == "qrefined":
-        if fs.stat not in ("inv", "cyc"):
-            raise InvalidSpec("qrefined needs stat inv or cyc")
-        spec = GroupSpec("S", n, parity=_PARITY[cls], fixed_points=0)
-        return spec, WeightSpec((("t", "exc", 0), ("q", fs.stat, 0)))
-    raise InvalidSpec(f"unknown family {fs.family!r}; known: {FAMILIES}")
+    domain = FAMILIES[fs.family].domain
+    if domain is None:
+        raise InvalidSpec(f"{fs.family} is enumerated by sgnb_des_u, "
+                          f"not over a GroupSpec")
+    return domain(fs)
 
 
-def family_poly(fs, *, budget=DEFAULT_BUDGET, jobs=1):
+def family_poly(fs, *, budget=DEFAULT_BUDGET):
     """Enumerate the named family's distribution polynomial."""
-    if fs.family == "sgnb_des_u":
-        if fs.cls != "all":
-            raise UnsupportedClass("sgnb_des_u has no plus/minus split")
+    domain = FAMILIES[fs.family].domain
+    if domain is None:
         return sgnb_des_u(fs.n, budget=budget)
-    spec, weight = family_domain(fs)
-    return dist_poly(spec, weight, budget=budget, jobs=jobs)
+    return dist_poly(*domain(fs), budget=budget)
 
 
 def q_refined(n, stat, cls="all", *, budget=DEFAULT_BUDGET):

@@ -518,7 +518,8 @@ def palindrome_info(f, mode=UNIVARIATE):
 
     In bivariate mode f must be homogeneous in (s, t); the reported n is the
     top *t-exponent*, so for a palindromic homogeneous polynomial the center
-    equals half the total degree.
+    equals half the total degree.  A non-palindromic input still reports the
+    center of its support window.
     """
     if mode == UNIVARIATE:
         seq = _univariate_seq(f)
@@ -530,11 +531,9 @@ def palindrome_info(f, mode=UNIVARIATE):
     if mode == BIVARIATE:
         # homogeneous symmetry pairs a_i with a_{N-i}; the window must be
         # centered in [0, N] for the gamma basis to exist at all.
-        n_total = len(seq) - 1
-        ok = _first_violation(seq, 0, n_total) is None
-        return PalindromeInfo(ok, lo, hi, Fraction(lo + hi, 2) if ok
-                              else Fraction(lo + hi, 2))
-    ok = _first_violation(seq, lo, hi) is None
+        ok = _first_violation(seq, 0, len(seq) - 1) is None
+    else:
+        ok = _first_violation(seq, lo, hi) is None
     return PalindromeInfo(ok, lo, hi, Fraction(lo + hi, 2))
 
 

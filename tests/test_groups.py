@@ -12,7 +12,6 @@ from gammaexc.groups import (
     WindowError,
     cardinality,
     cycle_type,
-    first_entries,
     inv_b,
     inv_b_negsum,
     iterate,
@@ -49,6 +48,14 @@ class TestWindows:
         sigma = SignedPerm.parse("-2,1")
         assert str(sigma) == "-2,1"
         assert sigma == SignedPerm((-2, 1))
+
+    def test_class_exact_identity(self):
+        p, sigma = Perm((2, 1)), SignedPerm((2, 1))
+        assert p != sigma and sigma != p
+        assert hash(p) == hash(("Perm", (2, 1)))
+        assert hash(sigma) == hash(("SignedPerm", (2, 1)))
+        assert (repr(p), repr(sigma)) == ("Perm(2,1)", "SignedPerm(2,1)")
+        assert type(SignedPerm.identity(2)) is SignedPerm
 
     def test_immutability(self):
         p = Perm((2, 1))
@@ -228,19 +235,6 @@ class TestIterate:
         seen = [p.window for p in iterate(GroupSpec("D", 3))]
         assert len(seen) == len(set(seen))
         assert all(sum(1 for v in w if v < 0) % 2 == 0 for w in seen)
-
-    def test_partitioned_enumeration(self):
-        for spec in (GroupSpec("S", 4), GroupSpec("B", 3),
-                     GroupSpec("D", 3), GroupSpec("S", 5, fixed_points=1),
-                     GroupSpec("S", 5, pos_n=3, parity="even"),
-                     GroupSpec("D", 1), GroupSpec("B-D", 1),
-                     GroupSpec("D", 4, parity="odd")):
-            whole = [p.window for p in iterate(spec)]
-            parts = []
-            for v in first_entries(spec):
-                parts.extend(p.window for p in iterate(spec, first=v))
-            assert sorted(parts) == sorted(whole)
-            assert len(parts) == len(whole)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):

@@ -59,12 +59,6 @@ class TestDistPoly:
         with pytest.raises(BudgetExceeded):
             dist_poly(GroupSpec("S", 9), T_EXC_WEIGHT, budget=1000)
 
-    def test_parallel_partitions_agree(self):
-        for spec in (GroupSpec("S", 5), GroupSpec("B", 3, parity="even")):
-            weight = AEXC_WEIGHT if spec.kind == "S" else WeightSpec(
-                (("t", "exc_b", 0), ("s", "nexc_b", 0)))
-            assert dist_poly(spec, weight, jobs=3) == dist_poly(spec, weight)
-
     def test_weight_validation(self):
         with pytest.raises(InvalidSpec):
             WeightSpec((("t", "exc", 0), ("t", "des", 0)))

@@ -135,6 +135,9 @@ class TestPalindromeInfo:
     def test_not_palindromic(self):
         info = palindrome_info(1 + 4 * t + 7 * t ** 2, UNIVARIATE)
         assert not info.is_palindromic
+        info = palindrome_info(s ** 2 + 2 * s * t, BIVARIATE)
+        assert (info.is_palindromic, info.r, info.n) == (False, 0, 1)
+        assert info.cos == Fraction(1, 2)
 
     def test_bivariate_window(self):
         info = palindrome_info(15 * s * t * (s + t) ** 2, BIVARIATE)
