@@ -16,17 +16,15 @@ from gammaexc import (
     family_poly,
     sgnb_des_u,
     sgnb_des_u_closed,
-    stats_b,
-    stats_d,
 )
+from gammaexc.groups import des_b, exc_b, exc_d, inv_b, inv_d
 
 s, t = Poly.gens("s", "t")
 
 print("== a single element ==")
 sigma = SignedPerm.parse("-2,1")
-b = stats_b(sigma)
-print(f"sigma = {sigma}: exc_B={b.exc_b} des_B={b.des_b} inv_B={b.inv_b} "
-      f"sign={b.sign_b}")
+print(f"sigma = {sigma}: exc_B={exc_b(sigma)} des_B={des_b(sigma)} "
+      f"inv_B={inv_b(sigma)} sign={(-1) ** inv_b(sigma)}")
 
 print()
 print("== group sizes ==")
@@ -63,5 +61,6 @@ for n in (2, 3, 4):
 
 print()
 print("== stats are total on any signed window ==")
-d = stats_d(SignedPerm.parse("-2,-1"))
-print(f"sigma = -2,-1: exc_D={d.exc_d} inv_D={d.inv_d} sign={d.sign_d}")
+sigma = SignedPerm.parse("-2,-1")
+print(f"sigma = -2,-1: exc_D={exc_d(sigma)} inv_D={inv_d(sigma)} "
+      f"sign={(-1) ** inv_d(sigma)}")

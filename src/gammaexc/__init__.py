@@ -47,9 +47,6 @@ from .groups import (
     iterate,
     parse_window,
     partitions,
-    stats_a,
-    stats_b,
-    stats_d,
 )
 from .oracle import (
     FAMILIES,
@@ -101,5 +98,5 @@ __all__ = [
     "iterate", "jump4", "jump_tables", "palindrome_info", "parse_window",
     "partitions", "q_refined", "set_partition_count", "sgn_aexc_closed",
     "sgn_bexc_closed", "sgn_dexc_closed", "sgnb_des_u", "sgnb_des_u_closed",
-    "split_odd_length", "stats_a", "stats_b", "stats_d", "step_recurrence",
+    "split_odd_length", "step_recurrence",
 ]

@@ -6,7 +6,8 @@ gamma machinery, with exact equality everywhere.  ``run_suite`` executes a
 suite and returns one CheckResult per check; a failing result always carries
 a witness showing both sides.  Checks whose range would exceed the
 enumeration budget come back as skipped results with the reason, never as
-failures.
+failures.  A check that raises anything else comes back as an error result
+whose witness is the exception, so one broken check never hides the rest.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .groups import (
     cycle_type,
     des,
     exc,
+    fixed_points,
     inv,
     inv_b,
     inv_b_negsum,
@@ -67,7 +69,7 @@ class CheckResult:
     check_id: str
     suite: str
     n_range: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | skipped | error
     witness: str | None
     seconds: float
 
@@ -881,8 +883,7 @@ def _check_fixed_refinement(limits):
         buckets = {}
         for p in iterate(GroupSpec("S", n), budget=limits.budget):
             w = p.window
-            fixed = sum(1 for i, v in enumerate(w, 1) if v == i)
-            key = (fixed, sign(w))
+            key = (fixed_points(w), sign(w))
             buckets.setdefault(key, {})
             e = exc(w)
             buckets[key][e] = buckets[key].get(e, 0) + 1
@@ -1155,6 +1156,10 @@ def run_suite(suite, limits=None):
         except BudgetExceeded as exc_:
             return CheckResult(check.check_id, check.suite, "-", "skipped",
                                str(exc_), time.perf_counter() - start)
+        except Exception as exc_:  # a raising check is reported, not fatal
+            return CheckResult(check.check_id, check.suite, "-", "error",
+                               f"{type(exc_).__name__}: {exc_}",
+                               time.perf_counter() - start)
         return CheckResult(check.check_id, check.suite, n_range or "-", status,
                            witness, time.perf_counter() - start)
 

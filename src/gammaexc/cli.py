@@ -5,7 +5,8 @@ in a fixed order, JSON uses sorted canonical term lists, and verification
 reports list checks in registry order (timings are only shown on request,
 since they are not deterministic).  Family names, their classes, default
 gamma modes and engines all come from ``oracle.FAMILIES``.  Usage errors
-exit with status 2; failed verification checks exit with status 1.
+exit with status 2; failed or erroring verification checks exit with
+status 1.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _compute(spec, engine, budget):
     # default: closed where available, oracle otherwise
     if engine != "oracle":
         try:
-            return closedforms.closed_family(spec)
+            return oracle.closed_family(spec)
         except closedforms.NoClosedForm as exc:
             if engine == "closed":
                 raise UsageError(f"{exc}; pass --engine oracle") from None
@@ -200,7 +201,7 @@ def _cmd_verify(args, out):
         stamp = f"  [{res.seconds:7.3f}s]" if args.timings else ""
         out.write(f"{res.status.upper():<7} {res.check_id}  ({res.n_range})"
                   f"{stamp}\n")
-        if res.status == "fail":
+        if res.status in ("fail", "error"):
             failed += 1
             out.write(f"        witness: {res.witness}\n")
         elif res.status == "skipped":

@@ -17,6 +17,7 @@ division is exact and raises OddCoefficient if it ever is not.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +54,10 @@ def _require_rank(condition, message):
 
 _EULERIAN_A = [None, Poly.const(1, ("s", "t"))]
 _EULERIAN_B = [None, _S + _T]
+# Extending a memo reads its last entry and appends the next; two threads
+# doing that at once would store a rank at the wrong index.  Ranks already
+# stored never change, so reading them needs no lock.
+_EULERIAN_LOCK = threading.Lock()
 
 
 def eulerian(kind, n):
@@ -60,10 +65,12 @@ def eulerian(kind, n):
     _require(kind in ("A", "B"), f"kind must be A or B, got {kind!r}")
     _require_rank(n >= 1, "n must be at least 1")
     cache = _EULERIAN_A if kind == "A" else _EULERIAN_B
-    scale = 1 if kind == "A" else 2
-    while len(cache) <= n:
-        prev = cache[-1]
-        cache.append((_S + _T) * prev + scale * _S * _T * D(prev))
+    if len(cache) <= n:
+        scale = 1 if kind == "A" else 2
+        with _EULERIAN_LOCK:
+            while len(cache) <= n:
+                prev = cache[-1]
+                cache.append((_S + _T) * prev + scale * _S * _T * D(prev))
     return cache[n]
 
 
@@ -409,17 +416,3 @@ def derangement_closed(n, cls="all", fixed=None):
     for lam in partitions(n, m1=m1, sign=sign):
         total = total + conj_exc_closed(lam)
     return total
-
-
-# -- closed-engine dispatch --------------------------------------------------------
-
-
-def closed_family(fs):
-    """Closed-form engine for a FamilySpec, as listed in the family table."""
-    from .oracle import FAMILIES
-
-    engine = FAMILIES[fs.family].closed
-    if engine is None:
-        # qrefined is the one family without a closed engine
-        raise NoClosedForm("the q-refined family is enumeration-only")
-    return engine(fs)

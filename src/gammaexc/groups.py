@@ -18,9 +18,12 @@ type-B inversion count used for the even/odd split is the pairwise one,
 which reproduces the classical base distributions; the alternative count
 that adds the (negative) sum of negative letters to the ordinary inversion
 number is exposed as ``inv_b_negsum`` for parity comparisons.  Type D drops
-the #Negs term:  inv_D = inv + #{i<j: -sigma_i > sigma_j}.
+the #Negs term:  inv_D = inv + #{i<j: -sigma_i > sigma_j}.  ``pos_n`` is the
+position of the entry of largest absolute value, on either kind of window.
 
-Iterators yield in lexicographic window order.
+Each statistic is one function, taking a window tuple or a ``Perm``; there
+are no per-type records bundling them.  Iterators yield in lexicographic
+window order.
 """
 
 from __future__ import annotations
@@ -181,19 +184,24 @@ def fixed_points(p):
     return sum(1 for i, v in enumerate(w, start=1) if v == i)
 
 
-def cyc(p):
-    w = _window(p)
+def _cycle_lengths(w):
     seen = [False] * len(w)
-    count = 0
+    lengths = []
     for start in range(len(w)):
         if seen[start]:
             continue
-        count += 1
+        length = 0
         j = start
         while not seen[j]:
             seen[j] = True
             j = w[j] - 1
-    return count
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+def cyc(p):
+    return len(_cycle_lengths(_window(p)))
 
 
 def sign(p):
@@ -201,28 +209,12 @@ def sign(p):
 
 
 def pos_n(p):
-    """Position of the largest letter n in the window (1-based)."""
+    """1-based position of the entry of largest absolute value; 0 if empty.
+
+    On a permutation or signed permutation of [n] this is where n or -n sits.
+    """
     w = _window(p)
-    return w.index(len(w)) + 1 if w else None
-
-
-@dataclass(frozen=True)
-class AStats:
-    exc: int
-    nexc: int
-    des: int
-    asc: int
-    inv: int
-    cyc: int
-    fixed_points: int
-    sign: int
-    pos_n: int | None
-
-
-def stats_a(p):
-    """All type-A statistics of a permutation at once."""
-    return AStats(exc(p), nexc(p), des(p), asc(p), inv(p), cyc(p),
-                  fixed_points(p), sign(p), pos_n(p))
+    return w.index(max(w, key=abs)) + 1 if w else 0
 
 
 # -- signed statistics (types B and D) ----------------------------------------
@@ -279,28 +271,6 @@ def inv_b_negsum(p):
     return inv(w) + sum(v for v in w if v < 0)
 
 
-def sign_b(p):
-    return -1 if inv_b(p) % 2 else 1
-
-
-@dataclass(frozen=True)
-class BStats:
-    exc_b: int
-    nexc_b: int
-    wkexc_b: int
-    des_b: int
-    asc_b: int
-    inv_b: int
-    negs: int
-    sign_b: int
-
-
-def stats_b(p):
-    """All type-B statistics of a signed permutation at once."""
-    return BStats(exc_b(p), nexc_b(p), wkexc_b(p), des_b(p), asc_b(p),
-                  inv_b(p), negs(p), sign_b(p))
-
-
 exc_d = exc_b
 nexc_d = nexc_b
 wkexc_d = wkexc_b
@@ -317,24 +287,6 @@ def inv_d(p):
             if -w[i] > w[j]:
                 count += 1
     return count
-
-
-def sign_d(p):
-    return -1 if inv_d(p) % 2 else 1
-
-
-@dataclass(frozen=True)
-class DStats:
-    exc_d: int
-    nexc_d: int
-    wkexc_d: int
-    inv_d: int
-    sign_d: int
-
-
-def stats_d(p):
-    """All type-D statistics (total functions on any signed permutation)."""
-    return DStats(exc_d(p), nexc_d(p), wkexc_d(p), inv_d(p), sign_d(p))
 
 
 # -- cycle types and partitions ------------------------------------------------
@@ -389,20 +341,7 @@ class CycleType:
 
 def cycle_type(p):
     """Cycle type of a permutation; its sign equals the permutation's sign."""
-    w = _window(p)
-    seen = [False] * len(w)
-    parts = []
-    for start in range(len(w)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = w[j] - 1
-            length += 1
-        parts.append(length)
-    return CycleType(tuple(parts))
+    return CycleType(tuple(_cycle_lengths(_window(p))))
 
 
 def _parts_desc(remaining, max_part, min_part):
@@ -550,25 +489,29 @@ def _signed_windows(letters, negs_parity=None):
     yield from rec((), frozenset(letters), 0)
 
 
-def iterate(spec, budget=DEFAULT_BUDGET):
-    """Yield each element of the spec's domain exactly once, in window order.
-
-    Raises BudgetExceeded before any work when the ambient scan is too large.
-    """
+def check_budget(spec, budget):
+    """Raise BudgetExceeded when scanning the spec's domain is too large."""
     if budget is not None and enumeration_cost(spec) > budget:
         raise BudgetExceeded(
             f"enumerating {spec} visits {enumeration_cost(spec)} windows, "
             f"over the budget of {budget}"
         )
+
+
+def iterate(spec, budget=DEFAULT_BUDGET):
+    """Yield each element of the spec's domain exactly once, in window order.
+
+    Raises BudgetExceeded before any work when the ambient scan is too large.
+    """
+    check_budget(spec, budget)
     if spec.kind == "S":
         if spec.pos_n is not None:
             stream = _perm_windows_pos_n(spec.n, spec.pos_n)
         else:
             stream = _perm_windows(spec.n)
         for w in stream:
-            if spec.fixed_points is not None:
-                if sum(1 for i, v in enumerate(w, 1) if v == i) != spec.fixed_points:
-                    continue
+            if spec.fixed_points is not None and fixed_points(w) != spec.fixed_points:
+                continue
             if spec.cycle_type is not None and cycle_type(w).parts != spec.cycle_type:
                 continue
             if spec.parity != "all":

@@ -7,11 +7,16 @@ integer offset (the type-A families use s^(nexc-1) while the signed families
 use s^nexc; the offset makes that visible in one place), plus an optional
 sign statistic contributing (-1)^stat.
 
+Every weighted sum, ``dist_poly`` over a ``GroupSpec`` and ``sgnb_des_u``
+over signed windows on arbitrary letters, runs through one accumulation
+loop, and every statistic it reads is the single function ``groups``
+defines for it.
+
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
 sums, derangement and conjugacy-class restrictions, and the q-refinements.
 Each is one ``Family`` record in ``FAMILIES``, which pairs its enumeration
-domain with its closed engine; the closed engines and the CLI read the same
+domain with its closed engine; ``closed_family`` and the CLI read the same
 table.  The derangement and conjugacy-class families are univariate in t,
 matching their closed product forms; bivariate variants remain one
 ``dist_poly`` call away.
@@ -21,15 +26,18 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import closedforms
 from .groups import (
-    BudgetExceeded,
+    CycleType,
     DEFAULT_BUDGET,
     GroupSpec,
     InvalidSpec,
+    _signed_windows,
     asc,
     asc_b,
+    check_budget,
     cyc,
     des,
     des_b,
@@ -83,6 +91,7 @@ SIGNED_STATISTICS = {
     "asc_b": asc_b,
     "inv_b": inv_b,
     "negs": negs,
+    "pos_n": pos_n,
     "exc_d": exc_d,
     "nexc_d": nexc_d,
     "wkexc_d": wkexc_d,
@@ -117,17 +126,13 @@ class WeightSpec:
         return tuple(v for v, _, _ in self.exponents)
 
 
-def _statistics_table(spec):
-    return A_STATISTICS if spec.kind == "S" else SIGNED_STATISTICS
-
-
-def _resolve(weight, spec):
-    table = _statistics_table(spec)
+def _resolve(weight, kind):
+    table = A_STATISTICS if kind == "S" else SIGNED_STATISTICS
     funcs = []
     for v, stat, off in weight.exponents:
         if stat not in table:
             raise UndefinedStatistic(
-                f"statistic {stat!r} is not defined on {spec.kind}-type elements"
+                f"statistic {stat!r} is not defined on {kind}-type elements"
             )
         funcs.append((table[stat], off))
     sign_func = None
@@ -135,24 +140,23 @@ def _resolve(weight, spec):
         if weight.sign_stat not in table:
             raise UndefinedStatistic(
                 f"sign statistic {weight.sign_stat!r} is not defined on "
-                f"{spec.kind}-type elements"
+                f"{kind}-type elements"
             )
         sign_func = table[weight.sign_stat]
     return funcs, sign_func
 
 
-def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
-    """Exact sum of the weight monomial over the domain's stream."""
-    funcs, sign_func = _resolve(weight, spec)
+def _weighted_sum(windows, weight, kind):
+    """Sum the weight monomial over raw windows of a kind-``kind`` domain."""
+    funcs, sign_func = _resolve(weight, kind)
     acc = {}
-    for element in iterate(spec, budget=budget):
-        w = element.window
+    for w in windows:
         key = []
         for func, off in funcs:
             e = func(w) + off
             if e < 0:
                 raise InvalidSpec(
-                    f"offset drives exponent negative on {element} "
+                    f"offset drives exponent negative on {','.join(map(str, w))} "
                     f"(statistic value {func(w)}, offset {off})"
                 )
             key.append(e)
@@ -160,6 +164,12 @@ def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
         key = tuple(key)
         acc[key] = acc.get(key, 0) + value
     return Poly(weight.variables, acc)
+
+
+def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
+    """Exact sum of the weight monomial over the domain's stream."""
+    windows = map(attrgetter("window"), iterate(spec, budget=budget))
+    return _weighted_sum(windows, weight, spec.kind)
 
 
 # -- named families ------------------------------------------------------------
@@ -216,9 +226,9 @@ class Family:
     """Everything the library knows about one named family.
 
     ``domain`` maps a FamilySpec to the (GroupSpec, WeightSpec) pair the
-    oracle sums over; None means ``sgnb_des_u`` enumerates it.  ``closed``
-    maps a FamilySpec to its closed-engine polynomial, or is None when the
-    family is enumeration-only.  ``split``: the family has plus/minus halves.
+    oracle sums over; every family has one.  ``closed`` maps a FamilySpec to
+    its closed-engine polynomial, or is None when the family is
+    enumeration-only.  ``split``: the family has plus/minus halves.
     ``mode``: the default gamma mode.  ``min_n``: the lowest valid rank.
     ``by_rank``: n alone fixes the domain, so ``table`` can sweep it.
 
@@ -226,7 +236,7 @@ class Family:
     never captured, so a patched engine is the one that runs.
     """
 
-    domain: Callable | None
+    domain: Callable
     closed: Callable | None
     split: bool = False
     mode: str = BIVARIATE
@@ -242,6 +252,8 @@ BEXC_WEIGHT = WeightSpec((("t", "exc_b", 0), ("s", "nexc_b", 0)))
 BDES_WEIGHT = WeightSpec((("t", "des_b", 0), ("s", "asc_b", 0)))
 DEXC_WEIGHT = WeightSpec((("t", "exc_d", 0), ("s", "nexc_d", 0)))
 T_EXC_WEIGHT = WeightSpec((("t", "exc", 0),))
+SGNB_WEIGHT = WeightSpec((("s", "asc_b", 0), ("t", "des_b", 0),
+                          ("u", "pos_n", 0)), sign_stat="inv_b")
 
 
 def _group(kind, weight, sign_stat=None):
@@ -260,7 +272,10 @@ def _derangements(fs):
 def _cycle_type(fs):
     if fs.lam is None:
         raise InvalidSpec("conjexc needs a cycle type")
-    return fs.lam
+    lam = CycleType(fs.lam)
+    if lam.n != fs.n:
+        raise InvalidSpec(f"{lam} is not a partition of {fs.n}")
+    return lam
 
 
 def _q_refined(fs):
@@ -305,26 +320,29 @@ FAMILIES = {
                        lambda fs: closedforms.sgn_bexc_closed(fs.n)),
     "sgn_dexc": Family(_group("D", DEXC_WEIGHT, "inv_d"),
                        lambda fs: closedforms.sgn_dexc_closed(fs.n)),
-    "sgnb_des_u": Family(None, lambda fs: closedforms.sgnb_des_u_closed(fs.n)),
+    "sgnb_des_u": Family(_group("B", SGNB_WEIGHT),
+                         lambda fs: closedforms.sgnb_des_u_closed(fs.n)),
     "qrefined": Family(_q_refined, None, split=True, mode=Q_COEFFICIENTS),
 }
 
 
 def family_domain(fs):
     """The (GroupSpec, WeightSpec) pair a family sums over."""
-    domain = FAMILIES[fs.family].domain
-    if domain is None:
-        raise InvalidSpec(f"{fs.family} is enumerated by sgnb_des_u, "
-                          f"not over a GroupSpec")
-    return domain(fs)
+    return FAMILIES[fs.family].domain(fs)
 
 
 def family_poly(fs, *, budget=DEFAULT_BUDGET):
     """Enumerate the named family's distribution polynomial."""
-    domain = FAMILIES[fs.family].domain
-    if domain is None:
-        return sgnb_des_u(fs.n, budget=budget)
-    return dist_poly(*domain(fs), budget=budget)
+    return dist_poly(*family_domain(fs), budget=budget)
+
+
+def closed_family(fs):
+    """Closed-form engine for a FamilySpec, as listed in the family table."""
+    engine = FAMILIES[fs.family].closed
+    if engine is None:
+        # qrefined is the one family without a closed engine
+        raise closedforms.NoClosedForm("the q-refined family is enumeration-only")
+    return engine(fs)
 
 
 def q_refined(n, stat, cls="all", *, budget=DEFAULT_BUDGET):
@@ -338,11 +356,9 @@ def sgnb_des_u(n, letters=None, *, positions="all", budget=DEFAULT_BUDGET):
     Sums (-1)^inv_B t^des_B s^asc_B u^pos over all signed windows, where pos
     is the position of the largest letter (ignoring its sign).  ``positions``
     may restrict the sum to windows whose largest letter sits at the last
-    position ("max_last") or anywhere else ("max_not_last").
+    position ("max_last", the u^n part) or anywhere else ("max_not_last").
+    The budget rule is the one ``iterate`` applies to B_n.
     """
-    from .groups import _signed_windows
-    import math
-
     if letters is None:
         letters = tuple(range(1, n + 1))
     letters = tuple(letters)
@@ -356,23 +372,9 @@ def sgnb_des_u(n, letters=None, *, positions="all", budget=DEFAULT_BUDGET):
         )
     if positions not in ("all", "max_last", "max_not_last"):
         raise InvalidSpec("positions must be all/max_last/max_not_last")
-    cost = (2 ** n) * math.factorial(n)
-    if budget is not None and cost > budget:
-        raise BudgetExceeded(f"{cost} windows over budget {budget}")
-
-    biggest = letters[-1] if letters else None
-    acc = {}
-    for w in _signed_windows(letters):
-        pos = next(i for i, v in enumerate(w, start=1) if abs(v) == biggest) \
-            if w else 0
-        if positions == "max_last" and pos != n:
-            continue
-        if positions == "max_not_last" and pos == n:
-            continue
-        full = (0,) + w
-        d = sum(1 for i in range(n) if full[i] > full[i + 1])
-        a = n - d
-        value = -1 if inv_b(w) % 2 else 1
-        key = (a, d, pos)
-        acc[key] = acc.get(key, 0) + value
-    return Poly(("s", "t", "u"), acc)
+    check_budget(GroupSpec("B", n), budget)
+    full = _weighted_sum(_signed_windows(letters), SGNB_WEIGHT, "B")
+    if positions == "all":
+        return full
+    last = full.coefficient("u", n) * Poly.variable("u") ** n
+    return last if positions == "max_last" else full - last

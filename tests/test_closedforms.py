@@ -1,11 +1,14 @@
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from gammaexc import closedforms
 from gammaexc.closedforms import (
     MissingBase,
     NoClosedForm,
-    closed_family,
     coeff_tables,
     conj_exc_closed,
     derangement_closed,
@@ -21,7 +24,7 @@ from gammaexc.closedforms import (
     step_recurrence,
 )
 from gammaexc.groups import CycleType
-from gammaexc.oracle import FamilySpec, family_poly
+from gammaexc.oracle import FamilySpec, closed_family, family_poly
 from gammaexc.poly import BIVARIATE, Poly, gamma_decompose
 
 s, t = Poly.gens("s", "t")
@@ -51,6 +54,34 @@ class TestEulerian:
             eulerian("C", 3)
         with pytest.raises(ValueError):
             eulerian("A", 0)
+
+    def test_cold_memo_shared_by_threads(self):
+        memos = (closedforms._EULERIAN_A, closedforms._EULERIAN_B)
+        saved = [list(memo) for memo in memos]
+
+        def work():
+            eulerian("A", 40)
+            eulerian("B", 40)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                for memo in memos:
+                    del memo[2:]
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for k in range(1, 41):
+                    assert eulerian("A", k).at_ones() == math.factorial(k)
+                    assert eulerian("B", k).at_ones() == 2 ** k * math.factorial(k)
+        finally:
+            sys.setswitchinterval(interval)
+            for memo, entries in zip(memos, saved):
+                memo[:] = entries
 
 
 class TestHalfSum:

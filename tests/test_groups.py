@@ -10,16 +10,30 @@ from gammaexc.groups import (
     Perm,
     SignedPerm,
     WindowError,
+    asc,
+    asc_b,
     cardinality,
+    cyc,
     cycle_type,
+    des,
+    des_b,
+    exc,
+    exc_b,
+    exc_d,
+    fixed_points,
+    inv,
     inv_b,
     inv_b_negsum,
+    inv_d,
     iterate,
+    nexc,
+    nexc_b,
+    nexc_d,
     parse_window,
     partitions,
-    stats_a,
-    stats_b,
-    stats_d,
+    pos_n,
+    sign,
+    wkexc_b,
 )
 
 
@@ -65,58 +79,62 @@ class TestWindows:
 
 class TestStatsA:
     def test_example_312(self):
-        st = stats_a(Perm((3, 1, 2)))
-        assert (st.exc, st.nexc, st.des, st.asc) == (1, 2, 1, 1)
-        assert (st.inv, st.cyc, st.sign, st.pos_n) == (2, 1, 1, 1)
+        p = Perm((3, 1, 2))
+        assert (exc(p), nexc(p), des(p), asc(p)) == (1, 2, 1, 1)
+        assert (inv(p), cyc(p), sign(p), pos_n(p)) == (2, 1, 1, 1)
 
     def test_identity(self):
-        st = stats_a(Perm.identity(5))
-        assert (st.exc, st.nexc, st.des, st.inv, st.fixed_points) == (0, 5, 0, 0, 5)
+        p = Perm.identity(5)
+        assert (exc(p), nexc(p), des(p), inv(p), fixed_points(p)) == (0, 5, 0, 0, 5)
 
     def test_transposition(self):
-        st = stats_a(Perm((2, 1)))
-        assert (st.exc, st.inv, st.sign) == (1, 1, -1)
+        p = Perm((2, 1))
+        assert (exc(p), inv(p), sign(p)) == (1, 1, -1)
 
     def test_complementary_counts(self):
         for n in range(1, 9):
             for p in iterate(GroupSpec("S", n)):
-                st = stats_a(p)
-                assert st.exc + st.nexc == n
-                assert st.des + st.asc == n - 1
+                assert exc(p) + nexc(p) == n
+                assert des(p) + asc(p) == n - 1
 
     def test_sign_matches_cycle_type(self):
         for n in range(1, 9):
             for p in iterate(GroupSpec("S", n)):
-                assert stats_a(p).sign == cycle_type(p).sign
+                assert sign(p) == cycle_type(p).sign
 
 
 class TestStatsB:
     def test_example_neg2_1(self):
-        st = stats_b(SignedPerm((-2, 1)))
-        assert (st.exc_b, st.inv_b, st.sign_b, st.des_b) == (1, 2, 1, 1)
+        sigma = SignedPerm((-2, 1))
+        assert (exc_b(sigma), inv_b(sigma), inv_b(sigma) % 2,
+                des_b(sigma)) == (1, 2, 0, 1)
 
     def test_example_neg1_neg2(self):
-        st = stats_b(SignedPerm((-1, -2)))
-        assert (st.exc_b, st.inv_b, st.sign_b) == (2, 4, 1)
+        sigma = SignedPerm((-1, -2))
+        assert (exc_b(sigma), inv_b(sigma), inv_b(sigma) % 2) == (2, 4, 0)
 
     def test_identity(self):
-        st = stats_b(SignedPerm.identity(4))
-        assert (st.exc_b, st.wkexc_b, st.inv_b, st.des_b) == (0, 4, 0, 0)
+        sigma = SignedPerm.identity(4)
+        assert (exc_b(sigma), wkexc_b(sigma), inv_b(sigma),
+                des_b(sigma)) == (0, 4, 0, 0)
+
+    def test_pos_n_ignores_signs(self):
+        assert pos_n(SignedPerm((-2, 1))) == 1
+        assert pos_n(SignedPerm((1, 3, -2))) == 2
+        assert pos_n((2, -9, 5)) == 2
 
     def test_b2_plus_distribution(self):
         total = {}
         for sigma in iterate(GroupSpec("B", 2, parity="even")):
-            st = stats_b(sigma)
-            key = (st.nexc_b, st.exc_b)
+            key = (nexc_b(sigma), exc_b(sigma))
             total[key] = total.get(key, 0) + 1
         assert total == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
     def test_complementary_counts(self):
         for n in range(1, 7):
             for sigma in iterate(GroupSpec("B", n)):
-                st = stats_b(sigma)
-                assert st.exc_b + st.nexc_b == n
-                assert st.des_b + st.asc_b == n
+                assert exc_b(sigma) + nexc_b(sigma) == n
+                assert des_b(sigma) + asc_b(sigma) == n
 
     def test_parity_coherence(self):
         for n in range(2, 7):
@@ -131,18 +149,18 @@ class TestStatsB:
 
 class TestStatsD:
     def test_example_neg2_neg1(self):
-        st = stats_d(SignedPerm((-2, -1)))
-        assert (st.exc_d, st.inv_d, st.sign_d) == (1, 1, -1)
+        sigma = SignedPerm((-2, -1))
+        assert (exc_d(sigma), inv_d(sigma), inv_d(sigma) % 2) == (1, 1, 1)
 
     def test_example_2_1(self):
-        st = stats_d(SignedPerm((2, 1)))
-        assert (st.exc_d, st.inv_d) == (1, 1)
+        sigma = SignedPerm((2, 1))
+        assert (exc_d(sigma), inv_d(sigma)) == (1, 1)
 
     def test_d2_distribution(self):
         total = {}
         for sigma in iterate(GroupSpec("D", 2)):
-            st = stats_d(sigma)
-            total[(st.nexc_d, st.exc_d)] = total.get((st.nexc_d, st.exc_d), 0) + 1
+            key = (nexc_d(sigma), exc_d(sigma))
+            total[key] = total.get(key, 0) + 1
         assert total == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
     def test_parity_coherence(self):
@@ -263,6 +281,6 @@ class TestRankZero:
         assert cardinality(GroupSpec("B-D", 0)) == 0
 
     def test_empty_window_stats(self):
-        st = stats_a(Perm(()))
-        assert (st.exc, st.nexc, st.des, st.inv, st.cyc) == (0, 0, 0, 0, 0)
-        assert st.pos_n is None
+        p = Perm(())
+        assert (exc(p), nexc(p), des(p), inv(p), cyc(p)) == (0, 0, 0, 0, 0)
+        assert pos_n(p) == 0

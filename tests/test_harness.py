@@ -132,6 +132,47 @@ class TestRunSuite:
             REGISTRY.remove(doomed)
 
 
+def _raises(exc):
+    def check(limits):
+        raise exc
+
+    return check
+
+
+_ERRORING = [
+    Check("tmp.passes", "typeA", "a passing probe",
+          lambda limits: ("n=1..1", None)),
+    Check("tmp.value_error", "typeA", "a probe that raises",
+          _raises(ValueError("coefficient 3 is odd"))),
+    Check("tmp.assertion", "typeB", "a probe that asserts",
+          _raises(AssertionError("peel left a remainder"))),
+]
+
+
+class TestErroringChecks:
+    def test_run_suite_reports_errors_and_keeps_going(self, monkeypatch):
+        monkeypatch.setattr(checks, "REGISTRY", _ERRORING)
+        results = run_suite("all", VerifyLimits(2, 2, 2))
+        assert [(r.check_id, r.status, r.witness) for r in results] == [
+            ("tmp.passes", "pass", None),
+            ("tmp.value_error", "error", "ValueError: coefficient 3 is odd"),
+            ("tmp.assertion", "error", "AssertionError: peel left a remainder"),
+        ]
+
+    def test_cli_prints_errors_as_failures(self, monkeypatch):
+        monkeypatch.setattr(checks, "REGISTRY", _ERRORING)
+        code, out, err = _run_cli(["verify", "--suite", "all"])
+        assert (code, err) == (1, "")
+        assert out == (
+            "PASS    tmp.passes  (n=1..1)\n"
+            "ERROR   tmp.value_error  (-)\n"
+            "        witness: ValueError: coefficient 3 is odd\n"
+            "ERROR   tmp.assertion  (-)\n"
+            "        witness: AssertionError: peel left a remainder\n"
+            "1 passed, 2 failed, 0 skipped\n"
+        )
+
+
 class _Capture(io.StringIO):
     pass
 
@@ -195,6 +236,13 @@ class TestCli:
         blob = json.loads(out)
         assert blob["mode"] == "q_coefficients"
         assert blob["gammas"] == [["0", "1"]]
+
+    @pytest.mark.parametrize("engine", [[], ["--engine", "closed"],
+                                        ["--engine", "oracle"]])
+    def test_conjexc_lambda_must_partition_n(self, engine):
+        code, out, err = _run_cli(["compute", "--family", "conjexc", "--n", "5",
+                                   "--lambda", "2,2"] + engine)
+        assert (code, out, err) == (2, "", "error: 2,2 is not a partition of 5\n")
 
     def test_conjugacy(self):
         code, out, _ = _run_cli(["conjugacy", "--lambda", "2,2"])

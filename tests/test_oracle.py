@@ -138,6 +138,14 @@ class TestSgnBDesU:
         last = sgnb_des_u(3, positions="max_last")
         assert last == full
 
+    def test_family_record_sums_the_same_polynomial(self):
+        for n in range(5):
+            assert family_poly(FamilySpec("sgnb_des_u", n)) == sgnb_des_u(n)
+
+    def test_budget_uses_iterates_rule(self):
+        with pytest.raises(BudgetExceeded, match="enumerating B_7 visits 645120"):
+            sgnb_des_u(7, budget=1000)
+
     def test_letter_validation(self):
         with pytest.raises(NonIncreasingLetters):
             sgnb_des_u(3, (3, 2, 1))
