@@ -16,7 +16,7 @@ excedance distribution over n-cycles with a shifted descent distribution.
 
 from __future__ import annotations
 
-from .groups import Perm, cyc, pos_n
+from .groups import Perm, _cycles, _window, cyc, pos_n
 
 
 class PreconditionViolated(ValueError):
@@ -29,29 +29,13 @@ class DuplicateEntries(ValueError):
 
 def foata_fft(p):
     """Foata's first fundamental transformation: des(fft(p)) = exc(p)."""
-    w = p.window if isinstance(p, Perm) else tuple(p)
-    n = len(w)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j + 1)
-            j = w[j] - 1
-        low = cycle.index(min(cycle))
-        cycles.append(cycle[low:] + cycle[:low])
-    cycles.sort(key=lambda c: c[0], reverse=True)
-    word = [v for c in cycles for v in c]
+    word = [v for c in reversed(_cycles(_window(p))) for v in c]
     return Perm._trusted(tuple(reversed(word)))
 
 
 def foata_fft_inverse(p):
     """Inverse of ``foata_fft``: exc(fft_inverse(p)) = des(p)."""
-    u = p.window if isinstance(p, Perm) else tuple(p)
+    u = _window(p)
     word = tuple(reversed(u))
     n = len(word)
     image = [0] * n
@@ -74,7 +58,7 @@ def penultimate_to_front(p):
     position 1, and (exc, nexc-1) of the input becomes (des, asc) of the
     output.
     """
-    w = p.window if isinstance(p, Perm) else tuple(p)
+    w = _window(p)
     n = len(w)
     if n < 2 or pos_n(w) != n - 1:
         raise PreconditionViolated(
@@ -91,7 +75,7 @@ def swap_last_two(p):
     Domain: windows whose top letter sits before the last two positions.
     This is a sign-reversing involution preserving the excedance count.
     """
-    w = p.window if isinstance(p, Perm) else tuple(p)
+    w = _window(p)
     n = len(w)
     if n < 2 or pos_n(w) > n - 2:
         raise PreconditionViolated(
@@ -106,7 +90,7 @@ def perm_to_long_cycle(p):
     The window a_1..a_{n-1} maps to the cycle (1, n+1-a_1, ..., n+1-a_{n-1})
     on [n], returned in window notation.
     """
-    w = p.window if isinstance(p, Perm) else tuple(p)
+    w = _window(p)
     n = len(w) + 1
     if n < 2:
         raise PreconditionViolated("need a permutation of at least the empty set")
@@ -120,7 +104,7 @@ def perm_to_long_cycle(p):
 
 def long_cycle_to_perm(p):
     """Inverse of ``perm_to_long_cycle``; domain: single n-cycles on [n]."""
-    w = p.window if isinstance(p, Perm) else tuple(p)
+    w = _window(p)
     n = len(w)
     if n < 2 or cyc(w) != 1:
         raise PreconditionViolated(f"{w} is not a single {n}-cycle")

@@ -2,12 +2,14 @@
 
 Each check pits an independently computed value (closed form, recurrence,
 fixed table, bijection image) against the enumeration oracle or against the
-gamma machinery, with exact equality everywhere.  ``run_suite`` executes a
-suite and returns one CheckResult per check; a failing result always carries
-a witness showing both sides.  Checks whose range would exceed the
-enumeration budget come back as skipped results with the reason, never as
-failures.  A check that raises anything else comes back as an error result
-whose witness is the exception, so one broken check never hides the rest.
+gamma machinery, with exact equality everywhere.  A check returns the range
+it covered, or raises ``Mismatch`` whose message is the witness showing both
+sides; ``_same`` and ``_gamma_positive`` are the assertions that raise it.
+``run_suite`` is the one place that turns an outcome into a CheckResult: a
+return passes, a ``Mismatch`` fails, a range beyond the enumeration budget
+comes back skipped with the reason, and anything else a check raises comes
+back as an error whose witness is the exception, so one broken check never
+hides the rest.
 """
 
 from __future__ import annotations
@@ -82,6 +84,10 @@ class Check:
     func: object
 
 
+class Mismatch(Exception):
+    """A check's claim does not hold; the message is the witness."""
+
+
 REGISTRY: list[Check] = []
 
 
@@ -93,8 +99,24 @@ def _register(check_id, suite, claim):
     return wrap
 
 
-def _mismatch(label, left, right):
-    return f"{label}: {left} != {right}"
+def _same(label, left, right):
+    """Raise Mismatch with the witness ``label: left != right`` unless equal.
+
+    The label is formatted only on failure, so a per-window check passes
+    the window itself and compares its image's properties as one tuple.
+    """
+    if left != right:
+        raise Mismatch(f"{label}: {left} != {right}")
+
+
+def _gamma_positive(label, f, mode, center=None):
+    """The gamma expansion of f, asserted non-negative (and centered)."""
+    expansion = gamma_decompose(f, mode)
+    if not expansion.all_gammas_nonnegative():
+        raise Mismatch(f"{label}: {expansion} != (>= 0)")
+    if center is not None:
+        _same(f"{label} center", expansion.center_of_symmetry, center)
+    return expansion
 
 
 def _ranged(lo, hi):
@@ -106,7 +128,7 @@ def _ranged(lo, hi):
 
 def _gamma_samples():
     """Gamma positive bivariate polynomials with known centers."""
-    samples = [
+    return [
         (closedforms.half_sum_closed("aexc", 5, "plus"), Fraction(2)),
         (closedforms.half_sum_closed("aexc", 5, "minus"), Fraction(2)),
         (closedforms.half_sum_closed("bexc", 4, "plus"), Fraction(2)),
@@ -114,7 +136,6 @@ def _gamma_samples():
         ((_S + _T) ** 3, Fraction(3, 2)),
         (closedforms.eulerian("B", 3), Fraction(3, 2)),
     ]
-    return samples
 
 
 @_register("gamma_calculus.product_center_addition", "gamma_calculus",
@@ -124,13 +145,8 @@ def _check_products(limits):
     samples = _gamma_samples()
     for f, cf in samples:
         for g, cg in samples:
-            expansion = gamma_decompose(f * g, BIVARIATE)
-            if not expansion.all_gammas_nonnegative():
-                return None, _mismatch("negative gamma", expansion, "(>= 0)")
-            if expansion.center_of_symmetry != cf + cg:
-                return None, _mismatch("center", expansion.center_of_symmetry,
-                                       cf + cg)
-    return f"{len(samples)}^2 products", None
+            _gamma_positive("product", f * g, BIVARIATE, cf + cg)
+    return f"{len(samples)}^2 products"
 
 
 @_register("gamma_calculus.derivative_center_shift", "gamma_calculus",
@@ -138,13 +154,8 @@ def _check_products(limits):
            "positive with center lowered by one half")
 def _check_derivative(limits):
     for f, cf in _gamma_samples():
-        expansion = gamma_decompose(D(f), BIVARIATE)
-        if not expansion.all_gammas_nonnegative():
-            return None, _mismatch("negative gamma", expansion, "(>= 0)")
-        if expansion.center_of_symmetry != cf - Fraction(1, 2):
-            return None, _mismatch("center", expansion.center_of_symmetry,
-                                   cf - Fraction(1, 2))
-    return "6 samples", None
+        _gamma_positive("derivative", D(f), BIVARIATE, cf - Fraction(1, 2))
+    return "6 samples"
 
 
 @_register("gamma_calculus.monomial_multipliers_shift_center", "gamma_calculus",
@@ -152,167 +163,103 @@ def _check_derivative(limits):
 def _check_multipliers(limits):
     for f, cf in _gamma_samples():
         for factor, shift in ((_S * _T, Fraction(1)), (_S + _T, Fraction(1, 2))):
-            expansion = gamma_decompose(factor * f, BIVARIATE)
-            if not expansion.all_gammas_nonnegative():
-                return None, _mismatch("negative gamma", expansion, "(>= 0)")
-            if expansion.center_of_symmetry != cf + shift:
-                return None, _mismatch("center", expansion.center_of_symmetry,
-                                       cf + shift)
-    return "6 samples x 2 multipliers", None
+            _gamma_positive("multiplied", factor * f, BIVARIATE, cf + shift)
+    return "6 samples x 2 multipliers"
 
 
 @_register("gamma_calculus.odd_length_split", "gamma_calculus",
            "odd-length gamma positive polynomials split into two even-length "
            "gamma positive halves with centers one apart")
 def _check_split(limits):
-    t = _T
-    samples = [(1 + t) ** 3,
+    samples = [(1 + _T) ** 3,
                (_S * _T * D(closedforms.eulerian("A", 5))).substitute_one("s"),
                (_S * _T * D(closedforms.eulerian("B", 4))).substitute_one("s")]
     for f in samples:
-        src = gamma_decompose(f, UNIVARIATE)
-        low, high = split_odd_length(src)
-        if low.recompose() + high.recompose() != f:
-            return None, _mismatch("split sum", low.recompose() + high.recompose(), f)
-        if (high.center_of_symmetry - low.center_of_symmetry) != 1:
-            return None, _mismatch("split centers", low.center_of_symmetry,
-                                   high.center_of_symmetry)
-        if low.length % 2 or high.length % 2:
-            return None, _mismatch("lengths", (low.length, high.length), "even")
+        low, high = split_odd_length(gamma_decompose(f, UNIVARIATE))
+        _same("split sum", low.recompose() + high.recompose(), f)
+        _same("split center gap",
+              high.center_of_symmetry - low.center_of_symmetry, 1)
+        _same("length parities", (low.length % 2, high.length % 2), (0, 0))
         if not (low.all_gammas_nonnegative() and high.all_gammas_nonnegative()):
-            return None, _mismatch("positivity", (low, high), "(>= 0)")
-    return "3 samples", None
+            raise Mismatch(f"positivity: {(low, high)} != (>= 0)")
+    return "3 samples"
 
 
 @_register("gamma_calculus.decompose_recompose_roundtrip", "gamma_calculus",
            "gamma decomposition and recomposition are mutually inverse")
 def _check_roundtrip(limits):
     for f, _ in _gamma_samples():
-        if gamma_decompose(f, BIVARIATE).recompose() != f:
-            return None, _mismatch("roundtrip", f, "recompose(decompose(f))")
+        _same("bivariate roundtrip", gamma_decompose(f, BIVARIATE).recompose(), f)
         univ = f.substitute_one("s")
-        if gamma_decompose(univ, UNIVARIATE).recompose() != univ:
-            return None, _mismatch("roundtrip", univ, "recompose(decompose(f))")
-    return "6 samples x 2 modes", None
+        _same("univariate roundtrip",
+              gamma_decompose(univ, UNIVARIATE).recompose(), univ)
+    return "6 samples x 2 modes"
 
 
-# ------------------------------------------------------------------------ type A
+# ---------------------------------------------------------- shapes shared by types
 
 
-@_register("typeA.eulerian_recurrence_certified", "typeA",
-           "the bivariate descent polynomial recurrence reproduces the "
-           "enumeration over the symmetric group")
-def _check_eulerian_a(limits):
-    hi = min(limits.max_n_a, 6)
-    for n in range(1, hi + 1):
-        left = closedforms.eulerian("A", n)
-        right = family_poly(FamilySpec("a_des", n), budget=limits.budget)
-        if left != right:
-            return None, _mismatch(f"A_{n}", left, right)
-    return _ranged(1, hi), None
-
-
-@_register("typeA.closed_equals_oracle", "typeA",
-           "the half-sum closed forms match the enumerated even/odd "
-           "excedance polynomials")
-def _check_aexc_oracle(limits):
-    for n in range(2, limits.max_n_a + 1):
+def _closed_equals_oracle(family, lo, hi, limits):
+    """Both half-sum closed forms equal the enumerated halves."""
+    for n in range(lo, hi + 1):
         for cls in ("plus", "minus"):
-            left = closedforms.half_sum_closed("aexc", n, cls)
-            right = family_poly(FamilySpec("aexc", n, cls), budget=limits.budget)
-            if left != right:
-                return None, _mismatch(f"n={n} {cls}", left, right)
-    return _ranged(2, limits.max_n_a), None
+            _same(f"n={n} {cls}", closedforms.half_sum_closed(family, n, cls),
+                  family_poly(FamilySpec(family, n, cls), budget=limits.budget))
+    return _ranged(lo, hi)
 
 
-@_register("typeA.step_equals_half_sum", "typeA",
-           "the one-step plus/minus recurrence agrees with the half-sum "
-           "closed form")
-def _check_aexc_step(limits):
-    hi = max(limits.max_n_a, 12)
-    for n in range(2, hi + 1):
+def _step_equals_half_sum(family, lo, hi):
+    for n in range(lo, hi + 1):
         for cls in ("plus", "minus"):
-            left = closedforms.step_recurrence("aexc", n, cls)
-            right = closedforms.half_sum_closed("aexc", n, cls)
-            if left != right:
-                return None, _mismatch(f"n={n} {cls}", left, right)
-    return _ranged(2, hi), None
+            _same(f"n={n} {cls}", closedforms.step_recurrence(family, n, cls),
+                  closedforms.half_sum_closed(family, n, cls))
+    return _ranged(lo, hi)
 
 
-@_register("typeA.palindromic_iff_odd_rank", "typeA",
-           "the even/odd excedance polynomials are palindromic exactly at "
-           "odd ranks")
-def _check_palindromic_iff(limits):
-    for n in range(2, 10):
-        for cls in ("plus", "minus"):
-            f = closedforms.half_sum_closed("aexc", n, cls)
-            got = palindrome_info(f, BIVARIATE).is_palindromic
-            if got != (n % 2 == 1):
-                return None, _mismatch(f"n={n} {cls} palindromic", got, n % 2 == 1)
-    return _ranged(2, 9), None
-
-
-@_register("typeA.derivative_halving", "typeA",
-           "both excedance halves have the same s+t derivative, half that of "
-           "the full polynomial")
-def _check_derivative_halving(limits):
-    hi = max(limits.max_n_a, 8)
-    for n in range(2, hi + 1):
-        dp = D(closedforms.half_sum_closed("aexc", n, "plus"))
-        dm = D(closedforms.half_sum_closed("aexc", n, "minus"))
-        da = half(D(closedforms.eulerian("A", n)))
-        if not (dp == dm == da):
-            return None, _mismatch(f"n={n}", dp, (dm, da))
-    return _ranged(2, hi), None
-
-
-_AEXC5_PLUS = (_S ** 4 + 11 * _S ** 3 * _T + 36 * _S ** 2 * _T ** 2
-               + 11 * _S * _T ** 3 + _T ** 4)
-_AEXC5_MINUS = 15 * _S ** 3 * _T + 30 * _S ** 2 * _T ** 2 + 15 * _S * _T ** 3
-_AEXC7_PLUS = (_S ** 6 + 57 * _S ** 5 * _T + 603 * _S ** 4 * _T ** 2
-               + 1198 * _S ** 3 * _T ** 3 + 603 * _S ** 2 * _T ** 4
-               + 57 * _S * _T ** 5 + _T ** 6)
-_AEXC7_MINUS = (63 * _S ** 5 * _T + 588 * _S ** 4 * _T ** 2
-                + 1218 * _S ** 3 * _T ** 3 + 588 * _S ** 2 * _T ** 4
-                + 63 * _S * _T ** 5)
-
-
-@_register("typeA.base_polynomials", "typeA",
-           "the rank 5 and 7 even/odd excedance polynomials and their gamma "
-           "vectors take their tabulated values")
-def _check_aexc_bases(limits):
-    expected = {
-        (5, "plus"): (_AEXC5_PLUS, (1, 7, 16)),
-        (5, "minus"): (_AEXC5_MINUS, (15, 0)),
-        (7, "plus"): (_AEXC7_PLUS, (1, 51, 384, 104)),
-        (7, "minus"): (_AEXC7_MINUS, (63, 336, 168)),
-    }
+def _base_polynomials(engine, family, expected):
+    """Tabulated (polynomial, gamma vector) per (rank, class)."""
     for (n, cls), (poly, gammas) in expected.items():
-        got = closedforms.half_sum_closed("aexc", n, cls)
-        if got != poly:
-            return None, _mismatch(f"n={n} {cls}", got, poly)
-        gexp = gamma_decompose(got, BIVARIATE)
-        if gexp.gammas != gammas:
-            return None, _mismatch(f"n={n} {cls} gammas", gexp.gammas, gammas)
-    return "n=5,7", None
+        got = engine(family, n, cls)
+        _same(f"n={n} {cls}", got, poly)
+        _same(f"n={n} {cls} gammas", gamma_decompose(got, BIVARIATE).gammas,
+              gammas)
 
 
-@_register("typeA.odd_rank_gamma_positive", "typeA",
-           "at odd ranks from 5 on, both excedance halves are gamma positive "
-           "with center (n-1)/2")
-def _check_aexc_odd_gamma(limits):
-    for n in range(5, 12, 2):
+def _jump_table_values(expected):
+    """Tabulated (polynomial, center) per jump-table name."""
+    tab = closedforms.jump_tables()
+    for name, (poly, cos) in expected.items():
+        _same(name, tab[name], (poly, cos))
+        _gamma_positive(f"{name} gamma", tab[name][0], BIVARIATE, cos)
+    first, *_, last = expected
+    return f"{first}..{last}"
+
+
+def _jump_equals_four_steps(family, n_values):
+    for n in n_values:
         for cls in ("plus", "minus"):
-            gexp = gamma_decompose(
-                closedforms.half_sum_closed("aexc", n, cls), BIVARIATE
-            )
-            if not gexp.all_gammas_nonnegative():
-                return None, _mismatch(f"n={n} {cls}", gexp, "(>= 0)")
-            if gexp.center_of_symmetry != Fraction(n - 1, 2):
-                return None, _mismatch(f"n={n} {cls} center",
-                                       gexp.center_of_symmetry,
-                                       Fraction(n - 1, 2))
-    return "n=5,7,9,11", None
+            _same(f"n={n}->{n + 4} {cls}", closedforms.jump4(family, n, cls),
+                  closedforms.step_recurrence(family, n + 4, cls))
+    return "n+4=" + ",".join(str(n + 4) for n in n_values)
+
+
+def _totals_and_additivity(family, lo, hi, order, limits):
+    """The halves sum to the whole, whose value at s = t = 1 is order(n)."""
+    for n in range(lo, hi + 1):
+        full = family_poly(FamilySpec(family, n), budget=limits.budget)
+        plus = family_poly(FamilySpec(family, n, "plus"), budget=limits.budget)
+        minus = family_poly(FamilySpec(family, n, "minus"), budget=limits.budget)
+        _same(f"n={n} additivity", plus + minus, full)
+        _same(f"n={n} total", full.at_ones(), order(n))
+    return _ranged(lo, hi)
+
+
+def _signed_power(family, lo, hi, closed, limits):
+    """The sign-weighted enumeration equals its collapsed closed form."""
+    for n in range(lo, hi + 1):
+        _same(f"n={n}", family_poly(FamilySpec(family, n), budget=limits.budget),
+              closed(n))
+    return _ranged(lo, hi)
 
 
 def _even_split(family, n, cls):
@@ -344,42 +291,129 @@ def _even_split(family, n, cls):
     return w1, w2
 
 
-def _check_two_term(family, n_values, target):
+def _two_term_split(engine, family, n_values):
+    """Each univariate half engine(family, n, cls) splits by ``_even_split``."""
     for n in n_values:
         for cls in ("plus", "minus"):
             w1, w2 = _even_split(family, n, cls)
-            goal = target(n, cls)
-            if w1 + w2 != goal:
-                return _mismatch(f"n={n} {cls} sum", w1 + w2, goal)
-            g1 = gamma_decompose(w1, UNIVARIATE)
-            g2 = gamma_decompose(w2, UNIVARIATE)
-            if not (g1.all_gammas_nonnegative() and g2.all_gammas_nonnegative()):
-                return _mismatch(f"n={n} {cls} positivity", (g1, g2), "(>= 0)")
-            if g2.center_of_symmetry - g1.center_of_symmetry != 1:
-                return _mismatch(f"n={n} {cls} centers",
-                                 (g1.center_of_symmetry, g2.center_of_symmetry),
-                                 "differ by 1")
-    return None
+            _same(f"n={n} {cls} sum", w1 + w2,
+                  engine(family, n, cls).substitute_one("s"))
+            g1 = _gamma_positive(f"n={n} {cls} first term", w1, UNIVARIATE)
+            g2 = _gamma_positive(f"n={n} {cls} second term", w2, UNIVARIATE)
+            _same(f"n={n} {cls} center gap",
+                  g2.center_of_symmetry - g1.center_of_symmetry, 1)
+    return "n=" + ",".join(str(n) for n in n_values)
+
+
+def _q_gamma_positive(stat, limits):
+    hi = min(limits.max_n_a, 7)
+    for n in range(2, hi + 1):
+        for cls in ("plus", "minus", "all"):
+            f = oracle.q_refined(n, stat, cls, budget=limits.budget)
+            if not f.is_zero:
+                _gamma_positive(f"n={n} {cls}", f, Q_COEFFICIENTS)
+    return _ranged(2, hi)
+
+
+# ------------------------------------------------------------------------ type A
+
+
+@_register("typeA.eulerian_recurrence_certified", "typeA",
+           "the bivariate descent polynomial recurrence reproduces the "
+           "enumeration over the symmetric group")
+def _check_eulerian_a(limits):
+    hi = min(limits.max_n_a, 6)
+    for n in range(1, hi + 1):
+        _same(f"A_{n}", closedforms.eulerian("A", n),
+              family_poly(FamilySpec("a_des", n), budget=limits.budget))
+    return _ranged(1, hi)
+
+
+@_register("typeA.closed_equals_oracle", "typeA",
+           "the half-sum closed forms match the enumerated even/odd "
+           "excedance polynomials")
+def _check_aexc_oracle(limits):
+    return _closed_equals_oracle("aexc", 2, limits.max_n_a, limits)
+
+
+@_register("typeA.step_equals_half_sum", "typeA",
+           "the one-step plus/minus recurrence agrees with the half-sum "
+           "closed form")
+def _check_aexc_step(limits):
+    return _step_equals_half_sum("aexc", 2, max(limits.max_n_a, 12))
+
+
+@_register("typeA.palindromic_iff_odd_rank", "typeA",
+           "the even/odd excedance polynomials are palindromic exactly at "
+           "odd ranks")
+def _check_palindromic_iff(limits):
+    for n in range(2, 10):
+        for cls in ("plus", "minus"):
+            f = closedforms.half_sum_closed("aexc", n, cls)
+            _same(f"n={n} {cls} palindromic",
+                  palindrome_info(f, BIVARIATE).is_palindromic, n % 2 == 1)
+    return _ranged(2, 9)
+
+
+@_register("typeA.derivative_halving", "typeA",
+           "both excedance halves have the same s+t derivative, half that of "
+           "the full polynomial")
+def _check_derivative_halving(limits):
+    hi = max(limits.max_n_a, 8)
+    for n in range(2, hi + 1):
+        dp = D(closedforms.half_sum_closed("aexc", n, "plus"))
+        dm = D(closedforms.half_sum_closed("aexc", n, "minus"))
+        da = half(D(closedforms.eulerian("A", n)))
+        _same(f"n={n} plus vs minus", dp, dm)
+        _same(f"n={n} minus vs half the whole", dm, da)
+    return _ranged(2, hi)
+
+
+_AEXC5_PLUS = (_S ** 4 + 11 * _S ** 3 * _T + 36 * _S ** 2 * _T ** 2
+               + 11 * _S * _T ** 3 + _T ** 4)
+_AEXC5_MINUS = 15 * _S ** 3 * _T + 30 * _S ** 2 * _T ** 2 + 15 * _S * _T ** 3
+_AEXC7_PLUS = (_S ** 6 + 57 * _S ** 5 * _T + 603 * _S ** 4 * _T ** 2
+               + 1198 * _S ** 3 * _T ** 3 + 603 * _S ** 2 * _T ** 4
+               + 57 * _S * _T ** 5 + _T ** 6)
+_AEXC7_MINUS = (63 * _S ** 5 * _T + 588 * _S ** 4 * _T ** 2
+                + 1218 * _S ** 3 * _T ** 3 + 588 * _S ** 2 * _T ** 4
+                + 63 * _S * _T ** 5)
+
+
+@_register("typeA.base_polynomials", "typeA",
+           "the rank 5 and 7 even/odd excedance polynomials and their gamma "
+           "vectors take their tabulated values")
+def _check_aexc_bases(limits):
+    _base_polynomials(closedforms.half_sum_closed, "aexc", {
+        (5, "plus"): (_AEXC5_PLUS, (1, 7, 16)),
+        (5, "minus"): (_AEXC5_MINUS, (15, 0)),
+        (7, "plus"): (_AEXC7_PLUS, (1, 51, 384, 104)),
+        (7, "minus"): (_AEXC7_MINUS, (63, 336, 168)),
+    })
+    return "n=5,7"
+
+
+@_register("typeA.odd_rank_gamma_positive", "typeA",
+           "at odd ranks from 5 on, both excedance halves are gamma positive "
+           "with center (n-1)/2")
+def _check_aexc_odd_gamma(limits):
+    for n in range(5, 12, 2):
+        for cls in ("plus", "minus"):
+            _gamma_positive(f"n={n} {cls}",
+                            closedforms.half_sum_closed("aexc", n, cls),
+                            BIVARIATE, Fraction(n - 1, 2))
+    return "n=5,7,9,11"
 
 
 @_register("typeA.even_rank_two_term_split", "typeA",
            "at even ranks the univariate excedance halves split into two "
            "gamma positive polynomials with centers one apart")
 def _check_aexc_split(limits):
-    witness = _check_two_term(
-        "aexc", range(4, 11, 2),
-        lambda n, cls: closedforms.half_sum_closed("aexc", n, cls)
-        .substitute_one("s"),
-    )
-    if witness:
-        return None, witness
-    # tabulated base split at rank 4
-    t = _T
-    w1, w2 = _even_split("aexc", 4, "plus")
-    if (w1, w2) != (1 + 4 * t + t ** 2, 6 * t ** 2):
-        return None, _mismatch("rank-4 split", (w1, w2),
-                               (1 + 4 * t + t ** 2, 6 * t ** 2))
-    return "n=4,6,8,10", None
+    covered = _two_term_split(closedforms.half_sum_closed, "aexc",
+                              range(4, 11, 2))
+    _same("rank-4 split", _even_split("aexc", 4, "plus"),
+          (1 + 4 * _T + _T ** 2, 6 * _T ** 2))
+    return covered
 
 
 @_register("typeA.coefficient_triangle", "typeA",
@@ -394,23 +428,20 @@ def _check_coeff_tables(limits):
             extracted = tuple(
                 f.coefficient("t", k).constant_value() for k in range(n)
             )
-            if tables.row(n, cls) != extracted:
-                return None, _mismatch(f"row {n} {cls}", tables.row(n, cls),
-                                       extracted)
+            _same(f"row {n} {cls}", tables.row(n, cls), extracted)
         full = closedforms.eulerian_t("A", n)
         for k in range(n):
-            total = tables.value(n, k, "plus") + tables.value(n, k, "minus")
-            if total != full.coefficient("t", k).constant_value():
-                return None, _mismatch(f"Eulerian({n},{k})", total, full)
-    return _ranged(2, hi), None
+            _same(f"Eulerian({n},{k})",
+                  tables.value(n, k, "plus") + tables.value(n, k, "minus"),
+                  full.coefficient("t", k).constant_value())
+    return _ranged(2, hi)
 
 
 @_register("typeA.jump_table_values", "typeA",
            "the six fixed rank-jump polynomials match their tabulated "
            "expansions and centers")
 def _check_l_tables(limits):
-    tab = closedforms.jump_tables()
-    expected = {
+    return _jump_table_values({
         "L1": ((_S + _T) ** 4 + 7 * _S * _T * (_S + _T) ** 2
                + 16 * (_S * _T) ** 2, Fraction(2)),
         "L2": (15 * _S * _T * (_S + _T) ** 2, Fraction(2)),
@@ -420,45 +451,22 @@ def _check_l_tables(limits):
                Fraction(3)),
         "L5": (10 * (_S * _T) ** 3 * (_S + _T), Fraction(7, 2)),
         "L6": ((_S * _T) ** 4, Fraction(4)),
-    }
-    for name, (poly, cos) in expected.items():
-        got_poly, got_cos = tab[name]
-        if got_poly != poly or got_cos != cos:
-            return None, _mismatch(name, (got_poly, got_cos), (poly, cos))
-        gexp = gamma_decompose(got_poly, BIVARIATE)
-        if not gexp.all_gammas_nonnegative() or gexp.center_of_symmetry != cos:
-            return None, _mismatch(f"{name} gamma", gexp, cos)
-    return "L1..L6", None
+    })
 
 
 @_register("typeA.jump_equals_four_steps", "typeA",
            "the four-step jump built from the fixed tables equals four "
            "applications of the one-step recurrence")
 def _check_a_jump(limits):
-    for n in (5, 7, 9):
-        for cls in ("plus", "minus"):
-            left = closedforms.jump4("aexc", n, cls)
-            right = closedforms.step_recurrence("aexc", n + 4, cls)
-            if left != right:
-                return None, _mismatch(f"n={n}->{n + 4} {cls}", left, right)
-    return "n+4=9,11,13", None
+    return _jump_equals_four_steps("aexc", (5, 7, 9))
 
 
 @_register("typeA.totals_and_class_additivity", "typeA",
            "family totals count the domain and the even/odd halves sum to "
            "the whole")
 def _check_a_totals(limits):
-    hi = min(limits.max_n_a, 7)
-    for n in range(2, hi + 1):
-        full = family_poly(FamilySpec("aexc", n), budget=limits.budget)
-        plus = family_poly(FamilySpec("aexc", n, "plus"), budget=limits.budget)
-        minus = family_poly(FamilySpec("aexc", n, "minus"), budget=limits.budget)
-        if plus + minus != full:
-            return None, _mismatch(f"n={n} additivity", plus + minus, full)
-        if full.at_ones() != math.factorial(n):
-            return None, _mismatch(f"n={n} total", full.at_ones(),
-                                   math.factorial(n))
-    return _ranged(2, hi), None
+    return _totals_and_additivity("aexc", 2, min(limits.max_n_a, 7),
+                                  math.factorial, limits)
 
 
 # ------------------------------------------------------------------------ type B
@@ -469,37 +477,22 @@ def _check_a_totals(limits):
            "enumeration over the signed group")
 def _check_eulerian_b(limits):
     for n in range(1, limits.max_n_b + 1):
-        left = closedforms.eulerian("B", n)
-        right = family_poly(FamilySpec("b_des", n), budget=limits.budget)
-        if left != right:
-            return None, _mismatch(f"B_{n}", left, right)
-    return _ranged(1, limits.max_n_b), None
+        _same(f"B_{n}", closedforms.eulerian("B", n),
+              family_poly(FamilySpec("b_des", n), budget=limits.budget))
+    return _ranged(1, limits.max_n_b)
 
 
 @_register("typeB.closed_equals_oracle", "typeB",
            "the type-B half-sum closed forms match the enumerated even/odd "
            "excedance polynomials")
 def _check_bexc_oracle(limits):
-    for n in range(1, limits.max_n_b + 1):
-        for cls in ("plus", "minus"):
-            left = closedforms.half_sum_closed("bexc", n, cls)
-            right = family_poly(FamilySpec("bexc", n, cls), budget=limits.budget)
-            if left != right:
-                return None, _mismatch(f"n={n} {cls}", left, right)
-    return _ranged(1, limits.max_n_b), None
+    return _closed_equals_oracle("bexc", 1, limits.max_n_b, limits)
 
 
 @_register("typeB.step_equals_half_sum", "typeB",
            "the type-B one-step recurrence agrees with the half-sum closed form")
 def _check_bexc_step(limits):
-    hi = max(limits.max_n_b, 12)
-    for n in range(1, hi + 1):
-        for cls in ("plus", "minus"):
-            left = closedforms.step_recurrence("bexc", n, cls)
-            right = closedforms.half_sum_closed("bexc", n, cls)
-            if left != right:
-                return None, _mismatch(f"n={n} {cls}", left, right)
-    return _ranged(1, hi), None
+    return _step_equals_half_sum("bexc", 1, max(limits.max_n_b, 12))
 
 
 @_register("typeB.descent_excedance_equidistributed", "typeB",
@@ -508,11 +501,10 @@ def _check_bexc_step(limits):
 def _check_b_equidistribution(limits):
     for n in range(1, limits.max_n_b + 1):
         for cls in ("plus", "minus", "all"):
-            left = family_poly(FamilySpec("b_des", n, cls), budget=limits.budget)
-            right = family_poly(FamilySpec("bexc", n, cls), budget=limits.budget)
-            if left != right:
-                return None, _mismatch(f"n={n} {cls}", left, right)
-    return _ranged(1, limits.max_n_b), None
+            _same(f"n={n} {cls}",
+                  family_poly(FamilySpec("b_des", n, cls), budget=limits.budget),
+                  family_poly(FamilySpec("bexc", n, cls), budget=limits.budget))
+    return _ranged(1, limits.max_n_b)
 
 
 @_register("typeB.weak_excedance_equidistribution", "typeB",
@@ -520,19 +512,14 @@ def _check_b_equidistribution(limits):
            "negative-letter set statistic")
 def _check_b_weak(limits):
     for n in range(1, limits.max_n_b + 1):
-        left = dist_poly(
-            GroupSpec("B", n),
-            WeightSpec((("t", "asc_b", 0), ("u", "negs", 0))),
-            budget=limits.budget,
-        )
-        right = dist_poly(
-            GroupSpec("B", n),
-            WeightSpec((("t", "wkexc_b", 0), ("u", "negs", 0))),
-            budget=limits.budget,
-        )
-        if left != right:
-            return None, _mismatch(f"n={n}", left, right)
-    return _ranged(1, limits.max_n_b), None
+        _same(f"n={n}",
+              dist_poly(GroupSpec("B", n),
+                        WeightSpec((("t", "asc_b", 0), ("u", "negs", 0))),
+                        budget=limits.budget),
+              dist_poly(GroupSpec("B", n),
+                        WeightSpec((("t", "wkexc_b", 0), ("u", "negs", 0))),
+                        budget=limits.budget))
+    return _ranged(1, limits.max_n_b)
 
 
 @_register("typeB.even_rank_gamma_positive", "typeB",
@@ -541,27 +528,17 @@ def _check_b_weak(limits):
 def _check_bexc_gamma(limits):
     for n in range(2, 11, 2):
         for cls in ("plus", "minus"):
-            gexp = gamma_decompose(
-                closedforms.half_sum_closed("bexc", n, cls), BIVARIATE
-            )
-            if not gexp.all_gammas_nonnegative():
-                return None, _mismatch(f"n={n} {cls}", gexp, "(>= 0)")
-            if gexp.center_of_symmetry != Fraction(n, 2):
-                return None, _mismatch(f"n={n} {cls} center",
-                                       gexp.center_of_symmetry, Fraction(n, 2))
-    return "n=2,4,..,10", None
+            _gamma_positive(f"n={n} {cls}",
+                            closedforms.half_sum_closed("bexc", n, cls),
+                            BIVARIATE, Fraction(n, 2))
+    return "n=2,4,..,10"
 
 
 @_register("typeB.odd_rank_two_term_split", "typeB",
            "at odd ranks the univariate type-B halves split into two gamma "
            "positive polynomials with centers one apart")
 def _check_bexc_split(limits):
-    witness = _check_two_term(
-        "bexc", range(3, 10, 2),
-        lambda n, cls: closedforms.half_sum_closed("bexc", n, cls)
-        .substitute_one("s"),
-    )
-    return ("n=3,5,7,9", None) if witness is None else (None, witness)
+    return _two_term_split(closedforms.half_sum_closed, "bexc", range(3, 10, 2))
 
 
 @_register("typeB.inversion_variants_agree_mod_2", "typeB",
@@ -571,26 +548,16 @@ def _check_inv_variants(limits):
     hi = min(limits.max_n_b, 5)
     for n in range(1, hi + 1):
         for p in iterate(GroupSpec("B", n), budget=limits.budget):
-            if inv_b(p.window) % 2 != inv_b_negsum(p.window) % 2:
-                return None, _mismatch(f"{p}", inv_b(p.window),
-                                       inv_b_negsum(p.window))
-    return _ranged(1, hi), None
+            _same(p, inv_b(p.window) % 2, inv_b_negsum(p.window) % 2)
+    return _ranged(1, hi)
 
 
 @_register("typeB.totals_and_class_additivity", "typeB",
            "type-B family totals count the domain and the halves sum to the "
            "whole")
 def _check_b_totals(limits):
-    for n in range(1, limits.max_n_b + 1):
-        full = family_poly(FamilySpec("bexc", n), budget=limits.budget)
-        plus = family_poly(FamilySpec("bexc", n, "plus"), budget=limits.budget)
-        minus = family_poly(FamilySpec("bexc", n, "minus"), budget=limits.budget)
-        if plus + minus != full:
-            return None, _mismatch(f"n={n} additivity", plus + minus, full)
-        if full.at_ones() != 2 ** n * math.factorial(n):
-            return None, _mismatch(f"n={n} total", full.at_ones(),
-                                   2 ** n * math.factorial(n))
-    return _ranged(1, limits.max_n_b), None
+    return _totals_and_additivity("bexc", 1, limits.max_n_b,
+                                  lambda n: 2 ** n * math.factorial(n), limits)
 
 
 # ------------------------------------------------------------------------ type D
@@ -601,15 +568,13 @@ def _check_b_totals(limits):
            "the complement equals the odd half")
 def _check_d_bridge(limits):
     for n in range(1, limits.max_n_d + 1):
-        left = family_poly(FamilySpec("dexc", n), budget=limits.budget)
-        right = closedforms.half_sum_closed("bexc", n, "plus")
-        if left != right:
-            return None, _mismatch(f"n={n} dexc", left, right)
-        left = family_poly(FamilySpec("bdexc", n), budget=limits.budget)
-        right = closedforms.half_sum_closed("bexc", n, "minus")
-        if left != right:
-            return None, _mismatch(f"n={n} bdexc", left, right)
-    return _ranged(1, limits.max_n_d), None
+        _same(f"n={n} dexc",
+              family_poly(FamilySpec("dexc", n), budget=limits.budget),
+              closedforms.half_sum_closed("bexc", n, "plus"))
+        _same(f"n={n} bdexc",
+              family_poly(FamilySpec("bdexc", n), budget=limits.budget),
+              closedforms.half_sum_closed("bexc", n, "minus"))
+    return _ranged(1, limits.max_n_d)
 
 
 @_register("typeD.step_equals_oracle", "typeD",
@@ -618,16 +583,13 @@ def _check_d_bridge(limits):
 def _check_d_step(limits):
     for n in range(2, limits.max_n_d + 1):
         for family in ("dexc", "bdexc"):
-            left = closedforms.step_recurrence(family, n)
-            right = family_poly(FamilySpec(family, n), budget=limits.budget)
-            if left != right:
-                return None, _mismatch(f"n={n} {family}", left, right)
+            _same(f"n={n} {family}", closedforms.step_recurrence(family, n),
+                  family_poly(FamilySpec(family, n), budget=limits.budget))
         for cls in ("plus", "minus"):
-            left = closedforms.step_recurrence("dexc", n, cls)
-            right = family_poly(FamilySpec("dexc", n, cls), budget=limits.budget)
-            if left != right:
-                return None, _mismatch(f"n={n} dexc {cls}", left, right)
-    return _ranged(2, limits.max_n_d), None
+            _same(f"n={n} dexc {cls}",
+                  closedforms.step_recurrence("dexc", n, cls),
+                  family_poly(FamilySpec("dexc", n, cls), budget=limits.budget))
+    return _ranged(2, limits.max_n_d)
 
 
 @_register("typeD.descent_restriction_equidistributed", "typeD",
@@ -635,13 +597,12 @@ def _check_d_step(limits):
            "equidistributed with type-D excedances")
 def _check_d_descent(limits):
     for n in range(2, limits.max_n_d + 1):
-        left = dist_poly(GroupSpec("D", n),
-                         WeightSpec((("t", "des_b", 0), ("s", "asc_b", 0))),
-                         budget=limits.budget)
-        right = family_poly(FamilySpec("dexc", n), budget=limits.budget)
-        if left != right:
-            return None, _mismatch(f"n={n}", left, right)
-    return _ranged(2, limits.max_n_d), None
+        _same(f"n={n}",
+              dist_poly(GroupSpec("D", n),
+                        WeightSpec((("t", "des_b", 0), ("s", "asc_b", 0))),
+                        budget=limits.budget),
+              family_poly(FamilySpec("dexc", n), budget=limits.budget))
+    return _ranged(2, limits.max_n_d)
 
 
 _DEXC4_PLUS = (_S ** 4 + 16 * _S ** 3 * _T + 62 * _S ** 2 * _T ** 2
@@ -659,20 +620,13 @@ _DEXC6_MINUS = (182 * _S ** 5 * _T + 2632 * _S ** 4 * _T ** 2
            "the rank 4 and 6 type-D excedance halves and their gamma vectors "
            "take their tabulated values")
 def _check_d_bases(limits):
-    expected = {
+    _base_polynomials(closedforms.step_recurrence, "dexc", {
         (4, "plus"): (_DEXC4_PLUS, (1, 12, 32)),
         (4, "minus"): (_DEXC4_MINUS, (20, 16)),
         (6, "plus"): (_DEXC6_PLUS, (1, 170, 1952, 928)),
         (6, "minus"): (_DEXC6_MINUS, (182, 1904, 992)),
-    }
-    for (n, cls), (poly, gammas) in expected.items():
-        got = closedforms.step_recurrence("dexc", n, cls)
-        if got != poly:
-            return None, _mismatch(f"n={n} {cls}", got, poly)
-        gexp = gamma_decompose(got, BIVARIATE)
-        if gexp.gammas != gammas:
-            return None, _mismatch(f"n={n} {cls} gammas", gexp.gammas, gammas)
-    return "n=4,6", None
+    })
+    return "n=4,6"
 
 
 @_register("typeD.even_rank_gamma_positive", "typeD",
@@ -681,36 +635,25 @@ def _check_d_bases(limits):
 def _check_dexc_gamma(limits):
     for n in range(4, 11, 2):
         for cls in ("plus", "minus"):
-            gexp = gamma_decompose(
-                closedforms.step_recurrence("dexc", n, cls), BIVARIATE
-            )
-            if not gexp.all_gammas_nonnegative():
-                return None, _mismatch(f"n={n} {cls}", gexp, "(>= 0)")
-            if gexp.center_of_symmetry != Fraction(n, 2):
-                return None, _mismatch(f"n={n} {cls} center",
-                                       gexp.center_of_symmetry, Fraction(n, 2))
-    return "n=4,6,8,10", None
+            _gamma_positive(f"n={n} {cls}",
+                            closedforms.step_recurrence("dexc", n, cls),
+                            BIVARIATE, Fraction(n, 2))
+    return "n=4,6,8,10"
 
 
 @_register("typeD.odd_rank_two_term_split", "typeD",
            "at odd ranks from 5 on, the univariate type-D halves split into "
            "two gamma positive polynomials with centers one apart")
 def _check_dexc_split(limits):
-    witness = _check_two_term(
-        "dexc", range(5, 10, 2),
-        lambda n, cls: closedforms.step_recurrence("dexc", n, cls)
-        .substitute_one("s"),
-    )
-    return ("n=5,7,9", None) if witness is None else (None, witness)
+    return _two_term_split(closedforms.step_recurrence, "dexc", range(5, 10, 2))
 
 
 @_register("typeD.jump_table_values", "typeD",
            "the seven fixed type-D jump polynomials match their tabulated "
            "expansions and centers")
 def _check_r_tables(limits):
-    tab = closedforms.jump_tables()
     st, spt = _S * _T, _S + _T
-    expected = {
+    return _jump_table_values({
         "R1": (spt ** 4 + 8 * st * spt ** 2 + 16 * st ** 2, Fraction(2)),
         "R2": (16 * st * spt ** 2, Fraction(2)),
         "R3": (4 * st * spt ** 3 + 32 * st ** 2 * spt, Fraction(5, 2)),
@@ -718,54 +661,28 @@ def _check_r_tables(limits):
         "R5": (12 * st * spt ** 2, Fraction(2)),
         "R6": (8 * st ** 2 * spt, Fraction(5, 2)),
         "R7": (2 * st ** 2, Fraction(2)),
-    }
-    for name, (poly, cos) in expected.items():
-        got_poly, got_cos = tab[name]
-        if got_poly != poly or got_cos != cos:
-            return None, _mismatch(name, (got_poly, got_cos), (poly, cos))
-        gexp = gamma_decompose(got_poly, BIVARIATE)
-        if not gexp.all_gammas_nonnegative() or gexp.center_of_symmetry != cos:
-            return None, _mismatch(f"{name} gamma", gexp, cos)
-    return "R1..R7", None
+    })
 
 
 @_register("typeD.jump_equals_four_steps", "typeD",
            "the type-D four-step jump equals four one-step applications, and "
            "its shared tail has even gamma coefficients")
 def _check_d_jump(limits):
-    for n in (4, 6, 8):
-        for cls in ("plus", "minus"):
-            left = closedforms.jump4("dexc", n, cls)
-            right = closedforms.step_recurrence("dexc", n + 4, cls)
-            if left != right:
-                return None, _mismatch(f"n={n}->{n + 4} {cls}", left, right)
+    covered = _jump_equals_four_steps("dexc", (4, 6, 8))
     for n in (2, 4, 6):
-        tail = closedforms.dexc_jump_tail(n)
-        gexp = gamma_decompose(tail, BIVARIATE)
-        if gexp.center_of_symmetry != Fraction(n + 4, 2):
-            return None, _mismatch(f"tail n={n} center",
-                                   gexp.center_of_symmetry, Fraction(n + 4, 2))
-        if not all(isinstance(g, int) and g % 2 == 0 and g >= 0
-                   for g in gexp.gammas):
-            return None, _mismatch(f"tail n={n} gammas", gexp.gammas,
-                                   "(even, >= 0)")
-    return "n+4=8,10,12", None
+        tail = _gamma_positive(f"tail n={n}", closedforms.dexc_jump_tail(n),
+                               BIVARIATE, Fraction(n + 4, 2))
+        _same(f"tail n={n} odd gammas", [g for g in tail.gammas if g % 2], [])
+    return covered
 
 
 @_register("typeD.totals_and_class_additivity", "typeD",
            "type-D family totals count the domain and the halves sum to the "
            "whole")
 def _check_d_totals(limits):
-    for n in range(2, limits.max_n_d + 1):
-        full = family_poly(FamilySpec("dexc", n), budget=limits.budget)
-        plus = family_poly(FamilySpec("dexc", n, "plus"), budget=limits.budget)
-        minus = family_poly(FamilySpec("dexc", n, "minus"), budget=limits.budget)
-        if plus + minus != full:
-            return None, _mismatch(f"n={n} additivity", plus + minus, full)
-        if full.at_ones() != 2 ** (n - 1) * math.factorial(n):
-            return None, _mismatch(f"n={n} total", full.at_ones(),
-                                   2 ** (n - 1) * math.factorial(n))
-    return _ranged(2, limits.max_n_d), None
+    return _totals_and_additivity("dexc", 2, limits.max_n_d,
+                                  lambda n: 2 ** (n - 1) * math.factorial(n),
+                                  limits)
 
 
 # -------------------------------------------------------------------- signed sums
@@ -774,21 +691,15 @@ def _check_d_totals(limits):
 @_register("signed_sums.type_a_power", "signed_sums",
            "the sign-weighted type-A excedance sum collapses to (s-t)^(n-1)")
 def _check_sgn_a(limits):
-    for n in range(2, limits.max_n_a + 1):
-        left = family_poly(FamilySpec("sgn_aexc", n), budget=limits.budget)
-        if left != closedforms.sgn_aexc_closed(n):
-            return None, _mismatch(f"n={n}", left, closedforms.sgn_aexc_closed(n))
-    return _ranged(2, limits.max_n_a), None
+    return _signed_power("sgn_aexc", 2, limits.max_n_a,
+                         closedforms.sgn_aexc_closed, limits)
 
 
 @_register("signed_sums.type_b_power", "signed_sums",
            "the sign-weighted type-B excedance sum collapses to (s-t)^n")
 def _check_sgn_b(limits):
-    for n in range(1, limits.max_n_b + 1):
-        left = family_poly(FamilySpec("sgn_bexc", n), budget=limits.budget)
-        if left != closedforms.sgn_bexc_closed(n):
-            return None, _mismatch(f"n={n}", left, closedforms.sgn_bexc_closed(n))
-    return _ranged(1, limits.max_n_b), None
+    return _signed_power("sgn_bexc", 1, limits.max_n_b,
+                         closedforms.sgn_bexc_closed, limits)
 
 
 @_register("signed_sums.type_b_descent_position", "signed_sums",
@@ -799,41 +710,29 @@ def _check_sgn_b_u(limits):
     u = Poly.variable("u")
     for n in range(1, limits.max_n_b + 1):
         full = oracle.sgnb_des_u(n, budget=limits.budget)
-        if full != closedforms.sgnb_des_u_closed(n):
-            return None, _mismatch(f"n={n}", full,
-                                   closedforms.sgnb_des_u_closed(n))
-        partial = oracle.sgnb_des_u(n, positions="max_not_last",
-                                    budget=limits.budget)
-        if not partial.is_zero:
-            return None, _mismatch(f"n={n} partial", partial, 0)
-    other = oracle.sgnb_des_u(3, letters=(2, 5, 9), budget=limits.budget)
-    if other != closedforms.sgnb_des_u_closed(3):
-        return None, _mismatch("letters (2,5,9)", other,
-                               closedforms.sgnb_des_u_closed(3))
-    return _ranged(1, limits.max_n_b), None
+        _same(f"n={n}", full, closedforms.sgnb_des_u_closed(n))
+        _same(f"n={n} partial", full - full.coefficient("u", n) * u ** n, 0)
+    _same("letters (2,5,9)",
+          oracle.sgnb_des_u(3, letters=(2, 5, 9), budget=limits.budget),
+          closedforms.sgnb_des_u_closed(3))
+    return _ranged(1, limits.max_n_b)
 
 
 @_register("signed_sums.type_d_power", "signed_sums",
            "the sign-weighted type-D excedance sum is (s-t)^n at even ranks "
            "and s(s-t)^(n-1) at odd ranks")
 def _check_sgn_d(limits):
-    hi = limits.max_n_d + 1
-    for n in range(1, hi + 1):
-        left = family_poly(FamilySpec("sgn_dexc", n), budget=limits.budget)
-        if left != closedforms.sgn_dexc_closed(n):
-            return None, _mismatch(f"n={n}", left, closedforms.sgn_dexc_closed(n))
-    return _ranged(1, hi), None
+    return _signed_power("sgn_dexc", 1, limits.max_n_d + 1,
+                         closedforms.sgn_dexc_closed, limits)
 
 
 @_register("signed_sums.type_d_fourth_power_jump", "signed_sums",
            "the signed type-D sum gains a factor (s-t)^4 every four ranks")
 def _check_sgn_d_jump(limits):
     for n in range(1, 9):
-        left = closedforms.sgn_dexc_closed(n + 4)
-        right = (_S - _T) ** 4 * closedforms.sgn_dexc_closed(n)
-        if left != right:
-            return None, _mismatch(f"n={n}", left, right)
-    return _ranged(1, 8), None
+        _same(f"n={n}", closedforms.sgn_dexc_closed(n + 4),
+              (_S - _T) ** 4 * closedforms.sgn_dexc_closed(n))
+    return _ranged(1, 8)
 
 
 # -------------------------------------------------------------------- derangements
@@ -844,12 +743,11 @@ def _check_sgn_d_jump(limits):
            "Eulerian polynomial")
 def _check_long_cycles(limits):
     for n in range(2, limits.max_n_a + 1):
-        left = dist_poly(GroupSpec("S", n, cycle_type=(n,)),
-                         oracle.T_EXC_WEIGHT, budget=limits.budget)
-        right = _T * closedforms.eulerian_t("A", n - 1)
-        if left != right:
-            return None, _mismatch(f"n={n}", left, right)
-    return _ranged(2, limits.max_n_a), None
+        _same(f"n={n}",
+              dist_poly(GroupSpec("S", n, cycle_type=(n,)),
+                        oracle.T_EXC_WEIGHT, budget=limits.budget),
+              _T * closedforms.eulerian_t("A", n - 1))
+    return _ranged(2, limits.max_n_a)
 
 
 @_register("derangements.conjugacy_product_formula", "derangements",
@@ -863,16 +761,12 @@ def _check_conjugacy(limits):
             e = exc(p.window)
             dist[e] = dist.get(e, 0) + 1
         for lam in partitions(n):
-            got = Poly(("t",), {(e,): c
-                                for e, c in buckets.get(lam.parts, {}).items()})
-            want = closedforms.conj_exc_closed(lam)
-            if got != want:
-                return None, _mismatch(f"n={n} type {lam}", got, want)
-            if sum(buckets.get(lam.parts, {}).values()) != lam.class_size():
-                return None, _mismatch(f"|C_{lam}|",
-                                       sum(buckets.get(lam.parts, {}).values()),
-                                       lam.class_size())
-    return _ranged(1, limits.max_n_a), None
+            dist = buckets.get(lam.parts, {})
+            _same(f"n={n} type {lam}",
+                  Poly(("t",), {(e,): c for e, c in dist.items()}),
+                  closedforms.conj_exc_closed(lam))
+            _same(f"|C_{lam}|", sum(dist.values()), lam.class_size())
+    return _ranged(1, limits.max_n_a)
 
 
 @_register("derangements.fixed_point_refinement", "derangements",
@@ -895,11 +789,9 @@ def _check_fixed_refinement(limits):
                         continue
                     for e, c in dist.items():
                         terms[(e,)] = terms.get((e,), 0) + c
-                got = Poly(("t",), terms)
-                want = closedforms.derangement_closed(n, cls, fixed=i)
-                if got != want:
-                    return None, _mismatch(f"n={n} i={i} {cls}", got, want)
-    return _ranged(1, limits.max_n_a), None
+                _same(f"n={n} i={i} {cls}", Poly(("t",), terms),
+                      closedforms.derangement_closed(n, cls, fixed=i))
+    return _ranged(1, limits.max_n_a)
 
 
 @_register("derangements.gamma_positive_with_centers", "derangements",
@@ -911,16 +803,10 @@ def _check_derangement_gamma(limits):
         for i in range(0, n + 1):
             for cls in ("all", "plus", "minus"):
                 f = closedforms.derangement_closed(n, cls, fixed=i)
-                if f.is_zero:
-                    continue
-                gexp = gamma_decompose(f, UNIVARIATE)
-                if not gexp.all_gammas_nonnegative():
-                    return None, _mismatch(f"n={n} i={i} {cls}", gexp, "(>= 0)")
-                if gexp.center_of_symmetry != Fraction(n - i, 2):
-                    return None, _mismatch(f"n={n} i={i} {cls} center",
-                                           gexp.center_of_symmetry,
-                                           Fraction(n - i, 2))
-    return _ranged(2, hi), None
+                if not f.is_zero:
+                    _gamma_positive(f"n={n} i={i} {cls}", f, UNIVARIATE,
+                                    Fraction(n - i, 2))
+    return _ranged(2, hi)
 
 
 @_register("derangements.set_partition_counts", "derangements",
@@ -929,14 +815,11 @@ def _check_derangement_gamma(limits):
 def _check_partition_counts(limits):
     expected = {(2, 2): 3, (3, 2): 10, (4,): 1, (1, 1, 1, 1): 1}
     for lam, want in expected.items():
-        got = closedforms.set_partition_count(lam)
-        if got != want:
-            return None, _mismatch(f"{lam}", got, want)
+        _same(lam, closedforms.set_partition_count(lam), want)
     for n in range(0, 10):
-        total = sum(lam.class_size() for lam in partitions(n))
-        if total != math.factorial(n):
-            return None, _mismatch(f"n={n} class sizes", total, math.factorial(n))
-    return "n=0..9", None
+        _same(f"n={n} class sizes", sum(lam.class_size() for lam in partitions(n)),
+              math.factorial(n))
+    return "n=0..9"
 
 
 # ---------------------------------------------------------------------- bijections
@@ -950,17 +833,12 @@ def _check_fft(limits):
         seen = set()
         for p in iterate(GroupSpec("S", n), budget=limits.budget):
             image = bijections.foata_fft(p)
-            if des(image.window) != exc(p.window):
-                return None, _mismatch(f"{p} -> {image}", des(image.window),
-                                       exc(p.window))
-            if bijections.foata_fft_inverse(image) != p:
-                return None, _mismatch(f"inverse at {p}",
-                                       bijections.foata_fft_inverse(image), p)
+            # (des of the image, inverse of the image)
+            _same(p, (des(image.window), bijections.foata_fft_inverse(image)),
+                  (exc(p.window), p))
             seen.add(image.window)
-        if len(seen) != math.factorial(n):
-            return None, _mismatch(f"n={n} image size", len(seen),
-                                   math.factorial(n))
-    return _ranged(1, limits.max_n_a), None
+        _same(f"n={n} image size", len(seen), math.factorial(n))
+    return _ranged(1, limits.max_n_a)
 
 
 @_register("bijections.penultimate_to_front", "bijections",
@@ -973,20 +851,13 @@ def _check_penultimate(limits):
         count = 0
         for p in iterate(GroupSpec("S", n, pos_n=n - 1), budget=limits.budget):
             image = bijections.penultimate_to_front(p)
-            if pos_n(image.window) != 1:
-                return None, _mismatch(f"{p} image position",
-                                       pos_n(image.window), 1)
-            if (exc(p.window), nexc(p.window) - 1) != (des(image.window),
-                                                       asc(image.window)):
-                return None, _mismatch(
-                    f"{p} -> {image}",
-                    (exc(p.window), nexc(p.window) - 1),
-                    (des(image.window), asc(image.window)))
+            # (position of n, exc, nexc - 1), the last two read off the image
+            _same(p, (pos_n(image.window), des(image.window), asc(image.window)),
+                  (1, exc(p.window), nexc(p.window) - 1))
             seen.add(image.window)
             count += 1
-        if len(seen) != count:
-            return None, _mismatch(f"n={n} injectivity", len(seen), count)
-    return _ranged(2, hi), None
+        _same(f"n={n} injectivity", len(seen), count)
+    return _ranged(2, hi)
 
 
 @_register("bijections.swap_last_two_involution", "bijections",
@@ -998,16 +869,12 @@ def _check_swap(limits):
         for r in range(1, n - 1):
             for p in iterate(GroupSpec("S", n, pos_n=r), budget=limits.budget):
                 image = bijections.swap_last_two(p)
-                if exc(image.window) != exc(p.window):
-                    return None, _mismatch(f"{p} excedance", exc(image.window),
-                                           exc(p.window))
-                if inv(image.window) % 2 == inv(p.window) % 2:
-                    return None, _mismatch(f"{p} parity", inv(image.window),
-                                           inv(p.window))
-                if bijections.swap_last_two(image) != p:
-                    return None, _mismatch(f"{p} involution",
-                                           bijections.swap_last_two(image), p)
-    return _ranged(2, hi), None
+                # (excedances, change of inversion parity, image of the image)
+                _same(p, (exc(image.window),
+                          (inv(image.window) - inv(p.window)) % 2,
+                          bijections.swap_last_two(image)),
+                      (exc(p.window), 1, p))
+    return _ranged(2, hi)
 
 
 @_register("bijections.halving_consequence", "bijections",
@@ -1021,9 +888,8 @@ def _check_halving(limits):
                               budget=limits.budget)
             even = dist_poly(GroupSpec("S", n, parity="even", pos_n=r),
                              oracle.AEXC_WEIGHT, budget=limits.budget)
-            if 2 * even != whole:
-                return None, _mismatch(f"n={n} r={r}", 2 * even, whole)
-    return _ranged(3, hi), None
+            _same(f"n={n} r={r}", 2 * even, whole)
+    return _ranged(3, hi)
 
 
 @_register("bijections.long_cycle_correspondence", "bijections",
@@ -1035,21 +901,15 @@ def _check_long_cycle_map(limits):
         images = set()
         for p in iterate(GroupSpec("S", n - 1), budget=limits.budget):
             image = bijections.perm_to_long_cycle(p)
-            if cycle_type(image.window).parts != (n,):
-                return None, _mismatch(f"{p} image", cycle_type(image.window),
-                                       (n,))
-            if exc(image.window) != des(p.window) + 1:
-                return None, _mismatch(f"{p} statistic", exc(image.window),
-                                       des(p.window) + 1)
-            if bijections.long_cycle_to_perm(image) != p:
-                return None, _mismatch(f"{p} inverse",
-                                       bijections.long_cycle_to_perm(image), p)
+            # (cycle type, excedances, inverse), all of the image
+            _same(p, (cycle_type(image.window).parts, exc(image.window),
+                      bijections.long_cycle_to_perm(image)),
+                  ((n,), des(p.window) + 1, p))
             images.add(image.window)
         n_cycles = sum(1 for q in iterate(GroupSpec("S", n, cycle_type=(n,)),
                                           budget=limits.budget))
-        if len(images) != n_cycles:
-            return None, _mismatch(f"n={n} surjectivity", len(images), n_cycles)
-    return _ranged(2, hi), None
+        _same(f"n={n} surjectivity", len(images), n_cycles)
+    return _ranged(2, hi)
 
 
 @_register("bijections.cycle_standardization", "bijections",
@@ -1064,21 +924,15 @@ def _check_standardize(limits):
             for subset in combinations(pool, k):
                 for arrangement in iperm(subset):
                     std = bijections.standardize_cycle(arrangement)
-                    if (bijections.cycle_excedances(arrangement)
-                            != bijections.cycle_excedances(std)):
-                        return None, _mismatch(f"{arrangement}",
-                                               bijections.cycle_excedances(
-                                                   arrangement),
-                                               bijections.cycle_excedances(std))
+                    _same(arrangement, bijections.cycle_excedances(arrangement),
+                          bijections.cycle_excedances(std))
     # the two-cycle product identity at type (3, 2)
-    left = dist_poly(GroupSpec("S", 5, cycle_type=(3, 2)), oracle.T_EXC_WEIGHT,
-                     budget=limits.budget)
-    t = _T
-    right = 10 * (t * closedforms.eulerian_t("A", 2)) * (t *
-                                                         closedforms.eulerian_t("A", 1))
-    if left != right:
-        return None, _mismatch("type (3,2)", left, right)
-    return "cycles over two universes", None
+    _same("type (3,2)",
+          dist_poly(GroupSpec("S", 5, cycle_type=(3, 2)), oracle.T_EXC_WEIGHT,
+                    budget=limits.budget),
+          10 * (_T * closedforms.eulerian_t("A", 2))
+          * (_T * closedforms.eulerian_t("A", 1)))
+    return "cycles over two universes"
 
 
 # ------------------------------------------------------------------------ q-refined
@@ -1088,32 +942,14 @@ def _check_standardize(limits):
            "the inversion-refined derangement sums have gamma vectors with "
            "non-negative polynomial coefficients in both sign classes")
 def _check_q_inv(limits):
-    hi = min(limits.max_n_a, 7)
-    for n in range(2, hi + 1):
-        for cls in ("plus", "minus", "all"):
-            f = oracle.q_refined(n, "inv", cls, budget=limits.budget)
-            if f.is_zero:
-                continue
-            gexp = gamma_decompose(f, Q_COEFFICIENTS)
-            if not gexp.all_gammas_nonnegative():
-                return None, _mismatch(f"n={n} {cls}", gexp, "(>= 0)")
-    return _ranged(2, hi), None
+    return _q_gamma_positive("inv", limits)
 
 
 @_register("q_refined.cyc_gamma_positive", "q_refined",
            "the cycle-count-refined derangement sums have gamma vectors with "
            "non-negative polynomial coefficients in both sign classes")
 def _check_q_cyc(limits):
-    hi = min(limits.max_n_a, 7)
-    for n in range(2, hi + 1):
-        for cls in ("plus", "minus", "all"):
-            f = oracle.q_refined(n, "cyc", cls, budget=limits.budget)
-            if f.is_zero:
-                continue
-            gexp = gamma_decompose(f, Q_COEFFICIENTS)
-            if not gexp.all_gammas_nonnegative():
-                return None, _mismatch(f"n={n} {cls}", gexp, "(>= 0)")
-    return _ranged(2, hi), None
+    return _q_gamma_positive("cyc", limits)
 
 
 @_register("q_refined.q1_collapse", "q_refined",
@@ -1124,12 +960,11 @@ def _check_q_collapse(limits):
     for n in range(2, hi + 1):
         for cls in ("plus", "minus", "all"):
             for stat in ("inv", "cyc"):
-                left = oracle.q_refined(n, stat, cls,
-                                        budget=limits.budget).substitute_one("q")
-                right = closedforms.derangement_closed(n, cls)
-                if left != right:
-                    return None, _mismatch(f"n={n} {cls} {stat}", left, right)
-    return _ranged(2, hi), None
+                _same(f"n={n} {cls} {stat}",
+                      oracle.q_refined(n, stat, cls,
+                                       budget=limits.budget).substitute_one("q"),
+                      closedforms.derangement_closed(n, cls))
+    return _ranged(2, hi)
 
 
 # ---------------------------------------------------------------------- the runner
@@ -1149,18 +984,15 @@ def run_suite(suite, limits=None):
     def run_one(check):
         start = time.perf_counter()
         try:
-            n_range, witness = check.func(limits)
-            status = "pass" if witness is None else "fail"
-            if witness is not None:
-                n_range = n_range or "-"
+            n_range, status, witness = check.func(limits), "pass", None
+        except Mismatch as exc_:
+            n_range, status, witness = "-", "fail", str(exc_)
         except BudgetExceeded as exc_:
-            return CheckResult(check.check_id, check.suite, "-", "skipped",
-                               str(exc_), time.perf_counter() - start)
+            n_range, status, witness = "-", "skipped", str(exc_)
         except Exception as exc_:  # a raising check is reported, not fatal
-            return CheckResult(check.check_id, check.suite, "-", "error",
-                               f"{type(exc_).__name__}: {exc_}",
-                               time.perf_counter() - start)
-        return CheckResult(check.check_id, check.suite, n_range or "-", status,
+            n_range, status = "-", "error"
+            witness = f"{type(exc_).__name__}: {exc_}"
+        return CheckResult(check.check_id, check.suite, n_range, status,
                            witness, time.perf_counter() - start)
 
     return [run_one(c) for c in selected]

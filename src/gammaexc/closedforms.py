@@ -16,6 +16,7 @@ division is exact and raises OddCoefficient if it ever is not.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -241,9 +242,10 @@ _ST = _S * _T
 _SPT = _S + _T
 
 
-def jump_tables():
-    """The thirteen fixed jump polynomials with their centers of symmetry."""
-    tables = {
+@functools.cache
+def _jump_table():
+    """The thirteen fixed jump polynomials, built on first use."""
+    return {
         "L1": (_SPT ** 4 + 7 * _ST * _SPT ** 2 + 16 * _ST ** 2, Fraction(2)),
         "L2": (15 * _ST * _SPT ** 2, Fraction(2)),
         "L3": (3 * (5 * _S ** 2 + 30 * _ST + 5 * _T ** 2) * _ST * _SPT,
@@ -259,7 +261,14 @@ def jump_tables():
         "R6": (8 * _ST ** 2 * _SPT, Fraction(5, 2)),
         "R7": (2 * _ST ** 2, Fraction(2)),
     }
-    return tables
+
+
+def jump_tables():
+    """The thirteen fixed jump polynomials with their centers of symmetry.
+
+    A fresh dict each call, so a caller's edits never reach the jump engine.
+    """
+    return dict(_jump_table())
 
 
 def _iterated_d(f, k):
@@ -304,7 +313,7 @@ def dexc_jump_tail(n):
     integral; the jump engine only ever evaluates it at even ranks.
     """
     _require(n >= 2, "tail defined for n >= 2")
-    tab = jump_tables()
+    tab = _jump_table()
     b_n, b_n1, b_n2 = eulerian("B", n), eulerian("B", n + 1), eulerian("B", n + 2)
     bd_n = half_sum_closed("bexc", n, "minus")
     return (tab["R2"][0] * bd_n
@@ -314,7 +323,7 @@ def dexc_jump_tail(n):
 
 
 def _aexc_jump(prev, low):
-    tab = jump_tables()
+    tab = _jump_table()
     out = {}
     for cls, other in (("plus", "minus"), ("minus", "plus")):
         P, M = prev[cls], prev[other]
@@ -327,7 +336,7 @@ def _aexc_jump(prev, low):
 
 
 def _dexc_jump(prev, low):
-    r1 = jump_tables()["R1"][0]
+    r1 = _jump_table()["R1"][0]
     swing = (_S - _T) ** 4
     tail = dexc_jump_tail(low)
     out = {}

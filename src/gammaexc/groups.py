@@ -184,24 +184,29 @@ def fixed_points(p):
     return sum(1 for i, v in enumerate(w, start=1) if v == i)
 
 
-def _cycle_lengths(w):
+def _cycles(w):
+    """The cycles of a window, each listed from its smallest entry.
+
+    Each walk starts at the smallest position not yet visited, which is the
+    least entry of its cycle, so cycles come out in increasing first entry.
+    """
     seen = [False] * len(w)
-    lengths = []
+    cycles = []
     for start in range(len(w)):
         if seen[start]:
             continue
-        length = 0
+        cycle = []
         j = start
         while not seen[j]:
             seen[j] = True
+            cycle.append(j + 1)
             j = w[j] - 1
-            length += 1
-        lengths.append(length)
-    return lengths
+        cycles.append(cycle)
+    return cycles
 
 
 def cyc(p):
-    return len(_cycle_lengths(_window(p)))
+    return len(_cycles(_window(p)))
 
 
 def sign(p):
@@ -341,7 +346,7 @@ class CycleType:
 
 def cycle_type(p):
     """Cycle type of a permutation; its sign equals the permutation's sign."""
-    return CycleType(tuple(_cycle_lengths(_window(p))))
+    return CycleType(tuple(len(c) for c in _cycles(_window(p))))
 
 
 def _parts_desc(remaining, max_part, min_part):

@@ -150,6 +150,44 @@ class TestStepRecurrence:
         with pytest.raises(ValueError):
             step_recurrence("bdexc", 3, "plus")
 
+    def test_cold_memos_shared_by_threads(self):
+        memos = list({id(memo): memo
+                      for memo, _, _ in closedforms._STEPS.values()}.values())
+        saved = [dict(memo) for memo in memos]
+        families = ("aexc", "bexc", "dexc", "bdexc")
+
+        def reset():
+            for memo in memos:
+                low = min(memo)
+                seed = memo[low]
+                memo.clear()
+                memo[low] = seed
+
+        def work():
+            for family in families:
+                step_recurrence(family, 40)
+
+        interval = sys.getswitchinterval()
+        try:
+            reset()
+            work()
+            sequential = [dict(memo) for memo in memos]
+            sys.setswitchinterval(1e-6)
+            for _ in range(5):
+                reset()
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert [dict(memo) for memo in memos] == sequential
+        finally:
+            sys.setswitchinterval(interval)
+            for memo, entries in zip(memos, saved):
+                memo.clear()
+                memo.update(entries)
+
 
 class TestCoeffTables:
     def test_row_4(self):
@@ -193,6 +231,15 @@ class TestJump:
         assert tab["R7"][0] == 2 * (s * t) ** 2
         assert tab["R7"][1] == Fraction(2)
         assert len(tab) == 13
+
+    def test_callers_cannot_mutate_the_shared_tables(self):
+        tab = jump_tables()
+        tab["L1"] = (Poly.const(0), Fraction(0))
+        del tab["R7"]
+        fresh = jump_tables()
+        assert len(fresh) == 13
+        assert fresh["L1"][1] == Fraction(2)
+        assert jump4("aexc", 5, "plus") == step_recurrence("aexc", 9, "plus")
 
     def test_a_jump_equals_steps(self):
         for n, cls in ((5, "plus"), (5, "minus"), (7, "plus"), (9, "minus")):

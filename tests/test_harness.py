@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from gammaexc import checks, oracle
+from gammaexc import checks, closedforms, oracle
 from gammaexc.checks import Check, REGISTRY, VerifyLimits, run_suite
 from gammaexc.cli import main
+from gammaexc.poly import Poly
 
 # Frozen manifest: every registered check, in registration order.  A check
 # may only be added or renamed together with this list.
@@ -120,13 +121,13 @@ class TestRunSuite:
 
     def test_fail_path_carries_witness(self):
         doomed = Check("tmp.always_fails", "typeA", "a deliberately failing probe",
-                       lambda limits: ("n=1..1", "left 1 != right 2"))
+                       _raises(checks.Mismatch("left 1 != right 2")))
         REGISTRY.append(doomed)
         try:
             results = run_suite("typeA", VerifyLimits(2, 2, 2))
             bad = [r for r in results if r.check_id == "tmp.always_fails"]
             assert len(bad) == 1
-            assert bad[0].status == "fail"
+            assert (bad[0].status, bad[0].n_range) == ("fail", "-")
             assert "1 != right 2" in bad[0].witness
         finally:
             REGISTRY.remove(doomed)
@@ -141,7 +142,7 @@ def _raises(exc):
 
 _ERRORING = [
     Check("tmp.passes", "typeA", "a passing probe",
-          lambda limits: ("n=1..1", None)),
+          lambda limits: "n=1..1"),
     Check("tmp.value_error", "typeA", "a probe that raises",
           _raises(ValueError("coefficient 3 is odd"))),
     Check("tmp.assertion", "typeB", "a probe that asserts",
@@ -171,6 +172,45 @@ class TestErroringChecks:
             "        witness: AssertionError: peel left a remainder\n"
             "1 passed, 2 failed, 0 skipped\n"
         )
+
+
+@pytest.fixture
+def wrong_aexc3_minus(monkeypatch):
+    """A half-sum closed form that is off by st at (aexc, 3, minus) only."""
+    real = closedforms.half_sum_closed
+
+    def half_sum_closed(family, n, cls):
+        f = real(family, n, cls)
+        if (family, n, cls) == ("aexc", 3, "minus"):
+            f = f + Poly.variable("s") * Poly.variable("t")
+        return f
+
+    monkeypatch.setattr(closedforms, "half_sum_closed", half_sum_closed)
+
+
+class TestFailingTheorem:
+    def test_run_suite_reports_fail_with_witness(self, wrong_aexc3_minus):
+        results = {r.check_id: r
+                   for r in run_suite("typeA", VerifyLimits(4, 4, 4))}
+        broken = results["typeA.closed_equals_oracle"]
+        assert (broken.status, broken.n_range) == ("fail", "-")
+        assert broken.witness == "n=3 minus: 4*s*t != 3*s*t"
+        unaffected = ("typeA.eulerian_recurrence_certified",
+                      "typeA.palindromic_iff_odd_rank",
+                      "typeA.base_polynomials",
+                      "typeA.odd_rank_gamma_positive",
+                      "typeA.jump_table_values",
+                      "typeA.jump_equals_four_steps",
+                      "typeA.totals_and_class_additivity")
+        assert {results[i].status for i in unaffected} == {"pass"}
+        assert {r.status for r in results.values()} == {"pass", "fail"}
+
+    def test_cli_exits_one(self, wrong_aexc3_minus):
+        code, out, err = _run_cli(["verify", "--suite", "typeA", "--max-n", "4"])
+        assert (code, err) == (1, "")
+        assert ("FAIL    typeA.closed_equals_oracle  (-)\n"
+                "        witness: n=3 minus: 4*s*t != 3*s*t\n") in out
+        assert "PASS    typeA.totals_and_class_additivity  (n=2..4)\n" in out
 
 
 class _Capture(io.StringIO):
