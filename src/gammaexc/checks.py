@@ -24,11 +24,13 @@ from .groups import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     GroupSpec,
+    _cycle_lengths,
+    _perm_windows,
     asc,
+    check_budget,
     cycle_type,
     des,
     exc,
-    fixed_points,
     inv,
     inv_b,
     inv_b_negsum,
@@ -36,7 +38,6 @@ from .groups import (
     nexc,
     partitions,
     pos_n,
-    sign,
 )
 from .oracle import FamilySpec, WeightSpec, dist_poly, family_poly
 from .poly import (
@@ -755,10 +756,11 @@ def _check_long_cycles(limits):
            "set-partition count times the product of long-cycle factors")
 def _check_conjugacy(limits):
     for n in range(1, limits.max_n_a + 1):
+        check_budget(GroupSpec("S", n), limits.budget)
         buckets = {}
-        for p in iterate(GroupSpec("S", n), budget=limits.budget):
-            dist = buckets.setdefault(cycle_type(p.window).parts, {})
-            e = exc(p.window)
+        for w in _perm_windows(n):
+            dist = buckets.setdefault(_cycle_lengths(w), {})
+            e = exc(w)
             dist[e] = dist.get(e, 0) + 1
         for lam in partitions(n):
             dist = buckets.get(lam.parts, {})
@@ -769,27 +771,22 @@ def _check_conjugacy(limits):
     return _ranged(1, limits.max_n_a)
 
 
+_EXC_FIXED_WEIGHT = WeightSpec((("t", "exc", 0), ("q", "fixed_points", 0)))
+
+
 @_register("derangements.fixed_point_refinement", "derangements",
            "the closed derangement sums match the enumeration for every "
            "fixed-point count and sign class")
 def _check_fixed_refinement(limits):
     for n in range(1, limits.max_n_a + 1):
-        buckets = {}
-        for p in iterate(GroupSpec("S", n), budget=limits.budget):
-            w = p.window
-            key = (fixed_points(w), sign(w))
-            buckets.setdefault(key, {})
-            e = exc(w)
-            buckets[key][e] = buckets[key].get(e, 0) + 1
+        whole = dist_poly(GroupSpec("S", n), _EXC_FIXED_WEIGHT,
+                          budget=limits.budget)
+        plus = dist_poly(GroupSpec("S", n, parity="even"), _EXC_FIXED_WEIGHT,
+                         budget=limits.budget)
+        classes = {"plus": plus, "minus": whole - plus, "all": whole}
         for i in range(n + 1):
-            for cls, sgn in (("plus", 1), ("minus", -1), ("all", None)):
-                terms = {}
-                for (fixed, sg), dist in buckets.items():
-                    if fixed != i or (sgn is not None and sg != sgn):
-                        continue
-                    for e, c in dist.items():
-                        terms[(e,)] = terms.get((e,), 0) + c
-                _same(f"n={n} i={i} {cls}", Poly(("t",), terms),
+            for cls, poly in classes.items():
+                _same(f"n={n} i={i} {cls}", poly.coefficient("q", i),
                       closedforms.derangement_closed(n, cls, fixed=i))
     return _ranged(1, limits.max_n_a)
 

@@ -91,6 +91,9 @@ def _prepare_for_mode(poly, mode):
 
 def _cmd_gamma(args, out):
     spec = _family_spec(args)
+    if oracle.FAMILIES[spec.family].mode is None:
+        raise UsageError(f"{spec.family} has no gamma expansion (its "
+                         f"polynomial involves u)")
     poly = _compute(spec, args.engine, args.budget)
     mode = _mode(args, spec)
     poly = _prepare_for_mode(poly, mode)
@@ -295,7 +298,8 @@ def build_parser():
     table.add_argument("--family", required=True,
                        choices=sorted(name for name, family
                                       in oracle.FAMILIES.items()
-                                      if family.by_rank))
+                                      if family.by_rank
+                                      and family.mode is not None))
     table.add_argument("--n-range", type=_parse_range, required=True,
                        metavar="A..B")
     table.add_argument("--fixed", type=int, default=None)

@@ -23,7 +23,10 @@ position of the entry of largest absolute value, on either kind of window.
 
 Each statistic is one function, taking a window tuple or a ``Perm``; there
 are no per-type records bundling them.  Iterators yield in lexicographic
-window order.
+window order.  These per-element functions and ``iterate`` are the
+reference: the oracle's fused kernel (behind ``oracle.dist_poly``) computes
+the statistics in its own way, and tests check that its sums equal the
+ones they give window by window.
 """
 
 from __future__ import annotations
@@ -203,6 +206,11 @@ def _cycles(w):
             j = w[j] - 1
         cycles.append(cycle)
     return cycles
+
+
+def _cycle_lengths(w):
+    """The cycle lengths of a window, weakly decreasing."""
+    return tuple(sorted(map(len, _cycles(w)), reverse=True))
 
 
 def cyc(p):

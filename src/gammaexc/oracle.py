@@ -8,9 +8,16 @@ use s^nexc; the offset makes that visible in one place), plus an optional
 sign statistic contributing (-1)^stat.
 
 Every weighted sum, ``dist_poly`` over a ``GroupSpec`` and ``sgnb_des_u``
-over signed windows on arbitrary letters, runs through one accumulation
-loop, and every statistic it reads is the single function ``groups``
-defines for it.
+over signed windows on arbitrary letters, runs through one fused kernel.
+It streams the permutations of the letters once, and every statistic has a
+kernel form there.  On a signed group each form is affine in the sign
+indicators: a permutation p gives (c, w), and on the window that negates
+the positions in N the statistic is c + sum(w[j] for j in N).  So the
+values of all 2^n windows of p take 2^n additions and no window objects;
+the sign and the even/odd filter are parities of inv(p), fixed per
+permutation and negs parity.  The reference is the window-by-window path: ``_weighted_sum``
+over ``groups.iterate`` with the per-element functions ``groups`` defines,
+which tests compare the kernel against.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -24,9 +31,11 @@ matching their closed product forms; bivariate variants remain one
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import combinations, permutations, product, starmap
+from operator import attrgetter, eq, gt, le, lt, sub
 
 from . import closedforms
 from .groups import (
@@ -34,7 +43,9 @@ from .groups import (
     DEFAULT_BUDGET,
     GroupSpec,
     InvalidSpec,
-    _signed_windows,
+    _cycle_lengths,
+    _cycles,
+    _perm_windows_pos_n,
     asc,
     asc_b,
     check_budget,
@@ -126,29 +137,38 @@ class WeightSpec:
         return tuple(v for v, _, _ in self.exponents)
 
 
-def _resolve(weight, kind):
-    table = A_STATISTICS if kind == "S" else SIGNED_STATISTICS
-    funcs = []
+def _resolve(weight, kind, table):
+    """The weight's (table entry, offset) pairs, plus the sign statistic's entry.
+
+    Raises UndefinedStatistic for a statistic kind-``kind`` elements lack.
+    """
+    entries = []
     for v, stat, off in weight.exponents:
         if stat not in table:
             raise UndefinedStatistic(
                 f"statistic {stat!r} is not defined on {kind}-type elements"
             )
-        funcs.append((table[stat], off))
-    sign_func = None
+        entries.append((table[stat], off))
+    sign_entry = None
     if weight.sign_stat is not None:
         if weight.sign_stat not in table:
             raise UndefinedStatistic(
                 f"sign statistic {weight.sign_stat!r} is not defined on "
                 f"{kind}-type elements"
             )
-        sign_func = table[weight.sign_stat]
-    return funcs, sign_func
+        sign_entry = table[weight.sign_stat]
+    return entries, sign_entry
 
 
 def _weighted_sum(windows, weight, kind):
-    """Sum the weight monomial over raw windows of a kind-``kind`` domain."""
-    funcs, sign_func = _resolve(weight, kind)
+    """Reference sum: the weight monomial over raw windows, one at a time.
+
+    Reads every statistic through its per-element function in ``groups``.
+    ``dist_poly`` does not run it; tests compare the kernel against it, and
+    the kernel calls it to name a window whose exponent goes negative.
+    """
+    table = A_STATISTICS if kind == "S" else SIGNED_STATISTICS
+    funcs, sign_func = _resolve(weight, kind, table)
     acc = {}
     for w in windows:
         key = []
@@ -166,10 +186,211 @@ def _weighted_sum(windows, weight, kind):
     return Poly(weight.variables, acc)
 
 
+# -- the fused kernel ----------------------------------------------------------
+
+
+def _inversions(p):
+    return sum(starmap(gt, combinations(p, 2)))
+
+
+def _lex_inversions(n):
+    """inv of each permutation of n letters, in lexicographic order.
+
+    The Lehmer code of the r-th permutation is r written in the factorial
+    base, and inv is the sum of the code.
+    """
+    return map(sum, product(*map(range, range(n, 0, -1))))
+
+
+def _a_kernel(n):
+    """Kernel forms of the type-A statistics: permutation -> value."""
+    idx = range(1, n + 1)
+    return {
+        "exc": lambda p: sum(map(gt, p, idx)),
+        "nexc": lambda p: sum(map(le, p, idx)),
+        "des": lambda p: sum(map(gt, p, p[1:])),
+        "asc": lambda p: sum(map(lt, p, p[1:])),
+        "inv": _inversions,
+        "cyc": lambda p: len(_cycles(p)),
+        "fixed_points": lambda p: sum(map(eq, p, idx)),
+        "pos_n": lambda p: p.index(n) + 1 if n else 0,
+    }
+
+
+def _signed_kernel(n):
+    """Kernel forms of the signed statistics: permutation -> (c, w).
+
+    A signed window is a permutation p of the letters with the entries at a
+    set N of positions negated.  Every signed statistic is affine in the sign
+    indicators: on that window it equals c + sum(w[j] for j in N), with j
+    0-based.  The exc forms read letters as positions, so they need the
+    letters 1..n.
+    """
+
+    def des_b(p):
+        # negating p_j adds the descent into j (from p_{j-1}, or from the
+        # prepended 0) unless p has it, and removes p's descent out of j
+        into = map(lt, (0,) + p, p)
+        out = [*map(gt, p, p[1:]), False]
+        return sum(out), list(map(sub, into, out))
+
+    def excedances(weak):
+        # Let U hold the positions i with p_{p_i} > p_i, and also the fixed
+        # points when weak.  Position i counts iff i is in U and position
+        # p_i is positive, or i is negated and not in U.  So negating j adds
+        # [j not in U] and takes away [j = p_i for some i in U].
+        def form(p):
+            up = [p[v - 1] > v or weak and v == i for i, v in enumerate(p, 1)]
+            hit = [False] * n
+            for v, counted in zip(p, up):
+                if counted:
+                    hit[v - 1] = True
+            return sum(up), [(not u) - h for u, h in zip(up, hit)]
+        return form
+
+    def inversions(negs_weight):
+        # inv_D = inv(p) + 2 * sum over j in N of #{i < j: p_i < p_j};
+        # inv_B = inv_D + negs
+        return lambda p: (_inversions(p), [
+            2 * sum(a < v for a in p[:j]) + negs_weight
+            for j, v in enumerate(p)])
+
+    def complement(form):
+        def flipped(p):
+            c, w = form(p)
+            return n - c, [-x for x in w]
+        return flipped
+
+    exc_b, wkexc_b = excedances(False), excedances(True)
+    nexc_b = complement(exc_b)
+    return {
+        "exc_b": exc_b,
+        "nexc_b": nexc_b,
+        "wkexc_b": wkexc_b,
+        "des_b": des_b,
+        "asc_b": complement(des_b),
+        "inv_b": inversions(1),
+        "negs": lambda p: (0, [1] * n),
+        "pos_n": lambda p: (p.index(max(p)) + 1 if p else 0, [0] * n),
+        "exc_d": exc_b,
+        "nexc_d": nexc_b,
+        "wkexc_d": wkexc_b,
+        "inv_d": inversions(0),
+    }
+
+
+def _by_negs_parity(c, weights):
+    """c + sum(weights[j] for j in N) over every set N, split by |N| parity."""
+    even, odd = [c], []
+    for w in weights:
+        even, odd = even + [x + w for x in odd], odd + [x + w for x in even]
+    return even, odd
+
+
+def _packer(kind, forms, n, radix):
+    """Map a permutation to its windows' packed keys, split by negs parity.
+
+    A key packs the weight's statistics in base ``radix``, the first one
+    most significant.  Packing is linear, so the signed keys stay affine in
+    the sign indicators; a permutation of kind S is its one window.
+    """
+    if kind == "S":
+        def pack(p):
+            key = 0
+            for form in forms:
+                key = key * radix + form(p)
+            return ((key,),)
+    else:
+        def pack(p):
+            c, weights = 0, [0] * n
+            for form in forms:
+                form_c, form_w = form(p)
+                c = c * radix + form_c
+                weights = [x * radix + y for x, y in zip(weights, form_w)]
+            return _by_negs_parity(c, weights)
+    return pack
+
+
+# negs parities each kind keeps; the length statistic of its even/odd split;
+# how a length statistic's parity moves with negs (inv_D = inv mod 2)
+_NEGS_PARITIES = {"S": (0,), "B": (0, 1), "D": (0,), "B-D": (1,)}
+_LENGTH = {"S": "inv", "B": "inv_b", "D": "inv_d"}
+_NEGS_IN_LENGTH = {"inv": 0, "inv_d": 0, "inv_b": 1}
+
+
+def _fused_sum(spec, weight, letters):
+    """Sum the weight over the spec's domain, one permutation at a time.
+
+    Streams the permutations of ``letters`` in lexicographic order, with
+    their inversion counts; each one stands for its block of signed windows
+    (on kind S, for itself).  The sign and the even/odd filter depend only
+    on inv(p) and the negs parity, so a block is kept or dropped whole
+    before its keys are built.
+    """
+    n, r = spec.n, spec.pos_n
+    kernel = _a_kernel(n) if spec.kind == "S" else _signed_kernel(n)
+    if r is None:
+        stream = zip(permutations(letters), _lex_inversions(n))
+    else:
+        # n at position r comes before the n - r smaller letters after it
+        stream = zip(_perm_windows_pos_n(n, r),
+                     (inv + n - r for inv in _lex_inversions(n - 1)))
+    # the remaining filters, like pos_n, exist on kind S only
+    if spec.fixed_points is not None:
+        fixed = kernel["fixed_points"]
+        stream = (item for item in stream
+                  if fixed(item[0]) == spec.fixed_points)
+    if spec.cycle_type is not None:
+        stream = (item for item in stream
+                  if _cycle_lengths(item[0]) == spec.cycle_type)
+    entries, _ = _resolve(weight, spec.kind, kernel)
+    radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
+    pack = _packer(spec.kind, [form for form, _ in entries], n, radix)
+    want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
+    filter_shift = 0 if want is None else _NEGS_IN_LENGTH[_LENGTH[spec.kind]]
+    sign_shift = (None if weight.sign_stat is None
+                  else _NEGS_IN_LENGTH[weight.sign_stat])
+    tallies = (Counter(), Counter())  # keys of the windows signed +1, -1
+    for p, length in stream:
+        rows = None
+        for q in _NEGS_PARITIES[spec.kind]:
+            if want is not None and (length + filter_shift * q) % 2 != want:
+                continue
+            rows = rows or pack(p)
+            negative = sign_shift is not None and (length + sign_shift * q) % 2
+            tallies[negative].update(rows[q])
+    terms = {}
+    for negative, tally in enumerate(tallies):
+        for packed, count in tally.items():
+            exps = []
+            for _, off in reversed(entries):
+                packed, value = divmod(packed, radix)
+                exps.append(value + off)
+            key = tuple(reversed(exps))
+            if key and min(key) < 0:
+                raise _offset_error(spec, weight)
+            terms[key] = terms.get(key, 0) + (-count if negative else count)
+    return Poly(weight.variables, terms)
+
+
+def _offset_error(spec, weight):
+    """The reference sum's error, naming the first window gone negative."""
+    try:
+        _weighted_sum(map(attrgetter("window"), iterate(spec, budget=None)),
+                      weight, spec.kind)
+    except InvalidSpec as exc:
+        return exc
+    raise AssertionError(f"the reference sum over {spec} has no negative "
+                         f"exponent where the kernel found one")
+
+
 def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
-    """Exact sum of the weight monomial over the domain's stream."""
-    windows = map(attrgetter("window"), iterate(spec, budget=budget))
-    return _weighted_sum(windows, weight, spec.kind)
+    """Exact sum of the weight monomial over the spec's domain.
+
+    Raises BudgetExceeded, by ``iterate``'s rule, before any window is built.
+    """
+    check_budget(spec, budget)
+    return _fused_sum(spec, weight, tuple(range(1, spec.n + 1)))
 
 
 # -- named families ------------------------------------------------------------
@@ -229,7 +450,8 @@ class Family:
     oracle sums over; every family has one.  ``closed`` maps a FamilySpec to
     its closed-engine polynomial, or is None when the family is
     enumeration-only.  ``split``: the family has plus/minus halves.
-    ``mode``: the default gamma mode.  ``min_n``: the lowest valid rank.
+    ``mode``: the default gamma mode, or None when the polynomial involves u
+    and so has no gamma expansion.  ``min_n``: the lowest valid rank.
     ``by_rank``: n alone fixes the domain, so ``table`` can sweep it.
 
     Closed engines are looked up on the ``closedforms`` module at call time,
@@ -239,7 +461,7 @@ class Family:
     domain: Callable
     closed: Callable | None
     split: bool = False
-    mode: str = BIVARIATE
+    mode: str | None = BIVARIATE
     min_n: int = 0
     by_rank: bool = True
 
@@ -321,7 +543,8 @@ FAMILIES = {
     "sgn_dexc": Family(_group("D", DEXC_WEIGHT, "inv_d"),
                        lambda fs: closedforms.sgn_dexc_closed(fs.n)),
     "sgnb_des_u": Family(_group("B", SGNB_WEIGHT),
-                         lambda fs: closedforms.sgnb_des_u_closed(fs.n)),
+                         lambda fs: closedforms.sgnb_des_u_closed(fs.n),
+                         mode=None),
     "qrefined": Family(_q_refined, None, split=True, mode=Q_COEFFICIENTS),
 }
 
@@ -372,8 +595,9 @@ def sgnb_des_u(n, letters=None, *, positions="all", budget=DEFAULT_BUDGET):
         )
     if positions not in ("all", "max_last", "max_not_last"):
         raise InvalidSpec("positions must be all/max_last/max_not_last")
-    check_budget(GroupSpec("B", n), budget)
-    full = _weighted_sum(_signed_windows(letters), SGNB_WEIGHT, "B")
+    spec = GroupSpec("B", n)
+    check_budget(spec, budget)
+    full = _fused_sum(spec, SGNB_WEIGHT, letters)
     if positions == "all":
         return full
     last = full.coefficient("u", n) * Poly.variable("u") ** n

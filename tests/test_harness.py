@@ -380,6 +380,20 @@ class TestCliExtras:
                                      "--n", "2", "--engine", "closed"])
         assert out == closed_out
 
+    def test_sgnb_has_no_gamma_expansion(self):
+        for extra in ([], ["--mode", "uni"], ["--engine", "oracle"]):
+            for n in ("0", "1", "3"):
+                code, out, err = _run_cli(["gamma", "--family", "sgnb_des_u",
+                                           "--n", n] + extra)
+                assert (code, out) == (2, "")
+                assert err == ("error: sgnb_des_u has no gamma expansion "
+                               "(its polynomial involves u)\n")
+
+    def test_table_does_not_offer_sgnb(self):
+        with pytest.raises(SystemExit) as exit_info:
+            _run_cli(["table", "--family", "sgnb_des_u", "--n-range", "2..3"])
+        assert exit_info.value.code == 2
+
 
 @pytest.mark.parametrize("family", sorted(oracle.FAMILIES))
 @pytest.mark.parametrize("cls", ["all", "plus", "minus"])

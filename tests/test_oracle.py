@@ -1,21 +1,43 @@
-import pytest
+from itertools import combinations, permutations
+from operator import attrgetter
 
-from gammaexc.groups import BudgetExceeded, GroupSpec, InvalidSpec
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gammaexc import oracle
+from gammaexc.groups import (
+    BudgetExceeded,
+    GroupSpec,
+    InvalidSpec,
+    _signed_windows,
+    inv,
+    inv_b,
+    inv_d,
+    iterate,
+    partitions,
+)
 from gammaexc.oracle import (
     AEXC_WEIGHT,
+    A_STATISTICS,
     FamilySpec,
     NonIncreasingLetters,
+    SGNB_WEIGHT,
+    SIGNED_STATISTICS,
+    SIGN_STATISTICS,
     T_EXC_WEIGHT,
     UndefinedStatistic,
     UnsupportedClass,
     WeightSpec,
+    _a_kernel,
+    _signed_kernel,
+    _weighted_sum,
     dist_poly,
     family_domain,
     family_poly,
     q_refined,
     sgnb_des_u,
 )
-from gammaexc.poly import Poly
+from gammaexc.poly import Poly, VARIABLES
 
 s, t, u, q = Poly.gens("s", "t", "u", "q")
 
@@ -170,3 +192,123 @@ class TestQRefined:
     def test_stat_validation(self):
         with pytest.raises(InvalidSpec):
             q_refined(3, "des")
+
+
+# -- the fused kernel against the reference sum ---------------------------------
+
+
+def _reference(spec, weight):
+    """The weight summed window by window over ``iterate``'s stream."""
+    windows = map(attrgetter("window"), iterate(spec))
+    return _weighted_sum(windows, weight, spec.kind)
+
+
+@st.composite
+def group_specs(draw):
+    kind = draw(st.sampled_from(("S", "B", "D", "B-D")))
+    n = draw(st.integers(0, 5))
+    parity = ("all" if kind == "B-D"
+              else draw(st.sampled_from(("all", "even", "odd"))))
+    filters = {}
+    if kind == "S":
+        if n >= 1 and draw(st.booleans()):
+            filters["pos_n"] = draw(st.integers(1, n))
+        if draw(st.booleans()):
+            filters["fixed_points"] = draw(st.integers(0, n))
+        if draw(st.booleans()):
+            filters["cycle_type"] = draw(st.sampled_from(
+                [lam.parts for lam in partitions(n)]))
+    return GroupSpec(kind, n, parity=parity, **filters)
+
+
+@st.composite
+def weight_specs(draw, kind):
+    table = A_STATISTICS if kind == "S" else SIGNED_STATISTICS
+    k = draw(st.integers(1, 3))
+    stats = draw(st.lists(st.sampled_from(sorted(table)), min_size=k,
+                          max_size=k))
+    variables = draw(st.permutations(VARIABLES))[:k]
+    offsets = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    signs = [None] + sorted(stat for stat in SIGN_STATISTICS if stat in table)
+    return WeightSpec(tuple(zip(variables, stats, offsets)),
+                      sign_stat=draw(st.sampled_from(signs)))
+
+
+class TestKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_reference_sum(self, data):
+        spec = data.draw(group_specs())
+        weight = data.draw(weight_specs(spec.kind))
+        assert dist_poly(spec, weight) == _reference(spec, weight)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 30), unique=True, max_size=5).map(sorted))
+    def test_sgnb_des_u_on_letters(self, letters):
+        letters = tuple(letters)
+        assert sgnb_des_u(len(letters), letters) == _weighted_sum(
+            _signed_windows(letters), SGNB_WEIGHT, "B")
+
+    def test_every_statistic_has_a_kernel_form(self):
+        assert set(_a_kernel(3)) == set(A_STATISTICS)
+        assert set(_signed_kernel(3)) == set(SIGNED_STATISTICS)
+
+    @pytest.mark.parametrize("stat", sorted(SIGNED_STATISTICS))
+    def test_signed_forms_are_affine_on_b4(self, stat):
+        """On every window of B_4, c + sum(w[j] for negated j) is the stat."""
+        form, reference = _signed_kernel(4)[stat], SIGNED_STATISTICS[stat]
+        for w in _signed_windows((1, 2, 3, 4)):
+            c, weights = form(tuple(map(abs, w)))
+            assert c + sum(x for x, v in zip(weights, w) if v < 0) == (
+                reference(w)), w
+
+    def test_inversion_identity_on_b4(self):
+        """inv_D(eps.p) = inv(p) + 2 sum_{j negated} (j - L_j), inv_B adds negs.
+
+        L_j = #{i < j: p_i > p_j}, positions 0-based.
+        """
+        for p in permutations((1, 2, 3, 4)):
+            L = [sum(a > v for a in p[:j]) for j, v in enumerate(p)]
+            for k in range(5):
+                for negated in combinations(range(4), k):
+                    w = tuple(-v if j in negated else v
+                              for j, v in enumerate(p))
+                    assert inv_d(w) == inv(p) + 2 * sum(j - L[j]
+                                                        for j in negated)
+                    assert inv_b(w) == inv_d(w) + k
+
+
+class TestKernelErrors:
+    @pytest.mark.parametrize("kind, stat", [("S", "exc_b"), ("B", "exc"),
+                                            ("D", "des"), ("B-D", "cyc")])
+    def test_statistic_the_kind_lacks(self, kind, stat):
+        with pytest.raises(UndefinedStatistic, match=repr(stat)):
+            dist_poly(GroupSpec(kind, 2), WeightSpec((("t", stat, 0),)))
+
+    def test_sign_statistic_the_kind_lacks(self):
+        with pytest.raises(UndefinedStatistic, match="'inv'"):
+            dist_poly(GroupSpec("D", 2),
+                      WeightSpec((("t", "exc_d", 0),), sign_stat="inv"))
+
+    def test_negative_offset_names_a_window(self):
+        with pytest.raises(InvalidSpec, match=r"offset drives exponent "
+                           r"negative on 1,2 \(statistic value 0, offset -1\)"):
+            dist_poly(GroupSpec("S", 2), WeightSpec((("t", "exc", -1),)))
+        with pytest.raises(InvalidSpec, match=r"negative on -1,-2 "
+                           r"\(statistic value 0, offset -1\)"):
+            dist_poly(GroupSpec("B", 2), WeightSpec((("s", "nexc_b", -1),)))
+
+    def test_budget_before_any_window(self, monkeypatch):
+        def no_windows(*args):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(oracle, "permutations", no_windows)
+        monkeypatch.setattr(oracle, "_perm_windows_pos_n", no_windows)
+        with pytest.raises(BudgetExceeded):
+            dist_poly(GroupSpec("B", 9), oracle.BEXC_WEIGHT, budget=1000)
+        with pytest.raises(BudgetExceeded):
+            dist_poly(GroupSpec("S", 9), T_EXC_WEIGHT, budget=1000)
+        with pytest.raises(BudgetExceeded):
+            dist_poly(GroupSpec("S", 9, pos_n=2), T_EXC_WEIGHT, budget=1000)
+        with pytest.raises(BudgetExceeded):
+            sgnb_des_u(7, budget=1000)
