@@ -25,9 +25,7 @@ from .groups import (
     DEFAULT_BUDGET,
     GroupSpec,
     _cycle_lengths,
-    _perm_windows,
     asc,
-    check_budget,
     cycle_type,
     des,
     exc,
@@ -756,11 +754,10 @@ def _check_long_cycles(limits):
            "set-partition count times the product of long-cycle factors")
 def _check_conjugacy(limits):
     for n in range(1, limits.max_n_a + 1):
-        check_budget(GroupSpec("S", n), limits.budget)
         buckets = {}
-        for w in _perm_windows(n):
-            dist = buckets.setdefault(_cycle_lengths(w), {})
-            e = exc(w)
+        for p in iterate(GroupSpec("S", n), budget=limits.budget):
+            dist = buckets.setdefault(_cycle_lengths(p.window), {})
+            e = exc(p.window)
             dist[e] = dist.get(e, 0) + 1
         for lam in partitions(n):
             dist = buckets.get(lam.parts, {})

@@ -22,18 +22,21 @@ the #Negs term:  inv_D = inv + #{i<j: -sigma_i > sigma_j}.  ``pos_n`` is the
 position of the entry of largest absolute value, on either kind of window.
 
 Each statistic is one function, taking a window tuple or a ``Perm``; there
-are no per-type records bundling them.  Iterators yield in lexicographic
-window order.  These per-element functions and ``iterate`` are the
-reference: the oracle's fused kernel (behind ``oracle.dist_poly``) computes
-the statistics in its own way, and tests check that its sums equal the
-ones they give window by window.
+are no per-type records bundling them.  ``iterate`` is the one enumerator.
+It yields in lexicographic window order, or, for the oracle's fused kernel
+(behind ``oracle.dist_poly``), one permutation of [n] at a time with all
+its signed windows together.  The kernel computes the signed statistics in
+its own way; these per-element functions over ``iterate``'s windows are
+the reference that tests check its sums against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product, starmap
 from itertools import permutations as _itertools_permutations
+from operator import eq, gt, le, lt, mul
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -106,7 +109,7 @@ class Perm:
     @classmethod
     def _trusted(cls, window):
         obj = object.__new__(cls)
-        object.__setattr__(obj, "window", window)
+        _set_window(obj, window)
         return obj
 
     @classmethod
@@ -142,6 +145,10 @@ class Perm:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+# the slot's own setter: unchecked, like object.__setattr__, but faster
+_set_window = Perm.window.__set__
+
+
 class SignedPerm(Perm):
     """A signed permutation (hyperoctahedral element) in window notation."""
 
@@ -158,33 +165,31 @@ def _window(x):
 
 def exc(p):
     w = _window(p)
-    return sum(1 for i, v in enumerate(w, start=1) if v > i)
+    return sum(map(gt, w, range(1, len(w) + 1)))
 
 
 def nexc(p):
     w = _window(p)
-    return sum(1 for i, v in enumerate(w, start=1) if v <= i)
+    return sum(map(le, w, range(1, len(w) + 1)))
 
 
 def des(p):
     w = _window(p)
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    return sum(map(gt, w, w[1:]))
 
 
 def asc(p):
     w = _window(p)
-    return sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
+    return sum(map(lt, w, w[1:]))
 
 
 def inv(p):
-    w = _window(p)
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return sum(starmap(gt, combinations(_window(p), 2)))
 
 
 def fixed_points(p):
     w = _window(p)
-    return sum(1 for i, v in enumerate(w, start=1) if v == i)
+    return sum(map(eq, w, range(1, len(w) + 1)))
 
 
 def _cycles(w):
@@ -354,7 +359,7 @@ class CycleType:
 
 def cycle_type(p):
     """Cycle type of a permutation; its sign equals the permutation's sign."""
-    return CycleType(tuple(len(c) for c in _cycles(_window(p))))
+    return CycleType(_cycle_lengths(_window(p)))
 
 
 def _parts_desc(remaining, max_part, min_part):
@@ -502,6 +507,39 @@ def _signed_windows(letters, negs_parity=None):
     yield from rec((), frozenset(letters), 0)
 
 
+def _signed_windows_by_permutation(spec):
+    """The spec's signed windows, one permutation p of [n] at a time.
+
+    The permutations come in lexicographic order; each is followed by its
+    kept windows, those with an even number of negated entries first.  The
+    even/odd filter picks whole parity classes of negated entries, because
+    inv_D is congruent to inv(p) and inv_B = inv_D + negs.
+    """
+    signs = ([], [])  # sign vectors by parity of their negative entries
+    for s in product((1, -1), repeat=spec.n):
+        signs[s.count(-1) % 2].append(s)
+    kept = {"B": (0, 1), "D": (0,), "B-D": (1,)}[spec.kind]
+    want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
+    negs_in_length = 1 if spec.kind == "B" else 0
+    for p in _perm_windows(spec.n):
+        length = 0 if want is None else inv(p)
+        for q in kept:
+            if want is None or (length + negs_in_length * q) % 2 == want:
+                for s in signs[q]:
+                    yield tuple(map(mul, p, s))
+
+
+def windows_per_permutation(spec):
+    """How many windows share one permutation in ``iterate(by_permutation)``.
+
+    One on kind S; 2^n on B; 2^(n-1) on D, B-D and the halves of B, which
+    keep one parity of negated entries.
+    """
+    if spec.kind == "S" or spec.n == 0:
+        return 1
+    return 2 ** (spec.n - (spec.kind != "B" or spec.parity != "all"))
+
+
 def check_budget(spec, budget):
     """Raise BudgetExceeded when scanning the spec's domain is too large."""
     if budget is not None and enumeration_cost(spec) > budget:
@@ -511,10 +549,14 @@ def check_budget(spec, budget):
         )
 
 
-def iterate(spec, budget=DEFAULT_BUDGET):
+def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
     """Yield each element of the spec's domain exactly once, in window order.
 
-    Raises BudgetExceeded before any work when the ambient scan is too large.
+    With ``by_permutation`` a signed group comes one permutation of [n] at a
+    time instead, ``windows_per_permutation(spec)`` windows each (see
+    ``_signed_windows_by_permutation``); kind S is one window per
+    permutation in either order.  Raises BudgetExceeded before any work
+    when the ambient scan is too large.
     """
     check_budget(spec, budget)
     if spec.kind == "S":
@@ -525,7 +567,7 @@ def iterate(spec, budget=DEFAULT_BUDGET):
         for w in stream:
             if spec.fixed_points is not None and fixed_points(w) != spec.fixed_points:
                 continue
-            if spec.cycle_type is not None and cycle_type(w).parts != spec.cycle_type:
+            if spec.cycle_type is not None and _cycle_lengths(w) != spec.cycle_type:
                 continue
             if spec.parity != "all":
                 if inv(w) % 2 != (0 if spec.parity == "even" else 1):
@@ -533,6 +575,10 @@ def iterate(spec, budget=DEFAULT_BUDGET):
             yield Perm._trusted(w)
         return
 
+    if by_permutation:
+        yield from map(SignedPerm._trusted,
+                       _signed_windows_by_permutation(spec))
+        return
     letters = tuple(range(1, spec.n + 1))
     if spec.kind == "B":
         stream = _signed_windows(letters)

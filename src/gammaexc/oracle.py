@@ -7,17 +7,16 @@ integer offset (the type-A families use s^(nexc-1) while the signed families
 use s^nexc; the offset makes that visible in one place), plus an optional
 sign statistic contributing (-1)^stat.
 
-Every weighted sum, ``dist_poly`` over a ``GroupSpec`` and ``sgnb_des_u``
-over signed windows on arbitrary letters, runs through one fused kernel.
-It streams the permutations of the letters once, and every statistic has a
-kernel form there.  On a signed group each form is affine in the sign
-indicators: a permutation p gives (c, w), and on the window that negates
-the positions in N the statistic is c + sum(w[j] for j in N).  So the
-values of all 2^n windows of p take 2^n additions and no window objects;
-the sign and the even/odd filter are parities of inv(p), fixed per
-permutation and negs parity.  The reference is the window-by-window path: ``_weighted_sum``
-over ``groups.iterate`` with the per-element functions ``groups`` defines,
-which tests compare the kernel against.
+Every weighted sum runs through one fused kernel, ``dist_poly``.  It pulls
+``groups.iterate``'s windows one permutation p of [n] at a time, and every
+statistic has a kernel form there.  A type-A form is the statistic's own
+function.  A signed form is affine in the sign indicators: p gives (c, w),
+and on the window that negates the positions in N the statistic is
+c + sum(w[j] for j in N).  So p's statistics are computed once for its 2^n
+windows, and each window adds one masked sum; the sign is a parity of
+inv(p), moved by negs on type B.  The reference is ``_weighted_sum`` over
+``iterate``'s lexicographic windows with the per-element functions of
+``groups``; tests compare the kernel against it.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -34,8 +33,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations, permutations, product, starmap
-from operator import attrgetter, eq, gt, le, lt, sub
+from itertools import compress
+from operator import attrgetter, gt, lt, sub
 
 from . import closedforms
 from .groups import (
@@ -43,12 +42,8 @@ from .groups import (
     DEFAULT_BUDGET,
     GroupSpec,
     InvalidSpec,
-    _cycle_lengths,
-    _cycles,
-    _perm_windows_pos_n,
     asc,
     asc_b,
-    check_budget,
     cyc,
     des,
     des_b,
@@ -65,6 +60,7 @@ from .groups import (
     nexc_b,
     nexc_d,
     pos_n,
+    windows_per_permutation,
     wkexc_b,
     wkexc_d,
 )
@@ -165,7 +161,8 @@ def _weighted_sum(windows, weight, kind):
 
     Reads every statistic through its per-element function in ``groups``.
     ``dist_poly`` does not run it; tests compare the kernel against it, and
-    the kernel calls it to name a window whose exponent goes negative.
+    the kernel calls it to name the first window whose exponent goes
+    negative.
     """
     table = A_STATISTICS if kind == "S" else SIGNED_STATISTICS
     funcs, sign_func = _resolve(weight, kind, table)
@@ -189,42 +186,13 @@ def _weighted_sum(windows, weight, kind):
 # -- the fused kernel ----------------------------------------------------------
 
 
-def _inversions(p):
-    return sum(starmap(gt, combinations(p, 2)))
-
-
-def _lex_inversions(n):
-    """inv of each permutation of n letters, in lexicographic order.
-
-    The Lehmer code of the r-th permutation is r written in the factorial
-    base, and inv is the sum of the code.
-    """
-    return map(sum, product(*map(range, range(n, 0, -1))))
-
-
-def _a_kernel(n):
-    """Kernel forms of the type-A statistics: permutation -> value."""
-    idx = range(1, n + 1)
-    return {
-        "exc": lambda p: sum(map(gt, p, idx)),
-        "nexc": lambda p: sum(map(le, p, idx)),
-        "des": lambda p: sum(map(gt, p, p[1:])),
-        "asc": lambda p: sum(map(lt, p, p[1:])),
-        "inv": _inversions,
-        "cyc": lambda p: len(_cycles(p)),
-        "fixed_points": lambda p: sum(map(eq, p, idx)),
-        "pos_n": lambda p: p.index(n) + 1 if n else 0,
-    }
-
-
 def _signed_kernel(n):
     """Kernel forms of the signed statistics: permutation -> (c, w).
 
-    A signed window is a permutation p of the letters with the entries at a
-    set N of positions negated.  Every signed statistic is affine in the sign
+    A signed window is a permutation p of [n] with the entries at a set N of
+    positions negated.  Every signed statistic is affine in the sign
     indicators: on that window it equals c + sum(w[j] for j in N), with j
-    0-based.  The exc forms read letters as positions, so they need the
-    letters 1..n.
+    0-based.
     """
 
     def des_b(p):
@@ -251,9 +219,8 @@ def _signed_kernel(n):
     def inversions(negs_weight):
         # inv_D = inv(p) + 2 * sum over j in N of #{i < j: p_i < p_j};
         # inv_B = inv_D + negs
-        return lambda p: (_inversions(p), [
-            2 * sum(a < v for a in p[:j]) + negs_weight
-            for j, v in enumerate(p)])
+        return lambda p: (inv(p), [2 * sum(a < v for a in p[:j]) + negs_weight
+                                   for j, v in enumerate(p)])
 
     def complement(form):
         def flipped(p):
@@ -271,7 +238,7 @@ def _signed_kernel(n):
         "asc_b": complement(des_b),
         "inv_b": inversions(1),
         "negs": lambda p: (0, [1] * n),
-        "pos_n": lambda p: (p.index(max(p)) + 1 if p else 0, [0] * n),
+        "pos_n": lambda p: (pos_n(p), [0] * n),
         "exc_d": exc_b,
         "nexc_d": nexc_b,
         "wkexc_d": wkexc_b,
@@ -279,27 +246,21 @@ def _signed_kernel(n):
     }
 
 
-def _by_negs_parity(c, weights):
-    """c + sum(weights[j] for j in N) over every set N, split by |N| parity."""
-    even, odd = [c], []
-    for w in weights:
-        even, odd = even + [x + w for x in odd], odd + [x + w for x in even]
-    return even, odd
-
-
-def _packer(kind, forms, n, radix):
-    """Map a permutation to its windows' packed keys, split by negs parity.
+def _packer(forms, signed, n, radix):
+    """Map a permutation p to (c, w): its windows' packed keys, affine in N.
 
     A key packs the weight's statistics in base ``radix``, the first one
-    most significant.  Packing is linear, so the signed keys stay affine in
-    the sign indicators; a permutation of kind S is its one window.
+    most significant; the window negating the positions in N has key
+    c + sum(w[j] for j in N).  Packing is linear, so the signed keys stay
+    affine in the sign indicators.  On kind S, p is its one window and w is
+    empty; a type-A form is the statistic's function itself.
     """
-    if kind == "S":
+    if not signed:
         def pack(p):
             key = 0
             for form in forms:
                 key = key * radix + form(p)
-            return ((key,),)
+            return key, ()
     else:
         def pack(p):
             c, weights = 0, [0] * n
@@ -307,61 +268,48 @@ def _packer(kind, forms, n, radix):
                 form_c, form_w = form(p)
                 c = c * radix + form_c
                 weights = [x * radix + y for x, y in zip(weights, form_w)]
-            return _by_negs_parity(c, weights)
+            return c, weights
     return pack
 
 
-# negs parities each kind keeps; the length statistic of its even/odd split;
-# how a length statistic's parity moves with negs (inv_D = inv mod 2)
-_NEGS_PARITIES = {"S": (0,), "B": (0, 1), "D": (0,), "B-D": (1,)}
-_LENGTH = {"S": "inv", "B": "inv_b", "D": "inv_d"}
-_NEGS_IN_LENGTH = {"inv": 0, "inv_d": 0, "inv_b": 1}
+def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
+    """Exact sum of the weight monomial over the spec's domain.
 
-
-def _fused_sum(spec, weight, letters):
-    """Sum the weight over the spec's domain, one permutation at a time.
-
-    Streams the permutations of ``letters`` in lexicographic order, with
-    their inversion counts; each one stands for its block of signed windows
-    (on kind S, for itself).  The sign and the even/odd filter depend only
-    on inv(p) and the negs parity, so a block is kept or dropped whole
-    before its keys are built.
+    The fused kernel: it pulls ``iterate``'s windows one permutation p at a
+    time (``by_permutation``), computes the weight's statistics once per p,
+    and reads each window's packed key off the positions it negates.  The
+    sign is (-1)^inv(p), times (-1)^negs for inv_b (inv_D = inv(p) mod 2);
+    ``iterate`` applies the even/odd filter.  UndefinedStatistic comes
+    first, then BudgetExceeded, by ``iterate``'s rule, before any window.
     """
-    n, r = spec.n, spec.pos_n
-    kernel = _a_kernel(n) if spec.kind == "S" else _signed_kernel(n)
-    if r is None:
-        stream = zip(permutations(letters), _lex_inversions(n))
-    else:
-        # n at position r comes before the n - r smaller letters after it
-        stream = zip(_perm_windows_pos_n(n, r),
-                     (inv + n - r for inv in _lex_inversions(n - 1)))
-    # the remaining filters, like pos_n, exist on kind S only
-    if spec.fixed_points is not None:
-        fixed = kernel["fixed_points"]
-        stream = (item for item in stream
-                  if fixed(item[0]) == spec.fixed_points)
-    if spec.cycle_type is not None:
-        stream = (item for item in stream
-                  if _cycle_lengths(item[0]) == spec.cycle_type)
-    entries, _ = _resolve(weight, spec.kind, kernel)
+    n, signed = spec.n, spec.kind != "S"
+    table = _signed_kernel(n) if signed else A_STATISTICS
+    entries, _ = _resolve(weight, spec.kind, table)
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
-    pack = _packer(spec.kind, [form for form, _ in entries], n, radix)
-    want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
-    filter_shift = 0 if want is None else _NEGS_IN_LENGTH[_LENGTH[spec.kind]]
-    sign_shift = (None if weight.sign_stat is None
-                  else _NEGS_IN_LENGTH[weight.sign_stat])
-    tallies = (Counter(), Counter())  # keys of the windows signed +1, -1
-    for p, length in stream:
-        rows = None
-        for q in _NEGS_PARITIES[spec.kind]:
-            if want is not None and (length + filter_shift * q) % 2 != want:
-                continue
-            rows = rows or pack(p)
-            negative = sign_shift is not None and (length + sign_shift * q) % 2
-            tallies[negative].update(rows[q])
+    forms = [form for form, _ in entries]
+    negs_digit = weight.sign_stat == "inv_b"
+    if negs_digit:  # count negs in one more digit; its parity moves the sign
+        forms.append(table["negs"])
+    pack = _packer(forms, signed, n, radix)
+    zeros = (0,) * n
+    tallies = (Counter(), Counter())  # keys of blocks signed +1, -1 by inv(p)
+    windows = map(attrgetter("window"),
+                  iterate(spec, budget=budget, by_permutation=True))
+    for block in zip(*[windows] * windows_per_permutation(spec)):
+        p = tuple(map(abs, block[0])) if signed else block[0]
+        c, weights = pack(p)
+        tally = tallies[weight.sign_stat is not None and inv(p) % 2]
+        if weights:
+            tally.update([c + sum(compress(weights, map(lt, w, zeros)))
+                          for w in block])
+        else:
+            tally[c] += 1
     terms = {}
     for negative, tally in enumerate(tallies):
         for packed, count in tally.items():
+            if negs_digit:
+                packed, negs = divmod(packed, radix)
+                count = -count if negs % 2 else count
             exps = []
             for _, off in reversed(entries):
                 packed, value = divmod(packed, radix)
@@ -382,15 +330,6 @@ def _offset_error(spec, weight):
         return exc
     raise AssertionError(f"the reference sum over {spec} has no negative "
                          f"exponent where the kernel found one")
-
-
-def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
-    """Exact sum of the weight monomial over the spec's domain.
-
-    Raises BudgetExceeded, by ``iterate``'s rule, before any window is built.
-    """
-    check_budget(spec, budget)
-    return _fused_sum(spec, weight, tuple(range(1, spec.n + 1)))
 
 
 # -- named families ------------------------------------------------------------
@@ -580,7 +519,10 @@ def sgnb_des_u(n, letters=None, *, positions="all", budget=DEFAULT_BUDGET):
     is the position of the largest letter (ignoring its sign).  ``positions``
     may restrict the sum to windows whose largest letter sits at the last
     position ("max_last", the u^n part) or anywhere else ("max_not_last").
-    The budget rule is the one ``iterate`` applies to B_n.
+    The weight reads only how the signed entries compare with each other and
+    with 0, and relabelling the letters 1..n in order keeps every such
+    comparison; so the sum over any letters is the sum over B_n, under
+    ``iterate``'s budget rule for B_n.
     """
     if letters is None:
         letters = tuple(range(1, n + 1))
@@ -595,9 +537,7 @@ def sgnb_des_u(n, letters=None, *, positions="all", budget=DEFAULT_BUDGET):
         )
     if positions not in ("all", "max_last", "max_not_last"):
         raise InvalidSpec("positions must be all/max_last/max_not_last")
-    spec = GroupSpec("B", n)
-    check_budget(spec, budget)
-    full = _fused_sum(spec, SGNB_WEIGHT, letters)
+    full = dist_poly(GroupSpec("B", n), SGNB_WEIGHT, budget=budget)
     if positions == "all":
         return full
     last = full.coefficient("u", n) * Poly.variable("u") ** n

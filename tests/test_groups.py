@@ -33,6 +33,7 @@ from gammaexc.groups import (
     partitions,
     pos_n,
     sign,
+    windows_per_permutation,
     wkexc_b,
 )
 
@@ -248,6 +249,24 @@ class TestIterate:
         assert windows[0] == (-2, -1)
         windows = [p.window for p in iterate(GroupSpec("S", 3))]
         assert windows == sorted(windows)
+
+    @pytest.mark.parametrize("kind, parity", [
+        ("S", "all"), ("S", "odd"), ("B", "all"), ("B", "even"), ("B", "odd"),
+        ("D", "all"), ("D", "even"), ("D", "odd"), ("B-D", "all")])
+    def test_by_permutation_order(self, kind, parity):
+        for n in range(5):
+            spec = GroupSpec(kind, n, parity=parity)
+            lex = [p.window for p in iterate(spec)]
+            blocks = [p.window for p in iterate(spec, by_permutation=True)]
+            assert sorted(blocks) == lex
+            size = windows_per_permutation(spec)
+            perms = []
+            for start in range(0, len(blocks), size):
+                block = blocks[start:start + size]
+                assert len(block) == size
+                assert len({tuple(map(abs, w)) for w in block}) == 1
+                perms.append(tuple(map(abs, block[0])))
+            assert perms == sorted(set(perms))
 
     def test_each_exactly_once(self):
         seen = [p.window for p in iterate(GroupSpec("D", 3))]

@@ -4,7 +4,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammaexc import oracle
+from gammaexc import groups, oracle
 from gammaexc.groups import (
     BudgetExceeded,
     GroupSpec,
@@ -28,7 +28,6 @@ from gammaexc.oracle import (
     UndefinedStatistic,
     UnsupportedClass,
     WeightSpec,
-    _a_kernel,
     _signed_kernel,
     _weighted_sum,
     dist_poly,
@@ -249,9 +248,25 @@ class TestKernel:
         assert sgnb_des_u(len(letters), letters) == _weighted_sum(
             _signed_windows(letters), SGNB_WEIGHT, "B")
 
-    def test_every_statistic_has_a_kernel_form(self):
-        assert set(_a_kernel(3)) == set(A_STATISTICS)
+    def test_every_signed_statistic_has_a_kernel_form(self):
+        # a type-A statistic's kernel form is its own function
         assert set(_signed_kernel(3)) == set(SIGNED_STATISTICS)
+
+    @pytest.mark.parametrize("spec", [
+        GroupSpec("D", 4, parity="even"), GroupSpec("B", 3),
+        GroupSpec("B", 3, parity="odd"), GroupSpec("B-D", 3),
+        GroupSpec("S", 4, fixed_points=0), GroupSpec("B", 0)])
+    def test_pulls_every_window_through_iterate(self, spec, monkeypatch):
+        pulled = []
+
+        def counting(*args, **kwargs):
+            for p in iterate(*args, **kwargs):
+                pulled.append(p.window)
+                yield p
+
+        monkeypatch.setattr(oracle, "iterate", counting)
+        dist_poly(spec, WeightSpec((), sign_stat=None))
+        assert sorted(pulled) == [p.window for p in iterate(spec)]
 
     @pytest.mark.parametrize("stat", sorted(SIGNED_STATISTICS))
     def test_signed_forms_are_affine_on_b4(self, stat):
@@ -302,8 +317,9 @@ class TestKernelErrors:
         def no_windows(*args):
             raise AssertionError("a window was built")
 
-        monkeypatch.setattr(oracle, "permutations", no_windows)
-        monkeypatch.setattr(oracle, "_perm_windows_pos_n", no_windows)
+        for stream in ("_perm_windows", "_perm_windows_pos_n",
+                       "_signed_windows"):
+            monkeypatch.setattr(groups, stream, no_windows)
         with pytest.raises(BudgetExceeded):
             dist_poly(GroupSpec("B", 9), oracle.BEXC_WEIGHT, budget=1000)
         with pytest.raises(BudgetExceeded):
@@ -312,3 +328,11 @@ class TestKernelErrors:
             dist_poly(GroupSpec("S", 9, pos_n=2), T_EXC_WEIGHT, budget=1000)
         with pytest.raises(BudgetExceeded):
             sgnb_des_u(7, budget=1000)
+
+    def test_undefined_statistic_before_budget(self):
+        with pytest.raises(UndefinedStatistic, match="'exc'"):
+            dist_poly(GroupSpec("B", 9), WeightSpec((("t", "exc", 0),)),
+                      budget=1000)
+        with pytest.raises(UndefinedStatistic, match="'inv_d'"):
+            dist_poly(GroupSpec("S", 9), WeightSpec((), sign_stat="inv_d"),
+                      budget=1000)
