@@ -5,7 +5,8 @@ polynomial is a counting factor times a product of long-cycle factors
 t * A_{j-1}(t), one per non-fixed cycle.  Summing over the classes with no
 fixed point (optionally by sign, or with a prescribed number of fixed
 points) gives the derangement polynomials, all gamma positive with center
-(n - fixed)/2.  Refining by q^inv or q^cyc keeps gamma positivity with
+(n - fixed)/2; the library computes them by a recurrence in the number of
+cycles instead.  Refining by q^inv or q^cyc keeps gamma positivity with
 polynomial coordinates.
 """
 
@@ -48,8 +49,10 @@ for i in range(0, 4):
 
 print()
 print("== sign comes from the partition ==")
-for lam in partitions(5, no_part_1=True):
-    print(f"lambda = {lam}: sign {lam.sign:+d}, class size {lam.class_size()}")
+for lam in partitions(5):
+    if lam.fixed_points == 0:
+        print(f"lambda = {lam}: sign {lam.sign:+d}, "
+              f"class size {lam.class_size()}")
 
 print()
 print("== q-refined gamma positivity ==")

@@ -781,10 +781,16 @@ def _check_fixed_refinement(limits):
         plus = dist_poly(GroupSpec("S", n, parity="even"), _EXC_FIXED_WEIGHT,
                          budget=limits.budget)
         classes = {"plus": plus, "minus": whole - plus, "all": whole}
+        by_class = {}  # (fixed points, class) -> sum of class product formulas
+        for lam in partitions(n):
+            for cls in ("all", "plus" if lam.sign == 1 else "minus"):
+                key = (lam.fixed_points, cls)
+                by_class[key] = by_class.get(key, 0) + closedforms.conj_exc_closed(lam)
         for i in range(n + 1):
             for cls, poly in classes.items():
-                _same(f"n={n} i={i} {cls}", poly.coefficient("q", i),
-                      closedforms.derangement_closed(n, cls, fixed=i))
+                engine = closedforms.derangement_closed(n, cls, fixed=i)
+                _same(f"n={n} i={i} {cls}", poly.coefficient("q", i), engine)
+                _same(f"n={n} i={i} {cls} by classes", by_class.get((i, cls), 0), engine)
     return _ranged(1, limits.max_n_a)
 
 

@@ -38,15 +38,12 @@ class UsageError(Exception):
 
 
 def _family_spec(args):
-    lam = None
-    if getattr(args, "lam", None):
-        lam = tuple(int(x) for x in args.lam.split(","))
     return FamilySpec(
         args.family,
         args.n,
         getattr(args, "cls", "all"),
         fixed=getattr(args, "fixed", None),
-        lam=lam,
+        lam=getattr(args, "lam", None),
         stat=getattr(args, "stat", None),
     )
 
@@ -216,9 +213,7 @@ def _cmd_verify(args, out):
 
 
 def _cmd_conjugacy(args, out):
-    lam = tuple(int(x) for x in args.lam.split(","))
-    n = sum(lam)
-    spec = FamilySpec("conjexc", n, lam=lam)
+    spec = FamilySpec("conjexc", sum(args.lam), lam=args.lam)
     poly = _compute(spec, args.engine, args.budget)
     _print_poly(poly, args.format, out)
     return 0
@@ -235,6 +230,15 @@ def _parse_range(text):
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def _parse_lambda(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a cycle type like 2,2,1, got {text!r}"
+        ) from None
 
 
 def build_parser():
@@ -262,8 +266,8 @@ def build_parser():
     compute.add_argument("--n", type=int, required=True)
     compute.add_argument("--fixed", type=int, default=None,
                          help="fixed-point count for aderexc")
-    compute.add_argument("--lambda", dest="lam", default=None,
-                         help="cycle type for conjexc, e.g. 2,2")
+    compute.add_argument("--lambda", dest="lam", type=_parse_lambda,
+                         default=None, help="cycle type for conjexc, e.g. 2,2")
     compute.add_argument("--stat", choices=["inv", "cyc"], default=None,
                          help="refining statistic for qrefined")
     add_common(compute)
@@ -274,7 +278,7 @@ def build_parser():
                        choices=sorted(oracle.FAMILIES))
     gamma.add_argument("--n", type=int, required=True)
     gamma.add_argument("--fixed", type=int, default=None)
-    gamma.add_argument("--lambda", dest="lam", default=None)
+    gamma.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
     gamma.add_argument("--stat", choices=["inv", "cyc"], default=None)
     gamma.add_argument("--mode", choices=sorted(_MODE_FLAGS), default=None,
                        help="default: biv for the bivariate families, uni "
@@ -309,8 +313,8 @@ def build_parser():
     add_common(table)
 
     conjugacy = sub.add_parser("conjugacy", help="conjugacy class polynomial")
-    conjugacy.add_argument("--lambda", dest="lam", required=True,
-                           help="cycle type, e.g. 2,2")
+    conjugacy.add_argument("--lambda", dest="lam", type=_parse_lambda,
+                           required=True, help="cycle type, e.g. 2,2")
     add_common(conjugacy, with_class=False)
 
     return parser

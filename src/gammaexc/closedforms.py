@@ -9,8 +9,8 @@ with A_1 = 1 and B_1 = s+t; both engines are certified against the
 enumeration oracle in the test suite.  On top of these: the half-sum closed
 forms for the even/odd-length halves, the one-step plus/minus recurrences,
 the coefficient-triangle recurrences, the four-step jump via the fixed L/R
-polynomial tables, and the product formulas for conjugacy classes and
-derangements.  Every /2 in a formula is a theorem about integrality, so the
+tables, the conjugacy-class product formula and the derangement cycle
+recurrence.  Every /2 in a formula is a theorem about integrality, so the
 division is exact and raises OddCoefficient if it ever is not.
 """
 
@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import CycleType, partitions
+from .groups import CycleType
 from .poly import D, Poly, half
 
 _S = Poly.variable("s")
@@ -411,17 +411,33 @@ def conj_exc_closed(lam):
     return set_partition_count(lam) * product
 
 
+def _derangements_by_cycles(m, q):
+    """d_m(q, t), the sum of q^cyc t^exc over the derangements of [m].
+
+    d_0 = 1, d_1 = 0, d_k = (k-1) t d_{k-1} + t(1-t) d'_{k-1} + (k-1) q t d_{k-2}:
+    k joins a cycle of a derangement of [k-1], or a new 2-cycle.  Run on
+    coefficient rows, so t^j of d_k is j a_j + (k-j) a_{j-1} + (k-1) q b_{j-1}.
+    """
+    older, row = [], [1]  # the rows of d_{k-2} and d_{k-1}
+    for k in range(1, m + 1):
+        a, b = [0] + row + [0], [0] + older + [0] * k
+        older, row = row, [j * a[j + 1] + (k - j) * a[j] + (k - 1) * q * b[j]
+                           for j in range(k + 1)]
+    return Poly(("t",), {(j,): c for j, c in enumerate(row)})
+
+
 def derangement_closed(n, cls="all", fixed=None):
     """Excedance polynomial over permutations with a given fixed-point count.
 
-    ``fixed=None`` means derangements (no fixed points); cls restricts to the
-    even (plus) or odd (minus) ones.  Computed as the sum of the class
-    product formulas, never by enumeration.
+    ``fixed=None`` means none; cls keeps the even (plus) or odd (minus) ones.
+    With i fixed points the rest is a derangement of m = n - i letters, of sign
+    (-1)^(m - cyc): C(n, i) times d_m(1, t) or (d_m(1, t) +- (-1)^m d_m(-1, t))/2.
     """
     _require_rank(n >= 0, "n must be non-negative")
-    sign = {"all": None, "plus": 1, "minus": -1}[cls]
-    m1 = 0 if fixed is None else fixed
-    total = Poly.zero(("t",))
-    for lam in partitions(n, m1=m1, sign=sign):
-        total = total + conj_exc_closed(lam)
-    return total
+    i = 0 if fixed is None else fixed
+    _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
+    sign = {"all": 0, "plus": 1, "minus": -1}[cls] * (-1) ** (n - i)
+    d = _derangements_by_cycles(n - i, 1)
+    if sign:
+        d = half(d + sign * _derangements_by_cycles(n - i, -1))
+    return math.comb(n, i) * d

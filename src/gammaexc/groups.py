@@ -362,40 +362,18 @@ def cycle_type(p):
     return CycleType(_cycle_lengths(_window(p)))
 
 
-def _parts_desc(remaining, max_part, min_part):
+def _parts_desc(remaining, max_part):
     if remaining == 0:
         yield ()
-        return
-    top = min(remaining, max_part)
-    for p in range(top, min_part - 1, -1):
-        for rest in _parts_desc(remaining - p, p, min_part):
-            yield (p,) + rest
+    for p in range(min(remaining, max_part), 0, -1):
+        yield from ((p,) + rest for rest in _parts_desc(remaining - p, p))
 
 
-def partitions(n, no_part_1=False, m1=None, sign=None):
-    """Partitions of n as CycleTypes, optionally filtered.
-
-    ``no_part_1`` excludes fixed points entirely; ``m1=i`` demands exactly i
-    parts equal to 1; ``sign`` (+1/-1) keeps only partitions whose conjugacy
-    class has that sign.  Filters combine.
-    """
+def partitions(n):
+    """Partitions of n as CycleTypes, in reverse lexicographic order."""
     if n < 0:
         raise InvalidSpec("n must be non-negative")
-    if m1 is not None:
-        if m1 < 0 or m1 > n:
-            raise InvalidSpec(f"m1={m1} outside 0..{n}")
-        if no_part_1 and m1 != 0:
-            raise InvalidSpec("no_part_1 contradicts m1 != 0")
-        for tail in _parts_desc(n - m1, n - m1, 2):
-            lam = CycleType(tail + (1,) * m1)
-            if sign is None or lam.sign == sign:
-                yield lam
-        return
-    min_part = 2 if no_part_1 else 1
-    for parts in _parts_desc(n, n, min_part):
-        lam = CycleType(parts)
-        if sign is None or lam.sign == sign:
-            yield lam
+    return (CycleType(parts) for parts in _parts_desc(n, n))
 
 
 # -- group enumeration ---------------------------------------------------------

@@ -342,7 +342,9 @@ class FamilySpec:
     ``fixed`` selects permutations with exactly that many fixed points (the
     derangement families), ``lam`` a conjugacy class, ``stat`` the refining
     statistic of the q-families.  The family must be in ``FAMILIES``, split
-    into plus/minus if the class asks for it, and n at least its lowest rank.
+    into plus/minus if the class asks for it, n at least its lowest rank,
+    and a refinement is allowed only on the family that reads it, with
+    ``fixed`` in 0..n.
     """
 
     family: str
@@ -367,6 +369,12 @@ class FamilySpec:
         if self.n < record.min_n:
             raise InvalidSpec(f"{self.family} needs n >= {record.min_n}, "
                               f"got n = {self.n}")
+        for name, label in _REFINEMENTS.items():
+            if getattr(self, name) is not None and name != record.refinement:
+                raise InvalidSpec(f"{self.family} takes no {label}")
+        if self.fixed is not None and not 0 <= self.fixed <= self.n:
+            raise InvalidSpec(f"fixed-point count {self.fixed} outside "
+                              f"0..{self.n}")
 
     def __str__(self):
         bits = [self.family, f"n={self.n}"]
@@ -392,6 +400,7 @@ class Family:
     ``mode``: the default gamma mode, or None when the polynomial involves u
     and so has no gamma expansion.  ``min_n``: the lowest valid rank.
     ``by_rank``: n alone fixes the domain, so ``table`` can sweep it.
+    ``refinement``: the one FamilySpec refinement field the family reads.
 
     Closed engines are looked up on the ``closedforms`` module at call time,
     never captured, so a patched engine is the one that runs.
@@ -403,6 +412,11 @@ class Family:
     mode: str | None = BIVARIATE
     min_n: int = 0
     by_rank: bool = True
+    refinement: str | None = None
+
+
+_REFINEMENTS = {"fixed": "fixed-point count", "lam": "cycle type",
+                "stat": "refining statistic"}
 
 
 _PARITY = {"all": "all", "plus": "even", "minus": "odd"}
@@ -460,12 +474,12 @@ FAMILIES = {
     "aderexc": Family(
         _derangements,
         lambda fs: closedforms.derangement_closed(fs.n, fs.cls, fs.fixed),
-        split=True, mode=UNIVARIATE),
+        split=True, mode=UNIVARIATE, refinement="fixed"),
     "conjexc": Family(
         lambda fs: (GroupSpec("S", fs.n, cycle_type=_cycle_type(fs)),
                     T_EXC_WEIGHT),
         lambda fs: closedforms.conj_exc_closed(_cycle_type(fs)),
-        mode=UNIVARIATE, by_rank=False),
+        mode=UNIVARIATE, by_rank=False, refinement="lam"),
     "b_des": Family(_group("B", BDES_WEIGHT), _eulerian_or_half("B", "bexc"),
                     split=True),
     "bexc": Family(_group("B", BEXC_WEIGHT), _eulerian_or_half("B", "bexc"),
@@ -484,7 +498,8 @@ FAMILIES = {
     "sgnb_des_u": Family(_group("B", SGNB_WEIGHT),
                          lambda fs: closedforms.sgnb_des_u_closed(fs.n),
                          mode=None),
-    "qrefined": Family(_q_refined, None, split=True, mode=Q_COEFFICIENTS),
+    "qrefined": Family(_q_refined, None, split=True, mode=Q_COEFFICIENTS,
+                       refinement="stat"),
 }
 
 

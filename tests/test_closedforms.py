@@ -23,7 +23,7 @@ from gammaexc.closedforms import (
     sgnb_des_u_closed,
     step_recurrence,
 )
-from gammaexc.groups import CycleType
+from gammaexc.groups import CycleType, partitions
 from gammaexc.oracle import FamilySpec, closed_family, family_poly
 from gammaexc.poly import BIVARIATE, Poly, gamma_decompose
 
@@ -298,6 +298,42 @@ class TestConjugacyAndDerangements:
             for cls in ("all", "plus", "minus"):
                 assert derangement_closed(n, cls) \
                     == family_poly(FamilySpec("aderexc", n, cls))
+
+
+def _partition_sums(n):
+    """(fixed points, class) -> sum of conj_exc_closed over the classes."""
+    sums = {}
+    for lam in partitions(n):
+        for cls in ("all", "plus" if lam.sign == 1 else "minus"):
+            key = (lam.fixed_points, cls)
+            sums[key] = sums.get(key, 0) + conj_exc_closed(lam)
+    return sums
+
+
+class TestDerangementRecurrence:
+    def test_matches_partition_sum(self):
+        for n in range(0, 21):
+            sums = _partition_sums(n)
+            for i in range(n + 1):
+                for cls in ("all", "plus", "minus"):
+                    assert derangement_closed(n, cls, fixed=i) \
+                        == sums.get((i, cls), 0), (n, i, cls)
+
+    @pytest.mark.parametrize("n", [25, 60, 120])
+    def test_beyond_the_partition_sum(self, n):
+        # !n = n! sum_k (-1)^k / k!, and the even minus the odd derangements
+        # number (-1)^(n-1) (n-1)
+        subfactorial = sum((-1) ** k * math.factorial(n) // math.factorial(k)
+                           for k in range(n + 1))
+        assert derangement_closed(n).at_ones() == subfactorial
+        plus, minus = derangement_closed(n, "plus"), derangement_closed(n, "minus")
+        assert plus + minus == derangement_closed(n)
+        assert (plus - minus).at_ones() == (-1) ** (n - 1) * (n - 1)
+
+    def test_rejects_out_of_range_fixed(self):
+        for fixed in (-1, 4):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                derangement_closed(3, fixed=fixed)
 
 
 class TestClosedFamilyDispatch:

@@ -199,19 +199,12 @@ class TestCycleTypes:
 
 
 class TestPartitions:
-    def test_no_part_1(self):
-        assert {lam.parts for lam in partitions(4, no_part_1=True)} \
-            == {(4,), (2, 2)}
-
-    def test_no_part_1_positive_sign(self):
-        assert [lam.parts for lam in partitions(4, no_part_1=True, sign=1)] \
-            == [(2, 2)]
-
     def test_empty_partition(self):
         assert [lam.parts for lam in partitions(0)] == [()]
 
-    def test_m1_filter(self):
-        assert {lam.parts for lam in partitions(5, m1=1)} == {(4, 1), (2, 2, 1)}
+    def test_order(self):
+        assert [lam.parts for lam in partitions(4)] \
+            == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_counts(self):
         # partition numbers p(0..9) = 1,1,2,3,5,7,11,15,22,30
@@ -219,9 +212,9 @@ class TestPartitions:
         for n, want in enumerate(expected):
             assert sum(1 for _ in partitions(n)) == want
 
-    def test_contradictory_filters(self):
+    def test_negative_rank(self):
         with pytest.raises(InvalidSpec):
-            list(partitions(4, no_part_1=True, m1=2))
+            partitions(-1)
 
 
 class TestIterate:

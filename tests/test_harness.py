@@ -416,3 +416,41 @@ def test_rank_below_family_minimum_is_rejected_up_front():
         code, out, err = _run_cli(["compute", "--family", family, "--n", "0"])
         assert (code, out) == (2, "")
         assert err == f"error: {family} needs n >= 1, got n = 0\n"
+
+
+@pytest.mark.parametrize("engine", ["closed", "oracle"])
+@pytest.mark.parametrize("fixed", ["5", "-1"])
+def test_out_of_range_fixed_gets_one_message_on_both_engines(engine, fixed):
+    code, out, err = _run_cli(["compute", "--family", "aderexc", "--n", "3",
+                               "--fixed", fixed, "--engine", engine])
+    assert (code, out, err) == (
+        2, "", f"error: fixed-point count {fixed} outside 0..3\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--family", "qrefined", "--stat", "cyc", "--n", "4",
+      "--fixed", "2"], "qrefined takes no fixed-point count"),
+    (["compute", "--family", "aexc", "--n", "3", "--lambda", "2,1"],
+     "aexc takes no cycle type"),
+    (["gamma", "--family", "aderexc", "--n", "4", "--stat", "inv"],
+     "aderexc takes no refining statistic"),
+    (["table", "--family", "dexc", "--n-range", "2..3", "--fixed", "0"],
+     "dexc takes no fixed-point count"),
+])
+@pytest.mark.parametrize("engine", [[], ["--engine", "oracle"]])
+def test_refinement_the_family_ignores_is_rejected(argv, message, engine):
+    code, out, err = _run_cli(argv + engine)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugacy", "--lambda", "2,x"],
+    ["compute", "--family", "conjexc", "--n", "4", "--lambda", "2,x"],
+    ["gamma", "--family", "conjexc", "--n", "4", "--lambda", "2,x"],
+])
+def test_malformed_lambda_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert ("argument --lambda: expected a cycle type like 2,2,1, got '2,x'"
+            in capsys.readouterr().err)
