@@ -25,6 +25,7 @@ from .groups import (
     DEFAULT_BUDGET,
     GroupSpec,
     _cycle_lengths,
+    _signed_windows,
     asc,
     cycle_type,
     des,
@@ -711,8 +712,11 @@ def _check_sgn_b_u(limits):
         full = oracle.sgnb_des_u(n, budget=limits.budget)
         _same(f"n={n}", full, closedforms.sgnb_des_u_closed(n))
         _same(f"n={n} partial", full - full.coefficient("u", n) * u ** n, 0)
+    # sums the statistics over the windows of (2, 5, 9) themselves: the
+    # kernel behind sgnb_des_u only ever sees B_n
     _same("letters (2,5,9)",
-          oracle.sgnb_des_u(3, letters=(2, 5, 9), budget=limits.budget),
+          oracle._weighted_sum(_signed_windows((2, 5, 9)), oracle.SGNB_WEIGHT,
+                               "B"),
           closedforms.sgnb_des_u_closed(3))
     return _ranged(1, limits.max_n_b)
 

@@ -28,6 +28,7 @@ from .poly import (
     UNIVARIATE,
     ZeroPolynomial,
     gamma_decompose,
+    t_coefficients,
 )
 
 _MODE_FLAGS = {"uni": UNIVARIATE, "biv": BIVARIATE, "q": Q_COEFFICIENTS}
@@ -133,21 +134,14 @@ def _table_rows(args):
         poly = _compute(spec, args.engine, args.budget)
         mode = _mode(args, spec)
         poly = _prepare_for_mode(poly, mode)
-        expansion = None if poly.is_zero else _gamma_or_none(poly, mode)
-        if poly.is_zero:
-            coeffs = []
-        elif "t" in poly.vars:
-            coeffs = [c.at_ones() for c in poly.coefficients("t")]
-        else:
-            coeffs = [poly.at_ones()]
-        yield n, poly, coeffs, expansion
+        yield n, t_coefficients(poly), _gamma_or_none(poly, mode)
 
 
 def _cmd_table(args, out):
     rows = list(_table_rows(args))
     if args.out == "json":
         payload = []
-        for n, poly, coeffs, expansion in rows:
+        for n, coeffs, expansion in rows:
             entry = {
                 "family": args.family,
                 "class": args.cls,
@@ -166,7 +160,7 @@ def _cmd_table(args, out):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "class", "n", "k", "coeff", "gamma_index",
                      "gamma_value", "cos", "gamma_positive"])
-    for n, poly, coeffs, expansion in rows:
+    for n, coeffs, expansion in rows:
         gammas = list(expansion.gammas) if expansion is not None else []
         cos = str(expansion.center_of_symmetry) if expansion is not None else ""
         positive = (str(expansion.all_gammas_nonnegative()).lower()

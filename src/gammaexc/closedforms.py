@@ -436,6 +436,8 @@ def derangement_closed(n, cls="all", fixed=None):
     _require_rank(n >= 0, "n must be non-negative")
     i = 0 if fixed is None else fixed
     _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
+    _require(cls in ("all", "plus", "minus"),
+             f"cls must be all/plus/minus, got {cls!r}")
     sign = {"all": 0, "plus": 1, "minus": -1}[cls] * (-1) ** (n - i)
     d = _derangements_by_cycles(n - i, 1)
     if sign:

@@ -22,6 +22,12 @@ turns the bivariate expansion into the univariate one with top degree n-r,
 so both views share one peel algorithm.  The q-coefficient mode treats a
 polynomial in (q, t) as a t-polynomial whose coefficients live in Z[q];
 palindromicity and the gamma vector are then coefficient-polynomial valued.
+
+Every mode reads f through one row, ``t_coefficients(f, mode)``: the
+t-coefficients a_0..a_top, padded to the total degree in bivariate mode.
+Entries are ints (other variables set to 1), or Polys in q in q-mode; the
+peel runs on either, and q entries become dense coefficient tuples only in
+a GammaExpansion or a NotPalindromic witness.
 """
 
 from __future__ import annotations
@@ -141,10 +147,6 @@ class Poly:
     def gens(cls, *names):
         """Convenience: ``s, t = Poly.gens("s", "t")``."""
         return tuple(cls.variable(n) for n in names)
-
-    @classmethod
-    def from_terms(cls, vars, terms):
-        return cls(vars, terms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -426,81 +428,73 @@ def half(f):
 # -- palindromes and gamma expansions ---------------------------------------
 
 
-def _univariate_seq(f, allow_q=False):
-    """Dense coefficient list of f by powers of t.
+def _exponents(f, var):
+    """Each term's exponent of var, in term order; 0 when f does not declare it."""
+    if var not in f.vars:
+        return [0] * len(f.terms)
+    i = f.vars.index(var)
+    return [exp[i] for exp in f.terms]
 
-    Entries are ints, or dense q-coefficient tuples when ``allow_q``.
-    Rejects polynomials involving variables other than t (and q in q-mode).
+
+def t_coefficients(f, mode=UNIVARIATE):
+    """Dense row of f's t-coefficients, read in one pass over its terms.
+
+    Entries are ints, with every other variable set to 1, or Polys in q in
+    q_coefficients mode.  The row ends at the top t-exponent, or at the total
+    degree in bivariate mode; the zero polynomial gives an empty row.
     """
-    allowed = {"t", "q"} if allow_q else {"t"}
-    for exp in f.terms:
-        for v, e in zip(f.vars, exp):
-            if v not in allowed and e:
-                raise ValueError(
-                    f"{f} involves {v}; expected a polynomial in "
-                    f"{sorted(allowed)} only"
-                )
-    if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no palindrome data")
-    ti = f.vars.index("t") if "t" in f.vars else None
-    qi = f.vars.index("q") if allow_q and "q" in f.vars else None
-    deg = 0 if ti is None else max(exp[ti] for exp in f.terms)
-    if allow_q:
-        buckets = [{} for _ in range(deg + 1)]
-        for exp, coeff in f.terms.items():
-            te = exp[ti] if ti is not None else 0
-            qe = exp[qi] if qi is not None else 0
-            buckets[te][qe] = buckets[te].get(qe, 0) + coeff
-        seq = []
-        for bucket in buckets:
-            qdeg = max((e for e, c in bucket.items() if c), default=-1)
-            seq.append(tuple(bucket.get(e, 0) for e in range(qdeg + 1)))
-        return seq
-    seq = [0] * (deg + 1)
-    for exp, coeff in f.terms.items():
-        seq[exp[ti] if ti is not None else 0] += coeff
-    return seq
+    powers, coeffs = _exponents(f, "t"), f.terms.values()
+    top = f.total_degree() if mode == BIVARIATE else max(powers, default=-1)
+    if mode == Q_COEFFICIENTS:
+        buckets = [{} for _ in range(top + 1)]
+        for k, e, coeff in zip(powers, _exponents(f, "q"), coeffs):
+            buckets[k][(e,)] = buckets[k].get((e,), 0) + coeff
+        return [Poly(("q",), bucket) for bucket in buckets]
+    row = [0] * (top + 1)
+    for k, coeff in zip(powers, coeffs):
+        row[k] += coeff
+    return row
 
 
-def _bivariate_seq(f):
-    """t-coefficient list a_0..a_N of a homogeneous f(s,t) of total degree N."""
-    extra = [v for v in f.vars if v not in ("s", "t")]
+# mode -> the variables f may involve, and how an error names them
+_MODE_VARIABLES = {
+    UNIVARIATE: ({"t"}, "a polynomial in ['t'] only"),
+    BIVARIATE: ({"s", "t"}, "s,t only"),
+    Q_COEFFICIENTS: ({"q", "t"}, "a polynomial in ['q', 't'] only"),
+}
+
+
+def _symmetry(f, mode):
+    """The t-coefficient row of f, its support [lo, hi], and the first index
+    pair breaking the symmetry a gamma expansion needs (None if there is none).
+
+    Rejects f when it is zero, involves a variable the mode does not read,
+    or (bivariate mode) mixes total degrees.
+    """
+    try:
+        allowed, expected = _MODE_VARIABLES[mode]
+    except KeyError:
+        raise ValueError(f"unknown mode {mode!r}") from None
     for exp in f.terms:
         for v, e in zip(f.vars, exp):
-            if v in extra and e:
-                raise ValueError(f"{f} involves {v}; expected s,t only")
+            if e and v not in allowed:
+                raise ValueError(f"{f} involves {v}; expected {expected}")
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no palindrome data")
-    if not f.is_homogeneous():
+    if mode == BIVARIATE and not f.is_homogeneous():
         raise NotHomogeneous(f"{f} mixes total degrees")
-    n = f.total_degree()
-    ti = f.vars.index("t") if "t" in f.vars else None
-    seq = [0] * (n + 1)
-    for exp, coeff in f.terms.items():
-        seq[exp[ti] if ti is not None else 0] += coeff
-    return seq
-
-
-def _is_zero_entry(x):
-    return x == 0 if isinstance(x, int) else not any(x)
-
-
-def _support(seq):
-    nz = [i for i, x in enumerate(seq) if not _is_zero_entry(x)]
-    if not nz:
-        raise ZeroPolynomial("the zero polynomial has no palindrome data")
-    return nz[0], nz[-1]
-
-
-def _first_violation(seq, lo, hi):
-    """First index pair breaking the symmetry of seq over [lo, hi], or None."""
-    i, j = lo, hi
+    row = t_coefficients(f, mode)
+    support = [k for k, x in enumerate(row) if x]
+    lo, hi = support[0], support[-1]
+    # homogeneous symmetry pairs a_i with a_{N-i}; the window must be
+    # centered in [0, N] for the gamma basis to exist at all.
+    i, j = (0, len(row) - 1) if mode == BIVARIATE else (lo, hi)
     while i < j:
-        if seq[i] != seq[j]:
-            return i, j
+        if row[i] != row[j]:
+            return row, lo, hi, (i, j)
         i += 1
         j -= 1
-    return None
+    return row, lo, hi, None
 
 
 @dataclass(frozen=True)
@@ -521,27 +515,15 @@ def palindrome_info(f, mode=UNIVARIATE):
     equals half the total degree.  A non-palindromic input still reports the
     center of its support window.
     """
-    if mode == UNIVARIATE:
-        seq = _univariate_seq(f)
-    elif mode == BIVARIATE:
-        seq = _bivariate_seq(f)
-    else:
+    if mode not in (UNIVARIATE, BIVARIATE):
         raise ValueError(f"palindrome_info supports {UNIVARIATE} and {BIVARIATE}")
-    lo, hi = _support(seq)
-    if mode == BIVARIATE:
-        # homogeneous symmetry pairs a_i with a_{N-i}; the window must be
-        # centered in [0, N] for the gamma basis to exist at all.
-        ok = _first_violation(seq, 0, len(seq) - 1) is None
-    else:
-        ok = _first_violation(seq, lo, hi) is None
-    return PalindromeInfo(ok, lo, hi, Fraction(lo + hi, 2))
+    _, lo, hi, bad = _symmetry(f, mode)
+    return PalindromeInfo(bad is None, lo, hi, Fraction(lo + hi, 2))
 
 
-def _as_gamma_entry(x):
-    """Normalize a q-mode gamma (tuple) or plain int for storage."""
-    if isinstance(x, int):
-        return x
-    return tuple(x)
+def _top_exponent(mode, r, n):
+    """Top t-exponent of an expansion; bivariate n is the total degree."""
+    return n - r if mode == BIVARIATE else n
 
 
 @dataclass(frozen=True)
@@ -570,29 +552,25 @@ class GammaExpansion:
                 f"need {expected} gamma entries for mode={self.mode}, "
                 f"r={self.r}, n={self.n}; got {len(self.gammas)}"
             )
-        object.__setattr__(
-            self, "gammas", tuple(_as_gamma_entry(g) for g in self.gammas)
-        )
+        object.__setattr__(self, "gammas", tuple(
+            g if isinstance(g, int) else tuple(g) for g in self.gammas
+        ))
 
     @staticmethod
     def expected_length(mode, r, n):
-        length = (n - 2 * r) if mode == BIVARIATE else (n - r)
+        length = _top_exponent(mode, r, n) - r
         if length < 0:
             raise ValueError(f"bad support: r={r}, n={n} for mode {mode}")
         return length // 2 + 1
 
     @property
     def center_of_symmetry(self):
-        if self.mode == BIVARIATE:
-            return Fraction(self.n, 2)
-        return Fraction(self.n + self.r, 2)
+        return Fraction(_top_exponent(self.mode, self.r, self.n) + self.r, 2)
 
     @property
     def length(self):
         """len = top t-exponent minus r (odd iff the center is half-integral)."""
-        if self.mode == BIVARIATE:
-            return self.n - 2 * self.r
-        return self.n - self.r
+        return _top_exponent(self.mode, self.r, self.n) - self.r
 
     def all_gammas_nonnegative(self):
         for g in self.gammas:
@@ -649,48 +627,35 @@ class GammaExpansion:
         return f"gamma=[{gam}] r={self.r} n={self.n} cos={cos}"
 
 
-def _peel(seq, lo, hi, q_mode):
-    """Peel gamma coordinates off a palindromic coefficient sequence.
+def _peel(row, lo, hi):
+    """Peel gamma coordinates off a palindromic coefficient row.
 
     Works from the lowest power upward: gamma_i is the current coefficient at
     t^(lo+i); subtract gamma_i * t^(lo+i) (1+t)^(hi-lo-2i) and continue.  The
     degree window shrinks by one on each side per step, so termination is
-    structural; a palindromic input leaves a zero remainder.
+    structural; a palindromic input leaves a zero remainder.  Entries are
+    ints or Polys in q; both support the same arithmetic.
     """
-    work = list(seq)
+    work = list(row)
     gammas = []
-    n_steps = (hi - lo) // 2 + 1
-    for i in range(n_steps):
+    for i in range((hi - lo) // 2 + 1):
         g = work[lo + i]
         gammas.append(g)
-        e = hi - lo - 2 * i
-        if _is_zero_entry(g):
+        if not g:
             continue
+        e = hi - lo - 2 * i
         for j in range(e + 1):
-            c = comb(e, j)
-            if q_mode:
-                a, b = work[lo + i + j], g
-                width = max(len(a), len(b))
-                work[lo + i + j] = tuple(
-                    (a[k] if k < len(a) else 0) - c * (b[k] if k < len(b) else 0)
-                    for k in range(width)
-                )
-            else:
-                work[lo + i + j] -= c * g
-    if any(not _is_zero_entry(x) for x in work):
+            work[lo + i + j] -= comb(e, j) * g
+    if any(work):
         raise AssertionError("peel left a nonzero remainder on palindromic input")
-    if q_mode:
-        gammas = [tuple(g[:len(g) - _trailing_zeros(g)]) for g in gammas]
-    return tuple(gammas)
+    return gammas
 
 
-def _trailing_zeros(tup):
-    k = 0
-    for x in reversed(tup):
-        if x:
-            break
-        k += 1
-    return k
+def _dense(entry):
+    """A row entry as stored: an int as is, a Poly in q as its q-coefficients."""
+    if isinstance(entry, int):
+        return entry
+    return [c.at_ones() for c in entry.coefficients("q")]
 
 
 def gamma_decompose(f, mode=UNIVARIATE):
@@ -700,31 +665,13 @@ def gamma_decompose(f, mode=UNIVARIATE):
     NotHomogeneous (bivariate mode), or ZeroPolynomial.  Gamma positivity is
     a separate query on the result: ``all_gammas_nonnegative()``.
     """
-    if mode == UNIVARIATE:
-        seq = _univariate_seq(f)
-    elif mode == BIVARIATE:
-        seq = _bivariate_seq(f)
-    elif mode == Q_COEFFICIENTS:
-        seq = _univariate_seq(f, allow_q=True)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    lo, hi = _support(seq)
-    if mode == BIVARIATE:
-        n_total = len(seq) - 1
-        bad = _first_violation(seq, 0, n_total)
-        if bad is not None:
-            i, j = bad
-            raise NotPalindromic(i, j, seq[i], seq[j])
-        gammas = _peel(seq, lo, hi, q_mode=False)
-        return GammaExpansion(BIVARIATE, lo, n_total, gammas)
-    bad = _first_violation(seq, lo, hi)
+    row, lo, hi, bad = _symmetry(f, mode)
     if bad is not None:
         i, j = bad
-        low = seq[i] if isinstance(seq[i], int) else list(seq[i])
-        high = seq[j] if isinstance(seq[j], int) else list(seq[j])
-        raise NotPalindromic(i, j, low, high)
-    gammas = _peel(seq, lo, hi, q_mode=(mode == Q_COEFFICIENTS))
-    return GammaExpansion(mode, lo, hi, gammas)
+        raise NotPalindromic(i, j, _dense(row[i]), _dense(row[j]))
+    # the row ends at n: the top t-exponent, or the bivariate total degree
+    gammas = tuple(_dense(g) for g in _peel(row, lo, hi))
+    return GammaExpansion(mode, lo, len(row) - 1, gammas)
 
 
 def gamma_recompose(expansion):

@@ -335,6 +335,10 @@ class TestDerangementRecurrence:
             with pytest.raises(ValueError, match="outside 0..3"):
                 derangement_closed(3, fixed=fixed)
 
+    def test_rejects_unknown_class(self):
+        with pytest.raises(ValueError, match="cls must be all/plus/minus, got 'odd'"):
+            derangement_closed(4, "odd")
+
 
 class TestClosedFamilyDispatch:
     def test_matches_oracle_engine(self):

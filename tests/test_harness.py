@@ -454,3 +454,13 @@ def test_malformed_lambda_is_a_usage_error(argv, capsys):
     assert exit_info.value.code == 2
     assert ("argument --lambda: expected a cycle type like 2,2,1, got '2,x'"
             in capsys.readouterr().err)
+
+
+def test_descent_position_check_reads_the_letters(monkeypatch):
+    # the fused kernel never reads SIGNED_STATISTICS, so only the letters
+    # comparison sees a broken des_b
+    monkeypatch.setitem(oracle.SIGNED_STATISTICS, "des_b", lambda w: 0)
+    check = next(c for c in REGISTRY
+                 if c.check_id == "signed_sums.type_b_descent_position")
+    with pytest.raises(checks.Mismatch, match=r"letters \(2,5,9\)"):
+        check.func(VerifyLimits(2, 2, 2))

@@ -235,6 +235,49 @@ class TestGammaDecompose:
             gamma_decompose(q * t + t ** 2, Q_COEFFICIENTS)
 
 
+class TestOneRowForEveryMode:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([UNIVARIATE, BIVARIATE]), st.integers(0, 3),
+           st.integers(0, 3), st.lists(st.integers(-2, 2), min_size=1,
+                                       max_size=6), st.booleans())
+    def test_palindromic_iff_decomposable(self, mode, r, extra, row, mirror):
+        if mirror:
+            row = [row[min(k, len(row) - 1 - k)] for k in range(len(row))]
+        if not any(row):
+            row[-1] = 1
+        # bivariate: total degree N, so t^(r+k) pairs with s^(N-r-k) and the
+        # top t-exponent falls short of N whenever extra > 0
+        total = r + len(row) - 1 + extra
+        if mode == BIVARIATE:
+            f = Poly(("s", "t"), {(total - r - k, r + k): a
+                                  for k, a in enumerate(row)})
+        else:
+            f = Poly(("t",), {(r + k,): a for k, a in enumerate(row)})
+        info = palindrome_info(f, mode)
+        try:
+            expansion = gamma_decompose(f, mode)
+        except NotPalindromic:
+            assert not info.is_palindromic
+        else:
+            assert info.is_palindromic
+            assert (expansion.r, expansion.center_of_symmetry) \
+                == (info.r, info.cos)
+
+    def test_q_mode_values(self):
+        assert gamma_decompose((1 + t) ** 2, Q_COEFFICIENTS).gammas \
+            == ((1,), ())
+        assert gamma_decompose(q * (1 + t ** 2), Q_COEFFICIENTS).gammas \
+            == ((0, 1), (0, -2))
+        assert gamma_decompose((q - 1) * (1 + t) ** 2, Q_COEFFICIENTS).gammas \
+            == ((-1, 1), ())
+
+    def test_q_mode_witness_is_dense(self):
+        with pytest.raises(NotPalindromic) as err:
+            gamma_decompose((1 + q) + t * (2 + q), Q_COEFFICIENTS)
+        assert (err.value.low_index, err.value.high_index) == (0, 1)
+        assert (err.value.low, err.value.high) == ([1, 1], [2, 1])
+
+
 class TestSplitOddLength:
     def test_cube(self):
         expansion = gamma_decompose((1 + t) ** 3, UNIVARIATE)
