@@ -49,6 +49,7 @@ from .poly import (
     half,
     palindrome_info,
     split_odd_length,
+    t_coefficients,
 )
 
 SUITES = ("gamma_calculus", "typeA", "typeB", "typeD", "derangements",
@@ -266,29 +267,20 @@ def _even_split(family, n, cls):
     """Two gamma positive polynomials with centers one apart summing to the
     univariate plus/minus polynomial at an even-center-breaking rank."""
     other = "minus" if cls == "plus" else "plus"
-    if family == "aexc":
-        prev_same = closedforms.half_sum_closed("aexc", n - 1, cls)
-        prev_other = closedforms.half_sum_closed("aexc", n - 1, other)
-        bridge = _S * _T * D(prev_same)
-        scale = 1
-    elif family == "bexc":
-        prev_same = closedforms.half_sum_closed("bexc", n - 1, cls)
-        prev_other = closedforms.half_sum_closed("bexc", n - 1, other)
-        bridge = _S * _T * D(closedforms.eulerian("B", n - 1))
-        scale = 1
-    else:  # dexc
+    if family == "dexc":
         prev_same = closedforms.step_recurrence("dexc", n - 1, cls)
         prev_other = closedforms.step_recurrence("bdexc", n - 1)
         bridge = half(_S * _T * D(closedforms.eulerian("B", n - 1)))
-        scale = 2
-    p = gamma_decompose(bridge.substitute_one("s"), UNIVARIATE)
-    p_low, p_high = split_odd_length(p)
-    w1 = prev_same.substitute_one("s") + p_low.recompose()
-    if scale == 2:
-        w2 = half(_T * prev_other.substitute_one("s")) + p_high.recompose()
     else:
-        w2 = _T * prev_other.substitute_one("s") + p_high.recompose()
-    return w1, w2
+        prev_same = closedforms.half_sum_closed(family, n - 1, cls)
+        prev_other = closedforms.half_sum_closed(family, n - 1, other)
+        bridge = _S * _T * D(prev_same if family == "aexc"
+                             else closedforms.eulerian("B", n - 1))
+    p_low, p_high = split_odd_length(
+        gamma_decompose(bridge.substitute_one("s"), UNIVARIATE))
+    w2 = _T * prev_other.substitute_one("s")
+    return (prev_same.substitute_one("s") + p_low.recompose(),
+            (half(w2) if family == "dexc" else w2) + p_high.recompose())
 
 
 def _two_term_split(engine, family, n_values):
@@ -424,16 +416,14 @@ def _check_coeff_tables(limits):
     tables = closedforms.coeff_tables(hi)
     for n in range(2, hi + 1):
         for cls in ("plus", "minus"):
-            f = closedforms.half_sum_closed("aexc", n, cls).substitute_one("s")
-            extracted = tuple(
-                f.coefficient("t", k).constant_value() for k in range(n)
-            )
-            _same(f"row {n} {cls}", tables.row(n, cls), extracted)
-        full = closedforms.eulerian_t("A", n)
+            f = closedforms.half_sum_closed("aexc", n, cls)
+            _same(f"row {n} {cls}", tables.row(n, cls),
+                  tuple(t_coefficients(f, BIVARIATE)))
+        full = t_coefficients(closedforms.eulerian_t("A", n))
         for k in range(n):
             _same(f"Eulerian({n},{k})",
                   tables.value(n, k, "plus") + tables.value(n, k, "minus"),
-                  full.coefficient("t", k).constant_value())
+                  full[k])
     return _ranged(2, hi)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -183,12 +184,9 @@ def _cmd_table(args, out):
 
 
 def _cmd_verify(args, out):
-    limits = checks.VerifyLimits(
-        max_n_a=args.max_n if args.max_n is not None else args.max_n_a,
-        max_n_b=args.max_n if args.max_n is not None else args.max_n_b,
-        max_n_d=args.max_n if args.max_n is not None else args.max_n_d,
-        budget=args.budget,
-    )
+    caps = {cap: getattr(args, cap) if args.max_n is None else args.max_n
+            for cap in ("max_n_a", "max_n_b", "max_n_d")}
+    limits = checks.VerifyLimits(budget=args.budget, **caps)
     results = checks.run_suite(args.suite, limits)
     failed = skipped = 0
     for res in results:
@@ -235,6 +233,7 @@ def _parse_lambda(text):
         ) from None
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gammaexc",
@@ -327,10 +326,8 @@ def main(argv=None):
     try:
         return handlers[args.command](args, sys.stdout)
     except (UsageError, InvalidSpec, UnsupportedClass, UndefinedStatistic,
-            NonIncreasingLetters, ZeroPolynomial, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
+            NonIncreasingLetters, ZeroPolynomial, ValueError,
+            BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,11 @@ the coefficient-triangle recurrences, the four-step jump via the fixed L/R
 tables, the conjugacy-class product formula and the derangement cycle
 recurrence.  Every /2 in a formula is a theorem about integrality, so the
 division is exact and raises OddCoefficient if it ever is not.
+
+The engines compute on rows: a homogeneous polynomial of degree d in (s, t)
+is the list r with r[k] the coefficient of s^(d-k) t^k, so s*f is r + [0] and
+t*f is [0] + r.  A row becomes a Poly once, where it leaves the engine, and
+is never mutated once built.  The four-step jump alone stays on Poly.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import CycleType
-from .poly import D, Poly, half
+from .poly import BIVARIATE, D, GammaExpansion, OddCoefficient, Poly, half
 
 _S = Poly.variable("s")
 _T = Poly.variable("t")
@@ -51,66 +56,108 @@ def _require_rank(condition, message):
         raise RankOutOfRange(message)
 
 
+# -- rows ------------------------------------------------------------------------
+
+
+def _poly(row, vars=("s", "t")):
+    """The Poly of a row: over ("t",) entry k is the coefficient of t^k."""
+    d = len(row) - 1
+    if vars == ("t",):
+        return Poly._trusted(vars, {(k,): c for k, c in enumerate(row)})
+    return Poly._trusted(vars, {(d - k, k): c for k, c in enumerate(row)})
+
+
+def _add(a, b, sign=1):
+    return [x + sign * y for x, y in zip(a, b)]
+
+
+def _half(row):
+    """Exact halving; raises OddCoefficient when not integral."""
+    for k, c in enumerate(row):
+        if c % 2:
+            raise OddCoefficient(f"coefficient {c} at t^{k} is odd")
+    return [c // 2 for c in row]
+
+
+def _st_d(row):
+    """st D f: t^j gets j r[j] + (d - j + 1) r[j-1]."""
+    d = len(row) - 1
+    return [j * a + (d - j + 1) * b
+            for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+
+
+def _signed(m):
+    """(s-t)^m: the signed binomial row."""
+    return [(-1) ** k * math.comb(m, k) for k in range(m + 1)]
+
+
 # -- Eulerian engines ----------------------------------------------------------
 
-_EULERIAN_A = [None, Poly.const(1, ("s", "t"))]
-_EULERIAN_B = [None, _S + _T]
+_EULERIAN_A = [None, [1]]
+_EULERIAN_B = [None, [1, 1]]
 # Extending a memo reads its last entry and appends the next; two threads
 # doing that at once would store a rank at the wrong index.  Ranks already
 # stored never change, so reading them needs no lock.
 _EULERIAN_LOCK = threading.Lock()
 
 
-def eulerian(kind, n):
-    """Bivariate Eulerian polynomial of S_n (kind "A") or B_n (kind "B")."""
+def _eulerian_row(kind, n):
     _require(kind in ("A", "B"), f"kind must be A or B, got {kind!r}")
     _require_rank(n >= 1, "n must be at least 1")
     cache = _EULERIAN_A if kind == "A" else _EULERIAN_B
     if len(cache) <= n:
-        scale = 1 if kind == "A" else 2
+        c = 1 if kind == "A" else 2
         with _EULERIAN_LOCK:
             while len(cache) <= n:
-                prev = cache[-1]
-                cache.append((_S + _T) * prev + scale * _S * _T * D(prev))
+                f = cache[-1]  # (s+t) f + c st D f
+                cache.append([a + b + c * g for a, b, g
+                              in zip(f + [0], [0] + f, _st_d(f))])
     return cache[n]
+
+
+def eulerian(kind, n):
+    """Bivariate Eulerian polynomial of S_n (kind "A") or B_n (kind "B")."""
+    return _poly(_eulerian_row(kind, n))
 
 
 def eulerian_t(kind, n):
     """Univariate Eulerian polynomial (set s = 1)."""
-    return eulerian(kind, n).substitute_one("s")
+    return _poly(_eulerian_row(kind, n), ("t",))
 
 
 # -- half-sum closed forms ------------------------------------------------------
 
 
+def _sgn_dexc_row(n):
+    return _signed(n) if n % 2 == 0 else _signed(n - 1) + [0]
+
+
 def sgn_aexc_closed(n):
     """Signed type-A excedance sum: (s-t)^(n-1)."""
     _require_rank(n >= 1, "n must be at least 1")
-    return (_S - _T) ** (n - 1)
+    return _poly(_signed(n - 1))
 
 
 def sgn_bexc_closed(n):
     """Signed type-B excedance sum: (s-t)^n."""
     _require_rank(n >= 1, "n must be at least 1")
-    return (_S - _T) ** n
+    return _poly(_signed(n))
 
 
 def sgn_dexc_closed(n):
     """Signed type-D excedance sum: (s-t)^n for even n, s(s-t)^(n-1) for odd."""
     _require_rank(n >= 1, "n must be at least 1")
-    if n % 2 == 0:
-        return (_S - _T) ** n
-    return _S * (_S - _T) ** (n - 1)
+    return _poly(_sgn_dexc_row(n))
 
 
 def sgnb_des_u_closed(n):
     """Signed descent-ascent-position sum: (s-t)^n u^n."""
     _require_rank(n >= 1, "n must be at least 1")
-    return (_S - _T) ** n * Poly.variable("u") ** n
+    return _poly(_signed(n)) * Poly.variable("u") ** n
 
 
-# family -> (Eulerian kind, lowest rank, signed closed form)
-_HALF_SUMS = {"aexc": ("A", 2, sgn_aexc_closed), "bexc": ("B", 1, sgn_bexc_closed)}
+# family -> (Eulerian kind, lowest rank)
+_HALF_SUMS = {"aexc": ("A", 2), "bexc": ("B", 1)}
 
 
 def half_sum_closed(family, n, cls):
@@ -121,31 +168,32 @@ def half_sum_closed(family, n, cls):
     """
     _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
     _require(family in _HALF_SUMS, f"half-sum covers aexc and bexc, not {family!r}")
-    kind, low, signed = _HALF_SUMS[family]
+    kind, low = _HALF_SUMS[family]
     _require_rank(n >= low, f"{family} half-sum needs n >= {low}")
-    sign = 1 if cls == "plus" else -1
-    return half(eulerian(kind, n) + sign * signed(n))
+    row = _eulerian_row(kind, n)
+    return _poly(_half(_add(row, _signed(len(row) - 1),
+                            1 if cls == "plus" else -1)))
 
 
 # -- one-step recurrences --------------------------------------------------------
 
 
 def _grow_a(m):
-    return half(_S * _T * D(eulerian("A", m - 1)))
+    return _half(_st_d(_eulerian_row("A", m - 1)))
 
 
 def _grow_b(m):
-    return _S * _T * D(eulerian("B", m - 1))
+    return _st_d(_eulerian_row("B", m - 1))
 
 
 def _halves(pair, n, cls):
-    return pair[0] + pair[1] if cls == "all" else pair[("plus", "minus").index(cls)]
+    return _add(*pair) if cls == "all" else pair[("plus", "minus").index(cls)]
 
 
 def _dexc_view(pair, n, cls):
     if cls == "all":
         return pair[0]
-    return half(pair[0] + (1 if cls == "plus" else -1) * sgn_dexc_closed(n))
+    return _half(_add(pair[0], _sgn_dexc_row(n), 1 if cls == "plus" else -1))
 
 
 def _bdexc_view(pair, n, cls):
@@ -153,13 +201,13 @@ def _bdexc_view(pair, n, cls):
     return pair[1]
 
 
-_DEXC_PAIRS = {2: (_S ** 2 + 2 * _S * _T + _T ** 2, 4 * _S * _T)}
+_DEXC_PAIRS = {2: ([1, 2, 1], [0, 4, 0])}
 
-# family -> (memo: level -> pair (X, Y), growth term at level m, what the
-# family reads off the pair).  Every engine steps the same coupled shape.
+# family -> (memo: level -> pair of rows (X, Y), growth row at level m, what
+# the family reads off the pair).  Every engine steps the same coupled shape.
 _STEPS = {
-    "aexc": ({2: (_S, _T)}, _grow_a, _halves),
-    "bexc": ({1: (_S, _T)}, _grow_b, _halves),
+    "aexc": ({2: ([1, 0], [0, 1])}, _grow_a, _halves),
+    "bexc": ({1: ([1, 0], [0, 1])}, _grow_b, _halves),
     "dexc": (_DEXC_PAIRS, _grow_b, _dexc_view),
     "bdexc": (_DEXC_PAIRS, _grow_b, _bdexc_view),
 }
@@ -182,8 +230,9 @@ def step_recurrence(family, n, cls="all"):
     for m in range(max(memo) + 1, n + 1):
         x, y = memo[m - 1]
         g = grow(m)
-        memo[m] = (_S * x + _T * y + g, _T * x + _S * y + g)
-    return view(memo[n], n, cls)
+        memo[m] = ([a + b + c for a, b, c in zip(x + [0], [0] + y, g)],
+                   [a + b + c for a, b, c in zip([0] + x, y + [0], g)])
+    return _poly(view(memo[n], n, cls))
 
 
 # -- coefficient triangles -------------------------------------------------------
@@ -205,6 +254,7 @@ class CoeffTable:
     minus: tuple
 
     def row(self, n, cls):
+        _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
         if not 2 <= n <= self.n_max:
             raise ValueError(f"row {n} outside 2..{self.n_max}")
         rows = self.plus if cls == "plus" else self.minus
@@ -217,50 +267,37 @@ class CoeffTable:
 
 def coeff_tables(n_max):
     _require(n_max >= 2, "need n_max >= 2")
-    plus_rows = [(1, 0)]
-    minus_rows = [(0, 1)]
-    for n in range(3, n_max + 1):
-        prev_p, prev_m = plus_rows[-1], minus_rows[-1]
-
-        def at(row, k):
-            return row[k] if 0 <= k < len(row) else 0
-
-        plus_rows.append(tuple(
-            k * at(prev_m, k) + (n - k) * at(prev_m, k - 1) + at(prev_p, k)
-            for k in range(n)
-        ))
-        minus_rows.append(tuple(
-            k * at(prev_p, k) + (n - k) * at(prev_p, k - 1) + at(prev_m, k)
-            for k in range(n)
-        ))
-    return CoeffTable(n_max, tuple(plus_rows), tuple(minus_rows))
+    plus, minus = [[1, 0]], [[0, 1]]
+    for _ in range(3, n_max + 1):
+        # rows n-1 read as homogeneous: a_{n-1,k} is s*a, and
+        # k b_{n-1,k} + (n-k) b_{n-1,k-1} is t*b + st D b
+        p, m = plus[-1], minus[-1]
+        plus.append(_add(_add(p + [0], [0] + m), _st_d(m)))
+        minus.append(_add(_add(m + [0], [0] + p), _st_d(p)))
+    return CoeffTable(n_max, tuple(map(tuple, plus)), tuple(map(tuple, minus)))
 
 
 # -- the four-step jump ----------------------------------------------------------
 
-_ST = _S * _T
-_SPT = _S + _T
+def _from_gammas(d, gammas):
+    """sum of gammas[i] (st)^i (s+t)^(d-2i), gamma positive with center d/2."""
+    return GammaExpansion(BIVARIATE, 0, d, gammas).recompose()
 
 
 @functools.cache
 def _jump_table():
-    """The thirteen fixed jump polynomials, built on first use."""
-    return {
-        "L1": (_SPT ** 4 + 7 * _ST * _SPT ** 2 + 16 * _ST ** 2, Fraction(2)),
-        "L2": (15 * _ST * _SPT ** 2, Fraction(2)),
-        "L3": (3 * (5 * _S ** 2 + 30 * _ST + 5 * _T ** 2) * _ST * _SPT,
-               Fraction(5, 2)),
-        "L4": (25 * _ST ** 2 * _SPT ** 2 + 20 * _ST ** 3, Fraction(3)),
-        "L5": (10 * _ST ** 3 * _SPT, Fraction(7, 2)),
-        "L6": (_ST ** 4, Fraction(4)),
-        "R1": (_SPT ** 4 + 8 * _ST * _SPT ** 2 + 16 * _ST ** 2, Fraction(2)),
-        "R2": (16 * _ST * _SPT ** 2, Fraction(2)),
-        "R3": (4 * _ST * _SPT ** 3 + 32 * _ST ** 2 * _SPT, Fraction(5, 2)),
-        "R4": (2 * _ST ** 2 * _SPT ** 2 + 8 * _ST ** 3, Fraction(3)),
-        "R5": (12 * _ST * _SPT ** 2, Fraction(2)),
-        "R6": (8 * _ST ** 2 * _SPT, Fraction(5, 2)),
-        "R7": (2 * _ST ** 2, Fraction(2)),
-    }
+    """The thirteen fixed jump polynomials, built on first use from their
+    degrees and gamma vectors."""
+    return {name: (_from_gammas(d, gammas), Fraction(d, 2))
+            for name, (d, gammas) in {
+                "L1": (4, (1, 7, 16)), "L2": (4, (0, 15, 0)),
+                "L3": (5, (0, 15, 60)), "L4": (6, (0, 0, 25, 20)),
+                "L5": (7, (0, 0, 0, 10)), "L6": (8, (0, 0, 0, 0, 1)),
+                "R1": (4, (1, 8, 16)), "R2": (4, (0, 16, 0)),
+                "R3": (5, (0, 4, 32)), "R4": (6, (0, 0, 2, 8)),
+                "R5": (4, (0, 12, 0)), "R6": (5, (0, 0, 8)),
+                "R7": (4, (0, 0, 2)),
+            }.items()}
 
 
 def jump_tables():
@@ -269,40 +306,6 @@ def jump_tables():
     A fresh dict each call, so a caller's edits never reach the jump engine.
     """
     return dict(_jump_table())
-
-
-def _iterated_d(f, k):
-    for _ in range(k):
-        f = D(f)
-    return f
-
-
-# seed values for the jump engine, from the displayed base polynomials
-_AEXC_JUMP_BASE = {
-    5: {
-        "plus": _SPT ** 4 + 7 * _ST * _SPT ** 2 + 16 * _ST ** 2,
-        "minus": 15 * _ST * _SPT ** 2,
-    },
-    7: {
-        "plus": _SPT ** 6 + 51 * _ST * _SPT ** 4 + 384 * _ST ** 2 * _SPT ** 2
-        + 104 * _ST ** 3,
-        "minus": 63 * _ST * _SPT ** 4 + 336 * _ST ** 2 * _SPT ** 2
-        + 168 * _ST ** 3,
-    },
-}
-
-_DEXC_JUMP_BASE = {
-    4: {
-        "plus": _SPT ** 4 + 12 * _ST * _SPT ** 2 + 32 * _ST ** 2,
-        "minus": 20 * _ST * _SPT ** 2 + 16 * _ST ** 2,
-    },
-    6: {
-        "plus": _SPT ** 6 + 170 * _ST * _SPT ** 4 + 1952 * _ST ** 2 * _SPT ** 2
-        + 928 * _ST ** 3,
-        "minus": 182 * _ST * _SPT ** 4 + 1904 * _ST ** 2 * _SPT ** 2
-        + 992 * _ST ** 3,
-    },
-}
 
 
 def dexc_jump_tail(n):
@@ -317,21 +320,20 @@ def dexc_jump_tail(n):
     b_n, b_n1, b_n2 = eulerian("B", n), eulerian("B", n + 1), eulerian("B", n + 2)
     bd_n = half_sum_closed("bexc", n, "minus")
     return (tab["R2"][0] * bd_n
-            + tab["R3"][0] * D(b_n) + tab["R4"][0] * _iterated_d(b_n, 2)
-            + tab["R5"][0] * D(b_n1) + tab["R6"][0] * _iterated_d(b_n1, 2)
-            + tab["R7"][0] * _iterated_d(b_n2, 2))
+            + tab["R3"][0] * D(b_n) + tab["R4"][0] * D(D(b_n))
+            + tab["R5"][0] * D(b_n1) + tab["R6"][0] * D(D(b_n1))
+            + tab["R7"][0] * D(D(b_n2)))
 
 
 def _aexc_jump(prev, low):
     tab = _jump_table()
     out = {}
     for cls, other in (("plus", "minus"), ("minus", "plus")):
-        P, M = prev[cls], prev[other]
-        out[cls] = (tab["L1"][0] * P + tab["L2"][0] * M
-                    + tab["L3"][0] * D(P)
-                    + tab["L4"][0] * _iterated_d(P, 2)
-                    + tab["L5"][0] * _iterated_d(P, 3)
-                    + tab["L6"][0] * _iterated_d(P, 4))
+        P = prev[cls]
+        out[cls] = tab["L1"][0] * P + tab["L2"][0] * prev[other]
+        for name in ("L3", "L4", "L5", "L6"):  # L_{k+2} D^k P
+            P = D(P)
+            out[cls] += tab[name][0] * P
     return out
 
 
@@ -346,16 +348,23 @@ def _dexc_jump(prev, low):
     return out
 
 
-# family -> (seed levels, the four-step jump from level-low data)
-_JUMPS = {"aexc": (_AEXC_JUMP_BASE, _aexc_jump),
-          "dexc": (_DEXC_JUMP_BASE, _dexc_jump)}
+# family -> (seeds: level -> gamma vectors (g_0, g_1, ...) of the displayed
+# plus and minus base polynomials sum g_i (st)^i (s+t)^(d-2i), the four-step
+# jump from level-low data)
+_JUMPS = {
+    "aexc": ({5: ((1, 7, 16), (0, 15, 0)),
+              7: ((1, 51, 384, 104), (0, 63, 336, 168))}, _aexc_jump),
+    "dexc": ({4: ((1, 12, 32), (0, 20, 16)),
+              6: ((1, 170, 1952, 928), (0, 182, 1904, 992))}, _dexc_jump),
+}
 
 
 def _jump_level(family, n):
     """Level-n plus/minus pair computed through the jump engine only."""
     base, jump = _JUMPS[family]
     if n in base:
-        return dict(base[n])
+        return {cls: _from_gammas(2 * len(g) - 2, g)
+                for cls, g in zip(("plus", "minus"), base[n])}
     low = n - 4
     if low < min(base):
         raise MissingBase(f"no jump seed at or below level {n} for {family}")
@@ -388,12 +397,9 @@ def jump4(family, n, cls):
 def set_partition_count(lam):
     """Number of set partitions of [n] with block sizes lam: n!/(prod lam_i! prod m_i!)."""
     lam = lam if isinstance(lam, CycleType) else CycleType(tuple(lam))
-    count = math.factorial(lam.n)
-    for part in lam.parts:
-        count //= math.factorial(part)
-    for m in lam.multiplicities().values():
-        count //= math.factorial(m)
-    return count
+    divisor = math.prod(map(math.factorial,
+                            (*lam.parts, *lam.multiplicities().values())))
+    return math.factorial(lam.n) // divisor
 
 
 def conj_exc_closed(lam):
@@ -412,7 +418,8 @@ def conj_exc_closed(lam):
 
 
 def _derangements_by_cycles(m, q):
-    """d_m(q, t), the sum of q^cyc t^exc over the derangements of [m].
+    """The t-coefficient row of d_m(q, t) = sum of q^cyc t^exc over the
+    derangements of [m].
 
     d_0 = 1, d_1 = 0, d_k = (k-1) t d_{k-1} + t(1-t) d'_{k-1} + (k-1) q t d_{k-2}:
     k joins a cycle of a derangement of [k-1], or a new 2-cycle.  Run on
@@ -423,7 +430,7 @@ def _derangements_by_cycles(m, q):
         a, b = [0] + row + [0], [0] + older + [0] * k
         older, row = row, [j * a[j + 1] + (k - j) * a[j] + (k - 1) * q * b[j]
                            for j in range(k + 1)]
-    return Poly(("t",), {(j,): c for j, c in enumerate(row)})
+    return row
 
 
 def derangement_closed(n, cls="all", fixed=None):
@@ -441,5 +448,5 @@ def derangement_closed(n, cls="all", fixed=None):
     sign = {"all": 0, "plus": 1, "minus": -1}[cls] * (-1) ** (n - i)
     d = _derangements_by_cycles(n - i, 1)
     if sign:
-        d = half(d + sign * _derangements_by_cycles(n - i, -1))
-    return math.comb(n, i) * d
+        d = _half(_add(d, _derangements_by_cycles(n - i, -1), sign))
+    return _poly([math.comb(n, i) * c for c in d], ("t",))

@@ -119,10 +119,22 @@ class Poly:
                     )
                 if any(e < 0 or not isinstance(e, int) for e in exp):
                     raise ValueError(f"exponents must be non-negative ints: {exp}")
+                if type(coeff) is not int:  # bool and float are not coefficients
+                    raise ValueError(f"coefficients must be ints, got {coeff!r}")
                 if coeff:
                     clean[exp] = coeff
         self._terms = clean
         self._key = None
+
+    @classmethod
+    def _trusted(cls, vars, terms):
+        """A Poly from parts already valid (Poly arithmetic, closed-engine
+        rows): vars and exponents go unchecked; zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self._vars = vars
+        self._terms = {exp: coeff for exp, coeff in terms.items() if coeff}
+        self._key = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -132,10 +144,7 @@ class Poly:
 
     @classmethod
     def const(cls, value, vars=()):
-        vars = _check_vars(vars)
-        if value == 0:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(vars): int(value)})
+        return cls(vars, {(0,) * len(tuple(vars)): value})
 
     @classmethod
     def variable(cls, name):
@@ -179,7 +188,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Poly.const(other)
+            other = Poly._trusted((), {(): other})
         if not isinstance(other, Poly):
             return NotImplemented
         return self._canonical_key() == other._canonical_key()
@@ -193,7 +202,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, int):
-            return Poly.const(other, self._vars)
+            return Poly._trusted(self._vars, {(0,) * len(self._vars): other})
         return None
 
     def _aligned(self, other):
@@ -219,12 +228,12 @@ class Poly:
         out = dict(a)
         for exp, coeff in b.items():
             out[exp] = out.get(exp, 0) + coeff
-        return Poly(vars, out)
+        return Poly._trusted(vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self._vars, {e: -c for e, c in self._terms.items()})
+        return Poly._trusted(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -248,14 +257,14 @@ class Poly:
             for e2, c2 in b.items():
                 exp = tuple(x + y for x, y in zip(e1, e2))
                 out[exp] = out.get(exp, 0) + c1 * c2
-        return Poly(vars, out)
+        return Poly._trusted(vars, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.const(1, self._vars)
+        result = Poly._trusted(self._vars, {(0,) * len(self._vars): 1})
         base = self
         while k:
             if k & 1:
@@ -266,35 +275,34 @@ class Poly:
 
     # -- calculus and substitution ------------------------------------------
 
-    def substitute_one(self, var):
-        """Set ``var`` to 1, summing coefficients of like powers exactly."""
+    def _index(self, var):
         if var not in self._vars:
             raise UnknownVariable(f"{var!r} not declared in {self._vars}")
-        i = self._vars.index(var)
+        return self._vars.index(var)
+
+    def substitute_one(self, var):
+        """Set ``var`` to 1, summing coefficients of like powers exactly."""
+        i = self._index(var)
         vars = self._vars[:i] + self._vars[i + 1:]
         out = {}
         for exp, coeff in self._terms.items():
             key = exp[:i] + exp[i + 1:]
             out[key] = out.get(key, 0) + coeff
-        return Poly(vars, out)
+        return Poly._trusted(vars, out)
 
     def derivative(self, var):
-        if var not in self._vars:
-            raise UnknownVariable(f"{var!r} not declared in {self._vars}")
-        i = self._vars.index(var)
+        i = self._index(var)
         out = {}
         for exp, coeff in self._terms.items():
             if exp[i] == 0:
                 continue
             key = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
             out[key] = out.get(key, 0) + coeff * exp[i]
-        return Poly(self._vars, out)
+        return Poly._trusted(self._vars, out)
 
     def degree(self, var):
         """Largest exponent of ``var``; -1 for the zero polynomial."""
-        if var not in self._vars:
-            raise UnknownVariable(f"{var!r} not declared in {self._vars}")
-        i = self._vars.index(var)
+        i = self._index(var)
         return max((exp[i] for exp in self._terms), default=-1)
 
     def total_degree(self):
@@ -306,15 +314,13 @@ class Poly:
 
     def coefficient(self, var, power):
         """The coefficient of ``var**power`` as a Poly in the other variables."""
-        if var not in self._vars:
-            raise UnknownVariable(f"{var!r} not declared in {self._vars}")
-        i = self._vars.index(var)
+        i = self._index(var)
         vars = self._vars[:i] + self._vars[i + 1:]
         out = {}
         for exp, coeff in self._terms.items():
             if exp[i] == power:
                 out[exp[:i] + exp[i + 1:]] = coeff
-        return Poly(vars, out)
+        return Poly._trusted(vars, out)
 
     def coefficients(self, var):
         """Dense list of coefficients by power of ``var`` (Polys in the rest)."""
@@ -418,11 +424,11 @@ def D(f):
 def half(f):
     """Exact division by 2; raises OddCoefficient when not integral."""
     out = {}
-    for exp, coeff in f.terms.items():
+    for exp, coeff in f._terms.items():
         if coeff % 2:
             raise OddCoefficient(f"coefficient {coeff} at {exp} is odd")
         out[exp] = coeff // 2
-    return Poly(f.vars, out)
+    return Poly._trusted(f.vars, out)
 
 
 # -- palindromes and gamma expansions ---------------------------------------
@@ -431,9 +437,9 @@ def half(f):
 def _exponents(f, var):
     """Each term's exponent of var, in term order; 0 when f does not declare it."""
     if var not in f.vars:
-        return [0] * len(f.terms)
+        return [0] * len(f._terms)
     i = f.vars.index(var)
-    return [exp[i] for exp in f.terms]
+    return [exp[i] for exp in f._terms]
 
 
 def t_coefficients(f, mode=UNIVARIATE):
@@ -443,13 +449,13 @@ def t_coefficients(f, mode=UNIVARIATE):
     q_coefficients mode.  The row ends at the top t-exponent, or at the total
     degree in bivariate mode; the zero polynomial gives an empty row.
     """
-    powers, coeffs = _exponents(f, "t"), f.terms.values()
+    powers, coeffs = _exponents(f, "t"), f._terms.values()
     top = f.total_degree() if mode == BIVARIATE else max(powers, default=-1)
     if mode == Q_COEFFICIENTS:
         buckets = [{} for _ in range(top + 1)]
         for k, e, coeff in zip(powers, _exponents(f, "q"), coeffs):
             buckets[k][(e,)] = buckets[k].get((e,), 0) + coeff
-        return [Poly(("q",), bucket) for bucket in buckets]
+        return [Poly._trusted(("q",), bucket) for bucket in buckets]
     row = [0] * (top + 1)
     for k, coeff in zip(powers, coeffs):
         row[k] += coeff
@@ -475,7 +481,7 @@ def _symmetry(f, mode):
         allowed, expected = _MODE_VARIABLES[mode]
     except KeyError:
         raise ValueError(f"unknown mode {mode!r}") from None
-    for exp in f.terms:
+    for exp in f._terms:
         for v, e in zip(f.vars, exp):
             if e and v not in allowed:
                 raise ValueError(f"{f} involves {v}; expected {expected}")

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -19,15 +20,17 @@ from gammaexc.closedforms import (
     jump4,
     jump_tables,
     set_partition_count,
+    sgn_aexc_closed,
+    sgn_bexc_closed,
     sgn_dexc_closed,
     sgnb_des_u_closed,
     step_recurrence,
 )
 from gammaexc.groups import CycleType, partitions
 from gammaexc.oracle import FamilySpec, closed_family, family_poly
-from gammaexc.poly import BIVARIATE, Poly, gamma_decompose
+from gammaexc.poly import BIVARIATE, D, Poly, gamma_decompose, half
 
-s, t = Poly.gens("s", "t")
+s, t, u = Poly.gens("s", "t", "u")
 
 
 class TestEulerian:
@@ -219,6 +222,13 @@ class TestCoeffTables:
             tables.row(6, "plus")
         assert tables.value(4, 17, "plus") == 0
 
+    def test_rejects_unknown_class(self):
+        tables = coeff_tables(5)
+        with pytest.raises(ValueError, match="cls must be plus/minus, got 'bogus'"):
+            tables.row(4, "bogus")
+        with pytest.raises(ValueError, match="got 'plus '"):
+            tables.value(4, 1, "plus ")
+
 
 class TestJump:
     def test_table_values(self):
@@ -387,3 +397,128 @@ class TestBridgeSplitExample:
         # choosing the fixed points multiplies the derangement polynomial
         assert derangement_closed(6, fixed=2) \
             == 15 * derangement_closed(4)
+
+
+# -- an independent reference: the recurrences written out on Poly -------------
+
+REF_TOP = 40
+
+
+@functools.cache
+def _reference():
+    """Eulerian polynomials and step pairs up to REF_TOP, by sparse Poly."""
+    eul = {}
+    for kind, c, seed in (("A", 1, Poly.const(1, ("s", "t"))), ("B", 2, s + t)):
+        eul[kind] = [None, seed]
+        while len(eul[kind]) <= REF_TOP:
+            f = eul[kind][-1]
+            eul[kind].append((s + t) * f + c * s * t * D(f))
+    grow_a = lambda m: half(s * t * D(eul["A"][m - 1]))  # noqa: E731
+    grow_b = lambda m: s * t * D(eul["B"][m - 1])  # noqa: E731
+    pairs = {}
+    for family, low, seed, grow in (
+            ("aexc", 2, (s, t), grow_a),
+            ("bexc", 1, (s, t), grow_b),
+            ("dexc", 2, (s ** 2 + 2 * s * t + t ** 2, 4 * s * t), grow_b)):
+        pairs[family] = {low: seed}
+        for m in range(low + 1, REF_TOP + 1):
+            x, y = pairs[family][m - 1]
+            g = grow(m)
+            pairs[family][m] = (s * x + t * y + g, t * x + s * y + g)
+    return eul, pairs
+
+
+def _sign(cls):
+    return 1 if cls == "plus" else -1
+
+
+class TestRowEnginesAgainstPolyReference:
+    def test_eulerian(self):
+        eul, _ = _reference()
+        for kind in ("A", "B"):
+            for n in range(1, REF_TOP + 1):
+                f = eulerian(kind, n)
+                assert f == eul[kind][n] and f.vars == ("s", "t")
+                g = eulerian_t(kind, n)
+                assert g == eul[kind][n].substitute_one("s")
+                assert g.vars == ("t",)
+
+    def test_signed_forms(self):
+        for n in range(1, REF_TOP + 1):
+            assert sgn_aexc_closed(n) == (s - t) ** (n - 1)
+            assert sgn_bexc_closed(n) == (s - t) ** n
+            assert sgn_dexc_closed(n) == ((s - t) ** n if n % 2 == 0
+                                          else s * (s - t) ** (n - 1))
+            assert sgnb_des_u_closed(n) == (s - t) ** n * u ** n
+            for f in (sgn_aexc_closed(n), sgn_bexc_closed(n),
+                      sgn_dexc_closed(n)):
+                assert f.vars == ("s", "t")
+            assert sgnb_des_u_closed(n).vars == ("s", "t", "u")
+
+    def test_half_sums(self):
+        eul, _ = _reference()
+        for family, kind, low, shift in (("aexc", "A", 2, 1), ("bexc", "B", 1, 0)):
+            for n in range(low, REF_TOP + 1):
+                for cls in ("plus", "minus"):
+                    expected = half(eul[kind][n]
+                                    + _sign(cls) * (s - t) ** (n - shift))
+                    f = half_sum_closed(family, n, cls)
+                    assert f == expected and f.vars == ("s", "t")
+
+    def test_step_recurrence(self):
+        _, pairs = _reference()
+        for family in ("aexc", "bexc"):
+            for n, (x, y) in pairs[family].items():
+                assert step_recurrence(family, n) == x + y
+                assert step_recurrence(family, n, "plus") == x
+                assert step_recurrence(family, n, "minus") == y
+        for n, (x, y) in pairs["dexc"].items():
+            assert step_recurrence("dexc", n) == x
+            assert step_recurrence("bdexc", n) == y
+            for cls in ("plus", "minus"):
+                f = step_recurrence("dexc", n, cls)
+                assert f == half(x + _sign(cls) * sgn_dexc_closed(n))
+                assert f.vars == ("s", "t")
+
+
+class TestRowEnginesAtRank250:
+    N = 250
+
+    @staticmethod
+    def _binomial(m, extra=()):
+        return {(m - k, k) + extra: (-1) ** k * math.comb(m, k)
+                for k in range(m + 1)}
+
+    def test_class_totals(self):
+        n, fact = self.N, math.factorial(self.N)
+        assert eulerian("A", n).at_ones() == fact
+        assert eulerian("B", n).at_ones() == 2 ** n * fact
+        assert step_recurrence("dexc", n).at_ones() == 2 ** (n - 1) * fact
+        assert step_recurrence("bdexc", n).at_ones() == 2 ** (n - 1) * fact
+
+    def test_plus_and_minus_make_all(self):
+        n = self.N
+        for family, whole, signed in (
+                ("aexc", eulerian("A", n), sgn_aexc_closed(n)),
+                ("bexc", eulerian("B", n), sgn_bexc_closed(n))):
+            plus = half_sum_closed(family, n, "plus")
+            minus = half_sum_closed(family, n, "minus")
+            assert plus + minus == whole
+            assert plus - minus == signed
+            assert step_recurrence(family, n, "plus") == plus
+            assert step_recurrence(family, n, "minus") == minus
+        plus = step_recurrence("dexc", n, "plus")
+        minus = step_recurrence("dexc", n, "minus")
+        assert plus + minus == step_recurrence("dexc", n)
+        assert plus - minus == sgn_dexc_closed(n)
+        assert step_recurrence("dexc", n) + step_recurrence("bdexc", n) \
+            == eulerian("B", n)
+
+    def test_signed_forms_are_binomial_expansions(self):
+        n = self.N
+        assert sgn_aexc_closed(n).terms == self._binomial(n - 1)
+        assert sgn_bexc_closed(n).terms == self._binomial(n)
+        assert sgn_dexc_closed(n).terms == self._binomial(n)
+        odd = {(i + 1, k): c for (i, k), c in self._binomial(n).items()}
+        assert sgn_dexc_closed(n + 1).terms == odd
+        assert sgnb_des_u_closed(n).terms == self._binomial(n, (n,))

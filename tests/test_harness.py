@@ -464,3 +464,9 @@ def test_descent_position_check_reads_the_letters(monkeypatch):
                  if c.check_id == "signed_sums.type_b_descent_position")
     with pytest.raises(checks.Mismatch, match=r"letters \(2,5,9\)"):
         check.func(VerifyLimits(2, 2, 2))
+
+
+def test_parser_is_built_once_per_process():
+    from gammaexc.cli import build_parser
+
+    assert build_parser() is build_parser()

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from gammaexc.poly import (
     Q_COEFFICIENTS,
     UNIVARIATE,
     UnknownVariable,
+    VARIABLES,
     ZeroPolynomial,
     gamma_decompose,
     gamma_recompose,
@@ -91,6 +93,86 @@ class TestArithmetic:
     def test_equality_is_mathematical(self):
         assert Poly(("s",), {(1,): 1}) == Poly(("s", "t"), {(1, 0): 1})
         assert hash(Poly(("s",), {(1,): 1})) == hash(Poly(("s", "t"), {(1, 0): 1}))
+
+
+def _plain(f):
+    """f as a plain dict over the full alphabet s, t, u, q."""
+    out = {}
+    for exp, coeff in f.terms.items():
+        full = dict(zip(f.vars, exp))
+        out[tuple(full.get(v, 0) for v in VARIABLES)] = coeff
+    return out
+
+
+def _plain_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _plain_add(a, b, sign=1):
+    out = dict(a)
+    for exp, coeff in b.items():
+        out[exp] = out.get(exp, 0) + sign * coeff
+    return {e: c for e, c in out.items() if c}
+
+
+class TestArithmeticAgainstPlainDicts:
+    """Arithmetic results come from the trusted constructor, which skips
+    validation; a plain-dict reference checks what it builds."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(polys(max_exp=3, max_terms=4), polys(max_exp=3, max_terms=4),
+           st.integers(0, 4))
+    def test_matches_reference(self, f, g, k):
+        a, b = _plain(f), _plain(g)
+        power = {(0,) * len(VARIABLES): 1}
+        for _ in range(k):
+            power = _plain_mul(power, a)
+        for result, expected in ((f + g, _plain_add(a, b)),
+                                 (f - g, _plain_add(a, b, -1)),
+                                 (-f, _plain_add({}, a, -1)),
+                                 (f * g, _plain_mul(a, b)),
+                                 (f ** k, power)):
+            assert 0 not in result.terms.values()
+            assert _plain(result) == expected
+            # the same polynomial over all four variables
+            same = Poly(VARIABLES, expected)
+            assert result == same and hash(result) == hash(same)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys(), polys())
+    def test_equal_results_hash_alike(self, f, g):
+        assert hash(f * g) == hash(g * f)
+        assert hash(f + g - g) == hash(f)
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("value", [2.7, 1.5, 2.0, Fraction(3, 2),
+                                       Fraction(4, 2), "3"])
+    def test_const_rejects_non_ints(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            Poly.const(value, ("t",))
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, Fraction(3, 2), True])
+    def test_init_rejects_non_ints(self, value):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            Poly(("t",), {(1,): value})
+
+    def test_ints_still_accepted(self):
+        assert Poly.const(0, ("t",)).is_zero
+        assert Poly.const(1) == True  # noqa: E712, equality is not validation
+        assert str(Poly(("t",), {(1,): 3, (0,): 0})) == "3*t"
+        assert Poly.const(-2, ("s", "t")).constant_value() == -2
+
+    def test_arithmetic_with_non_ints_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            t * 1.5
+        with pytest.raises(TypeError):
+            Fraction(1, 2) + t
 
 
 class TestSubstituteAndDerive:
