@@ -12,7 +12,6 @@ status 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -158,28 +157,22 @@ def _cmd_table(args, out):
             payload.append(entry)
         out.write(json.dumps(payload, separators=(",", ":")) + "\n")
         return 0
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["family", "class", "n", "k", "coeff", "gamma_index",
-                     "gamma_value", "cos", "gamma_positive"])
+    # no field can hold a comma, quote or newline, so none needs quoting
+    lines = ["family,class,n,k,coeff,gamma_index,gamma_value,cos,"
+             "gamma_positive\n"]
     for n, coeffs, expansion in rows:
-        gammas = list(expansion.gammas) if expansion is not None else []
-        cos = str(expansion.center_of_symmetry) if expansion is not None else ""
-        positive = (str(expansion.all_gammas_nonnegative()).lower()
-                    if expansion is not None else "")
-        height = max(len(coeffs), len(gammas), 1)
-        for k in range(height):
-            row = [args.family, args.cls, n]
-            row.append(k if k < len(coeffs) else "")
-            row.append(str(coeffs[k]) if k < len(coeffs) else "")
-            if k < len(gammas):
-                value = gammas[k]
-                text = ";".join(str(c) for c in value) \
-                    if isinstance(value, tuple) else str(value)
-                row.extend([k, text])
-            else:
-                row.extend(["", ""])
-            row.extend([cos, positive])
-            writer.writerow(row)
+        gammas, tail = [], ","
+        if expansion is not None:
+            gammas = [";".join(map(str, g)) if isinstance(g, tuple) else g
+                      for g in expansion.gammas]
+            tail = (f"{expansion.center_of_symmetry},"
+                    f"{str(expansion.all_gammas_nonnegative()).lower()}")
+        for k in range(max(len(coeffs), len(gammas), 1)):
+            coeff = f"{k},{coeffs[k]}" if k < len(coeffs) else ","
+            gamma = f"{k},{gammas[k]}" if k < len(gammas) else ","
+            lines.append(f"{args.family},{args.cls},{n},{coeff},{gamma},"
+                         f"{tail}\n")
+    out.write("".join(lines))
     return 0
 
 

@@ -23,11 +23,11 @@ so both views share one peel algorithm.  The q-coefficient mode treats a
 polynomial in (q, t) as a t-polynomial whose coefficients live in Z[q];
 palindromicity and the gamma vector are then coefficient-polynomial valued.
 
-Every mode reads f through one row, ``t_coefficients(f, mode)``: the
-t-coefficients a_0..a_top, padded to the total degree in bivariate mode.
-Entries are ints (other variables set to 1), or Polys in q in q-mode; the
-peel runs on either, and q entries become dense coefficient tuples only in
-a GammaExpansion or a NotPalindromic witness.
+Every mode reads f in one pass into int rows of t-coefficients a_0..a_top,
+padded to the total degree in bivariate mode: one row, or in q-mode one row
+per power of q.  Peeling is linear, so each row peels on its own, over the
+lower half of its window only; q-mode gammas and witnesses are dense
+q-coefficient tuples.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 VARIABLES = ("s", "t", "u", "q")
 _VAR_RANK = {v: i for i, v in enumerate(VARIABLES)}
@@ -434,30 +433,17 @@ def half(f):
 # -- palindromes and gamma expansions ---------------------------------------
 
 
-def _exponents(f, var):
-    """Each term's exponent of var, in term order; 0 when f does not declare it."""
-    if var not in f.vars:
-        return [0] * len(f._terms)
-    i = f.vars.index(var)
-    return [exp[i] for exp in f._terms]
-
-
 def t_coefficients(f, mode=UNIVARIATE):
-    """Dense row of f's t-coefficients, read in one pass over its terms.
+    """Dense row of f's t-coefficients, with every other variable set to 1.
 
-    Entries are ints, with every other variable set to 1, or Polys in q in
-    q_coefficients mode.  The row ends at the top t-exponent, or at the total
-    degree in bivariate mode; the zero polynomial gives an empty row.
+    The row ends at the top t-exponent, or at the total degree in bivariate
+    mode; the zero polynomial gives an empty row.
     """
-    powers, coeffs = _exponents(f, "t"), f._terms.values()
+    i = f.vars.index("t") if "t" in f.vars else None
+    powers = [0 if i is None else exp[i] for exp in f._terms]
     top = f.total_degree() if mode == BIVARIATE else max(powers, default=-1)
-    if mode == Q_COEFFICIENTS:
-        buckets = [{} for _ in range(top + 1)]
-        for k, e, coeff in zip(powers, _exponents(f, "q"), coeffs):
-            buckets[k][(e,)] = buckets[k].get((e,), 0) + coeff
-        return [Poly._trusted(("q",), bucket) for bucket in buckets]
     row = [0] * (top + 1)
-    for k, coeff in zip(powers, coeffs):
+    for k, coeff in zip(powers, f._terms.values()):
         row[k] += coeff
     return row
 
@@ -471,36 +457,43 @@ _MODE_VARIABLES = {
 
 
 def _symmetry(f, mode):
-    """The t-coefficient row of f, its support [lo, hi], and the first index
-    pair breaking the symmetry a gamma expansion needs (None if there is none).
+    """f's t-coefficients as one int row per power of q (a single row outside
+    q-mode), their joint support [lo, hi], and the first index pair breaking
+    the symmetry a gamma expansion needs (None if there is none).
 
-    Rejects f when it is zero, involves a variable the mode does not read,
-    or (bivariate mode) mixes total degrees.
+    One pass over f's terms rejects a variable the mode does not read,
+    collects the total degrees and places each coefficient; f must not be
+    zero nor, in bivariate mode, mix total degrees.
     """
     try:
         allowed, expected = _MODE_VARIABLES[mode]
     except KeyError:
         raise ValueError(f"unknown mode {mode!r}") from None
-    for exp in f._terms:
-        for v, e in zip(f.vars, exp):
-            if e and v not in allowed:
-                raise ValueError(f"{f} involves {v}; expected {expected}")
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no palindrome data")
-    if mode == BIVARIATE and not f.is_homogeneous():
+    vars = f.vars
+    foreign = [i for i, v in enumerate(vars) if v not in allowed]
+    t, q = (vars.index(v) if v in vars else None for v in ("t", "q"))
+    ks, es, degrees = [], [], set()
+    for exp in f._terms:
+        for i in foreign:
+            if exp[i]:
+                raise ValueError(f"{f} involves {vars[i]}; expected {expected}")
+        degrees.add(sum(exp))
+        ks.append(0 if t is None else exp[t])
+        es.append(0 if q is None else exp[q])
+    if mode == BIVARIATE and len(degrees) > 1:
         raise NotHomogeneous(f"{f} mixes total degrees")
-    row = t_coefficients(f, mode)
-    support = [k for k, x in enumerate(row) if x]
-    lo, hi = support[0], support[-1]
+    lo, hi = min(ks), max(ks)
     # homogeneous symmetry pairs a_i with a_{N-i}; the window must be
     # centered in [0, N] for the gamma basis to exist at all.
-    i, j = (0, len(row) - 1) if mode == BIVARIATE else (lo, hi)
-    while i < j:
-        if row[i] != row[j]:
-            return row, lo, hi, (i, j)
-        i += 1
-        j -= 1
-    return row, lo, hi, None
+    i, j = (0, degrees.pop()) if mode == BIVARIATE else (lo, hi)
+    grid = [[0] * (j + 1) for _ in range(1 + max(es))]
+    for k, e, coeff in zip(ks, es, f._terms.values()):
+        grid[e][k] = coeff
+    bad = [next(k for k in range(i, j) if row[k] != row[i + j - k])
+           for row in grid if row[i:] != row[i:][::-1]]
+    return grid, lo, hi, (min(bad), i + j - min(bad)) if bad else None
 
 
 @dataclass(frozen=True)
@@ -634,34 +627,41 @@ class GammaExpansion:
 
 
 def _peel(row, lo, hi):
-    """Peel gamma coordinates off a palindromic coefficient row.
+    """Peel gamma coordinates off an int row palindromic on [lo, hi].
 
     Works from the lowest power upward: gamma_i is the current coefficient at
-    t^(lo+i); subtract gamma_i * t^(lo+i) (1+t)^(hi-lo-2i) and continue.  The
-    degree window shrinks by one on each side per step, so termination is
-    structural; a palindromic input leaves a zero remainder.  Entries are
-    ints or Polys in q; both support the same arithmetic.
+    t^(lo+i); subtract gamma_i * t^(lo+i) (1+t)^(e), e = hi-lo-2i, and
+    continue.  Each subtracted term is palindromic about the row's center, so
+    only the lower half [lo, lo + (hi-lo)//2] is ever updated, and the
+    products gamma_i * C(e, j) are built one from the last.  The window
+    shrinks by one on each side per step, so termination is structural.
     """
-    work = list(row)
+    half = (hi - lo) // 2
+    work = row[lo:lo + half + 1]
     gammas = []
-    for i in range((hi - lo) // 2 + 1):
-        g = work[lo + i]
+    for i in range(half + 1):
+        g = work[i]
         gammas.append(g)
         if not g:
             continue
         e = hi - lo - 2 * i
-        for j in range(e + 1):
-            work[lo + i + j] -= comb(e, j) * g
+        for j in range(half - i + 1):
+            work[i + j] -= g
+            g = g * (e - j) // (j + 1)
     if any(work):
         raise AssertionError("peel left a nonzero remainder on palindromic input")
     return gammas
 
 
-def _dense(entry):
-    """A row entry as stored: an int as is, a Poly in q as its q-coefficients."""
-    if isinstance(entry, int):
-        return entry
-    return [c.at_ones() for c in entry.coefficients("q")]
+def _entry(column, mode):
+    """One row index read across the q-power rows: an int, or in q-mode the
+    list of its q-coefficients without trailing zeros."""
+    if mode != Q_COEFFICIENTS:
+        return column[0]
+    column = list(column)
+    while column and not column[-1]:
+        column.pop()
+    return column
 
 
 def gamma_decompose(f, mode=UNIVARIATE):
@@ -671,13 +671,16 @@ def gamma_decompose(f, mode=UNIVARIATE):
     NotHomogeneous (bivariate mode), or ZeroPolynomial.  Gamma positivity is
     a separate query on the result: ``all_gammas_nonnegative()``.
     """
-    row, lo, hi, bad = _symmetry(f, mode)
+    grid, lo, hi, bad = _symmetry(f, mode)
     if bad is not None:
         i, j = bad
-        raise NotPalindromic(i, j, _dense(row[i]), _dense(row[j]))
-    # the row ends at n: the top t-exponent, or the bivariate total degree
-    gammas = tuple(_dense(g) for g in _peel(row, lo, hi))
-    return GammaExpansion(mode, lo, len(row) - 1, gammas)
+        raise NotPalindromic(i, j, _entry([r[i] for r in grid], mode),
+                             _entry([r[j] for r in grid], mode))
+    # peeling is linear, so the row of each power of q peels on its own;
+    # the rows end at n: the top t-exponent, or the bivariate total degree
+    gammas = zip(*(_peel(row, lo, hi) for row in grid))
+    return GammaExpansion(mode, lo, len(grid[0]) - 1,
+                          tuple(_entry(g, mode) for g in gammas))
 
 
 def gamma_recompose(expansion):

@@ -1,4 +1,6 @@
+import csv
 import io
+import itertools
 import json
 
 import pytest
@@ -470,3 +472,34 @@ def test_parser_is_built_once_per_process():
     from gammaexc.cli import build_parser
 
     assert build_parser() is build_parser()
+
+
+def test_table_csv_never_needs_quoting():
+    # table joins its CSV lines by hand; csv's writer must give the same bytes
+    from gammaexc.cli import build_parser
+
+    table = build_parser()._subparsers._group_actions[0].choices["table"]
+    families = next(a.choices for a in table._actions if a.dest == "family")
+    seen = ""
+    for family in families:
+        top, stats = (7, ["inv", "cyc"]) if family == "qrefined" \
+            else (12, [None])  # qrefined has only the oracle: n! windows
+        for cls, mode, stat, n in itertools.product(
+                ("all", "plus", "minus"), (None, "uni", "biv", "q"), stats,
+                range(top + 1)):
+            argv = ["table", "--family", family, "--class", cls,
+                    "--n-range", f"{n}..{n}"]
+            argv += ["--mode", mode] if mode else []
+            argv += ["--stat", stat] if stat else []
+            code, out, _ = _run_cli(argv)
+            if code:
+                continue
+            rows = list(csv.reader(io.StringIO(out)))
+            rewritten = io.StringIO()
+            csv.writer(rewritten, lineterminator="\n").writerows(rows)
+            assert rewritten.getvalue() == out, argv
+            assert {len(row) for row in rows} == {9}, argv  # no stray comma
+            seen += out
+    # the zero row, a q-tuple and a half-integral center all went through
+    for line in ("\naderexc,minus,3,,,,,,\n", ";", "/2,"):
+        assert line in seen

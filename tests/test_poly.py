@@ -1,10 +1,13 @@
 import json
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gammaexc import oracle
+from gammaexc.oracle import FamilySpec
 from gammaexc.poly import (
     BIVARIATE,
     D,
@@ -20,6 +23,7 @@ from gammaexc.poly import (
     UnknownVariable,
     VARIABLES,
     ZeroPolynomial,
+    _peel,
     gamma_decompose,
     gamma_recompose,
     half,
@@ -358,6 +362,67 @@ class TestOneRowForEveryMode:
             gamma_decompose((1 + q) + t * (2 + q), Q_COEFFICIENTS)
         assert (err.value.low_index, err.value.high_index) == (0, 1)
         assert (err.value.low, err.value.high) == ([1, 1], [2, 1])
+
+
+def _reference_peel(row, lo, hi):
+    """The plain full-row peel: subtract gamma_i t^(lo+i) (1+t)^(hi-lo-2i)
+    over the whole window with math.comb and require a zero remainder.
+    Entries may be ints or Polys in q."""
+    work = list(row)
+    gammas = []
+    for i in range((hi - lo) // 2 + 1):
+        g = work[lo + i]
+        gammas.append(g)
+        e = hi - lo - 2 * i
+        for j in range(e + 1):
+            work[lo + i + j] -= comb(e, j) * g
+    assert not any(work)
+    return gammas
+
+
+@st.composite
+def palindromic_rows(draw, entries=st.integers(-10 ** 30, 10 ** 30), zero=0):
+    """(row, lo, hi): r leading zeros, then a palindrome of odd or even
+    length whose outer entries are nonzero."""
+    r = draw(st.integers(0, 4))
+    half = draw(st.lists(entries, min_size=1, max_size=12)
+                .filter(lambda h: h[0]))
+    body = half + half[::-1][draw(st.booleans()):]
+    return [zero] * r + body, r, r + len(body) - 1
+
+
+q_entries = st.lists(st.integers(-50, 50), min_size=1, max_size=3).map(
+    lambda cs: Poly(("q",), {(e,): c for e, c in enumerate(cs)}))
+
+
+class TestHalfWindowPeel:
+    @settings(max_examples=300, deadline=None)
+    @given(palindromic_rows())
+    def test_int_rows_match_reference(self, case):
+        row, lo, hi = case
+        assert _peel(row, lo, hi) == _reference_peel(row, lo, hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(palindromic_rows(q_entries, zero=Poly.zero(("q",))))
+    def test_q_rows_match_reference(self, case):
+        row, lo, hi = case
+        f = sum((entry * t ** k for k, entry in enumerate(row)),
+                Poly.zero(("t", "q")))
+        expected = tuple(tuple(c.at_ones() for c in g.coefficients("q"))
+                         for g in _reference_peel(row, lo, hi))
+        expansion = gamma_decompose(f, Q_COEFFICIENTS)
+        assert (expansion.r, expansion.n, expansion.gammas) \
+            == (lo, hi, expected)
+
+    @pytest.mark.parametrize("family, cls, n", [
+        ("aexc", "plus", 121), ("aexc", "minus", 121),
+        ("bexc", "plus", 120), ("bexc", "minus", 120),
+        ("dexc", "plus", 120), ("dexc", "minus", 120),
+        ("bdexc", "all", 120),
+    ])
+    def test_closed_families_round_trip_at_large_rank(self, family, cls, n):
+        f = oracle.closed_family(FamilySpec(family, n, cls))
+        assert gamma_decompose(f, BIVARIATE).recompose() == f
 
 
 class TestSplitOddLength:
