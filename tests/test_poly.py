@@ -385,9 +385,9 @@ def palindromic_rows(draw, entries=st.integers(-10 ** 30, 10 ** 30), zero=0):
     """(row, lo, hi): r leading zeros, then a palindrome of odd or even
     length whose outer entries are nonzero."""
     r = draw(st.integers(0, 4))
-    half = draw(st.lists(entries, min_size=1, max_size=12)
+    left = draw(st.lists(entries, min_size=1, max_size=12)
                 .filter(lambda h: h[0]))
-    body = half + half[::-1][draw(st.booleans()):]
+    body = left + left[::-1][draw(st.booleans()):]
     return [zero] * r + body, r, r + len(body) - 1
 
 
