@@ -200,12 +200,18 @@ def _check_roundtrip(limits):
 # ---------------------------------------------------------- shapes shared by types
 
 
+def _halves(family, n, limits, **refinement):
+    """The family's plus and minus halves, from one oracle pass."""
+    spec, weight = oracle.family_domain(FamilySpec(family, n, **refinement))
+    return oracle.length_halves(spec, weight, budget=limits.budget)
+
+
 def _closed_equals_oracle(family, lo, hi, limits):
     """Both half-sum closed forms equal the enumerated halves."""
     for n in range(lo, hi + 1):
-        for cls in ("plus", "minus"):
+        for cls, enumerated in zip(("plus", "minus"), _halves(family, n, limits)):
             _same(f"n={n} {cls}", closedforms.half_sum_closed(family, n, cls),
-                  family_poly(FamilySpec(family, n, cls), budget=limits.budget))
+                  enumerated)
     return _ranged(lo, hi)
 
 
@@ -300,8 +306,8 @@ def _two_term_split(engine, family, n_values):
 def _q_gamma_positive(stat, limits):
     hi = min(limits.max_n_a, 7)
     for n in range(2, hi + 1):
-        for cls in ("plus", "minus", "all"):
-            f = oracle.q_refined(n, stat, cls, budget=limits.budget)
+        plus, minus = _halves("qrefined", n, limits, stat=stat)
+        for cls, f in (("plus", plus), ("minus", minus), ("all", plus + minus)):
             if not f.is_zero:
                 _gamma_positive(f"n={n} {cls}", f, Q_COEFFICIENTS)
     return _ranged(2, hi)
@@ -490,10 +496,9 @@ def _check_bexc_step(limits):
            "elements and over the odd elements separately")
 def _check_b_equidistribution(limits):
     for n in range(1, limits.max_n_b + 1):
-        for cls in ("plus", "minus", "all"):
-            _same(f"n={n} {cls}",
-                  family_poly(FamilySpec("b_des", n, cls), budget=limits.budget),
-                  family_poly(FamilySpec("bexc", n, cls), budget=limits.budget))
+        pairs = zip(_halves("b_des", n, limits), _halves("bexc", n, limits))
+        for cls, (descents, excedances) in zip(("plus", "minus"), pairs):
+            _same(f"n={n} {cls}", descents, excedances)
     return _ranged(1, limits.max_n_b)
 
 
@@ -572,13 +577,13 @@ def _check_d_bridge(limits):
            "the signed plus/minus halves")
 def _check_d_step(limits):
     for n in range(2, limits.max_n_d + 1):
-        for family in ("dexc", "bdexc"):
-            _same(f"n={n} {family}", closedforms.step_recurrence(family, n),
-                  family_poly(FamilySpec(family, n), budget=limits.budget))
-        for cls in ("plus", "minus"):
+        plus, minus = _halves("dexc", n, limits)
+        _same(f"n={n} dexc", closedforms.step_recurrence("dexc", n), plus + minus)
+        _same(f"n={n} bdexc", closedforms.step_recurrence("bdexc", n),
+              family_poly(FamilySpec("bdexc", n), budget=limits.budget))
+        for cls, enumerated in (("plus", plus), ("minus", minus)):
             _same(f"n={n} dexc {cls}",
-                  closedforms.step_recurrence("dexc", n, cls),
-                  family_poly(FamilySpec("dexc", n, cls), budget=limits.budget))
+                  closedforms.step_recurrence("dexc", n, cls), enumerated)
     return _ranged(2, limits.max_n_d)
 
 
@@ -770,11 +775,9 @@ _EXC_FIXED_WEIGHT = WeightSpec((("t", "exc", 0), ("q", "fixed_points", 0)))
            "fixed-point count and sign class")
 def _check_fixed_refinement(limits):
     for n in range(1, limits.max_n_a + 1):
-        whole = dist_poly(GroupSpec("S", n), _EXC_FIXED_WEIGHT,
-                          budget=limits.budget)
-        plus = dist_poly(GroupSpec("S", n, parity="even"), _EXC_FIXED_WEIGHT,
-                         budget=limits.budget)
-        classes = {"plus": plus, "minus": whole - plus, "all": whole}
+        plus, minus = oracle.length_halves(GroupSpec("S", n), _EXC_FIXED_WEIGHT,
+                                           budget=limits.budget)
+        classes = {"plus": plus, "minus": minus, "all": plus + minus}
         by_class = {}  # (fixed points, class) -> sum of class product formulas
         for lam in partitions(n):
             for cls in ("all", "plus" if lam.sign == 1 else "minus"):
@@ -878,11 +881,9 @@ def _check_halving(limits):
     hi = min(limits.max_n_a, 7)
     for n in range(3, hi + 1):
         for r in range(1, n - 1):
-            whole = dist_poly(GroupSpec("S", n, pos_n=r), oracle.AEXC_WEIGHT,
-                              budget=limits.budget)
-            even = dist_poly(GroupSpec("S", n, parity="even", pos_n=r),
-                             oracle.AEXC_WEIGHT, budget=limits.budget)
-            _same(f"n={n} r={r}", 2 * even, whole)
+            even, odd = oracle.length_halves(
+                GroupSpec("S", n, pos_n=r), oracle.AEXC_WEIGHT, budget=limits.budget)
+            _same(f"n={n} r={r}", 2 * even, even + odd)
     return _ranged(3, hi)
 
 
@@ -952,11 +953,10 @@ def _check_q_cyc(limits):
 def _check_q_collapse(limits):
     hi = min(limits.max_n_a, 7)
     for n in range(2, hi + 1):
-        for cls in ("plus", "minus", "all"):
-            for stat in ("inv", "cyc"):
-                _same(f"n={n} {cls} {stat}",
-                      oracle.q_refined(n, stat, cls,
-                                       budget=limits.budget).substitute_one("q"),
+        for stat in ("inv", "cyc"):
+            plus, minus = _halves("qrefined", n, limits, stat=stat)
+            for cls, f in (("plus", plus), ("minus", minus), ("all", plus + minus)):
+                _same(f"n={n} {cls} {stat}", f.substitute_one("q"),
                       closedforms.derangement_closed(n, cls))
     return _ranged(2, hi)
 

@@ -23,20 +23,21 @@ position of the entry of largest absolute value, on either kind of window.
 
 Each statistic is one function, taking a window tuple or a ``Perm``; there
 are no per-type records bundling them.  ``iterate`` is the one enumerator.
-It yields in lexicographic window order, or, for the oracle's fused kernel
-(behind ``oracle.dist_poly``), one permutation of [n] at a time with all
-its signed windows together.  The kernel computes the signed statistics in
-its own way; these per-element functions over ``iterate``'s windows are
-the reference that tests check its sums against.
+It yields ``Perm``/``SignedPerm`` elements in lexicographic window order,
+or, for the oracle's fused kernel (behind ``oracle.dist_poly`` and
+``oracle.length_halves``), bare window tuples one permutation of [n] at a
+time, with all its kept signed windows together.  The kernel computes the
+statistics in its own way; these per-element functions over ``iterate``'s
+lexicographic elements are the reference that tests check its sums against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product, starmap
+from itertools import combinations, compress, product, starmap
 from itertools import permutations as _itertools_permutations
-from operator import eq, gt, le, lt, mul
+from operator import eq, gt, le, lt, neg
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -491,11 +492,11 @@ def _signed_windows_by_permutation(spec):
     The permutations come in lexicographic order; each is followed by its
     kept windows, those with an even number of negated entries first.  The
     even/odd filter picks whole parity classes of negated entries, because
-    inv_D is congruent to inv(p) and inv_B = inv_D + negs.
+    inv_D is congruent to inv(p) and inv_B = inv_D + negs.  ``in_class[q]``
+    masks the windows of ``product(*zip(p, -p))`` in class q.
     """
-    signs = ([], [])  # sign vectors by parity of their negative entries
-    for s in product((1, -1), repeat=spec.n):
-        signs[s.count(-1) % 2].append(s)
+    in_class = [[sum(negated) % 2 == q
+                 for negated in product((0, 1), repeat=spec.n)] for q in (0, 1)]
     kept = {"B": (0, 1), "D": (0,), "B-D": (1,)}[spec.kind]
     want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
     negs_in_length = 1 if spec.kind == "B" else 0
@@ -503,8 +504,7 @@ def _signed_windows_by_permutation(spec):
         length = 0 if want is None else inv(p)
         for q in kept:
             if want is None or (length + negs_in_length * q) % 2 == want:
-                for s in signs[q]:
-                    yield tuple(map(mul, p, s))
+                yield from compress(product(*zip(p, map(neg, p))), in_class[q])
 
 
 def windows_per_permutation(spec):
@@ -528,13 +528,14 @@ def check_budget(spec, budget):
 
 
 def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
-    """Yield each element of the spec's domain exactly once, in window order.
+    """Yield each element of the spec's domain exactly once.
 
-    With ``by_permutation`` a signed group comes one permutation of [n] at a
-    time instead, ``windows_per_permutation(spec)`` windows each (see
-    ``_signed_windows_by_permutation``); kind S is one window per
-    permutation in either order.  Raises BudgetExceeded before any work
-    when the ambient scan is too large.
+    By default the elements come in lexicographic window order, as ``Perm``
+    or ``SignedPerm``.  With ``by_permutation`` they come as bare window
+    tuples, one permutation of [n] at a time: ``windows_per_permutation``
+    windows each on a signed group (see ``_signed_windows_by_permutation``),
+    one on kind S.  Raises BudgetExceeded before any work when the ambient
+    scan is too large.
     """
     check_budget(spec, budget)
     if spec.kind == "S":
@@ -550,12 +551,11 @@ def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
             if spec.parity != "all":
                 if inv(w) % 2 != (0 if spec.parity == "even" else 1):
                     continue
-            yield Perm._trusted(w)
+            yield w if by_permutation else Perm._trusted(w)
         return
 
     if by_permutation:
-        yield from map(SignedPerm._trusted,
-                       _signed_windows_by_permutation(spec))
+        yield from _signed_windows_by_permutation(spec)
         return
     letters = tuple(range(1, spec.n + 1))
     if spec.kind == "B":

@@ -7,16 +7,19 @@ integer offset (the type-A families use s^(nexc-1) while the signed families
 use s^nexc; the offset makes that visible in one place), plus an optional
 sign statistic contributing (-1)^stat.
 
-Every weighted sum runs through one fused kernel, ``dist_poly``.  It pulls
-``groups.iterate``'s windows one permutation p of [n] at a time, and every
-statistic has a kernel form there.  A type-A form is the statistic's own
-function.  A signed form is affine in the sign indicators: p gives (c, w),
-and on the window that negates the positions in N the statistic is
-c + sum(w[j] for j in N).  So p's statistics are computed once for its 2^n
-windows, and each window adds one masked sum; the sign is a parity of
-inv(p), moved by negs on type B.  The reference is ``_weighted_sum`` over
-``iterate``'s lexicographic windows with the per-element functions of
-``groups``; tests compare the kernel against it.
+Every weighted sum runs through one fused kernel, behind ``dist_poly`` and
+``length_halves``.  It pulls ``groups.iterate``'s bare windows one
+permutation p of [n] at a time, and every statistic has a kernel form
+there.  A type-A form is the statistic's own function.  A signed form is
+affine in the sign indicators: p gives (c, w), and on the window that
+negates the positions in N the statistic is c + sum(w[j] for j in N).  So
+p's statistics are computed once for its 2^n windows, and their keys are
+built by doubling over the positions, kept apart by the parity of |N|.
+The length and the sign are parities of inv(p), moved by that of |N| for
+the type-B length and the inv_b sign, so one pass tallies the even- and
+odd-length halves apart (``length_halves``).  The reference is ``_weighted_sum`` over ``iterate``'s
+lexicographic windows with the per-element functions of ``groups``; tests
+compare the kernel against it.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -30,10 +33,9 @@ matching their closed product forms; bivariate variants remain one
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import compress
 from operator import attrgetter, gt, lt, sub
 
 from . import closedforms
@@ -250,10 +252,8 @@ def _packer(forms, signed, n, radix):
     """Map a permutation p to (c, w): its windows' packed keys, affine in N.
 
     A key packs the weight's statistics in base ``radix``, the first one
-    most significant; the window negating the positions in N has key
-    c + sum(w[j] for j in N).  Packing is linear, so the signed keys stay
-    affine in the sign indicators.  On kind S, p is its one window and w is
-    empty; a type-A form is the statistic's function itself.
+    most significant; packing is linear, so the window negating the
+    positions in N has key c + sum(w[j] for j in N).  On kind S, w is empty.
     """
     if not signed:
         def pack(p):
@@ -272,53 +272,67 @@ def _packer(forms, signed, n, radix):
     return pack
 
 
-def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
-    """Exact sum of the weight monomial over the spec's domain.
+def _kernel(spec, weight, budget, split):
+    """The fused kernel: [whole], or [even, odd] by length when ``split``.
 
-    The fused kernel: it pulls ``iterate``'s windows one permutation p at a
-    time (``by_permutation``), computes the weight's statistics once per p,
-    and reads each window's packed key off the positions it negates.  The
-    sign is (-1)^inv(p), times (-1)^negs for inv_b (inv_D = inv(p) mod 2);
-    ``iterate`` applies the even/odd filter.  UndefinedStatistic comes
-    first, then BudgetExceeded, by ``iterate``'s rule, before any window.
+    It packs the weight's statistics once per block of ``iterate``'s bare
+    windows (``by_permutation``).  A signed block keeps whole classes of
+    negated entries (by the parity of their count): p and the class come
+    from its first window, and its keys are built by doubling over the
+    positions.  Length and sign are inv(p) mod 2 (inv_D = inv(p) mod 2),
+    moved by the class for the type-B length and an inv_b sign.
+    UndefinedStatistic comes first, then BudgetExceeded, by ``iterate``'s
+    rule, before any window.
     """
     n, signed = spec.n, spec.kind != "S"
     table = _signed_kernel(n) if signed else A_STATISTICS
     entries, _ = _resolve(weight, spec.kind, table)
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
-    forms = [form for form, _ in entries]
-    negs_digit = weight.sign_stat == "inv_b"
-    if negs_digit:  # count negs in one more digit; its parity moves the sign
-        forms.append(table["negs"])
-    pack = _packer(forms, signed, n, radix)
-    zeros = (0,) * n
-    tallies = (Counter(), Counter())  # keys of blocks signed +1, -1 by inv(p)
-    windows = map(attrgetter("window"),
-                  iterate(spec, budget=budget, by_permutation=True))
+    pack = _packer([form for form, _ in entries], signed, n, radix)
+    signs, sign_moves = weight.sign_stat is not None, weight.sign_stat == "inv_b"
+    length_moves = spec.kind == "B"
+    classes = (0, 1) if length_moves and spec.parity == "all" else None
+    tallies = defaultdict(Counter)  # (length parity, negative) -> key counts
+    windows = iterate(spec, budget=budget, by_permutation=True)
     for block in zip(*[windows] * windows_per_permutation(spec)):
         p = tuple(map(abs, block[0])) if signed else block[0]
         c, weights = pack(p)
-        tally = tallies[weight.sign_stat is not None and inv(p) % 2]
-        if weights:
-            tally.update([c + sum(compress(weights, map(lt, w, zeros)))
-                          for w in block])
-        else:
-            tally[c] += 1
-    terms = {}
-    for negative, tally in enumerate(tallies):
-        for packed, count in tally.items():
-            if negs_digit:
-                packed, negs = divmod(packed, radix)
-                count = -count if negs % 2 else count
-            exps = []
-            for _, off in reversed(entries):
-                packed, value = divmod(packed, radix)
-                exps.append(value + off)
-            key = tuple(reversed(exps))
+        parity = (split or signs) and inv(p) % 2
+        if not signed:  # one window, with no negated entries
+            tallies[split and parity, signs and parity][c] += 1
+            continue
+        even, odd = [c], []
+        for x in weights:
+            even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
+        for cls in classes or (negs(block[0]) % 2,):
+            length = split and (parity + length_moves * cls) % 2
+            negative = signs and (parity + sign_moves * cls) % 2
+            tallies[length, negative].update((even, odd)[cls])
+    halves = ({}, {})
+    digits = [(radix ** i, off) for i, (_, off) in enumerate(reversed(entries))]
+    digits.reverse()  # (place value, offset) per statistic, first one first
+    for (length, negative), counts in tallies.items():
+        terms = halves[length]
+        for packed, count in counts.items():
+            key = tuple(packed // place % radix + off for place, off in digits)
             if key and min(key) < 0:
                 raise _offset_error(spec, weight)
             terms[key] = terms.get(key, 0) + (-count if negative else count)
-    return Poly(weight.variables, terms)
+    return [Poly(weight.variables, terms) for terms in halves[:1 + split]]
+
+
+def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
+    """Exact sum of the weight monomial over the spec's domain, in one pass;
+    on a half spec, ``iterate``'s filter pulls only that half's windows."""
+    return _kernel(spec, weight, budget, split=False)[0]
+
+
+def length_halves(spec, weight, *, budget=DEFAULT_BUDGET):
+    """(even, odd): ``dist_poly`` on the spec's even and odd halves, from one
+    pass over the whole domain.  The spec must be a whole S, B or D."""
+    if spec.parity != "all" or spec.kind == "B-D":
+        raise InvalidSpec(f"length_halves needs a whole S, B or D domain, got {spec}")
+    return tuple(_kernel(spec, weight, budget, split=True))
 
 
 def _offset_error(spec, weight):

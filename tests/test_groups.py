@@ -250,7 +250,7 @@ class TestIterate:
         for n in range(5):
             spec = GroupSpec(kind, n, parity=parity)
             lex = [p.window for p in iterate(spec)]
-            blocks = [p.window for p in iterate(spec, by_permutation=True)]
+            blocks = list(iterate(spec, by_permutation=True))
             assert sorted(blocks) == lex
             size = windows_per_permutation(spec)
             perms = []

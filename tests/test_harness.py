@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -213,6 +214,41 @@ class TestFailingTheorem:
         assert ("FAIL    typeA.closed_equals_oracle  (-)\n"
                 "        witness: n=3 minus: 4*s*t != 3*s*t\n") in out
         assert "PASS    typeA.totals_and_class_additivity  (n=2..4)\n" in out
+
+
+class TestOnePassHalves:
+    """The checks that read both length halves from one pass can still fail."""
+
+    def test_additivity_sees_a_parity_filter_that_keeps_everything(
+            self, monkeypatch):
+        real = oracle.iterate
+
+        def even_keeps_all(spec, *args, **kwargs):
+            if spec.parity == "even":
+                spec = dataclasses.replace(spec, parity="all")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "iterate", even_keeps_all)
+        results = {r.check_id: r
+                   for r in run_suite("typeB", VerifyLimits(4, 4, 4))}
+        broken = results["typeB.totals_and_class_additivity"]
+        assert broken.status == "fail"
+        assert broken.witness.startswith("n=1 additivity: ")
+        # halves from one pass never read the filter
+        assert results["typeB.closed_equals_oracle"].status == "pass"
+
+    def test_swapped_halves_fail(self, monkeypatch):
+        real = oracle.length_halves
+        monkeypatch.setattr(oracle, "length_halves",
+                            lambda *args, **kwargs: real(*args, **kwargs)[::-1])
+        results = {r.check_id: r for suite in ("typeA", "derangements")
+                   for r in run_suite(suite, VerifyLimits(4, 4, 4))}
+        assert (results["typeA.closed_equals_oracle"].status,
+                results["typeA.closed_equals_oracle"].witness) == (
+            "fail", "n=2 plus: s != t")
+        assert (results["derangements.fixed_point_refinement"].status,
+                results["derangements.fixed_point_refinement"].witness) == (
+            "fail", "n=1 i=1 plus: 0 != 1")
 
 
 class _Capture(io.StringIO):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, permutations
 from operator import attrgetter
 
@@ -33,6 +34,7 @@ from gammaexc.oracle import (
     dist_poly,
     family_domain,
     family_poly,
+    length_halves,
     q_refined,
     sgnb_des_u,
 )
@@ -203,11 +205,11 @@ def _reference(spec, weight):
 
 
 @st.composite
-def group_specs(draw):
-    kind = draw(st.sampled_from(("S", "B", "D", "B-D")))
+def group_specs(draw, kinds=("S", "B", "D", "B-D"),
+                parities=("all", "even", "odd")):
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(0, 5))
-    parity = ("all" if kind == "B-D"
-              else draw(st.sampled_from(("all", "even", "odd"))))
+    parity = "all" if kind == "B-D" else draw(st.sampled_from(parities))
     filters = {}
     if kind == "S":
         if n >= 1 and draw(st.booleans()):
@@ -241,6 +243,15 @@ class TestKernel:
         weight = data.draw(weight_specs(spec.kind))
         assert dist_poly(spec, weight) == _reference(spec, weight)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_length_halves_equal_the_reference_halves(self, data):
+        spec = data.draw(group_specs(kinds=("S", "B", "D"), parities=("all",)))
+        weight = data.draw(weight_specs(spec.kind))
+        assert length_halves(spec, weight) == tuple(
+            _reference(replace(spec, parity=parity), weight)
+            for parity in ("even", "odd"))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 30), unique=True, max_size=5).map(sorted))
     def test_sgnb_des_u_on_letters(self, letters):
@@ -260,13 +271,18 @@ class TestKernel:
         pulled = []
 
         def counting(*args, **kwargs):
-            for p in iterate(*args, **kwargs):
-                pulled.append(p.window)
-                yield p
+            for w in iterate(*args, **kwargs):
+                pulled.append(w)
+                yield w
 
         monkeypatch.setattr(oracle, "iterate", counting)
         dist_poly(spec, WeightSpec((), sign_stat=None))
         assert sorted(pulled) == [p.window for p in iterate(spec)]
+        whole = replace(spec, parity="all")
+        if whole.kind != "B-D":
+            pulled.clear()
+            length_halves(whole, WeightSpec((), sign_stat=None))
+            assert sorted(pulled) == [p.window for p in iterate(whole)]
 
     @pytest.mark.parametrize("stat", sorted(SIGNED_STATISTICS))
     def test_signed_forms_are_affine_on_b4(self, stat):
@@ -336,3 +352,20 @@ class TestKernelErrors:
         with pytest.raises(UndefinedStatistic, match="'inv_d'"):
             dist_poly(GroupSpec("S", 9), WeightSpec((), sign_stat="inv_d"),
                       budget=1000)
+
+    def test_length_halves_undefined_statistic_before_budget(self):
+        with pytest.raises(UndefinedStatistic, match="'exc'"):
+            length_halves(GroupSpec("B", 9), WeightSpec((("t", "exc", 0),)),
+                          budget=1000)
+        with pytest.raises(UndefinedStatistic, match="'inv_d'"):
+            length_halves(GroupSpec("S", 9), WeightSpec((), sign_stat="inv_d"),
+                          budget=1000)
+        with pytest.raises(BudgetExceeded):
+            length_halves(GroupSpec("D", 9), oracle.DEXC_WEIGHT, budget=1000)
+
+    @pytest.mark.parametrize("spec", [
+        GroupSpec("S", 3, parity="even"), GroupSpec("B", 3, parity="odd"),
+        GroupSpec("D", 3, parity="even"), GroupSpec("B-D", 3)])
+    def test_length_halves_need_a_whole_group(self, spec):
+        with pytest.raises(InvalidSpec, match="length_halves needs a whole"):
+            length_halves(spec, WeightSpec(()))
