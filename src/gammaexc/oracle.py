@@ -17,9 +17,9 @@ p's statistics are computed once for its 2^n windows, and their keys are
 built by doubling over the positions, kept apart by the parity of |N|.
 The length and the sign are parities of inv(p), moved by that of |N| for
 the type-B length and the inv_b sign, so one pass tallies the even- and
-odd-length halves apart (``length_halves``).  The reference is ``_weighted_sum`` over ``iterate``'s
-lexicographic windows with the per-element functions of ``groups``; tests
-compare the kernel against it.
+odd-length halves apart (``length_halves``).  The reference is
+``_weighted_sum`` over ``iterate``'s lexicographic windows with the
+per-element functions of ``groups``; tests compare the kernel against it.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
