@@ -51,7 +51,6 @@ from .groups import (
 from .oracle import (
     FAMILIES,
     FamilySpec,
-    NonIncreasingLetters,
     UndefinedStatistic,
     UnsupportedClass,
     WeightSpec,
@@ -87,13 +86,12 @@ __all__ = [
     "BIVARIATE", "BudgetExceeded", "CoeffTable", "CycleType", "D",
     "DEFAULT_BUDGET", "EvenLength", "FAMILIES", "FamilySpec",
     "GammaExpansion", "GroupSpec", "InvalidSpec", "MissingBase",
-    "NoClosedForm", "NonIncreasingLetters", "NotGammaPositive",
-    "NotHomogeneous", "NotPalindromic", "OddCoefficient", "Perm", "Poly",
-    "Q_COEFFICIENTS", "SignedPerm", "UNIVARIATE", "UndefinedStatistic",
-    "UnknownVariable", "UnsupportedClass", "WeightSpec", "WindowError",
-    "ZeroPolynomial", "cardinality", "coeff_tables", "conj_exc_closed",
-    "cycle_type", "derangement_closed", "dexc_jump_tail", "dist_poly",
-    "eulerian", "eulerian_t", "family_poly",
+    "NoClosedForm", "NotGammaPositive", "NotHomogeneous", "NotPalindromic",
+    "OddCoefficient", "Perm", "Poly", "Q_COEFFICIENTS", "SignedPerm",
+    "UNIVARIATE", "UndefinedStatistic", "UnknownVariable", "UnsupportedClass",
+    "WeightSpec", "WindowError", "ZeroPolynomial", "cardinality",
+    "coeff_tables", "conj_exc_closed", "cycle_type", "derangement_closed",
+    "dexc_jump_tail", "dist_poly", "eulerian", "eulerian_t", "family_poly",
     "gamma_decompose", "gamma_recompose", "half", "half_sum_closed",
     "iterate", "jump4", "jump_tables", "palindrome_info", "parse_window",
     "partitions", "q_refined", "set_partition_count", "sgn_aexc_closed",

@@ -367,26 +367,21 @@ def _check_derivative_halving(limits):
     return _ranged(2, hi)
 
 
-_AEXC5_PLUS = (_S ** 4 + 11 * _S ** 3 * _T + 36 * _S ** 2 * _T ** 2
-               + 11 * _S * _T ** 3 + _T ** 4)
-_AEXC5_MINUS = 15 * _S ** 3 * _T + 30 * _S ** 2 * _T ** 2 + 15 * _S * _T ** 3
-_AEXC7_PLUS = (_S ** 6 + 57 * _S ** 5 * _T + 603 * _S ** 4 * _T ** 2
-               + 1198 * _S ** 3 * _T ** 3 + 603 * _S ** 2 * _T ** 4
-               + 57 * _S * _T ** 5 + _T ** 6)
-_AEXC7_MINUS = (63 * _S ** 5 * _T + 588 * _S ** 4 * _T ** 2
-                + 1218 * _S ** 3 * _T ** 3 + 588 * _S ** 2 * _T ** 4
-                + 63 * _S * _T ** 5)
-
-
 @_register("typeA.base_polynomials", "typeA",
            "the rank 5 and 7 even/odd excedance polynomials and their gamma "
            "vectors take their tabulated values")
 def _check_aexc_bases(limits):
     _base_polynomials(closedforms.half_sum_closed, "aexc", {
-        (5, "plus"): (_AEXC5_PLUS, (1, 7, 16)),
-        (5, "minus"): (_AEXC5_MINUS, (15, 0)),
-        (7, "plus"): (_AEXC7_PLUS, (1, 51, 384, 104)),
-        (7, "minus"): (_AEXC7_MINUS, (63, 336, 168)),
+        (5, "plus"): (_S ** 4 + 11 * _S ** 3 * _T + 36 * _S ** 2 * _T ** 2
+                      + 11 * _S * _T ** 3 + _T ** 4, (1, 7, 16)),
+        (5, "minus"): (15 * _S ** 3 * _T + 30 * _S ** 2 * _T ** 2
+                       + 15 * _S * _T ** 3, (15, 0)),
+        (7, "plus"): (_S ** 6 + 57 * _S ** 5 * _T + 603 * _S ** 4 * _T ** 2
+                      + 1198 * _S ** 3 * _T ** 3 + 603 * _S ** 2 * _T ** 4
+                      + 57 * _S * _T ** 5 + _T ** 6, (1, 51, 384, 104)),
+        (7, "minus"): (63 * _S ** 5 * _T + 588 * _S ** 4 * _T ** 2
+                       + 1218 * _S ** 3 * _T ** 3 + 588 * _S ** 2 * _T ** 4
+                       + 63 * _S * _T ** 5, (63, 336, 168)),
     })
     return "n=5,7"
 
@@ -600,26 +595,21 @@ def _check_d_descent(limits):
     return _ranged(2, limits.max_n_d)
 
 
-_DEXC4_PLUS = (_S ** 4 + 16 * _S ** 3 * _T + 62 * _S ** 2 * _T ** 2
-               + 16 * _S * _T ** 3 + _T ** 4)
-_DEXC4_MINUS = 20 * _S ** 3 * _T + 56 * _S ** 2 * _T ** 2 + 20 * _S * _T ** 3
-_DEXC6_PLUS = (_S ** 6 + 176 * _S ** 5 * _T + 2647 * _S ** 4 * _T ** 2
-               + 5872 * _S ** 3 * _T ** 3 + 2647 * _S ** 2 * _T ** 4
-               + 176 * _S * _T ** 5 + _T ** 6)
-_DEXC6_MINUS = (182 * _S ** 5 * _T + 2632 * _S ** 4 * _T ** 2
-                + 5892 * _S ** 3 * _T ** 3 + 2632 * _S ** 2 * _T ** 4
-                + 182 * _S * _T ** 5)
-
-
 @_register("typeD.base_polynomials", "typeD",
            "the rank 4 and 6 type-D excedance halves and their gamma vectors "
            "take their tabulated values")
 def _check_d_bases(limits):
     _base_polynomials(closedforms.step_recurrence, "dexc", {
-        (4, "plus"): (_DEXC4_PLUS, (1, 12, 32)),
-        (4, "minus"): (_DEXC4_MINUS, (20, 16)),
-        (6, "plus"): (_DEXC6_PLUS, (1, 170, 1952, 928)),
-        (6, "minus"): (_DEXC6_MINUS, (182, 1904, 992)),
+        (4, "plus"): (_S ** 4 + 16 * _S ** 3 * _T + 62 * _S ** 2 * _T ** 2
+                      + 16 * _S * _T ** 3 + _T ** 4, (1, 12, 32)),
+        (4, "minus"): (20 * _S ** 3 * _T + 56 * _S ** 2 * _T ** 2
+                       + 20 * _S * _T ** 3, (20, 16)),
+        (6, "plus"): (_S ** 6 + 176 * _S ** 5 * _T + 2647 * _S ** 4 * _T ** 2
+                      + 5872 * _S ** 3 * _T ** 3 + 2647 * _S ** 2 * _T ** 4
+                      + 176 * _S * _T ** 5 + _T ** 6, (1, 170, 1952, 928)),
+        (6, "minus"): (182 * _S ** 5 * _T + 2632 * _S ** 4 * _T ** 2
+                       + 5892 * _S ** 3 * _T ** 3 + 2632 * _S ** 2 * _T ** 4
+                       + 182 * _S * _T ** 5, (182, 1904, 992)),
     })
     return "n=4,6"
 

@@ -17,9 +17,8 @@ import json
 import sys
 
 from . import checks, closedforms, oracle
-from .groups import BudgetExceeded, DEFAULT_BUDGET, InvalidSpec
-from .oracle import FamilySpec, NonIncreasingLetters, UndefinedStatistic, \
-    UnsupportedClass
+from .groups import BudgetExceeded, DEFAULT_BUDGET
+from .oracle import FamilySpec
 from .poly import (
     BIVARIATE,
     NotHomogeneous,
@@ -38,15 +37,11 @@ class UsageError(Exception):
     pass
 
 
-def _family_spec(args):
-    return FamilySpec(
-        args.family,
-        args.n,
-        getattr(args, "cls", "all"),
-        fixed=getattr(args, "fixed", None),
-        lam=getattr(args, "lam", None),
-        stat=getattr(args, "stat", None),
-    )
+def _family_spec(args, n):
+    return FamilySpec(args.family, n, getattr(args, "cls", "all"),
+                      fixed=getattr(args, "fixed", None),
+                      lam=getattr(args, "lam", None),
+                      stat=getattr(args, "stat", None))
 
 
 def _compute(spec, engine, budget):
@@ -60,41 +55,29 @@ def _compute(spec, engine, budget):
     return oracle.family_poly(spec, budget=budget)
 
 
-def _print_poly(poly, fmt, out):
-    if fmt == "json":
-        out.write(poly.to_json() + "\n")
-    else:
-        out.write(str(poly) + "\n")
-
-
 def _cmd_compute(args, out):
-    spec = _family_spec(args)
-    poly = _compute(spec, args.engine, args.budget)
-    _print_poly(poly, args.format, out)
+    poly = _compute(_family_spec(args, args.n), args.engine, args.budget)
+    out.write((poly.to_json() if args.format == "json" else str(poly)) + "\n")
     return 0
 
 
-def _mode(args, spec):
-    if args.mode:
-        return _MODE_FLAGS[args.mode]
-    return oracle.FAMILIES[spec.family].mode
-
-
-def _prepare_for_mode(poly, mode):
-    """Univariate mode on a bivariate family means its s = 1 specialization."""
-    if mode == UNIVARIATE and "s" in poly.vars and poly.degree("s") > 0:
-        return poly.substitute_one("s")
-    return poly
-
-
-def _cmd_gamma(args, out):
-    spec = _family_spec(args)
-    if oracle.FAMILIES[spec.family].mode is None:
+def _gamma_input(args, n):
+    """The rank-n polynomial to expand and its gamma mode (univariate mode
+    on a bivariate family means its s = 1 specialization)."""
+    spec = _family_spec(args, n)
+    default = oracle.FAMILIES[spec.family].mode
+    if default is None:
         raise UsageError(f"{spec.family} has no gamma expansion (its "
                          f"polynomial involves u)")
     poly = _compute(spec, args.engine, args.budget)
-    mode = _mode(args, spec)
-    poly = _prepare_for_mode(poly, mode)
+    mode = _MODE_FLAGS[args.mode] if args.mode else default
+    if mode == UNIVARIATE and "s" in poly.vars and poly.degree("s") > 0:
+        poly = poly.substitute_one("s")
+    return poly, mode
+
+
+def _cmd_gamma(args, out):
+    poly, mode = _gamma_input(args, args.n)
     try:
         expansion = gamma_decompose(poly, mode)
     except NotPalindromic as exc:
@@ -129,11 +112,7 @@ def _gamma_or_none(poly, mode):
 def _table_rows(args):
     lo, hi = args.n_range
     for n in range(lo, hi + 1):
-        spec = FamilySpec(args.family, n, args.cls, fixed=args.fixed,
-                          stat=args.stat)
-        poly = _compute(spec, args.engine, args.budget)
-        mode = _mode(args, spec)
-        poly = _prepare_for_mode(poly, mode)
+        poly, mode = _gamma_input(args, n)
         yield n, t_coefficients(poly), _gamma_or_none(poly, mode)
 
 
@@ -198,10 +177,8 @@ def _cmd_verify(args, out):
 
 
 def _cmd_conjugacy(args, out):
-    spec = FamilySpec("conjexc", sum(args.lam), lam=args.lam)
-    poly = _compute(spec, args.engine, args.budget)
-    _print_poly(poly, args.format, out)
-    return 0
+    args.family, args.n = "conjexc", sum(args.lam)
+    return _cmd_compute(args, out)
 
 
 def _parse_range(text):
@@ -246,26 +223,24 @@ def build_parser():
                        help="enumeration budget (windows visited)")
         p.add_argument("--format", choices=["text", "json"], default="text")
 
+    def add_family(p):
+        p.add_argument("--family", required=True,
+                       choices=sorted(oracle.FAMILIES))
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--fixed", type=int, default=None,
+                       help="fixed-point count for aderexc")
+        p.add_argument("--lambda", dest="lam", type=_parse_lambda,
+                       default=None, help="cycle type for conjexc, e.g. 2,2")
+        p.add_argument("--stat", choices=["inv", "cyc"], default=None,
+                       help="refining statistic for qrefined")
+
     compute = sub.add_parser("compute", help="print one family polynomial")
-    compute.add_argument("--family", required=True,
-                         choices=sorted(oracle.FAMILIES))
-    compute.add_argument("--n", type=int, required=True)
-    compute.add_argument("--fixed", type=int, default=None,
-                         help="fixed-point count for aderexc")
-    compute.add_argument("--lambda", dest="lam", type=_parse_lambda,
-                         default=None, help="cycle type for conjexc, e.g. 2,2")
-    compute.add_argument("--stat", choices=["inv", "cyc"], default=None,
-                         help="refining statistic for qrefined")
+    add_family(compute)
     add_common(compute)
 
     gamma = sub.add_parser("gamma", help="print a gamma expansion or the "
                                          "palindromicity counterexample")
-    gamma.add_argument("--family", required=True,
-                       choices=sorted(oracle.FAMILIES))
-    gamma.add_argument("--n", type=int, required=True)
-    gamma.add_argument("--fixed", type=int, default=None)
-    gamma.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
-    gamma.add_argument("--stat", choices=["inv", "cyc"], default=None)
+    add_family(gamma)
     gamma.add_argument("--mode", choices=sorted(_MODE_FLAGS), default=None,
                        help="default: biv for the bivariate families, uni "
                             "for the univariate ones, q for qrefined")
@@ -318,9 +293,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args, sys.stdout)
-    except (UsageError, InvalidSpec, UnsupportedClass, UndefinedStatistic,
-            NonIncreasingLetters, ZeroPolynomial, ValueError,
-            BudgetExceeded) as exc:
+    except (UsageError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,10 +77,6 @@ class UnsupportedClass(ValueError):
     """The family does not define the requested even/odd restriction."""
 
 
-class NonIncreasingLetters(ValueError):
-    """Letter sets must be strictly increasing positive integers."""
-
-
 A_STATISTICS = {
     "exc": exc,
     "nexc": nexc,
@@ -390,18 +386,6 @@ class FamilySpec:
             raise InvalidSpec(f"fixed-point count {self.fixed} outside "
                               f"0..{self.n}")
 
-    def __str__(self):
-        bits = [self.family, f"n={self.n}"]
-        if self.cls != "all":
-            bits.append(self.cls)
-        if self.fixed is not None:
-            bits.append(f"fixed={self.fixed}")
-        if self.lam is not None:
-            bits.append("lambda=" + ",".join(map(str, self.lam)))
-        if self.stat is not None:
-            bits.append(f"stat={self.stat}")
-        return " ".join(bits)
-
 
 @dataclass(frozen=True)
 class Family:
@@ -541,33 +525,12 @@ def q_refined(n, stat, cls="all", *, budget=DEFAULT_BUDGET):
     return family_poly(FamilySpec("qrefined", n, cls, stat=stat), budget=budget)
 
 
-def sgnb_des_u(n, letters=None, *, positions="all", budget=DEFAULT_BUDGET):
-    """Signed descent-ascent-position sum over the signed group on ``letters``.
+def sgnb_des_u(n, *, budget=DEFAULT_BUDGET):
+    """Signed descent-ascent-position sum over B_n.
 
     Sums (-1)^inv_B t^des_B s^asc_B u^pos over all signed windows, where pos
-    is the position of the largest letter (ignoring its sign).  ``positions``
-    may restrict the sum to windows whose largest letter sits at the last
-    position ("max_last", the u^n part) or anywhere else ("max_not_last").
-    The weight reads only how the signed entries compare with each other and
-    with 0, and relabelling the letters 1..n in order keeps every such
-    comparison; so the sum over any letters is the sum over B_n, under
-    ``iterate``'s budget rule for B_n.
+    is the position of the largest letter (ignoring its sign).  The weight
+    reads only how the signed entries compare with each other and with 0,
+    so the signed windows of any n distinct positive letters give this sum.
     """
-    if letters is None:
-        letters = tuple(range(1, n + 1))
-    letters = tuple(letters)
-    if len(letters) != n:
-        raise NonIncreasingLetters(f"expected {n} letters, got {len(letters)}")
-    if any(a <= 0 for a in letters) or any(
-        a >= b for a, b in zip(letters, letters[1:])
-    ):
-        raise NonIncreasingLetters(
-            f"letters must be strictly increasing positive integers: {letters}"
-        )
-    if positions not in ("all", "max_last", "max_not_last"):
-        raise InvalidSpec("positions must be all/max_last/max_not_last")
-    full = dist_poly(GroupSpec("B", n), SGNB_WEIGHT, budget=budget)
-    if positions == "all":
-        return full
-    last = full.coefficient("u", n) * Poly.variable("u") ** n
-    return last if positions == "max_last" else full - last
+    return dist_poly(GroupSpec("B", n), SGNB_WEIGHT, budget=budget)

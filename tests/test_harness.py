@@ -3,6 +3,10 @@ import dataclasses
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -502,6 +506,41 @@ def test_descent_position_check_reads_the_letters(monkeypatch):
                  if c.check_id == "signed_sums.type_b_descent_position")
     with pytest.raises(checks.Mismatch, match=r"letters \(2,5,9\)"):
         check.func(VerifyLimits(2, 2, 2))
+
+
+def test_library_errors_are_value_errors_but_the_budget():
+    # cli.main turns ValueError and BudgetExceeded into exit status 2, so a
+    # new error class outside ValueError would escape as a traceback
+    from gammaexc import bijections, groups, poly
+
+    defined = {obj for module in (poly, groups, oracle, closedforms, bijections)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__}
+    assert closedforms.RankOutOfRange in defined
+    assert {cls for cls in defined if not issubclass(cls, ValueError)} == {
+        groups.BudgetExceeded}
+
+
+def test_importing_checks_does_no_polynomial_arithmetic():
+    # the tabulated base polynomials are built inside their checks
+    script = (
+        "import sys\n"
+        "from gammaexc.poly import Poly\n"
+        "calls = []\n"
+        "for name in ('__mul__', '__rmul__'):\n"
+        "    def counted(*args, _orig=getattr(Poly, name)):\n"
+        "        calls.append(name)\n"
+        "        return _orig(*args)\n"
+        "    setattr(Poly, name, counted)\n"
+        "assert 'gammaexc.checks' not in sys.modules\n"
+        "import gammaexc.checks\n"
+        "print(len(calls))\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n"
 
 
 def test_parser_is_built_once_per_process():
