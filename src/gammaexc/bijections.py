@@ -12,11 +12,12 @@ The remaining maps move the largest letter around the window: the
 penultimate-to-front bijection and the last-two-swap involution drive the
 plus/minus recurrences, and the long-cycle correspondence identifies the
 excedance distribution over n-cycles with a shifted descent distribution.
+Each map reads any window, a ``Perm`` being one, and returns a ``Perm``.
 """
 
 from __future__ import annotations
 
-from .groups import Perm, _cycles, _window, cyc, pos_n
+from .groups import Perm, _cycles, pos_n
 
 
 class PreconditionViolated(ValueError):
@@ -27,30 +28,37 @@ class DuplicateEntries(ValueError):
     """Cycle entries must be distinct."""
 
 
-def foata_fft(p):
-    """Foata's first fundamental transformation: des(fft(p)) = exc(p)."""
-    word = [v for c in reversed(_cycles(_window(p))) for v in c]
-    return Perm._trusted(tuple(reversed(word)))
+def _write_cycle(image, cycle):
+    """Write the cycle (c_1 ... c_k) into the window ``image``: each entry
+    maps to the next, and c_k to c_1."""
+    prev = cycle[0]
+    for v in cycle[1:]:
+        image[prev - 1] = v
+        prev = v
+    image[prev - 1] = cycle[0]
 
 
-def foata_fft_inverse(p):
-    """Inverse of ``foata_fft``: exc(fft_inverse(p)) = des(p)."""
-    u = _window(p)
-    word = tuple(reversed(u))
+def foata_fft(w):
+    """Foata's first fundamental transformation: des(fft(w)) = exc(w)."""
+    word = [v for c in reversed(_cycles(w)) for v in c]
+    return Perm._trusted(reversed(word))
+
+
+def foata_fft_inverse(w):
+    """Inverse of ``foata_fft``: exc(fft_inverse(w)) = des(w)."""
+    word = w[::-1]
     n = len(word)
     image = [0] * n
     start = 0
     for i in range(1, n + 1):
         if i == n or word[i] < word[start]:
-            cycle = word[start:i]  # first entry is the cycle's minimum
-            for a, b in zip(cycle, cycle[1:]):
-                image[a - 1] = b
-            image[cycle[-1] - 1] = cycle[0]
+            # the first entry is the cycle's minimum
+            _write_cycle(image, word[start:i])
             start = i
-    return Perm._trusted(tuple(image))
+    return Perm._trusted(image)
 
 
-def penultimate_to_front(p):
+def penultimate_to_front(w):
     """Move the top letter from the penultimate slot to the front, applying
     the fundamental transformation to the rest.
 
@@ -58,62 +66,49 @@ def penultimate_to_front(p):
     position 1, and (exc, nexc-1) of the input becomes (des, asc) of the
     output.
     """
-    w = _window(p)
     n = len(w)
     if n < 2 or pos_n(w) != n - 1:
         raise PreconditionViolated(
             f"expected the letter {n} at position {n - 1}, found it at {pos_n(w)}"
         )
     reduced = tuple(v for v in w if v != n)
-    transformed = foata_fft(reduced)
-    return Perm._trusted((n,) + transformed.window)
+    return Perm._trusted((n, *foata_fft(reduced)))
 
 
-def swap_last_two(p):
+def swap_last_two(w):
     """Exchange the last two window entries.
 
     Domain: windows whose top letter sits before the last two positions.
     This is a sign-reversing involution preserving the excedance count.
     """
-    w = _window(p)
     n = len(w)
     if n < 2 or pos_n(w) > n - 2:
         raise PreconditionViolated(
             f"the letter {n} must sit before position {n - 1}"
         )
-    return Perm._trusted(w[:-2] + (w[-1], w[-2]))
+    return Perm._trusted((*w[:-2], w[-1], w[-2]))
 
 
-def perm_to_long_cycle(p):
+def perm_to_long_cycle(w):
     """Encode a permutation of [n-1] as an n-cycle with exc = des + 1.
 
     The window a_1..a_{n-1} maps to the cycle (1, n+1-a_1, ..., n+1-a_{n-1})
     on [n], returned in window notation.
     """
-    w = _window(p)
     n = len(w) + 1
     if n < 2:
         raise PreconditionViolated("need a permutation of at least the empty set")
-    cycle = [1] + [n + 1 - a for a in w]
     image = [0] * n
-    for a, b in zip(cycle, cycle[1:]):
-        image[a - 1] = b
-    image[cycle[-1] - 1] = cycle[0]
-    return Perm._trusted(tuple(image))
+    _write_cycle(image, [1] + [n + 1 - a for a in w])
+    return Perm._trusted(image)
 
 
-def long_cycle_to_perm(p):
+def long_cycle_to_perm(w):
     """Inverse of ``perm_to_long_cycle``; domain: single n-cycles on [n]."""
-    w = _window(p)
     n = len(w)
-    if n < 2 or cyc(w) != 1:
-        raise PreconditionViolated(f"{w} is not a single {n}-cycle")
-    cycle = [1]
-    j = w[0]
-    while j != 1:
-        cycle.append(j)
-        j = w[j - 1]
-    return Perm._trusted(tuple(n + 1 - a for a in cycle[1:]))
+    if n < 2 or len(cycles := _cycles(w)) != 1:
+        raise PreconditionViolated(f"{tuple(w)} is not a single {n}-cycle")
+    return Perm._trusted(n + 1 - a for a in cycles[0][1:])
 
 
 def standardize_cycle(entries):

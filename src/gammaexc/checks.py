@@ -538,7 +538,7 @@ def _check_inv_variants(limits):
     hi = min(limits.max_n_b, 5)
     for n in range(1, hi + 1):
         for p in iterate(GroupSpec("B", n), budget=limits.budget):
-            _same(p, inv_b(p.window) % 2, inv_b_negsum(p.window) % 2)
+            _same(p, inv_b(p) % 2, inv_b_negsum(p) % 2)
     return _ranged(1, hi)
 
 
@@ -745,8 +745,8 @@ def _check_conjugacy(limits):
     for n in range(1, limits.max_n_a + 1):
         buckets = {}
         for p in iterate(GroupSpec("S", n), budget=limits.budget):
-            dist = buckets.setdefault(_cycle_lengths(p.window), {})
-            e = exc(p.window)
+            dist = buckets.setdefault(_cycle_lengths(p), {})
+            e = exc(p)
             dist[e] = dist.get(e, 0) + 1
         for lam in partitions(n):
             dist = buckets.get(lam.parts, {})
@@ -821,9 +821,9 @@ def _check_fft(limits):
         for p in iterate(GroupSpec("S", n), budget=limits.budget):
             image = bijections.foata_fft(p)
             # (des of the image, inverse of the image)
-            _same(p, (des(image.window), bijections.foata_fft_inverse(image)),
-                  (exc(p.window), p))
-            seen.add(image.window)
+            _same(p, (des(image), bijections.foata_fft_inverse(image)),
+                  (exc(p), p))
+            seen.add(image)
         _same(f"n={n} image size", len(seen), math.factorial(n))
     return _ranged(1, limits.max_n_a)
 
@@ -839,9 +839,9 @@ def _check_penultimate(limits):
         for p in iterate(GroupSpec("S", n, pos_n=n - 1), budget=limits.budget):
             image = bijections.penultimate_to_front(p)
             # (position of n, exc, nexc - 1), the last two read off the image
-            _same(p, (pos_n(image.window), des(image.window), asc(image.window)),
-                  (1, exc(p.window), nexc(p.window) - 1))
-            seen.add(image.window)
+            _same(p, (pos_n(image), des(image), asc(image)),
+                  (1, exc(p), nexc(p) - 1))
+            seen.add(image)
             count += 1
         _same(f"n={n} injectivity", len(seen), count)
     return _ranged(2, hi)
@@ -857,10 +857,9 @@ def _check_swap(limits):
             for p in iterate(GroupSpec("S", n, pos_n=r), budget=limits.budget):
                 image = bijections.swap_last_two(p)
                 # (excedances, change of inversion parity, image of the image)
-                _same(p, (exc(image.window),
-                          (inv(image.window) - inv(p.window)) % 2,
+                _same(p, (exc(image), (inv(image) - inv(p)) % 2,
                           bijections.swap_last_two(image)),
-                      (exc(p.window), 1, p))
+                      (exc(p), 1, p))
     return _ranged(2, hi)
 
 
@@ -887,10 +886,10 @@ def _check_long_cycle_map(limits):
         for p in iterate(GroupSpec("S", n - 1), budget=limits.budget):
             image = bijections.perm_to_long_cycle(p)
             # (cycle type, excedances, inverse), all of the image
-            _same(p, (cycle_type(image.window).parts, exc(image.window),
+            _same(p, (cycle_type(image).parts, exc(image),
                       bijections.long_cycle_to_perm(image)),
-                  ((n,), des(p.window) + 1, p))
-            images.add(image.window)
+                  ((n,), des(p) + 1, p))
+            images.add(image)
         n_cycles = sum(1 for q in iterate(GroupSpec("S", n, cycle_type=(n,)),
                                           budget=limits.budget))
         _same(f"n={n} surjectivity", len(images), n_cycles)

@@ -221,7 +221,6 @@ def build_parser():
                        help="default: closed form when one exists")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="enumeration budget (windows visited)")
-        p.add_argument("--format", choices=["text", "json"], default="text")
 
     def add_family(p):
         p.add_argument("--family", required=True,
@@ -278,6 +277,8 @@ def build_parser():
                            required=True, help="cycle type, e.g. 2,2")
     add_common(conjugacy, with_class=False)
 
+    for p in (compute, gamma, conjugacy):
+        p.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
 

@@ -21,14 +21,15 @@ number is exposed as ``inv_b_negsum`` for parity comparisons.  Type D drops
 the #Negs term:  inv_D = inv + #{i<j: -sigma_i > sigma_j}.  ``pos_n`` is the
 position of the entry of largest absolute value, on either kind of window.
 
-Each statistic is one function, taking a window tuple or a ``Perm``; there
-are no per-type records bundling them.  ``iterate`` is the one enumerator.
-It yields ``Perm``/``SignedPerm`` elements in lexicographic window order,
-or, for the oracle's fused kernel (behind ``oracle.dist_poly`` and
-``oracle.length_halves``), bare window tuples one permutation of [n] at a
-time, with all its kept signed windows together.  The kernel computes the
-statistics in its own way; these per-element functions over ``iterate``'s
-lexicographic elements are the reference that tests check its sums against.
+Each statistic is one function of a window, and a ``Perm`` is one: a
+validated window tuple.  There are no per-type records bundling them.
+``iterate`` is the one enumerator.  It yields ``Perm``/``SignedPerm``
+elements in lexicographic window order, or, for the oracle's fused kernel
+(behind ``oracle.dist_poly`` and ``oracle.length_halves``), bare window
+tuples one permutation of [n] at a time, with all its kept signed windows
+together.  The kernel computes the statistics in its own way; these
+per-element functions over ``iterate``'s lexicographic elements are the
+reference that tests check its sums against.
 """
 
 from __future__ import annotations
@@ -92,26 +93,22 @@ def _validate_signed(window):
         seen.add(abs(v))
 
 
-class Perm:
-    """A permutation of [n] in window notation.
+class Perm(tuple):
+    """A permutation of [n] in window notation: a validated window tuple.
 
-    Equality, hash and repr are class-exact: a ``SignedPerm`` never equals a
-    ``Perm`` with the same window.
+    Ordering and concatenation follow ``tuple``.  Equality, hash and repr
+    are class-exact: a ``Perm`` never equals its bare window, nor a
+    ``SignedPerm`` with the same window.
     """
 
-    __slots__ = ("window",)
+    __slots__ = ()
     _validate = staticmethod(_validate_perm)
+    _trusted = classmethod(tuple.__new__)
 
-    def __init__(self, window):
-        window = tuple(window)
-        self._validate(window)
-        object.__setattr__(self, "window", window)
-
-    @classmethod
-    def _trusted(cls, window):
-        obj = object.__new__(cls)
-        _set_window(obj, window)
-        return obj
+    def __new__(cls, window):
+        self = tuple.__new__(cls, window)
+        cls._validate(self)
+        return self
 
     @classmethod
     def parse(cls, text):
@@ -119,35 +116,26 @@ class Perm:
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(tuple(range(1, n + 1)))
+        return cls._trusted(range(1, n + 1))
 
-    def __len__(self):
-        return len(self.window)
-
-    def __iter__(self):
-        return iter(self.window)
-
-    def __getitem__(self, i):
-        return self.window[i]
+    @property
+    def window(self):
+        return tuple(self)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.window == other.window
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
-        return hash((type(self).__name__, self.window))
+        return hash((type(self).__name__, tuple(self)))
 
     def __str__(self):
-        return ",".join(str(v) for v in self.window)
+        return ",".join(map(str, self))
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-# the slot's own setter: unchecked, like object.__setattr__, but faster
-_set_window = Perm.window.__set__
 
 
 class SignedPerm(Perm):
@@ -157,39 +145,30 @@ class SignedPerm(Perm):
     _validate = staticmethod(_validate_signed)
 
 
-def _window(x):
-    return x.window if isinstance(x, Perm) else tuple(x)
-
-
 # -- type A statistics -------------------------------------------------------
 
 
-def exc(p):
-    w = _window(p)
+def exc(w):
     return sum(map(gt, w, range(1, len(w) + 1)))
 
 
-def nexc(p):
-    w = _window(p)
+def nexc(w):
     return sum(map(le, w, range(1, len(w) + 1)))
 
 
-def des(p):
-    w = _window(p)
+def des(w):
     return sum(map(gt, w, w[1:]))
 
 
-def asc(p):
-    w = _window(p)
+def asc(w):
     return sum(map(lt, w, w[1:]))
 
 
-def inv(p):
-    return sum(starmap(gt, combinations(_window(p), 2)))
+def inv(w):
+    return sum(starmap(gt, combinations(w, 2)))
 
 
-def fixed_points(p):
-    w = _window(p)
+def fixed_points(w):
     return sum(map(eq, w, range(1, len(w) + 1)))
 
 
@@ -219,74 +198,64 @@ def _cycle_lengths(w):
     return tuple(sorted(map(len, _cycles(w)), reverse=True))
 
 
-def cyc(p):
-    return len(_cycles(_window(p)))
+def cyc(w):
+    return len(_cycles(w))
 
 
-def sign(p):
-    return -1 if inv(p) % 2 else 1
+def sign(w):
+    return -1 if inv(w) % 2 else 1
 
 
-def pos_n(p):
+def pos_n(w):
     """1-based position of the entry of largest absolute value; 0 if empty.
 
     On a permutation or signed permutation of [n] this is where n or -n sits.
     """
-    w = _window(p)
     return w.index(max(w, key=abs)) + 1 if w else 0
 
 
 # -- signed statistics (types B and D) ----------------------------------------
 
 
-def negs(p):
-    w = _window(p)
+def negs(w):
     return sum(1 for v in w if v < 0)
 
 
-def exc_b(p):
-    w = _window(p)
+def _brenti_exc(w, fixed_sign):
+    """#{i: w_{|w_i|} > w_i, or w_i = fixed_sign * i}."""
     count = 0
     for i, v in enumerate(w, start=1):
-        if v == -i:
-            count += 1
-        elif w[abs(v) - 1] > v:
+        if w[abs(v) - 1] > v or v == fixed_sign * i:
             count += 1
     return count
 
 
-def nexc_b(p):
-    return len(_window(p)) - exc_b(p)
+def exc_b(w):
+    return _brenti_exc(w, -1)
 
 
-def wkexc_b(p):
-    w = _window(p)
-    count = 0
-    for i, v in enumerate(w, start=1):
-        if w[abs(v) - 1] > v:
-            count += 1
-        elif v == i:
-            count += 1
-    return count
+def nexc_b(w):
+    return len(w) - exc_b(w)
 
 
-def des_b(p):
-    w = (0,) + _window(p)
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+def wkexc_b(w):
+    return _brenti_exc(w, 1)
 
 
-def asc_b(p):
-    w = (0,) + _window(p)
-    return sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
+def des_b(w):
+    return des((0, *w))
 
 
-def inv_b(p):
-    return inv_d(p) + negs(p)
+def asc_b(w):
+    return asc((0, *w))
 
 
-def inv_b_negsum(p):
+def inv_b(w):
+    return inv_d(w) + negs(w)
+
+
+def inv_b_negsum(w):
     """Alternative type-B inversion count: inv plus the sum of negative letters."""
-    w = _window(p)
     return inv(w) + sum(v for v in w if v < 0)
 
 
@@ -295,17 +264,8 @@ nexc_d = nexc_b
 wkexc_d = wkexc_b
 
 
-def inv_d(p):
-    w = _window(p)
-    n = len(w)
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i] > w[j]:
-                count += 1
-            if -w[i] > w[j]:
-                count += 1
-    return count
+def inv_d(w):
+    return inv(w) + sum(-a > b for a, b in combinations(w, 2))
 
 
 # -- cycle types and partitions ------------------------------------------------
@@ -318,7 +278,11 @@ class CycleType:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(sorted((int(p) for p in self.parts), reverse=True))
+        parts = tuple(self.parts)
+        for p in parts:
+            if type(p) is not int:  # bool and float are not parts
+                raise InvalidSpec(f"part {p!r} is not an int")
+        parts = tuple(sorted(parts, reverse=True))
         if any(p < 1 for p in parts):
             raise InvalidSpec(f"parts must be positive: {self.parts}")
         object.__setattr__(self, "parts", parts)
@@ -358,9 +322,9 @@ class CycleType:
         return iter(self.parts)
 
 
-def cycle_type(p):
+def cycle_type(w):
     """Cycle type of a permutation; its sign equals the permutation's sign."""
-    return CycleType(_cycle_lengths(_window(p)))
+    return CycleType(_cycle_lengths(w))
 
 
 def _parts_desc(remaining, max_part):

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import attrgetter, gt, lt, sub
+from operator import gt, lt, sub
 
 from . import closedforms
 from .groups import (
@@ -155,7 +155,8 @@ def _resolve(weight, kind, table):
 
 
 def _weighted_sum(windows, weight, kind):
-    """Reference sum: the weight monomial over raw windows, one at a time.
+    """Reference sum: the weight monomial over windows, one at a time (a
+    ``Perm`` is one).
 
     Reads every statistic through its per-element function in ``groups``.
     ``dist_poly`` does not run it; tests compare the kernel against it, and
@@ -334,8 +335,7 @@ def length_halves(spec, weight, *, budget=DEFAULT_BUDGET):
 def _offset_error(spec, weight):
     """The reference sum's error, naming the first window gone negative."""
     try:
-        _weighted_sum(map(attrgetter("window"), iterate(spec, budget=None)),
-                      weight, spec.kind)
+        _weighted_sum(iterate(spec, budget=None), weight, spec.kind)
     except InvalidSpec as exc:
         return exc
     raise AssertionError(f"the reference sum over {spec} has no negative "

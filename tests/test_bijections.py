@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gammaexc.bijections import (
@@ -24,6 +26,10 @@ from gammaexc.groups import (
     nexc,
     pos_n,
 )
+
+
+def _exactly(message):
+    return f"^{re.escape(message)}$"
 
 
 def _multiset(values):
@@ -90,7 +96,8 @@ class TestPenultimateToFront:
         assert len(images) == 6
 
     def test_precondition(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match=_exactly(
+                "expected the letter 3 at position 2, found it at 3")):
             penultimate_to_front(Perm((1, 2, 3)))
 
 
@@ -120,9 +127,10 @@ class TestSwapLastTwo:
             assert {k: 2 * v for k, v in even.items()} == whole
 
     def test_precondition(self):
-        with pytest.raises(PreconditionViolated):
+        message = _exactly("the letter 3 must sit before position 2")
+        with pytest.raises(PreconditionViolated, match=message):
             swap_last_two(Perm((1, 3, 2)))
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match=message):
             swap_last_two(Perm((1, 2, 3)))
 
 
@@ -151,8 +159,15 @@ class TestLongCycleMaps:
                 assert exc(perm_to_long_cycle(p).window) == des(p.window) + 1
 
     def test_inverse_domain(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated,
+                           match=_exactly("(2, 1, 4, 3) is not a single 4-cycle")):
             long_cycle_to_perm(Perm((2, 1, 4, 3)))
+        with pytest.raises(PreconditionViolated,
+                           match=_exactly("(1, 2, 3) is not a single 3-cycle")):
+            long_cycle_to_perm(Perm((1, 2, 3)))
+        with pytest.raises(PreconditionViolated, match=_exactly(
+                "need a permutation of at least the empty set")):
+            perm_to_long_cycle(())
 
 
 class TestStandardize:

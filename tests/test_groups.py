@@ -1,7 +1,9 @@
 import math
+import re
 
 import pytest
 
+from gammaexc.closedforms import conj_exc_closed
 from gammaexc.groups import (
     BudgetExceeded,
     CycleType,
@@ -71,6 +73,11 @@ class TestWindows:
         assert hash(sigma) == hash(("SignedPerm", (2, 1)))
         assert (repr(p), repr(sigma)) == ("Perm(2,1)", "SignedPerm(2,1)")
         assert type(SignedPerm.identity(2)) is SignedPerm
+        assert p == Perm((2, 1)) and not p != Perm((2, 1))
+        assert p != (2, 1) and (2, 1) != p
+        assert not p == (2, 1) and not (2, 1) == p
+        assert (2, 1) not in {p}
+        assert not p == sigma and not sigma == p
 
     def test_immutability(self):
         p = Perm((2, 1))
@@ -190,6 +197,17 @@ class TestCycleTypes:
         for n in range(10):
             assert sum(lam.class_size() for lam in partitions(n)) \
                 == math.factorial(n)
+
+    @pytest.mark.parametrize("parts, bad", [
+        ((2.5, 1.9), 2.5), ((2, 1.0), 1.0), ((True, 1), True)])
+    def test_non_int_parts_rejected(self, parts, bad):
+        message = re.escape(f"part {bad!r} is not an int")
+        with pytest.raises(InvalidSpec, match=message):
+            CycleType(parts)
+        with pytest.raises(InvalidSpec, match=message):
+            GroupSpec("S", 3, cycle_type=parts)
+        with pytest.raises(InvalidSpec, match=message):
+            conj_exc_closed(parts)
 
     def test_multiplicities(self):
         lam = CycleType((3, 2, 2, 1))

@@ -373,6 +373,13 @@ class TestCli:
             main(["compute", "--family", "not_a_family", "--n", "3"])
         assert err.value.code == 2
 
+    def test_table_has_no_format_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--family", "aexc", "--class", "plus",
+                  "--n-range", "2..3", "--format", "json"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_semantic_error_exit_2(self):
         code, _, err = _run_cli(["compute", "--family", "bdexc", "--n", "3",
                                  "--class", "plus"])
