@@ -12,7 +12,8 @@ The remaining maps move the largest letter around the window: the
 penultimate-to-front bijection and the last-two-swap involution drive the
 plus/minus recurrences, and the long-cycle correspondence identifies the
 excedance distribution over n-cycles with a shifted descent distribution.
-Each map reads any window, a ``Perm`` being one, and returns a ``Perm``.
+Each map reads any window, validated unless it is a ``Perm``, and returns
+a ``Perm``; a bad window raises ``WindowError``.
 """
 
 from __future__ import annotations
@@ -40,12 +41,16 @@ def _write_cycle(image, cycle):
 
 def foata_fft(w):
     """Foata's first fundamental transformation: des(fft(w)) = exc(w)."""
+    if type(w) is not Perm:
+        w = Perm(w)
     word = [v for c in reversed(_cycles(w)) for v in c]
     return Perm._trusted(reversed(word))
 
 
 def foata_fft_inverse(w):
     """Inverse of ``foata_fft``: exc(fft_inverse(w)) = des(w)."""
+    if type(w) is not Perm:
+        w = Perm(w)
     word = w[::-1]
     n = len(word)
     image = [0] * n
@@ -66,12 +71,14 @@ def penultimate_to_front(w):
     position 1, and (exc, nexc-1) of the input becomes (des, asc) of the
     output.
     """
+    if type(w) is not Perm:
+        w = Perm(w)
     n = len(w)
     if n < 2 or pos_n(w) != n - 1:
         raise PreconditionViolated(
             f"expected the letter {n} at position {n - 1}, found it at {pos_n(w)}"
         )
-    reduced = tuple(v for v in w if v != n)
+    reduced = Perm._trusted((*w[:-2], w[-1]))  # w without its letter n
     return Perm._trusted((n, *foata_fft(reduced)))
 
 
@@ -81,6 +88,8 @@ def swap_last_two(w):
     Domain: windows whose top letter sits before the last two positions.
     This is a sign-reversing involution preserving the excedance count.
     """
+    if type(w) is not Perm:
+        w = Perm(w)
     n = len(w)
     if n < 2 or pos_n(w) > n - 2:
         raise PreconditionViolated(
@@ -95,9 +104,11 @@ def perm_to_long_cycle(w):
     The window a_1..a_{n-1} maps to the cycle (1, n+1-a_1, ..., n+1-a_{n-1})
     on [n], returned in window notation.
     """
+    if type(w) is not Perm:
+        w = Perm(w)
     n = len(w) + 1
     if n < 2:
-        raise PreconditionViolated("need a permutation of at least the empty set")
+        raise PreconditionViolated("need a permutation of [m] with m >= 1")
     image = [0] * n
     _write_cycle(image, [1] + [n + 1 - a for a in w])
     return Perm._trusted(image)
@@ -105,6 +116,8 @@ def perm_to_long_cycle(w):
 
 def long_cycle_to_perm(w):
     """Inverse of ``perm_to_long_cycle``; domain: single n-cycles on [n]."""
+    if type(w) is not Perm:
+        w = Perm(w)
     n = len(w)
     if n < 2 or len(cycles := _cycles(w)) != 1:
         raise PreconditionViolated(f"{tuple(w)} is not a single {n}-cycle")

@@ -156,9 +156,9 @@ def _cmd_table(args, out):
 
 
 def _cmd_verify(args, out):
-    caps = {cap: getattr(args, cap) if args.max_n is None else args.max_n
-            for cap in ("max_n_a", "max_n_b", "max_n_d")}
-    limits = checks.VerifyLimits(budget=args.budget, **caps)
+    caps = () if args.max_n is None else ("max_n_a", "max_n_b", "max_n_d")
+    limits = checks.VerifyLimits(budget=args.budget,
+                                 **dict.fromkeys(caps, args.max_n))
     results = checks.run_suite(args.suite, limits)
     failed = skipped = 0
     for res in results:
@@ -251,9 +251,6 @@ def build_parser():
     verify.add_argument("--max-n", type=int, default=None,
                         help="cap for every group kind (oversized checks "
                              "are skipped by the budget guard)")
-    verify.add_argument("--max-n-a", type=int, default=8)
-    verify.add_argument("--max-n-b", type=int, default=6)
-    verify.add_argument("--max-n-d", type=int, default=6)
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock times (non-deterministic)")

@@ -23,13 +23,13 @@ position of the entry of largest absolute value, on either kind of window.
 
 Each statistic is one function of a window, and a ``Perm`` is one: a
 validated window tuple.  There are no per-type records bundling them.
-``iterate`` is the one enumerator.  It yields ``Perm``/``SignedPerm``
-elements in lexicographic window order, or, for the oracle's fused kernel
-(behind ``oracle.dist_poly`` and ``oracle.length_halves``), bare window
-tuples one permutation of [n] at a time, with all its kept signed windows
-together.  The kernel computes the statistics in its own way; these
-per-element functions over ``iterate``'s lexicographic elements are the
-reference that tests check its sums against.
+``KINDS`` is the one table of the group kinds' rules.  ``iterate`` is the
+one enumerator.  It yields ``Perm``/``SignedPerm`` elements in lexicographic
+window order, or, for the oracle's fused kernel (behind ``oracle.dist_poly``
+and ``oracle.length_halves``), bare window tuples one permutation of [n] at
+a time, with all its kept signed windows together.  The kernel computes the
+statistics in its own way; these per-element functions over ``iterate``'s
+lexicographic elements are the reference that tests check its sums against.
 """
 
 from __future__ import annotations
@@ -344,14 +344,20 @@ def partitions(n):
 # -- group enumeration ---------------------------------------------------------
 
 
+# kind -> (the parities of the negated-entry count it keeps, how far one
+# negated entry moves its even/odd length split mod 2, or None: no split).
+# inv_B = inv_D + negs moves by 1; inv_D = inv(|w|) mod 2 and inv do not.
+KINDS = {"S": ((0,), 0), "B": ((0, 1), 1), "D": ((0,), 0), "B-D": ((1,), None)}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """One of the summation domains: a group, coset side, or refined subset.
 
-    kind: "S" (permutations), "B" (signed), "D" (even negatives),
-    "B-D" (odd negatives).  parity restricts to even/odd length elements
-    (inv for S, inv_B for B, inv_D for D; not available for B-D).  The
-    remaining filters apply to kind "S" only.
+    kind: a key of ``KINDS``: "S" (permutations), "B" (signed), "D" (even
+    negatives), "B-D" (odd negatives).  parity restricts to even/odd length
+    elements (inv for S, inv_B for B, inv_D for D; not available for B-D).
+    The remaining filters apply to kind "S" only.
     """
 
     kind: str
@@ -362,14 +368,14 @@ class GroupSpec:
     cycle_type: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("S", "B", "D", "B-D"):
+        if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
         if self.n < 0:
             raise InvalidSpec("n must be non-negative")
         if self.parity not in ("all", "even", "odd"):
             raise InvalidSpec(f"parity must be all/even/odd, got {self.parity!r}")
-        if self.kind == "B-D" and self.parity != "all":
-            raise InvalidSpec("B-D carries no even/odd length split here")
+        if self.parity != "all" and KINDS[self.kind][1] is None:
+            raise InvalidSpec(f"{self.kind} carries no even/odd length split here")
         if self.kind != "S" and (self.pos_n is not None
                                  or self.fixed_points is not None
                                  or self.cycle_type is not None):
@@ -399,15 +405,11 @@ class GroupSpec:
 
 def enumeration_cost(spec):
     """Number of windows the enumerator must visit for this spec."""
-    fact = math.factorial(spec.n)
-    if spec.kind == "S":
-        if spec.pos_n is not None and spec.n >= 1:
-            return math.factorial(spec.n - 1)
-        return fact
-    if spec.kind == "B":
-        return (2 ** spec.n) * fact
-    # D and B-D prune the final sign, halving the tree's leaves
-    return (2 ** max(spec.n - 1, 0)) * fact
+    if spec.kind == "S":  # a pos_n slice fixes where n sits
+        return math.factorial(spec.n - (spec.pos_n is not None))
+    # a kind that keeps one parity of negated entries has half the signs
+    signs = 2 ** max(spec.n - (len(KINDS[spec.kind][0]) == 1), 0)
+    return signs * math.factorial(spec.n)
 
 
 def _perm_windows(n):
@@ -420,34 +422,24 @@ def _perm_windows_pos_n(n, r):
         yield reduced[:r - 1] + (n,) + reduced[r - 1:]
 
 
-def _signed_windows(letters, negs_parity=None):
-    """Signed windows over ``letters`` in lexicographic order.
+def _signed_windows(letters, negs_parity=None, prefix=()):
+    """``prefix`` followed by each signed window over ``letters``, in
+    lexicographic order.
 
-    ``negs_parity`` (0 or 1) prunes the last sign choice so only windows with
-    that parity of negative entries are built.
+    ``negs_parity`` (0 or 1) keeps only the windows with that parity of
+    negative entries; each negated letter flips the parity still wanted.
     """
-    n = len(letters)
-    if n == 0:
-        if negs_parity in (None, 0):
-            yield ()
-        return
-
-    def rec(prefix, remaining, neg_count):
-        depth = len(prefix)
-        if depth == n:
+    letters = frozenset(letters)
+    if not letters:
+        if not negs_parity:
             yield prefix
-            return
-        candidates = sorted([-a for a in remaining] + list(remaining))
-        if negs_parity is not None and depth == n - 1:
-            candidates = [
-                v for v in candidates
-                if (neg_count + (1 if v < 0 else 0)) % 2 == negs_parity
-            ]
-        for v in candidates:
-            yield from rec(prefix + (v,), remaining - {abs(v)},
-                           neg_count + (1 if v < 0 else 0))
-
-    yield from rec((), frozenset(letters), 0)
+        return
+    flipped = None if negs_parity is None else 1 - negs_parity
+    order = sorted(letters)
+    for v in reversed(order):
+        yield from _signed_windows(letters - {v}, flipped, prefix + (-v,))
+    for v in order:
+        yield from _signed_windows(letters - {v}, negs_parity, prefix + (v,))
 
 
 def _signed_windows_by_permutation(spec):
@@ -461,13 +453,12 @@ def _signed_windows_by_permutation(spec):
     """
     in_class = [[sum(negated) % 2 == q
                  for negated in product((0, 1), repeat=spec.n)] for q in (0, 1)]
-    kept = {"B": (0, 1), "D": (0,), "B-D": (1,)}[spec.kind]
+    kept, moves = KINDS[spec.kind]
     want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
-    negs_in_length = 1 if spec.kind == "B" else 0
     for p in _perm_windows(spec.n):
         length = 0 if want is None else inv(p)
         for q in kept:
-            if want is None or (length + negs_in_length * q) % 2 == want:
+            if want is None or (length + moves * q) % 2 == want:
                 yield from compress(product(*zip(p, map(neg, p))), in_class[q])
 
 
@@ -479,7 +470,7 @@ def windows_per_permutation(spec):
     """
     if spec.kind == "S" or spec.n == 0:
         return 1
-    return 2 ** (spec.n - (spec.kind != "B" or spec.parity != "all"))
+    return 2 ** (spec.n - (len(KINDS[spec.kind][0]) == 1 or spec.parity != "all"))
 
 
 def check_budget(spec, budget):
@@ -502,38 +493,29 @@ def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
     scan is too large.
     """
     check_budget(spec, budget)
+    kept, moves = KINDS[spec.kind]
     if spec.kind == "S":
-        if spec.pos_n is not None:
-            stream = _perm_windows_pos_n(spec.n, spec.pos_n)
-        else:
-            stream = _perm_windows(spec.n)
-        for w in stream:
-            if spec.fixed_points is not None and fixed_points(w) != spec.fixed_points:
-                continue
-            if spec.cycle_type is not None and _cycle_lengths(w) != spec.cycle_type:
-                continue
-            if spec.parity != "all":
-                if inv(w) % 2 != (0 if spec.parity == "even" else 1):
-                    continue
-            yield w if by_permutation else Perm._trusted(w)
-        return
-
-    if by_permutation:
+        stream = (_perm_windows(spec.n) if spec.pos_n is None
+                  else _perm_windows_pos_n(spec.n, spec.pos_n))
+        length, element = inv, None if by_permutation else Perm._trusted
+    elif by_permutation:
         yield from _signed_windows_by_permutation(spec)
         return
-    letters = tuple(range(1, spec.n + 1))
-    if spec.kind == "B":
-        stream = _signed_windows(letters)
-    elif spec.kind == "D":
-        stream = _signed_windows(letters, negs_parity=0)
-    else:  # B-D
-        stream = _signed_windows(letters, negs_parity=1)
-    length_stat = inv_d if spec.kind == "D" else inv_b
+    else:
+        stream = _signed_windows(range(1, spec.n + 1),
+                                 kept[0] if len(kept) == 1 else None)
+        length, element = inv_b if moves else inv_d, SignedPerm._trusted
+    # the S-only filters are None on a signed spec
+    fixed, lam = spec.fixed_points, spec.cycle_type
+    want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
     for w in stream:
-        if spec.parity != "all":
-            if length_stat(w) % 2 != (0 if spec.parity == "even" else 1):
-                continue
-        yield SignedPerm._trusted(w)
+        if fixed is not None and fixed_points(w) != fixed:
+            continue
+        if lam is not None and _cycle_lengths(w) != lam:
+            continue
+        if want is not None and length(w) % 2 != want:
+            continue
+        yield w if element is None else element(w)
 
 
 def cardinality(spec, budget=DEFAULT_BUDGET):

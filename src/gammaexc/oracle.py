@@ -44,6 +44,7 @@ from .groups import (
     DEFAULT_BUDGET,
     GroupSpec,
     InvalidSpec,
+    KINDS,
     asc,
     asc_b,
     cyc,
@@ -274,12 +275,12 @@ def _kernel(spec, weight, budget, split):
 
     It packs the weight's statistics once per block of ``iterate``'s bare
     windows (``by_permutation``).  A signed block keeps whole classes of
-    negated entries (by the parity of their count): p and the class come
-    from its first window, and its keys are built by doubling over the
-    positions.  Length and sign are inv(p) mod 2 (inv_D = inv(p) mod 2),
-    moved by the class for the type-B length and an inv_b sign.
-    UndefinedStatistic comes first, then BudgetExceeded, by ``iterate``'s
-    rule, before any window.
+    negated entries (by the parity of their count): every class its kind
+    keeps, or on a half the class of its first window, which also gives p.
+    Its keys are built by doubling over the positions.  Length and sign are
+    inv(p) mod 2 (inv_D = inv(p) mod 2), moved by the class for the type-B
+    length and an inv_b sign.  UndefinedStatistic comes first, then
+    BudgetExceeded, by ``iterate``'s rule, before any window.
     """
     n, signed = spec.n, spec.kind != "S"
     table = _signed_kernel(n) if signed else A_STATISTICS
@@ -287,8 +288,8 @@ def _kernel(spec, weight, budget, split):
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
     pack = _packer([form for form, _ in entries], signed, n, radix)
     signs, sign_moves = weight.sign_stat is not None, weight.sign_stat == "inv_b"
-    length_moves = spec.kind == "B"
-    classes = (0, 1) if length_moves and spec.parity == "all" else None
+    kept, length_moves = KINDS[spec.kind]
+    classes = kept if spec.parity == "all" else None
     tallies = defaultdict(Counter)  # (length parity, negative) -> key counts
     windows = iterate(spec, budget=budget, by_permutation=True)
     for block in zip(*[windows] * windows_per_permutation(spec)):
@@ -327,7 +328,7 @@ def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
 def length_halves(spec, weight, *, budget=DEFAULT_BUDGET):
     """(even, odd): ``dist_poly`` on the spec's even and odd halves, from one
     pass over the whole domain.  The spec must be a whole S, B or D."""
-    if spec.parity != "all" or spec.kind == "B-D":
+    if spec.parity != "all" or KINDS[spec.kind][1] is None:
         raise InvalidSpec(f"length_halves needs a whole S, B or D domain, got {spec}")
     return tuple(_kernel(spec, weight, budget, split=True))
 

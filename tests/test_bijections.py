@@ -17,6 +17,8 @@ from gammaexc.bijections import (
 from gammaexc.groups import (
     GroupSpec,
     Perm,
+    SignedPerm,
+    WindowError,
     asc,
     cycle_type,
     des,
@@ -166,8 +168,23 @@ class TestLongCycleMaps:
                            match=_exactly("(1, 2, 3) is not a single 3-cycle")):
             long_cycle_to_perm(Perm((1, 2, 3)))
         with pytest.raises(PreconditionViolated, match=_exactly(
-                "need a permutation of at least the empty set")):
+                "need a permutation of [m] with m >= 1")):
             perm_to_long_cycle(())
+
+
+@pytest.mark.parametrize("bijection, window, message", [
+    (foata_fft, (3, 1), "position 1: value 3 outside 1..2"),
+    (foata_fft_inverse, SignedPerm((-1, 2)), "position 1: value -1 outside 1..2"),
+    (penultimate_to_front, (1, 3, 3), "position 3: value 3 repeated"),
+    (swap_last_two, (1, 1, 1), "position 2: value 1 repeated"),
+    (perm_to_long_cycle, (1, 1), "position 2: value 1 repeated"),
+    (long_cycle_to_perm, (2, 2), "position 2: value 2 repeated"),
+    (long_cycle_to_perm, (5, 1), "position 1: value 5 outside 1..2"),
+])
+def test_bad_window_is_rejected(bijection, window, message):
+    # a window that is not a Perm is validated before the map reads it
+    with pytest.raises(WindowError, match=_exactly(message)):
+        bijection(window)
 
 
 class TestStandardize:

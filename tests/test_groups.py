@@ -19,6 +19,7 @@ from gammaexc.groups import (
     cycle_type,
     des,
     des_b,
+    enumeration_cost,
     exc,
     exc_b,
     exc_d,
@@ -301,6 +302,26 @@ class TestIterate:
             GroupSpec("X", 3)
         with pytest.raises(InvalidSpec):
             GroupSpec("B-D", 3, parity="even")
+
+    def test_enumeration_cost(self):
+        # n = 0..6; a half of B counts all of B_n's windows, twice the
+        # windows its stream builds
+        costs = {
+            "S": (1, 1, 2, 6, 24, 120, 720),
+            "B": (1, 2, 8, 48, 384, 3840, 46080),
+            "D": (1, 1, 4, 24, 192, 1920, 23040),
+            "B-D": (1, 1, 4, 24, 192, 1920, 23040),
+        }
+        pos_n_costs = (None, 1, 1, 2, 6, 24, 120)
+        for n in range(7):
+            assert enumeration_cost(GroupSpec("B-D", n)) == costs["B-D"][n]
+            for parity in ("all", "even", "odd"):
+                for kind in ("S", "B", "D"):
+                    spec = GroupSpec(kind, n, parity)
+                    assert enumeration_cost(spec) == costs[kind][n], spec
+                for r in range(1, n + 1):
+                    spec = GroupSpec("S", n, parity, pos_n=r)
+                    assert enumeration_cost(spec) == pos_n_costs[n], spec
 
 
 class TestRankZero:

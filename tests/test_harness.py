@@ -380,6 +380,12 @@ class TestCli:
         assert err.value.code == 2
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
+    def test_verify_has_one_cap_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--max-n-a", "3"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --max-n-a 3" in capsys.readouterr().err
+
     def test_semantic_error_exit_2(self):
         code, _, err = _run_cli(["compute", "--family", "bdexc", "--n", "3",
                                  "--class", "plus"])
