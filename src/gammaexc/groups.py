@@ -368,7 +368,7 @@ class GroupSpec:
     cycle_type: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
         if self.n < 0:
             raise InvalidSpec("n must be non-negative")
