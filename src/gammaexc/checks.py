@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 
 from . import bijections, closedforms, oracle
 from .groups import (
@@ -743,15 +745,11 @@ def _check_long_cycles(limits):
            "set-partition count times the product of long-cycle factors")
 def _check_conjugacy(limits):
     for n in range(1, limits.max_n_a + 1):
-        buckets = {}
-        for p in iterate(GroupSpec("S", n), budget=limits.budget):
-            dist = buckets.setdefault(_cycle_lengths(p), {})
-            e = exc(p)
-            dist[e] = dist.get(e, 0) + 1
+        a, b = tee(iterate(GroupSpec("S", n), limits.budget, by_permutation=True))
+        tally = Counter(zip(map(_cycle_lengths, a), map(exc, b)))
         for lam in partitions(n):
-            dist = buckets.get(lam.parts, {})
-            _same(f"n={n} type {lam}",
-                  Poly(("t",), {(e,): c for e, c in dist.items()}),
+            dist = {(e,): c for (parts, e), c in tally.items() if parts == lam.parts}
+            _same(f"n={n} type {lam}", Poly(("t",), dist),
                   closedforms.conj_exc_closed(lam))
             _same(f"|C_{lam}|", sum(dist.values()), lam.class_size())
     return _ranged(1, limits.max_n_a)

@@ -24,19 +24,22 @@ position of the entry of largest absolute value, on either kind of window.
 Each statistic is one function of a window, and a ``Perm`` is one: a
 validated window tuple.  There are no per-type records bundling them.
 ``KINDS`` is the one table of the group kinds' rules.  ``iterate`` is the
-one enumerator.  It yields ``Perm``/``SignedPerm`` elements in lexicographic
-window order, or, for the oracle's fused kernel (behind ``oracle.dist_poly``
-and ``oracle.length_halves``), bare window tuples one permutation of [n] at
-a time, with all its kept signed windows together.  The kernel computes the
-statistics in its own way; these per-element functions over ``iterate``'s
-lexicographic elements are the reference that tests check its sums against.
+one enumerator.  It returns ``Perm``/``SignedPerm`` elements in
+lexicographic window order, or, for the oracle's fused kernel (behind
+``oracle.dist_poly`` and ``oracle.length_halves``), bare window tuples one
+permutation of [n] at a time, from C iterators: ``itertools.permutations``
+itself on a whole S_n (``_perm_parities`` lists its inv parities), and on
+a signed group one ``compress`` block per permutation and kept class,
+chained.  The kernel computes the statistics in its own way; these
+per-element functions over ``iterate``'s lexicographic elements are the
+reference that tests check its sums against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress, product, starmap
+from itertools import chain, combinations, compress, product, starmap
 from itertools import permutations as _itertools_permutations
 from operator import eq, gt, le, lt, neg
 
@@ -416,6 +419,17 @@ def _perm_windows(n):
     return _itertools_permutations(range(1, n + 1))
 
 
+def _perm_parities(n, shift=0):
+    """(inv(w) + shift) % 2 for each window w of ``_perm_windows(n)``, as
+    bytes: S_m's is S_(m-1)'s once per first letter, flipped under an even
+    one, because inv(w) sums the Lehmer digits of w's lexicographic rank."""
+    parities = b"\0", b"\1"  # S_1's, and flipped
+    for m in range(2, n + 1):
+        parities = [(a + b) * (m // 2) + a * (m % 2)
+                    for a, b in (parities, parities[::-1])]
+    return parities[shift % 2]
+
+
 def _perm_windows_pos_n(n, r):
     """Windows of S_n with letter n at position r, in lexicographic order."""
     for reduced in _perm_windows(n - 1):
@@ -449,17 +463,17 @@ def _signed_windows_by_permutation(spec):
     kept windows, those with an even number of negated entries first.  The
     even/odd filter picks whole parity classes of negated entries, because
     inv_D is congruent to inv(p) and inv_B = inv_D + negs.  ``in_class[q]``
-    masks the windows of ``product(*zip(p, -p))`` in class q.
+    masks the windows of ``product(*zip(p, -p))`` in class q.  The blocks
+    are chained in C, so no Python frame runs per window.
     """
     in_class = [[sum(negated) % 2 == q
                  for negated in product((0, 1), repeat=spec.n)] for q in (0, 1)]
     kept, moves = KINDS[spec.kind]
     want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
-    for p in _perm_windows(spec.n):
-        length = 0 if want is None else inv(p)
-        for q in kept:
-            if want is None or (length + moves * q) % 2 == want:
-                yield from compress(product(*zip(p, map(neg, p))), in_class[q])
+    return chain.from_iterable(
+        compress(product(*zip(p, map(neg, p))), in_class[q])
+        for p, length in zip(_perm_windows(spec.n), _perm_parities(spec.n))
+        for q in kept if want is None or (length + moves * q) % 2 == want)
 
 
 def windows_per_permutation(spec):
@@ -473,34 +487,33 @@ def windows_per_permutation(spec):
     return 2 ** (spec.n - (len(KINDS[spec.kind][0]) == 1 or spec.parity != "all"))
 
 
-def check_budget(spec, budget):
-    """Raise BudgetExceeded when scanning the spec's domain is too large."""
-    if budget is not None and enumeration_cost(spec) > budget:
-        raise BudgetExceeded(
-            f"enumerating {spec} visits {enumeration_cost(spec)} windows, "
-            f"over the budget of {budget}"
-        )
-
-
 def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
-    """Yield each element of the spec's domain exactly once.
+    """An iterator over the spec's domain, each element once.
 
     By default the elements come in lexicographic window order, as ``Perm``
     or ``SignedPerm``.  With ``by_permutation`` they come as bare window
     tuples, one permutation of [n] at a time: ``windows_per_permutation``
-    windows each on a signed group (see ``_signed_windows_by_permutation``),
-    one on kind S.  Raises BudgetExceeded before any work when the ambient
-    scan is too large.
+    windows each on a signed group, one on kind S (a whole S_n is
+    ``itertools.permutations``).  Raises BudgetExceeded when called, before
+    any window, if the ambient scan is too large.
     """
-    check_budget(spec, budget)
+    if budget is not None and enumeration_cost(spec) > budget:
+        raise BudgetExceeded(f"enumerating {spec} visits {enumeration_cost(spec)}"
+                             f" windows, over the budget of {budget}")
+    if by_permutation and spec == GroupSpec("S", spec.n):  # no filter
+        return _perm_windows(spec.n)
+    if by_permutation and spec.kind != "S":
+        return _signed_windows_by_permutation(spec)
+    return _lexicographic(spec, bare=by_permutation)
+
+
+def _lexicographic(spec, bare):
+    """``iterate``'s filter loop, in lexicographic order; bare on kind S."""
     kept, moves = KINDS[spec.kind]
     if spec.kind == "S":
         stream = (_perm_windows(spec.n) if spec.pos_n is None
                   else _perm_windows_pos_n(spec.n, spec.pos_n))
-        length, element = inv, None if by_permutation else Perm._trusted
-    elif by_permutation:
-        yield from _signed_windows_by_permutation(spec)
-        return
+        length, element = inv, None if bare else Perm._trusted
     else:
         stream = _signed_windows(range(1, spec.n + 1),
                                  kept[0] if len(kept) == 1 else None)

@@ -9,15 +9,18 @@ sign statistic contributing (-1)^stat.
 
 Every weighted sum runs through one fused kernel, behind ``dist_poly`` and
 ``length_halves``.  It pulls ``groups.iterate``'s bare windows one
-permutation p of [n] at a time, and every statistic has a kernel form
-there.  A type-A form is the statistic's own function.  A signed form is
-affine in the sign indicators: p gives (c, w), and on the window that
-negates the positions in N the statistic is c + sum(w[j] for j in N).  So
-p's statistics are computed once for its 2^n windows, and their keys are
-built by doubling over the positions, kept apart by the parity of |N|.
-The length and the sign are parities of inv(p), moved by that of |N| for
-the type-B length and the inv_b sign, so one pass tallies the even- and
-odd-length halves apart (``length_halves``).  The reference is
+permutation p of [n] at a time.  On kind S it tallies them in C: each
+distinct base statistic is one ``map`` over a ``tee`` copy of the stream
+(nexc = n - exc and asc = max(n - 1, 0) - des read one), and
+``Counter(zip(...))`` counts them with the length parity.  A signed
+statistic has a kernel form, affine in the sign indicators: p gives (c, w),
+and on the window that negates the positions in N it is
+c + sum(w[j] for j in N).  So p's statistics are computed once for its
+2^n windows, and their keys are built by doubling over the positions, kept
+apart by the parity of |N|.  The length and the sign are parities of
+inv(p), moved by that of |N| for the type-B length and the inv_b sign, so
+one pass tallies the even- and odd-length halves apart
+(``length_halves``).  The reference is
 ``_weighted_sum`` over ``iterate``'s lexicographic windows with the
 per-element functions of ``groups``; tests compare the kernel against it.
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat, tee
 from operator import gt, lt, sub
 
 from . import closedforms
@@ -45,6 +49,7 @@ from .groups import (
     GroupSpec,
     InvalidSpec,
     KINDS,
+    _perm_parities,
     asc,
     asc_b,
     cyc,
@@ -246,59 +251,64 @@ def _signed_kernel(n):
     }
 
 
-def _packer(forms, signed, n, radix):
-    """Map a permutation p to (c, w): its windows' packed keys, affine in N.
+def _type_a_tally(spec, weight, entries, windows, split):
+    """Kind S: (length, negative, key, count) per distinct tally entry.
 
-    A key packs the weight's statistics in base ``radix``, the first one
-    most significant; packing is linear, so the window negating the
-    positions in N has key c + sum(w[j] for j in N).  On kind S, w is empty.
+    The length parity (inv mod 2, and the sign) comes from the cheapest
+    exact source: the spec's even/odd filter or cycle type (a constant),
+    the parity string of ``iterate``'s S_n or of the S_(n-1) under its
+    ``pos_n`` slice (n at position r adds n - r inversions), or inv itself
+    under a fixed-point filter.
     """
-    if not signed:
-        def pack(p):
-            key = 0
-            for form in forms:
-                key = key * radix + form(p)
-            return key, ()
+    n, signs = spec.n, weight.sign_stat is not None
+    complements = {nexc: (exc, n, -1), asc: (des, max(n - 1, 0), -1)}
+    forms = [complements.get(func, (func, 0, 1)) for func, _ in entries]
+    # some column must pull every window, also for a weight with no statistic
+    bases = [*dict.fromkeys(base for base, _, _ in forms)] or [len]
+    if not (split or signs):
+        parity = []
+    elif spec.parity != "all":
+        parity = [repeat(("even", "odd").index(spec.parity))]
+    elif spec.cycle_type is not None:
+        parity = [repeat(n - len(spec.cycle_type))]
+    elif spec.fixed_points is not None:
+        parity, bases = [], bases + [inv]
     else:
-        def pack(p):
-            c, weights = 0, [0] * n
-            for form in forms:
-                form_c, form_w = form(p)
-                c = c * radix + form_c
-                weights = [x * radix + y for x, y in zip(weights, form_w)]
-            return c, weights
-    return pack
+        parity = [_perm_parities(n) if spec.pos_n is None
+                  else _perm_parities(n - 1, n - spec.pos_n)]
+    places = [(bases.index(base), c + off, sign)
+              for (base, c, sign), (_, off) in zip(forms, entries)]
+    columns = [*map(map, bases, tee(windows, len(bases))), *parity]
+    for values, count in Counter(zip(*columns)).items():
+        bit = values[-1] % 2  # the parity column is last, when there is one
+        yield split and bit, signs and bit, tuple(
+            c + sign * values[i] for i, c, sign in places), count
 
 
-def _kernel(spec, weight, budget, split):
-    """The fused kernel: [whole], or [even, odd] by length when ``split``.
+def _signed_tally(spec, weight, entries, windows, split):
+    """Types B and D: (length, negative, key, count) per distinct tally entry.
 
-    It packs the weight's statistics once per block of ``iterate``'s bare
-    windows (``by_permutation``).  A signed block keeps whole classes of
-    negated entries (by the parity of their count): every class its kind
-    keeps, or on a half the class of its first window, which also gives p.
-    Its keys are built by doubling over the positions.  Length and sign are
-    inv(p) mod 2 (inv_D = inv(p) mod 2), moved by the class for the type-B
-    length and an inv_b sign.  UndefinedStatistic comes first, then
-    BudgetExceeded, by ``iterate``'s rule, before any window.
+    The statistics are packed in base ``radix``, first one most significant,
+    once per block of windows sharing p; packing is linear, so the window
+    negating N has key c + sum(w[j] for j in N).  A block keeps whole
+    classes of negated entries: every class its kind keeps, or on a half
+    the class of its first window.  Length and sign are inv(p) mod 2, moved
+    by the class for the type-B length and an inv_b sign.
     """
-    n, signed = spec.n, spec.kind != "S"
-    table = _signed_kernel(n) if signed else A_STATISTICS
-    entries, _ = _resolve(weight, spec.kind, table)
+    n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
-    pack = _packer([form for form, _ in entries], signed, n, radix)
     signs, sign_moves = weight.sign_stat is not None, weight.sign_stat == "inv_b"
     kept, length_moves = KINDS[spec.kind]
     classes = kept if spec.parity == "all" else None
     tallies = defaultdict(Counter)  # (length parity, negative) -> key counts
-    windows = iterate(spec, budget=budget, by_permutation=True)
     for block in zip(*[windows] * windows_per_permutation(spec)):
-        p = tuple(map(abs, block[0])) if signed else block[0]
-        c, weights = pack(p)
+        p = tuple(map(abs, block[0]))
+        c, weights = 0, [0] * n
+        for form, _ in entries:
+            form_c, form_w = form(p)
+            c = c * radix + form_c
+            weights = [x * radix + y for x, y in zip(weights, form_w)]
         parity = (split or signs) and inv(p) % 2
-        if not signed:  # one window, with no negated entries
-            tallies[split and parity, signs and parity][c] += 1
-            continue
         even, odd = [c], []
         for x in weights:
             even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
@@ -306,16 +316,29 @@ def _kernel(spec, weight, budget, split):
             length = split and (parity + length_moves * cls) % 2
             negative = signs and (parity + sign_moves * cls) % 2
             tallies[length, negative].update((even, odd)[cls])
-    halves = ({}, {})
     digits = [(radix ** i, off) for i, (_, off) in enumerate(reversed(entries))]
     digits.reverse()  # (place value, offset) per statistic, first one first
     for (length, negative), counts in tallies.items():
-        terms = halves[length]
         for packed, count in counts.items():
-            key = tuple(packed // place % radix + off for place, off in digits)
-            if key and min(key) < 0:
-                raise _offset_error(spec, weight)
-            terms[key] = terms.get(key, 0) + (-count if negative else count)
+            yield length, negative, tuple(
+                packed // place % radix + off for place, off in digits), count
+
+
+def _kernel(spec, weight, budget, split):
+    """The fused kernel: [whole], or [even, odd] by length when ``split``;
+    each distinct tally entry is checked and signed once.
+    UndefinedStatistic comes first, then BudgetExceeded, by ``iterate``'s
+    rule, before any window."""
+    table, tally = ((A_STATISTICS, _type_a_tally) if spec.kind == "S"
+                    else (_signed_kernel(spec.n), _signed_tally))
+    entries, _ = _resolve(weight, spec.kind, table)
+    windows = iterate(spec, budget=budget, by_permutation=True)
+    halves = ({}, {})
+    for length, negative, key, count in tally(spec, weight, entries, windows, split):
+        if key and min(key) < 0:
+            raise _offset_error(spec, weight)
+        terms = halves[length]
+        terms[key] = terms.get(key, 0) + (-count if negative else count)
     return [Poly(weight.variables, terms) for terms in halves[:1 + split]]
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +13,7 @@ from gammaexc.groups import (
     Perm,
     SignedPerm,
     WindowError,
+    _perm_parities,
     asc,
     asc_b,
     cardinality,
@@ -291,6 +293,20 @@ class TestIterate:
         with pytest.raises(BudgetExceeded):
             list(iterate(GroupSpec("S", 4), budget=10))
 
+    @pytest.mark.parametrize("by_permutation", [False, True])
+    def test_budget_raised_when_called(self, by_permutation):
+        # iterate returns a stream: the guard fires before it is consumed
+        for spec in (GroupSpec("B", 12), GroupSpec("S", 13, fixed_points=0)):
+            with pytest.raises(BudgetExceeded):
+                iterate(spec, by_permutation=by_permutation)
+        with pytest.raises(BudgetExceeded):
+            iterate(GroupSpec("S", 4), budget=10)
+
+    def test_whole_s_n_by_permutation_is_lexicographic(self):
+        for n in range(6):
+            assert list(iterate(GroupSpec("S", n), by_permutation=True)) == (
+                list(permutations(range(1, n + 1))))
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
             GroupSpec("S", 4, pos_n=5)
@@ -322,6 +338,23 @@ class TestIterate:
                 for r in range(1, n + 1):
                     spec = GroupSpec("S", n, parity, pos_n=r)
                     assert enumeration_cost(spec) == pos_n_costs[n], spec
+
+
+class TestKernelIdentities:
+    """The identities the oracle's kind-S tally reads instead of a statistic."""
+
+    def test_parity_string_lists_inv_mod_2_in_lexicographic_order(self):
+        for m in range(9):
+            assert _perm_parities(m) == bytes(
+                inv(p) % 2 for p in permutations(range(1, m + 1)))
+            flipped = bytes(1 - b for b in _perm_parities(m))
+            assert _perm_parities(m, shift=3) == flipped
+
+    def test_complements(self):
+        for n in range(8):
+            for w in permutations(range(1, n + 1)):
+                assert nexc(w) == n - exc(w)
+                assert asc(w) == max(n - 1, 0) - des(w)
 
 
 class TestRankZero:

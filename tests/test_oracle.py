@@ -210,7 +210,7 @@ def group_specs(draw, kinds=("S", "B", "D", "B-D"),
 @st.composite
 def weight_specs(draw, kind):
     table = A_STATISTICS if kind == "S" else SIGNED_STATISTICS
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
     stats = draw(st.lists(st.sampled_from(sorted(table)), min_size=k,
                           max_size=k))
     variables = draw(st.permutations(VARIABLES))[:k]
@@ -243,6 +243,34 @@ class TestKernel:
         # the letters are immaterial: their signed windows sum to B_n's
         assert _weighted_sum(_signed_windows(tuple(letters)), SGNB_WEIGHT,
                              "B") == sgnb_des_u(len(letters))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_empty_weight_with_inv_sign(self, n):
+        """Each source of the kind-S parity, on a weight with no statistic."""
+        weight = WeightSpec((), sign_stat="inv")
+        specs = [GroupSpec("S", n),  # the parity string
+                 *(GroupSpec("S", n, parity=parity)  # the filter's constant
+                   for parity in ("even", "odd")),
+                 *(GroupSpec("S", n, pos_n=r)  # the shifted string
+                   for r in range(1, n + 1)),
+                 *(GroupSpec("S", n, fixed_points=i)  # inv per window
+                   for i in range(n + 1)),
+                 *(GroupSpec("S", n, cycle_type=lam.parts)  # n - len(lam)
+                   for lam in partitions(n))]
+        for spec in specs:
+            assert dist_poly(spec, weight) == _reference(spec, weight), spec
+            if spec.parity == "all":
+                assert length_halves(spec, weight) == tuple(
+                    _reference(replace(spec, parity=parity), weight)
+                    for parity in ("even", "odd")), spec
+
+    def test_complement_statistics_at_low_ranks(self):
+        # the kernel reads nexc and asc as n - exc and max(n - 1, 0) - des
+        weight = WeightSpec((("t", "nexc", 0), ("s", "asc", 0), ("q", "exc", 0),
+                             ("u", "des", 0)))
+        for n in range(5):
+            for spec in (GroupSpec("S", n), GroupSpec("S", n, parity="odd")):
+                assert dist_poly(spec, weight) == _reference(spec, weight)
 
     def test_every_signed_statistic_has_a_kernel_form(self):
         # a type-A statistic's kernel form is its own function
