@@ -255,10 +255,10 @@ def _type_a_tally(spec, weight, entries, windows, split):
     """Kind S: (length, negative, key, count) per distinct tally entry.
 
     The length parity (inv mod 2, and the sign) comes from the cheapest
-    exact source: the spec's even/odd filter or cycle type (a constant),
-    the parity string of ``iterate``'s S_n or of the S_(n-1) under its
-    ``pos_n`` slice (n at position r adds n - r inversions), or inv itself
-    under a fixed-point filter.
+    exact source: the spec's even/odd filter (a constant), the parity
+    string of ``iterate``'s S_n or of the S_(n-1) under its ``pos_n`` slice
+    (n at position r adds n - r inversions), or inv itself under a
+    fixed-point or cycle-type filter.
     """
     n, signs = spec.n, weight.sign_stat is not None
     complements = {nexc: (exc, n, -1), asc: (des, max(n - 1, 0), -1)}
@@ -269,9 +269,7 @@ def _type_a_tally(spec, weight, entries, windows, split):
         parity = []
     elif spec.parity != "all":
         parity = [repeat(("even", "odd").index(spec.parity))]
-    elif spec.cycle_type is not None:
-        parity = [repeat(n - len(spec.cycle_type))]
-    elif spec.fixed_points is not None:
+    elif spec.fixed_points is not None or spec.cycle_type is not None:
         parity, bases = [], bases + [inv]
     else:
         parity = [_perm_parities(n) if spec.pos_n is None

@@ -300,12 +300,7 @@ class TestIterate:
             with pytest.raises(BudgetExceeded):
                 iterate(spec, by_permutation=by_permutation)
         with pytest.raises(BudgetExceeded):
-            iterate(GroupSpec("S", 4), budget=10)
-
-    def test_whole_s_n_by_permutation_is_lexicographic(self):
-        for n in range(6):
-            assert list(iterate(GroupSpec("S", n), by_permutation=True)) == (
-                list(permutations(range(1, n + 1))))
+            iterate(GroupSpec("S", 4), budget=10, by_permutation=by_permutation)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
