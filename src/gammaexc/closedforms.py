@@ -16,7 +16,8 @@ division is exact and raises OddCoefficient if it ever is not.
 The engines compute on rows: a homogeneous polynomial of degree d in (s, t)
 is the list r with r[k] the coefficient of s^(d-k) t^k, so s*f is r + [0] and
 t*f is [0] + r.  A row becomes a Poly once, where it leaves the engine, and
-is never mutated once built.  The four-step jump alone stays on Poly.
+is never mutated once built.  The four-step jump stays on Poly, and
+conj_exc_closed and sgnb_des_u_closed multiply Polys too.
 """
 
 from __future__ import annotations
@@ -201,15 +202,16 @@ def _bdexc_view(pair, n, cls):
     return pair[1]
 
 
-_DEXC_PAIRS = {2: ([1, 2, 1], [0, 4, 0])}
+_B_PAIRS = {1: ([1, 0], [0, 1])}
 
 # family -> (memo: level -> pair of rows (X, Y), growth row at level m, what
-# the family reads off the pair).  Every engine steps the same coupled shape.
+# the family reads off the pair, lowest rank).  Every engine steps the same
+# coupled shape; dexc and bdexc read bexc's pairs.
 _STEPS = {
-    "aexc": ({2: ([1, 0], [0, 1])}, _grow_a, _halves),
-    "bexc": ({1: ([1, 0], [0, 1])}, _grow_b, _halves),
-    "dexc": (_DEXC_PAIRS, _grow_b, _dexc_view),
-    "bdexc": (_DEXC_PAIRS, _grow_b, _bdexc_view),
+    "aexc": ({2: ([1, 0], [0, 1])}, _grow_a, _halves, 2),
+    "bexc": (_B_PAIRS, _grow_b, _halves, 1),
+    "dexc": (_B_PAIRS, _grow_b, _dexc_view, 2),
+    "bdexc": (_B_PAIRS, _grow_b, _bdexc_view, 2),
 }
 
 
@@ -220,12 +222,11 @@ def step_recurrence(family, n, cls="all"):
     Y_n = t X_{n-1} + s Y_{n-1} + g_n.  aexc (n >= 2): the plus/minus halves,
     g_n = st D A_{n-1} / 2, seeded with (s, t) at n = 2.  bexc (n >= 1): same
     with g_n = st D B_{n-1} and seeds (s, t) at n = 1.  dexc/bdexc (n >= 2):
-    the pair (D_n, (B-D)_n) with g_n = st D B_{n-1}, seeded at n = 2; the
-    plus/minus halves of dexc come from the signed closed form.
+    bexc's pair, which is (D_n, (B-D)_n) from n = 2 on; the plus/minus
+    halves of dexc come from the signed closed form.
     """
     _require(family in _STEPS, f"unknown family {family!r}")
-    memo, grow, view = _STEPS[family]
-    low = min(memo)
+    memo, grow, view, low = _STEPS[family]
     _require_rank(n >= low, f"{family} step recurrence starts at n = {low}")
     for m in range(max(memo) + 1, n + 1):
         x, y = memo[m - 1]

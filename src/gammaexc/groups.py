@@ -476,26 +476,16 @@ def _signed_windows_by_permutation(spec):
         for q in kept if want is None or (length + moves * q) % 2 == want)
 
 
-def windows_per_permutation(spec):
-    """How many windows share one permutation in ``iterate(by_permutation)``.
-
-    One on kind S; 2^n on B; 2^(n-1) on D, B-D and the halves of B, which
-    keep one parity of negated entries.
-    """
-    if spec.kind == "S" or spec.n == 0:
-        return 1
-    return 2 ** (spec.n - (len(KINDS[spec.kind][0]) == 1 or spec.parity != "all"))
-
-
 def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
     """An iterator over the spec's domain, each element once.
 
     By default the elements come in lexicographic window order, as ``Perm``
     or ``SignedPerm``.  With ``by_permutation`` they come as bare window
-    tuples, one permutation of [n] at a time: ``windows_per_permutation``
-    windows each on a signed group, one on kind S (a whole S_n is
-    ``itertools.permutations``).  Raises BudgetExceeded when called, before
-    any window, if the ambient scan is too large.
+    tuples, one permutation p of [n] at a time: on a signed group in blocks
+    of 2^(n-1) windows (the one empty window at n = 0), each one class of
+    p (the parity of its negated-entry count); one window per p on kind S
+    (a whole S_n is ``itertools.permutations``).  Raises BudgetExceeded
+    when called, before any window, if the ambient scan is too large.
     """
     if budget is not None and enumeration_cost(spec) > budget:
         raise BudgetExceeded(f"enumerating {spec} visits {enumeration_cost(spec)}"

@@ -15,12 +15,13 @@ distinct base statistic is one ``map`` over a ``tee`` copy of the stream
 ``Counter(zip(...))`` counts them with the length parity.  A signed
 statistic has a kernel form, affine in the sign indicators: p gives (c, w),
 and on the window that negates the positions in N it is
-c + sum(w[j] for j in N).  So p's statistics are computed once for its
-2^n windows, and their keys are built by doubling over the positions, kept
-apart by the parity of |N|.  The length and the sign are parities of
-inv(p), moved by that of |N| for the type-B length and the inv_b sign, so
-one pass tallies the even- and odd-length halves apart
-(``length_halves``).  The reference is
+c + sum(w[j] for j in N).  A signed group comes in blocks of 2^(n-1)
+windows, each one class (the parity of |N|) of one p, read from the
+block's first window.  So p's statistics are computed once, and their keys
+are built by doubling over the positions, kept apart by class.  The length
+and the sign are parities of inv(p), moved by the class for the type-B
+length and the inv_b sign, so one pass tallies the even- and odd-length
+halves apart (``length_halves``).  The reference is
 ``_weighted_sum`` over ``iterate``'s lexicographic windows with the
 per-element functions of ``groups``; tests compare the kernel against it.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import repeat, tee
+from itertools import tee
 from operator import gt, lt, sub
 
 from . import closedforms
@@ -68,7 +69,6 @@ from .groups import (
     nexc_b,
     nexc_d,
     pos_n,
-    windows_per_permutation,
     wkexc_b,
     wkexc_d,
 )
@@ -254,11 +254,10 @@ def _signed_kernel(n):
 def _type_a_tally(spec, weight, entries, windows, split):
     """Kind S: (length, negative, key, count) per distinct tally entry.
 
-    The length parity (inv mod 2, and the sign) comes from the cheapest
-    exact source: the spec's even/odd filter (a constant), the parity
-    string of ``iterate``'s S_n or of the S_(n-1) under its ``pos_n`` slice
-    (n at position r adds n - r inversions), or inv itself under a
-    fixed-point or cycle-type filter.
+    The length parity (inv mod 2, and the sign) comes from the parity
+    string where ``iterate`` generates the windows in lexicographic order:
+    S_n's, or the S_(n-1)'s under its ``pos_n`` slice (n at position r adds
+    n - r inversions).  Where a filter drops windows, it is inv itself.
     """
     n, signs = spec.n, weight.sign_stat is not None
     complements = {nexc: (exc, n, -1), asc: (des, max(n - 1, 0), -1)}
@@ -267,10 +266,8 @@ def _type_a_tally(spec, weight, entries, windows, split):
     bases = [*dict.fromkeys(base for base, _, _ in forms)] or [len]
     if not (split or signs):
         parity = []
-    elif spec.parity != "all":
-        parity = [repeat(("even", "odd").index(spec.parity))]
-    elif spec.fixed_points is not None or spec.cycle_type is not None:
-        parity, bases = [], bases + [inv]
+    elif (spec.parity, spec.fixed_points, spec.cycle_type) != ("all", None, None):
+        parity, bases = [], bases + [inv]  # a filter drops windows
     else:
         parity = [_perm_parities(n) if spec.pos_n is None
                   else _perm_parities(n - 1, n - spec.pos_n)]
@@ -286,34 +283,35 @@ def _type_a_tally(spec, weight, entries, windows, split):
 def _signed_tally(spec, weight, entries, windows, split):
     """Types B and D: (length, negative, key, count) per distinct tally entry.
 
-    The statistics are packed in base ``radix``, first one most significant,
-    once per block of windows sharing p; packing is linear, so the window
-    negating N has key c + sum(w[j] for j in N).  A block keeps whole
-    classes of negated entries: every class its kind keeps, or on a half
-    the class of its first window.  Length and sign are inv(p) mod 2, moved
-    by the class for the type-B length and an inv_b sign.
+    ``iterate`` streams blocks of 2^(n-1) windows, each one class (the
+    parity of the negated-entry count) of one permutation p; the block's
+    first window gives p and the class.  The statistics are packed in base
+    ``radix``, first one most significant, once per p; packing is linear,
+    so the window negating N has key c + sum(w[j] for j in N).  Length and
+    sign are inv(p) mod 2, moved by the class for the type-B length and an
+    inv_b sign.
     """
     n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
     signs, sign_moves = weight.sign_stat is not None, weight.sign_stat == "inv_b"
-    kept, length_moves = KINDS[spec.kind]
-    classes = kept if spec.parity == "all" else None
+    length_moves = KINDS[spec.kind][1]
     tallies = defaultdict(Counter)  # (length parity, negative) -> key counts
-    for block in zip(*[windows] * windows_per_permutation(spec)):
-        p = tuple(map(abs, block[0]))
-        c, weights = 0, [0] * n
-        for form, _ in entries:
-            form_c, form_w = form(p)
-            c = c * radix + form_c
-            weights = [x * radix + y for x, y in zip(weights, form_w)]
-        parity = (split or signs) and inv(p) % 2
-        even, odd = [c], []
-        for x in weights:
-            even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
-        for cls in classes or (negs(block[0]) % 2,):
-            length = split and (parity + length_moves * cls) % 2
-            negative = signs and (parity + sign_moves * cls) % 2
-            tallies[length, negative].update((even, odd)[cls])
+    last = None
+    for block in zip(*[windows] * 2 ** max(n - 1, 0)):
+        p, cls = tuple(map(abs, block[0])), negs(block[0]) % 2
+        if p != last:  # B streams both classes of p one after the other
+            last, c, weights = p, 0, [0] * n
+            for form, _ in entries:
+                form_c, form_w = form(p)
+                c = c * radix + form_c
+                weights = [x * radix + y for x, y in zip(weights, form_w)]
+            parity = (split or signs) and inv(p) % 2
+            even, odd = [c], []
+            for x in weights:
+                even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
+        length = split and (parity + length_moves * cls) % 2
+        negative = signs and (parity + sign_moves * cls) % 2
+        tallies[length, negative].update((even, odd)[cls])
     digits = [(radix ** i, off) for i, (_, off) in enumerate(reversed(entries))]
     digits.reverse()  # (place value, offset) per statistic, first one first
     for (length, negative), counts in tallies.items():

@@ -103,7 +103,7 @@ class Poly:
     ``s`` built over ("s","t")).
     """
 
-    __slots__ = ("_vars", "_terms", "_key")
+    __slots__ = ("_vars", "_terms")
 
     def __init__(self, vars=(), terms=None):
         self._vars = _check_vars(vars)
@@ -123,7 +123,6 @@ class Poly:
                 if coeff:
                     clean[exp] = coeff
         self._terms = clean
-        self._key = None
 
     @classmethod
     def _trusted(cls, vars, terms):
@@ -132,7 +131,6 @@ class Poly:
         self = object.__new__(cls)
         self._vars = vars
         self._terms = {exp: coeff for exp, coeff in terms.items() if coeff}
-        self._key = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -174,16 +172,14 @@ class Poly:
         return bool(self._terms)
 
     def _canonical_key(self):
-        if self._key is None:
-            used = [i for i, _ in enumerate(self._vars)
-                    if any(exp[i] for exp in self._terms)]
-            names = tuple(self._vars[i] for i in used)
-            items = tuple(sorted(
-                (tuple(exp[i] for i in used), coeff)
-                for exp, coeff in self._terms.items()
-            ))
-            self._key = (names, items)
-        return self._key
+        used = [i for i, _ in enumerate(self._vars)
+                if any(exp[i] for exp in self._terms)]
+        names = tuple(self._vars[i] for i in used)
+        items = tuple(sorted(
+            (tuple(exp[i] for i in used), coeff)
+            for exp, coeff in self._terms.items()
+        ))
+        return names, items
 
     def __eq__(self, other):
         if isinstance(other, int):

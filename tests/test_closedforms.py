@@ -155,7 +155,7 @@ class TestStepRecurrence:
 
     def test_cold_memos_shared_by_threads(self):
         memos = list({id(memo): memo
-                      for memo, _, _ in closedforms._STEPS.values()}.values())
+                      for memo, *_ in closedforms._STEPS.values()}.values())
         saved = [dict(memo) for memo in memos]
         families = ("aexc", "bexc", "dexc", "bdexc")
 

@@ -31,6 +31,7 @@ from gammaexc.groups import (
     inv_b_negsum,
     inv_d,
     iterate,
+    negs,
     nexc,
     nexc_b,
     nexc_d,
@@ -38,7 +39,6 @@ from gammaexc.groups import (
     partitions,
     pos_n,
     sign,
-    windows_per_permutation,
     wkexc_b,
 )
 
@@ -273,14 +273,17 @@ class TestIterate:
             lex = [p.window for p in iterate(spec)]
             blocks = list(iterate(spec, by_permutation=True))
             assert sorted(blocks) == lex
-            size = windows_per_permutation(spec)
+            # one window per p on S; on a signed group 2^(n-1) windows, one
+            # class of one p (at n = 0 the one empty window)
+            size = 1 if kind == "S" else 2 ** max(n - 1, 0)
             perms = []
             for start in range(0, len(blocks), size):
                 block = blocks[start:start + size]
                 assert len(block) == size
                 assert len({tuple(map(abs, w)) for w in block}) == 1
+                assert len({negs(w) % 2 for w in block}) == 1
                 perms.append(tuple(map(abs, block[0])))
-            assert perms == sorted(set(perms))
+            assert perms == sorted(perms)
 
     def test_each_exactly_once(self):
         seen = [p.window for p in iterate(GroupSpec("D", 3))]

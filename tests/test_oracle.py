@@ -249,7 +249,7 @@ class TestKernel:
         """Each source of the kind-S parity, on a weight with no statistic."""
         weight = WeightSpec((), sign_stat="inv")
         specs = [GroupSpec("S", n),  # the parity string
-                 *(GroupSpec("S", n, parity=parity)  # the filter's constant
+                 *(GroupSpec("S", n, parity=parity)  # inv per window
                    for parity in ("even", "odd")),
                  *(GroupSpec("S", n, pos_n=r)  # the shifted string
                    for r in range(1, n + 1)),
