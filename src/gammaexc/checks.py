@@ -44,6 +44,8 @@ from .oracle import FamilySpec, WeightSpec, dist_poly, family_poly
 from .poly import (
     BIVARIATE,
     D,
+    NotHomogeneous,
+    NotPalindromic,
     Poly,
     Q_COEFFICIENTS,
     UNIVARIATE,
@@ -113,8 +115,15 @@ def _same(label, left, right):
 
 
 def _gamma_positive(label, f, mode, center=None):
-    """The gamma expansion of f, asserted non-negative (and centered)."""
-    expansion = gamma_decompose(f, mode)
+    """The gamma expansion of f, asserted non-negative (and centered).
+
+    An f that is not palindromic or not homogeneous fails the claim too,
+    with the label in front of the violation.
+    """
+    try:
+        expansion = gamma_decompose(f, mode)
+    except (NotPalindromic, NotHomogeneous) as exc_:
+        raise Mismatch(f"{label}: {exc_}") from None
     if not expansion.all_gammas_nonnegative():
         raise Mismatch(f"{label}: {expansion} != (>= 0)")
     if center is not None:

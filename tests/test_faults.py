@@ -58,6 +58,9 @@ def _last_gamma_negated(real):
     return peel
 
 
+_HALF_SUM_OFF = ("closedforms.half_sum_closed + s^3 t at (aexc, 5, minus), "
+                 "(bexc, 4, plus)")
+
 # fault id -> (module, name, the fault built from the real object, the check
 # ids it must fail)
 FAULTS = {
@@ -77,14 +80,18 @@ FAULTS = {
         ("typeA.totals_and_class_additivity",
          "typeB.totals_and_class_additivity",
          "typeD.totals_and_class_additivity")),
-    "closedforms.half_sum_closed + s^3 t at (aexc, 5, minus), (bexc, 4, plus)": (
+    _HALF_SUM_OFF: (
         closedforms, "half_sum_closed",
         _off_at({("aexc", 5, "minus"), ("bexc", 4, "plus")}, _S3T),
-        ("typeA.closed_equals_oracle", "typeA.step_equals_half_sum",
+        ("gamma_calculus.product_center_addition",
+         "gamma_calculus.derivative_center_shift",
+         "gamma_calculus.monomial_multipliers_shift_center",
+         "typeA.closed_equals_oracle", "typeA.step_equals_half_sum",
          "typeA.palindromic_iff_odd_rank", "typeA.derivative_halving",
-         "typeA.base_polynomials", "typeA.even_rank_two_term_split",
-         "typeA.coefficient_triangle", "typeB.closed_equals_oracle",
-         "typeB.step_equals_half_sum", "typeB.odd_rank_two_term_split",
+         "typeA.base_polynomials", "typeA.odd_rank_gamma_positive",
+         "typeA.even_rank_two_term_split", "typeA.coefficient_triangle",
+         "typeB.closed_equals_oracle", "typeB.step_equals_half_sum",
+         "typeB.even_rank_gamma_positive", "typeB.odd_rank_two_term_split",
          "typeD.bridge_to_typeB")),
     "closedforms.step_recurrence + s^3 t at (dexc, 4 and 8, plus), (aexc, 9, plus)": (
         closedforms, "step_recurrence",
@@ -92,11 +99,16 @@ FAULTS = {
                 _S3T),
         ("typeA.step_equals_half_sum", "typeA.jump_equals_four_steps",
          "typeD.step_equals_oracle", "typeD.base_polynomials",
-         "typeD.odd_rank_two_term_split", "typeD.jump_equals_four_steps")),
+         "typeD.even_rank_gamma_positive", "typeD.odd_rank_two_term_split",
+         "typeD.jump_equals_four_steps")),
     "closedforms.eulerian + s^3 t at (A, 4), (B, 3)": (
         closedforms, "eulerian", _off_at({("A", 4), ("B", 3)}, _S3T),
-        ("typeA.eulerian_recurrence_certified",
-         "typeB.eulerian_recurrence_certified")),
+        ("gamma_calculus.product_center_addition",
+         "gamma_calculus.derivative_center_shift",
+         "gamma_calculus.monomial_multipliers_shift_center",
+         "typeA.eulerian_recurrence_certified",
+         "typeB.eulerian_recurrence_certified",
+         "typeD.jump_equals_four_steps")),
     "closedforms.jump_tables L2, R2 + st": (
         closedforms, "jump_tables", _tables_l2_r2_off,
         ("typeA.jump_table_values", "typeD.jump_table_values")),
@@ -118,6 +130,13 @@ FAULTS = {
          "typeD.jump_table_values", "typeD.jump_equals_four_steps",
          "derangements.gamma_positive_with_centers",
          "q_refined.inv_gamma_positive", "q_refined.cyc_gamma_positive")),
+}
+
+# (fault id, check id) -> how the check's witness starts under the fault: a
+# polynomial with no gamma expansion fails a gamma-positivity claim at the
+# rank and class that broke it
+WITNESS_STARTS = {
+    (_HALF_SUM_OFF, "typeA.odd_rank_gamma_positive"): "n=5 minus: ",
 }
 
 # Checks that no fault above names yet.  Shrink it: a check leaves it when a
@@ -156,6 +175,8 @@ def test_fault_fails_its_checks(monkeypatch, fault_id):
     for check_id in check_ids:
         result = results[check_id]
         assert (result.status, bool(result.witness)) == ("fail", True), result
+        assert result.witness.startswith(
+            WITNESS_STARTS.get((fault_id, check_id), "")), result
 
 
 def test_suites_pass_without_faults():
