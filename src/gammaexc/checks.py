@@ -10,6 +10,14 @@ return passes, a ``Mismatch`` fails, a range beyond the enumeration budget
 comes back skipped with the reason, and anything else a check raises comes
 back as an error whose witness is the exception, so one broken check never
 hides the rest.
+
+A check is added in one of two ways.  A claim of a shape the module already
+has is a row, ``_row(id, claim, shape, *args)``, which runs
+``shape(limits, *args)``; the shapes sit under "shapes shared by types" and
+the rows among the checks of their suite.  A check with logic of its own is
+a function of the limits decorated with ``_register(id, claim)``.  The id's
+prefix names the suite.  Rows look up library engines and build tabulated
+polynomials only when they run.
 """
 
 from __future__ import annotations
@@ -96,12 +104,18 @@ class Mismatch(Exception):
 REGISTRY: list[Check] = []
 
 
-def _register(check_id, suite, claim):
+def _register(check_id, claim):
+    """Register a function of the limits; the id's prefix names its suite."""
     def wrap(func):
-        REGISTRY.append(Check(check_id, suite, claim, func))
+        REGISTRY.append(Check(check_id, check_id.split(".")[0], claim, func))
         return func
 
     return wrap
+
+
+def _row(check_id, claim, shape, *args):
+    """Register the check ``shape(limits, *args)``."""
+    _register(check_id, claim)(lambda limits: shape(limits, *args))
 
 
 def _same(label, left, right):
@@ -115,11 +129,8 @@ def _same(label, left, right):
 
 
 def _gamma_positive(label, f, mode, center=None):
-    """The gamma expansion of f, asserted non-negative (and centered).
-
-    An f that is not palindromic or not homogeneous fails the claim too,
-    with the label in front of the violation.
-    """
+    """The gamma expansion of f, asserted non-negative (and centered); an f
+    that is not palindromic or not homogeneous fails the claim too."""
     try:
         expansion = gamma_decompose(f, mode)
     except (NotPalindromic, NotHomogeneous) as exc_:
@@ -150,7 +161,7 @@ def _gamma_samples():
     ]
 
 
-@_register("gamma_calculus.product_center_addition", "gamma_calculus",
+@_register("gamma_calculus.product_center_addition",
            "products of gamma positive polynomials are gamma positive and "
            "centers of symmetry add")
 def _check_products(limits):
@@ -161,7 +172,7 @@ def _check_products(limits):
     return f"{len(samples)}^2 products"
 
 
-@_register("gamma_calculus.derivative_center_shift", "gamma_calculus",
+@_register("gamma_calculus.derivative_center_shift",
            "the s+t derivative of a gamma positive polynomial is gamma "
            "positive with center lowered by one half")
 def _check_derivative(limits):
@@ -170,7 +181,7 @@ def _check_derivative(limits):
     return "6 samples"
 
 
-@_register("gamma_calculus.monomial_multipliers_shift_center", "gamma_calculus",
+@_register("gamma_calculus.monomial_multipliers_shift_center",
            "multiplying by st raises the center by one; by s+t, by one half")
 def _check_multipliers(limits):
     for f, cf in _gamma_samples():
@@ -179,7 +190,7 @@ def _check_multipliers(limits):
     return "6 samples x 2 multipliers"
 
 
-@_register("gamma_calculus.odd_length_split", "gamma_calculus",
+@_register("gamma_calculus.odd_length_split",
            "odd-length gamma positive polynomials split into two even-length "
            "gamma positive halves with centers one apart")
 def _check_split(limits):
@@ -197,7 +208,7 @@ def _check_split(limits):
     return "3 samples"
 
 
-@_register("gamma_calculus.decompose_recompose_roundtrip", "gamma_calculus",
+@_register("gamma_calculus.decompose_recompose_roundtrip",
            "gamma decomposition and recomposition are mutually inverse")
 def _check_roundtrip(limits):
     for f, _ in _gamma_samples():
@@ -209,6 +220,7 @@ def _check_roundtrip(limits):
 
 
 # ---------------------------------------------------------- shapes shared by types
+# A shape takes the limits first, then the arguments its rows give.
 
 
 def _halves(family, n, limits, **refinement):
@@ -217,8 +229,14 @@ def _halves(family, n, limits, **refinement):
     return oracle.length_halves(spec, weight, budget=limits.budget)
 
 
-def _closed_equals_oracle(family, lo, hi, limits):
+def _closed(family, n, cls="all"):
+    """The family's closed engine, looked up when the check runs."""
+    return oracle.closed_family(FamilySpec(family, n, cls))
+
+
+def _closed_equals_oracle(limits, family, lo, top):
     """Both half-sum closed forms equal the enumerated halves."""
+    hi = top(limits)
     for n in range(lo, hi + 1):
         for cls, enumerated in zip(("plus", "minus"), _halves(family, n, limits)):
             _same(f"n={n} {cls}", closedforms.half_sum_closed(family, n, cls),
@@ -226,7 +244,8 @@ def _closed_equals_oracle(family, lo, hi, limits):
     return _ranged(lo, hi)
 
 
-def _step_equals_half_sum(family, lo, hi):
+def _step_equals_half_sum(limits, family, lo, top):
+    hi = top(limits)
     for n in range(lo, hi + 1):
         for cls in ("plus", "minus"):
             _same(f"n={n} {cls}", closedforms.step_recurrence(family, n, cls),
@@ -234,17 +253,22 @@ def _step_equals_half_sum(family, lo, hi):
     return _ranged(lo, hi)
 
 
-def _base_polynomials(engine, family, expected):
-    """Tabulated (polynomial, gamma vector) per (rank, class)."""
+def _base_polynomials(limits, family, table):
+    """Tabulated (polynomial, gamma vector) per (rank, class), from
+    ``table(s, t)``."""
+    expected = table(_S, _T)
     for (n, cls), (poly, gammas) in expected.items():
-        got = engine(family, n, cls)
+        got = _closed(family, n, cls)
         _same(f"n={n} {cls}", got, poly)
         _same(f"n={n} {cls} gammas", gamma_decompose(got, BIVARIATE).gammas,
               gammas)
+    return "n=" + ",".join(str(n) for n in sorted({n for n, _ in expected}))
 
 
-def _jump_table_values(expected):
-    """Tabulated (polynomial, center) per jump-table name."""
+def _jump_table_values(limits, table):
+    """Tabulated (polynomial, center) per jump-table name, from
+    ``table(st, s + t)``."""
+    expected = table(_S * _T, _S + _T)
     tab = closedforms.jump_tables()
     for name, (poly, cos) in expected.items():
         _same(name, tab[name], (poly, cos))
@@ -253,7 +277,7 @@ def _jump_table_values(expected):
     return f"{first}..{last}"
 
 
-def _jump_equals_four_steps(family, n_values):
+def _jump_equals_four_steps(limits, family, n_values):
     for n in n_values:
         for cls in ("plus", "minus"):
             _same(f"n={n}->{n + 4} {cls}", closedforms.jump4(family, n, cls),
@@ -261,8 +285,9 @@ def _jump_equals_four_steps(family, n_values):
     return "n+4=" + ",".join(str(n + 4) for n in n_values)
 
 
-def _totals_and_additivity(family, lo, hi, order, limits):
+def _totals_and_additivity(limits, family, lo, top, order):
     """The halves sum to the whole, whose value at s = t = 1 is order(n)."""
+    hi = top(limits)
     for n in range(lo, hi + 1):
         full = family_poly(FamilySpec(family, n), budget=limits.budget)
         plus = family_poly(FamilySpec(family, n, "plus"), budget=limits.budget)
@@ -272,12 +297,22 @@ def _totals_and_additivity(family, lo, hi, order, limits):
     return _ranged(lo, hi)
 
 
-def _signed_power(family, lo, hi, closed, limits):
-    """The sign-weighted enumeration equals its collapsed closed form."""
+def _closed_equals_family(limits, family, lo, top):
+    """The closed engine equals the enumeration at ranks lo..top(limits)."""
+    hi = top(limits)
     for n in range(lo, hi + 1):
         _same(f"n={n}", family_poly(FamilySpec(family, n), budget=limits.budget),
-              closed(n))
+              _closed(family, n))
     return _ranged(lo, hi)
+
+
+def _rank_gamma_positive(limits, family, ranks, shift, covered):
+    """Both halves at each rank are gamma positive with center (n - shift)/2."""
+    for n in ranks:
+        for cls in ("plus", "minus"):
+            _gamma_positive(f"n={n} {cls}", _closed(family, n, cls), BIVARIATE,
+                            Fraction(n - shift, 2))
+    return covered
 
 
 def _even_split(family, n, cls):
@@ -300,13 +335,14 @@ def _even_split(family, n, cls):
             (half(w2) if family == "dexc" else w2) + p_high.recompose())
 
 
-def _two_term_split(engine, family, n_values):
-    """Each univariate half engine(family, n, cls) splits by ``_even_split``."""
+def _two_term_split(limits, family, n_values):
+    """Each univariate half of the family's closed engine splits by
+    ``_even_split``."""
     for n in n_values:
         for cls in ("plus", "minus"):
             w1, w2 = _even_split(family, n, cls)
             _same(f"n={n} {cls} sum", w1 + w2,
-                  engine(family, n, cls).substitute_one("s"))
+                  _closed(family, n, cls).substitute_one("s"))
             g1 = _gamma_positive(f"n={n} {cls} first term", w1, UNIVARIATE)
             g2 = _gamma_positive(f"n={n} {cls} second term", w2, UNIVARIATE)
             _same(f"n={n} {cls} center gap",
@@ -314,7 +350,7 @@ def _two_term_split(engine, family, n_values):
     return "n=" + ",".join(str(n) for n in n_values)
 
 
-def _q_gamma_positive(stat, limits):
+def _q_gamma_positive(limits, stat):
     hi = min(limits.max_n_a, 7)
     for n in range(2, hi + 1):
         plus, minus = _halves("qrefined", n, limits, stat=stat)
@@ -327,32 +363,23 @@ def _q_gamma_positive(stat, limits):
 # ------------------------------------------------------------------------ type A
 
 
-@_register("typeA.eulerian_recurrence_certified", "typeA",
-           "the bivariate descent polynomial recurrence reproduces the "
-           "enumeration over the symmetric group")
-def _check_eulerian_a(limits):
-    hi = min(limits.max_n_a, 6)
-    for n in range(1, hi + 1):
-        _same(f"A_{n}", closedforms.eulerian("A", n),
-              family_poly(FamilySpec("a_des", n), budget=limits.budget))
-    return _ranged(1, hi)
+_row("typeA.eulerian_recurrence_certified",
+     "the bivariate descent polynomial recurrence reproduces the "
+     "enumeration over the symmetric group",
+     _closed_equals_family, "a_des", 1, lambda lim: min(lim.max_n_a, 6))
+
+_row("typeA.closed_equals_oracle",
+     "the half-sum closed forms match the enumerated even/odd "
+     "excedance polynomials",
+     _closed_equals_oracle, "aexc", 2, lambda lim: lim.max_n_a)
+
+_row("typeA.step_equals_half_sum",
+     "the one-step plus/minus recurrence agrees with the half-sum "
+     "closed form",
+     _step_equals_half_sum, "aexc", 2, lambda lim: max(lim.max_n_a, 12))
 
 
-@_register("typeA.closed_equals_oracle", "typeA",
-           "the half-sum closed forms match the enumerated even/odd "
-           "excedance polynomials")
-def _check_aexc_oracle(limits):
-    return _closed_equals_oracle("aexc", 2, limits.max_n_a, limits)
-
-
-@_register("typeA.step_equals_half_sum", "typeA",
-           "the one-step plus/minus recurrence agrees with the half-sum "
-           "closed form")
-def _check_aexc_step(limits):
-    return _step_equals_half_sum("aexc", 2, max(limits.max_n_a, 12))
-
-
-@_register("typeA.palindromic_iff_odd_rank", "typeA",
+@_register("typeA.palindromic_iff_odd_rank",
            "the even/odd excedance polynomials are palindromic exactly at "
            "odd ranks")
 def _check_palindromic_iff(limits):
@@ -364,7 +391,7 @@ def _check_palindromic_iff(limits):
     return _ranged(2, 9)
 
 
-@_register("typeA.derivative_halving", "typeA",
+@_register("typeA.derivative_halving",
            "both excedance halves have the same s+t derivative, half that of "
            "the full polynomial")
 def _check_derivative_halving(limits):
@@ -377,50 +404,39 @@ def _check_derivative_halving(limits):
         _same(f"n={n} minus vs half the whole", dm, da)
     return _ranged(2, hi)
 
+_row("typeA.base_polynomials",
+     "the rank 5 and 7 even/odd excedance polynomials and their gamma "
+     "vectors take their tabulated values",
+     _base_polynomials, "aexc", lambda s, t: {
+         (5, "plus"): (s ** 4 + 11 * s ** 3 * t + 36 * s ** 2 * t ** 2
+                       + 11 * s * t ** 3 + t ** 4, (1, 7, 16)),
+         (5, "minus"): (15 * s ** 3 * t + 30 * s ** 2 * t ** 2
+                        + 15 * s * t ** 3, (15, 0)),
+         (7, "plus"): (s ** 6 + 57 * s ** 5 * t + 603 * s ** 4 * t ** 2
+                       + 1198 * s ** 3 * t ** 3 + 603 * s ** 2 * t ** 4
+                       + 57 * s * t ** 5 + t ** 6, (1, 51, 384, 104)),
+         (7, "minus"): (63 * s ** 5 * t + 588 * s ** 4 * t ** 2
+                        + 1218 * s ** 3 * t ** 3 + 588 * s ** 2 * t ** 4
+                        + 63 * s * t ** 5, (63, 336, 168)),
+     })
 
-@_register("typeA.base_polynomials", "typeA",
-           "the rank 5 and 7 even/odd excedance polynomials and their gamma "
-           "vectors take their tabulated values")
-def _check_aexc_bases(limits):
-    _base_polynomials(closedforms.half_sum_closed, "aexc", {
-        (5, "plus"): (_S ** 4 + 11 * _S ** 3 * _T + 36 * _S ** 2 * _T ** 2
-                      + 11 * _S * _T ** 3 + _T ** 4, (1, 7, 16)),
-        (5, "minus"): (15 * _S ** 3 * _T + 30 * _S ** 2 * _T ** 2
-                       + 15 * _S * _T ** 3, (15, 0)),
-        (7, "plus"): (_S ** 6 + 57 * _S ** 5 * _T + 603 * _S ** 4 * _T ** 2
-                      + 1198 * _S ** 3 * _T ** 3 + 603 * _S ** 2 * _T ** 4
-                      + 57 * _S * _T ** 5 + _T ** 6, (1, 51, 384, 104)),
-        (7, "minus"): (63 * _S ** 5 * _T + 588 * _S ** 4 * _T ** 2
-                       + 1218 * _S ** 3 * _T ** 3 + 588 * _S ** 2 * _T ** 4
-                       + 63 * _S * _T ** 5, (63, 336, 168)),
-    })
-    return "n=5,7"
-
-
-@_register("typeA.odd_rank_gamma_positive", "typeA",
-           "at odd ranks from 5 on, both excedance halves are gamma positive "
-           "with center (n-1)/2")
-def _check_aexc_odd_gamma(limits):
-    for n in range(5, 12, 2):
-        for cls in ("plus", "minus"):
-            _gamma_positive(f"n={n} {cls}",
-                            closedforms.half_sum_closed("aexc", n, cls),
-                            BIVARIATE, Fraction(n - 1, 2))
-    return "n=5,7,9,11"
+_row("typeA.odd_rank_gamma_positive",
+     "at odd ranks from 5 on, both excedance halves are gamma positive "
+     "with center (n-1)/2",
+     _rank_gamma_positive, "aexc", range(5, 12, 2), 1, "n=5,7,9,11")
 
 
-@_register("typeA.even_rank_two_term_split", "typeA",
+@_register("typeA.even_rank_two_term_split",
            "at even ranks the univariate excedance halves split into two "
            "gamma positive polynomials with centers one apart")
 def _check_aexc_split(limits):
-    covered = _two_term_split(closedforms.half_sum_closed, "aexc",
-                              range(4, 11, 2))
+    covered = _two_term_split(limits, "aexc", range(4, 11, 2))
     _same("rank-4 split", _even_split("aexc", 4, "plus"),
           (1 + 4 * _T + _T ** 2, 6 * _T ** 2))
     return covered
 
 
-@_register("typeA.coefficient_triangle", "typeA",
+@_register("typeA.coefficient_triangle",
            "the coupled coefficient recurrences rebuild the rows extracted "
            "from the closed forms, and the halves sum to the Eulerian numbers")
 def _check_coeff_tables(limits):
@@ -438,66 +454,49 @@ def _check_coeff_tables(limits):
                   full[k])
     return _ranged(2, hi)
 
+_row("typeA.jump_table_values",
+     "the six fixed rank-jump polynomials match their tabulated "
+     "expansions and centers",
+     _jump_table_values, lambda st, spt: {
+         "L1": (spt ** 4 + 7 * st * spt ** 2 + 16 * st ** 2, Fraction(2)),
+         "L2": (15 * st * spt ** 2, Fraction(2)),
+         "L3": (15 * st * spt ** 3 + 60 * st ** 2 * spt, Fraction(5, 2)),
+         "L4": (25 * st ** 2 * spt ** 2 + 20 * st ** 3, Fraction(3)),
+         "L5": (10 * st ** 3 * spt, Fraction(7, 2)),
+         "L6": (st ** 4, Fraction(4)),
+     })
 
-@_register("typeA.jump_table_values", "typeA",
-           "the six fixed rank-jump polynomials match their tabulated "
-           "expansions and centers")
-def _check_l_tables(limits):
-    return _jump_table_values({
-        "L1": ((_S + _T) ** 4 + 7 * _S * _T * (_S + _T) ** 2
-               + 16 * (_S * _T) ** 2, Fraction(2)),
-        "L2": (15 * _S * _T * (_S + _T) ** 2, Fraction(2)),
-        "L3": (15 * _S * _T * (_S + _T) ** 3 + 60 * (_S * _T) ** 2 * (_S + _T),
-               Fraction(5, 2)),
-        "L4": (25 * (_S * _T) ** 2 * (_S + _T) ** 2 + 20 * (_S * _T) ** 3,
-               Fraction(3)),
-        "L5": (10 * (_S * _T) ** 3 * (_S + _T), Fraction(7, 2)),
-        "L6": ((_S * _T) ** 4, Fraction(4)),
-    })
+_row("typeA.jump_equals_four_steps",
+     "the four-step jump built from the fixed tables equals four "
+     "applications of the one-step recurrence",
+     _jump_equals_four_steps, "aexc", (5, 7, 9))
 
-
-@_register("typeA.jump_equals_four_steps", "typeA",
-           "the four-step jump built from the fixed tables equals four "
-           "applications of the one-step recurrence")
-def _check_a_jump(limits):
-    return _jump_equals_four_steps("aexc", (5, 7, 9))
-
-
-@_register("typeA.totals_and_class_additivity", "typeA",
-           "family totals count the domain and the even/odd halves sum to "
-           "the whole")
-def _check_a_totals(limits):
-    return _totals_and_additivity("aexc", 2, min(limits.max_n_a, 7),
-                                  math.factorial, limits)
+_row("typeA.totals_and_class_additivity",
+     "family totals count the domain and the even/odd halves sum to "
+     "the whole",
+     _totals_and_additivity, "aexc", 2, lambda lim: min(lim.max_n_a, 7),
+     math.factorial)
 
 
 # ------------------------------------------------------------------------ type B
 
 
-@_register("typeB.eulerian_recurrence_certified", "typeB",
-           "the type-B descent polynomial recurrence reproduces the "
-           "enumeration over the signed group")
-def _check_eulerian_b(limits):
-    for n in range(1, limits.max_n_b + 1):
-        _same(f"B_{n}", closedforms.eulerian("B", n),
-              family_poly(FamilySpec("b_des", n), budget=limits.budget))
-    return _ranged(1, limits.max_n_b)
+_row("typeB.eulerian_recurrence_certified",
+     "the type-B descent polynomial recurrence reproduces the "
+     "enumeration over the signed group",
+     _closed_equals_family, "b_des", 1, lambda lim: lim.max_n_b)
+
+_row("typeB.closed_equals_oracle",
+     "the type-B half-sum closed forms match the enumerated even/odd "
+     "excedance polynomials",
+     _closed_equals_oracle, "bexc", 1, lambda lim: lim.max_n_b)
+
+_row("typeB.step_equals_half_sum",
+     "the type-B one-step recurrence agrees with the half-sum closed form",
+     _step_equals_half_sum, "bexc", 1, lambda lim: max(lim.max_n_b, 12))
 
 
-@_register("typeB.closed_equals_oracle", "typeB",
-           "the type-B half-sum closed forms match the enumerated even/odd "
-           "excedance polynomials")
-def _check_bexc_oracle(limits):
-    return _closed_equals_oracle("bexc", 1, limits.max_n_b, limits)
-
-
-@_register("typeB.step_equals_half_sum", "typeB",
-           "the type-B one-step recurrence agrees with the half-sum closed form")
-def _check_bexc_step(limits):
-    return _step_equals_half_sum("bexc", 1, max(limits.max_n_b, 12))
-
-
-@_register("typeB.descent_excedance_equidistributed", "typeB",
+@_register("typeB.descent_excedance_equidistributed",
            "type-B descents and excedances are equidistributed over the even "
            "elements and over the odd elements separately")
 def _check_b_equidistribution(limits):
@@ -508,7 +507,7 @@ def _check_b_equidistribution(limits):
     return _ranged(1, limits.max_n_b)
 
 
-@_register("typeB.weak_excedance_equidistribution", "typeB",
+@_register("typeB.weak_excedance_equidistribution",
            "ascents and weak excedances are jointly equidistributed with the "
            "negative-letter set statistic")
 def _check_b_weak(limits):
@@ -522,27 +521,18 @@ def _check_b_weak(limits):
                         budget=limits.budget))
     return _ranged(1, limits.max_n_b)
 
+_row("typeB.even_rank_gamma_positive",
+     "at even ranks both type-B excedance halves are gamma positive "
+     "with center n/2",
+     _rank_gamma_positive, "bexc", range(2, 11, 2), 0, "n=2,4,..,10")
 
-@_register("typeB.even_rank_gamma_positive", "typeB",
-           "at even ranks both type-B excedance halves are gamma positive "
-           "with center n/2")
-def _check_bexc_gamma(limits):
-    for n in range(2, 11, 2):
-        for cls in ("plus", "minus"):
-            _gamma_positive(f"n={n} {cls}",
-                            closedforms.half_sum_closed("bexc", n, cls),
-                            BIVARIATE, Fraction(n, 2))
-    return "n=2,4,..,10"
+_row("typeB.odd_rank_two_term_split",
+     "at odd ranks the univariate type-B halves split into two gamma "
+     "positive polynomials with centers one apart",
+     _two_term_split, "bexc", range(3, 10, 2))
 
 
-@_register("typeB.odd_rank_two_term_split", "typeB",
-           "at odd ranks the univariate type-B halves split into two gamma "
-           "positive polynomials with centers one apart")
-def _check_bexc_split(limits):
-    return _two_term_split(closedforms.half_sum_closed, "bexc", range(3, 10, 2))
-
-
-@_register("typeB.inversion_variants_agree_mod_2", "typeB",
+@_register("typeB.inversion_variants_agree_mod_2",
            "the pairwise inversion count and the negative-letter-sum variant "
            "have the same parity on every signed permutation")
 def _check_inv_variants(limits):
@@ -552,19 +542,17 @@ def _check_inv_variants(limits):
             _same(p, inv_b(p) % 2, inv_b_negsum(p) % 2)
     return _ranged(1, hi)
 
-
-@_register("typeB.totals_and_class_additivity", "typeB",
-           "type-B family totals count the domain and the halves sum to the "
-           "whole")
-def _check_b_totals(limits):
-    return _totals_and_additivity("bexc", 1, limits.max_n_b,
-                                  lambda n: 2 ** n * math.factorial(n), limits)
+_row("typeB.totals_and_class_additivity",
+     "type-B family totals count the domain and the halves sum to the "
+     "whole",
+     _totals_and_additivity, "bexc", 1, lambda lim: lim.max_n_b,
+     lambda n: 2 ** n * math.factorial(n))
 
 
 # ------------------------------------------------------------------------ type D
 
 
-@_register("typeD.bridge_to_typeB", "typeD",
+@_register("typeD.bridge_to_typeB",
            "the type-D excedance polynomial equals the even type-B half, and "
            "the complement equals the odd half")
 def _check_d_bridge(limits):
@@ -578,7 +566,7 @@ def _check_d_bridge(limits):
     return _ranged(1, limits.max_n_d)
 
 
-@_register("typeD.step_equals_oracle", "typeD",
+@_register("typeD.step_equals_oracle",
            "the coupled type-D recurrences match the enumeration, including "
            "the signed plus/minus halves")
 def _check_d_step(limits):
@@ -593,7 +581,7 @@ def _check_d_step(limits):
     return _ranged(2, limits.max_n_d)
 
 
-@_register("typeD.descent_restriction_equidistributed", "typeD",
+@_register("typeD.descent_restriction_equidistributed",
            "type-B descents restricted to the type-D subgroup are "
            "equidistributed with type-D excedances")
 def _check_d_descent(limits):
@@ -605,66 +593,51 @@ def _check_d_descent(limits):
               family_poly(FamilySpec("dexc", n), budget=limits.budget))
     return _ranged(2, limits.max_n_d)
 
+_row("typeD.base_polynomials",
+     "the rank 4 and 6 type-D excedance halves and their gamma vectors "
+     "take their tabulated values",
+     _base_polynomials, "dexc", lambda s, t: {
+         (4, "plus"): (s ** 4 + 16 * s ** 3 * t + 62 * s ** 2 * t ** 2
+                       + 16 * s * t ** 3 + t ** 4, (1, 12, 32)),
+         (4, "minus"): (20 * s ** 3 * t + 56 * s ** 2 * t ** 2
+                        + 20 * s * t ** 3, (20, 16)),
+         (6, "plus"): (s ** 6 + 176 * s ** 5 * t + 2647 * s ** 4 * t ** 2
+                       + 5872 * s ** 3 * t ** 3 + 2647 * s ** 2 * t ** 4
+                       + 176 * s * t ** 5 + t ** 6, (1, 170, 1952, 928)),
+         (6, "minus"): (182 * s ** 5 * t + 2632 * s ** 4 * t ** 2
+                        + 5892 * s ** 3 * t ** 3 + 2632 * s ** 2 * t ** 4
+                        + 182 * s * t ** 5, (182, 1904, 992)),
+     })
 
-@_register("typeD.base_polynomials", "typeD",
-           "the rank 4 and 6 type-D excedance halves and their gamma vectors "
-           "take their tabulated values")
-def _check_d_bases(limits):
-    _base_polynomials(closedforms.step_recurrence, "dexc", {
-        (4, "plus"): (_S ** 4 + 16 * _S ** 3 * _T + 62 * _S ** 2 * _T ** 2
-                      + 16 * _S * _T ** 3 + _T ** 4, (1, 12, 32)),
-        (4, "minus"): (20 * _S ** 3 * _T + 56 * _S ** 2 * _T ** 2
-                       + 20 * _S * _T ** 3, (20, 16)),
-        (6, "plus"): (_S ** 6 + 176 * _S ** 5 * _T + 2647 * _S ** 4 * _T ** 2
-                      + 5872 * _S ** 3 * _T ** 3 + 2647 * _S ** 2 * _T ** 4
-                      + 176 * _S * _T ** 5 + _T ** 6, (1, 170, 1952, 928)),
-        (6, "minus"): (182 * _S ** 5 * _T + 2632 * _S ** 4 * _T ** 2
-                       + 5892 * _S ** 3 * _T ** 3 + 2632 * _S ** 2 * _T ** 4
-                       + 182 * _S * _T ** 5, (182, 1904, 992)),
-    })
-    return "n=4,6"
+_row("typeD.even_rank_gamma_positive",
+     "at even ranks from 4 on, both type-D halves are gamma positive "
+     "with center n/2",
+     _rank_gamma_positive, "dexc", range(4, 11, 2), 0, "n=4,6,8,10")
 
+_row("typeD.odd_rank_two_term_split",
+     "at odd ranks from 5 on, the univariate type-D halves split into "
+     "two gamma positive polynomials with centers one apart",
+     _two_term_split, "dexc", range(5, 10, 2))
 
-@_register("typeD.even_rank_gamma_positive", "typeD",
-           "at even ranks from 4 on, both type-D halves are gamma positive "
-           "with center n/2")
-def _check_dexc_gamma(limits):
-    for n in range(4, 11, 2):
-        for cls in ("plus", "minus"):
-            _gamma_positive(f"n={n} {cls}",
-                            closedforms.step_recurrence("dexc", n, cls),
-                            BIVARIATE, Fraction(n, 2))
-    return "n=4,6,8,10"
-
-
-@_register("typeD.odd_rank_two_term_split", "typeD",
-           "at odd ranks from 5 on, the univariate type-D halves split into "
-           "two gamma positive polynomials with centers one apart")
-def _check_dexc_split(limits):
-    return _two_term_split(closedforms.step_recurrence, "dexc", range(5, 10, 2))
-
-
-@_register("typeD.jump_table_values", "typeD",
-           "the seven fixed type-D jump polynomials match their tabulated "
-           "expansions and centers")
-def _check_r_tables(limits):
-    st, spt = _S * _T, _S + _T
-    return _jump_table_values({
-        "R1": (spt ** 4 + 8 * st * spt ** 2 + 16 * st ** 2, Fraction(2)),
-        "R2": (16 * st * spt ** 2, Fraction(2)),
-        "R3": (4 * st * spt ** 3 + 32 * st ** 2 * spt, Fraction(5, 2)),
-        "R4": (2 * st ** 2 * spt ** 2 + 8 * st ** 3, Fraction(3)),
-        "R5": (12 * st * spt ** 2, Fraction(2)),
-        "R6": (8 * st ** 2 * spt, Fraction(5, 2)),
-        "R7": (2 * st ** 2, Fraction(2)),
-    })
+_row("typeD.jump_table_values",
+     "the seven fixed type-D jump polynomials match their tabulated "
+     "expansions and centers",
+     _jump_table_values, lambda st, spt: {
+         "R1": (spt ** 4 + 8 * st * spt ** 2 + 16 * st ** 2, Fraction(2)),
+         "R2": (16 * st * spt ** 2, Fraction(2)),
+         "R3": (4 * st * spt ** 3 + 32 * st ** 2 * spt, Fraction(5, 2)),
+         "R4": (2 * st ** 2 * spt ** 2 + 8 * st ** 3, Fraction(3)),
+         "R5": (12 * st * spt ** 2, Fraction(2)),
+         "R6": (8 * st ** 2 * spt, Fraction(5, 2)),
+         "R7": (2 * st ** 2, Fraction(2)),
+     })
 
 
-@_register("typeD.jump_equals_four_steps", "typeD",
+@_register("typeD.jump_equals_four_steps",
            "the type-D four-step jump equals four one-step applications, and "
            "its shared tail has even gamma coefficients")
 def _check_d_jump(limits):
-    covered = _jump_equals_four_steps("dexc", (4, 6, 8))
+    covered = _jump_equals_four_steps(limits, "dexc", (4, 6, 8))
     for n in (2, 4, 6):
         tail = _gamma_positive(f"tail n={n}", closedforms.dexc_jump_tail(n),
                                BIVARIATE, Fraction(n + 4, 2))
@@ -672,33 +645,26 @@ def _check_d_jump(limits):
     return covered
 
 
-@_register("typeD.totals_and_class_additivity", "typeD",
-           "type-D family totals count the domain and the halves sum to the "
-           "whole")
-def _check_d_totals(limits):
-    return _totals_and_additivity("dexc", 2, limits.max_n_d,
-                                  lambda n: 2 ** (n - 1) * math.factorial(n),
-                                  limits)
+_row("typeD.totals_and_class_additivity",
+     "type-D family totals count the domain and the halves sum to the "
+     "whole",
+     _totals_and_additivity, "dexc", 2, lambda lim: lim.max_n_d,
+     lambda n: 2 ** (n - 1) * math.factorial(n))
 
 
 # -------------------------------------------------------------------- signed sums
 
 
-@_register("signed_sums.type_a_power", "signed_sums",
-           "the sign-weighted type-A excedance sum collapses to (s-t)^(n-1)")
-def _check_sgn_a(limits):
-    return _signed_power("sgn_aexc", 2, limits.max_n_a,
-                         closedforms.sgn_aexc_closed, limits)
+_row("signed_sums.type_a_power",
+     "the sign-weighted type-A excedance sum collapses to (s-t)^(n-1)",
+     _closed_equals_family, "sgn_aexc", 2, lambda lim: lim.max_n_a)
+
+_row("signed_sums.type_b_power",
+     "the sign-weighted type-B excedance sum collapses to (s-t)^n",
+     _closed_equals_family, "sgn_bexc", 1, lambda lim: lim.max_n_b)
 
 
-@_register("signed_sums.type_b_power", "signed_sums",
-           "the sign-weighted type-B excedance sum collapses to (s-t)^n")
-def _check_sgn_b(limits):
-    return _signed_power("sgn_bexc", 1, limits.max_n_b,
-                         closedforms.sgn_bexc_closed, limits)
-
-
-@_register("signed_sums.type_b_descent_position", "signed_sums",
+@_register("signed_sums.type_b_descent_position",
            "the trivariate signed descent sum is (s-t)^n u^n, the partial sum "
            "away from the last position vanishes, and the letter values are "
            "immaterial")
@@ -716,16 +682,13 @@ def _check_sgn_b_u(limits):
           closedforms.sgnb_des_u_closed(3))
     return _ranged(1, limits.max_n_b)
 
-
-@_register("signed_sums.type_d_power", "signed_sums",
-           "the sign-weighted type-D excedance sum is (s-t)^n at even ranks "
-           "and s(s-t)^(n-1) at odd ranks")
-def _check_sgn_d(limits):
-    return _signed_power("sgn_dexc", 1, limits.max_n_d + 1,
-                         closedforms.sgn_dexc_closed, limits)
+_row("signed_sums.type_d_power",
+     "the sign-weighted type-D excedance sum is (s-t)^n at even ranks "
+     "and s(s-t)^(n-1) at odd ranks",
+     _closed_equals_family, "sgn_dexc", 1, lambda lim: lim.max_n_d + 1)
 
 
-@_register("signed_sums.type_d_fourth_power_jump", "signed_sums",
+@_register("signed_sums.type_d_fourth_power_jump",
            "the signed type-D sum gains a factor (s-t)^4 every four ranks")
 def _check_sgn_d_jump(limits):
     for n in range(1, 9):
@@ -737,7 +700,7 @@ def _check_sgn_d_jump(limits):
 # -------------------------------------------------------------------- derangements
 
 
-@_register("derangements.long_cycle_distribution", "derangements",
+@_register("derangements.long_cycle_distribution",
            "excedances over the n-cycles distribute as t times the rank n-1 "
            "Eulerian polynomial")
 def _check_long_cycles(limits):
@@ -749,7 +712,7 @@ def _check_long_cycles(limits):
     return _ranged(2, limits.max_n_a)
 
 
-@_register("derangements.conjugacy_product_formula", "derangements",
+@_register("derangements.conjugacy_product_formula",
            "every conjugacy class's excedance polynomial equals the "
            "set-partition count times the product of long-cycle factors")
 def _check_conjugacy(limits):
@@ -767,7 +730,7 @@ def _check_conjugacy(limits):
 _EXC_FIXED_WEIGHT = WeightSpec((("t", "exc", 0), ("q", "fixed_points", 0)))
 
 
-@_register("derangements.fixed_point_refinement", "derangements",
+@_register("derangements.fixed_point_refinement",
            "the closed derangement sums match the enumeration for every "
            "fixed-point count and sign class")
 def _check_fixed_refinement(limits):
@@ -788,7 +751,7 @@ def _check_fixed_refinement(limits):
     return _ranged(1, limits.max_n_a)
 
 
-@_register("derangements.gamma_positive_with_centers", "derangements",
+@_register("derangements.gamma_positive_with_centers",
            "derangement excedance polynomials are gamma positive with center "
            "(n - fixed)/2 in every sign class")
 def _check_derangement_gamma(limits):
@@ -803,7 +766,7 @@ def _check_derangement_gamma(limits):
     return _ranged(2, hi)
 
 
-@_register("derangements.set_partition_counts", "derangements",
+@_register("derangements.set_partition_counts",
            "the set-partition counting factor is integral and the class "
            "sizes sum to the group order")
 def _check_partition_counts(limits):
@@ -819,7 +782,7 @@ def _check_partition_counts(limits):
 # ---------------------------------------------------------------------- bijections
 
 
-@_register("bijections.fundamental_transform", "bijections",
+@_register("bijections.fundamental_transform",
            "the fundamental transformation is a bijection carrying the "
            "excedance count to the descent count")
 def _check_fft(limits):
@@ -835,7 +798,7 @@ def _check_fft(limits):
     return _ranged(1, limits.max_n_a)
 
 
-@_register("bijections.penultimate_to_front", "bijections",
+@_register("bijections.penultimate_to_front",
            "the penultimate-to-front map is a bijection carrying "
            "(exc, nexc-1) to (des, asc)")
 def _check_penultimate(limits):
@@ -854,7 +817,7 @@ def _check_penultimate(limits):
     return _ranged(2, hi)
 
 
-@_register("bijections.swap_last_two_involution", "bijections",
+@_register("bijections.swap_last_two_involution",
            "swapping the last two letters is a sign-reversing, "
            "excedance-preserving involution away from the top letter")
 def _check_swap(limits):
@@ -870,7 +833,7 @@ def _check_swap(limits):
     return _ranged(2, hi)
 
 
-@_register("bijections.halving_consequence", "bijections",
+@_register("bijections.halving_consequence",
            "away from the last two positions, the even elements carry exactly "
            "half of each restricted excedance distribution")
 def _check_halving(limits):
@@ -883,7 +846,7 @@ def _check_halving(limits):
     return _ranged(3, hi)
 
 
-@_register("bijections.long_cycle_correspondence", "bijections",
+@_register("bijections.long_cycle_correspondence",
            "the long-cycle encoding is a bijection onto the n-cycles with "
            "excedance count one more than the source's descent count")
 def _check_long_cycle_map(limits):
@@ -903,7 +866,7 @@ def _check_long_cycle_map(limits):
     return _ranged(2, hi)
 
 
-@_register("bijections.cycle_standardization", "bijections",
+@_register("bijections.cycle_standardization",
            "order-preserving relabelling keeps a cycle's excedance count, "
            "making class polynomials factor through long cycles")
 def _check_standardize(limits):
@@ -929,21 +892,18 @@ def _check_standardize(limits):
 # ------------------------------------------------------------------------ q-refined
 
 
-@_register("q_refined.inv_gamma_positive", "q_refined",
-           "the inversion-refined derangement sums have gamma vectors with "
-           "non-negative polynomial coefficients in both sign classes")
-def _check_q_inv(limits):
-    return _q_gamma_positive("inv", limits)
+_row("q_refined.inv_gamma_positive",
+     "the inversion-refined derangement sums have gamma vectors with "
+     "non-negative polynomial coefficients in both sign classes",
+     _q_gamma_positive, "inv")
+
+_row("q_refined.cyc_gamma_positive",
+     "the cycle-count-refined derangement sums have gamma vectors with "
+     "non-negative polynomial coefficients in both sign classes",
+     _q_gamma_positive, "cyc")
 
 
-@_register("q_refined.cyc_gamma_positive", "q_refined",
-           "the cycle-count-refined derangement sums have gamma vectors with "
-           "non-negative polynomial coefficients in both sign classes")
-def _check_q_cyc(limits):
-    return _q_gamma_positive("cyc", limits)
-
-
-@_register("q_refined.q1_collapse", "q_refined",
+@_register("q_refined.q1_collapse",
            "setting q = 1 collapses the refined sums to the closed "
            "derangement polynomials")
 def _check_q_collapse(limits):
