@@ -4,7 +4,9 @@ Each check pits an independently computed value (closed form, recurrence,
 fixed table, bijection image) against the enumeration oracle or against the
 gamma machinery, with exact equality everywhere.  A check returns the range
 it covered, or raises ``Mismatch`` whose message is the witness showing both
-sides; ``_same`` and ``_gamma_positive`` are the assertions that raise it.
+sides; ``_same`` and ``_gamma_positive`` are the assertions that raise it,
+and ``_as_mismatch`` turns a polynomial that breaks a claim's premise (not
+palindromic, not homogeneous, a negative gamma, an odd coefficient) into one.
 ``run_suite`` is the one place that turns an outcome into a CheckResult: a
 return passes, a ``Mismatch`` fails, a range beyond the enumeration budget
 comes back skipped with the reason, and anything else a check raises comes
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
@@ -52,8 +55,10 @@ from .oracle import FamilySpec, WeightSpec, dist_poly, family_poly
 from .poly import (
     BIVARIATE,
     D,
+    NotGammaPositive,
     NotHomogeneous,
     NotPalindromic,
+    OddCoefficient,
     Poly,
     Q_COEFFICIENTS,
     UNIVARIATE,
@@ -128,13 +133,22 @@ def _same(label, left, right):
         raise Mismatch(f"{label}: {left} != {right}")
 
 
+@contextmanager
+def _as_mismatch(label):
+    """A polynomial inside the block that breaks the claim's premise fails
+    the claim: Mismatch with the witness ``label: <what broke>``."""
+    try:
+        yield
+    except (NotPalindromic, NotHomogeneous, NotGammaPositive,
+            OddCoefficient) as exc_:
+        raise Mismatch(f"{label}: {exc_}") from None
+
+
 def _gamma_positive(label, f, mode, center=None):
     """The gamma expansion of f, asserted non-negative (and centered); an f
     that is not palindromic or not homogeneous fails the claim too."""
-    try:
+    with _as_mismatch(label):
         expansion = gamma_decompose(f, mode)
-    except (NotPalindromic, NotHomogeneous) as exc_:
-        raise Mismatch(f"{label}: {exc_}") from None
     if not expansion.all_gammas_nonnegative():
         raise Mismatch(f"{label}: {expansion} != (>= 0)")
     if center is not None:
@@ -197,8 +211,9 @@ def _check_split(limits):
     samples = [(1 + _T) ** 3,
                (_S * _T * D(closedforms.eulerian("A", 5))).substitute_one("s"),
                (_S * _T * D(closedforms.eulerian("B", 4))).substitute_one("s")]
-    for f in samples:
-        low, high = split_odd_length(gamma_decompose(f, UNIVARIATE))
+    for i, f in enumerate(samples):
+        with _as_mismatch(f"sample {i}"):
+            low, high = split_odd_length(gamma_decompose(f, UNIVARIATE))
         _same("split sum", low.recompose() + high.recompose(), f)
         _same("split center gap",
               high.center_of_symmetry - low.center_of_symmetry, 1)
@@ -211,11 +226,13 @@ def _check_split(limits):
 @_register("gamma_calculus.decompose_recompose_roundtrip",
            "gamma decomposition and recomposition are mutually inverse")
 def _check_roundtrip(limits):
-    for f, _ in _gamma_samples():
-        _same("bivariate roundtrip", gamma_decompose(f, BIVARIATE).recompose(), f)
-        univ = f.substitute_one("s")
-        _same("univariate roundtrip",
-              gamma_decompose(univ, UNIVARIATE).recompose(), univ)
+    for i, (f, _) in enumerate(_gamma_samples()):
+        with _as_mismatch(f"sample {i}"):
+            _same("bivariate roundtrip",
+                  gamma_decompose(f, BIVARIATE).recompose(), f)
+            univ = f.substitute_one("s")
+            _same("univariate roundtrip",
+                  gamma_decompose(univ, UNIVARIATE).recompose(), univ)
     return "6 samples x 2 modes"
 
 
@@ -340,7 +357,8 @@ def _two_term_split(limits, family, n_values):
     ``_even_split``."""
     for n in n_values:
         for cls in ("plus", "minus"):
-            w1, w2 = _even_split(family, n, cls)
+            with _as_mismatch(f"n={n} {cls} split"):
+                w1, w2 = _even_split(family, n, cls)
             _same(f"n={n} {cls} sum", w1 + w2,
                   _closed(family, n, cls).substitute_one("s"))
             g1 = _gamma_positive(f"n={n} {cls} first term", w1, UNIVARIATE)
@@ -399,7 +417,8 @@ def _check_derivative_halving(limits):
     for n in range(2, hi + 1):
         dp = D(closedforms.half_sum_closed("aexc", n, "plus"))
         dm = D(closedforms.half_sum_closed("aexc", n, "minus"))
-        da = half(D(closedforms.eulerian("A", n)))
+        with _as_mismatch(f"n={n} half the whole"):
+            da = half(D(closedforms.eulerian("A", n)))
         _same(f"n={n} plus vs minus", dp, dm)
         _same(f"n={n} minus vs half the whole", dm, da)
     return _ranged(2, hi)

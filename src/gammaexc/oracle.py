@@ -9,21 +9,22 @@ sign statistic contributing (-1)^stat.
 
 Every weighted sum runs through one fused kernel, behind ``dist_poly`` and
 ``length_halves``.  It pulls ``groups.iterate``'s bare windows one
-permutation p of [n] at a time.  On kind S it tallies them in C: each
-distinct base statistic is one ``map`` over a ``tee`` copy of the stream
-(nexc = n - exc and asc = max(n - 1, 0) - des read one), and
-``Counter(zip(...))`` counts them with the length parity.  A signed
-statistic has a kernel form, affine in the sign indicators: p gives (c, w),
-and on the window that negates the positions in N it is
-c + sum(w[j] for j in N).  A signed group comes in blocks of 2^(n-1)
-windows, each one class (the parity of |N|) of one p, read from the
-block's first window.  So p's statistics are computed once, and their keys
-are built by doubling over the positions, kept apart by class.  The length
-and the sign are parities of inv(p), moved by the class for the type-B
-length and the inv_b sign, so one pass tallies the even- and odd-length
-halves apart (``length_halves``).  The reference is
-``_weighted_sum`` over ``iterate``'s lexicographic windows with the
-per-element functions of ``groups``; tests compare the kernel against it.
+permutation p of [n] at a time, and computes each distinct base statistic
+once (a complement reads its base: nexc = n - exc, asc = n - des, or
+max(n - 1, 0) - des on kind S).  On kind S it tallies in C: each base is
+one ``map`` over a ``tee`` copy of the stream, and ``Counter(zip(...))``
+counts them with the length parity.  A signed statistic has a kernel form,
+affine in the sign indicators: p gives (c, w), and on the window that
+negates the positions in N it is c + sum(w[j] for j in N).  A signed group
+comes in blocks of 2^(n-1) windows, each one class (the parity of |N|) of
+one p, read from the block's first window.  The blocks are counted per
+signature (c, the sorted w, inv(p) mod 2, the class), and each signature's
+keys are built once, by doubling over the positions.  The length and the
+sign are parities of inv(p), moved by the class for the type-B length and
+the inv_b sign, so one pass tallies the even- and odd-length halves apart
+(``length_halves``).  The reference is ``_weighted_sum`` over
+``iterate``'s lexicographic windows with the per-element functions of
+``groups``; tests compare the kernel against it.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -37,10 +38,10 @@ matching their closed product forms; bivariate variants remain one
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import tee
+from itertools import islice, tee
 from operator import gt, lt, sub
 
 from . import closedforms
@@ -231,6 +232,7 @@ def _signed_kernel(n):
         def flipped(p):
             c, w = form(p)
             return n - c, [-x for x in w]
+        flipped.base = form  # the tally reads n minus the base's digit
         return flipped
 
     exc_b, wkexc_b = excedances(False), excedances(True)
@@ -284,40 +286,48 @@ def _signed_tally(spec, weight, entries, windows, split):
     """Types B and D: (length, negative, key, count) per distinct tally entry.
 
     ``iterate`` streams blocks of 2^(n-1) windows, each one class (the
-    parity of the negated-entry count) of one permutation p; the block's
-    first window gives p and the class.  The statistics are packed in base
-    ``radix``, first one most significant, once per p; packing is linear,
-    so the window negating N has key c + sum(w[j] for j in N).  Length and
-    sign are inv(p) mod 2, moved by the class for the type-B length and an
-    inv_b sign.
+    parity of the negated-entry count) of one permutation p, read from the
+    block's first window.  Each base statistic is computed once per p and
+    packed in base ``radix``, first one most significant; a complement
+    (nexc = n - exc, asc = n - des) is n minus its base's digit.  Packing
+    is linear, so the window negating N has key c + sum(w[j] for j in N).
+    Blocks are counted per signature (c, sorted w, inv(p) mod 2, class),
+    and each signature's keys are built once, by doubling over the
+    positions.  Length and sign are inv(p) mod 2, moved by the class for
+    the type-B length and an inv_b sign.
     """
     n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
     signs, sign_moves = weight.sign_stat is not None, weight.sign_stat == "inv_b"
     length_moves = KINDS[spec.kind][1]
-    tallies = defaultdict(Counter)  # (length parity, negative) -> key counts
-    last = None
-    for block in zip(*[windows] * 2 ** max(n - 1, 0)):
-        p, cls = tuple(map(abs, block[0])), negs(block[0]) % 2
+    forms = [(form.base, n, -1) if hasattr(form, "base") else (form, 0, 1)
+             for form, _ in entries]
+    bases = [*dict.fromkeys(base for base, _, _ in forms)]
+    places = [(radix ** (len(bases) - 1 - bases.index(base)), c + off, sign)
+              for (base, c, sign), (_, off) in zip(forms, entries)]
+    signatures, last = Counter(), None
+    for w in islice(windows, 0, None, 2 ** max(n - 1, 0)):
+        p, cls = tuple(map(abs, w)), negs(w) % 2
         if p != last:  # B streams both classes of p one after the other
             last, c, weights = p, 0, [0] * n
-            for form, _ in entries:
-                form_c, form_w = form(p)
-                c = c * radix + form_c
-                weights = [x * radix + y for x, y in zip(weights, form_w)]
-            parity = (split or signs) and inv(p) % 2
-            even, odd = [c], []
-            for x in weights:
-                even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
+            for base in bases:
+                base_c, base_w = base(p)
+                c = c * radix + base_c
+                weights = [x * radix + y for x, y in zip(weights, base_w)]
+            weights, parity = tuple(sorted(weights)), (split or signs) and inv(p) % 2
+        signatures[c, weights, parity, cls] += 1
+    tally = Counter()  # (length parity, negative, packed key) -> count
+    for (c, weights, parity, cls), blocks in signatures.items():
+        even, odd = [c], []
+        for x in weights:
+            even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
         length = split and (parity + length_moves * cls) % 2
         negative = signs and (parity + sign_moves * cls) % 2
-        tallies[length, negative].update((even, odd)[cls])
-    digits = [(radix ** i, off) for i, (_, off) in enumerate(reversed(entries))]
-    digits.reverse()  # (place value, offset) per statistic, first one first
-    for (length, negative), counts in tallies.items():
-        for packed, count in counts.items():
-            yield length, negative, tuple(
-                packed // place % radix + off for place, off in digits), count
+        for packed in (even, odd)[cls]:
+            tally[length, negative, packed] += blocks
+    for (length, negative, packed), count in tally.items():
+        yield length, negative, tuple(shift + sign * (packed // place % radix)
+                                      for place, shift, sign in places), count
 
 
 def _kernel(spec, weight, budget, split):

@@ -60,6 +60,8 @@ def _last_gamma_negated(real):
 
 _HALF_SUM_OFF = ("closedforms.half_sum_closed + s^3 t at (aexc, 5, minus), "
                  "(bexc, 4, plus)")
+_EULERIAN_OFF = "closedforms.eulerian + s^3 t at (A, 4), (B, 3)"
+_PEEL_NEGATED = "poly._peel negates its last nonzero gamma"
 
 # fault id -> (module, name, the fault built from the real object, the check
 # ids it must fail)
@@ -86,6 +88,7 @@ FAULTS = {
         ("gamma_calculus.product_center_addition",
          "gamma_calculus.derivative_center_shift",
          "gamma_calculus.monomial_multipliers_shift_center",
+         "gamma_calculus.decompose_recompose_roundtrip",
          "typeA.closed_equals_oracle", "typeA.step_equals_half_sum",
          "typeA.palindromic_iff_odd_rank", "typeA.derivative_halving",
          "typeA.base_polynomials", "typeA.odd_rank_gamma_positive",
@@ -101,11 +104,13 @@ FAULTS = {
          "typeD.step_equals_oracle", "typeD.base_polynomials",
          "typeD.even_rank_gamma_positive", "typeD.odd_rank_two_term_split",
          "typeD.jump_equals_four_steps")),
-    "closedforms.eulerian + s^3 t at (A, 4), (B, 3)": (
+    _EULERIAN_OFF: (
         closedforms, "eulerian", _off_at({("A", 4), ("B", 3)}, _S3T),
         ("gamma_calculus.product_center_addition",
          "gamma_calculus.derivative_center_shift",
          "gamma_calculus.monomial_multipliers_shift_center",
+         "gamma_calculus.decompose_recompose_roundtrip",
+         "typeA.derivative_halving",
          "typeA.eulerian_recurrence_certified",
          "typeB.eulerian_recurrence_certified",
          "typeD.jump_equals_four_steps")),
@@ -118,31 +123,41 @@ FAULTS = {
     "closedforms.sgn_dexc_closed + st at n = 3": (
         closedforms, "sgn_dexc_closed", _off_at({(3,)}, _ST),
         ("signed_sums.type_d_power", "signed_sums.type_d_fourth_power_jump")),
-    "poly._peel negates its last nonzero gamma": (
+    _PEEL_NEGATED: (
         poly, "_peel", _last_gamma_negated,
         ("gamma_calculus.product_center_addition",
          "gamma_calculus.derivative_center_shift",
          "gamma_calculus.monomial_multipliers_shift_center",
+         "gamma_calculus.odd_length_split",
          "gamma_calculus.decompose_recompose_roundtrip",
          "typeA.base_polynomials", "typeA.odd_rank_gamma_positive",
-         "typeA.jump_table_values", "typeB.even_rank_gamma_positive",
+         "typeA.even_rank_two_term_split", "typeA.jump_table_values",
+         "typeB.even_rank_gamma_positive", "typeB.odd_rank_two_term_split",
          "typeD.base_polynomials", "typeD.even_rank_gamma_positive",
-         "typeD.jump_table_values", "typeD.jump_equals_four_steps",
+         "typeD.odd_rank_two_term_split", "typeD.jump_table_values",
+         "typeD.jump_equals_four_steps",
          "derangements.gamma_positive_with_centers",
          "q_refined.inv_gamma_positive", "q_refined.cyc_gamma_positive")),
 }
 
 # (fault id, check id) -> how the check's witness starts under the fault: a
-# polynomial with no gamma expansion fails a gamma-positivity claim at the
-# rank and class that broke it
+# polynomial that breaks a claim's premise (no gamma expansion, a negative
+# gamma in a split, an odd coefficient to halve) fails the claim at the
+# sample, or the rank and class, that broke it
 WITNESS_STARTS = {
     (_HALF_SUM_OFF, "typeA.odd_rank_gamma_positive"): "n=5 minus: ",
+    (_HALF_SUM_OFF, "gamma_calculus.decompose_recompose_roundtrip"):
+        "sample 1: ",
+    (_EULERIAN_OFF, "typeA.derivative_halving"): "n=4 half the whole: ",
+    (_PEEL_NEGATED, "gamma_calculus.odd_length_split"): "sample 0: ",
+    (_PEEL_NEGATED, "typeA.even_rank_two_term_split"): "n=4 plus split: ",
+    (_PEEL_NEGATED, "typeB.odd_rank_two_term_split"): "n=3 plus split: ",
+    (_PEEL_NEGATED, "typeD.odd_rank_two_term_split"): "n=5 plus split: ",
 }
 
 # Checks that no fault above names yet.  Shrink it: a check leaves it when a
 # fault that makes it fail joins FAULTS.
 NOT_YET_FAULTED = (
-    "gamma_calculus.odd_length_split",
     "typeB.descent_excedance_equidistributed",
     "typeB.weak_excedance_equidistribution",
     "typeB.inversion_variants_agree_mod_2",

@@ -322,6 +322,29 @@ class TestKernel:
                     assert inv_b(w) == inv_d(w) + k
 
 
+class TestSharedForms:
+    """The signed kernel reads nexc and asc off the exc and des forms."""
+
+    @pytest.mark.parametrize("sign_stat", [None, "inv_b", "inv_d"])
+    @pytest.mark.parametrize("excs", [("exc_b", "nexc_b"), ("exc_d", "nexc_d")])
+    def test_signed_complement_statistics_at_low_ranks(self, excs, sign_stat):
+        # the signed kernel computes exc and des once per permutation and
+        # reads nexc and asc as n minus their digits
+        weight = WeightSpec((("t", excs[1], 0), ("s", "asc_b", 0),
+                             ("q", excs[0], 0), ("u", "des_b", 0)),
+                            sign_stat=sign_stat)
+        for n in range(5):
+            for kind in ("B", "D", "B-D"):
+                parities = ("all",) if kind == "B-D" else ("all", "even", "odd")
+                for parity in parities:
+                    spec = GroupSpec(kind, n, parity=parity)
+                    assert dist_poly(spec, weight) == _reference(spec, weight), spec
+                if kind != "B-D":
+                    assert length_halves(GroupSpec(kind, n), weight) == tuple(
+                        _reference(GroupSpec(kind, n, parity=parity), weight)
+                        for parity in ("even", "odd")), (kind, n)
+
+
 class TestKernelErrors:
     @pytest.mark.parametrize("kind, stat", [("S", "exc_b"), ("B", "exc"),
                                             ("D", "des"), ("B-D", "cyc")])
