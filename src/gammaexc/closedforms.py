@@ -361,15 +361,13 @@ _JUMPS = {
 
 
 def _jump_level(family, n):
-    """Level-n plus/minus pair computed through the jump engine only."""
+    """Level-n plus/minus pair computed through the jump engine only; n must
+    be a seed's level plus a multiple of four, as ``jump4`` checks."""
     base, jump = _JUMPS[family]
     if n in base:
         return {cls: _from_gammas(2 * len(g) - 2, g)
                 for cls, g in zip(("plus", "minus"), base[n])}
-    low = n - 4
-    if low < min(base):
-        raise MissingBase(f"no jump seed at or below level {n} for {family}")
-    return jump(_jump_level(family, low), low)
+    return jump(_jump_level(family, n - 4), n - 4)
 
 
 def jump4(family, n, cls):
@@ -397,7 +395,7 @@ def jump4(family, n, cls):
 
 def set_partition_count(lam):
     """Number of set partitions of [n] with block sizes lam: n!/(prod lam_i! prod m_i!)."""
-    lam = lam if isinstance(lam, CycleType) else CycleType(tuple(lam))
+    lam = CycleType(lam)
     divisor = math.prod(map(math.factorial,
                             (*lam.parts, *lam.multiplicities().values())))
     return math.factorial(lam.n) // divisor
@@ -410,7 +408,7 @@ def conj_exc_closed(lam):
     fixed points only enter through the counting factor.  Gamma positive
     with center (n - m_1)/2.
     """
-    lam = lam if isinstance(lam, CycleType) else CycleType(tuple(lam))
+    lam = CycleType(lam)
     product = Poly.const(1, ("t",))
     for part in lam.parts:
         if part >= 2:

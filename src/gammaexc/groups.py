@@ -22,17 +22,15 @@ the #Negs term:  inv_D = inv + #{i<j: -sigma_i > sigma_j}.  ``pos_n`` is the
 position of the entry of largest absolute value, on either kind of window.
 
 Each statistic is one function of a window, and a ``Perm`` is one: a
-validated window tuple.  There are no per-type records bundling them.
-``KINDS`` is the one table of the group kinds' rules.  ``iterate`` is the
-one enumerator.  It returns ``Perm``/``SignedPerm`` elements in
-lexicographic window order, or, for the oracle's fused kernel (behind
-``oracle.dist_poly`` and ``oracle.length_halves``), bare window tuples one
-permutation of [n] at a time, from C iterators: ``itertools.permutations``
-itself on a whole S_n (``_perm_parities`` lists its inv parities), and on
-a signed group one ``compress`` block per permutation and kept class,
-chained.  The kernel computes the statistics in its own way; these
-per-element functions over ``iterate``'s lexicographic elements are the
-reference that tests check its sums against.
+validated window tuple.  ``KINDS`` is the one table of the group kinds'
+rules.  ``iterate`` is the one enumerator: it picks one stream of bare
+windows per spec and by default maps ``Perm._trusted`` or
+``SignedPerm._trusted`` over it.  The oracle's fused kernel reads the bare
+windows one permutation of [n] at a time, from C iterators:
+``itertools.permutations`` on a whole S_n (``_perm_parities`` lists its
+inv parities), and on a signed group one ``compress`` block per
+permutation and kept class, chained.  The per-element functions over
+``iterate``'s lexicographic elements are the reference for its sums.
 """
 
 from __future__ import annotations
@@ -480,34 +478,37 @@ def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
     """An iterator over the spec's domain, each element once.
 
     By default the elements come in lexicographic window order, as ``Perm``
-    or ``SignedPerm``.  With ``by_permutation`` they come as bare window
-    tuples, one permutation p of [n] at a time: on a signed group in blocks
-    of 2^(n-1) windows (the one empty window at n = 0), each one class of
-    p (the parity of its negated-entry count); one window per p on kind S
-    (a whole S_n is ``itertools.permutations``).  Raises BudgetExceeded
-    when called, before any window, if the ambient scan is too large.
+    or ``SignedPerm``, one ``map`` over bare windows.  With ``by_permutation``
+    they stay bare, one permutation p of [n] at a time: on a signed group in
+    blocks of 2^(n-1) windows (the one empty window at n = 0), each one
+    class of p (the parity of its negated-entry count); one window per p on
+    kind S.  A whole S_n is ``itertools.permutations`` either way.  Raises
+    BudgetExceeded when called, before any window, if the scan is too large.
     """
     if budget is not None and enumeration_cost(spec) > budget:
         raise BudgetExceeded(f"enumerating {spec} visits {enumeration_cost(spec)}"
                              f" windows, over the budget of {budget}")
-    if by_permutation and spec == GroupSpec("S", spec.n):  # no filter
-        return _perm_windows(spec.n)
-    if by_permutation and spec.kind != "S":
-        return _signed_windows_by_permutation(spec)
-    return _lexicographic(spec, bare=by_permutation)
+    if spec == GroupSpec("S", spec.n):  # no filter
+        windows = _perm_windows(spec.n)
+    elif by_permutation and spec.kind != "S":
+        windows = _signed_windows_by_permutation(spec)
+    else:
+        windows = _lexicographic(spec)
+    element = Perm if spec.kind == "S" else SignedPerm
+    return windows if by_permutation else map(element._trusted, windows)
 
 
-def _lexicographic(spec, bare):
-    """``iterate``'s filter loop, in lexicographic order; bare on kind S."""
+def _lexicographic(spec):
+    """``iterate``'s filter loop: bare windows in lexicographic order."""
     kept, moves = KINDS[spec.kind]
     if spec.kind == "S":
         stream = (_perm_windows(spec.n) if spec.pos_n is None
                   else _perm_windows_pos_n(spec.n, spec.pos_n))
-        length, element = inv, None if bare else Perm._trusted
+        length = inv
     else:
         stream = _signed_windows(range(1, spec.n + 1),
                                  kept[0] if len(kept) == 1 else None)
-        length, element = inv_b if moves else inv_d, SignedPerm._trusted
+        length = inv_b if moves else inv_d
     # the S-only filters are None on a signed spec
     fixed, lam = spec.fixed_points, spec.cycle_type
     want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
@@ -518,7 +519,7 @@ def _lexicographic(spec, bare):
             continue
         if want is not None and length(w) % 2 != want:
             continue
-        yield w if element is None else element(w)
+        yield w
 
 
 def cardinality(spec, budget=DEFAULT_BUDGET):

@@ -46,7 +46,6 @@ from operator import gt, lt, sub
 
 from . import closedforms
 from .groups import (
-    CycleType,
     DEFAULT_BUDGET,
     GroupSpec,
     InvalidSpec,
@@ -472,13 +471,11 @@ def _derangements(fs):
     return spec, T_EXC_WEIGHT
 
 
-def _cycle_type(fs):
+def _class_spec(fs):
+    """conjexc's class; ``GroupSpec`` rejects a lam that does not partition n."""
     if fs.lam is None:
         raise InvalidSpec("conjexc needs a cycle type")
-    lam = CycleType(fs.lam)
-    if lam.n != fs.n:
-        raise InvalidSpec(f"{lam} is not a partition of {fs.n}")
-    return lam
+    return GroupSpec("S", fs.n, cycle_type=fs.lam)
 
 
 def _q_refined(fs):
@@ -504,9 +501,8 @@ FAMILIES = {
         lambda fs: closedforms.derangement_closed(fs.n, fs.cls, fs.fixed),
         split=True, mode=UNIVARIATE, refinement="fixed"),
     "conjexc": Family(
-        lambda fs: (GroupSpec("S", fs.n, cycle_type=_cycle_type(fs)),
-                    T_EXC_WEIGHT),
-        lambda fs: closedforms.conj_exc_closed(_cycle_type(fs)),
+        lambda fs: (_class_spec(fs), T_EXC_WEIGHT),
+        lambda fs: closedforms.conj_exc_closed(_class_spec(fs).cycle_type),
         mode=UNIVARIATE, by_rank=False, refinement="lam"),
     "b_des": Family(_group("B", BDES_WEIGHT), _eulerian_or_half("B", "bexc"),
                     split=True),

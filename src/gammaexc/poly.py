@@ -516,11 +516,6 @@ def palindrome_info(f, mode=UNIVARIATE):
     return PalindromeInfo(bad is None, lo, hi, Fraction(lo + hi, 2))
 
 
-def _top_exponent(mode, r, n):
-    """Top t-exponent of an expansion; bivariate n is the total degree."""
-    return n - r if mode == BIVARIATE else n
-
-
 @dataclass(frozen=True)
 class GammaExpansion:
     """Coordinates of a palindromic polynomial in the gamma basis.
@@ -541,31 +536,26 @@ class GammaExpansion:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.r < 0 or self.n < self.r:
             raise ValueError(f"bad support: r={self.r}, n={self.n}")
-        expected = self.expected_length(self.mode, self.r, self.n)
-        if len(self.gammas) != expected:
+        if self.length < 0:
+            raise ValueError(f"bad support: r={self.r}, n={self.n} for mode {self.mode}")
+        if len(self.gammas) != self.length // 2 + 1:
             raise ValueError(
-                f"need {expected} gamma entries for mode={self.mode}, "
+                f"need {self.length // 2 + 1} gamma entries for mode={self.mode}, "
                 f"r={self.r}, n={self.n}; got {len(self.gammas)}"
             )
         object.__setattr__(self, "gammas", tuple(
             g if isinstance(g, int) else tuple(g) for g in self.gammas
         ))
 
-    @staticmethod
-    def expected_length(mode, r, n):
-        length = _top_exponent(mode, r, n) - r
-        if length < 0:
-            raise ValueError(f"bad support: r={r}, n={n} for mode {mode}")
-        return length // 2 + 1
-
     @property
     def center_of_symmetry(self):
-        return Fraction(_top_exponent(self.mode, self.r, self.n) + self.r, 2)
+        return Fraction(self.length + 2 * self.r, 2)
 
     @property
     def length(self):
-        """len = top t-exponent minus r (odd iff the center is half-integral)."""
-        return _top_exponent(self.mode, self.r, self.n) - self.r
+        """len = top t-exponent minus r (odd iff the center is half-integral);
+        the top t-exponent is n, or n - r in bivariate mode."""
+        return (self.n - self.r if self.mode == BIVARIATE else self.n) - self.r
 
     def all_gammas_nonnegative(self):
         for g in self.gammas:

@@ -1,4 +1,4 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion, warning-free."""
 
 import os
 import subprocess
@@ -14,6 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # -W error, as the tier-1 run: a warning in a demo fails it
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

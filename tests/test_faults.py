@@ -11,14 +11,16 @@ import dataclasses
 
 import pytest
 
-from gammaexc import checks, closedforms, oracle, poly
+from gammaexc import bijections, checks, closedforms, oracle, poly
 from gammaexc.checks import VerifyLimits, run_suite
+from gammaexc.groups import Perm
 from gammaexc.poly import Poly
 
 LIMITS = VerifyLimits(max_n_a=5, max_n_b=4, max_n_d=4)
 
 _ST = Poly.variable("s") * Poly.variable("t")
 _S3T = Poly.variable("s") ** 3 * Poly.variable("t")
+_T = Poly.variable("t")
 
 
 def _off_at(points, delta):
@@ -45,6 +47,33 @@ def _even_filter_keeps_all(real):
         return real(spec, *args, **kwargs)
 
     return iterate
+
+
+def _ranks_reversed(real):
+    def standardize(entries):
+        ranks = real(entries)
+        return tuple(len(ranks) + 1 - k for k in ranks)
+
+    return standardize
+
+
+def _signed_form_off_at(stat, p):
+    """The fault adding 1 to c in ``_signed_kernel``'s form of ``stat`` at
+    the permutation ``p``."""
+    def fault(real):
+        def kernel(n):
+            forms = real(n)
+            form = forms[stat]
+
+            def faulted(q):
+                c, w = form(q)
+                return c + (q == p), w
+
+            return {**forms, stat: faulted}
+
+        return kernel
+
+    return fault
 
 
 def _last_gamma_negated(real):
@@ -138,6 +167,51 @@ FAULTS = {
          "typeD.jump_equals_four_steps",
          "derangements.gamma_positive_with_centers",
          "q_refined.inv_gamma_positive", "q_refined.cyc_gamma_positive")),
+    "bijections.foata_fft returns the reversed word": (
+        bijections, "foata_fft",
+        lambda real: lambda w: Perm._trusted(real(w)[::-1]),
+        ("bijections.fundamental_transform",
+         "bijections.penultimate_to_front")),
+    "bijections.swap_last_two returns its input": (
+        bijections, "swap_last_two", lambda real: lambda w: w,
+        ("bijections.swap_last_two_involution",)),
+    "bijections.perm_to_long_cycle reads the reversed window": (
+        bijections, "perm_to_long_cycle",
+        lambda real: lambda w: real(tuple(w)[::-1]),
+        ("bijections.long_cycle_correspondence",)),
+    "bijections.standardize_cycle reverses its ranks": (
+        bijections, "standardize_cycle", _ranks_reversed,
+        ("bijections.cycle_standardization",)),
+    "closedforms.set_partition_count + 1 at (2, 2)": (
+        closedforms, "set_partition_count",
+        lambda real: lambda lam: real(lam) + (tuple(lam) == (2, 2)),
+        ("derangements.set_partition_counts",
+         "derangements.conjugacy_product_formula")),
+    "closedforms.eulerian_t + t at (A, 3)": (
+        closedforms, "eulerian_t", _off_at({("A", 3)}, _T),
+        ("derangements.long_cycle_distribution",)),
+    "closedforms.derangement_closed + t at (4, all), no fixed count": (
+        closedforms, "derangement_closed", _off_at({(4, "all")}, _T),
+        ("q_refined.q1_collapse",)),
+    "oracle._perm_parities all zero": (
+        oracle, "_perm_parities",
+        lambda real: lambda n, shift=0: bytes(len(real(n, shift))),
+        ("bijections.halving_consequence",)),
+    "oracle._signed_kernel's des_b form + 1 at p = (2, 1)": (
+        oracle, "_signed_kernel", _signed_form_off_at("des_b", (2, 1)),
+        ("typeB.descent_excedance_equidistributed",
+         "typeD.descent_restriction_equidistributed")),
+    "oracle._signed_kernel's des_b form + 1 at p = (1, 2)": (
+        oracle, "_signed_kernel", _signed_form_off_at("des_b", (1, 2)),
+        ("signed_sums.type_b_descent_position",)),
+    "oracle._signed_kernel's wkexc_b form + 1 at p = (2, 1)": (
+        oracle, "_signed_kernel", _signed_form_off_at("wkexc_b", (2, 1)),
+        ("typeB.weak_excedance_equidistribution",)),
+    # checks binds inv_b_negsum at import, so the fault patches it there
+    "checks.inv_b_negsum + 1 at n = 2": (
+        checks, "inv_b_negsum",
+        lambda real: lambda w: real(w) + (len(w) == 2),
+        ("typeB.inversion_variants_agree_mod_2",)),
 }
 
 # (fault id, check id) -> how the check's witness starts under the fault: a
@@ -155,25 +229,9 @@ WITNESS_STARTS = {
     (_PEEL_NEGATED, "typeD.odd_rank_two_term_split"): "n=5 plus split: ",
 }
 
-# Checks that no fault above names yet.  Shrink it: a check leaves it when a
-# fault that makes it fail joins FAULTS.
-NOT_YET_FAULTED = (
-    "typeB.descent_excedance_equidistributed",
-    "typeB.weak_excedance_equidistribution",
-    "typeB.inversion_variants_agree_mod_2",
-    "typeD.descent_restriction_equidistributed",
-    "signed_sums.type_b_descent_position",
-    "derangements.long_cycle_distribution",
-    "derangements.conjugacy_product_formula",
-    "derangements.set_partition_counts",
-    "bijections.fundamental_transform",
-    "bijections.penultimate_to_front",
-    "bijections.swap_last_two_involution",
-    "bijections.halving_consequence",
-    "bijections.long_cycle_correspondence",
-    "bijections.cycle_standardization",
-    "q_refined.q1_collapse",
-)
+# Checks that no fault above names yet: a check leaves it when a fault that
+# makes it fail joins FAULTS, and a new check joins FAULTS with its fault.
+NOT_YET_FAULTED = ()
 
 
 def _results(check_ids):

@@ -511,6 +511,17 @@ def test_malformed_lambda_is_a_usage_error(argv, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5..2", "empty range '5..2'"),
+    ("x", "expected a range like 2..8, got 'x'"),
+])
+def test_malformed_range_is_a_usage_error(text, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table", "--family", "aexc", "--n-range", text])
+    assert exit_info.value.code == 2
+    assert f"argument --n-range: {message}\n" in capsys.readouterr().err
+
+
 def test_descent_position_check_reads_the_letters(monkeypatch):
     # the fused kernel never reads SIGNED_STATISTICS, so only the letters
     # comparison sees a broken des_b

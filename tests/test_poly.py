@@ -273,6 +273,10 @@ class TestGammaDecompose:
         with pytest.raises(ZeroPolynomial):
             gamma_decompose(Poly.zero(("t",)), UNIVARIATE)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
+            gamma_decompose(1 + t, "bogus")
+
     def test_recompose_examples(self):
         aexc5 = GammaExpansion(BIVARIATE, 0, 4, (1, 7, 16)).recompose()
         assert aexc5 == (s ** 4 + 11 * s ** 3 * t + 36 * s ** 2 * t ** 2
@@ -494,17 +498,25 @@ class TestJson:
 
 class TestGammaExpansionValidation:
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown mode 'cubic'$"):
             GammaExpansion("cubic", 0, 2, (1, 0))
 
     def test_bad_support(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bad support: r=3, n=2$"):
             GammaExpansion(UNIVARIATE, 3, 2, (1,))
+        # r <= n, but the bivariate top t-exponent n - r lies below r
+        with pytest.raises(ValueError, match=r"^bad support: r=3, n=4 for "
+                                             r"mode bivariate_st$"):
+            GammaExpansion(BIVARIATE, 3, 4, (1,))
 
     def test_wrong_gamma_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 3 gamma entries for "
+                                             r"mode=univariate_t, r=0, n=4; "
+                                             r"got 2$"):
             GammaExpansion(UNIVARIATE, 0, 4, (1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 2 gamma entries for "
+                                             r"mode=bivariate_st, r=1, n=4; "
+                                             r"got 3$"):
             GammaExpansion(BIVARIATE, 1, 4, (1, 2, 3))
 
     @settings(max_examples=60, deadline=None)
