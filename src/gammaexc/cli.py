@@ -259,7 +259,7 @@ def build_parser():
     table.add_argument("--family", required=True,
                        choices=sorted(name for name, family
                                       in oracle.FAMILIES.items()
-                                      if family.by_rank
+                                      if family.refinement != "lam"
                                       and family.mode is not None))
     table.add_argument("--n-range", type=_parse_range, required=True,
                        metavar="A..B")

@@ -380,13 +380,9 @@ def jump4(family, n, cls):
     _require(family in _JUMPS, "jump is defined for aexc and dexc")
     _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
     base = _JUMPS[family][0]
-    if n < min(base):
-        raise MissingBase(f"no level-{n} data for {family}")
-    if (n - min(base)) % 2:
-        raise MissingBase(
-            f"level {n} is not reachable from the {family} seeds "
-            f"{sorted(base)} in steps of four"
-        )
+    if n < min(base) or (n - min(base)) % 2:
+        raise MissingBase(f"level {n} is not reachable from the {family} "
+                          f"seeds {sorted(base)} in steps of four")
     return _jump_level(family, n + 4)[cls]
 
 

@@ -8,23 +8,24 @@ use s^nexc; the offset makes that visible in one place), plus an optional
 sign statistic contributing (-1)^stat.
 
 Every weighted sum runs through one fused kernel, behind ``dist_poly`` and
-``length_halves``.  It pulls ``groups.iterate``'s bare windows one
-permutation p of [n] at a time, and computes each distinct base statistic
-once (a complement reads its base: nexc = n - exc, asc = n - des, or
-max(n - 1, 0) - des on kind S).  On kind S it tallies in C: each base is
-one ``map`` over a ``tee`` copy of the stream, and ``Counter(zip(...))``
-counts them with the length parity.  A signed statistic has a kernel form,
-affine in the sign indicators: p gives (c, w), and on the window that
-negates the positions in N it is c + sum(w[j] for j in N).  A signed group
-comes in blocks of 2^(n-1) windows, each one class (the parity of |N|) of
-one p, read from the block's first window.  The blocks are counted per
-signature (c, the sorted w, inv(p) mod 2, the class), and each signature's
-keys are built once, by doubling over the positions.  The length and the
-sign are parities of inv(p), moved by the class for the type-B length and
-the inv_b sign, so one pass tallies the even- and odd-length halves apart
-(``length_halves``).  The reference is ``_weighted_sum`` over
-``iterate``'s lexicographic windows with the per-element functions of
-``groups``; tests compare the kernel against it.
+``length_halves``.  It reads each exponent as a base statistic plus an
+offset, with a sign: a complement is a constant minus its base
+(``_COMPLEMENTS``: nexc = n - exc, asc = max(n - 1, 0) - des).  It pulls
+``groups.iterate``'s bare windows one permutation p of [n] at a time into a
+tally that only counts the distinct base values, and keys each tally entry
+once.  On kind S the tally runs in C: each base is one ``map`` over a
+``tee`` copy of the stream, and ``Counter(zip(...))`` counts them with the
+length parity.  A signed base has a kernel form, affine in the sign
+indicators: p gives (c, w), and on the window that negates the positions in
+N it is c + sum(w[j] for j in N).  A signed group comes in blocks of 2^(n-1)
+windows, each one class (the parity of |N|) of one p.  The blocks are
+counted per signature (c, the sorted w, inv(p) mod 2, the class), and each
+signature's values are built once, by doubling over the positions.  The
+length and the sign are parities of inv(p), moved by the class for the
+type-B length and the inv_b sign, so one pass tallies the even- and
+odd-length halves apart (``length_halves``).  The reference is
+``_weighted_sum`` over ``iterate``'s lexicographic windows with the
+per-element functions of ``groups``; tests compare the kernel against it.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -137,27 +138,20 @@ class WeightSpec:
         return tuple(v for v, _, _ in self.exponents)
 
 
-def _resolve(weight, kind, table):
-    """The weight's (table entry, offset) pairs, plus the sign statistic's entry.
+def _resolve(weight, kind):
+    """The names of the weight's exponent statistics.
 
-    Raises UndefinedStatistic for a statistic kind-``kind`` elements lack.
+    Raises UndefinedStatistic for a statistic, or a sign statistic,
+    kind-``kind`` elements lack.
     """
-    entries = []
-    for v, stat, off in weight.exponents:
-        if stat not in table:
+    table = A_STATISTICS if kind == "S" else SIGNED_STATISTICS
+    names = [stat for _, stat, _ in weight.exponents]
+    for label, stat in [*(("statistic", name) for name in names),
+                        ("sign statistic", weight.sign_stat)]:
+        if stat is not None and stat not in table:
             raise UndefinedStatistic(
-                f"statistic {stat!r} is not defined on {kind}-type elements"
-            )
-        entries.append((table[stat], off))
-    sign_entry = None
-    if weight.sign_stat is not None:
-        if weight.sign_stat not in table:
-            raise UndefinedStatistic(
-                f"sign statistic {weight.sign_stat!r} is not defined on "
-                f"{kind}-type elements"
-            )
-        sign_entry = table[weight.sign_stat]
-    return entries, sign_entry
+                f"{label} {stat!r} is not defined on {kind}-type elements")
+    return names
 
 
 def _weighted_sum(windows, weight, kind):
@@ -170,11 +164,12 @@ def _weighted_sum(windows, weight, kind):
     negative.
     """
     table = A_STATISTICS if kind == "S" else SIGNED_STATISTICS
-    funcs, sign_func = _resolve(weight, kind, table)
+    funcs = [table[stat] for stat in _resolve(weight, kind)]
+    sign_func = table.get(weight.sign_stat)
     acc = {}
     for w in windows:
         key = []
-        for func, off in funcs:
+        for func, (_, _, off) in zip(funcs, weight.exponents):
             e = func(w) + off
             if e < 0:
                 raise InvalidSpec(
@@ -190,14 +185,25 @@ def _weighted_sum(windows, weight, kind):
 
 # -- the fused kernel ----------------------------------------------------------
 
+# Each complement statistic is a constant minus its base statistic: name ->
+# (base name, the constant at rank n).  The kernel computes only bases.
+_COMPLEMENTS = {
+    "nexc": ("exc", lambda n: n),
+    "asc": ("des", lambda n: max(n - 1, 0)),
+    "nexc_b": ("exc_b", lambda n: n),
+    "asc_b": ("des_b", lambda n: n),
+    "nexc_d": ("exc_d", lambda n: n),
+}
+
 
 def _signed_kernel(n):
-    """Kernel forms of the signed statistics: permutation -> (c, w).
+    """Kernel forms of the signed base statistics: permutation -> (c, w).
 
     A signed window is a permutation p of [n] with the entries at a set N of
     positions negated.  Every signed statistic is affine in the sign
     indicators: on that window it equals c + sum(w[j] for j in N), with j
-    0-based.
+    0-based.  The complements are not here: ``_COMPLEMENTS`` reads them off
+    their bases.
     """
 
     def des_b(p):
@@ -227,33 +233,22 @@ def _signed_kernel(n):
         return lambda p: (inv(p), [2 * sum(a < v for a in p[:j]) + negs_weight
                                    for j, v in enumerate(p)])
 
-    def complement(form):
-        def flipped(p):
-            c, w = form(p)
-            return n - c, [-x for x in w]
-        flipped.base = form  # the tally reads n minus the base's digit
-        return flipped
-
     exc_b, wkexc_b = excedances(False), excedances(True)
-    nexc_b = complement(exc_b)
     return {
         "exc_b": exc_b,
-        "nexc_b": nexc_b,
         "wkexc_b": wkexc_b,
         "des_b": des_b,
-        "asc_b": complement(des_b),
         "inv_b": inversions(1),
         "negs": lambda p: (0, [1] * n),
         "pos_n": lambda p: (pos_n(p), [0] * n),
         "exc_d": exc_b,
-        "nexc_d": nexc_b,
         "wkexc_d": wkexc_b,
         "inv_d": inversions(0),
     }
 
 
-def _type_a_tally(spec, weight, entries, windows, split):
-    """Kind S: (length, negative, key, count) per distinct tally entry.
+def _type_a_tally(spec, weight, bases, windows, split):
+    """Kind S: (length, negative, base values, count) per distinct entry.
 
     The length parity (inv mod 2, and the sign) comes from the parity
     string where ``iterate`` generates the windows in lexicographic order:
@@ -261,37 +256,31 @@ def _type_a_tally(spec, weight, entries, windows, split):
     n - r inversions).  Where a filter drops windows, it is inv itself.
     """
     n, signs = spec.n, weight.sign_stat is not None
-    complements = {nexc: (exc, n, -1), asc: (des, max(n - 1, 0), -1)}
-    forms = [complements.get(func, (func, 0, 1)) for func, _ in entries]
     # some column must pull every window, also for a weight with no statistic
-    bases = [*dict.fromkeys(base for base, _, _ in forms)] or [len]
+    columns = bases or [len]
     if not (split or signs):
         parity = []
     elif (spec.parity, spec.fixed_points, spec.cycle_type) != ("all", None, None):
-        parity, bases = [], bases + [inv]  # a filter drops windows
+        parity, columns = [], columns + [inv]  # a filter drops windows
     else:
         parity = [_perm_parities(n) if spec.pos_n is None
                   else _perm_parities(n - 1, n - spec.pos_n)]
-    places = [(bases.index(base), c + off, sign)
-              for (base, c, sign), (_, off) in zip(forms, entries)]
-    columns = [*map(map, bases, tee(windows, len(bases))), *parity]
+    columns = [*map(map, columns, tee(windows, len(columns))), *parity]
     for values, count in Counter(zip(*columns)).items():
-        bit = values[-1] % 2  # the parity column is last, when there is one
-        yield split and bit, signs and bit, tuple(
-            c + sign * values[i] for i, c, sign in places), count
+        bit = values[-1] % 2  # the bases lead; a parity column is last
+        yield split and bit, signs and bit, values, count
 
 
-def _signed_tally(spec, weight, entries, windows, split):
-    """Types B and D: (length, negative, key, count) per distinct tally entry.
+def _signed_tally(spec, weight, bases, windows, split):
+    """Types B and D: (length, negative, base values, count) per distinct entry.
 
     ``iterate`` streams blocks of 2^(n-1) windows, each one class (the
     parity of the negated-entry count) of one permutation p, read from the
-    block's first window.  Each base statistic is computed once per p and
-    packed in base ``radix``, first one most significant; a complement
-    (nexc = n - exc, asc = n - des) is n minus its base's digit.  Packing
-    is linear, so the window negating N has key c + sum(w[j] for j in N).
+    block's first window.  Each base form is computed once per p and packed
+    in base ``radix``, first one most significant.  Packing is linear, so
+    the window negating N has packed values c + sum(w[j] for j in N).
     Blocks are counted per signature (c, sorted w, inv(p) mod 2, class),
-    and each signature's keys are built once, by doubling over the
+    and each signature's packed values are built once, by doubling over the
     positions.  Length and sign are inv(p) mod 2, moved by the class for
     the type-B length and an inv_b sign.
     """
@@ -299,11 +288,6 @@ def _signed_tally(spec, weight, entries, windows, split):
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
     signs, sign_moves = weight.sign_stat is not None, weight.sign_stat == "inv_b"
     length_moves = KINDS[spec.kind][1]
-    forms = [(form.base, n, -1) if hasattr(form, "base") else (form, 0, 1)
-             for form, _ in entries]
-    bases = [*dict.fromkeys(base for base, _, _ in forms)]
-    places = [(radix ** (len(bases) - 1 - bases.index(base)), c + off, sign)
-              for (base, c, sign), (_, off) in zip(forms, entries)]
     signatures, last = Counter(), None
     for w in islice(windows, 0, None, 2 ** max(n - 1, 0)):
         p, cls = tuple(map(abs, w)), negs(w) % 2
@@ -315,7 +299,7 @@ def _signed_tally(spec, weight, entries, windows, split):
                 weights = [x * radix + y for x, y in zip(weights, base_w)]
             weights, parity = tuple(sorted(weights)), (split or signs) and inv(p) % 2
         signatures[c, weights, parity, cls] += 1
-    tally = Counter()  # (length parity, negative, packed key) -> count
+    tally = Counter()  # (length parity, negative, packed values) -> count
     for (c, weights, parity, cls), blocks in signatures.items():
         even, odd = [c], []
         for x in weights:
@@ -324,22 +308,33 @@ def _signed_tally(spec, weight, entries, windows, split):
         negative = signs and (parity + sign_moves * cls) % 2
         for packed in (even, odd)[cls]:
             tally[length, negative, packed] += blocks
+    places = [radix ** i for i in reversed(range(len(bases)))]
     for (length, negative, packed), count in tally.items():
-        yield length, negative, tuple(shift + sign * (packed // place % radix)
-                                      for place, shift, sign in places), count
+        yield length, negative, [packed // place % radix for place in places], count
 
 
 def _kernel(spec, weight, budget, split):
-    """The fused kernel: [whole], or [even, odd] by length when ``split``;
-    each distinct tally entry is checked and signed once.
+    """The fused kernel: [whole], or [even, odd] by length when ``split``.
+
+    Each exponent reads one base form, an offset and a sign: a complement
+    (``_COMPLEMENTS``) is its constant plus the offset minus its base.
+    Bases are shared by identity, and the tallies only count their values;
+    each distinct tally entry is keyed, checked and signed once here.
     UndefinedStatistic comes first, then BudgetExceeded, by ``iterate``'s
     rule, before any window."""
-    table, tally = ((A_STATISTICS, _type_a_tally) if spec.kind == "S"
+    forms, tally = ((A_STATISTICS, _type_a_tally) if spec.kind == "S"
                     else (_signed_kernel(spec.n), _signed_tally))
-    entries, _ = _resolve(weight, spec.kind, table)
+    reads = []  # (base form, offset, sign) per exponent
+    for stat, (_, _, off) in zip(_resolve(weight, spec.kind), weight.exponents):
+        base, constant = _COMPLEMENTS.get(stat, (stat, None))
+        reads.append((forms[base], off, 1) if constant is None
+                     else (forms[base], constant(spec.n) + off, -1))
+    bases = [*dict.fromkeys(form for form, _, _ in reads)]
+    places = [(bases.index(form), off, sign) for form, off, sign in reads]
     windows = iterate(spec, budget=budget, by_permutation=True)
     halves = ({}, {})
-    for length, negative, key, count in tally(spec, weight, entries, windows, split):
+    for length, negative, values, count in tally(spec, weight, bases, windows, split):
+        key = tuple(off + sign * values[i] for i, off, sign in places)
         if key and min(key) < 0:
             raise _offset_error(spec, weight)
         terms = halves[length]
@@ -426,7 +421,6 @@ class Family:
     enumeration-only.  ``split``: the family has plus/minus halves.
     ``mode``: the default gamma mode, or None when the polynomial involves u
     and so has no gamma expansion.  ``min_n``: the lowest valid rank.
-    ``by_rank``: n alone fixes the domain, so ``table`` can sweep it.
     ``refinement``: the one FamilySpec refinement field the family reads.
 
     Closed engines are looked up on the ``closedforms`` module at call time,
@@ -438,7 +432,6 @@ class Family:
     split: bool = False
     mode: str | None = BIVARIATE
     min_n: int = 0
-    by_rank: bool = True
     refinement: str | None = None
 
 
@@ -503,7 +496,7 @@ FAMILIES = {
     "conjexc": Family(
         lambda fs: (_class_spec(fs), T_EXC_WEIGHT),
         lambda fs: closedforms.conj_exc_closed(_class_spec(fs).cycle_type),
-        mode=UNIVARIATE, by_rank=False, refinement="lam"),
+        mode=UNIVARIATE, refinement="lam"),
     "b_des": Family(_group("B", BDES_WEIGHT), _eulerian_or_half("B", "bexc"),
                     split=True),
     "bexc": Family(_group("B", BEXC_WEIGHT), _eulerian_or_half("B", "bexc"),

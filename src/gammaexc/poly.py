@@ -567,22 +567,16 @@ class GammaExpansion:
         return True
 
     def recompose(self):
-        """The exact polynomial this expansion represents."""
-        if self.mode == BIVARIATE:
-            s, t = Poly.variable("s"), Poly.variable("t")
-            total = Poly.zero(("s", "t"))
-            for i, g in enumerate(self.gammas):
-                total = total + g * (s * t) ** (self.r + i) \
-                    * (s + t) ** (self.n - 2 * (self.r + i))
-            return total
-        t = Poly.variable("t")
-        total = Poly.zero(("t",))
+        """The exact polynomial this expansion represents: the sum of
+        gamma_i (xt)^(r+i) (x+t)^(length-2i), with x = s in bivariate mode
+        and x = 1 otherwise."""
+        x = Poly.variable("s") if self.mode == BIVARIATE else 1
+        t, total = Poly.variable("t"), Poly.zero()
         for i, g in enumerate(self.gammas):
             if isinstance(g, tuple):
                 q = Poly.variable("q")
                 g = sum((c * q ** e for e, c in enumerate(g)), Poly.zero(("q",)))
-            total = total + g * t ** (self.r + i) \
-                * (1 + t) ** (self.n - self.r - 2 * i)
+            total += g * (x * t) ** (self.r + i) * (x + t) ** (self.length - 2 * i)
         return total
 
     def to_json_dict(self):

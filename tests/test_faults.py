@@ -201,8 +201,8 @@ FAULTS = {
         oracle, "_signed_kernel", _signed_form_off_at("des_b", (2, 1)),
         ("typeB.descent_excedance_equidistributed",
          "typeD.descent_restriction_equidistributed")),
-    "oracle._signed_kernel's des_b form + 1 at p = (1, 2)": (
-        oracle, "_signed_kernel", _signed_form_off_at("des_b", (1, 2)),
+    "oracle._signed_kernel's pos_n form + 1 at p = (1, 2)": (
+        oracle, "_signed_kernel", _signed_form_off_at("pos_n", (1, 2)),
         ("signed_sums.type_b_descent_position",)),
     "oracle._signed_kernel's wkexc_b form + 1 at p = (2, 1)": (
         oracle, "_signed_kernel", _signed_form_off_at("wkexc_b", (2, 1)),

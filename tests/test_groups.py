@@ -63,6 +63,9 @@ class TestWindows:
             SignedPerm((1, 0))
         with pytest.raises(WindowError, match="position 2"):
             SignedPerm((-2, 2))
+        with pytest.raises(WindowError, match=r"^position 1: \|3\| outside "
+                           r"1\.\.2$"):
+            SignedPerm((3, 1))
 
     def test_round_trip_text(self):
         sigma = SignedPerm.parse("-2,1")
@@ -212,6 +215,11 @@ class TestCycleTypes:
         with pytest.raises(InvalidSpec, match=message):
             conj_exc_closed(parts)
 
+    def test_non_positive_part_rejected(self):
+        with pytest.raises(InvalidSpec,
+                           match=r"^parts must be positive: \(2, 0\)$"):
+            CycleType((2, 0))
+
     def test_multiplicities(self):
         lam = CycleType((3, 2, 2, 1))
         assert lam.multiplicity(2) == 2
@@ -316,6 +324,18 @@ class TestIterate:
             GroupSpec("X", 3)
         with pytest.raises(InvalidSpec):
             GroupSpec("B-D", 3, parity="even")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": -1}, "n must be non-negative"),
+        ({"n": 2, "parity": "x"}, "parity must be all/even/odd, got 'x'"),
+        ({"n": 2, "fixed_points": 3}, "fixed_points=3 outside 0..2"),
+    ])
+    def test_invalid_spec_messages(self, kwargs, message):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            GroupSpec("S", **kwargs)
+
+    def test_spec_names_its_cycle_type(self):
+        assert str(GroupSpec("S", 4, cycle_type=(2, 2))) == "S_4 type=2,2"
 
     def test_enumeration_cost(self):
         # n = 0..6; a half of B counts all of B_n's windows, twice the

@@ -28,6 +28,7 @@ from gammaexc.oracle import (
     UndefinedStatistic,
     UnsupportedClass,
     WeightSpec,
+    _COMPLEMENTS,
     _signed_kernel,
     _weighted_sum,
     dist_poly,
@@ -136,6 +137,11 @@ class TestFamilyPoly:
     def test_unknown_family(self):
         with pytest.raises(InvalidSpec):
             family_domain(FamilySpec("nope", 3))
+
+    def test_unknown_class(self):
+        with pytest.raises(InvalidSpec,
+                           match=r"^class must be all/plus/minus, got 'x'$"):
+            FamilySpec("aexc", 3, "x")
 
     def test_conjexc_needs_lambda(self):
         with pytest.raises(InvalidSpec):
@@ -273,8 +279,13 @@ class TestKernel:
                 assert dist_poly(spec, weight) == _reference(spec, weight)
 
     def test_every_signed_statistic_has_a_kernel_form(self):
-        # a type-A statistic's kernel form is its own function
-        assert set(_signed_kernel(3)) == set(SIGNED_STATISTICS)
+        # a kernel base or a complement, never both; a type-A statistic's
+        # kernel form is its own function
+        bases = set(_signed_kernel(3))
+        complements = set(_COMPLEMENTS) & set(SIGNED_STATISTICS)
+        assert bases | complements == set(SIGNED_STATISTICS)
+        assert not bases & complements
+        assert {base for base, _ in map(_COMPLEMENTS.get, complements)} <= bases
 
     @pytest.mark.parametrize("spec", [
         GroupSpec("D", 4, parity="even"), GroupSpec("B", 3),
@@ -299,12 +310,14 @@ class TestKernel:
 
     @pytest.mark.parametrize("stat", sorted(SIGNED_STATISTICS))
     def test_signed_forms_are_affine_on_b4(self, stat):
-        """On every window of B_4, c + sum(w[j] for negated j) is the stat."""
-        form, reference = _signed_kernel(4)[stat], SIGNED_STATISTICS[stat]
+        """On every window of B_4, c + sum(w[j] for negated j) is the stat,
+        and a complement is 4 minus its base's value."""
+        base = _COMPLEMENTS.get(stat, (stat,))[0]
+        form, reference = _signed_kernel(4)[base], SIGNED_STATISTICS[stat]
         for w in _signed_windows((1, 2, 3, 4)):
             c, weights = form(tuple(map(abs, w)))
-            assert c + sum(x for x, v in zip(weights, w) if v < 0) == (
-                reference(w)), w
+            value = c + sum(x for x, v in zip(weights, w) if v < 0)
+            assert (value if base == stat else 4 - value) == reference(w), w
 
     def test_inversion_identity_on_b4(self):
         """inv_D(eps.p) = inv(p) + 2 sum_{j negated} (j - L_j), inv_B adds negs.

@@ -179,6 +179,27 @@ class TestExactCoefficients:
             Fraction(1, 2) + t
 
 
+class TestValidation:
+    """Each check the Poly constructors make, with its message."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Poly(("x",)), UnknownVariable,
+         "unknown variable 'x'; allowed: ('s', 't', 'u', 'q')"),
+        (lambda: Poly(("t", "s")), ValueError,
+         "variables must be in canonical s,t,u,q order, got ('t', 's')"),
+        (lambda: Poly(("t", "t")), ValueError,
+         "duplicate variable in ('t', 't')"),
+        (lambda: Poly(("s", "t"), {(1,): 1}), ValueError,
+         "exponent vector (1,) does not match variables ('s', 't')"),
+        (lambda: Poly(("t",), {(-1,): 1}), ValueError,
+         "exponents must be non-negative ints: (-1,)"),
+        (lambda: Poly.variable("x"), UnknownVariable, "unknown variable 'x'"),
+    ])
+    def test_message(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
+
 class TestSubstituteAndDerive:
     def test_substitute_one(self):
         assert (s ** 2 + 2 * s * t + t ** 2).substitute_one("s") == 1 + 2 * t + t ** 2
@@ -242,6 +263,11 @@ class TestPalindromeInfo:
     def test_inhomogeneous_rejected(self):
         with pytest.raises(NotHomogeneous):
             palindrome_info(s + s * t, BIVARIATE)
+
+    def test_q_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^palindrome_info supports "
+                           r"univariate_t and bivariate_st$"):
+            palindrome_info(q * t, Q_COEFFICIENTS)
 
 
 class TestGammaDecompose:
