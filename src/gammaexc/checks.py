@@ -303,13 +303,14 @@ def _jump_equals_four_steps(limits, family, n_values):
 
 
 def _totals_and_additivity(limits, family, lo, top, order):
-    """The halves sum to the whole, whose value at s = t = 1 is order(n)."""
+    """The halves add to the whole, order(n) at s = t = 1, and differ by sgn."""
     hi = top(limits)
     for n in range(lo, hi + 1):
         full = family_poly(FamilySpec(family, n), budget=limits.budget)
         plus = family_poly(FamilySpec(family, n, "plus"), budget=limits.budget)
         minus = family_poly(FamilySpec(family, n, "minus"), budget=limits.budget)
         _same(f"n={n} additivity", plus + minus, full)
+        _same(f"n={n} signed sum", plus - minus, _closed("sgn_" + family, n))
         _same(f"n={n} total", full.at_ones(), order(n))
     return _ranged(lo, hi)
 

@@ -26,10 +26,11 @@ validated window tuple.  ``KINDS`` is the one table of the group kinds'
 rules.  ``iterate`` is the one enumerator: it picks one stream of bare
 windows per spec and by default maps ``Perm._trusted`` or
 ``SignedPerm._trusted`` over it.  The oracle's fused kernel reads the bare
-windows one permutation of [n] at a time, from C iterators:
-``itertools.permutations`` on a whole S_n (``_perm_parities`` lists its
-inv parities), and on a signed group one ``compress`` block per
-permutation and kept class, chained.  The per-element functions over
+windows one permutation of [n] at a time: ``itertools.permutations`` on
+S_n, ``compress``-ed to a parity half (also of a pos_n slice) by its inv
+parities, ``_perm_parities``; a cycle type's class, generated; on a signed
+group one ``compress`` block per permutation and kept class.  Fixed points,
+and pos_n with a cycle type, still filter.  The per-element functions over
 ``iterate``'s lexicographic elements are the reference for its sums.
 """
 
@@ -474,6 +475,26 @@ def _signed_windows_by_permutation(spec):
         for q in kept if want is None or (length + moves * q) % 2 == want)
 
 
+def _class_windows(spec):
+    """The spec's cycle type class (none if the type fixes another parity or
+    fixed point count), the least free letter's cycle taking each length left."""
+    lam, window = CycleType(spec.cycle_type), [0] * spec.n
+    def windows(free, parts):
+        after = {k: parts[:i] + parts[i + 1:] for i, k in enumerate(parts)}
+        for k, left in after.items():
+            for others in _itertools_permutations(free[1:], k - 1):
+                cycle = (free[0], *others)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    window[a - 1] = b
+                if left:
+                    yield from windows([v for v in free if v not in cycle], left)
+                else:
+                    yield tuple(window)
+    if spec.fixed_points in (None, lam.fixed_points) and spec.parity in (
+            "all", "even" if lam.sign > 0 else "odd"):
+        yield from windows(range(1, spec.n + 1), lam.parts)
+
+
 def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
     """An iterator over the spec's domain, each element once.
 
@@ -482,16 +503,24 @@ def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
     they stay bare, one permutation p of [n] at a time: on a signed group in
     blocks of 2^(n-1) windows (the one empty window at n = 0), each one
     class of p (the parity of its negated-entry count); one window per p on
-    kind S.  A whole S_n is ``itertools.permutations`` either way.  Raises
-    BudgetExceeded when called, before any window, if the scan is too large.
+    kind S, where a class is generated and a half ``compress``-ed.  A whole
+    S_n is ``itertools.permutations`` either way.  Raises BudgetExceeded
+    when called, before any window, if the scan is too large.
     """
     if budget is not None and enumeration_cost(spec) > budget:
         raise BudgetExceeded(f"enumerating {spec} visits {enumeration_cost(spec)}"
                              f" windows, over the budget of {budget}")
-    if spec == GroupSpec("S", spec.n):  # no filter
-        windows = _perm_windows(spec.n)
+    n, r, want = spec.n, spec.pos_n, ("all", "even", "odd").index(spec.parity)
+    if spec == GroupSpec("S", n):  # no filter
+        windows = _perm_windows(n)
     elif by_permutation and spec.kind != "S":
         windows = _signed_windows_by_permutation(spec)
+    elif by_permutation and spec.cycle_type and r is None:
+        windows = _class_windows(spec)
+    elif by_permutation and want and spec.fixed_points is spec.cycle_type is None:
+        # keep w where inv(w) + want is odd; n at position r adds n - r
+        windows = compress(_perm_windows_pos_n(n, r) if r else _perm_windows(n),
+                           _perm_parities(n - bool(r), want + n - (r or n)))
     else:
         windows = _lexicographic(spec)
     element = Perm if spec.kind == "S" else SignedPerm

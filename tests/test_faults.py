@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from gammaexc import bijections, checks, closedforms, oracle, poly
+from gammaexc import bijections, checks, closedforms, groups, oracle, poly
 from gammaexc.checks import VerifyLimits, run_suite
 from gammaexc.groups import Perm
 from gammaexc.poly import Poly
@@ -47,6 +47,13 @@ def _even_filter_keeps_all(real):
         return real(spec, *args, **kwargs)
 
     return iterate
+
+
+def _class_last_dropped(real):
+    def class_windows(spec):
+        return iter([*real(spec)][:-1])
+
+    return class_windows
 
 
 def _ranks_reversed(real):
@@ -106,6 +113,15 @@ FAULTS = {
         lambda real: lambda n, shift=0: real(n, shift + 1),
         ("typeA.closed_equals_oracle", "signed_sums.type_a_power",
          "derangements.fixed_point_refinement")),
+    # iterate reads these two from groups; oracle binds _perm_parities apart
+    "groups._class_windows drops the last window of each class": (
+        groups, "_class_windows", _class_last_dropped,
+        ("derangements.long_cycle_distribution",
+         "bijections.cycle_standardization")),
+    "groups._perm_parities flipped": (
+        groups, "_perm_parities",
+        lambda real: lambda n, shift=0: real(n, shift + 1),
+        ("typeA.totals_and_class_additivity",)),
     "oracle.iterate's even filter keeps all": (
         oracle, "iterate", _even_filter_keeps_all,
         ("typeA.totals_and_class_additivity",

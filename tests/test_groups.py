@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from itertools import permutations
 
 import pytest
@@ -293,6 +294,38 @@ class TestIterate:
                 perms.append(tuple(map(abs, block[0])))
             assert perms == sorted(perms)
 
+    def test_by_permutation_class_streams(self):
+        # a class is generated whole, or is empty where the spec's parity or
+        # fixed points are not its cycle type's
+        for n in range(8):
+            for lam in partitions(n):
+                for parity in ("all", "even", "odd"):
+                    for fixed in (None, lam.fixed_points,
+                                  (lam.fixed_points + 1) % (n + 1)):
+                        spec = GroupSpec("S", n, parity, fixed_points=fixed,
+                                         cycle_type=lam.parts)
+                        lex = [p.window for p in iterate(spec)]
+                        got = list(iterate(spec, by_permutation=True))
+                        assert len(set(got)) == len(got), spec
+                        assert sorted(got) == lex, spec
+
+    def test_by_permutation_halves_keep_the_order(self):
+        for n in range(8):
+            for parity in ("all", "even", "odd"):
+                for r in (None, *range(1, n + 1)):
+                    spec = GroupSpec("S", n, parity, pos_n=r)
+                    lex = [p.window for p in iterate(spec)]
+                    assert list(iterate(spec, by_permutation=True)) == lex, spec
+
+    def test_class_is_streamed(self):
+        # the 12-cycles of S_12 are 11! windows: the first comes at once
+        stream = iterate(GroupSpec("S", 12, cycle_type=(12,)),
+                         by_permutation=True)
+        assert iter(stream) is stream
+        start = time.perf_counter()
+        assert next(stream) == (*range(2, 13), 1)
+        assert time.perf_counter() - start < 0.5
+
     def test_each_exactly_once(self):
         seen = [p.window for p in iterate(GroupSpec("D", 3))]
         assert len(seen) == len(set(seen))
@@ -348,6 +381,15 @@ class TestIterate:
         }
         pos_n_costs = (None, 1, 1, 2, 6, 24, 120)
         for n in range(7):
+            # a class costs all of S_n, in either mode
+            for lam in partitions(n):
+                spec = GroupSpec("S", n, cycle_type=lam.parts)
+                assert enumeration_cost(spec) == costs["S"][n], spec
+                for by_permutation in (False, True):
+                    iterate(spec, costs["S"][n], by_permutation=by_permutation)
+                    with pytest.raises(BudgetExceeded):
+                        iterate(spec, costs["S"][n] - 1,
+                                by_permutation=by_permutation)
             assert enumeration_cost(GroupSpec("B-D", n)) == costs["B-D"][n]
             for parity in ("all", "even", "odd"):
                 for kind in ("S", "B", "D"):
