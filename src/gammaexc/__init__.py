@@ -74,7 +74,6 @@ from .poly import (
     UnknownVariable,
     ZeroPolynomial,
     gamma_decompose,
-    gamma_recompose,
     half,
     palindrome_info,
     split_odd_length,
@@ -92,9 +91,9 @@ __all__ = [
     "WeightSpec", "WindowError", "ZeroPolynomial", "cardinality",
     "coeff_tables", "conj_exc_closed", "cycle_type", "derangement_closed",
     "dexc_jump_tail", "dist_poly", "eulerian", "eulerian_t", "family_poly",
-    "gamma_decompose", "gamma_recompose", "half", "half_sum_closed",
-    "iterate", "jump4", "jump_tables", "palindrome_info", "parse_window",
-    "partitions", "q_refined", "set_partition_count", "sgn_aexc_closed",
-    "sgn_bexc_closed", "sgn_dexc_closed", "sgnb_des_u", "sgnb_des_u_closed",
-    "split_odd_length", "step_recurrence",
+    "gamma_decompose", "half", "half_sum_closed", "iterate", "jump4",
+    "jump_tables", "palindrome_info", "parse_window", "partitions",
+    "q_refined", "set_partition_count", "sgn_aexc_closed", "sgn_bexc_closed",
+    "sgn_dexc_closed", "sgnb_des_u", "sgnb_des_u_closed", "split_odd_length",
+    "step_recurrence",
 ]

@@ -18,8 +18,11 @@ has is a row, ``_row(id, claim, shape, *args)``, which runs
 ``shape(limits, *args)``; the shapes sit under "shapes shared by types" and
 the rows among the checks of their suite.  A check with logic of its own is
 a function of the limits decorated with ``_register(id, claim)``.  The id's
-prefix names the suite.  Rows look up library engines and build tabulated
-polynomials only when they run.
+prefix names the suite.  A check over ranks declares them once, with
+``ranks=(lo, top)`` on either form, ``top`` an int or a function of the
+limits: its body then takes ``(limits, n)``, the registry runs it at
+n = lo..top in order, and the range it reports is the one that ran.  Rows
+look up library engines and build tabulated polynomials only when they run.
 """
 
 from __future__ import annotations
@@ -109,18 +112,33 @@ class Mismatch(Exception):
 REGISTRY: list[Check] = []
 
 
-def _register(check_id, claim):
-    """Register a function of the limits; the id's prefix names its suite."""
-    def wrap(func):
+def _register(check_id, claim, ranks=None):
+    """Register a function of the limits, or with ``ranks=(lo, top)`` a body
+    of ``(limits, n)`` run over those ranks; the id's prefix names its suite."""
+    def wrap(body):
+        func = body if ranks is None else _over_ranks(body, *ranks)
         REGISTRY.append(Check(check_id, check_id.split(".")[0], claim, func))
-        return func
+        return body
 
     return wrap
 
 
-def _row(check_id, claim, shape, *args):
-    """Register the check ``shape(limits, *args)``."""
-    _register(check_id, claim)(lambda limits: shape(limits, *args))
+def _over_ranks(body, lo, top):
+    """The check running ``body(limits, n)`` at n = lo..top(limits), in order,
+    that reports the range it ran."""
+    def check(limits):
+        hi = top(limits) if callable(top) else top
+        for n in range(lo, hi + 1):
+            body(limits, n)
+        return _ranged(lo, hi)
+
+    return check
+
+
+def _row(check_id, claim, shape, *args, ranks=None):
+    """Register the check ``shape(limits, *args)``, or with ``ranks`` the
+    body ``shape(limits, n, *args)``."""
+    _register(check_id, claim, ranks)(lambda *head: shape(*head, *args))
 
 
 def _same(label, left, right):
@@ -251,23 +269,17 @@ def _closed(family, n, cls="all"):
     return oracle.closed_family(FamilySpec(family, n, cls))
 
 
-def _closed_equals_oracle(limits, family, lo, top):
+def _closed_equals_oracle(limits, n, family):
     """Both half-sum closed forms equal the enumerated halves."""
-    hi = top(limits)
-    for n in range(lo, hi + 1):
-        for cls, enumerated in zip(("plus", "minus"), _halves(family, n, limits)):
-            _same(f"n={n} {cls}", closedforms.half_sum_closed(family, n, cls),
-                  enumerated)
-    return _ranged(lo, hi)
+    for cls, enumerated in zip(("plus", "minus"), _halves(family, n, limits)):
+        _same(f"n={n} {cls}", closedforms.half_sum_closed(family, n, cls),
+              enumerated)
 
 
-def _step_equals_half_sum(limits, family, lo, top):
-    hi = top(limits)
-    for n in range(lo, hi + 1):
-        for cls in ("plus", "minus"):
-            _same(f"n={n} {cls}", closedforms.step_recurrence(family, n, cls),
-                  closedforms.half_sum_closed(family, n, cls))
-    return _ranged(lo, hi)
+def _step_equals_half_sum(limits, n, family):
+    for cls in ("plus", "minus"):
+        _same(f"n={n} {cls}", closedforms.step_recurrence(family, n, cls),
+              closedforms.half_sum_closed(family, n, cls))
 
 
 def _base_polynomials(limits, family, table):
@@ -302,26 +314,20 @@ def _jump_equals_four_steps(limits, family, n_values):
     return "n+4=" + ",".join(str(n + 4) for n in n_values)
 
 
-def _totals_and_additivity(limits, family, lo, top, order):
+def _totals_and_additivity(limits, n, family, order):
     """The halves add to the whole, order(n) at s = t = 1, and differ by sgn."""
-    hi = top(limits)
-    for n in range(lo, hi + 1):
-        full = family_poly(FamilySpec(family, n), budget=limits.budget)
-        plus = family_poly(FamilySpec(family, n, "plus"), budget=limits.budget)
-        minus = family_poly(FamilySpec(family, n, "minus"), budget=limits.budget)
-        _same(f"n={n} additivity", plus + minus, full)
-        _same(f"n={n} signed sum", plus - minus, _closed("sgn_" + family, n))
-        _same(f"n={n} total", full.at_ones(), order(n))
-    return _ranged(lo, hi)
+    full = family_poly(FamilySpec(family, n), budget=limits.budget)
+    plus = family_poly(FamilySpec(family, n, "plus"), budget=limits.budget)
+    minus = family_poly(FamilySpec(family, n, "minus"), budget=limits.budget)
+    _same(f"n={n} additivity", plus + minus, full)
+    _same(f"n={n} signed sum", plus - minus, _closed("sgn_" + family, n))
+    _same(f"n={n} total", full.at_ones(), order(n))
 
 
-def _closed_equals_family(limits, family, lo, top):
-    """The closed engine equals the enumeration at ranks lo..top(limits)."""
-    hi = top(limits)
-    for n in range(lo, hi + 1):
-        _same(f"n={n}", family_poly(FamilySpec(family, n), budget=limits.budget),
-              _closed(family, n))
-    return _ranged(lo, hi)
+def _closed_equals_family(limits, n, family):
+    """The closed engine equals the enumeration at rank n."""
+    _same(f"n={n}", family_poly(FamilySpec(family, n), budget=limits.budget),
+          _closed(family, n))
 
 
 def _rank_gamma_positive(limits, family, ranks, shift, covered):
@@ -369,14 +375,11 @@ def _two_term_split(limits, family, n_values):
     return "n=" + ",".join(str(n) for n in n_values)
 
 
-def _q_gamma_positive(limits, stat):
-    hi = min(limits.max_n_a, 7)
-    for n in range(2, hi + 1):
-        plus, minus = _halves("qrefined", n, limits, stat=stat)
-        for cls, f in (("plus", plus), ("minus", minus), ("all", plus + minus)):
-            if not f.is_zero:
-                _gamma_positive(f"n={n} {cls}", f, Q_COEFFICIENTS)
-    return _ranged(2, hi)
+def _q_gamma_positive(limits, n, stat):
+    plus, minus = _halves("qrefined", n, limits, stat=stat)
+    for cls, f in (("plus", plus), ("minus", minus), ("all", plus + minus)):
+        if not f.is_zero:
+            _gamma_positive(f"n={n} {cls}", f, Q_COEFFICIENTS)
 
 
 # ------------------------------------------------------------------------ type A
@@ -385,44 +388,39 @@ def _q_gamma_positive(limits, stat):
 _row("typeA.eulerian_recurrence_certified",
      "the bivariate descent polynomial recurrence reproduces the "
      "enumeration over the symmetric group",
-     _closed_equals_family, "a_des", 1, lambda lim: min(lim.max_n_a, 6))
+     _closed_equals_family, "a_des", ranks=(1, lambda lim: min(lim.max_n_a, 6)))
 
 _row("typeA.closed_equals_oracle",
      "the half-sum closed forms match the enumerated even/odd "
      "excedance polynomials",
-     _closed_equals_oracle, "aexc", 2, lambda lim: lim.max_n_a)
+     _closed_equals_oracle, "aexc", ranks=(2, lambda lim: lim.max_n_a))
 
 _row("typeA.step_equals_half_sum",
      "the one-step plus/minus recurrence agrees with the half-sum "
      "closed form",
-     _step_equals_half_sum, "aexc", 2, lambda lim: max(lim.max_n_a, 12))
+     _step_equals_half_sum, "aexc", ranks=(2, lambda lim: max(lim.max_n_a, 12)))
 
 
 @_register("typeA.palindromic_iff_odd_rank",
            "the even/odd excedance polynomials are palindromic exactly at "
-           "odd ranks")
-def _check_palindromic_iff(limits):
-    for n in range(2, 10):
-        for cls in ("plus", "minus"):
-            f = closedforms.half_sum_closed("aexc", n, cls)
-            _same(f"n={n} {cls} palindromic",
-                  palindrome_info(f, BIVARIATE).is_palindromic, n % 2 == 1)
-    return _ranged(2, 9)
+           "odd ranks", ranks=(2, 9))
+def _check_palindromic_iff(limits, n):
+    for cls in ("plus", "minus"):
+        f = closedforms.half_sum_closed("aexc", n, cls)
+        _same(f"n={n} {cls} palindromic",
+              palindrome_info(f, BIVARIATE).is_palindromic, n % 2 == 1)
 
 
 @_register("typeA.derivative_halving",
            "both excedance halves have the same s+t derivative, half that of "
-           "the full polynomial")
-def _check_derivative_halving(limits):
-    hi = max(limits.max_n_a, 8)
-    for n in range(2, hi + 1):
-        dp = D(closedforms.half_sum_closed("aexc", n, "plus"))
-        dm = D(closedforms.half_sum_closed("aexc", n, "minus"))
-        with _as_mismatch(f"n={n} half the whole"):
-            da = half(D(closedforms.eulerian("A", n)))
-        _same(f"n={n} plus vs minus", dp, dm)
-        _same(f"n={n} minus vs half the whole", dm, da)
-    return _ranged(2, hi)
+           "the full polynomial", ranks=(2, lambda lim: max(lim.max_n_a, 8)))
+def _check_derivative_halving(limits, n):
+    dp = D(closedforms.half_sum_closed("aexc", n, "plus"))
+    dm = D(closedforms.half_sum_closed("aexc", n, "minus"))
+    with _as_mismatch(f"n={n} half the whole"):
+        da = half(D(closedforms.eulerian("A", n)))
+    _same(f"n={n} plus vs minus", dp, dm)
+    _same(f"n={n} minus vs half the whole", dm, da)
 
 _row("typeA.base_polynomials",
      "the rank 5 and 7 even/odd excedance polynomials and their gamma "
@@ -458,21 +456,18 @@ def _check_aexc_split(limits):
 
 @_register("typeA.coefficient_triangle",
            "the coupled coefficient recurrences rebuild the rows extracted "
-           "from the closed forms, and the halves sum to the Eulerian numbers")
-def _check_coeff_tables(limits):
-    hi = 12
-    tables = closedforms.coeff_tables(hi)
-    for n in range(2, hi + 1):
-        for cls in ("plus", "minus"):
-            f = closedforms.half_sum_closed("aexc", n, cls)
-            _same(f"row {n} {cls}", tables.row(n, cls),
-                  tuple(t_coefficients(f, BIVARIATE)))
-        full = t_coefficients(closedforms.eulerian_t("A", n))
-        for k in range(n):
-            _same(f"Eulerian({n},{k})",
-                  tables.value(n, k, "plus") + tables.value(n, k, "minus"),
-                  full[k])
-    return _ranged(2, hi)
+           "from the closed forms, and the halves sum to the Eulerian numbers",
+           ranks=(2, 12))
+def _check_coeff_tables(limits, n):
+    tables = closedforms.coeff_tables(n)
+    for cls in ("plus", "minus"):
+        f = closedforms.half_sum_closed("aexc", n, cls)
+        _same(f"row {n} {cls}", tables.row(n, cls),
+              tuple(t_coefficients(f, BIVARIATE)))
+    full = t_coefficients(closedforms.eulerian_t("A", n))
+    for k in range(n):
+        _same(f"Eulerian({n},{k})",
+              tables.value(n, k, "plus") + tables.value(n, k, "minus"), full[k])
 
 _row("typeA.jump_table_values",
      "the six fixed rank-jump polynomials match their tabulated "
@@ -494,8 +489,8 @@ _row("typeA.jump_equals_four_steps",
 _row("typeA.totals_and_class_additivity",
      "family totals count the domain and the even/odd halves sum to "
      "the whole",
-     _totals_and_additivity, "aexc", 2, lambda lim: min(lim.max_n_a, 7),
-     math.factorial)
+     _totals_and_additivity, "aexc", math.factorial,
+     ranks=(2, lambda lim: min(lim.max_n_a, 7)))
 
 
 # ------------------------------------------------------------------------ type B
@@ -504,42 +499,39 @@ _row("typeA.totals_and_class_additivity",
 _row("typeB.eulerian_recurrence_certified",
      "the type-B descent polynomial recurrence reproduces the "
      "enumeration over the signed group",
-     _closed_equals_family, "b_des", 1, lambda lim: lim.max_n_b)
+     _closed_equals_family, "b_des", ranks=(1, lambda lim: lim.max_n_b))
 
 _row("typeB.closed_equals_oracle",
      "the type-B half-sum closed forms match the enumerated even/odd "
      "excedance polynomials",
-     _closed_equals_oracle, "bexc", 1, lambda lim: lim.max_n_b)
+     _closed_equals_oracle, "bexc", ranks=(1, lambda lim: lim.max_n_b))
 
 _row("typeB.step_equals_half_sum",
      "the type-B one-step recurrence agrees with the half-sum closed form",
-     _step_equals_half_sum, "bexc", 1, lambda lim: max(lim.max_n_b, 12))
+     _step_equals_half_sum, "bexc", ranks=(1, lambda lim: max(lim.max_n_b, 12)))
 
 
 @_register("typeB.descent_excedance_equidistributed",
            "type-B descents and excedances are equidistributed over the even "
-           "elements and over the odd elements separately")
-def _check_b_equidistribution(limits):
-    for n in range(1, limits.max_n_b + 1):
-        pairs = zip(_halves("b_des", n, limits), _halves("bexc", n, limits))
-        for cls, (descents, excedances) in zip(("plus", "minus"), pairs):
-            _same(f"n={n} {cls}", descents, excedances)
-    return _ranged(1, limits.max_n_b)
+           "elements and over the odd elements separately",
+           ranks=(1, lambda lim: lim.max_n_b))
+def _check_b_equidistribution(limits, n):
+    pairs = zip(_halves("b_des", n, limits), _halves("bexc", n, limits))
+    for cls, (descents, excedances) in zip(("plus", "minus"), pairs):
+        _same(f"n={n} {cls}", descents, excedances)
 
 
 @_register("typeB.weak_excedance_equidistribution",
            "ascents and weak excedances are jointly equidistributed with the "
-           "negative-letter set statistic")
-def _check_b_weak(limits):
-    for n in range(1, limits.max_n_b + 1):
-        _same(f"n={n}",
-              dist_poly(GroupSpec("B", n),
-                        WeightSpec((("t", "asc_b", 0), ("u", "negs", 0))),
-                        budget=limits.budget),
-              dist_poly(GroupSpec("B", n),
-                        WeightSpec((("t", "wkexc_b", 0), ("u", "negs", 0))),
-                        budget=limits.budget))
-    return _ranged(1, limits.max_n_b)
+           "negative-letter set statistic", ranks=(1, lambda lim: lim.max_n_b))
+def _check_b_weak(limits, n):
+    _same(f"n={n}",
+          dist_poly(GroupSpec("B", n),
+                    WeightSpec((("t", "asc_b", 0), ("u", "negs", 0))),
+                    budget=limits.budget),
+          dist_poly(GroupSpec("B", n),
+                    WeightSpec((("t", "wkexc_b", 0), ("u", "negs", 0))),
+                    budget=limits.budget))
 
 _row("typeB.even_rank_gamma_positive",
      "at even ranks both type-B excedance halves are gamma positive "
@@ -554,19 +546,17 @@ _row("typeB.odd_rank_two_term_split",
 
 @_register("typeB.inversion_variants_agree_mod_2",
            "the pairwise inversion count and the negative-letter-sum variant "
-           "have the same parity on every signed permutation")
-def _check_inv_variants(limits):
-    hi = min(limits.max_n_b, 5)
-    for n in range(1, hi + 1):
-        for p in iterate(GroupSpec("B", n), budget=limits.budget):
-            _same(p, inv_b(p) % 2, inv_b_negsum(p) % 2)
-    return _ranged(1, hi)
+           "have the same parity on every signed permutation",
+           ranks=(1, lambda lim: min(lim.max_n_b, 5)))
+def _check_inv_variants(limits, n):
+    for p in iterate(GroupSpec("B", n), budget=limits.budget):
+        _same(p, inv_b(p) % 2, inv_b_negsum(p) % 2)
 
 _row("typeB.totals_and_class_additivity",
      "type-B family totals count the domain and the halves sum to the "
      "whole",
-     _totals_and_additivity, "bexc", 1, lambda lim: lim.max_n_b,
-     lambda n: 2 ** n * math.factorial(n))
+     _totals_and_additivity, "bexc", lambda n: 2 ** n * math.factorial(n),
+     ranks=(1, lambda lim: lim.max_n_b))
 
 
 # ------------------------------------------------------------------------ type D
@@ -574,44 +564,37 @@ _row("typeB.totals_and_class_additivity",
 
 @_register("typeD.bridge_to_typeB",
            "the type-D excedance polynomial equals the even type-B half, and "
-           "the complement equals the odd half")
-def _check_d_bridge(limits):
-    for n in range(1, limits.max_n_d + 1):
-        _same(f"n={n} dexc",
-              family_poly(FamilySpec("dexc", n), budget=limits.budget),
-              closedforms.half_sum_closed("bexc", n, "plus"))
-        _same(f"n={n} bdexc",
-              family_poly(FamilySpec("bdexc", n), budget=limits.budget),
-              closedforms.half_sum_closed("bexc", n, "minus"))
-    return _ranged(1, limits.max_n_d)
+           "the complement equals the odd half", ranks=(1, lambda lim: lim.max_n_d))
+def _check_d_bridge(limits, n):
+    _same(f"n={n} dexc", family_poly(FamilySpec("dexc", n), budget=limits.budget),
+          closedforms.half_sum_closed("bexc", n, "plus"))
+    _same(f"n={n} bdexc", family_poly(FamilySpec("bdexc", n), budget=limits.budget),
+          closedforms.half_sum_closed("bexc", n, "minus"))
 
 
 @_register("typeD.step_equals_oracle",
            "the coupled type-D recurrences match the enumeration, including "
-           "the signed plus/minus halves")
-def _check_d_step(limits):
-    for n in range(2, limits.max_n_d + 1):
-        plus, minus = _halves("dexc", n, limits)
-        _same(f"n={n} dexc", closedforms.step_recurrence("dexc", n), plus + minus)
-        _same(f"n={n} bdexc", closedforms.step_recurrence("bdexc", n),
-              family_poly(FamilySpec("bdexc", n), budget=limits.budget))
-        for cls, enumerated in (("plus", plus), ("minus", minus)):
-            _same(f"n={n} dexc {cls}",
-                  closedforms.step_recurrence("dexc", n, cls), enumerated)
-    return _ranged(2, limits.max_n_d)
+           "the signed plus/minus halves", ranks=(2, lambda lim: lim.max_n_d))
+def _check_d_step(limits, n):
+    plus, minus = _halves("dexc", n, limits)
+    _same(f"n={n} dexc", closedforms.step_recurrence("dexc", n), plus + minus)
+    _same(f"n={n} bdexc", closedforms.step_recurrence("bdexc", n),
+          family_poly(FamilySpec("bdexc", n), budget=limits.budget))
+    for cls, enumerated in (("plus", plus), ("minus", minus)):
+        _same(f"n={n} dexc {cls}",
+              closedforms.step_recurrence("dexc", n, cls), enumerated)
 
 
 @_register("typeD.descent_restriction_equidistributed",
            "type-B descents restricted to the type-D subgroup are "
-           "equidistributed with type-D excedances")
-def _check_d_descent(limits):
-    for n in range(2, limits.max_n_d + 1):
-        _same(f"n={n}",
-              dist_poly(GroupSpec("D", n),
-                        WeightSpec((("t", "des_b", 0), ("s", "asc_b", 0))),
-                        budget=limits.budget),
-              family_poly(FamilySpec("dexc", n), budget=limits.budget))
-    return _ranged(2, limits.max_n_d)
+           "equidistributed with type-D excedances",
+           ranks=(2, lambda lim: lim.max_n_d))
+def _check_d_descent(limits, n):
+    _same(f"n={n}",
+          dist_poly(GroupSpec("D", n),
+                    WeightSpec((("t", "des_b", 0), ("s", "asc_b", 0))),
+                    budget=limits.budget),
+          family_poly(FamilySpec("dexc", n), budget=limits.budget))
 
 _row("typeD.base_polynomials",
      "the rank 4 and 6 type-D excedance halves and their gamma vectors "
@@ -668,8 +651,8 @@ def _check_d_jump(limits):
 _row("typeD.totals_and_class_additivity",
      "type-D family totals count the domain and the halves sum to the "
      "whole",
-     _totals_and_additivity, "dexc", 2, lambda lim: lim.max_n_d,
-     lambda n: 2 ** (n - 1) * math.factorial(n))
+     _totals_and_additivity, "dexc", lambda n: 2 ** (n - 1) * math.factorial(n),
+     ranks=(2, lambda lim: lim.max_n_d))
 
 
 # -------------------------------------------------------------------- signed sums
@@ -677,11 +660,11 @@ _row("typeD.totals_and_class_additivity",
 
 _row("signed_sums.type_a_power",
      "the sign-weighted type-A excedance sum collapses to (s-t)^(n-1)",
-     _closed_equals_family, "sgn_aexc", 2, lambda lim: lim.max_n_a)
+     _closed_equals_family, "sgn_aexc", ranks=(2, lambda lim: lim.max_n_a))
 
 _row("signed_sums.type_b_power",
      "the sign-weighted type-B excedance sum collapses to (s-t)^n",
-     _closed_equals_family, "sgn_bexc", 1, lambda lim: lim.max_n_b)
+     _closed_equals_family, "sgn_bexc", ranks=(1, lambda lim: lim.max_n_b))
 
 
 @_register("signed_sums.type_b_descent_position",
@@ -705,16 +688,15 @@ def _check_sgn_b_u(limits):
 _row("signed_sums.type_d_power",
      "the sign-weighted type-D excedance sum is (s-t)^n at even ranks "
      "and s(s-t)^(n-1) at odd ranks",
-     _closed_equals_family, "sgn_dexc", 1, lambda lim: lim.max_n_d + 1)
+     _closed_equals_family, "sgn_dexc", ranks=(1, lambda lim: lim.max_n_d + 1))
 
 
 @_register("signed_sums.type_d_fourth_power_jump",
-           "the signed type-D sum gains a factor (s-t)^4 every four ranks")
-def _check_sgn_d_jump(limits):
-    for n in range(1, 9):
-        _same(f"n={n}", closedforms.sgn_dexc_closed(n + 4),
-              (_S - _T) ** 4 * closedforms.sgn_dexc_closed(n))
-    return _ranged(1, 8)
+           "the signed type-D sum gains a factor (s-t)^4 every four ranks",
+           ranks=(1, 8))
+def _check_sgn_d_jump(limits, n):
+    _same(f"n={n}", closedforms.sgn_dexc_closed(n + 4),
+          (_S - _T) ** 4 * closedforms.sgn_dexc_closed(n))
 
 
 # -------------------------------------------------------------------- derangements
@@ -722,29 +704,26 @@ def _check_sgn_d_jump(limits):
 
 @_register("derangements.long_cycle_distribution",
            "excedances over the n-cycles distribute as t times the rank n-1 "
-           "Eulerian polynomial")
-def _check_long_cycles(limits):
-    for n in range(2, limits.max_n_a + 1):
-        _same(f"n={n}",
-              dist_poly(GroupSpec("S", n, cycle_type=(n,)),
-                        oracle.T_EXC_WEIGHT, budget=limits.budget),
-              _T * closedforms.eulerian_t("A", n - 1))
-    return _ranged(2, limits.max_n_a)
+           "Eulerian polynomial", ranks=(2, lambda lim: lim.max_n_a))
+def _check_long_cycles(limits, n):
+    _same(f"n={n}",
+          dist_poly(GroupSpec("S", n, cycle_type=(n,)), oracle.T_EXC_WEIGHT,
+                    budget=limits.budget),
+          _T * closedforms.eulerian_t("A", n - 1))
 
 
 @_register("derangements.conjugacy_product_formula",
            "every conjugacy class's excedance polynomial equals the "
-           "set-partition count times the product of long-cycle factors")
-def _check_conjugacy(limits):
-    for n in range(1, limits.max_n_a + 1):
-        a, b = tee(iterate(GroupSpec("S", n), limits.budget, by_permutation=True))
-        tally = Counter(zip(map(_cycle_lengths, a), map(exc, b)))
-        for lam in partitions(n):
-            dist = {(e,): c for (parts, e), c in tally.items() if parts == lam.parts}
-            _same(f"n={n} type {lam}", Poly(("t",), dist),
-                  closedforms.conj_exc_closed(lam))
-            _same(f"|C_{lam}|", sum(dist.values()), lam.class_size())
-    return _ranged(1, limits.max_n_a)
+           "set-partition count times the product of long-cycle factors",
+           ranks=(1, lambda lim: lim.max_n_a))
+def _check_conjugacy(limits, n):
+    a, b = tee(iterate(GroupSpec("S", n), limits.budget, by_permutation=True))
+    tally = Counter(zip(map(_cycle_lengths, a), map(exc, b)))
+    for lam in partitions(n):
+        dist = {(e,): c for (parts, e), c in tally.items() if parts == lam.parts}
+        _same(f"n={n} type {lam}", Poly(("t",), dist),
+              closedforms.conj_exc_closed(lam))
+        _same(f"|C_{lam}|", sum(dist.values()), lam.class_size())
 
 
 _EXC_FIXED_WEIGHT = WeightSpec((("t", "exc", 0), ("q", "fixed_points", 0)))
@@ -752,38 +731,34 @@ _EXC_FIXED_WEIGHT = WeightSpec((("t", "exc", 0), ("q", "fixed_points", 0)))
 
 @_register("derangements.fixed_point_refinement",
            "the closed derangement sums match the enumeration for every "
-           "fixed-point count and sign class")
-def _check_fixed_refinement(limits):
-    for n in range(1, limits.max_n_a + 1):
-        plus, minus = oracle.length_halves(GroupSpec("S", n), _EXC_FIXED_WEIGHT,
-                                           budget=limits.budget)
-        classes = {"plus": plus, "minus": minus, "all": plus + minus}
-        by_class = {}  # (fixed points, class) -> sum of class product formulas
-        for lam in partitions(n):
-            for cls in ("all", "plus" if lam.sign == 1 else "minus"):
-                key = (lam.fixed_points, cls)
-                by_class[key] = by_class.get(key, 0) + closedforms.conj_exc_closed(lam)
-        for i in range(n + 1):
-            for cls, poly in classes.items():
-                engine = closedforms.derangement_closed(n, cls, fixed=i)
-                _same(f"n={n} i={i} {cls}", poly.coefficient("q", i), engine)
-                _same(f"n={n} i={i} {cls} by classes", by_class.get((i, cls), 0), engine)
-    return _ranged(1, limits.max_n_a)
+           "fixed-point count and sign class", ranks=(1, lambda lim: lim.max_n_a))
+def _check_fixed_refinement(limits, n):
+    plus, minus = oracle.length_halves(GroupSpec("S", n), _EXC_FIXED_WEIGHT,
+                                       budget=limits.budget)
+    classes = {"plus": plus, "minus": minus, "all": plus + minus}
+    by_class = {}  # (fixed points, class) -> sum of class product formulas
+    for lam in partitions(n):
+        for cls in ("all", "plus" if lam.sign == 1 else "minus"):
+            key = (lam.fixed_points, cls)
+            by_class[key] = by_class.get(key, 0) + closedforms.conj_exc_closed(lam)
+    for i in range(n + 1):
+        for cls, poly in classes.items():
+            engine = closedforms.derangement_closed(n, cls, fixed=i)
+            _same(f"n={n} i={i} {cls}", poly.coefficient("q", i), engine)
+            _same(f"n={n} i={i} {cls} by classes", by_class.get((i, cls), 0), engine)
 
 
 @_register("derangements.gamma_positive_with_centers",
            "derangement excedance polynomials are gamma positive with center "
-           "(n - fixed)/2 in every sign class")
-def _check_derangement_gamma(limits):
-    hi = max(limits.max_n_a, 9)
-    for n in range(2, hi + 1):
-        for i in range(0, n + 1):
-            for cls in ("all", "plus", "minus"):
-                f = closedforms.derangement_closed(n, cls, fixed=i)
-                if not f.is_zero:
-                    _gamma_positive(f"n={n} i={i} {cls}", f, UNIVARIATE,
-                                    Fraction(n - i, 2))
-    return _ranged(2, hi)
+           "(n - fixed)/2 in every sign class",
+           ranks=(2, lambda lim: max(lim.max_n_a, 9)))
+def _check_derangement_gamma(limits, n):
+    for i in range(0, n + 1):
+        for cls in ("all", "plus", "minus"):
+            f = closedforms.derangement_closed(n, cls, fixed=i)
+            if not f.is_zero:
+                _gamma_positive(f"n={n} i={i} {cls}", f, UNIVARIATE,
+                                Fraction(n - i, 2))
 
 
 @_register("derangements.set_partition_counts",
@@ -804,86 +779,73 @@ def _check_partition_counts(limits):
 
 @_register("bijections.fundamental_transform",
            "the fundamental transformation is a bijection carrying the "
-           "excedance count to the descent count")
-def _check_fft(limits):
-    for n in range(1, limits.max_n_a + 1):
-        seen = set()
-        for p in iterate(GroupSpec("S", n), budget=limits.budget):
-            image = bijections.foata_fft(p)
-            # (des of the image, inverse of the image)
-            _same(p, (des(image), bijections.foata_fft_inverse(image)),
-                  (exc(p), p))
-            seen.add(image)
-        _same(f"n={n} image size", len(seen), math.factorial(n))
-    return _ranged(1, limits.max_n_a)
+           "excedance count to the descent count", ranks=(1, lambda lim: lim.max_n_a))
+def _check_fft(limits, n):
+    seen = set()
+    for p in iterate(GroupSpec("S", n), budget=limits.budget):
+        image = bijections.foata_fft(p)
+        # (des of the image, inverse of the image)
+        _same(p, (des(image), bijections.foata_fft_inverse(image)), (exc(p), p))
+        seen.add(image)
+    _same(f"n={n} image size", len(seen), math.factorial(n))
 
 
 @_register("bijections.penultimate_to_front",
            "the penultimate-to-front map is a bijection carrying "
-           "(exc, nexc-1) to (des, asc)")
-def _check_penultimate(limits):
-    hi = min(limits.max_n_a, 7)
-    for n in range(2, hi + 1):
-        seen = set()
-        count = 0
-        for p in iterate(GroupSpec("S", n, pos_n=n - 1), budget=limits.budget):
-            image = bijections.penultimate_to_front(p)
-            # (position of n, exc, nexc - 1), the last two read off the image
-            _same(p, (pos_n(image), des(image), asc(image)),
-                  (1, exc(p), nexc(p) - 1))
-            seen.add(image)
-            count += 1
-        _same(f"n={n} injectivity", len(seen), count)
-    return _ranged(2, hi)
+           "(exc, nexc-1) to (des, asc)", ranks=(2, lambda lim: min(lim.max_n_a, 7)))
+def _check_penultimate(limits, n):
+    seen = set()
+    count = 0
+    for p in iterate(GroupSpec("S", n, pos_n=n - 1), budget=limits.budget):
+        image = bijections.penultimate_to_front(p)
+        # (position of n, exc, nexc - 1), the last two read off the image
+        _same(p, (pos_n(image), des(image), asc(image)), (1, exc(p), nexc(p) - 1))
+        seen.add(image)
+        count += 1
+    _same(f"n={n} injectivity", len(seen), count)
 
 
 @_register("bijections.swap_last_two_involution",
            "swapping the last two letters is a sign-reversing, "
-           "excedance-preserving involution away from the top letter")
-def _check_swap(limits):
-    hi = min(limits.max_n_a, 7)
-    for n in range(2, hi + 1):
-        for r in range(1, n - 1):
-            for p in iterate(GroupSpec("S", n, pos_n=r), budget=limits.budget):
-                image = bijections.swap_last_two(p)
-                # (excedances, change of inversion parity, image of the image)
-                _same(p, (exc(image), (inv(image) - inv(p)) % 2,
-                          bijections.swap_last_two(image)),
-                      (exc(p), 1, p))
-    return _ranged(2, hi)
+           "excedance-preserving involution away from the top letter",
+           ranks=(2, lambda lim: min(lim.max_n_a, 7)))
+def _check_swap(limits, n):
+    for r in range(1, n - 1):
+        for p in iterate(GroupSpec("S", n, pos_n=r), budget=limits.budget):
+            image = bijections.swap_last_two(p)
+            # (excedances, change of inversion parity, image of the image)
+            _same(p, (exc(image), (inv(image) - inv(p)) % 2,
+                      bijections.swap_last_two(image)),
+                  (exc(p), 1, p))
 
 
 @_register("bijections.halving_consequence",
            "away from the last two positions, the even elements carry exactly "
-           "half of each restricted excedance distribution")
-def _check_halving(limits):
-    hi = min(limits.max_n_a, 7)
-    for n in range(3, hi + 1):
-        for r in range(1, n - 1):
-            even, odd = oracle.length_halves(
-                GroupSpec("S", n, pos_n=r), oracle.AEXC_WEIGHT, budget=limits.budget)
-            _same(f"n={n} r={r}", 2 * even, even + odd)
-    return _ranged(3, hi)
+           "half of each restricted excedance distribution",
+           ranks=(3, lambda lim: min(lim.max_n_a, 7)))
+def _check_halving(limits, n):
+    for r in range(1, n - 1):
+        even, odd = oracle.length_halves(
+            GroupSpec("S", n, pos_n=r), oracle.AEXC_WEIGHT, budget=limits.budget)
+        _same(f"n={n} r={r}", 2 * even, even + odd)
 
 
 @_register("bijections.long_cycle_correspondence",
            "the long-cycle encoding is a bijection onto the n-cycles with "
-           "excedance count one more than the source's descent count")
-def _check_long_cycle_map(limits):
-    hi = min(limits.max_n_a, 7)
-    for n in range(2, hi + 1):
-        images = set()
-        for p in iterate(GroupSpec("S", n - 1), budget=limits.budget):
-            image = bijections.perm_to_long_cycle(p)
-            # (cycle type, excedances, inverse), all of the image
-            _same(p, (cycle_type(image).parts, exc(image),
-                      bijections.long_cycle_to_perm(image)),
-                  ((n,), des(p) + 1, p))
-            images.add(image)
-        n_cycles = sum(1 for q in iterate(GroupSpec("S", n, cycle_type=(n,)),
-                                          budget=limits.budget))
-        _same(f"n={n} surjectivity", len(images), n_cycles)
-    return _ranged(2, hi)
+           "excedance count one more than the source's descent count",
+           ranks=(2, lambda lim: min(lim.max_n_a, 7)))
+def _check_long_cycle_map(limits, n):
+    images = set()
+    for p in iterate(GroupSpec("S", n - 1), budget=limits.budget):
+        image = bijections.perm_to_long_cycle(p)
+        # (cycle type, excedances, inverse), all of the image
+        _same(p, (cycle_type(image).parts, exc(image),
+                  bijections.long_cycle_to_perm(image)),
+              ((n,), des(p) + 1, p))
+        images.add(image)
+    n_cycles = sum(1 for q in iterate(GroupSpec("S", n, cycle_type=(n,)),
+                                      budget=limits.budget))
+    _same(f"n={n} surjectivity", len(images), n_cycles)
 
 
 @_register("bijections.cycle_standardization",
@@ -915,33 +877,26 @@ def _check_standardize(limits):
 _row("q_refined.inv_gamma_positive",
      "the inversion-refined derangement sums have gamma vectors with "
      "non-negative polynomial coefficients in both sign classes",
-     _q_gamma_positive, "inv")
+     _q_gamma_positive, "inv", ranks=(2, lambda lim: min(lim.max_n_a, 7)))
 
 _row("q_refined.cyc_gamma_positive",
      "the cycle-count-refined derangement sums have gamma vectors with "
      "non-negative polynomial coefficients in both sign classes",
-     _q_gamma_positive, "cyc")
+     _q_gamma_positive, "cyc", ranks=(2, lambda lim: min(lim.max_n_a, 7)))
 
 
 @_register("q_refined.q1_collapse",
            "setting q = 1 collapses the refined sums to the closed "
-           "derangement polynomials")
-def _check_q_collapse(limits):
-    hi = min(limits.max_n_a, 7)
-    for n in range(2, hi + 1):
-        for stat in ("inv", "cyc"):
-            plus, minus = _halves("qrefined", n, limits, stat=stat)
-            for cls, f in (("plus", plus), ("minus", minus), ("all", plus + minus)):
-                _same(f"n={n} {cls} {stat}", f.substitute_one("q"),
-                      closedforms.derangement_closed(n, cls))
-    return _ranged(2, hi)
+           "derangement polynomials", ranks=(2, lambda lim: min(lim.max_n_a, 7)))
+def _check_q_collapse(limits, n):
+    for stat in ("inv", "cyc"):
+        plus, minus = _halves("qrefined", n, limits, stat=stat)
+        for cls, f in (("plus", plus), ("minus", minus), ("all", plus + minus)):
+            _same(f"n={n} {cls} {stat}", f.substitute_one("q"),
+                  closedforms.derangement_closed(n, cls))
 
 
 # ---------------------------------------------------------------------- the runner
-
-
-def all_check_ids():
-    return tuple(c.check_id for c in REGISTRY)
 
 
 def run_suite(suite, limits=None):

@@ -27,11 +27,12 @@ rules.  ``iterate`` is the one enumerator: it picks one stream of bare
 windows per spec and by default maps ``Perm._trusted`` or
 ``SignedPerm._trusted`` over it.  The oracle's fused kernel reads the bare
 windows one permutation of [n] at a time: ``itertools.permutations`` on
-S_n, ``compress``-ed to a parity half (also of a pos_n slice) by its inv
-parities, ``_perm_parities``; a cycle type's class, generated; on a signed
-group one ``compress`` block per permutation and kept class.  Fixed points,
-and pos_n with a cycle type, still filter.  The per-element functions over
-``iterate``'s lexicographic elements are the reference for its sums.
+S_n, ``compress``-ed to a parity half by its inv parities,
+``_perm_parities``; a cycle type's class, generated; on a signed group one
+``compress`` block per permutation and kept class.  Elsewhere, as for a
+fixed-point count or a parity half of a pos_n slice, ``_lexicographic``
+filters.  The per-element functions over ``iterate``'s lexicographic
+elements are the reference for its sums.
 """
 
 from __future__ import annotations
@@ -503,8 +504,8 @@ def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
     they stay bare, one permutation p of [n] at a time: on a signed group in
     blocks of 2^(n-1) windows (the one empty window at n = 0), each one
     class of p (the parity of its negated-entry count); one window per p on
-    kind S, where a class is generated and a half ``compress``-ed.  A whole
-    S_n is ``itertools.permutations`` either way.  Raises BudgetExceeded
+    kind S, where a class is generated and a half of S_n ``compress``-ed.  A
+    whole S_n is ``itertools.permutations`` either way.  Raises BudgetExceeded
     when called, before any window, if the scan is too large.
     """
     if budget is not None and enumeration_cost(spec) > budget:
@@ -517,10 +518,8 @@ def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
         windows = _signed_windows_by_permutation(spec)
     elif by_permutation and spec.cycle_type and r is None:
         windows = _class_windows(spec)
-    elif by_permutation and want and spec.fixed_points is spec.cycle_type is None:
-        # keep w where inv(w) + want is odd; n at position r adds n - r
-        windows = compress(_perm_windows_pos_n(n, r) if r else _perm_windows(n),
-                           _perm_parities(n - bool(r), want + n - (r or n)))
+    elif by_permutation and want and spec.fixed_points is spec.cycle_type is r is None:
+        windows = compress(_perm_windows(n), _perm_parities(n, want))
     else:
         windows = _lexicographic(spec)
     element = Perm if spec.kind == "S" else SignedPerm

@@ -303,10 +303,6 @@ class Poly:
     def total_degree(self):
         return max((sum(exp) for exp in self._terms), default=-1)
 
-    def is_homogeneous(self):
-        degrees = {sum(exp) for exp in self._terms}
-        return len(degrees) <= 1
-
     def coefficient(self, var, power):
         """The coefficient of ``var**power`` as a Poly in the other variables."""
         i = self._index(var)
@@ -321,32 +317,9 @@ class Poly:
         """Dense list of coefficients by power of ``var`` (Polys in the rest)."""
         return [self.coefficient(var, k) for k in range(self.degree(var) + 1)]
 
-    def constant_value(self):
-        """The value of a constant polynomial, as an int."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1:
-            (exp, coeff), = self._terms.items()
-            if not any(exp):
-                return coeff
-        raise ValueError(f"{self} is not constant")
-
     def at_ones(self):
         """Evaluate with every variable set to 1 (the coefficient sum)."""
         return sum(self._terms.values())
-
-    def evaluate(self, **values):
-        """Evaluate at integer points, e.g. ``f.evaluate(s=1, t=-1)``."""
-        missing = [v for v in self._vars if v not in values]
-        if missing:
-            raise UnknownVariable(f"no value supplied for {missing}")
-        total = 0
-        for exp, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(self._vars, exp):
-                term *= values[v] ** e
-            total += term
-        return total
 
     # -- presentation ------------------------------------------------------
 
@@ -661,11 +634,6 @@ def gamma_decompose(f, mode=UNIVARIATE):
     gammas = zip(*(_peel(row, lo, hi) for row in grid))
     return GammaExpansion(mode, lo, len(grid[0]) - 1,
                           tuple(_entry(g, mode) for g in gammas))
-
-
-def gamma_recompose(expansion):
-    """Inverse of gamma_decompose (exact round trip when gamma_0 != 0)."""
-    return expansion.recompose()
 
 
 def split_odd_length(expansion):

@@ -210,9 +210,8 @@ class TestCoeffTables:
         for n in range(2, 13):
             for cls in ("plus", "minus"):
                 f = half_sum_closed("aexc", n, cls).substitute_one("s")
-                row = tuple(f.coefficient("t", k).constant_value()
-                            for k in range(n))
-                assert tables.row(n, cls) == row
+                row = [f.coefficient("t", k) for k in range(n)]
+                assert row == list(tables.row(n, cls))
             assert sum(tables.row(n, "plus")) == math.factorial(n) // 2
             assert sum(tables.row(n, "minus")) == math.factorial(n) // 2
 

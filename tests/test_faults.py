@@ -278,4 +278,4 @@ def test_every_check_is_faulted_or_listed_as_not_yet():
     listed = set(NOT_YET_FAULTED)
     assert len(listed) == len(NOT_YET_FAULTED)
     assert faulted & listed == set()
-    assert faulted | listed == set(checks.all_check_ids())
+    assert faulted | listed == {c.check_id for c in checks.REGISTRY}

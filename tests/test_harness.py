@@ -77,10 +77,10 @@ EXPECTED_CHECK_IDS = (
 
 class TestRegistry:
     def test_manifest_complete(self):
-        assert checks.all_check_ids() == EXPECTED_CHECK_IDS
+        assert tuple(c.check_id for c in REGISTRY) == EXPECTED_CHECK_IDS
 
     def test_ids_unique(self):
-        ids = checks.all_check_ids()
+        ids = [c.check_id for c in REGISTRY]
         assert len(set(ids)) == len(ids)
 
     def test_every_check_has_a_claim_and_suite(self):
@@ -145,6 +145,42 @@ def _raises(exc):
         raise exc
 
     return check
+
+
+class TestRanks:
+    """A check over ranks runs its body at n = lo..top in order and reports
+    the range that ran."""
+
+    def _run(self, monkeypatch, body, max_n_a):
+        monkeypatch.setattr(checks, "REGISTRY", [])
+        checks._register("typeA.tmp_ranked", "a temporary check over ranks",
+                         ranks=(2, lambda lim: lim.max_n_a))(body)
+        result, = run_suite("typeA", VerifyLimits(max_n_a, 2, 2))
+        return result
+
+    def test_body_sees_each_rank_in_order(self, monkeypatch):
+        seen = []
+        result = self._run(monkeypatch, lambda limits, n: seen.append(n), 4)
+        assert seen == [2, 3, 4]
+        assert (result.status, result.n_range) == ("pass", "n=2..4")
+
+    def test_empty_range_never_runs_the_body(self, monkeypatch):
+        seen = []
+        result = self._run(monkeypatch, lambda limits, n: seen.append(n), 1)
+        assert seen == []
+        assert (result.status, result.n_range) == ("pass", "n=(empty)")
+
+    def test_mismatch_stops_at_its_rank(self, monkeypatch):
+        seen = []
+
+        def body(limits, n):
+            seen.append(n)
+            checks._same(f"n={n}", n, 2)
+
+        result = self._run(monkeypatch, body, 4)
+        assert seen == [2, 3]
+        assert (result.status, result.n_range, result.witness) == (
+            "fail", "-", "n=3: 3 != 2")
 
 
 _ERRORING = [
