@@ -82,15 +82,10 @@ def _cmd_gamma(args, out):
         expansion = gamma_decompose(poly, mode)
     except NotPalindromic as exc:
         if args.format == "json":
-            out.write(json.dumps({
-                "palindromic": False,
-                "witness": {
-                    "low_index": exc.low_index,
-                    "high_index": exc.high_index,
-                    "low": str(exc.low),
-                    "high": str(exc.high),
-                },
-            }, separators=(",", ":")) + "\n")
+            witness = {"low_index": exc.low_index, "high_index": exc.high_index,
+                       "low": str(exc.low), "high": str(exc.high)}
+            out.write(json.dumps({"palindromic": False, "witness": witness},
+                                 separators=(",", ":")) + "\n")
         else:
             out.write(f"not palindromic: {exc}\n")
         return 0
@@ -194,6 +189,12 @@ def _parse_range(text):
     return lo, hi
 
 
+def _parse_max_n(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a rank of 0 or more, got {text!r}")
+    return int(text)
+
+
 def _parse_lambda(text):
     try:
         return tuple(int(x) for x in text.split(","))
@@ -248,7 +249,7 @@ def build_parser():
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", default="all",
                         choices=sorted(checks.SUITES) + ["all"])
-    verify.add_argument("--max-n", type=int, default=None,
+    verify.add_argument("--max-n", type=_parse_max_n, default=None,
                         help="cap for every group kind (oversized checks "
                              "are skipped by the budget guard)")
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

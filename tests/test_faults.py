@@ -98,6 +98,9 @@ _HALF_SUM_OFF = ("closedforms.half_sum_closed + s^3 t at (aexc, 5, minus), "
                  "(bexc, 4, plus)")
 _EULERIAN_OFF = "closedforms.eulerian + s^3 t at (A, 4), (B, 3)"
 _PEEL_NEGATED = "poly._peel negates its last nonzero gamma"
+_FFT_SHIFTED = "bijections.foata_fft shifts every letter up by one"
+_LONG_CYCLE_SHIFTED = ("bijections.perm_to_long_cycle shifts every letter up "
+                       "by one")
 
 # fault id -> (module, name, the fault built from the real object, the check
 # ids it must fail)
@@ -188,12 +191,21 @@ FAULTS = {
         lambda real: lambda w: Perm._trusted(real(w)[::-1]),
         ("bijections.fundamental_transform",
          "bijections.penultimate_to_front")),
+    _FFT_SHIFTED: (
+        bijections, "foata_fft",
+        lambda real: lambda w: Perm._trusted(v + 1 for v in real(w)),
+        ("bijections.fundamental_transform",
+         "bijections.penultimate_to_front")),
     "bijections.swap_last_two returns its input": (
         bijections, "swap_last_two", lambda real: lambda w: w,
         ("bijections.swap_last_two_involution",)),
     "bijections.perm_to_long_cycle reads the reversed window": (
         bijections, "perm_to_long_cycle",
         lambda real: lambda w: real(tuple(w)[::-1]),
+        ("bijections.long_cycle_correspondence",)),
+    _LONG_CYCLE_SHIFTED: (
+        bijections, "perm_to_long_cycle",
+        lambda real: lambda w: Perm._trusted(v + 1 for v in real(w)),
         ("bijections.long_cycle_correspondence",)),
     "bijections.standardize_cycle reverses its ranks": (
         bijections, "standardize_cycle", _ranks_reversed,
@@ -243,6 +255,11 @@ WITNESS_STARTS = {
     (_PEEL_NEGATED, "typeA.even_rank_two_term_split"): "n=4 plus split: ",
     (_PEEL_NEGATED, "typeB.odd_rank_two_term_split"): "n=3 plus split: ",
     (_PEEL_NEGATED, "typeD.odd_rank_two_term_split"): "n=5 plus split: ",
+    # an image outside S_n fails the letters test before the inverse reads it
+    (_FFT_SHIFTED, "bijections.fundamental_transform"): "1: [2] != [1]",
+    (_FFT_SHIFTED, "bijections.penultimate_to_front"): "2,1: (2, [2, 2]) != ",
+    (_LONG_CYCLE_SHIFTED, "bijections.long_cycle_correspondence"):
+        "1: [2, 3] != [1, 2]",
 }
 
 # Checks that no fault above names yet: a check leaves it when a fault that

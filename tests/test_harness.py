@@ -558,6 +558,49 @@ def test_malformed_range_is_a_usage_error(text, message, capsys):
     assert f"argument --n-range: {message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["-1", "-8", "x"])
+def test_malformed_max_n_is_a_usage_error(text, capsys):
+    # a negative cap would run no rank and still report every check passed
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--max-n", text])
+    assert exit_info.value.code == 2
+    assert (f"argument --max-n: expected a rank of 0 or more, got {text!r}\n"
+            in capsys.readouterr().err)
+
+
+def test_max_n_zero_runs_the_fixed_checks():
+    code, out, _ = _run_cli(["verify", "--suite", "typeA", "--max-n", "0"])
+    assert code == 0
+    assert "typeA.closed_equals_oracle  (n=(empty))" in out
+    assert "typeA.odd_rank_gamma_positive  (n=5,7,9,11)" in out
+
+
+@pytest.mark.parametrize("ranks, label", [
+    ((5, 7), "n=5,7"),
+    (range(4, 11, 2), "n=4,6,8,10"),
+    (range(2, 11, 2), "n=2,4,..,10"),
+    ([9], "n=9"),
+])
+def test_ranks_label(ranks, label):
+    assert checks._ranks_label(ranks) == label
+
+
+def test_fundamental_transform_keeps_no_images():
+    # the check streams S_7 with O(1) state; a set of the 5040 images
+    # traces over 1 MB
+    import tracemalloc
+
+    check = next(c for c in REGISTRY
+                 if c.check_id == "bijections.fundamental_transform")
+    tracemalloc.start()
+    try:
+        assert check.func(VerifyLimits(max_n_a=7)) == "n=1..7"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_descent_position_check_reads_the_letters(monkeypatch):
     # the fused kernel never reads SIGNED_STATISTICS, so only the letters
     # comparison sees a broken des_b
