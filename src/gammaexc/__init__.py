@@ -13,6 +13,8 @@ The library pairs every closed form with a brute-force enumeration oracle:
   ``gammaexc verify``.
 """
 
+from types import ModuleType as _Module
+
 from .closedforms import (
     CoeffTable,
     MissingBase,
@@ -81,19 +83,6 @@ from .poly import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BIVARIATE", "BudgetExceeded", "CoeffTable", "CycleType", "D",
-    "DEFAULT_BUDGET", "EvenLength", "FAMILIES", "FamilySpec",
-    "GammaExpansion", "GroupSpec", "InvalidSpec", "MissingBase",
-    "NoClosedForm", "NotGammaPositive", "NotHomogeneous", "NotPalindromic",
-    "OddCoefficient", "Perm", "Poly", "Q_COEFFICIENTS", "SignedPerm",
-    "UNIVARIATE", "UndefinedStatistic", "UnknownVariable", "UnsupportedClass",
-    "WeightSpec", "WindowError", "ZeroPolynomial", "cardinality",
-    "coeff_tables", "conj_exc_closed", "cycle_type", "derangement_closed",
-    "dexc_jump_tail", "dist_poly", "eulerian", "eulerian_t", "family_poly",
-    "gamma_decompose", "half", "half_sum_closed", "iterate", "jump4",
-    "jump_tables", "palindrome_info", "parse_window", "partitions",
-    "q_refined", "set_partition_count", "sgn_aexc_closed", "sgn_bexc_closed",
-    "sgn_dexc_closed", "sgnb_des_u", "sgnb_des_u_closed", "split_odd_length",
-    "step_recurrence",
-]
+# every name imported above; the submodules are attributes, not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

@@ -16,8 +16,6 @@ Each map reads any window, validated unless it is a ``Perm``, and returns
 a ``Perm``; a bad window raises ``WindowError``.
 """
 
-from __future__ import annotations
-
 from .groups import Perm, _cycles, pos_n
 
 
@@ -142,8 +140,4 @@ def cycle_excedances(entries):
     entries = tuple(entries)
     if len(set(entries)) != len(entries):
         raise DuplicateEntries(f"cycle entries repeat: {entries}")
-    count = 0
-    for a, b in zip(entries, entries[1:] + entries[:1]):
-        if b > a:
-            count += 1
-    return count
+    return sum(b > a for a, b in zip(entries, entries[1:] + entries[:1]))

@@ -27,8 +27,6 @@ n = lo..top in order, and the range it reports is the one that ran.  Rows
 look up library engines and build tabulated polynomials only when they run.
 """
 
-from __future__ import annotations
-
 import math
 import time
 from collections import Counter
@@ -65,6 +63,7 @@ from .poly import (
     OddCoefficient,
     Poly,
     Q_COEFFICIENTS,
+    Record,
     UNIVARIATE,
     gamma_decompose,
     half,
@@ -80,22 +79,26 @@ _S = Poly.variable("s")
 _T = Poly.variable("t")
 
 
-@dataclass(frozen=True)
-class VerifyLimits:
-    max_n_a: int = 8
-    max_n_b: int = 6
-    max_n_d: int = 6
-    budget: int = DEFAULT_BUDGET
+class VerifyLimits(Record):
+    __slots__ = ("max_n_a", "max_n_b", "max_n_d", "budget")
+
+    def __init__(self, max_n_a=8, max_n_b=6, max_n_d=6, budget=DEFAULT_BUDGET):
+        object.__setattr__(self, "max_n_a", max_n_a)
+        object.__setattr__(self, "max_n_b", max_n_b)
+        object.__setattr__(self, "max_n_d", max_n_d)
+        object.__setattr__(self, "budget", budget)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    suite: str
-    n_range: str
-    status: str  # pass | fail | skipped | error
-    witness: str | None
-    seconds: float
+class CheckResult(Record):
+    __slots__ = ("check_id", "suite", "n_range", "status", "witness", "seconds")
+
+    def __init__(self, check_id, suite, n_range, status, witness, seconds):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "n_range", n_range)
+        object.__setattr__(self, "status", status)  # pass | fail | skipped | error
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "seconds", seconds)
 
 
 @dataclass(frozen=True)
@@ -598,9 +601,7 @@ def _check_d_step(limits, n):
            ranks=(2, lambda lim: lim.max_n_d))
 def _check_d_descent(limits, n):
     _same(f"n={n}",
-          dist_poly(GroupSpec("D", n),
-                    WeightSpec((("t", "des_b", 0), ("s", "asc_b", 0))),
-                    budget=limits.budget),
+          dist_poly(GroupSpec("D", n), oracle.BDES_WEIGHT, budget=limits.budget),
           family_poly(FamilySpec("dexc", n), budget=limits.budget))
 
 _row("typeD.base_polynomials",

@@ -9,8 +9,6 @@ exit with status 2; failed or erroring verification checks exit with
 status 1.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -235,11 +233,13 @@ def build_parser():
                        help="refining statistic for qrefined")
 
     compute = sub.add_parser("compute", help="print one family polynomial")
+    compute.set_defaults(run=_cmd_compute)
     add_family(compute)
     add_common(compute)
 
     gamma = sub.add_parser("gamma", help="print a gamma expansion or the "
                                          "palindromicity counterexample")
+    gamma.set_defaults(run=_cmd_gamma)
     add_family(gamma)
     gamma.add_argument("--mode", choices=sorted(_MODE_FLAGS), default=None,
                        help="default: biv for the bivariate families, uni "
@@ -247,6 +247,7 @@ def build_parser():
     add_common(gamma)
 
     verify = sub.add_parser("verify", help="run a verification suite")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--suite", default="all",
                         choices=sorted(checks.SUITES) + ["all"])
     verify.add_argument("--max-n", type=_parse_max_n, default=None,
@@ -257,6 +258,7 @@ def build_parser():
                         help="include wall-clock times (non-deterministic)")
 
     table = sub.add_parser("table", help="batch emission over a range of n")
+    table.set_defaults(run=_cmd_table)
     table.add_argument("--family", required=True,
                        choices=sorted(name for name, family
                                       in oracle.FAMILIES.items()
@@ -271,6 +273,7 @@ def build_parser():
     add_common(table)
 
     conjugacy = sub.add_parser("conjugacy", help="conjugacy class polynomial")
+    conjugacy.set_defaults(run=_cmd_conjugacy)
     conjugacy.add_argument("--lambda", dest="lam", type=_parse_lambda,
                            required=True, help="cycle type, e.g. 2,2")
     add_common(conjugacy, with_class=False)
@@ -281,17 +284,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "compute": _cmd_compute,
-        "gamma": _cmd_gamma,
-        "verify": _cmd_verify,
-        "table": _cmd_table,
-        "conjugacy": _cmd_conjugacy,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--n-range" in argv[:-1]:  # else argparse reads a range -1..2 as an option
+        i = argv.index("--n-range")
+        argv[i:i + 2] = [f"--n-range={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, sys.stdout)
+        return args.run(args, sys.stdout)
     except (UsageError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,16 +20,13 @@ is never mutated once built.  The four-step jump stays on Poly, and
 conj_exc_closed and sgnb_des_u_closed multiply Polys too.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import CycleType
-from .poly import BIVARIATE, D, GammaExpansion, OddCoefficient, Poly, half
+from .poly import BIVARIATE, D, GammaExpansion, OddCoefficient, Poly, Record, half
 
 _S = Poly.variable("s")
 _T = Poly.variable("t")
@@ -47,14 +44,9 @@ class RankOutOfRange(NoClosedForm):
     """The closed engine starts above the requested rank; the oracle may not."""
 
 
-def _require(condition, message):
+def _require(condition, message, error=ValueError):
     if not condition:
-        raise ValueError(message)
-
-
-def _require_rank(condition, message):
-    if not condition:
-        raise RankOutOfRange(message)
+        raise error(message)
 
 
 # -- rows ------------------------------------------------------------------------
@@ -104,7 +96,7 @@ _EULERIAN_LOCK = threading.Lock()
 
 def _eulerian_row(kind, n):
     _require(kind in ("A", "B"), f"kind must be A or B, got {kind!r}")
-    _require_rank(n >= 1, "n must be at least 1")
+    _require(n >= 1, "n must be at least 1", RankOutOfRange)
     cache = _EULERIAN_A if kind == "A" else _EULERIAN_B
     if len(cache) <= n:
         c = 1 if kind == "A" else 2
@@ -135,25 +127,25 @@ def _sgn_dexc_row(n):
 
 def sgn_aexc_closed(n):
     """Signed type-A excedance sum: (s-t)^(n-1)."""
-    _require_rank(n >= 1, "n must be at least 1")
+    _require(n >= 1, "n must be at least 1", RankOutOfRange)
     return _poly(_signed(n - 1))
 
 
 def sgn_bexc_closed(n):
     """Signed type-B excedance sum: (s-t)^n."""
-    _require_rank(n >= 1, "n must be at least 1")
+    _require(n >= 1, "n must be at least 1", RankOutOfRange)
     return _poly(_signed(n))
 
 
 def sgn_dexc_closed(n):
     """Signed type-D excedance sum: (s-t)^n for even n, s(s-t)^(n-1) for odd."""
-    _require_rank(n >= 1, "n must be at least 1")
+    _require(n >= 1, "n must be at least 1", RankOutOfRange)
     return _poly(_sgn_dexc_row(n))
 
 
 def sgnb_des_u_closed(n):
     """Signed descent-ascent-position sum: (s-t)^n u^n."""
-    _require_rank(n >= 1, "n must be at least 1")
+    _require(n >= 1, "n must be at least 1", RankOutOfRange)
     return _poly(_signed(n)) * Poly.variable("u") ** n
 
 
@@ -170,7 +162,7 @@ def half_sum_closed(family, n, cls):
     _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
     _require(family in _HALF_SUMS, f"half-sum covers aexc and bexc, not {family!r}")
     kind, low = _HALF_SUMS[family]
-    _require_rank(n >= low, f"{family} half-sum needs n >= {low}")
+    _require(n >= low, f"{family} half-sum needs n >= {low}", RankOutOfRange)
     row = _eulerian_row(kind, n)
     return _poly(_half(_add(row, _signed(len(row) - 1),
                             1 if cls == "plus" else -1)))
@@ -227,7 +219,8 @@ def step_recurrence(family, n, cls="all"):
     """
     _require(family in _STEPS, f"unknown family {family!r}")
     memo, grow, view, low = _STEPS[family]
-    _require_rank(n >= low, f"{family} step recurrence starts at n = {low}")
+    _require(n >= low, f"{family} step recurrence starts at n = {low}",
+             RankOutOfRange)
     for m in range(max(memo) + 1, n + 1):
         x, y = memo[m - 1]
         g = grow(m)
@@ -239,8 +232,7 @@ def step_recurrence(family, n, cls="all"):
 # -- coefficient triangles -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Record):
     """Triangles a+_{n,k}, a-_{n,k} of the even/odd excedance counts.
 
     Row n holds the coefficients of t^0..t^(n-1); rows run 2..n_max.  Built
@@ -250,14 +242,16 @@ class CoeffTable:
     from row 2 = (1,0) / (0,1).
     """
 
-    n_max: int
-    plus: tuple
-    minus: tuple
+    __slots__ = ("n_max", "plus", "minus")
+
+    def __init__(self, n_max, plus, minus):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
     def row(self, n, cls):
         _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
-        if not 2 <= n <= self.n_max:
-            raise ValueError(f"row {n} outside 2..{self.n_max}")
+        _require(2 <= n <= self.n_max, f"row {n} outside 2..{self.n_max}")
         rows = self.plus if cls == "plus" else self.minus
         return rows[n - 2]
 
@@ -435,7 +429,7 @@ def derangement_closed(n, cls="all", fixed=None):
     With i fixed points the rest is a derangement of m = n - i letters, of sign
     (-1)^(m - cyc): C(n, i) times d_m(1, t) or (d_m(1, t) +- (-1)^m d_m(-1, t))/2.
     """
-    _require_rank(n >= 0, "n must be non-negative")
+    _require(n >= 0, "n must be non-negative", RankOutOfRange)
     i = 0 if fixed is None else fixed
     _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
     _require(cls in ("all", "plus", "minus"),

@@ -35,13 +35,14 @@ filters.  The per-element functions over ``iterate``'s lexicographic
 elements are the reference for its sums.
 """
 
-from __future__ import annotations
-
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, product, starmap
 from itertools import permutations as _itertools_permutations
 from operator import eq, gt, le, lt, neg
+
+from .poly import Record
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -274,21 +275,20 @@ def inv_d(w):
 # -- cycle types and partitions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(Record):
     """An integer partition recording cycle lengths, parts weakly decreasing."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        for p in parts:
+    def __init__(self, parts):
+        given = tuple(parts)
+        for p in given:
             if type(p) is not int:  # bool and float are not parts
                 raise InvalidSpec(f"part {p!r} is not an int")
-        parts = tuple(sorted(parts, reverse=True))
-        if any(p < 1 for p in parts):
-            raise InvalidSpec(f"parts must be positive: {self.parts}")
-        object.__setattr__(self, "parts", parts)
+        given = tuple(sorted(given, reverse=True))
+        if any(p < 1 for p in given):
+            raise InvalidSpec(f"parts must be positive: {parts}")
+        object.__setattr__(self, "parts", given)
 
     @property
     def n(self):
@@ -298,10 +298,7 @@ class CycleType:
         return sum(1 for p in self.parts if p == i)
 
     def multiplicities(self):
-        out = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        return dict(Counter(self.parts))
 
     @property
     def fixed_points(self):

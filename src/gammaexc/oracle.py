@@ -37,11 +37,7 @@ matching their closed product forms; bivariate variants remain one
 ``dist_poly`` call away.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import islice, tee
 from operator import gt, lt, sub
 
@@ -73,7 +69,7 @@ from .groups import (
     wkexc_b,
     wkexc_d,
 )
-from .poly import BIVARIATE, Poly, Q_COEFFICIENTS, UNIVARIATE, _VAR_RANK
+from .poly import BIVARIATE, Poly, Q_COEFFICIENTS, Record, UNIVARIATE, _VAR_RANK
 
 
 class UndefinedStatistic(ValueError):
@@ -113,24 +109,23 @@ SIGNED_STATISTICS = {
 SIGN_STATISTICS = {"inv": inv, "inv_b": inv_b, "inv_d": inv_d}
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Record):
     """Monomial weight: (variable, statistic, offset) triples plus a sign stat."""
 
-    exponents: tuple
-    sign_stat: str | None = None
+    __slots__ = ("exponents", "sign_stat")
 
-    def __post_init__(self):
-        exps = tuple((v, stat, int(off)) for v, stat, off in self.exponents)
+    def __init__(self, exponents, sign_stat=None):
+        exps = tuple((v, stat, int(off)) for v, stat, off in exponents)
         names = [v for v, _, _ in exps]
         if len(set(names)) != len(names):
             raise InvalidSpec(f"variable assigned twice in {exps}")
         for v, _, _ in exps:
             if v not in _VAR_RANK:
                 raise InvalidSpec(f"unknown variable {v!r}")
-        exps = tuple(sorted(exps, key=lambda e: _VAR_RANK[e[0]]))
-        object.__setattr__(self, "exponents", exps)
-        if self.sign_stat is not None and self.sign_stat not in SIGN_STATISTICS:
+        object.__setattr__(self, "exponents",
+                           tuple(sorted(exps, key=lambda e: _VAR_RANK[e[0]])))
+        object.__setattr__(self, "sign_stat", sign_stat)
+        if sign_stat is not None and sign_stat not in SIGN_STATISTICS:
             raise InvalidSpec(f"sign statistic must be one of {sorted(SIGN_STATISTICS)}")
 
     @property
@@ -369,8 +364,7 @@ def _offset_error(spec, weight):
 # -- named families ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A named distribution: family name, rank n, class in {all, plus, minus}.
 
     ``fixed`` selects permutations with exactly that many fixed points (the
@@ -381,19 +375,17 @@ class FamilySpec:
     ``fixed`` in 0..n.
     """
 
-    family: str
-    n: int
-    cls: str = "all"
-    fixed: int | None = None
-    lam: tuple | None = None
-    stat: str | None = None
+    __slots__ = ("family", "n", "cls", "fixed", "lam", "stat")
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", self.family.lower())
-        if self.cls not in ("all", "plus", "minus"):
-            raise InvalidSpec(f"class must be all/plus/minus, got {self.cls!r}")
-        if self.lam is not None:
-            object.__setattr__(self, "lam", tuple(self.lam))
+    def __init__(self, family, n, cls="all", fixed=None, lam=None, stat=None):
+        object.__setattr__(self, "family", family.lower())
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "stat", stat)
+        if cls not in ("all", "plus", "minus"):
+            raise InvalidSpec(f"class must be all/plus/minus, got {cls!r}")
+        object.__setattr__(self, "lam", None if lam is None else tuple(lam))
         record = FAMILIES.get(self.family)
         if record is None:
             raise InvalidSpec(f"unknown family {self.family!r}; "
@@ -411,8 +403,7 @@ class FamilySpec:
                               f"0..{self.n}")
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Everything the library knows about one named family.
 
     ``domain`` maps a FamilySpec to the (GroupSpec, WeightSpec) pair the
@@ -427,12 +418,16 @@ class Family:
     never captured, so a patched engine is the one that runs.
     """
 
-    domain: Callable
-    closed: Callable | None
-    split: bool = False
-    mode: str | None = BIVARIATE
-    min_n: int = 0
-    refinement: str | None = None
+    __slots__ = ("domain", "closed", "split", "mode", "min_n", "refinement")
+
+    def __init__(self, domain, closed, split=False, mode=BIVARIATE, min_n=0,
+                 refinement=None):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "min_n", min_n)
+        object.__setattr__(self, "refinement", refinement)
 
 
 _REFINEMENTS = {"fixed": "fixed-point count", "lam": "cycle type",

@@ -30,10 +30,8 @@ lower half of its window only; q-mode gammas and witnesses are dense
 q-coefficient tuples.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 VARIABLES = ("s", "t", "u", "q")
@@ -81,6 +79,38 @@ class NotPalindromic(ValueError):
             f"coefficient of t^{low_index} is {low!s} but coefficient of "
             f"t^{high_index} is {high!s}"
         )
+
+
+class Record:
+    """A frozen value whose fields are its ``__slots__``, each set once by its
+    own ``__init__``: what ``@dataclass(frozen=True)`` gives, without the
+    methods it generates and compiles for every class at import."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):  # field by field, within one class only
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _check_vars(vars):
@@ -465,14 +495,16 @@ def _symmetry(f, mode):
     return grid, lo, hi, (min(bad), i + j - min(bad)) if bad else None
 
 
-@dataclass(frozen=True)
-class PalindromeInfo:
+class PalindromeInfo(Record):
     """Support window, symmetry verdict and center, in t-exponent terms."""
 
-    is_palindromic: bool
-    r: int
-    n: int
-    cos: Fraction
+    __slots__ = ("is_palindromic", "r", "n", "cos")
+
+    def __init__(self, is_palindromic, r, n, cos):
+        object.__setattr__(self, "is_palindromic", is_palindromic)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cos", cos)
 
 
 def palindrome_info(f, mode=UNIVARIATE):
@@ -489,8 +521,7 @@ def palindrome_info(f, mode=UNIVARIATE):
     return PalindromeInfo(bad is None, lo, hi, Fraction(lo + hi, 2))
 
 
-@dataclass(frozen=True)
-class GammaExpansion:
+class GammaExpansion(Record):
     """Coordinates of a palindromic polynomial in the gamma basis.
 
     ``mode`` is one of univariate_t / bivariate_st / q_coefficients.  For the
@@ -499,25 +530,25 @@ class GammaExpansion:
     q-mode.  The expansion recomposes exactly (see ``recompose``).
     """
 
-    mode: str
-    r: int
-    n: int
-    gammas: tuple
+    __slots__ = ("mode", "r", "n", "gammas")
 
-    def __post_init__(self):
-        if self.mode not in GAMMA_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.r < 0 or self.n < self.r:
-            raise ValueError(f"bad support: r={self.r}, n={self.n}")
+    def __init__(self, mode, r, n, gammas):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        if mode not in GAMMA_MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if r < 0 or n < r:
+            raise ValueError(f"bad support: r={r}, n={n}")
         if self.length < 0:
-            raise ValueError(f"bad support: r={self.r}, n={self.n} for mode {self.mode}")
-        if len(self.gammas) != self.length // 2 + 1:
+            raise ValueError(f"bad support: r={r}, n={n} for mode {mode}")
+        if len(gammas) != self.length // 2 + 1:
             raise ValueError(
-                f"need {self.length // 2 + 1} gamma entries for mode={self.mode}, "
-                f"r={self.r}, n={self.n}; got {len(self.gammas)}"
+                f"need {self.length // 2 + 1} gamma entries for mode={mode}, "
+                f"r={r}, n={n}; got {len(gammas)}"
             )
         object.__setattr__(self, "gammas", tuple(
-            g if isinstance(g, int) else tuple(g) for g in self.gammas
+            g if isinstance(g, int) else tuple(g) for g in gammas
         ))
 
     @property

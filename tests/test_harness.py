@@ -558,6 +558,13 @@ def test_malformed_range_is_a_usage_error(text, message, capsys):
     assert f"argument --n-range: {message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--n-range", "-1..2"], ["--n-range=-1..2"]])
+def test_negative_range_reaches_the_family_check(argv, capsys):
+    # argparse alone would read "-1..2" as an option and report a missing value
+    assert main(["table", "--family", "aexc", *argv]) == 2
+    assert capsys.readouterr().err == "error: aexc needs n >= 1, got n = -1\n"
+
+
 @pytest.mark.parametrize("text", ["-1", "-8", "x"])
 def test_malformed_max_n_is_a_usage_error(text, capsys):
     # a negative cap would run no rank and still report every check passed
@@ -644,6 +651,25 @@ def test_importing_checks_does_no_polynomial_arithmetic():
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
     assert done.stdout == "0\n"
+
+
+def test_only_groupspec_and_check_are_dataclasses():
+    # the other records are plain frozen classes: a dataclass costs about
+    # 1 ms of code generation per class on every import
+    script = (
+        "import dataclasses, sys\n"
+        "import gammaexc.cli\n"
+        "print(sorted(f'{value.__module__}.{name}'\n"
+        "             for module in list(sys.modules.values())\n"
+        "             if module.__name__.startswith('gammaexc')\n"
+        "             for name, value in vars(module).items()\n"
+        "             if isinstance(value, type) and dataclasses.is_dataclass(value)\n"
+        "             and value.__module__ == module.__name__))\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "['gammaexc.checks.Check', 'gammaexc.groups.GroupSpec']\n"
 
 
 def test_parser_is_built_once_per_process():
