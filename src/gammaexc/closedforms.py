@@ -18,6 +18,11 @@ is the list r with r[k] the coefficient of s^(d-k) t^k, so s*f is r + [0] and
 t*f is [0] + r.  A row becomes a Poly once, where it leaves the engine, and
 is never mutated once built.  The four-step jump stays on Poly, and
 conj_exc_closed and sgnb_des_u_closed multiply Polys too.
+
+A split family's classes follow one rule, ``_class``: "all" is the whole,
+and the even (plus) and odd (minus) halves are (whole +- signed) / 2, the
+signed sum weighting each element by its sign.  That sum is a thunk run
+for a half only, so "all" never pays for a second recurrence or binomial row.
 """
 
 import functools
@@ -62,6 +67,14 @@ def _poly(row, vars=("s", "t")):
 
 def _add(a, b, sign=1):
     return [x + sign * y for x, y in zip(a, b)]
+
+
+def _class(cls, classes=("all", "plus", "minus")):
+    """Checks cls; returns the function reading it off (whole, signed)."""
+    _require(cls in classes, f"cls must be {'/'.join(classes)}, got {cls!r}")
+    sign = {"all": 0, "plus": 1, "minus": -1}[cls]
+    return lambda whole, signed: (_half(_add(whole, signed(), sign)) if sign
+                                  else whole)
 
 
 def _half(row):
@@ -159,13 +172,12 @@ def half_sum_closed(family, n, cls):
     aexc: (A_n +- (s-t)^(n-1)) / 2 for n >= 2;
     bexc: (B_n +- (s-t)^n) / 2 for n >= 1.  Divisions are exact.
     """
-    _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
+    read = _class(cls, ("plus", "minus"))
     _require(family in _HALF_SUMS, f"half-sum covers aexc and bexc, not {family!r}")
     kind, low = _HALF_SUMS[family]
     _require(n >= low, f"{family} half-sum needs n >= {low}", RankOutOfRange)
     row = _eulerian_row(kind, n)
-    return _poly(_half(_add(row, _signed(len(row) - 1),
-                            1 if cls == "plus" else -1)))
+    return _poly(read(row, lambda: _signed(len(row) - 1)))
 
 
 # -- one-step recurrences --------------------------------------------------------
@@ -179,31 +191,20 @@ def _grow_b(m):
     return _st_d(_eulerian_row("B", m - 1))
 
 
-def _halves(pair, n, cls):
-    return _add(*pair) if cls == "all" else pair[("plus", "minus").index(cls)]
-
-
-def _dexc_view(pair, n, cls):
-    if cls == "all":
-        return pair[0]
-    return _half(_add(pair[0], _sgn_dexc_row(n), 1 if cls == "plus" else -1))
-
-
-def _bdexc_view(pair, n, cls):
-    _require(cls == "all", "bdexc has no plus/minus split")
-    return pair[1]
+def _sum_and_difference(x, y, n):
+    return _add(x, y), lambda: _add(x, y, -1)
 
 
 _B_PAIRS = {1: ([1, 0], [0, 1])}
 
-# family -> (memo: level -> pair of rows (X, Y), growth row at level m, what
-# the family reads off the pair, lowest rank).  Every engine steps the same
-# coupled shape; dexc and bdexc read bexc's pairs.
+# family -> (memo: level -> pair of rows (X, Y), growth row at level m, the
+# whole and signed-sum thunk (None: no split) read off the level-n pair,
+# lowest rank).  Each steps the same shape; dexc and bdexc read bexc's pairs.
 _STEPS = {
-    "aexc": ({2: ([1, 0], [0, 1])}, _grow_a, _halves, 2),
-    "bexc": (_B_PAIRS, _grow_b, _halves, 1),
-    "dexc": (_B_PAIRS, _grow_b, _dexc_view, 2),
-    "bdexc": (_B_PAIRS, _grow_b, _bdexc_view, 2),
+    "aexc": ({2: ([1, 0], [0, 1])}, _grow_a, _sum_and_difference, 2),
+    "bexc": (_B_PAIRS, _grow_b, _sum_and_difference, 1),
+    "dexc": (_B_PAIRS, _grow_b, lambda x, y, n: (x, lambda: _sgn_dexc_row(n)), 2),
+    "bdexc": (_B_PAIRS, _grow_b, lambda x, y, n: (y, None), 2),
 }
 
 
@@ -213,12 +214,11 @@ def step_recurrence(family, n, cls="all"):
     Each steps a pair X_n = s X_{n-1} + t Y_{n-1} + g_n,
     Y_n = t X_{n-1} + s Y_{n-1} + g_n.  aexc (n >= 2): the plus/minus halves,
     g_n = st D A_{n-1} / 2, seeded with (s, t) at n = 2.  bexc (n >= 1): same
-    with g_n = st D B_{n-1} and seeds (s, t) at n = 1.  dexc/bdexc (n >= 2):
-    bexc's pair, which is (D_n, (B-D)_n) from n = 2 on; the plus/minus
-    halves of dexc come from the signed closed form.
+    with g_n = st D B_{n-1}, seeds (s, t) at n = 1; whole X + Y, signed X - Y.
+    dexc/bdexc (n >= 2): bexc's pair, (D_n, (B-D)_n) from n = 2 on.
     """
     _require(family in _STEPS, f"unknown family {family!r}")
-    memo, grow, view, low = _STEPS[family]
+    memo, grow, read, low = _STEPS[family]
     _require(n >= low, f"{family} step recurrence starts at n = {low}",
              RankOutOfRange)
     for m in range(max(memo) + 1, n + 1):
@@ -226,7 +226,9 @@ def step_recurrence(family, n, cls="all"):
         g = grow(m)
         memo[m] = ([a + b + c for a, b, c in zip(x + [0], [0] + y, g)],
                    [a + b + c for a, b, c in zip([0] + x, y + [0], g)])
-    return _poly(view(memo[n], n, cls))
+    whole, signed = read(*memo[n], n)
+    _require(signed or cls == "all", f"{family} has no plus/minus split")
+    return _poly(_class(cls)(whole, signed))
 
 
 # -- coefficient triangles -------------------------------------------------------
@@ -333,14 +335,11 @@ def _aexc_jump(prev, low):
 
 
 def _dexc_jump(prev, low):
-    r1 = _jump_table()["R1"][0]
-    swing = (_S - _T) ** 4
-    tail = dexc_jump_tail(low)
-    out = {}
-    for cls, other in (("plus", "minus"), ("minus", "plus")):
-        out[cls] = half((r1 + swing) * prev[cls] + (r1 - swing) * prev[other]
-                        + tail)
-    return out
+    # the class rule on Polys: whole R1 D_n + tail, signed sum times (s-t)^4
+    whole = (_jump_table()["R1"][0] * (prev["plus"] + prev["minus"])
+             + dexc_jump_tail(low))
+    signed = (_S - _T) ** 4 * (prev["plus"] - prev["minus"])
+    return {"plus": half(whole + signed), "minus": half(whole - signed)}
 
 
 # family -> (seeds: level -> gamma vectors (g_0, g_1, ...) of the displayed
@@ -432,10 +431,7 @@ def derangement_closed(n, cls="all", fixed=None):
     _require(n >= 0, "n must be non-negative", RankOutOfRange)
     i = 0 if fixed is None else fixed
     _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
-    _require(cls in ("all", "plus", "minus"),
-             f"cls must be all/plus/minus, got {cls!r}")
-    sign = {"all": 0, "plus": 1, "minus": -1}[cls] * (-1) ** (n - i)
-    d = _derangements_by_cycles(n - i, 1)
-    if sign:
-        d = _half(_add(d, _derangements_by_cycles(n - i, -1), sign))
+    read, m = _class(cls), n - i
+    d = read(_derangements_by_cycles(m, 1),
+             lambda: [(-1) ** m * c for c in _derangements_by_cycles(m, -1)])
     return _poly([math.comb(n, i) * c for c in d], ("t",))

@@ -32,6 +32,24 @@ from gammaexc.poly import BIVARIATE, D, Poly, gamma_decompose, half
 
 s, t, u = Poly.gens("s", "t", "u")
 
+# every closed engine that takes a class, at a family and rank it accepts
+CLASS_ENGINES = {
+    "half_sum_closed": lambda cls: half_sum_closed("aexc", 5, cls),
+    "step_recurrence aexc": lambda cls: step_recurrence("aexc", 5, cls),
+    "step_recurrence bexc": lambda cls: step_recurrence("bexc", 5, cls),
+    "step_recurrence dexc": lambda cls: step_recurrence("dexc", 5, cls),
+    "CoeffTable.row": lambda cls: coeff_tables(5).row(4, cls),
+    "jump4": lambda cls: jump4("aexc", 5, cls),
+    "derangement_closed": lambda cls: derangement_closed(5, cls),
+}
+
+
+@pytest.mark.parametrize("engine", CLASS_ENGINES)
+def test_engine_rejects_an_unknown_class(engine):
+    with pytest.raises(ValueError,
+                       match=r"^cls must be (all/)?plus/minus, got 'bogus'$"):
+        CLASS_ENGINES[engine]("bogus")
+
 
 class TestEulerian:
     def test_type_a_values(self):
@@ -108,6 +126,9 @@ class TestHalfSum:
             half_sum_closed("dexc", 3, "plus")
         with pytest.raises(ValueError):
             half_sum_closed("aexc", 3, "all")
+        # the class is checked before the family and the rank
+        with pytest.raises(ValueError, match="cls must be plus/minus, got 'x'"):
+            half_sum_closed("dexc", 1, "x")
 
 
 class TestStepRecurrence:
@@ -152,6 +173,8 @@ class TestStepRecurrence:
             step_recurrence("aexc", 1, "plus")
         with pytest.raises(ValueError):
             step_recurrence("bdexc", 3, "plus")
+        with pytest.raises(ValueError, match="^bdexc has no plus/minus split$"):
+            step_recurrence("bdexc", 3, "bogus")
 
     def test_cold_memos_shared_by_threads(self):
         memos = list({id(memo): memo

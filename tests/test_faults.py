@@ -101,6 +101,8 @@ _PEEL_NEGATED = "poly._peel negates its last nonzero gamma"
 _FFT_SHIFTED = "bijections.foata_fft shifts every letter up by one"
 _LONG_CYCLE_SHIFTED = ("bijections.perm_to_long_cycle shifts every letter up "
                        "by one")
+_LONG_CYCLE_IDENTITY = "bijections.perm_to_long_cycle returns the identity"
+_RANKS_REPEATED = "bijections.standardize_cycle gives every entry rank 1"
 
 # fault id -> (module, name, the fault built from the real object, the check
 # ids it must fail)
@@ -207,8 +209,16 @@ FAULTS = {
         bijections, "perm_to_long_cycle",
         lambda real: lambda w: Perm._trusted(v + 1 for v in real(w)),
         ("bijections.long_cycle_correspondence",)),
+    _LONG_CYCLE_IDENTITY: (
+        bijections, "perm_to_long_cycle",
+        lambda real: lambda w: Perm._trusted(range(1, len(w) + 2)),
+        ("bijections.long_cycle_correspondence",)),
     "bijections.standardize_cycle reverses its ranks": (
         bijections, "standardize_cycle", _ranks_reversed,
+        ("bijections.cycle_standardization",)),
+    _RANKS_REPEATED: (
+        bijections, "standardize_cycle",
+        lambda real: lambda entries: (1,) * len(tuple(entries)),
         ("bijections.cycle_standardization",)),
     "closedforms.set_partition_count + 1 at (2, 2)": (
         closedforms, "set_partition_count",
@@ -260,6 +270,11 @@ WITNESS_STARTS = {
     (_FFT_SHIFTED, "bijections.penultimate_to_front"): "2,1: (2, [2, 2]) != ",
     (_LONG_CYCLE_SHIFTED, "bijections.long_cycle_correspondence"):
         "1: [2, 3] != [1, 2]",
+    # an image off the codomain fails before the inverse or exc reads it
+    (_LONG_CYCLE_IDENTITY, "bijections.long_cycle_correspondence"):
+        "1: (1, 1) != (2,)",
+    (_RANKS_REPEATED, "bijections.cycle_standardization"):
+        "(1, 2): [1, 1] != [1, 2]",
 }
 
 # Checks that no fault above names yet: a check leaves it when a fault that
