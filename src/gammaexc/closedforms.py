@@ -23,11 +23,15 @@ A split family's classes follow one rule, ``_class``: "all" is the whole,
 and the even (plus) and odd (minus) halves are (whole +- signed) / 2, the
 signed sum weighting each element by its sign.  That sum is a thunk run
 for a half only, so "all" never pays for a second recurrence or binomial row.
+
+Every memo is a dict of ranks 1..len(memo), stepped up from its top.  It
+is shared across threads without a lock: a rank's row is a function of the
+rank below it, so racing threads store equal rows, and a rank is stored
+only after every rank below it.
 """
 
 import functools
 import math
-import threading
 from fractions import Fraction
 
 from .groups import CycleType
@@ -99,26 +103,18 @@ def _signed(m):
 
 # -- Eulerian engines ----------------------------------------------------------
 
-_EULERIAN_A = [None, [1]]
-_EULERIAN_B = [None, [1, 1]]
-# Extending a memo reads its last entry and appends the next; two threads
-# doing that at once would store a rank at the wrong index.  Ranks already
-# stored never change, so reading them needs no lock.
-_EULERIAN_LOCK = threading.Lock()
+# kind -> (memo: rank -> row, c)
+_EULERIAN = {"A": ({1: [1]}, 1), "B": ({1: [1, 1]}, 2)}
 
 
 def _eulerian_row(kind, n):
-    _require(kind in ("A", "B"), f"kind must be A or B, got {kind!r}")
+    _require(kind in _EULERIAN, f"kind must be A or B, got {kind!r}")
     _require(n >= 1, "n must be at least 1", RankOutOfRange)
-    cache = _EULERIAN_A if kind == "A" else _EULERIAN_B
-    if len(cache) <= n:
-        c = 1 if kind == "A" else 2
-        with _EULERIAN_LOCK:
-            while len(cache) <= n:
-                f = cache[-1]  # (s+t) f + c st D f
-                cache.append([a + b + c * g for a, b, g
-                              in zip(f + [0], [0] + f, _st_d(f))])
-    return cache[n]
+    memo, c = _EULERIAN[kind]
+    for m in range(len(memo) + 1, n + 1):
+        f = memo[m - 1]  # (s+t) f + c st D f
+        memo[m] = [a + b + c * g for a, b, g in zip(f + [0], [0] + f, _st_d(f))]
+    return memo[n]
 
 
 def eulerian(kind, n):
@@ -191,20 +187,16 @@ def _grow_b(m):
     return _st_d(_eulerian_row("B", m - 1))
 
 
-def _sum_and_difference(x, y, n):
-    return _add(x, y), lambda: _add(x, y, -1)
-
-
 _B_PAIRS = {1: ([1, 0], [0, 1])}
 
-# family -> (memo: level -> pair of rows (X, Y), growth row at level m, the
-# whole and signed-sum thunk (None: no split) read off the level-n pair,
-# lowest rank).  Each steps the same shape; dexc and bdexc read bexc's pairs.
+# family -> (memo: rank -> pair of rows (X, Y), growth row at rank m, whole
+# and signed sum (None: no split) of the rank-n pair, lowest rank).  aexc is
+# seeded with S_1's halves (1, 0); dexc and bdexc read bexc's pairs.
 _STEPS = {
-    "aexc": ({2: ([1, 0], [0, 1])}, _grow_a, _sum_and_difference, 2),
-    "bexc": (_B_PAIRS, _grow_b, _sum_and_difference, 1),
-    "dexc": (_B_PAIRS, _grow_b, lambda x, y, n: (x, lambda: _sgn_dexc_row(n)), 2),
-    "bdexc": (_B_PAIRS, _grow_b, lambda x, y, n: (y, None), 2),
+    "aexc": ({1: ([1], [0])}, _grow_a, _add, lambda x, y, n: _add(x, y, -1), 2),
+    "bexc": (_B_PAIRS, _grow_b, _add, lambda x, y, n: _add(x, y, -1), 1),
+    "dexc": (_B_PAIRS, _grow_b, lambda x, y: x, lambda x, y, n: _sgn_dexc_row(n), 2),
+    "bdexc": (_B_PAIRS, _grow_b, lambda x, y: y, None, 2),
 }
 
 
@@ -213,22 +205,23 @@ def step_recurrence(family, n, cls="all"):
 
     Each steps a pair X_n = s X_{n-1} + t Y_{n-1} + g_n,
     Y_n = t X_{n-1} + s Y_{n-1} + g_n.  aexc (n >= 2): the plus/minus halves,
-    g_n = st D A_{n-1} / 2, seeded with (s, t) at n = 2.  bexc (n >= 1): same
-    with g_n = st D B_{n-1}, seeds (s, t) at n = 1; whole X + Y, signed X - Y.
-    dexc/bdexc (n >= 2): bexc's pair, (D_n, (B-D)_n) from n = 2 on.
+    g_n = st D A_{n-1} / 2, seeded with S_1's (1, 0), so (s, t) at n = 2.
+    bexc (n >= 1): same with g_n = st D B_{n-1}, seeds (s, t) at n = 1; whole
+    X + Y, signed X - Y.  dexc/bdexc (n >= 2): bexc's pair, (D_n, (B-D)_n)
+    from n = 2 on.  The request is checked before the memo steps.
     """
     _require(family in _STEPS, f"unknown family {family!r}")
-    memo, grow, read, low = _STEPS[family]
+    memo, grow, whole, signed, low = _STEPS[family]
     _require(n >= low, f"{family} step recurrence starts at n = {low}",
              RankOutOfRange)
-    for m in range(max(memo) + 1, n + 1):
-        x, y = memo[m - 1]
-        g = grow(m)
+    _require(signed or cls == "all", f"{family} has no plus/minus split")
+    read = _class(cls)
+    for m in range(len(memo) + 1, n + 1):
+        (x, y), g = memo[m - 1], grow(m)
         memo[m] = ([a + b + c for a, b, c in zip(x + [0], [0] + y, g)],
                    [a + b + c for a, b, c in zip([0] + x, y + [0], g)])
-    whole, signed = read(*memo[n], n)
-    _require(signed or cls == "all", f"{family} has no plus/minus split")
-    return _poly(_class(cls)(whole, signed))
+    x, y = memo[n]
+    return _poly(read(whole(x, y), lambda: signed(x, y, n)))
 
 
 # -- coefficient triangles -------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -51,6 +52,90 @@ def test_engine_rejects_an_unknown_class(engine):
         CLASS_ENGINES[engine]("bogus")
 
 
+def _memos():
+    """Every memo of the closed engines; each holds ranks 1..len(memo)."""
+    steps = {id(memo): memo for memo, *_ in closedforms._STEPS.values()}
+    return [memo for memo, _ in closedforms._EULERIAN.values()] + list(steps.values())
+
+
+@pytest.fixture
+def cold():
+    """A function that cuts every memo back to its rank-1 seed and returns
+    the memos; the ranks held before the test are restored after it."""
+    memos = _memos()
+    saved = [dict(memo) for memo in memos]
+
+    def reset():
+        for memo in memos:
+            seed = memo[1]
+            memo.clear()
+            memo[1] = seed
+        return memos
+
+    try:
+        yield reset
+    finally:
+        for memo, entries in zip(memos, saved):
+            memo.clear()
+            memo.update(entries)
+
+
+# bad requests at a rank far above every memo, with the message each raises
+BAD_REQUESTS = {
+    "step_recurrence aexc": (lambda: step_recurrence("aexc", 400, "bogus"),
+                             r"^cls must be all/plus/minus, got 'bogus'$"),
+    "step_recurrence dexc": (lambda: step_recurrence("dexc", 400, "bogus"),
+                             r"^cls must be all/plus/minus, got 'bogus'$"),
+    "step_recurrence bdexc": (lambda: step_recurrence("bdexc", 400, "plus"),
+                              r"^bdexc has no plus/minus split$"),
+    "eulerian": (lambda: eulerian("C", 400), r"^kind must be A or B, got 'C'$"),
+    "half_sum_closed": (lambda: half_sum_closed("aexc", 400, "bogus"),
+                        r"^cls must be plus/minus, got 'bogus'$"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_REQUESTS)
+def test_bad_request_fails_before_any_step(cold, bad):
+    call, message = BAD_REQUESTS[bad]
+    memos = cold()
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert [len(memo) for memo in memos] == [1] * len(memos)
+
+
+def test_cold_memos_shared_by_threads(cold):
+    families = ("aexc", "bexc", "dexc", "bdexc")
+
+    def work(ranks):
+        for n in ranks:
+            eulerian("A", n)
+            eulerian("B", n)
+            for family in families:
+                step_recurrence(family, n)
+
+    interval = sys.getswitchinterval()
+    rng = random.Random(25)
+    try:
+        memos = cold()
+        work([40])
+        sequential = [dict(memo) for memo in memos]
+        sys.setswitchinterval(1e-6)
+        for _ in range(20):
+            cold()
+            # each thread asks for a few random ranks, then the top one
+            threads = [threading.Thread(target=work,
+                                        args=(rng.sample(range(2, 40), 3) + [40],))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [dict(memo) for memo in memos] == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestEulerian:
     def test_type_a_values(self):
         assert eulerian("A", 1) == 1
@@ -75,34 +160,6 @@ class TestEulerian:
             eulerian("C", 3)
         with pytest.raises(ValueError):
             eulerian("A", 0)
-
-    def test_cold_memo_shared_by_threads(self):
-        memos = (closedforms._EULERIAN_A, closedforms._EULERIAN_B)
-        saved = [list(memo) for memo in memos]
-
-        def work():
-            eulerian("A", 40)
-            eulerian("B", 40)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(30):
-                for memo in memos:
-                    del memo[2:]
-                threads = [threading.Thread(target=work) for _ in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                for k in range(1, 41):
-                    assert eulerian("A", k).at_ones() == math.factorial(k)
-                    assert eulerian("B", k).at_ones() == 2 ** k * math.factorial(k)
-        finally:
-            sys.setswitchinterval(interval)
-            for memo, entries in zip(memos, saved):
-                memo[:] = entries
 
 
 class TestHalfSum:
@@ -175,44 +232,6 @@ class TestStepRecurrence:
             step_recurrence("bdexc", 3, "plus")
         with pytest.raises(ValueError, match="^bdexc has no plus/minus split$"):
             step_recurrence("bdexc", 3, "bogus")
-
-    def test_cold_memos_shared_by_threads(self):
-        memos = list({id(memo): memo
-                      for memo, *_ in closedforms._STEPS.values()}.values())
-        saved = [dict(memo) for memo in memos]
-        families = ("aexc", "bexc", "dexc", "bdexc")
-
-        def reset():
-            for memo in memos:
-                low = min(memo)
-                seed = memo[low]
-                memo.clear()
-                memo[low] = seed
-
-        def work():
-            for family in families:
-                step_recurrence(family, 40)
-
-        interval = sys.getswitchinterval()
-        try:
-            reset()
-            work()
-            sequential = [dict(memo) for memo in memos]
-            sys.setswitchinterval(1e-6)
-            for _ in range(5):
-                reset()
-                threads = [threading.Thread(target=work) for _ in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert [dict(memo) for memo in memos] == sequential
-        finally:
-            sys.setswitchinterval(interval)
-            for memo, entries in zip(memos, saved):
-                memo.clear()
-                memo.update(entries)
 
 
 class TestCoeffTables:
