@@ -103,16 +103,9 @@ def test_bad_request_fails_before_any_step(cold, bad):
     assert [len(memo) for memo in memos] == [1] * len(memos)
 
 
-def test_cold_memos_shared_by_threads(cold):
-    families = ("aexc", "bexc", "dexc", "bdexc")
-
-    def work(ranks):
-        for n in ranks:
-            eulerian("A", n)
-            eulerian("B", n)
-            for family in families:
-                step_recurrence(family, n)
-
+def _race_against_sequential(cold, work):
+    """Run `work(ranks)` on four threads at once, from cold memos, and
+    require every memo to equal a sequential run's."""
     interval = sys.getswitchinterval()
     rng = random.Random(25)
     try:
@@ -160,6 +153,14 @@ class TestEulerian:
             eulerian("C", 3)
         with pytest.raises(ValueError):
             eulerian("A", 0)
+
+    def test_cold_memo_shared_by_threads(self, cold):
+        def work(ranks):
+            for n in ranks:
+                eulerian("A", n)
+                eulerian("B", n)
+
+        _race_against_sequential(cold, work)
 
 
 class TestHalfSum:
@@ -232,6 +233,14 @@ class TestStepRecurrence:
             step_recurrence("bdexc", 3, "plus")
         with pytest.raises(ValueError, match="^bdexc has no plus/minus split$"):
             step_recurrence("bdexc", 3, "bogus")
+
+    def test_cold_memos_shared_by_threads(self, cold):
+        def work(ranks):
+            for n in ranks:
+                for family in ("aexc", "bexc", "dexc", "bdexc"):
+                    step_recurrence(family, n)
+
+        _race_against_sequential(cold, work)
 
 
 class TestCoeffTables:
