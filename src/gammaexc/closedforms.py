@@ -6,9 +6,9 @@ Bivariate Eulerian polynomials by the insertion recurrences
     B_{n+1} = (s+t) B_n + 2 st D B_n        (type-B descent/ascent)
 
 with A_1 = 1 and B_1 = s+t; both engines are certified against the
-enumeration oracle in the test suite.  On top of these: the half-sum closed
-forms for the even/odd-length halves, the one-step plus/minus recurrences,
-the coefficient-triangle recurrences, the four-step jump via the fixed L/R
+enumeration oracle in the test suite.  On top of these: the half sums, with
+type D's halves of B_n, the one-step recurrences that cross-check them, the
+coefficient-triangle recurrences, the four-step jump via the fixed L/R
 tables, the conjugacy-class product formula and the derangement cycle
 recurrence.  Every /2 in a formula is a theorem about integrality, so the
 division is exact and raises OddCoefficient if it ever is not.
@@ -176,6 +176,13 @@ def half_sum_closed(family, n, cls):
     return _poly(read(row, lambda: _signed(len(row) - 1)))
 
 
+def dexc_closed(n, cls="all"):
+    """D_n = (B_n + (s-t)^n) / 2, n >= 1; a half reads sgn_dexc_closed's sum."""
+    read = _class(cls)
+    return _poly(read(_half(_add(_eulerian_row("B", n), _signed(n))),
+                      lambda: _sgn_dexc_row(n)))
+
+
 # -- one-step recurrences --------------------------------------------------------
 
 
@@ -190,8 +197,7 @@ def _grow_b(m):
 _B_PAIRS = {1: ([1, 0], [0, 1])}
 
 # family -> (memo: rank -> pair of rows (X, Y), growth row at rank m, whole
-# and signed sum (None: no split) of the rank-n pair, lowest rank).  aexc is
-# seeded with S_1's halves (1, 0); dexc and bdexc read bexc's pairs.
+# and signed sum (None: no split) of the rank-n pair, lowest rank)
 _STEPS = {
     "aexc": ({1: ([1], [0])}, _grow_a, _add, lambda x, y, n: _add(x, y, -1), 2),
     "bexc": (_B_PAIRS, _grow_b, _add, lambda x, y, n: _add(x, y, -1), 1),
@@ -201,14 +207,14 @@ _STEPS = {
 
 
 def step_recurrence(family, n, cls="all"):
-    """One-step recurrence engines for the excedance families.
+    """One-step recurrences, a second engine that no family reads: verify
+    and the tests check the half sums and dexc_closed against it.
 
-    Each steps a pair X_n = s X_{n-1} + t Y_{n-1} + g_n,
-    Y_n = t X_{n-1} + s Y_{n-1} + g_n.  aexc (n >= 2): the plus/minus halves,
-    g_n = st D A_{n-1} / 2, seeded with S_1's (1, 0), so (s, t) at n = 2.
-    bexc (n >= 1): same with g_n = st D B_{n-1}, seeds (s, t) at n = 1; whole
-    X + Y, signed X - Y.  dexc/bdexc (n >= 2): bexc's pair, (D_n, (B-D)_n)
-    from n = 2 on.  The request is checked before the memo steps.
+    Each steps a pair X_n = s X_{n-1} + t Y_{n-1} + g_n, Y_n = t X_{n-1}
+    + s Y_{n-1} + g_n.  aexc (n >= 2): the halves, g_n = st D A_{n-1} / 2,
+    from S_1's (1, 0).  bexc (n >= 1): g_n = st D B_{n-1}, from (s, t);
+    whole X + Y, signed X - Y.  dexc/bdexc (n >= 2): bexc's pair is
+    (D_n, (B-D)_n).  The request is checked before the memo steps.
     """
     _require(family in _STEPS, f"unknown family {family!r}")
     memo, grow, whole, signed, low = _STEPS[family]

@@ -497,10 +497,9 @@ FAMILIES = {
     "bexc": Family(_group("B", BEXC_WEIGHT), _eulerian_or_half("B", "bexc"),
                    split=True),
     "dexc": Family(_group("D", DEXC_WEIGHT),
-                   lambda fs: closedforms.step_recurrence("dexc", fs.n, fs.cls),
-                   split=True),
-    "bdexc": Family(_group("B-D", DEXC_WEIGHT),
-                    lambda fs: closedforms.step_recurrence("bdexc", fs.n)),
+                   lambda fs: closedforms.dexc_closed(fs.n, fs.cls), split=True),
+    "bdexc": Family(_group("B-D", DEXC_WEIGHT),  # the bridge (B_n - (s-t)^n) / 2
+                    lambda fs: closedforms.half_sum_closed("bexc", fs.n, "minus")),
     "sgn_aexc": Family(_group("S", AEXC_WEIGHT, "inv"),
                        lambda fs: closedforms.sgn_aexc_closed(fs.n), min_n=1),
     "sgn_bexc": Family(_group("B", BEXC_WEIGHT, "inv_b"),

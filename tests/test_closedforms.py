@@ -14,6 +14,7 @@ from gammaexc.closedforms import (
     coeff_tables,
     conj_exc_closed,
     derangement_closed,
+    dexc_closed,
     dexc_jump_tail,
     eulerian,
     eulerian_t,
@@ -39,6 +40,7 @@ CLASS_ENGINES = {
     "step_recurrence aexc": lambda cls: step_recurrence("aexc", 5, cls),
     "step_recurrence bexc": lambda cls: step_recurrence("bexc", 5, cls),
     "step_recurrence dexc": lambda cls: step_recurrence("dexc", 5, cls),
+    "dexc_closed": lambda cls: dexc_closed(5, cls),
     "CoeffTable.row": lambda cls: coeff_tables(5).row(4, cls),
     "jump4": lambda cls: jump4("aexc", 5, cls),
     "derangement_closed": lambda cls: derangement_closed(5, cls),
@@ -88,6 +90,8 @@ BAD_REQUESTS = {
                              r"^cls must be all/plus/minus, got 'bogus'$"),
     "step_recurrence bdexc": (lambda: step_recurrence("bdexc", 400, "plus"),
                               r"^bdexc has no plus/minus split$"),
+    "dexc_closed": (lambda: dexc_closed(400, "bogus"),
+                    r"^cls must be all/plus/minus, got 'bogus'$"),
     "eulerian": (lambda: eulerian("C", 400), r"^kind must be A or B, got 'C'$"),
     "half_sum_closed": (lambda: half_sum_closed("aexc", 400, "bogus"),
                         r"^cls must be plus/minus, got 'bogus'$"),
@@ -426,6 +430,14 @@ class TestClosedFamilyDispatch:
         assert sgn_dexc_closed(4) == (s - t) ** 4
         assert sgn_dexc_closed(5) == s * (s - t) ** 4
 
+    def test_type_d_families_never_step_the_pair_memo(self, cold):
+        cold()
+        for fs in (FamilySpec("dexc", 150), FamilySpec("dexc", 150, "plus"),
+                   FamilySpec("dexc", 150, "minus"), FamilySpec("bdexc", 150)):
+            closed_family(fs)
+        assert closedforms._B_PAIRS == {1: ([1, 0], [0, 1])}
+        assert len(closedforms._EULERIAN["B"][0]) == 150
+
     def test_qrefined_has_no_closed_form(self):
         with pytest.raises(NoClosedForm):
             closed_family(FamilySpec("qrefined", 4, stat="inv"))
@@ -530,6 +542,19 @@ class TestRowEnginesAgainstPolyReference:
                 assert f == half(x + _sign(cls) * sgn_dexc_closed(n))
                 assert f.vars == ("s", "t")
 
+    def test_type_d_families_equal_the_step_recurrence(self):
+        for n in range(2, REF_TOP + 1):
+            _assert_type_d_families_equal_the_step_recurrence(n)
+
+
+def _assert_type_d_families_equal_the_step_recurrence(n):
+    """The family table's dexc and bdexc, read off B_n's row, equal the
+    pair recurrence that steps (D_n, (B-D)_n)."""
+    for cls in ("all", "plus", "minus"):
+        assert closed_family(FamilySpec("dexc", n, cls)) \
+            == step_recurrence("dexc", n, cls)
+    assert closed_family(FamilySpec("bdexc", n)) == step_recurrence("bdexc", n)
+
 
 class TestRowEnginesAtRank250:
     N = 250
@@ -563,6 +588,9 @@ class TestRowEnginesAtRank250:
         assert plus - minus == sgn_dexc_closed(n)
         assert step_recurrence("dexc", n) + step_recurrence("bdexc", n) \
             == eulerian("B", n)
+
+    def test_type_d_families_equal_the_step_recurrence(self):
+        _assert_type_d_families_equal_the_step_recurrence(self.N)
 
     def test_signed_forms_are_binomial_expansions(self):
         n = self.N

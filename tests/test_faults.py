@@ -151,9 +151,12 @@ FAULTS = {
         _off_at({("dexc", 4, "plus"), ("dexc", 8, "plus"), ("aexc", 9, "plus")},
                 _S3T),
         ("typeA.step_equals_half_sum", "typeA.jump_equals_four_steps",
-         "typeD.step_equals_oracle", "typeD.base_polynomials",
-         "typeD.even_rank_gamma_positive", "typeD.odd_rank_two_term_split",
+         "typeD.step_equals_oracle", "typeD.odd_rank_two_term_split",
          "typeD.jump_equals_four_steps")),
+    # the family table reads dexc from B_n's row, not from the step memo
+    "closedforms.dexc_closed + s^3 t at (dexc, 4 and 8, plus)": (
+        closedforms, "dexc_closed", _off_at({(4, "plus"), (8, "plus")}, _S3T),
+        ("typeD.base_polynomials", "typeD.even_rank_gamma_positive")),
     _EULERIAN_OFF: (
         closedforms, "eulerian", _off_at({("A", 4), ("B", 3)}, _S3T),
         ("gamma_calculus.product_center_addition",

@@ -509,6 +509,16 @@ def test_rank_below_family_minimum_is_rejected_up_front():
         assert err == f"error: {family} needs n >= 1, got n = 0\n"
 
 
+@pytest.mark.parametrize("family, answer", [("dexc", "s\n"), ("bdexc", "t\n")])
+def test_type_d_closed_engine_reaches_rank_one(family, answer):
+    argv = ["compute", "--family", family, "--engine"]
+    assert _run_cli(argv + ["closed", "--n", "1"]) == (0, answer, "")
+    assert _run_cli(argv + ["oracle", "--n", "1"]) == (0, answer, "")
+    code, out, err = _run_cli(argv + ["closed", "--n", "0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("; pass --engine oracle\n")
+
+
 @pytest.mark.parametrize("engine", ["closed", "oracle"])
 @pytest.mark.parametrize("fixed", ["5", "-1"])
 def test_out_of_range_fixed_gets_one_message_on_both_engines(engine, fixed):
