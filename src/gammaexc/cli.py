@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import checks, closedforms, oracle
-from .groups import BudgetExceeded, DEFAULT_BUDGET
+from .groups import BudgetExceeded, CycleType, DEFAULT_BUDGET
 from .oracle import FamilySpec
 from .poly import (
     BIVARIATE,
@@ -43,7 +43,7 @@ def _family_spec(args, n):
 
 
 def _compute(spec, engine, budget):
-    # default: closed where available, oracle otherwise
+    # default: the closed engine; only qrefined, which has none, falls back
     if engine != "oracle":
         try:
             return oracle.closed_family(spec)
@@ -170,7 +170,7 @@ def _cmd_verify(args, out):
 
 
 def _cmd_conjugacy(args, out):
-    args.family, args.n = "conjexc", sum(args.lam)
+    args.family, args.n = "conjexc", CycleType(args.lam).n
     return _cmd_compute(args, out)
 
 
@@ -285,9 +285,10 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "--n-range" in argv[:-1]:  # else argparse reads a range -1..2 as an option
-        i = argv.index("--n-range")
-        argv[i:i + 2] = [f"--n-range={argv[i + 1]}"]
+    for flag in ("--n-range", "--lambda"):  # argparse reads -1..2, -2,1 as options
+        if flag in argv[:-1]:
+            i = argv.index(flag)
+            argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.run(args, sys.stdout)

@@ -5,7 +5,7 @@ Bivariate Eulerian polynomials by the insertion recurrences
     A_{n+1} = (s+t) A_n + st D A_n          (descent/ascent over S_n)
     B_{n+1} = (s+t) B_n + 2 st D B_n        (type-B descent/ascent)
 
-with A_1 = 1 and B_1 = s+t; both engines are certified against the
+from A_0 = A_1 = 1 and B_0 = 1; both engines are certified against the
 enumeration oracle in the test suite.  On top of these: the half sums, with
 type D's halves of B_n, the one-step recurrences that cross-check them, the
 coefficient-triangle recurrences, the four-step jump via the fixed L/R
@@ -49,13 +49,9 @@ class NoClosedForm(ValueError):
     """The family is defined by enumeration only."""
 
 
-class RankOutOfRange(NoClosedForm):
-    """The closed engine starts above the requested rank; the oracle may not."""
-
-
-def _require(condition, message, error=ValueError):
+def _require(condition, message):
     if not condition:
-        raise error(message)
+        raise ValueError(message)
 
 
 # -- rows ------------------------------------------------------------------------
@@ -109,12 +105,12 @@ _EULERIAN = {"A": ({1: [1]}, 1), "B": ({1: [1, 1]}, 2)}
 
 def _eulerian_row(kind, n):
     _require(kind in _EULERIAN, f"kind must be A or B, got {kind!r}")
-    _require(n >= 1, "n must be at least 1", RankOutOfRange)
+    _require(n >= 0, "n must be non-negative")
     memo, c = _EULERIAN[kind]
     for m in range(len(memo) + 1, n + 1):
         f = memo[m - 1]  # (s+t) f + c st D f
         memo[m] = [a + b + c * g for a, b, g in zip(f + [0], [0] + f, _st_d(f))]
-    return memo[n]
+    return memo[n] if n else [1]  # rank 0: the one empty window
 
 
 def eulerian(kind, n):
@@ -136,48 +132,48 @@ def _sgn_dexc_row(n):
 
 def sgn_aexc_closed(n):
     """Signed type-A excedance sum: (s-t)^(n-1)."""
-    _require(n >= 1, "n must be at least 1", RankOutOfRange)
+    _require(n >= 1, "n must be at least 1")
     return _poly(_signed(n - 1))
 
 
 def sgn_bexc_closed(n):
     """Signed type-B excedance sum: (s-t)^n."""
-    _require(n >= 1, "n must be at least 1", RankOutOfRange)
+    _require(n >= 0, "n must be non-negative")
     return _poly(_signed(n))
 
 
 def sgn_dexc_closed(n):
     """Signed type-D excedance sum: (s-t)^n for even n, s(s-t)^(n-1) for odd."""
-    _require(n >= 1, "n must be at least 1", RankOutOfRange)
+    _require(n >= 0, "n must be non-negative")
     return _poly(_sgn_dexc_row(n))
 
 
 def sgnb_des_u_closed(n):
     """Signed descent-ascent-position sum: (s-t)^n u^n."""
-    _require(n >= 1, "n must be at least 1", RankOutOfRange)
+    _require(n >= 0, "n must be non-negative")
     return _poly(_signed(n)) * Poly.variable("u") ** n
 
 
 # family -> (Eulerian kind, lowest rank)
-_HALF_SUMS = {"aexc": ("A", 2), "bexc": ("B", 1)}
+_HALF_SUMS = {"aexc": ("A", 1), "bexc": ("B", 0)}
 
 
 def half_sum_closed(family, n, cls):
     """The even/odd-length half of an Eulerian distribution.
 
-    aexc: (A_n +- (s-t)^(n-1)) / 2 for n >= 2;
-    bexc: (B_n +- (s-t)^n) / 2 for n >= 1.  Divisions are exact.
+    aexc: (A_n +- (s-t)^(n-1)) / 2 for n >= 1;
+    bexc: (B_n +- (s-t)^n) / 2 for n >= 0.  Divisions are exact.
     """
     read = _class(cls, ("plus", "minus"))
     _require(family in _HALF_SUMS, f"half-sum covers aexc and bexc, not {family!r}")
     kind, low = _HALF_SUMS[family]
-    _require(n >= low, f"{family} half-sum needs n >= {low}", RankOutOfRange)
+    _require(n >= low, f"{family} half-sum needs n >= {low}")
     row = _eulerian_row(kind, n)
     return _poly(read(row, lambda: _signed(len(row) - 1)))
 
 
 def dexc_closed(n, cls="all"):
-    """D_n = (B_n + (s-t)^n) / 2, n >= 1; a half reads sgn_dexc_closed's sum."""
+    """D_n = (B_n + (s-t)^n) / 2, n >= 0; a half reads sgn_dexc_closed's sum."""
     read = _class(cls)
     return _poly(read(_half(_add(_eulerian_row("B", n), _signed(n))),
                       lambda: _sgn_dexc_row(n)))
@@ -218,8 +214,7 @@ def step_recurrence(family, n, cls="all"):
     """
     _require(family in _STEPS, f"unknown family {family!r}")
     memo, grow, whole, signed, low = _STEPS[family]
-    _require(n >= low, f"{family} step recurrence starts at n = {low}",
-             RankOutOfRange)
+    _require(n >= low, f"{family} step recurrence starts at n = {low}")
     _require(signed or cls == "all", f"{family} has no plus/minus split")
     read = _class(cls)
     for m in range(len(memo) + 1, n + 1):
@@ -427,7 +422,7 @@ def derangement_closed(n, cls="all", fixed=None):
     With i fixed points the rest is a derangement of m = n - i letters, of sign
     (-1)^(m - cyc): C(n, i) times d_m(1, t) or (d_m(1, t) +- (-1)^m d_m(-1, t))/2.
     """
-    _require(n >= 0, "n must be non-negative", RankOutOfRange)
+    _require(n >= 0, "n must be non-negative")
     i = 0 if fixed is None else fixed
     _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
     read, m = _class(cls), n - i

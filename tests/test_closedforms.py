@@ -155,8 +155,10 @@ class TestEulerian:
     def test_validation(self):
         with pytest.raises(ValueError):
             eulerian("C", 3)
-        with pytest.raises(ValueError):
-            eulerian("A", 0)
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            eulerian("A", -1)
+        # rank 0 is the one empty window
+        assert eulerian("A", 0) == eulerian("B", 0) == 1
 
     def test_cold_memo_shared_by_threads(self, cold):
         def work(ranks):
@@ -182,8 +184,11 @@ class TestHalfSum:
         assert half_sum_closed("bexc", 2, "minus") == 4 * s * t
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            half_sum_closed("aexc", 1, "plus")
+        with pytest.raises(ValueError, match="^aexc half-sum needs n >= 1$"):
+            half_sum_closed("aexc", 0, "plus")
+        # S_1 is the identity alone, which is even
+        assert half_sum_closed("aexc", 1, "plus") == 1
+        assert half_sum_closed("aexc", 1, "minus") == 0
         with pytest.raises(ValueError):
             half_sum_closed("dexc", 3, "plus")
         with pytest.raises(ValueError):

@@ -497,6 +497,9 @@ def test_default_engine_matches_oracle_at_low_ranks(family, cls):
             argv += ["--stat", "cyc"]
         default = _run_cli(argv)
         by_oracle = _run_cli(argv + ["--engine", "oracle"])
+        if family != "qrefined":  # every other family has a closed engine
+            by_closed = _run_cli(argv + ["--engine", "closed"])
+            assert by_closed[:2] == by_oracle[:2], (argv, by_closed, by_oracle)
         if default[0] == 2 and by_oracle[0] == 2:
             continue
         assert default[:2] == by_oracle[:2], (argv, default, by_oracle)
@@ -514,9 +517,10 @@ def test_type_d_closed_engine_reaches_rank_one(family, answer):
     argv = ["compute", "--family", family, "--engine"]
     assert _run_cli(argv + ["closed", "--n", "1"]) == (0, answer, "")
     assert _run_cli(argv + ["oracle", "--n", "1"]) == (0, answer, "")
-    code, out, err = _run_cli(argv + ["closed", "--n", "0"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.endswith("; pass --engine oracle\n")
+    # rank 0 is the empty window, which lies in D_0 and not in B_0 \ D_0
+    at_zero = {"dexc": "1\n", "bdexc": "0\n"}[family]
+    assert _run_cli(argv + ["closed", "--n", "0"]) == (0, at_zero, "")
+    assert _run_cli(argv + ["oracle", "--n", "0"]) == (0, at_zero, "")
 
 
 @pytest.mark.parametrize("engine", ["closed", "oracle"])
@@ -568,11 +572,24 @@ def test_malformed_range_is_a_usage_error(text, message, capsys):
     assert f"argument --n-range: {message}\n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--n-range", "-1..2"], ["--n-range=-1..2"]])
+# the last argument of each request -> the message it must get
+NEGATIVE_VALUE_ERRORS = {"-1..2": "aexc needs n >= 1, got n = -1",
+                         "-1": "parts must be positive: (-1,)",
+                         "-2,1": "parts must be positive: (-2, 1)"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "aexc", "--n-range", "-1..2"],
+    ["table", "--family", "aexc", "--n-range=-1..2"],
+    ["conjugacy", "--lambda", "-1"],
+    ["conjugacy", "--lambda", "-2,1"],
+])
 def test_negative_range_reaches_the_family_check(argv, capsys):
-    # argparse alone would read "-1..2" as an option and report a missing value
-    assert main(["table", "--family", "aexc", *argv]) == 2
-    assert capsys.readouterr().err == "error: aexc needs n >= 1, got n = -1\n"
+    # argparse alone would read "-1..2" or "-2,1" as an option and report a
+    # missing value
+    assert main(argv) == 2
+    message = NEGATIVE_VALUE_ERRORS[argv[-1].rpartition("=")[2]]
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("text", ["-1", "-8", "x"])
@@ -637,7 +654,7 @@ def test_library_errors_are_value_errors_but_the_budget():
                for obj in vars(module).values()
                if isinstance(obj, type) and issubclass(obj, BaseException)
                and obj.__module__ == module.__name__}
-    assert closedforms.RankOutOfRange in defined
+    assert closedforms.NoClosedForm in defined
     assert {cls for cls in defined if not issubclass(cls, ValueError)} == {
         groups.BudgetExceeded}
 
