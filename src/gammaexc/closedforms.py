@@ -24,10 +24,10 @@ and the even (plus) and odd (minus) halves are (whole +- signed) / 2, the
 signed sum weighting each element by its sign.  That sum is a thunk run
 for a half only, so "all" never pays for a second recurrence or binomial row.
 
-Every memo is a dict of ranks 1..len(memo), stepped up from its top.  It
-is shared across threads without a lock: a rank's row is a function of the
-rank below it, so racing threads store equal rows, and a rank is stored
-only after every rank below it.
+``_EULERIAN`` is the one memo: per kind a dict of ranks 1..len(memo),
+stepped up from its top.  It is shared across threads without a lock: a
+rank's row is a function of the rank below it, so racing threads store
+equal rows, and a rank is stored only after every rank below it.
 """
 
 import functools
@@ -190,15 +190,13 @@ def _grow_b(m):
     return _st_d(_eulerian_row("B", m - 1))
 
 
-_B_PAIRS = {1: ([1, 0], [0, 1])}
-
-# family -> (memo: rank -> pair of rows (X, Y), growth row at rank m, whole
-# and signed sum (None: no split) of the rank-n pair, lowest rank)
+# family -> (lowest rank, the pair of rows (X, Y) at that rank, growth row
+# at rank m, whole and signed sum (None: no split) of the rank-n pair)
 _STEPS = {
-    "aexc": ({1: ([1], [0])}, _grow_a, _add, lambda x, y, n: _add(x, y, -1), 2),
-    "bexc": (_B_PAIRS, _grow_b, _add, lambda x, y, n: _add(x, y, -1), 1),
-    "dexc": (_B_PAIRS, _grow_b, lambda x, y: x, lambda x, y, n: _sgn_dexc_row(n), 2),
-    "bdexc": (_B_PAIRS, _grow_b, lambda x, y: y, None, 2),
+    "aexc": (1, ([1], [0]), _grow_a, _add, lambda x, y, n: _add(x, y, -1)),
+    "bexc": (0, ([1], [0]), _grow_b, _add, lambda x, y, n: _add(x, y, -1)),
+    "dexc": (0, ([1], [0]), _grow_b, lambda x, y: x, lambda x, y, n: _sgn_dexc_row(n)),
+    "bdexc": (0, ([1], [0]), _grow_b, lambda x, y: y, None),
 }
 
 
@@ -207,21 +205,21 @@ def step_recurrence(family, n, cls="all"):
     and the tests check the half sums and dexc_closed against it.
 
     Each steps a pair X_n = s X_{n-1} + t Y_{n-1} + g_n, Y_n = t X_{n-1}
-    + s Y_{n-1} + g_n.  aexc (n >= 2): the halves, g_n = st D A_{n-1} / 2,
-    from S_1's (1, 0).  bexc (n >= 1): g_n = st D B_{n-1}, from (s, t);
-    whole X + Y, signed X - Y.  dexc/bdexc (n >= 2): bexc's pair is
-    (D_n, (B-D)_n).  The request is checked before the memo steps.
+    + s Y_{n-1} + g_n from its family's lowest rank and stores nothing.
+    aexc (n >= 1): the halves, g_n = st D A_{n-1} / 2, from S_1's (1, 0).
+    bexc (n >= 0): g_n = st D B_{n-1}, from B_0's (1, 0); whole X + Y,
+    signed X - Y.  dexc/bdexc (n >= 0): bexc's pair is (D_n, (B-D)_n).
+    The request is checked before the first step.
     """
     _require(family in _STEPS, f"unknown family {family!r}")
-    memo, grow, whole, signed, low = _STEPS[family]
+    low, (x, y), grow, whole, signed = _STEPS[family]
     _require(n >= low, f"{family} step recurrence starts at n = {low}")
     _require(signed or cls == "all", f"{family} has no plus/minus split")
     read = _class(cls)
-    for m in range(len(memo) + 1, n + 1):
-        (x, y), g = memo[m - 1], grow(m)
-        memo[m] = ([a + b + c for a, b, c in zip(x + [0], [0] + y, g)],
-                   [a + b + c for a, b, c in zip([0] + x, y + [0], g)])
-    x, y = memo[n]
+    for m in range(low + 1, n + 1):
+        g = grow(m)
+        x, y = ([a + b + c for a, b, c in zip(x + [0], [0] + y, g)],
+                [a + b + c for a, b, c in zip([0] + x, y + [0], g)])
     return _poly(read(whole(x, y), lambda: signed(x, y, n)))
 
 
@@ -231,11 +229,11 @@ def step_recurrence(family, n, cls="all"):
 class CoeffTable(Record):
     """Triangles a+_{n,k}, a-_{n,k} of the even/odd excedance counts.
 
-    Row n holds the coefficients of t^0..t^(n-1); rows run 2..n_max.  Built
+    Row n holds the coefficients of t^0..t^(n-1); rows run 1..n_max.  Built
     by the coupled recurrences
         a+_{n,k} = k a-_{n-1,k} + (n-k) a-_{n-1,k-1} + a+_{n-1,k}
         a-_{n,k} = k a+_{n-1,k} + (n-k) a+_{n-1,k-1} + a-_{n-1,k}
-    from row 2 = (1,0) / (0,1).
+    from row 1 = (1,) / (0,), S_1's identity.
     """
 
     __slots__ = ("n_max", "plus", "minus")
@@ -247,9 +245,9 @@ class CoeffTable(Record):
 
     def row(self, n, cls):
         _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
-        _require(2 <= n <= self.n_max, f"row {n} outside 2..{self.n_max}")
+        _require(1 <= n <= self.n_max, f"row {n} outside 1..{self.n_max}")
         rows = self.plus if cls == "plus" else self.minus
-        return rows[n - 2]
+        return rows[n - 1]
 
     def value(self, n, k, cls):
         row = self.row(n, cls)
@@ -257,9 +255,9 @@ class CoeffTable(Record):
 
 
 def coeff_tables(n_max):
-    _require(n_max >= 2, "need n_max >= 2")
-    plus, minus = [[1, 0]], [[0, 1]]
-    for _ in range(3, n_max + 1):
+    _require(n_max >= 1, "need n_max >= 1")
+    plus, minus = [[1]], [[0]]
+    for _ in range(2, n_max + 1):
         # rows n-1 read as homogeneous: a_{n-1,k} is s*a, and
         # k b_{n-1,k} + (n-k) b_{n-1,k-1} is t*b + st D b
         p, m = plus[-1], minus[-1]

@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import random
@@ -29,7 +30,7 @@ from gammaexc.closedforms import (
     step_recurrence,
 )
 from gammaexc.groups import CycleType, partitions
-from gammaexc.oracle import FamilySpec, closed_family, family_poly
+from gammaexc.oracle import FAMILIES, FamilySpec, closed_family, family_poly
 from gammaexc.poly import BIVARIATE, D, Poly, gamma_decompose, half
 
 s, t, u = Poly.gens("s", "t", "u")
@@ -55,9 +56,9 @@ def test_engine_rejects_an_unknown_class(engine):
 
 
 def _memos():
-    """Every memo of the closed engines; each holds ranks 1..len(memo)."""
-    steps = {id(memo): memo for memo, *_ in closedforms._STEPS.values()}
-    return [memo for memo, _ in closedforms._EULERIAN.values()] + list(steps.values())
+    """Every memo of the closed engines: the Eulerian rows, whose memos each
+    hold ranks 1..len(memo)."""
+    return [memo for memo, _ in closedforms._EULERIAN.values()]
 
 
 @pytest.fixture
@@ -204,11 +205,11 @@ class TestStepRecurrence:
         assert step_recurrence("aexc", 3, "plus") == s ** 2 + s * t + t ** 2
 
     def test_matches_half_sum(self):
-        for n in range(2, 9):
+        for n in range(1, 9):
             for cls in ("plus", "minus"):
                 assert step_recurrence("aexc", n, cls) \
                     == half_sum_closed("aexc", n, cls)
-        for n in range(1, 9):
+        for n in range(0, 9):
             for cls in ("plus", "minus"):
                 assert step_recurrence("bexc", n, cls) \
                     == half_sum_closed("bexc", n, cls)
@@ -236,8 +237,19 @@ class TestStepRecurrence:
         assert step_recurrence("bexc", 3) == eulerian("B", 3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            step_recurrence("aexc", 1, "plus")
+        # each engine starts at its family's lowest rank, answering there
+        for family in closedforms._STEPS:
+            low = FAMILIES[family].min_n
+            with pytest.raises(ValueError, match=rf"^{family} step recurrence "
+                                                 rf"starts at n = {low}$"):
+                step_recurrence(family, low - 1)
+            split = FAMILIES[family].split
+            for cls in ("all", "plus", "minus") if split else ("all",):
+                assert step_recurrence(family, low, cls) \
+                    == closed_family(FamilySpec(family, low, cls))
+        # S_1 is the identity alone, which is even
+        assert step_recurrence("aexc", 1, "plus") == 1
+        assert step_recurrence("aexc", 1, "minus") == 0
         with pytest.raises(ValueError):
             step_recurrence("bdexc", 3, "plus")
         with pytest.raises(ValueError, match="^bdexc has no plus/minus split$"):
@@ -251,6 +263,12 @@ class TestStepRecurrence:
 
         _race_against_sequential(cold, work)
 
+    def test_stores_nothing(self):
+        steps = copy.deepcopy(closedforms._STEPS)
+        for family in steps:
+            step_recurrence(family, 60)
+        assert closedforms._STEPS == steps
+
 
 class TestCoeffTables:
     def test_row_4(self):
@@ -260,8 +278,13 @@ class TestCoeffTables:
 
     def test_row_2(self):
         tables = coeff_tables(4)
+        # row 1 is S_1's identity, which is even
+        assert tables.row(1, "plus") == (1,)
+        assert tables.row(1, "minus") == (0,)
         assert tables.row(2, "plus") == (1, 0)
         assert tables.row(2, "minus") == (0, 1)
+        with pytest.raises(ValueError, match="^need n_max >= 1$"):
+            coeff_tables(0)
 
     def test_rows_match_closed_forms(self):
         import math
@@ -435,12 +458,15 @@ class TestClosedFamilyDispatch:
         assert sgn_dexc_closed(4) == (s - t) ** 4
         assert sgn_dexc_closed(5) == s * (s - t) ** 4
 
-    def test_type_d_families_never_step_the_pair_memo(self, cold):
+    def test_type_d_families_never_call_step_recurrence(self, cold, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"step_recurrence{args}")
+
+        monkeypatch.setattr(closedforms, "step_recurrence", refuse)
         cold()
         for fs in (FamilySpec("dexc", 150), FamilySpec("dexc", 150, "plus"),
                    FamilySpec("dexc", 150, "minus"), FamilySpec("bdexc", 150)):
             closed_family(fs)
-        assert closedforms._B_PAIRS == {1: ([1, 0], [0, 1])}
         assert len(closedforms._EULERIAN["B"][0]) == 150
 
     def test_qrefined_has_no_closed_form(self):
@@ -475,19 +501,18 @@ REF_TOP = 40
 def _reference():
     """Eulerian polynomials and step pairs up to REF_TOP, by sparse Poly."""
     eul = {}
-    for kind, c, seed in (("A", 1, Poly.const(1, ("s", "t"))), ("B", 2, s + t)):
-        eul[kind] = [None, seed]
+    one, zero = Poly.const(1, ("s", "t")), Poly.zero(("s", "t"))
+    for kind, c, seed in (("A", 1, one), ("B", 2, s + t)):
+        eul[kind] = [one, seed]  # rank 0: the one empty window
         while len(eul[kind]) <= REF_TOP:
             f = eul[kind][-1]
             eul[kind].append((s + t) * f + c * s * t * D(f))
     grow_a = lambda m: half(s * t * D(eul["A"][m - 1]))  # noqa: E731
     grow_b = lambda m: s * t * D(eul["B"][m - 1])  # noqa: E731
     pairs = {}
-    for family, low, seed, grow in (
-            ("aexc", 2, (s, t), grow_a),
-            ("bexc", 1, (s, t), grow_b),
-            ("dexc", 2, (s ** 2 + 2 * s * t + t ** 2, 4 * s * t), grow_b)):
-        pairs[family] = {low: seed}
+    for family, low, grow in (("aexc", 1, grow_a), ("bexc", 0, grow_b),
+                              ("dexc", 0, grow_b)):
+        pairs[family] = {low: (one, zero)}  # the identity alone, even
         for m in range(low + 1, REF_TOP + 1):
             x, y = pairs[family][m - 1]
             g = grow(m)
@@ -548,7 +573,7 @@ class TestRowEnginesAgainstPolyReference:
                 assert f.vars == ("s", "t")
 
     def test_type_d_families_equal_the_step_recurrence(self):
-        for n in range(2, REF_TOP + 1):
+        for n in range(0, REF_TOP + 1):
             _assert_type_d_families_equal_the_step_recurrence(n)
 
 
