@@ -24,10 +24,12 @@ and the even (plus) and odd (minus) halves are (whole +- signed) / 2, the
 signed sum weighting each element by its sign.  That sum is a thunk run
 for a half only, so "all" never pays for a second recurrence or binomial row.
 
-``_EULERIAN`` is the one memo: per kind a dict of ranks 1..len(memo),
-stepped up from its top.  It is shared across threads without a lock: a
-rank's row is a function of the rank below it, so racing threads store
-equal rows, and a rank is stored only after every rank below it.
+``_EULERIAN`` is the one memo: per kind a dict rank -> row holding the rank-1
+seed and the ranks callers asked for.  A miss steps local rows up from the
+highest held rank below, read from a ``list(memo)`` snapshot that another
+thread's insert cannot break, and stores that row alone; a descending walk
+thus re-steps from below, and the package's rank loops all ascend.  No lock:
+a row depends only on its rank, so racing threads store equal rows.
 """
 
 import functools
@@ -107,9 +109,12 @@ def _eulerian_row(kind, n):
     _require(kind in _EULERIAN, f"kind must be A or B, got {kind!r}")
     _require(n >= 0, "n must be non-negative")
     memo, c = _EULERIAN[kind]
-    for m in range(len(memo) + 1, n + 1):
-        f = memo[m - 1]  # (s+t) f + c st D f
-        memo[m] = [a + b + c * g for a, b, g in zip(f + [0], [0] + f, _st_d(f))]
+    if n and n not in memo:  # step up from the highest held rank below n
+        low = max(m for m in list(memo) if m < n)
+        f = memo[low]
+        for _ in range(low, n):  # (s+t) f + c st D f
+            f = [a + b + c * g for a, b, g in zip(f + [0], [0] + f, _st_d(f))]
+        memo[n] = f
     return memo[n] if n else [1]  # rank 0: the one empty window
 
 
@@ -239,6 +244,9 @@ class CoeffTable(Record):
     __slots__ = ("n_max", "plus", "minus")
 
     def __init__(self, n_max, plus, minus):
+        for rows in (plus, minus):
+            _require([len(row) for row in rows] == list(range(1, n_max + 1)),
+                     f"plus and minus need rows 1..{n_max}, row k of k entries")
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
@@ -391,7 +399,7 @@ def conj_exc_closed(lam):
     """
     lam = CycleType(lam)
     product = Poly.const(1, ("t",))
-    for part in lam.parts:
+    for part in reversed(lam.parts):  # ascending, so each row steps from the last
         if part >= 2:
             product = product * (_T * eulerian_t("A", part - 1))
     return set_partition_count(lam) * product

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -57,7 +58,7 @@ def test_engine_rejects_an_unknown_class(engine):
 
 def _memos():
     """Every memo of the closed engines: the Eulerian rows, whose memos each
-    hold ranks 1..len(memo)."""
+    hold the rank-1 seed and the ranks that callers asked for."""
     return [memo for memo, _ in closedforms._EULERIAN.values()]
 
 
@@ -110,13 +111,20 @@ def test_bad_request_fails_before_any_step(cold, bad):
 
 def _race_against_sequential(cold, work):
     """Run `work(ranks)` on four threads at once, from cold memos, and
-    require every memo to equal a sequential run's."""
+    require each memo to hold every rank that a sequential `work([40])` keeps
+    (rank 40 for the Eulerian rows) and to map every rank it holds to the row
+    a cold sequential call gives for that rank."""
     interval = sys.getswitchinterval()
     rng = random.Random(25)
+    memos = dict(zip(closedforms._EULERIAN, cold()))
+    work([40])
+    kept = {kind: set(memo) for kind, memo in memos.items()}
+    rows = {}
+    for kind in memos:
+        for n in range(1, 41):
+            cold()
+            rows[kind, n] = closedforms._eulerian_row(kind, n)
     try:
-        memos = cold()
-        work([40])
-        sequential = [dict(memo) for memo in memos]
         sys.setswitchinterval(1e-6)
         for _ in range(20):
             cold()
@@ -129,7 +137,9 @@ def _race_against_sequential(cold, work):
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            assert [dict(memo) for memo in memos] == sequential
+            for kind, memo in memos.items():
+                assert kept[kind] <= set(memo)
+                assert memo == {n: rows[kind, n] for n in memo}
     finally:
         sys.setswitchinterval(interval)
 
@@ -168,6 +178,43 @@ class TestEulerian:
                 eulerian("B", n)
 
         _race_against_sequential(cold, work)
+
+    def test_cold_request_keeps_only_its_row(self, cold):
+        cold()
+        half_sum_closed("aexc", 300, "plus")
+        assert set(closedforms._EULERIAN["A"][0]) == {1, 300}
+
+    def test_cold_request_peaks_under_two_megabytes(self, cold):
+        # stepping to rank 300 and keeping every row on the way peaks at 7.8 MB
+        cold()
+        tracemalloc.start()
+        try:
+            eulerian("A", 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("start", [2, 4])
+    def test_ascending_walk_holds_every_rank(self, cold, monkeypatch, start):
+        # the warm table sweep's pattern, which starts at rank 4: every rank
+        # asked for is held, and the walk steps once per rank from the seed
+        steps = []
+        st_d = closedforms._st_d
+        monkeypatch.setattr(closedforms, "_st_d",
+                            lambda row: steps.append(row) or st_d(row))
+        cold()
+        for n in range(start, 61):
+            eulerian("B", n)
+        assert set(closedforms._EULERIAN["B"][0]) == {1, *range(start, 61)}
+        assert len(steps) == 59
+
+    def test_descending_request_steps_from_below(self, cold):
+        cold()
+        eulerian("B", 80)
+        lower = eulerian("B", 50)
+        assert set(closedforms._EULERIAN["B"][0]) == {1, 50, 80}
+        assert lower == step_recurrence("bexc", 50)
 
 
 class TestHalfSum:
@@ -467,7 +514,7 @@ class TestClosedFamilyDispatch:
         for fs in (FamilySpec("dexc", 150), FamilySpec("dexc", 150, "plus"),
                    FamilySpec("dexc", 150, "minus"), FamilySpec("bdexc", 150)):
             closed_family(fs)
-        assert len(closedforms._EULERIAN["B"][0]) == 150
+        assert set(closedforms._EULERIAN["B"][0]) == {1, 150}
 
     def test_qrefined_has_no_closed_form(self):
         with pytest.raises(NoClosedForm):

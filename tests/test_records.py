@@ -29,8 +29,8 @@ SAMPLES = {
     CheckResult: (("typeA.x", "typeA", "n=1..3", "pass", None, 0.5),
                   "CheckResult(check_id='typeA.x', suite='typeA', n_range='n=1..3', "
                   "status='pass', witness=None, seconds=0.5)"),
-    CoeffTable: ((2, ((1, 0),), ((0, 1),)),
-                 "CoeffTable(n_max=2, plus=((1, 0),), minus=((0, 1),))"),
+    CoeffTable: ((2, ((1,), (1, 0)), ((0,), (0, 1))),
+                 "CoeffTable(n_max=2, plus=((1,), (1, 0)), minus=((0,), (0, 1)))"),
     CycleType: (((1, 3, 2),), "CycleType(parts=(3, 2, 1))"),
     WeightSpec: (((("s", "nexc", -1), ("t", "exc", 0)), "inv"),
                  "WeightSpec(exponents=(('s', 'nexc', -1), ('t', 'exc', 0)), "
@@ -181,6 +181,10 @@ def test_defaults_and_keywords():
      "bad support: r=2, n=3 for mode bivariate_st"),
     (lambda: GammaExpansion(UNIVARIATE, 0, 4, (1, 2)), ValueError,
      "need 3 gamma entries for mode=univariate_t, r=0, n=4; got 2"),
+    (lambda: CoeffTable(2, ((1, 0),), ((0, 1),)), ValueError,
+     "plus and minus need rows 1..2, row k of k entries"),
+    (lambda: CoeffTable(2, ((1,), (1, 0)), ((0,), (0, 1, 0))), ValueError,
+     "plus and minus need rows 1..2, row k of k entries"),
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
