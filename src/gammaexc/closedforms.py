@@ -35,6 +35,8 @@ a row depends only on its rank, so racing threads store equal rows.
 import functools
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, and_, neg, rshift, sub
 
 from .groups import CycleType
 from .poly import BIVARIATE, D, GammaExpansion, OddCoefficient, Poly, Record, half
@@ -68,7 +70,7 @@ def _poly(row, vars=("s", "t")):
 
 
 def _add(a, b, sign=1):
-    return [x + sign * y for x, y in zip(a, b)]
+    return list(map(add if sign > 0 else sub, a, b))
 
 
 def _class(cls, classes=("all", "plus", "minus")):
@@ -81,10 +83,10 @@ def _class(cls, classes=("all", "plus", "minus")):
 
 def _half(row):
     """Exact halving; raises OddCoefficient when not integral."""
-    for k, c in enumerate(row):
-        if c % 2:
-            raise OddCoefficient(f"coefficient {c} at t^{k} is odd")
-    return [c // 2 for c in row]
+    if any(map(and_, row, repeat(1))):
+        k, c = next((k, c) for k, c in enumerate(row) if c % 2)
+        raise OddCoefficient(f"coefficient {c} at t^{k} is odd")
+    return list(map(rshift, row, repeat(1)))
 
 
 def _st_d(row):
@@ -96,7 +98,9 @@ def _st_d(row):
 
 def _signed(m):
     """(s-t)^m: the signed binomial row."""
-    return [(-1) ** k * math.comb(m, k) for k in range(m + 1)]
+    row = list(map(math.comb, repeat(m), range(m + 1)))
+    row[1::2] = map(neg, row[1::2])
+    return row
 
 
 # -- Eulerian engines ----------------------------------------------------------

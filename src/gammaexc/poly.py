@@ -23,16 +23,20 @@ so both views share one peel algorithm.  The q-coefficient mode treats a
 polynomial in (q, t) as a t-polynomial whose coefficients live in Z[q];
 palindromicity and the gamma vector are then coefficient-polynomial valued.
 
-Every mode reads f in one pass into int rows of t-coefficients a_0..a_top,
+Every mode reads f's terms into int rows of t-coefficients a_0..a_top,
 padded to the total degree in bivariate mode: one row, or in q-mode one row
 per power of q.  Peeling is linear, so each row peels on its own, over the
 lower half of its window only; q-mode gammas and witnesses are dense
-q-coefficient tuples.
+q-coefficient tuples.  The peel signs that half, (-1)^k a_k, so that each
+division by 1+t is a prefix sum, and works top down from the middle gamma,
+which f(-1) gives: additions only, one pass per gamma.
 """
 
 import json
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter, neg
 
 VARIABLES = ("s", "t", "u", "q")
 _VAR_RANK = {v: i for i, v in enumerate(VARIABLES)}
@@ -460,9 +464,10 @@ def _symmetry(f, mode):
     q-mode), their joint support [lo, hi], and the first index pair breaking
     the symmetry a gamma expansion needs (None if there is none).
 
-    One pass over f's terms rejects a variable the mode does not read,
-    collects the total degrees and places each coefficient; f must not be
-    zero nor, in bivariate mode, mix total degrees.
+    A variable the mode does not read is rejected first (a per-term scan
+    that runs only if f declares one); column passes read the t- and
+    q-exponents and the total degrees, and one loop places each
+    coefficient.  f must not be zero nor, in bivariate mode, mix degrees.
     """
     try:
         allowed, expected = _MODE_VARIABLES[mode]
@@ -470,17 +475,15 @@ def _symmetry(f, mode):
         raise ValueError(f"unknown mode {mode!r}") from None
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no palindrome data")
-    vars = f.vars
+    vars, terms = f.vars, f._terms
     foreign = [i for i, v in enumerate(vars) if v not in allowed]
-    t, q = (vars.index(v) if v in vars else None for v in ("t", "q"))
-    ks, es, degrees = [], [], set()
-    for exp in f._terms:
+    for exp in terms if foreign else ():
         for i in foreign:
             if exp[i]:
                 raise ValueError(f"{f} involves {vars[i]}; expected {expected}")
-        degrees.add(sum(exp))
-        ks.append(0 if t is None else exp[t])
-        es.append(0 if q is None else exp[q])
+    degrees = set(map(sum, terms))
+    ks, es = (list(map(itemgetter(vars.index(v)), terms)) if v in vars
+              else [0] * len(terms) for v in ("t", "q"))
     if mode == BIVARIATE and len(degrees) > 1:
         raise NotHomogeneous(f"{f} mixes total degrees")
     lo, hi = min(ks), max(ks)
@@ -488,7 +491,7 @@ def _symmetry(f, mode):
     # centered in [0, N] for the gamma basis to exist at all.
     i, j = (0, degrees.pop()) if mode == BIVARIATE else (lo, hi)
     grid = [[0] * (j + 1) for _ in range(1 + max(es))]
-    for k, e, coeff in zip(ks, es, f._terms.values()):
+    for k, e, coeff in zip(ks, es, terms.values()):
         grid[e][k] = coeff
     bad = [next(k for k in range(i, j) if row[k] != row[i + j - k])
            for row in grid if row[i:] != row[i:][::-1]]
@@ -613,28 +616,26 @@ class GammaExpansion(Record):
 def _peel(row, lo, hi):
     """Peel gamma coordinates off an int row palindromic on [lo, hi].
 
-    Works from the lowest power upward: gamma_i is the current coefficient at
-    t^(lo+i); subtract gamma_i * t^(lo+i) (1+t)^(e), e = hi-lo-2i, and
-    continue.  Each subtracted term is palindromic about the row's center, so
-    only the lower half [lo, lo + (hi-lo)//2] is ever updated, and the
-    products gamma_i * C(e, j) are built one from the last.  The window
-    shrinks by one on each side per step, so termination is structural.
+    Reads the lower half of the window only, signed: entry k becomes
+    F_k = (-1)^k a_k, so dividing by 1+t is a prefix sum.  An odd length
+    first divides out one 1+t.  At half-degree k, f(-1) = (-1)^k gamma_k =
+    2(F_0 + ... + F_(k-1)) + F_k, and the lower half of
+    (f - gamma_k t^k) / (1+t)^2 is the prefix sum of the prefix sums of
+    F_0..F_(k-1): top down, one step per gamma, additions only.
     """
-    half = (hi - lo) // 2
-    work = row[lo:lo + half + 1]
+    m = (hi - lo) // 2
+    signed = row[lo:lo + m + 1]
+    signed[1::2] = map(neg, signed[1::2])
+    if (hi - lo) % 2:
+        signed = list(accumulate(signed))
     gammas = []
-    for i in range(half + 1):
-        g = work[i]
-        gammas.append(g)
-        if not g:
-            continue
-        e = hi - lo - 2 * i
-        for j in range(half - i + 1):
-            work[i + j] -= g
-            g = g * (e - j) // (j + 1)
-    if any(work):
-        raise AssertionError("peel left a nonzero remainder on palindromic input")
-    return gammas
+    for k in range(m, 0, -1):
+        sums = list(accumulate(signed))
+        g = sums.pop() + sums[-1]
+        gammas.append(-g if k % 2 else g)
+        signed = list(accumulate(sums))
+    gammas.append(signed[0])
+    return gammas[::-1]
 
 
 def _entry(column, mode):

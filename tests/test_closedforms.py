@@ -32,7 +32,8 @@ from gammaexc.closedforms import (
 )
 from gammaexc.groups import CycleType, partitions
 from gammaexc.oracle import FAMILIES, FamilySpec, closed_family, family_poly
-from gammaexc.poly import BIVARIATE, D, Poly, gamma_decompose, half
+from gammaexc.poly import (BIVARIATE, D, OddCoefficient, Poly,
+                           gamma_decompose, half)
 
 s, t, u = Poly.gens("s", "t", "u")
 
@@ -569,6 +570,34 @@ def _reference():
 
 def _sign(cls):
     return 1 if cls == "plus" else -1
+
+
+class TestClassRuleHelpers:
+    """The row helpers of the class rule, pinned entry by entry."""
+
+    def test_signed_is_the_signed_binomial_row(self):
+        for m in range(81):
+            assert closedforms._signed(m) \
+                == [(-1) ** k * math.comb(m, k) for k in range(m + 1)]
+
+    def test_half_halves_negative_even_entries_exactly(self):
+        row = [-4, 0, 6, -2, -10 ** 30, 10 ** 30 + 2]
+        assert closedforms._half(row) == [-2, 0, 3, -1, -5 * 10 ** 29,
+                                          5 * 10 ** 29 + 1]
+
+    @pytest.mark.parametrize("odd", (3, -3))
+    def test_half_names_the_first_odd_entry(self, odd):
+        with pytest.raises(OddCoefficient) as err:
+            closedforms._half([2, -4, odd, 5, -7])
+        assert str(err.value) == f"coefficient {odd} at t^2 is odd"
+        with pytest.raises(OddCoefficient) as err:
+            closedforms._half([odd, 4])
+        assert str(err.value) == f"coefficient {odd} at t^0 is odd"
+
+    def test_add_and_subtract(self):
+        a, b = [5, -1, 7, 10 ** 30], [2, 3, -4, -1]
+        assert closedforms._add(a, b) == [7, 2, 3, 10 ** 30 - 1]
+        assert closedforms._add(a, b, -1) == [3, -4, 11, 10 ** 30 + 1]
 
 
 class TestRowEnginesAgainstPolyReference:

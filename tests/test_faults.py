@@ -83,6 +83,16 @@ def _signed_form_off_at(stat, p):
     return fault
 
 
+def _top_negated_at_3(real):
+    def signed(m):
+        row = real(m)
+        if m == 3:
+            row[-1] = -row[-1]
+        return row
+
+    return signed
+
+
 def _last_gamma_negated(real):
     def peel(row, lo, hi):
         gammas = real(row, lo, hi)
@@ -98,6 +108,7 @@ _HALF_SUM_OFF = ("closedforms.half_sum_closed + s^3 t at (aexc, 5, minus), "
                  "(bexc, 4, plus)")
 _EULERIAN_OFF = "closedforms.eulerian + s^3 t at (A, 4), (B, 3)"
 _PEEL_NEGATED = "poly._peel negates its last nonzero gamma"
+_SIGNED_TOP_NEGATED = "closedforms._signed negates its top entry at m = 3"
 _FFT_SHIFTED = "bijections.foata_fft shifts every letter up by one"
 _LONG_CYCLE_SHIFTED = ("bijections.perm_to_long_cycle shifts every letter up "
                        "by one")
@@ -191,6 +202,17 @@ FAULTS = {
          "typeD.jump_equals_four_steps",
          "derangements.gamma_positive_with_centers",
          "q_refined.inv_gamma_positive", "q_refined.cyc_gamma_positive")),
+    # the signed binomial row feeds the signed sums and every class half
+    _SIGNED_TOP_NEGATED: (
+        closedforms, "_signed", _top_negated_at_3,
+        ("signed_sums.type_a_power", "signed_sums.type_b_power",
+         "signed_sums.type_b_descent_position",
+         "typeA.closed_equals_oracle", "typeA.step_equals_half_sum",
+         "typeA.derivative_halving", "typeA.even_rank_two_term_split",
+         "typeA.coefficient_triangle", "typeA.totals_and_class_additivity",
+         "typeB.closed_equals_oracle", "typeB.step_equals_half_sum",
+         "typeB.odd_rank_two_term_split", "typeB.totals_and_class_additivity",
+         "typeD.bridge_to_typeB")),
     "bijections.foata_fft returns the reversed word": (
         bijections, "foata_fft",
         lambda real: lambda w: Perm._trusted(real(w)[::-1]),

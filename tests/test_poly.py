@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammaexc import oracle
+from gammaexc import closedforms, oracle
 from gammaexc.oracle import FamilySpec
 from gammaexc.poly import (
     BIVARIATE,
@@ -28,6 +28,7 @@ from gammaexc.poly import (
     half,
     palindrome_info,
     split_odd_length,
+    t_coefficients,
 )
 
 s, t, u, q = Poly.gens("s", "t", "u", "q")
@@ -410,14 +411,37 @@ def _reference_peel(row, lo, hi):
 
 
 @st.composite
-def palindromic_rows(draw, entries=st.integers(-10 ** 30, 10 ** 30), zero=0):
+def palindromic_rows(draw, entries=st.integers(-10 ** 30, 10 ** 30), zero=0,
+                     max_half=12):
     """(row, lo, hi): r leading zeros, then a palindrome of odd or even
-    length whose outer entries are nonzero."""
+    length, at most 2 max_half entries, whose outer entries are nonzero."""
     r = draw(st.integers(0, 4))
-    left = draw(st.lists(entries, min_size=1, max_size=12)
+    left = draw(st.lists(entries, min_size=1, max_size=max_half)
                 .filter(lambda h: h[0]))
     body = left + left[::-1][draw(st.booleans()):]
     return [zero] * r + body, r, r + len(body) - 1
+
+
+def _bivariate_window(f):
+    """(row, lo, hi) of a nonzero palindromic f homogeneous in (s, t): its
+    t-row up to the total degree, and its support."""
+    row = t_coefficients(f, BIVARIATE)
+    assert row == row[::-1]
+    lo = next(k for k, c in enumerate(row) if c)
+    return row, lo, len(row) - 1 - lo
+
+
+def _eulerian_windows(n):
+    """The rows of A_n and B_n, and the nonzero class halves that are
+    palindromic at n: aexc's at odd n, bexc's at even n."""
+    for kind in ("A", "B"):
+        row = closedforms._eulerian_row(kind, n)
+        yield row, 0, len(row) - 1
+    family = "aexc" if n % 2 else "bexc"
+    for cls in ("plus", "minus"):
+        f = closedforms.half_sum_closed(family, n, cls)
+        if not f.is_zero:
+            yield _bivariate_window(f)
 
 
 q_entries = st.lists(st.integers(-50, 50), min_size=1, max_size=3).map(
@@ -430,6 +454,37 @@ class TestHalfWindowPeel:
     def test_int_rows_match_reference(self, case):
         row, lo, hi = case
         assert _peel(row, lo, hi) == _reference_peel(row, lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(palindromic_rows(max_half=40))
+    def test_long_int_rows_match_reference(self, case):
+        row, lo, hi = case
+        assert _peel(row, lo, hi) == _reference_peel(row, lo, hi)
+
+    @pytest.mark.parametrize("n", [*range(61), 250, 251])
+    def test_eulerian_rows_and_halves_match_reference(self, n):
+        for row, lo, hi in _eulerian_windows(n):
+            assert _peel(row, lo, hi) == _reference_peel(row, lo, hi)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_rows_with_zero_gammas(self, k):
+        # t^(r+j) (1+t)^(k-2j) on the window [r, r+k]: gamma_j = 1 alone
+        for r in range(3):
+            for j in range(k // 2 + 1):
+                row = ([0] * (r + j) + [comb(k - 2 * j, i)
+                                        for i in range(k - 2 * j + 1)]
+                       + [0] * j)
+                expected = [0] * j + [1] + [0] * (k // 2 - j)
+                assert _peel(row, r, r + k) == expected
+                assert _reference_peel(row, r, r + k) == expected
+
+    @pytest.mark.parametrize("length", (0, 1))
+    def test_shortest_windows(self, length):
+        for r in range(3):
+            for c in (0, 1, -7, 10 ** 40):
+                row = [0] * r + [c] * (length + 1)
+                assert _peel(row, r, r + length) \
+                    == _reference_peel(row, r, r + length) == [c]
 
     @settings(max_examples=150, deadline=None)
     @given(palindromic_rows(q_entries, zero=Poly.zero(("q",))))
