@@ -60,24 +60,29 @@ def _cmd_compute(args, out):
 
 
 def _gamma_input(args, n):
-    """The rank-n polynomial to expand and its gamma mode (univariate mode
-    on a bivariate family means its s = 1 specialization)."""
+    """The rank-n gamma mode, the family's closed gamma expansion (None where
+    that engine defers or is not asked), and a thunk for the polynomial to
+    expand (univariate mode on a bivariate family: its s = 1 specialization)."""
     spec = _family_spec(args, n)
-    default = oracle.FAMILIES[spec.family].mode
-    if default is None:
+    family = oracle.FAMILIES[spec.family]
+    if family.mode is None:
         raise UsageError(f"{spec.family} has no gamma expansion (its "
                          f"polynomial involves u)")
-    poly = _compute(spec, args.engine, args.budget)
-    mode = _MODE_FLAGS[args.mode] if args.mode else default
-    if mode == UNIVARIATE and "s" in poly.vars and poly.degree("s") > 0:
-        poly = poly.substitute_one("s")
-    return poly, mode
+    mode = _MODE_FLAGS[args.mode] if args.mode else family.mode
+    closed = family.gamma and args.engine != "oracle" and mode == family.mode
+
+    def poly():
+        f = _compute(spec, args.engine, args.budget)
+        uni = mode == UNIVARIATE and "s" in f.vars and f.degree("s") > 0
+        return f.substitute_one("s") if uni else f
+
+    return mode, family.gamma(spec) if closed else None, poly
 
 
 def _cmd_gamma(args, out):
-    poly, mode = _gamma_input(args, args.n)
+    mode, expansion, poly = _gamma_input(args, args.n)
     try:
-        expansion = gamma_decompose(poly, mode)
+        expansion = expansion or gamma_decompose(poly(), mode)
     except NotPalindromic as exc:
         if args.format == "json":
             witness = {"low_index": exc.low_index, "high_index": exc.high_index,
@@ -95,18 +100,16 @@ def _cmd_gamma(args, out):
     return 0
 
 
-def _gamma_or_none(poly, mode):
-    try:
-        return gamma_decompose(poly, mode)
-    except (NotPalindromic, ZeroPolynomial, NotHomogeneous):
-        return None
-
-
 def _table_rows(args):
     lo, hi = args.n_range
     for n in range(lo, hi + 1):
-        poly, mode = _gamma_input(args, n)
-        yield n, t_coefficients(poly), _gamma_or_none(poly, mode)
+        mode, expansion, poly = _gamma_input(args, n)
+        poly = poly()
+        try:
+            expansion = expansion or gamma_decompose(poly, mode)
+        except (NotPalindromic, ZeroPolynomial, NotHomogeneous):
+            pass  # no expansion: the row prints without gammas
+        yield n, t_coefficients(poly), expansion
 
 
 def _cmd_table(args, out):

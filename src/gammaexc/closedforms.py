@@ -24,19 +24,19 @@ and the even (plus) and odd (minus) halves are (whole +- signed) / 2, the
 signed sum weighting each element by its sign.  That sum is a thunk run
 for a half only, so "all" never pays for a second recurrence or binomial row.
 
-``_EULERIAN`` is the one memo: per kind a dict rank -> row holding the rank-1
-seed and the ranks callers asked for.  A miss steps local rows up from the
-highest held rank below, read from a ``list(memo)`` snapshot that another
-thread's insert cannot break, and stores that row alone; a descending walk
-thus re-steps from below, and the package's rank loops all ascend.  No lock:
-a row depends only on its rank, so racing threads store equal rows.
+``_EULERIAN`` holds two memos per kind, rank -> list, each with the rank-1 seed
+and the ranks asked for: the low halves f[0..d//2] of the palindromic degree-d
+rows, mirrored as ``_eulerian_row`` hands one out, and the gamma vectors,
+f = sum of g_j (st)^j (s+t)^(d-2j).  A miss steps up from the highest rank held
+below, read from a ``list(memo)`` snapshot that another thread's insert cannot
+break, and stores that value alone.  No lock: values depend only on the rank.
 """
 
 import functools
 import math
 from fractions import Fraction
-from itertools import repeat
-from operator import add, and_, neg, rshift, sub
+from itertools import count, repeat
+from operator import add, and_, mul, neg, rshift, sub
 
 from .groups import CycleType
 from .poly import BIVARIATE, D, GammaExpansion, OddCoefficient, Poly, Record, half
@@ -81,6 +81,11 @@ def _class(cls, classes=("all", "plus", "minus")):
                                   else whole)
 
 
+def _step(v, a, b):
+    """[a_j v_j + b_j v_(j-1)] over j < len(v), with v_(-1) = 0."""
+    return list(map(add, map(mul, a, v), map(mul, b, [0] + v)))
+
+
 def _half(row):
     """Exact halving; raises OddCoefficient when not integral."""
     if any(map(and_, row, repeat(1))):
@@ -91,9 +96,7 @@ def _half(row):
 
 def _st_d(row):
     """st D f: t^j gets j r[j] + (d - j + 1) r[j-1]."""
-    d = len(row) - 1
-    return [j * a + (d - j + 1) * b
-            for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return _step(row + [0], count(0), count(len(row), -1))
 
 
 def _signed(m):
@@ -105,21 +108,37 @@ def _signed(m):
 
 # -- Eulerian engines ----------------------------------------------------------
 
-# kind -> (memo: rank -> row, c)
-_EULERIAN = {"A": ({1: [1]}, 1), "B": ({1: [1, 1]}, 2)}
+# kind -> (half-row memo, gamma memo, c, low): the rank-m row has degree m - low
+_EULERIAN = {"A": ({1: [1]}, {1: [1]}, 1, 1), "B": ({1: [1]}, {1: [1]}, 2, 0)}
+
+
+def _held(memo, n, step):
+    """memo[n], else stepped by step(value, m) up from the highest m held below."""
+    if n not in memo:
+        low = max(m for m in list(memo) if m < n)
+        memo[n] = functools.reduce(step, range(low, n), memo[low])
+    return memo[n]
+
+
+def _row_step(h, d, c):
+    """The low half of (s+t) f + c st D f from h, the low half of f (degree d):
+    f'[j] = (1 + cj) f[j] + (1 + c(d - j + 1)) f[j-1], f[d//2 + 1] mirrored."""
+    return _step(h + h[-1:] if d % 2 else h, count(1, c), count(1 + c * (d + 1), -c))
+
+
+def _gamma_step(g, d, c):
+    """The gamma step from degree d: g'_j = (1 + cj) g_j + 2c(d - 2j + 2) g_(j-1)."""
+    return _step(g + [0] if d % 2 else g, count(1, c), count(2 * c * (d + 2), -4 * c))
 
 
 def _eulerian_row(kind, n):
     _require(kind in _EULERIAN, f"kind must be A or B, got {kind!r}")
     _require(n >= 0, "n must be non-negative")
-    memo, c = _EULERIAN[kind]
-    if n and n not in memo:  # step up from the highest held rank below n
-        low = max(m for m in list(memo) if m < n)
-        f = memo[low]
-        for _ in range(low, n):  # (s+t) f + c st D f
-            f = [a + b + c * g for a, b, g in zip(f + [0], [0] + f, _st_d(f))]
-        memo[n] = f
-    return memo[n] if n else [1]  # rank 0: the one empty window
+    if not n:
+        return [1]  # rank 0: the one empty window
+    rows, _, c, low = _EULERIAN[kind]
+    h = _held(rows, n, lambda h, m: _row_step(h, m - low, c))
+    return h + h[:n - low + 1 - len(h)][::-1]
 
 
 def eulerian(kind, n):
@@ -177,8 +196,7 @@ def half_sum_closed(family, n, cls):
     _require(family in _HALF_SUMS, f"half-sum covers aexc and bexc, not {family!r}")
     kind, low = _HALF_SUMS[family]
     _require(n >= low, f"{family} half-sum needs n >= {low}")
-    row = _eulerian_row(kind, n)
-    return _poly(read(row, lambda: _signed(len(row) - 1)))
+    return _poly(read(_eulerian_row(kind, n), lambda: _signed(n - low)))
 
 
 def dexc_closed(n, cls="all"):
@@ -186,6 +204,28 @@ def dexc_closed(n, cls="all"):
     read = _class(cls)
     return _poly(read(_half(_add(_eulerian_row("B", n), _signed(n))),
                       lambda: _sgn_dexc_row(n)))
+
+
+def gamma_closed(family, n, cls="all"):
+    """The GammaExpansion of aexc's, bexc's or dexc's closed polynomial by the
+    class rule on A_n's or B_n's gamma vector, or None where the rule does not
+    apply: below rank 1, on a zero vector, or on a signed sum of odd degree."""
+    read = _class(cls)
+    _require(family in ("aexc", "bexc", "dexc"), f"no gamma vector for {family!r}")
+    _, gammas, c, low = _EULERIAN["A" if family == "aexc" else "B"]
+    d = n - low
+    if n < 1 or (d % 2 and (cls != "all" or family == "dexc")):
+        return None
+
+    def signed():  # (s-t)^(2m) = ((s+t)^2 - 4st)^m
+        return [math.comb(d // 2, i) * (-4) ** i for i in range(d // 2 + 1)]
+
+    whole = _held(gammas, n, lambda g, m: _gamma_step(g, m - low, c))
+    if family == "dexc":
+        whole = _half(_add(whole, signed()))
+    vector = read(whole, signed)
+    r = next((i for i, g in enumerate(vector) if g), None)  # leading zeros
+    return None if r is None else GammaExpansion(BIVARIATE, r, d, vector[r:])
 
 
 # -- one-step recurrences --------------------------------------------------------

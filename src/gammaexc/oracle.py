@@ -413,21 +413,23 @@ class Family(Record):
     ``mode``: the default gamma mode, or None when the polynomial involves u
     and so has no gamma expansion.  ``min_n``: the lowest valid rank.
     ``refinement``: the one FamilySpec refinement field the family reads.
+    ``gamma``: maps a FamilySpec to its closed gamma expansion, None to defer.
 
     Closed engines are looked up on the ``closedforms`` module at call time,
     never captured, so a patched engine is the one that runs.
     """
 
-    __slots__ = ("domain", "closed", "split", "mode", "min_n", "refinement")
+    __slots__ = ("domain", "closed", "split", "mode", "min_n", "refinement", "gamma")
 
     def __init__(self, domain, closed, split=False, mode=BIVARIATE, min_n=0,
-                 refinement=None):
+                 refinement=None, gamma=None):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "split", split)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "min_n", min_n)
         object.__setattr__(self, "refinement", refinement)
+        object.__setattr__(self, "gamma", gamma)
 
 
 _REFINEMENTS = {"fixed": "fixed-point count", "lam": "cycle type",
@@ -479,11 +481,15 @@ def _eulerian_or_half(kind, half_family):
         else closedforms.half_sum_closed(half_family, fs.n, fs.cls))
 
 
+def _gamma(family, cls=None):
+    return lambda fs: closedforms.gamma_closed(family, fs.n, cls or fs.cls)
+
+
 FAMILIES = {
     "a_des": Family(_group("S", ADES_WEIGHT),
-                    lambda fs: closedforms.eulerian("A", fs.n)),
+                    lambda fs: closedforms.eulerian("A", fs.n), gamma=_gamma("aexc")),
     "aexc": Family(_group("S", AEXC_WEIGHT), _eulerian_or_half("A", "aexc"),
-                   split=True, min_n=1),
+                   split=True, min_n=1, gamma=_gamma("aexc")),
     "aderexc": Family(
         _derangements,
         lambda fs: closedforms.derangement_closed(fs.n, fs.cls, fs.fixed),
@@ -493,13 +499,15 @@ FAMILIES = {
         lambda fs: closedforms.conj_exc_closed(_class_spec(fs).cycle_type),
         mode=UNIVARIATE, refinement="lam"),
     "b_des": Family(_group("B", BDES_WEIGHT), _eulerian_or_half("B", "bexc"),
-                    split=True),
+                    split=True, gamma=_gamma("bexc")),
     "bexc": Family(_group("B", BEXC_WEIGHT), _eulerian_or_half("B", "bexc"),
-                   split=True),
+                   split=True, gamma=_gamma("bexc")),
     "dexc": Family(_group("D", DEXC_WEIGHT),
-                   lambda fs: closedforms.dexc_closed(fs.n, fs.cls), split=True),
+                   lambda fs: closedforms.dexc_closed(fs.n, fs.cls), split=True,
+                   gamma=_gamma("dexc")),
     "bdexc": Family(_group("B-D", DEXC_WEIGHT),  # the bridge (B_n - (s-t)^n) / 2
-                    lambda fs: closedforms.half_sum_closed("bexc", fs.n, "minus")),
+                    lambda fs: closedforms.half_sum_closed("bexc", fs.n, "minus"),
+                    gamma=_gamma("bexc", "minus")),
     "sgn_aexc": Family(_group("S", AEXC_WEIGHT, "inv"),
                        lambda fs: closedforms.sgn_aexc_closed(fs.n), min_n=1),
     "sgn_bexc": Family(_group("B", BEXC_WEIGHT, "inv_b"),

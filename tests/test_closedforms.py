@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import functools
+import io
 import math
 import random
 import sys
@@ -9,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from gammaexc import closedforms
+from gammaexc import cli, closedforms
 from gammaexc.closedforms import (
     MissingBase,
     NoClosedForm,
@@ -20,6 +22,7 @@ from gammaexc.closedforms import (
     dexc_jump_tail,
     eulerian,
     eulerian_t,
+    gamma_closed,
     half_sum_closed,
     jump4,
     jump_tables,
@@ -32,10 +35,12 @@ from gammaexc.closedforms import (
 )
 from gammaexc.groups import CycleType, partitions
 from gammaexc.oracle import FAMILIES, FamilySpec, closed_family, family_poly
-from gammaexc.poly import (BIVARIATE, D, OddCoefficient, Poly,
+from gammaexc.poly import (BIVARIATE, D, GammaExpansion, NotPalindromic,
+                           OddCoefficient, Poly, ZeroPolynomial,
                            gamma_decompose, half)
 
 s, t, u = Poly.gens("s", "t", "u")
+CLASSES = ("all", "plus", "minus")
 
 # every closed engine that takes a class, at a family and rank it accepts
 CLASS_ENGINES = {
@@ -58,16 +63,33 @@ def test_engine_rejects_an_unknown_class(engine):
 
 
 def _memos():
-    """Every memo of the closed engines: the Eulerian rows, whose memos each
-    hold the rank-1 seed and the ranks that callers asked for."""
-    return [memo for memo, _ in closedforms._EULERIAN.values()]
+    """Every memo of the closed engines, by kind and what it holds: the low
+    halves of the Eulerian rows and the gamma vectors, each holding the
+    rank-1 seed and the ranks that callers asked for."""
+    return {(kind, what): memo
+            for kind, (rows, gammas, _, _) in closedforms._EULERIAN.items()
+            for what, memo in (("rows", rows), ("gammas", gammas))}
+
+
+def _whole(kind, what, n, value):
+    """A memo entry as callers see it: a half row through the mirror (the
+    rank-n row has degree n - low), a gamma vector as it is."""
+    if what == "gammas":
+        return value
+    d = n - closedforms._EULERIAN[kind][3]
+    return value + value[:d + 1 - len(value)][::-1]
+
+
+def _gamma_vector(kind, n):
+    """The whole gamma vector of A_n or B_n, read off the gamma engine."""
+    return list(gamma_closed("aexc" if kind == "A" else "bexc", n).gammas)
 
 
 @pytest.fixture
 def cold():
     """A function that cuts every memo back to its rank-1 seed and returns
     the memos; the ranks held before the test are restored after it."""
-    memos = _memos()
+    memos = list(_memos().values())
     saved = [dict(memo) for memo in memos]
 
     def reset():
@@ -113,18 +135,21 @@ def test_bad_request_fails_before_any_step(cold, bad):
 def _race_against_sequential(cold, work):
     """Run `work(ranks)` on four threads at once, from cold memos, and
     require each memo to hold every rank that a sequential `work([40])` keeps
-    (rank 40 for the Eulerian rows) and to map every rank it holds to the row
-    a cold sequential call gives for that rank."""
+    (rank 40 for the Eulerian rows and gamma vectors) and to map every rank
+    it holds to the value a cold sequential call gives for that rank: the
+    row, compared through the mirror, or the gamma vector."""
     interval = sys.getswitchinterval()
     rng = random.Random(25)
-    memos = dict(zip(closedforms._EULERIAN, cold()))
+    cold()
+    memos = _memos()
     work([40])
-    kept = {kind: set(memo) for kind, memo in memos.items()}
-    rows = {}
-    for kind in memos:
+    kept = {key: set(memo) for key, memo in memos.items()}
+    values = {}
+    read = {"rows": closedforms._eulerian_row, "gammas": _gamma_vector}
+    for kind, what in memos:
         for n in range(1, 41):
             cold()
-            rows[kind, n] = closedforms._eulerian_row(kind, n)
+            values[kind, what, n] = read[what](kind, n)
     try:
         sys.setswitchinterval(1e-6)
         for _ in range(20):
@@ -138,9 +163,11 @@ def _race_against_sequential(cold, work):
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            for kind, memo in memos.items():
-                assert kept[kind] <= set(memo)
-                assert memo == {n: rows[kind, n] for n in memo}
+            for (kind, what), memo in memos.items():
+                assert kept[kind, what] <= set(memo)
+                assert {n: _whole(kind, what, n, value)
+                        for n, value in memo.items()} \
+                    == {n: values[kind, what, n] for n in memo}
     finally:
         sys.setswitchinterval(interval)
 
@@ -177,6 +204,8 @@ class TestEulerian:
             for n in ranks:
                 eulerian("A", n)
                 eulerian("B", n)
+                gamma_closed("aexc", n)
+                gamma_closed("bexc", n)
 
         _race_against_sequential(cold, work)
 
@@ -201,9 +230,9 @@ class TestEulerian:
         # the warm table sweep's pattern, which starts at rank 4: every rank
         # asked for is held, and the walk steps once per rank from the seed
         steps = []
-        st_d = closedforms._st_d
-        monkeypatch.setattr(closedforms, "_st_d",
-                            lambda row: steps.append(row) or st_d(row))
+        row_step = closedforms._row_step
+        monkeypatch.setattr(closedforms, "_row_step",
+                            lambda *args: steps.append(args) or row_step(*args))
         cold()
         for n in range(start, 61):
             eulerian("B", n)
@@ -216,6 +245,150 @@ class TestEulerian:
         lower = eulerian("B", 50)
         assert set(closedforms._EULERIAN["B"][0]) == {1, 50, 80}
         assert lower == step_recurrence("bexc", 50)
+
+
+def _full_rows(kind, top, prime=None):
+    """Rows 1..top of A_n or B_n by the whole-row step the half-row engine
+    replaced, (s+t) f + c st D f, reduced modulo prime when one is given."""
+    c, f = {"A": (1, [1]), "B": (2, [1, 1])}[kind]
+    rows = [None, f]
+    for _ in range(2, top + 1):
+        d = len(f) - 1
+        f = [a + b + c * (j * a + (d - j + 1) * b)
+             for j, (a, b) in enumerate(zip(f + [0], [0] + f))]
+        f = [x % prime for x in f] if prime else f
+        rows.append(f)
+    return rows
+
+
+class TestHalfRows:
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_equal_the_full_row_step(self, cold, kind):
+        cold()
+        for n, row in enumerate(_full_rows(kind, 300)[1:], 1):
+            assert closedforms._eulerian_row(kind, n) == row, n
+
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_equal_the_full_row_step_at_1000_modulo_a_prime(self, cold, kind):
+        prime = 2 ** 61 - 1
+        cold()
+        row = closedforms._eulerian_row(kind, 1000)
+        assert [x % prime for x in row] == _full_rows(kind, 1000, prime)[1000]
+
+    def test_memo_holds_half_rows(self, cold):
+        cold()
+        eulerian("A", 7)
+        eulerian("B", 7)
+        assert closedforms._EULERIAN["A"][0][7] == [1, 120, 1191, 2416]
+        assert closedforms._EULERIAN["B"][0][7] == [1, 2179, 60657, 259723]
+
+
+# every family with a closed gamma engine, with its classes
+GAMMA_FAMILIES = {"a_des": ("all",), "aexc": CLASSES, "b_des": CLASSES,
+                  "bexc": CLASSES, "dexc": CLASSES, "bdexc": ("all",)}
+
+
+def _covered(family, cls, n):
+    """Where the gamma engine answers: from rank 1, wherever the signed sum
+    it reads has even degree, (s-t)^(n-1) for type A and (s-t)^n otherwise."""
+    if n < 1:
+        return False
+    if family in ("dexc", "bdexc"):
+        return n % 2 == 0
+    return cls == "all" or n % 2 == (1 if family == "aexc" else 0)
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestGammaClosed:
+    def test_engines_hang_on_the_family_table(self):
+        assert {name for name, family in FAMILIES.items()
+                if family.gamma is not None} == set(GAMMA_FAMILIES)
+
+    @pytest.mark.parametrize("n", [*range(61), 250, 251])
+    def test_equals_gamma_decompose(self, n):
+        # the engine answers where it is covered (a zero polynomial has no
+        # expansion) and defers everywhere else, dexc minus at odd n included
+        for family, classes in GAMMA_FAMILIES.items():
+            for cls in classes:
+                spec = FamilySpec(family, max(n, FAMILIES[family].min_n), cls)
+                try:
+                    expected = gamma_decompose(closed_family(spec), BIVARIATE)
+                except (NotPalindromic, ZeroPolynomial):
+                    expected = None
+                got = FAMILIES[family].gamma(spec)
+                assert got == (expected if _covered(family, cls, spec.n)
+                               else None), (family, cls, n)
+
+    def test_vectors_at_small_ranks(self):
+        assert _gamma_vector("A", 5) == [1, 22, 16]
+        assert _gamma_vector("B", 4) == [1, 72, 80]
+        # 4st: the bexc minus half at n = 2, one leading zero
+        assert gamma_closed("bexc", 2, "minus") \
+            == GammaExpansion(BIVARIATE, 1, 2, (4,))
+        assert gamma_closed("aexc", 1, "minus") is None  # the zero half
+        assert gamma_closed("dexc", 5) is None  # not palindromic
+        with pytest.raises(ValueError, match="^no gamma vector for 'sgn_bexc'$"):
+            gamma_closed("sgn_bexc", 4)
+        with pytest.raises(ValueError, match="^cls must be all/plus/minus"):
+            gamma_closed("aexc", 5, "even")
+
+    @pytest.mark.parametrize("argv", [
+        "gamma --family bexc --class minus --n 0",
+        "gamma --family aexc --class minus --n 1",
+        "gamma --family aexc --class plus --n 6",
+        "gamma --family bexc --class minus --n 7 --format json",
+        "gamma --family dexc --n 5",
+        "gamma --family dexc --class plus --n 7 --format json",
+        "gamma --family bdexc --n 3",
+        "gamma --family bexc --n 6 --mode uni",
+        "gamma --family aexc --n 5 --mode q",
+        "gamma --family aexc --class minus --n 5 --engine oracle",
+        "table --family aexc --class minus --n-range 1..7",
+        "table --family dexc --n-range 3..6 --mode uni",
+        "table --family bdexc --n-range 0..5 --engine oracle --out json",
+    ])
+    def test_deferrals_give_the_decompose_bytes(self, monkeypatch, argv):
+        # the decompose route is what every request took before the engine;
+        # under --mode or --engine oracle the engine is not even asked
+        answer = _cli(argv.split())
+        asked = []
+        monkeypatch.setattr(closedforms, "gamma_closed",
+                            lambda *args: asked.append(args))  # defers
+        assert answer == _cli(argv.split())
+        assert bool(asked) != ("--mode" in argv or "oracle" in argv)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_covered_requests_give_the_decompose_bytes(self, monkeypatch, n):
+        argvs = [f"gamma --family {family} --class {cls} --n {n} --format {fmt}"
+                 for family, classes in GAMMA_FAMILIES.items()
+                 for cls in classes for fmt in ("text", "json")]
+        argvs += [f"table --family {family} --class {cls} --n-range {n}..{n}"
+                  for family, classes in GAMMA_FAMILIES.items() for cls in classes]
+        answers = [_cli(argv.split()) for argv in argvs]
+        monkeypatch.setattr(closedforms, "gamma_closed", lambda *args: None)
+        assert answers == [_cli(argv.split()) for argv in argvs]
+
+    @pytest.mark.parametrize("request_", [
+        "--family aexc --n 400", "--family aexc --class plus --n 401",
+        "--family a_des --n 400", "--family bexc --class minus --n 400",
+        "--family b_des --class plus --n 400", "--family dexc --n 400",
+        "--family dexc --class plus --n 400", "--family bdexc --n 400",
+    ])
+    def test_covered_request_builds_no_row(self, cold, monkeypatch, request_):
+        def refuse(*args):
+            raise AssertionError(f"row or peel called with {args}")
+
+        monkeypatch.setattr(cli, "gamma_decompose", refuse)
+        monkeypatch.setattr(closedforms, "_eulerian_row", refuse)
+        cold()
+        code, out, err = _cli(["gamma", *request_.split()])
+        assert (code, err) == (0, "") and out.startswith("gamma=[")
 
 
 class TestHalfSum:
@@ -308,6 +481,8 @@ class TestStepRecurrence:
             for n in ranks:
                 for family in ("aexc", "bexc", "dexc", "bdexc"):
                     step_recurrence(family, n)
+                gamma_closed("aexc", n)
+                gamma_closed("dexc", n, "minus")
 
         _race_against_sequential(cold, work)
 

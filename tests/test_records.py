@@ -40,7 +40,7 @@ SAMPLES = {
                  "stat=None)"),
     Family: ((_domain, None, True, UNIVARIATE, 2, "fixed"),
              f"Family(domain={_domain!r}, closed=None, split=True, "
-             "mode='univariate_t', min_n=2, refinement='fixed')"),
+             "mode='univariate_t', min_n=2, refinement='fixed', gamma=None)"),
     PalindromeInfo: ((True, 1, 4, Fraction(5, 2)),
                      "PalindromeInfo(is_palindromic=True, r=1, n=4, "
                      "cos=Fraction(5, 2))"),
@@ -56,7 +56,8 @@ FIELDS = {
     CycleType: ("parts",),
     WeightSpec: ("exponents", "sign_stat"),
     FamilySpec: ("family", "n", "cls", "fixed", "lam", "stat"),
-    Family: ("domain", "closed", "split", "mode", "min_n", "refinement"),
+    Family: ("domain", "closed", "split", "mode", "min_n", "refinement",
+             "gamma"),
     PalindromeInfo: ("is_palindromic", "r", "n", "cos"),
     GammaExpansion: ("mode", "r", "n", "gammas"),
 }
@@ -136,7 +137,8 @@ def test_defaults_and_keywords():
     assert FamilySpec("aderexc", 3, fixed=1).fixed == 1
     assert FamilySpec("qrefined", 3, stat="inv").stat == "inv"
     assert WeightSpec((("t", "exc", 0),)).sign_stat is None
-    assert _fields(Family(_domain, None)) == (_domain, None, False, BIVARIATE, 0, None)
+    assert _fields(Family(_domain, None)) \
+        == (_domain, None, False, BIVARIATE, 0, None, None)
     assert Family(domain=_domain, closed=None, min_n=1).min_n == 1
     assert CycleType(parts=[1, 2]).parts == (2, 1)
     assert CycleType(()).parts == ()
