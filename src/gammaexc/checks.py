@@ -80,24 +80,12 @@ _T = Poly.variable("t")
 
 class VerifyLimits(Record):
     __slots__ = ("max_n_a", "max_n_b", "max_n_d", "budget")
-
-    def __init__(self, max_n_a=8, max_n_b=6, max_n_d=6, budget=DEFAULT_BUDGET):
-        object.__setattr__(self, "max_n_a", max_n_a)
-        object.__setattr__(self, "max_n_b", max_n_b)
-        object.__setattr__(self, "max_n_d", max_n_d)
-        object.__setattr__(self, "budget", budget)
+    _defaults = dict(max_n_a=8, max_n_b=6, max_n_d=6, budget=DEFAULT_BUDGET)
 
 
 class CheckResult(Record):
+    # status: pass | fail | skipped | error
     __slots__ = ("check_id", "suite", "n_range", "status", "witness", "seconds")
-
-    def __init__(self, check_id, suite, n_range, status, witness, seconds):
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "n_range", n_range)
-        object.__setattr__(self, "status", status)  # pass | fail | skipped | error
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "seconds", seconds)
 
 
 @dataclass(frozen=True)

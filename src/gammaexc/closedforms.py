@@ -182,8 +182,8 @@ def sgnb_des_u_closed(n):
     return _poly(_signed(n)) * Poly.variable("u") ** n
 
 
-# family -> (Eulerian kind, lowest rank)
-_HALF_SUMS = {"aexc": ("A", 1), "bexc": ("B", 0)}
+# family -> Eulerian kind
+_HALF_SUMS = {"aexc": "A", "bexc": "B"}
 
 
 def half_sum_closed(family, n, cls):
@@ -194,7 +194,8 @@ def half_sum_closed(family, n, cls):
     """
     read = _class(cls, ("plus", "minus"))
     _require(family in _HALF_SUMS, f"half-sum covers aexc and bexc, not {family!r}")
-    kind, low = _HALF_SUMS[family]
+    kind = _HALF_SUMS[family]
+    low = _EULERIAN[kind][3]
     _require(n >= low, f"{family} half-sum needs n >= {low}")
     return _poly(read(_eulerian_row(kind, n), lambda: _signed(n - low)))
 
@@ -231,21 +232,13 @@ def gamma_closed(family, n, cls="all"):
 # -- one-step recurrences --------------------------------------------------------
 
 
-def _grow_a(m):
-    return _half(_st_d(_eulerian_row("A", m - 1)))
-
-
-def _grow_b(m):
-    return _st_d(_eulerian_row("B", m - 1))
-
-
-# family -> (lowest rank, the pair of rows (X, Y) at that rank, growth row
-# at rank m, whole and signed sum (None: no split) of the rank-n pair)
+# family -> (Eulerian kind, whole and signed sum (None: no split) of the
+# rank-n pair); the pair starts at the kind's lowest rank
 _STEPS = {
-    "aexc": (1, ([1], [0]), _grow_a, _add, lambda x, y, n: _add(x, y, -1)),
-    "bexc": (0, ([1], [0]), _grow_b, _add, lambda x, y, n: _add(x, y, -1)),
-    "dexc": (0, ([1], [0]), _grow_b, lambda x, y: x, lambda x, y, n: _sgn_dexc_row(n)),
-    "bdexc": (0, ([1], [0]), _grow_b, lambda x, y: y, None),
+    "aexc": ("A", _add, lambda x, y, n: _add(x, y, -1)),
+    "bexc": ("B", _add, lambda x, y, n: _add(x, y, -1)),
+    "dexc": ("B", lambda x, y: x, lambda x, y, n: _sgn_dexc_row(n)),
+    "bdexc": ("B", lambda x, y: y, None),
 }
 
 
@@ -254,21 +247,23 @@ def step_recurrence(family, n, cls="all"):
     and the tests check the half sums and dexc_closed against it.
 
     Each steps a pair X_n = s X_{n-1} + t Y_{n-1} + g_n, Y_n = t X_{n-1}
-    + s Y_{n-1} + g_n from its family's lowest rank and stores nothing.
-    aexc (n >= 1): the halves, g_n = st D A_{n-1} / 2, from S_1's (1, 0).
-    bexc (n >= 0): g_n = st D B_{n-1}, from B_0's (1, 0); whole X + Y,
+    + s Y_{n-1} + g_n, where g_n = c st D E_{n-1} / 2, from (1, 0) at the
+    lowest rank of its Eulerian kind E, and stores nothing.  aexc (E = A,
+    c = 1, n >= 1): the halves.  bexc (E = B, c = 2, n >= 0): whole X + Y,
     signed X - Y.  dexc/bdexc (n >= 0): bexc's pair is (D_n, (B-D)_n).
     The request is checked before the first step.
     """
     _require(family in _STEPS, f"unknown family {family!r}")
-    low, (x, y), grow, whole, signed = _STEPS[family]
+    kind, whole, signed = _STEPS[family]
+    _, _, c, low = _EULERIAN[kind]
     _require(n >= low, f"{family} step recurrence starts at n = {low}")
     _require(signed or cls == "all", f"{family} has no plus/minus split")
     read = _class(cls)
+    x, y = [1], [0]
     for m in range(low + 1, n + 1):
-        g = grow(m)
-        x, y = ([a + b + c for a, b, c in zip(x + [0], [0] + y, g)],
-                [a + b + c for a, b, c in zip([0] + x, y + [0], g)])
+        g = _half([c * v for v in _st_d(_eulerian_row(kind, m - 1))])
+        x, y = ([a + b + e for a, b, e in zip(x + [0], [0] + y, g)],
+                [a + b + e for a, b, e in zip([0] + x, y + [0], g)])
     return _poly(read(whole(x, y), lambda: signed(x, y, n)))
 
 
@@ -291,15 +286,12 @@ class CoeffTable(Record):
         for rows in (plus, minus):
             _require([len(row) for row in rows] == list(range(1, n_max + 1)),
                      f"plus and minus need rows 1..{n_max}, row k of k entries")
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
+        super().__init__(n_max, plus, minus)
 
     def row(self, n, cls):
         _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
         _require(1 <= n <= self.n_max, f"row {n} outside 1..{self.n_max}")
-        rows = self.plus if cls == "plus" else self.minus
-        return rows[n - 1]
+        return getattr(self, cls)[n - 1]  # the class names the field
 
     def value(self, n, k, cls):
         row = self.row(n, cls)

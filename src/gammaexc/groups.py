@@ -285,10 +285,9 @@ class CycleType(Record):
         for p in given:
             if type(p) is not int:  # bool and float are not parts
                 raise InvalidSpec(f"part {p!r} is not an int")
-        given = tuple(sorted(given, reverse=True))
         if any(p < 1 for p in given):
             raise InvalidSpec(f"parts must be positive: {parts}")
-        object.__setattr__(self, "parts", given)
+        super().__init__(tuple(sorted(given, reverse=True)))
 
     @property
     def n(self):
@@ -370,6 +369,8 @@ class GroupSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
+        if type(self.n) is not int:  # bool and float are not ranks
+            raise InvalidSpec(f"rank {self.n!r} is not an int")
         if self.n < 0:
             raise InvalidSpec("n must be non-negative")
         if self.parity not in ("all", "even", "odd"):

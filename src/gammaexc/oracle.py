@@ -122,11 +122,10 @@ class WeightSpec(Record):
         for v, _, _ in exps:
             if v not in _VAR_RANK:
                 raise InvalidSpec(f"unknown variable {v!r}")
-        object.__setattr__(self, "exponents",
-                           tuple(sorted(exps, key=lambda e: _VAR_RANK[e[0]])))
-        object.__setattr__(self, "sign_stat", sign_stat)
         if sign_stat is not None and sign_stat not in SIGN_STATISTICS:
             raise InvalidSpec(f"sign statistic must be one of {sorted(SIGN_STATISTICS)}")
+        super().__init__(tuple(sorted(exps, key=lambda e: _VAR_RANK[e[0]])),
+                         sign_stat)
 
     @property
     def variables(self):
@@ -378,20 +377,19 @@ class FamilySpec(Record):
     __slots__ = ("family", "n", "cls", "fixed", "lam", "stat")
 
     def __init__(self, family, n, cls="all", fixed=None, lam=None, stat=None):
-        object.__setattr__(self, "family", family.lower())
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "stat", stat)
+        family = family.lower()
         if cls not in ("all", "plus", "minus"):
             raise InvalidSpec(f"class must be all/plus/minus, got {cls!r}")
-        object.__setattr__(self, "lam", None if lam is None else tuple(lam))
+        super().__init__(family, n, cls, fixed,
+                         None if lam is None else tuple(lam), stat)
         record = FAMILIES.get(self.family)
         if record is None:
             raise InvalidSpec(f"unknown family {self.family!r}; "
                               f"known: {tuple(FAMILIES)}")
         if self.cls != "all" and not record.split:
             raise UnsupportedClass(f"{self.family} has no plus/minus split")
+        if type(self.n) is not int:  # bool and float are not ranks
+            raise InvalidSpec(f"rank {self.n!r} is not an int")
         if self.n < record.min_n:
             raise InvalidSpec(f"{self.family} needs n >= {record.min_n}, "
                               f"got n = {self.n}")
@@ -420,16 +418,7 @@ class Family(Record):
     """
 
     __slots__ = ("domain", "closed", "split", "mode", "min_n", "refinement", "gamma")
-
-    def __init__(self, domain, closed, split=False, mode=BIVARIATE, min_n=0,
-                 refinement=None, gamma=None):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "min_n", min_n)
-        object.__setattr__(self, "refinement", refinement)
-        object.__setattr__(self, "gamma", gamma)
+    _defaults = dict(split=False, mode=BIVARIATE, min_n=0, refinement=None, gamma=None)
 
 
 _REFINEMENTS = {"fixed": "fixed-point count", "lam": "cycle type",

@@ -86,14 +86,40 @@ class NotPalindromic(ValueError):
 
 
 class Record:
-    """A frozen value whose fields are its ``__slots__``, each set once by its
-    own ``__init__``: what ``@dataclass(frozen=True)`` gives, without the
-    methods it generates and compiles for every class at import."""
+    """A frozen value whose fields are the ``__slots__`` of the classes that
+    declare them, set once by the one ``__init__`` from positional or keyword
+    values or ``_defaults``: ``@dataclass(frozen=True)`` without the methods
+    it compiles for every class at import."""
 
     __slots__ = ()
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls):  # __slots__ = () keeps the inherited fields
+        cls._fields += tuple(vars(cls).get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args, kwargs):
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in fields[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required argument {missing[0]!r}")
+        return [values[key] for key in fields]
 
     def _values(self):
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):  # field by field, within one class only
         if other.__class__ is self.__class__:
@@ -104,7 +130,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
@@ -503,12 +529,6 @@ class PalindromeInfo(Record):
 
     __slots__ = ("is_palindromic", "r", "n", "cos")
 
-    def __init__(self, is_palindromic, r, n, cos):
-        object.__setattr__(self, "is_palindromic", is_palindromic)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cos", cos)
-
 
 def palindrome_info(f, mode=UNIVARIATE):
     """Support offset r, top t-exponent n, center (n+r)/2, and symmetry flag.
@@ -536,23 +556,18 @@ class GammaExpansion(Record):
     __slots__ = ("mode", "r", "n", "gammas")
 
     def __init__(self, mode, r, n, gammas):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
         if mode not in GAMMA_MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if r < 0 or n < r:
             raise ValueError(f"bad support: r={r}, n={n}")
-        if self.length < 0:
+        length = (n - r if mode == BIVARIATE else n) - r  # as self.length reads it
+        if length < 0:
             raise ValueError(f"bad support: r={r}, n={n} for mode {mode}")
-        if len(gammas) != self.length // 2 + 1:
-            raise ValueError(
-                f"need {self.length // 2 + 1} gamma entries for mode={mode}, "
-                f"r={r}, n={n}; got {len(gammas)}"
-            )
-        object.__setattr__(self, "gammas", tuple(
-            g if isinstance(g, int) else tuple(g) for g in gammas
-        ))
+        if len(gammas) != length // 2 + 1:
+            raise ValueError(f"need {length // 2 + 1} gamma entries for mode={mode}, "
+                             f"r={r}, n={n}; got {len(gammas)}")
+        super().__init__(mode, r, n, tuple(g if isinstance(g, int) else tuple(g)
+                                           for g in gammas))
 
     @property
     def center_of_symmetry(self):

@@ -362,6 +362,8 @@ class TestIterate:
         ({"n": -1}, "n must be non-negative"),
         ({"n": 2, "parity": "x"}, "parity must be all/even/odd, got 'x'"),
         ({"n": 2, "fixed_points": 3}, "fixed_points=3 outside 0..2"),
+        ({"n": 2.5}, "rank 2.5 is not an int"),
+        ({"n": True}, "rank True is not an int"),
     ])
     def test_invalid_spec_messages(self, kwargs, message):
         with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):

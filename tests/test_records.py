@@ -64,6 +64,29 @@ FIELDS = {
 
 CLASSES = list(SAMPLES)
 
+# class -> positional arguments of a record that differs from its sample
+OTHERS = {
+    VerifyLimits: (1, 1, 1, 1),
+    CheckResult: ("typeB.y", "typeB", "n=2", "fail", "w", 1.0),
+    CoeffTable: (1, ((1,),), ((0,),)),
+    CycleType: ((2, 2),),
+    WeightSpec: ((("t", "exc", 0),),),
+    FamilySpec: ("bexc", 4),
+    Family: (_domain, None),
+    PalindromeInfo: (False, 0, 3, Fraction(3, 2)),
+    GammaExpansion: (UNIVARIATE, 0, 2, [1, 0]),
+}
+
+
+class Slotless:
+    """A ``__slots__ = ()`` subclass of every record, named so that pickle
+    finds it: ``Slotless.CycleType`` and so on."""
+
+
+for _cls in CLASSES:
+    setattr(Slotless, _cls.__name__, type(_cls.__name__, (_cls,), {
+        "__slots__": (), "__qualname__": f"Slotless.{_cls.__name__}"}))
+
 
 def _build(cls):
     return cls(*SAMPLES[cls][0])
@@ -129,6 +152,42 @@ def test_copies_and_pickles_are_equal(cls):
         assert other == record and repr(other) == repr(record)
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_a_slotless_subclass_keeps_the_fields(cls):
+    sub = getattr(Slotless, cls.__name__)
+    a, b = sub(*SAMPLES[cls][0]), sub(*OTHERS[cls])
+    assert _fields(a, cls) == _fields(_build(cls))
+    assert a == sub(*SAMPLES[cls][0]) and a != b and not a == b
+    assert hash(a) == hash(_fields(a, cls)) and hash(b) == hash(_fields(b, cls))
+    assert repr(a) == f"Slotless.{SAMPLES[cls][1]}"
+    copies = [copy.copy(a), copy.deepcopy(a)]
+    if cls is not Family:
+        copies.append(pickle.loads(pickle.dumps(a)))
+    for other in copies:
+        assert type(other) is sub and other == a and repr(other) == repr(a)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VerifyLimits(5, 4, 3, 99, 1),
+     "VerifyLimits() takes 4 arguments, got 5"),
+    (lambda: VerifyLimits(max_n=3),
+     "VerifyLimits() got an unexpected keyword argument 'max_n'"),
+    (lambda: VerifyLimits(5, max_n_a=6),
+     "VerifyLimits() got multiple values for argument 'max_n_a'"),
+    (lambda: CheckResult("a.b", "a", "-", "pass", seconds=0.0),
+     "CheckResult() missing required argument 'witness'"),
+    (lambda: Family(_domain), "Family() missing required argument 'closed'"),
+    (lambda: PalindromeInfo(True, 1, 4),
+     "PalindromeInfo() missing required argument 'cos'"),
+    (lambda: Slotless.VerifyLimits(budget=1, bound=2),
+     "Slotless.VerifyLimits() got an unexpected keyword argument 'bound'"),
+])
+def test_shared_init_argument_errors_name_the_record(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert type(info.value) is TypeError and str(info.value) == message
+
+
 def test_defaults_and_keywords():
     assert _fields(VerifyLimits()) == (8, 6, 6, DEFAULT_BUDGET)
     assert VerifyLimits(max_n_d=2) == VerifyLimits(8, 6, 2, DEFAULT_BUDGET)
@@ -169,6 +228,8 @@ def test_defaults_and_keywords():
     (lambda: FamilySpec("a_des", 3, "plus"), UnsupportedClass,
      "a_des has no plus/minus split"),
     (lambda: FamilySpec("aexc", 0), InvalidSpec, "aexc needs n >= 1, got n = 0"),
+    (lambda: FamilySpec("aexc", 5.0), InvalidSpec, "rank 5.0 is not an int"),
+    (lambda: FamilySpec("bexc", True), InvalidSpec, "rank True is not an int"),
     (lambda: FamilySpec("aexc", 3, fixed=1), InvalidSpec,
      "aexc takes no fixed-point count"),
     (lambda: FamilySpec("aexc", 3, lam=(3,)), InvalidSpec, "aexc takes no cycle type"),

@@ -10,6 +10,10 @@ import gammaexc
 PACKAGE = pathlib.Path(gammaexc.__file__).parent
 MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")  # __init__ re-exports
+# where a frozen value may set its own fields: the records' shared __init__,
+# and the one dataclass that normalises a field after its generated __init__
+FIELD_SETTERS = {("poly.py", "Record.__init__"),
+                 ("groups.py", "GroupSpec.__post_init__")}
 
 
 def _unread_imports(source):
@@ -34,3 +38,37 @@ def test_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_read(path):
     assert _unread_imports(path.read_text()) == []
+
+
+def _setattr_scopes(source):
+    """The dotted class and function scope of each ``object.__setattr__``
+    in a module, called or not, in source order ("" at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "object"):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_finds_object_setattr():
+    source = ("class A:\n    def f(self):\n        object.__setattr__(self, 'x', 1)\n"
+              "    class B:\n        set = object.__setattr__\n"
+              "object.__setattr__(a, 'y', 2)\nsetattr(a, 'z', 3)\n")
+    assert _setattr_scopes(source) == ["A.f", "A.B", ""]
+
+
+def test_fields_are_set_only_by_the_shared_record_init():
+    found = {(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _setattr_scopes(path.read_text())}
+    assert found == FIELD_SETTERS
