@@ -24,6 +24,8 @@ from .poly import (
     Q_COEFFICIENTS,
     UNIVARIATE,
     ZeroPolynomial,
+    _asymmetry,
+    _expansion,
     gamma_decompose,
     t_coefficients,
 )
@@ -61,8 +63,9 @@ def _cmd_compute(args, out):
 
 def _gamma_input(args, n):
     """The rank-n gamma mode, the family's closed gamma expansion (None where
-    that engine defers or is not asked), and a thunk for the polynomial to
-    expand (univariate mode on a bivariate family: its s = 1 specialization)."""
+    that engine defers or is not asked), a thunk for the polynomial to expand
+    (univariate mode on a bivariate family: its s = 1 specialization), and one
+    for the family's closed row where the gamma engine is asked (else None)."""
     spec = _family_spec(args, n)
     family = oracle.FAMILIES[spec.family]
     if family.mode is None:
@@ -76,11 +79,12 @@ def _gamma_input(args, n):
         uni = mode == UNIVARIATE and "s" in f.vars and f.degree("s") > 0
         return f.substitute_one("s") if uni else f
 
-    return mode, family.gamma(spec) if closed else None, poly
+    return (mode, family.gamma(spec) if closed else None, poly,
+            functools.partial(family.row, spec) if closed else None)
 
 
 def _cmd_gamma(args, out):
-    mode, expansion, poly = _gamma_input(args, args.n)
+    mode, expansion, poly, _ = _gamma_input(args, args.n)
     try:
         expansion = expansion or gamma_decompose(poly(), mode)
     except NotPalindromic as exc:
@@ -101,12 +105,21 @@ def _cmd_gamma(args, out):
 
 
 def _table_rows(args):
-    lo, hi = args.n_range
-    for n in range(lo, hi + 1):
-        mode, expansion, poly = _gamma_input(args, n)
+    for n in range(args.n_range[0], args.n_range[1] + 1):
+        mode, expansion, poly, row = _gamma_input(args, n)
+        if row:  # the family's closed (s, t) row at its own mode: no Poly
+            row = row()
+            top = len(row)  # the coefficient column drops trailing zeros
+            while top and not row[top - 1]:
+                top -= 1
+            if expansion is None and top and not _asymmetry([row], 0, len(row) - 1):
+                lo = next(k for k, c in enumerate(row) if c)
+                expansion = _expansion([row], lo, top - 1, None, BIVARIATE)
+            yield n, row[:top], expansion  # a zero or asymmetric row: no gammas
+            continue
         poly = poly()
         try:
-            expansion = expansion or gamma_decompose(poly, mode)
+            expansion = gamma_decompose(poly, mode)
         except (NotPalindromic, ZeroPolynomial, NotHomogeneous):
             pass  # no expansion: the row prints without gammas
         yield n, t_coefficients(poly), expansion

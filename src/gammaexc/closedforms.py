@@ -15,9 +15,10 @@ division is exact and raises OddCoefficient if it ever is not.
 
 The engines compute on rows: a homogeneous polynomial of degree d in (s, t)
 is the list r with r[k] the coefficient of s^(d-k) t^k, so s*f is r + [0] and
-t*f is [0] + r.  A row becomes a Poly once, where it leaves the engine, and
-is never mutated once built.  The four-step jump stays on Poly, and
-conj_exc_closed and sgnb_des_u_closed multiply Polys too.
+t*f is [0] + r.  A row is never mutated once built.  ``table`` reads
+``_class_row``'s rows; elsewhere a row becomes a Poly where it leaves the
+engine.  The four-step jump stays on Poly, and conj_exc_closed and
+sgnb_des_u_closed multiply Polys too.
 
 A split family's classes follow one rule, ``_class``: "all" is the whole,
 and the even (plus) and odd (minus) halves are (whole +- signed) / 2, the
@@ -182,29 +183,33 @@ def sgnb_des_u_closed(n):
     return _poly(_signed(n)) * Poly.variable("u") ** n
 
 
-# family -> Eulerian kind
-_HALF_SUMS = {"aexc": "A", "bexc": "B"}
-
-
 def half_sum_closed(family, n, cls):
     """The even/odd-length half of an Eulerian distribution.
 
     aexc: (A_n +- (s-t)^(n-1)) / 2 for n >= 1;
     bexc: (B_n +- (s-t)^n) / 2 for n >= 0.  Divisions are exact.
     """
-    read = _class(cls, ("plus", "minus"))
-    _require(family in _HALF_SUMS, f"half-sum covers aexc and bexc, not {family!r}")
-    kind = _HALF_SUMS[family]
-    low = _EULERIAN[kind][3]
+    _class(cls, ("plus", "minus"))
+    _require(family in ("aexc", "bexc"),
+             f"half-sum covers aexc and bexc, not {family!r}")
+    low = _EULERIAN["A" if family == "aexc" else "B"][3]
     _require(n >= low, f"{family} half-sum needs n >= {low}")
-    return _poly(read(_eulerian_row(kind, n), lambda: _signed(n - low)))
+    return _poly(_class_row(family, n, cls))
 
 
 def dexc_closed(n, cls="all"):
     """D_n = (B_n + (s-t)^n) / 2, n >= 0; a half reads sgn_dexc_closed's sum."""
+    return _poly(_class_row("dexc", n, cls))
+
+
+def _class_row(family, n, cls):
+    """aexc's, bexc's or dexc's closed row by the class rule; callers check n."""
     read = _class(cls)
-    return _poly(read(_half(_add(_eulerian_row("B", n), _signed(n))),
-                      lambda: _sgn_dexc_row(n)))
+    if family == "dexc":
+        return read(_half(_add(_eulerian_row("B", n), _signed(n))),
+                    lambda: _sgn_dexc_row(n))
+    kind = "A" if family == "aexc" else "B"
+    return read(_eulerian_row(kind, n), lambda: _signed(n - _EULERIAN[kind][3]))
 
 
 def gamma_closed(family, n, cls="all"):

@@ -381,10 +381,12 @@ class GroupSpec:
                                  or self.fixed_points is not None
                                  or self.cycle_type is not None):
             raise InvalidSpec("pos_n/fixed_points/cycle_type apply to kind S only")
-        if self.pos_n is not None and not 1 <= self.pos_n <= self.n:
-            raise InvalidSpec(f"pos_n={self.pos_n} outside 1..{self.n}")
-        if self.fixed_points is not None and not 0 <= self.fixed_points <= self.n:
-            raise InvalidSpec(f"fixed_points={self.fixed_points} outside 0..{self.n}")
+        for name, low in (("pos_n", 1), ("fixed_points", 0)):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise InvalidSpec(f"{name} {value!r} is not an int")
+            if value is not None and not low <= value <= self.n:
+                raise InvalidSpec(f"{name}={value} outside {low}..{self.n}")
         if self.cycle_type is not None:
             lam = CycleType(tuple(self.cycle_type))
             if lam.n != self.n:

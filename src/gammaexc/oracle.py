@@ -377,10 +377,11 @@ class FamilySpec(Record):
     __slots__ = ("family", "n", "cls", "fixed", "lam", "stat")
 
     def __init__(self, family, n, cls="all", fixed=None, lam=None, stat=None):
-        family = family.lower()
+        if not isinstance(family, str):
+            raise InvalidSpec(f"family {family!r} is not a str")
         if cls not in ("all", "plus", "minus"):
             raise InvalidSpec(f"class must be all/plus/minus, got {cls!r}")
-        super().__init__(family, n, cls, fixed,
+        super().__init__(family.lower(), n, cls, fixed,
                          None if lam is None else tuple(lam), stat)
         record = FAMILIES.get(self.family)
         if record is None:
@@ -396,9 +397,10 @@ class FamilySpec(Record):
         for name, label in _REFINEMENTS.items():
             if getattr(self, name) is not None and name != record.refinement:
                 raise InvalidSpec(f"{self.family} takes no {label}")
+        if self.fixed is not None and type(self.fixed) is not int:
+            raise InvalidSpec(f"fixed-point count {self.fixed!r} is not an int")
         if self.fixed is not None and not 0 <= self.fixed <= self.n:
-            raise InvalidSpec(f"fixed-point count {self.fixed} outside "
-                              f"0..{self.n}")
+            raise InvalidSpec(f"fixed-point count {self.fixed} outside 0..{self.n}")
 
 
 class Family(Record):
@@ -412,13 +414,16 @@ class Family(Record):
     and so has no gamma expansion.  ``min_n``: the lowest valid rank.
     ``refinement``: the one FamilySpec refinement field the family reads.
     ``gamma``: maps a FamilySpec to its closed gamma expansion, None to defer.
+    ``row``: maps a FamilySpec to its closed dense (s, t) row, which table reads.
 
     Closed engines are looked up on the ``closedforms`` module at call time,
     never captured, so a patched engine is the one that runs.
     """
 
-    __slots__ = ("domain", "closed", "split", "mode", "min_n", "refinement", "gamma")
-    _defaults = dict(split=False, mode=BIVARIATE, min_n=0, refinement=None, gamma=None)
+    __slots__ = ("domain", "closed", "split", "mode", "min_n", "refinement", "gamma",
+                 "row")
+    _defaults = dict(split=False, mode=BIVARIATE, min_n=0, refinement=None,
+                     gamma=None, row=None)
 
 
 _REFINEMENTS = {"fixed": "fixed-point count", "lam": "cycle type",
@@ -470,15 +475,16 @@ def _eulerian_or_half(kind, half_family):
         else closedforms.half_sum_closed(half_family, fs.n, fs.cls))
 
 
-def _gamma(family, cls=None):
-    return lambda fs: closedforms.gamma_closed(family, fs.n, cls or fs.cls)
+def _gamma_and_row(family, cls=None):
+    return dict(gamma=lambda fs: closedforms.gamma_closed(family, fs.n, cls or fs.cls),
+                row=lambda fs: closedforms._class_row(family, fs.n, cls or fs.cls))
 
 
 FAMILIES = {
-    "a_des": Family(_group("S", ADES_WEIGHT),
-                    lambda fs: closedforms.eulerian("A", fs.n), gamma=_gamma("aexc")),
+    "a_des": Family(_group("S", ADES_WEIGHT), _eulerian_or_half("A", "aexc"),
+                    **_gamma_and_row("aexc")),
     "aexc": Family(_group("S", AEXC_WEIGHT), _eulerian_or_half("A", "aexc"),
-                   split=True, min_n=1, gamma=_gamma("aexc")),
+                   split=True, min_n=1, **_gamma_and_row("aexc")),
     "aderexc": Family(
         _derangements,
         lambda fs: closedforms.derangement_closed(fs.n, fs.cls, fs.fixed),
@@ -488,15 +494,15 @@ FAMILIES = {
         lambda fs: closedforms.conj_exc_closed(_class_spec(fs).cycle_type),
         mode=UNIVARIATE, refinement="lam"),
     "b_des": Family(_group("B", BDES_WEIGHT), _eulerian_or_half("B", "bexc"),
-                    split=True, gamma=_gamma("bexc")),
+                    split=True, **_gamma_and_row("bexc")),
     "bexc": Family(_group("B", BEXC_WEIGHT), _eulerian_or_half("B", "bexc"),
-                   split=True, gamma=_gamma("bexc")),
+                   split=True, **_gamma_and_row("bexc")),
     "dexc": Family(_group("D", DEXC_WEIGHT),
                    lambda fs: closedforms.dexc_closed(fs.n, fs.cls), split=True,
-                   gamma=_gamma("dexc")),
+                   **_gamma_and_row("dexc")),
     "bdexc": Family(_group("B-D", DEXC_WEIGHT),  # the bridge (B_n - (s-t)^n) / 2
                     lambda fs: closedforms.half_sum_closed("bexc", fs.n, "minus"),
-                    gamma=_gamma("bexc", "minus")),
+                    **_gamma_and_row("bexc", "minus")),
     "sgn_aexc": Family(_group("S", AEXC_WEIGHT, "inv"),
                        lambda fs: closedforms.sgn_aexc_closed(fs.n), min_n=1),
     "sgn_bexc": Family(_group("B", BEXC_WEIGHT, "inv_b"),

@@ -519,9 +519,14 @@ def _symmetry(f, mode):
     grid = [[0] * (j + 1) for _ in range(1 + max(es))]
     for k, e, coeff in zip(ks, es, terms.values()):
         grid[e][k] = coeff
+    return grid, lo, hi, _asymmetry(grid, i, j)
+
+
+def _asymmetry(grid, i, j):
+    """First pair (k, i + j - k) breaking a grid row's symmetry on [i, j], or None."""
     bad = [next(k for k in range(i, j) if row[k] != row[i + j - k])
            for row in grid if row[i:] != row[i:][::-1]]
-    return grid, lo, hi, (min(bad), i + j - min(bad)) if bad else None
+    return (min(bad), i + j - min(bad)) if bad else None
 
 
 class PalindromeInfo(Record):
@@ -671,7 +676,11 @@ def gamma_decompose(f, mode=UNIVARIATE):
     NotHomogeneous (bivariate mode), or ZeroPolynomial.  Gamma positivity is
     a separate query on the result: ``all_gammas_nonnegative()``.
     """
-    grid, lo, hi, bad = _symmetry(f, mode)
+    return _expansion(*_symmetry(f, mode), mode)
+
+
+def _expansion(grid, lo, hi, bad, mode):
+    """gamma_decompose on the int rows, support and verdict of ``_symmetry``."""
     if bad is not None:
         i, j = bad
         raise NotPalindromic(i, j, _entry([r[i] for r in grid], mode),

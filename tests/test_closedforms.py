@@ -2,6 +2,7 @@ import contextlib
 import copy
 import functools
 import io
+import json
 import math
 import random
 import sys
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gammaexc import cli, closedforms
+from gammaexc import cli, closedforms, poly
 from gammaexc.closedforms import (
     MissingBase,
     NoClosedForm,
@@ -37,7 +38,7 @@ from gammaexc.groups import CycleType, partitions
 from gammaexc.oracle import FAMILIES, FamilySpec, closed_family, family_poly
 from gammaexc.poly import (BIVARIATE, D, GammaExpansion, NotPalindromic,
                            OddCoefficient, Poly, ZeroPolynomial,
-                           gamma_decompose, half)
+                           gamma_decompose, half, t_coefficients)
 
 s, t, u = Poly.gens("s", "t", "u")
 CLASSES = ("all", "plus", "minus")
@@ -389,6 +390,82 @@ class TestGammaClosed:
         cold()
         code, out, err = _cli(["gamma", *request_.split()])
         assert (code, err) == (0, "") and out.startswith("gamma=[")
+
+
+def _poly_rows(args):
+    """``cli._table_rows`` by the Poly route: ``closed_family``, then
+    ``t_coefficients`` and ``gamma_decompose``."""
+    lo, hi = args.n_range
+    for n in range(lo, hi + 1):
+        f = closed_family(FamilySpec(args.family, n, args.cls))
+        try:
+            expansion = gamma_decompose(f, BIVARIATE)
+        except (NotPalindromic, ZeroPolynomial):
+            expansion = None
+        yield n, t_coefficients(f), expansion
+
+
+def _refuse(*args):
+    raise AssertionError(f"called with {args}")
+
+
+class TestTableRows:
+    """``table`` reads the closed rows of the gamma families directly."""
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    @pytest.mark.parametrize("family, cls", [
+        (family, cls) for family, classes in GAMMA_FAMILIES.items()
+        for cls in classes])
+    def test_equals_the_poly_route(self, monkeypatch, family, cls, out):
+        # dexc minus at odd n is palindromic, but the gamma engine defers
+        # there, so its gammas come from the row peel
+        low = FAMILIES[family].min_n
+        argvs = [f"table --family {family} --class {cls} --n-range {ranks} "
+                 f"--out {out}{mode}".split()
+                 for ranks in (f"{low}..61", "101..101", "249..251")
+                 for mode in ("", " --mode biv")]
+        answers = [_cli(argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_table_rows", _poly_rows)
+        assert answers == [_cli(argv) for argv in argvs]
+
+    @pytest.mark.parametrize("n", [5, 15, 25, 101])
+    def test_dexc_minus_at_odd_n_peels_its_row(self, monkeypatch, n):
+        assert gamma_closed("dexc", n, "minus") is None
+        expected = gamma_decompose(dexc_closed(n, "minus"), BIVARIATE)
+        monkeypatch.setattr(cli, "gamma_decompose", _refuse)
+        code, out, err = _cli(f"table --family dexc --class minus --n-range "
+                              f"{n}..{n} --out json".split())
+        (entry,) = json.loads(out)
+        assert (code, err, entry["gamma_positive"]) == (0, "", True)
+        assert entry["gammas"] == expected.to_json_dict()["gammas"]
+
+    @pytest.mark.parametrize("option, row_route", [
+        ("", True), ("--mode biv", True), ("--engine closed", True),
+        ("--mode uni", False), ("--engine oracle", False)])
+    def test_route_by_mode_and_engine(self, monkeypatch, option, row_route):
+        # the Poly route expands each rank's polynomial with gamma_decompose
+        calls = []
+        real = cli.gamma_decompose
+        monkeypatch.setattr(cli, "gamma_decompose",
+                            lambda *args: calls.append(args) or real(*args))
+        for family, classes in GAMMA_FAMILIES.items():
+            for cls in classes:
+                calls.clear()
+                code, _, err = _cli(f"table --family {family} --class {cls} "
+                                    f"--n-range 1..5 {option}".split())
+                assert (code, err) == (0, "")
+                assert len(calls) == (0 if row_route else 5), (family, cls)
+
+    @pytest.mark.parametrize("family, cls", [
+        (family, cls) for family, classes in GAMMA_FAMILIES.items()
+        for cls in classes])
+    def test_builds_no_poly(self, monkeypatch, family, cls):
+        argv = f"table --family {family} --class {cls} --n-range 2..12".split()
+        answer = _cli(argv)
+        monkeypatch.setattr(poly, "_symmetry", _refuse)
+        monkeypatch.setattr(cli, "gamma_decompose", _refuse)
+        monkeypatch.setattr(closedforms, "_poly", _refuse)
+        assert _cli(argv) == answer
 
 
 class TestHalfSum:

@@ -364,6 +364,10 @@ class TestIterate:
         ({"n": 2, "fixed_points": 3}, "fixed_points=3 outside 0..2"),
         ({"n": 2.5}, "rank 2.5 is not an int"),
         ({"n": True}, "rank True is not an int"),
+        ({"n": 4, "pos_n": 1.0}, "pos_n 1.0 is not an int"),
+        ({"n": 4, "pos_n": True}, "pos_n True is not an int"),
+        ({"n": 4, "pos_n": 5}, "pos_n=5 outside 1..4"),
+        ({"n": 4, "fixed_points": 0.0}, "fixed_points 0.0 is not an int"),
     ])
     def test_invalid_spec_messages(self, kwargs, message):
         with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):

@@ -40,7 +40,7 @@ SAMPLES = {
                  "stat=None)"),
     Family: ((_domain, None, True, UNIVARIATE, 2, "fixed"),
              f"Family(domain={_domain!r}, closed=None, split=True, "
-             "mode='univariate_t', min_n=2, refinement='fixed', gamma=None)"),
+             "mode='univariate_t', min_n=2, refinement='fixed', gamma=None, row=None)"),
     PalindromeInfo: ((True, 1, 4, Fraction(5, 2)),
                      "PalindromeInfo(is_palindromic=True, r=1, n=4, "
                      "cos=Fraction(5, 2))"),
@@ -57,7 +57,7 @@ FIELDS = {
     WeightSpec: ("exponents", "sign_stat"),
     FamilySpec: ("family", "n", "cls", "fixed", "lam", "stat"),
     Family: ("domain", "closed", "split", "mode", "min_n", "refinement",
-             "gamma"),
+             "gamma", "row"),
     PalindromeInfo: ("is_palindromic", "r", "n", "cos"),
     GammaExpansion: ("mode", "r", "n", "gammas"),
 }
@@ -197,7 +197,7 @@ def test_defaults_and_keywords():
     assert FamilySpec("qrefined", 3, stat="inv").stat == "inv"
     assert WeightSpec((("t", "exc", 0),)).sign_stat is None
     assert _fields(Family(_domain, None)) \
-        == (_domain, None, False, BIVARIATE, 0, None, None)
+        == (_domain, None, False, BIVARIATE, 0, None, None, None)
     assert Family(domain=_domain, closed=None, min_n=1).min_n == 1
     assert CycleType(parts=[1, 2]).parts == (2, 1)
     assert CycleType(()).parts == ()
@@ -237,6 +237,11 @@ def test_defaults_and_keywords():
      "aexc takes no refining statistic"),
     (lambda: FamilySpec("aderexc", 3, fixed=4), InvalidSpec,
      "fixed-point count 4 outside 0..3"),
+    (lambda: FamilySpec(5, 3), InvalidSpec, "family 5 is not a str"),
+    (lambda: FamilySpec("aderexc", 5, fixed=1.0), InvalidSpec,
+     "fixed-point count 1.0 is not an int"),
+    (lambda: FamilySpec("aderexc", 5, fixed=True), InvalidSpec,
+     "fixed-point count True is not an int"),
     (lambda: GammaExpansion("x", 0, 2, (1, 0)), ValueError, "unknown mode 'x'"),
     (lambda: GammaExpansion(UNIVARIATE, 3, 2, (1,)), ValueError,
      "bad support: r=3, n=2"),
