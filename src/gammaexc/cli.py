@@ -83,10 +83,21 @@ def _gamma_input(args, n):
             functools.partial(family.row, spec) if closed else None)
 
 
+def _row_expansion(row):
+    """gamma_decompose of a closed (s, t) row's Poly, read off the row: a
+    symmetric row's support ends where the mirror of its first nonzero does."""
+    lo = next((k for k, c in enumerate(row) if c), None)
+    if lo is None:
+        raise ZeroPolynomial("the zero polynomial has no palindrome data")
+    d = len(row) - 1
+    return _expansion([row], lo, d - lo, _asymmetry([row], 0, d), BIVARIATE)
+
+
 def _cmd_gamma(args, out):
-    mode, expansion, poly, _ = _gamma_input(args, args.n)
+    mode, expansion, poly, row = _gamma_input(args, args.n)
     try:
-        expansion = expansion or gamma_decompose(poly(), mode)
+        expansion = expansion or (_row_expansion(row()) if row
+                                  else gamma_decompose(poly(), mode))
     except NotPalindromic as exc:
         if args.format == "json":
             witness = {"low_index": exc.low_index, "high_index": exc.high_index,
@@ -112,17 +123,16 @@ def _table_rows(args):
             top = len(row)  # the coefficient column drops trailing zeros
             while top and not row[top - 1]:
                 top -= 1
-            if expansion is None and top and not _asymmetry([row], 0, len(row) - 1):
-                lo = next(k for k, c in enumerate(row) if c)
-                expansion = _expansion([row], lo, top - 1, None, BIVARIATE)
-            yield n, row[:top], expansion  # a zero or asymmetric row: no gammas
-            continue
-        poly = poly()
+            coeffs = row[:top]
+        else:
+            poly = poly()
+            coeffs = t_coefficients(poly)
         try:
-            expansion = gamma_decompose(poly, mode)
+            expansion = expansion or (_row_expansion(row) if row
+                                      else gamma_decompose(poly, mode))
         except (NotPalindromic, ZeroPolynomial, NotHomogeneous):
             pass  # no expansion: the row prints without gammas
-        yield n, t_coefficients(poly), expansion
+        yield n, coeffs, expansion
 
 
 def _cmd_table(args, out):
@@ -149,17 +159,19 @@ def _cmd_table(args, out):
     lines = ["family,class,n,k,coeff,gamma_index,gamma_value,cos,"
              "gamma_positive\n"]
     for n, coeffs, expansion in rows:
-        gammas, tail = [], ","
+        prefix, gammas, tail = f"{args.family},{args.cls},{n},", [], ","
         if expansion is not None:
             gammas = [";".join(map(str, g)) if isinstance(g, tuple) else g
                       for g in expansion.gammas]
             tail = (f"{expansion.center_of_symmetry},"
                     f"{str(expansion.all_gammas_nonnegative()).lower()}")
-        for k in range(max(len(coeffs), len(gammas), 1)):
-            coeff = f"{k},{coeffs[k]}" if k < len(coeffs) else ","
-            gamma = f"{k},{gammas[k]}" if k < len(gammas) else ","
-            lines.append(f"{args.family},{args.cls},{n},{coeff},{gamma},"
-                         f"{tail}\n")
+        # a row has at least as many coefficients as gammas
+        lines += [f"{prefix}{k},{c},{k},{g},{tail}\n"
+                  for k, (c, g) in enumerate(zip(coeffs, gammas))]
+        lines += [f"{prefix}{k},{c},,,{tail}\n"
+                  for k, c in enumerate(coeffs[len(gammas):], len(gammas))]
+        if not coeffs:  # the zero row still gets its line
+            lines.append(f"{prefix},,,,{tail}\n")
     out.write("".join(lines))
     return 0
 
@@ -218,8 +230,13 @@ def _parse_lambda(text):
         ) from None
 
 
-@functools.cache
 def build_parser():
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """The top parser and, by command name, the parser of each command."""
     parser = argparse.ArgumentParser(
         prog="gammaexc",
         description="Exact excedance Eulerian polynomials over the classical "
@@ -296,16 +313,23 @@ def build_parser():
 
     for p in (compute, gamma, conjugacy):
         p.add_argument("--format", choices=["text", "json"], default="text")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    for flag in ("--n-range", "--lambda"):  # argparse reads -1..2, -2,1 as options
-        if flag in argv[:-1]:
-            i = argv.index(flag)
-            argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
-    args = build_parser().parse_args(argv)
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    argv = []
+    for token in tokens:  # argparse reads -1..2, -2,1 as options
+        value = next(tokens, None) if token in ("--n-range", "--lambda") else None
+        argv.append(token if value is None else f"{token}={value}")
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:  # one parse, by the command's parser
+        args, extra = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:  # as parse_args reports them
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:  # only the top parser prints the top-level usage
+        args = parser.parse_args(argv)
     try:
         return args.run(args, sys.stdout)
     except (UsageError, ValueError, BudgetExceeded) as exc:

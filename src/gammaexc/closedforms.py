@@ -36,7 +36,7 @@ break, and stores that value alone.  No lock: values depend only on the rank.
 import functools
 import math
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from operator import add, and_, mul, neg, rshift, sub
 
 from .groups import CycleType
@@ -101,10 +101,11 @@ def _st_d(row):
 
 
 def _signed(m):
-    """(s-t)^m: the signed binomial row."""
-    row = list(map(math.comb, repeat(m), range(m + 1)))
+    """(s-t)^m: the signed binomial row, entry m - k being (-1)^m times entry k."""
+    row = list(map(math.comb, repeat(m), range(m // 2 + 1)))
     row[1::2] = map(neg, row[1::2])
-    return row
+    top = row[:m - m // 2][::-1]  # entries m//2 + 1..m, up to the sign
+    return row + (list(map(neg, top)) if m % 2 else top)
 
 
 # -- Eulerian engines ----------------------------------------------------------
@@ -224,7 +225,9 @@ def gamma_closed(family, n, cls="all"):
         return None
 
     def signed():  # (s-t)^(2m) = ((s+t)^2 - 4st)^m
-        return [math.comb(d // 2, i) * (-4) ** i for i in range(d // 2 + 1)]
+        m = d // 2
+        return list(map(mul, map(math.comb, repeat(m), range(m + 1)),
+                        accumulate(repeat(-4, m), mul, initial=1)))
 
     whole = _held(gammas, n, lambda g, m: _gamma_step(g, m - low, c))
     if family == "dexc":

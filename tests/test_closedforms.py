@@ -468,6 +468,48 @@ class TestTableRows:
         assert _cli(argv) == answer
 
 
+class TestGammaRows:
+    """``gamma`` takes ``table``'s row route where the gamma engine defers."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("family, cls", [
+        (family, cls) for family, classes in GAMMA_FAMILIES.items()
+        for cls in classes])
+    def test_equals_the_poly_route(self, monkeypatch, family, cls, fmt):
+        # without a row, gamma expands the family's closed Poly
+        argvs = [f"gamma --family {family} --class {cls} --n {n} "
+                 f"--format {fmt}".split()
+                 for n in [*range(FAMILIES[family].min_n, 62), 249, 250, 251]]
+        answers = [_cli(argv) for argv in argvs]
+        real = cli._gamma_input
+        monkeypatch.setattr(cli, "_gamma_input",
+                            lambda args, n: (*real(args, n)[:3], None))
+        assert answers == [_cli(argv) for argv in argvs]
+
+    def test_the_witness_and_the_zero_row_keep_their_bytes(self):
+        assert _cli("gamma --family aexc --class plus --n 6".split()) == (
+            0, "not palindromic: coefficient of t^0 is 1 but coefficient of "
+               "t^5 is 0\n", "")
+        assert _cli("gamma --family aexc --class plus --n 6 --format json"
+                    .split()) == (
+            0, '{"palindromic":false,"witness":{"low_index":0,"high_index":5,'
+               '"low":"1","high":"0"}}\n', "")
+        assert _cli("gamma --family aexc --class minus --n 1".split()) == (
+            2, "", "error: the zero polynomial has no palindrome data\n")
+
+    def test_builds_no_poly(self, monkeypatch):
+        # dexc minus at n = 5 is palindromic where the gamma engine defers
+        argvs = [["gamma", "--family", "dexc", "--class", "minus", "--n", "5"]]
+        argvs += [f"gamma --family {family} --class {cls} --n {n}".split()
+                  for family, classes in GAMMA_FAMILIES.items()
+                  for cls in classes for n in range(13)]
+        answers = [_cli(argv) for argv in argvs]
+        monkeypatch.setattr(poly, "_symmetry", _refuse)
+        monkeypatch.setattr(cli, "gamma_decompose", _refuse)
+        monkeypatch.setattr(closedforms, "_poly", _refuse)
+        assert [_cli(argv) for argv in argvs] == answers
+
+
 class TestHalfSum:
     def test_aexc5_plus(self):
         assert half_sum_closed("aexc", 5, "plus") == (

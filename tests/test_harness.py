@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -583,10 +584,12 @@ NEGATIVE_VALUE_ERRORS = {"-1..2": "aexc needs n >= 1, got n = -1",
     ["table", "--family", "aexc", "--n-range=-1..2"],
     ["conjugacy", "--lambda", "-1"],
     ["conjugacy", "--lambda", "-2,1"],
+    ["table", "--family", "aexc", "--n-range", "2..3", "--n-range", "-1..2"],
+    ["conjugacy", "--lambda", "2,1", "--lambda", "-2,1"],
 ])
 def test_negative_range_reaches_the_family_check(argv, capsys):
     # argparse alone would read "-1..2" or "-2,1" as an option and report a
-    # missing value
+    # missing value; every occurrence is read, and the last one wins
     assert main(argv) == 2
     message = NEGATIVE_VALUE_ERRORS[argv[-1].rpartition("=")[2]]
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -705,11 +708,80 @@ def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 
 
+# requests whose stdout, stderr, exit code and Namespace must not depend on
+# which parser reads them
+DISPATCH_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["--family", "aexc"],
+    ["table", "-h"], ["table", "--he"], ["table"],
+    ["table", "--fam", "aexc", "--n-range", "2..3"],
+    ["table", "--family", "aexc", "--n-range", "2..3", "stray"],
+    ["table", "--family", "aexc", "--n-range", "2..3", "--bogus"],
+    ["compute", "--family", "aexc", "--n", "4", "stray", "--bogus"],
+    ["table", "--family", "aexc", "--", "--n-range", "2..3"],
+    ["table", "--family", "aexc", "--n-range", "2..3", "--"],
+    ["table", "--family", "aexc", "--n-range", "-1..2"],
+    ["table", "--family", "aexc", "--n-range", "2..3", "--n-range", "-1..2"],
+    ["table", "--family", "aexc", "--n-range"],
+    ["conjugacy", "--lambda", "2,1", "--lambda", "-2,1"],
+    ["verify", "--suite", "bogus"], ["verify", "-h"],
+    ["gamma", "--family", "aexc", "--n", "3", "--mode", "bogus"],
+    ["gamma", "--family", "aexc", "--class", "plus", "--n", "6"],
+    ["compute", "--family", "bexc", "--n", "3", "--format", "json"],
+    ["conjugacy", "--lambda", "3,1"],
+]
+
+
+def _request(argv, seen):
+    seen.clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), list(seen)
+
+
+def test_a_command_parser_parses_as_the_top_parser_does(monkeypatch):
+    # the reference is main with no command parser to hand argv to, so the
+    # top parser's parse_args reads every request, in this interpreter
+    from gammaexc import cli
+
+    seen, commands = [], cli._parsers()[1]
+    runs = {name: p.get_default("run") for name, p in commands.items()}
+
+    def recorder(run):
+        return lambda args, out: seen.append(vars(args).copy()) or run(args, out)
+
+    try:
+        for name, p in commands.items():
+            p.set_defaults(run=recorder(runs[name]))
+        answers = [_request(argv, seen) for argv in DISPATCH_CORPUS]
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        assert answers == [_request(argv, seen) for argv in DISPATCH_CORPUS]
+    finally:
+        for name, p in commands.items():
+            p.set_defaults(run=runs[name])
+    ran = [args["command"] for *_, namespaces in answers for args in namespaces]
+    assert ran == ["table"] * 3 + ["conjugacy", "gamma", "compute", "conjugacy"]
+
+
+def test_a_request_is_parsed_once(monkeypatch):
+    from gammaexc import cli
+
+    argv = ["table", "--family", "dexc", "--class", "minus", "--n-range", "3..6"]
+    answer = _run_cli(argv)
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args",
+                        lambda *args: pytest.fail("the top parser ran"))
+    assert _run_cli(argv) == answer
+
+
 def test_table_csv_never_needs_quoting():
     # table joins its CSV lines by hand; csv's writer must give the same bytes
-    from gammaexc.cli import build_parser
+    from gammaexc.cli import _parsers
 
-    table = build_parser()._subparsers._group_actions[0].choices["table"]
+    table = _parsers()[1]["table"]
     families = next(a.choices for a in table._actions if a.dest == "family")
     seen = ""
     for family in families:
