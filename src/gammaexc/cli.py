@@ -24,8 +24,8 @@ from .poly import (
     Q_COEFFICIENTS,
     UNIVARIATE,
     ZeroPolynomial,
-    _asymmetry,
-    _expansion,
+    _row_coefficients,
+    _row_expansion,
     gamma_decompose,
     t_coefficients,
 )
@@ -63,41 +63,35 @@ def _cmd_compute(args, out):
 
 def _gamma_input(args, n):
     """The rank-n gamma mode, the family's closed gamma expansion (None where
-    that engine defers or is not asked), a thunk for the polynomial to expand
-    (univariate mode on a bivariate family: its s = 1 specialization), and one
-    for the family's closed row where the gamma engine is asked (else None)."""
+    that engine defers or is not asked), a thunk for what to expand instead,
+    and the functions reading its coefficient column and its expansion: the
+    family's closed row, read at the family's mode or in univariate mode,
+    else the polynomial (univariate mode on a bivariate family: its s = 1
+    specialization)."""
     spec = _family_spec(args, n)
     family = oracle.FAMILIES[spec.family]
     if family.mode is None:
         raise UsageError(f"{spec.family} has no gamma expansion (its "
                          f"polynomial involves u)")
     mode = _MODE_FLAGS[args.mode] if args.mode else family.mode
-    closed = family.gamma and args.engine != "oracle" and mode == family.mode
+    closed = family.row and args.engine != "oracle"
+    expansion = (family.gamma(spec) if closed and family.gamma
+                 and mode == family.mode else None)
+    if closed and mode in (family.mode, UNIVARIATE):
+        return (mode, expansion, functools.partial(family.row, spec),
+                _row_coefficients, _row_expansion)
 
     def poly():
         f = _compute(spec, args.engine, args.budget)
-        uni = mode == UNIVARIATE and "s" in f.vars and f.degree("s") > 0
-        return f.substitute_one("s") if uni else f
+        return f.substitute_one("s") if mode == UNIVARIATE and "s" in f.vars else f
 
-    return (mode, family.gamma(spec) if closed else None, poly,
-            functools.partial(family.row, spec) if closed else None)
-
-
-def _row_expansion(row):
-    """gamma_decompose of a closed (s, t) row's Poly, read off the row: a
-    symmetric row's support ends where the mirror of its first nonzero does."""
-    lo = next((k for k, c in enumerate(row) if c), None)
-    if lo is None:
-        raise ZeroPolynomial("the zero polynomial has no palindrome data")
-    d = len(row) - 1
-    return _expansion([row], lo, d - lo, _asymmetry([row], 0, d), BIVARIATE)
+    return mode, expansion, poly, t_coefficients, gamma_decompose
 
 
 def _cmd_gamma(args, out):
-    mode, expansion, poly, row = _gamma_input(args, args.n)
+    mode, expansion, answer, _, expand = _gamma_input(args, args.n)
     try:
-        expansion = expansion or (_row_expansion(row()) if row
-                                  else gamma_decompose(poly(), mode))
+        expansion = expansion or expand(answer(), mode)
     except NotPalindromic as exc:
         if args.format == "json":
             witness = {"low_index": exc.low_index, "high_index": exc.high_index,
@@ -117,22 +111,13 @@ def _cmd_gamma(args, out):
 
 def _table_rows(args):
     for n in range(args.n_range[0], args.n_range[1] + 1):
-        mode, expansion, poly, row = _gamma_input(args, n)
-        if row:  # the family's closed (s, t) row at its own mode: no Poly
-            row = row()
-            top = len(row)  # the coefficient column drops trailing zeros
-            while top and not row[top - 1]:
-                top -= 1
-            coeffs = row[:top]
-        else:
-            poly = poly()
-            coeffs = t_coefficients(poly)
+        mode, expansion, answer, coefficients, expand = _gamma_input(args, n)
+        answer = answer()
         try:
-            expansion = expansion or (_row_expansion(row) if row
-                                      else gamma_decompose(poly, mode))
+            expansion = expansion or expand(answer, mode)
         except (NotPalindromic, ZeroPolynomial, NotHomogeneous):
             pass  # no expansion: the row prints without gammas
-        yield n, coeffs, expansion
+        yield n, coefficients(answer), expansion
 
 
 def _cmd_table(args, out):
@@ -316,12 +301,21 @@ def _parsers():
     return parser, sub.choices
 
 
+# by command, the option whose value may start with "-" (-1..2, -2,1): argparse
+# would read that value as an option, so main joins it to its flag with "="
+_JOINED = {"table": "--n-range", "compute": "--lambda", "gamma": "--lambda",
+           "conjugacy": "--lambda"}
+
+
 def main(argv=None):
-    tokens = iter(sys.argv[1:] if argv is None else argv)
-    argv = []
-    for token in tokens:  # argparse reads -1..2, -2,1 as options
-        value = next(tokens, None) if token in ("--n-range", "--lambda") else None
+    given = list(sys.argv[1:] if argv is None else argv)
+    flag = _JOINED.get(given[0]) if given else None  # given[0] names the command
+    tokens, argv = iter(given), []
+    for token in tokens:
+        value = next(tokens, None) if token == flag else None
         argv.append(token if value is None else f"{token}={value}")
+        if token == "--":  # what follows is no option, so nothing is joined
+            argv += tokens
     parser, commands = _parsers()
     if argv and argv[0] in commands:  # one parse, by the command's parser
         args, extra = commands[argv[0]].parse_known_args(

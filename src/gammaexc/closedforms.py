@@ -15,10 +15,10 @@ division is exact and raises OddCoefficient if it ever is not.
 
 The engines compute on rows: a homogeneous polynomial of degree d in (s, t)
 is the list r with r[k] the coefficient of s^(d-k) t^k, so s*f is r + [0] and
-t*f is [0] + r.  A row is never mutated once built.  ``table`` reads
-``_class_row``'s rows; elsewhere a row becomes a Poly where it leaves the
-engine.  The four-step jump stays on Poly, and conj_exc_closed and
-sgnb_des_u_closed multiply Polys too.
+t*f is [0] + r; a t-row has r[k] the coefficient of t^k.  A row is never
+mutated once built.  Every closed family but sgnb_des_u answers with a row
+(``oracle.FAMILIES``), and the exported engines wrap the same rows in a
+Poly.  The four-step jump stays on Poly, and so does sgnb_des_u_closed.
 
 A split family's classes follow one rule, ``_class``: "all" is the whole,
 and the even (plus) and odd (minus) halves are (whole +- signed) / 2, the
@@ -40,7 +40,8 @@ from itertools import accumulate, count, repeat
 from operator import add, and_, mul, neg, rshift, sub
 
 from .groups import CycleType
-from .poly import BIVARIATE, D, GammaExpansion, OddCoefficient, Poly, Record, half
+from .poly import (BIVARIATE, D, GammaExpansion, OddCoefficient, Poly, Record,
+                   UNIVARIATE, half)
 
 _S = Poly.variable("s")
 _T = Poly.variable("t")
@@ -62,12 +63,12 @@ def _require(condition, message):
 # -- rows ------------------------------------------------------------------------
 
 
-def _poly(row, vars=("s", "t")):
-    """The Poly of a row: over ("t",) entry k is the coefficient of t^k."""
+def _poly(row, mode=BIVARIATE):
+    """The Poly of an (s, t) row, or over ("t",) of a t-row in univariate mode."""
+    if mode == UNIVARIATE:
+        return Poly._trusted(("t",), {(k,): c for k, c in enumerate(row)})
     d = len(row) - 1
-    if vars == ("t",):
-        return Poly._trusted(vars, {(k,): c for k, c in enumerate(row)})
-    return Poly._trusted(vars, {(d - k, k): c for k, c in enumerate(row)})
+    return Poly._trusted(("s", "t"), {(d - k, k): c for k, c in enumerate(row)})
 
 
 def _add(a, b, sign=1):
@@ -150,7 +151,7 @@ def eulerian(kind, n):
 
 def eulerian_t(kind, n):
     """Univariate Eulerian polynomial (set s = 1)."""
-    return _poly(_eulerian_row(kind, n), ("t",))
+    return _poly(_eulerian_row(kind, n), UNIVARIATE)
 
 
 # -- half-sum closed forms ------------------------------------------------------
@@ -198,13 +199,9 @@ def half_sum_closed(family, n, cls):
     return _poly(_class_row(family, n, cls))
 
 
-def dexc_closed(n, cls="all"):
-    """D_n = (B_n + (s-t)^n) / 2, n >= 0; a half reads sgn_dexc_closed's sum."""
-    return _poly(_class_row("dexc", n, cls))
-
-
 def _class_row(family, n, cls):
-    """aexc's, bexc's or dexc's closed row by the class rule; callers check n."""
+    """aexc's, bexc's or dexc's closed row by the class rule, with D_n =
+    (B_n + (s-t)^n) / 2 and its signed sum ``_sgn_dexc_row``; callers check n."""
     read = _class(cls)
     if family == "dexc":
         return read(_half(_add(_eulerian_row("B", n), _signed(n))),
@@ -252,7 +249,7 @@ _STEPS = {
 
 def step_recurrence(family, n, cls="all"):
     """One-step recurrences, a second engine that no family reads: verify
-    and the tests check the half sums and dexc_closed against it.
+    and the tests check the half sums and dexc's closed row against it.
 
     Each steps a pair X_n = s X_{n-1} + t Y_{n-1} + g_n, Y_n = t X_{n-1}
     + s Y_{n-1} + g_n, where g_n = c st D E_{n-1} / 2, from (1, 0) at the
@@ -434,6 +431,24 @@ def set_partition_count(lam):
     return math.factorial(lam.n) // divisor
 
 
+def _times(row, factor):
+    """The product of two t-rows, one slice of row per entry of factor."""
+    out, m = [0] * (len(row) + len(factor) - 1), len(row)
+    for k, x in enumerate(factor):
+        out[k:k + m] = map(add, out[k:k + m], map(mul, row, repeat(x)))
+    return out
+
+
+def _conj_exc_row(lam):
+    """``conj_exc_closed``'s t-row."""
+    lam = CycleType(lam)
+    row = [1]
+    for part in reversed(lam.parts):  # ascending, so each row steps from the last
+        if part >= 2:
+            row = _times(row, [0] + _eulerian_row("A", part - 1))
+    return list(map(mul, row, repeat(set_partition_count(lam))))
+
+
 def conj_exc_closed(lam):
     """Excedance polynomial of the conjugacy class with cycle type lam.
 
@@ -441,12 +456,7 @@ def conj_exc_closed(lam):
     fixed points only enter through the counting factor.  Gamma positive
     with center (n - m_1)/2.
     """
-    lam = CycleType(lam)
-    product = Poly.const(1, ("t",))
-    for part in reversed(lam.parts):  # ascending, so each row steps from the last
-        if part >= 2:
-            product = product * (_T * eulerian_t("A", part - 1))
-    return set_partition_count(lam) * product
+    return _poly(_conj_exc_row(lam), UNIVARIATE)
 
 
 def _derangements_by_cycles(m, q):
@@ -465,6 +475,17 @@ def _derangements_by_cycles(m, q):
     return row
 
 
+def _derangement_row(n, cls="all", fixed=None):
+    """``derangement_closed``'s t-row."""
+    _require(n >= 0, "n must be non-negative")
+    i = 0 if fixed is None else fixed
+    _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
+    read, m = _class(cls), n - i
+    d = read(_derangements_by_cycles(m, 1),
+             lambda: [(-1) ** m * c for c in _derangements_by_cycles(m, -1)])
+    return [math.comb(n, i) * c for c in d]
+
+
 def derangement_closed(n, cls="all", fixed=None):
     """Excedance polynomial over permutations with a given fixed-point count.
 
@@ -472,10 +493,4 @@ def derangement_closed(n, cls="all", fixed=None):
     With i fixed points the rest is a derangement of m = n - i letters, of sign
     (-1)^(m - cyc): C(n, i) times d_m(1, t) or (d_m(1, t) +- (-1)^m d_m(-1, t))/2.
     """
-    _require(n >= 0, "n must be non-negative")
-    i = 0 if fixed is None else fixed
-    _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
-    read, m = _class(cls), n - i
-    d = read(_derangements_by_cycles(m, 1),
-             lambda: [(-1) ** m * c for c in _derangements_by_cycles(m, -1)])
-    return _poly([math.comb(n, i) * c for c in d], ("t",))
+    return _poly(_derangement_row(n, cls, fixed), UNIVARIATE)

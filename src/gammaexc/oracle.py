@@ -408,13 +408,15 @@ class Family(Record):
 
     ``domain`` maps a FamilySpec to the (GroupSpec, WeightSpec) pair the
     oracle sums over; every family has one.  ``closed`` maps a FamilySpec to
-    its closed-engine polynomial, or is None when the family is
-    enumeration-only.  ``split``: the family has plus/minus halves.
+    its closed-engine polynomial where it has no row (sgnb_des_u, whose
+    answer involves u).  ``split``: the family has plus/minus halves.
     ``mode``: the default gamma mode, or None when the polynomial involves u
     and so has no gamma expansion.  ``min_n``: the lowest valid rank.
     ``refinement``: the one FamilySpec refinement field the family reads.
     ``gamma``: maps a FamilySpec to its closed gamma expansion, None to defer.
-    ``row``: maps a FamilySpec to its closed dense (s, t) row, which table reads.
+    ``row``: maps a FamilySpec to its closed engine's dense row, in (s, t), or
+    in t where the mode is univariate.  A family with neither row nor
+    ``closed`` is enumeration-only.
 
     Closed engines are looked up on the ``closedforms`` module at call time,
     never captured, so a patched engine is the one that runs.
@@ -422,8 +424,8 @@ class Family(Record):
 
     __slots__ = ("domain", "closed", "split", "mode", "min_n", "refinement", "gamma",
                  "row")
-    _defaults = dict(split=False, mode=BIVARIATE, min_n=0, refinement=None,
-                     gamma=None, row=None)
+    _defaults = dict(closed=None, split=False, mode=BIVARIATE, min_n=0,
+                     refinement=None, gamma=None, row=None)
 
 
 _REFINEMENTS = {"fixed": "fixed-point count", "lam": "cycle type",
@@ -469,50 +471,36 @@ def _q_refined(fs):
     return spec, WeightSpec((("t", "exc", 0), ("q", fs.stat, 0)))
 
 
-def _eulerian_or_half(kind, half_family):
-    return lambda fs: (
-        closedforms.eulerian(kind, fs.n) if fs.cls == "all"
-        else closedforms.half_sum_closed(half_family, fs.n, fs.cls))
-
-
 def _gamma_and_row(family, cls=None):
     return dict(gamma=lambda fs: closedforms.gamma_closed(family, fs.n, cls or fs.cls),
                 row=lambda fs: closedforms._class_row(family, fs.n, cls or fs.cls))
 
 
 FAMILIES = {
-    "a_des": Family(_group("S", ADES_WEIGHT), _eulerian_or_half("A", "aexc"),
-                    **_gamma_and_row("aexc")),
-    "aexc": Family(_group("S", AEXC_WEIGHT), _eulerian_or_half("A", "aexc"),
-                   split=True, min_n=1, **_gamma_and_row("aexc")),
+    "a_des": Family(_group("S", ADES_WEIGHT), **_gamma_and_row("aexc")),
+    "aexc": Family(_group("S", AEXC_WEIGHT), split=True, min_n=1,
+                   **_gamma_and_row("aexc")),
     "aderexc": Family(
-        _derangements,
-        lambda fs: closedforms.derangement_closed(fs.n, fs.cls, fs.fixed),
-        split=True, mode=UNIVARIATE, refinement="fixed"),
+        _derangements, split=True, mode=UNIVARIATE, refinement="fixed",
+        row=lambda fs: closedforms._derangement_row(fs.n, fs.cls, fs.fixed)),
     "conjexc": Family(
-        lambda fs: (_class_spec(fs), T_EXC_WEIGHT),
-        lambda fs: closedforms.conj_exc_closed(_class_spec(fs).cycle_type),
-        mode=UNIVARIATE, refinement="lam"),
-    "b_des": Family(_group("B", BDES_WEIGHT), _eulerian_or_half("B", "bexc"),
-                    split=True, **_gamma_and_row("bexc")),
-    "bexc": Family(_group("B", BEXC_WEIGHT), _eulerian_or_half("B", "bexc"),
-                   split=True, **_gamma_and_row("bexc")),
-    "dexc": Family(_group("D", DEXC_WEIGHT),
-                   lambda fs: closedforms.dexc_closed(fs.n, fs.cls), split=True,
-                   **_gamma_and_row("dexc")),
+        lambda fs: (_class_spec(fs), T_EXC_WEIGHT), mode=UNIVARIATE,
+        refinement="lam",
+        row=lambda fs: closedforms._conj_exc_row(_class_spec(fs).cycle_type)),
+    "b_des": Family(_group("B", BDES_WEIGHT), split=True, **_gamma_and_row("bexc")),
+    "bexc": Family(_group("B", BEXC_WEIGHT), split=True, **_gamma_and_row("bexc")),
+    "dexc": Family(_group("D", DEXC_WEIGHT), split=True, **_gamma_and_row("dexc")),
     "bdexc": Family(_group("B-D", DEXC_WEIGHT),  # the bridge (B_n - (s-t)^n) / 2
-                    lambda fs: closedforms.half_sum_closed("bexc", fs.n, "minus"),
                     **_gamma_and_row("bexc", "minus")),
-    "sgn_aexc": Family(_group("S", AEXC_WEIGHT, "inv"),
-                       lambda fs: closedforms.sgn_aexc_closed(fs.n), min_n=1),
+    "sgn_aexc": Family(_group("S", AEXC_WEIGHT, "inv"), min_n=1,
+                       row=lambda fs: closedforms._signed(fs.n - 1)),
     "sgn_bexc": Family(_group("B", BEXC_WEIGHT, "inv_b"),
-                       lambda fs: closedforms.sgn_bexc_closed(fs.n)),
+                       row=lambda fs: closedforms._signed(fs.n)),
     "sgn_dexc": Family(_group("D", DEXC_WEIGHT, "inv_d"),
-                       lambda fs: closedforms.sgn_dexc_closed(fs.n)),
-    "sgnb_des_u": Family(_group("B", SGNB_WEIGHT),
-                         lambda fs: closedforms.sgnb_des_u_closed(fs.n),
-                         mode=None),
-    "qrefined": Family(_q_refined, None, split=True, mode=Q_COEFFICIENTS,
+                       row=lambda fs: closedforms._sgn_dexc_row(fs.n)),
+    "sgnb_des_u": Family(_group("B", SGNB_WEIGHT), mode=None,
+                         closed=lambda fs: closedforms.sgnb_des_u_closed(fs.n)),
+    "qrefined": Family(_q_refined, split=True, mode=Q_COEFFICIENTS,
                        refinement="stat"),
 }
 
@@ -528,12 +516,15 @@ def family_poly(fs, *, budget=DEFAULT_BUDGET):
 
 
 def closed_family(fs):
-    """Closed-form engine for a FamilySpec, as listed in the family table."""
-    engine = FAMILIES[fs.family].closed
-    if engine is None:
+    """Closed-form engine for a FamilySpec, as listed in the family table: its
+    row as a Poly in its mode's variables, or its ``closed`` polynomial."""
+    family = FAMILIES[fs.family]
+    if family.row:
+        return closedforms._poly(family.row(fs), family.mode)
+    if family.closed is None:
         # qrefined is the one family without a closed engine
         raise closedforms.NoClosedForm("the q-refined family is enumeration-only")
-    return engine(fs)
+    return family.closed(fs)
 
 
 def q_refined(n, stat, cls="all", *, budget=DEFAULT_BUDGET):

@@ -529,6 +529,30 @@ def _asymmetry(grid, i, j):
     return (min(bad), i + j - min(bad)) if bad else None
 
 
+def _row_coefficients(row):
+    """The row without its trailing zeros: ``t_coefficients`` of a closed
+    row's Poly, or a q-mode entry's dense q-coefficients."""
+    top = len(row)
+    while top and not row[top - 1]:
+        top -= 1
+    return row[:top]
+
+
+def _row_expansion(row, mode):
+    """``gamma_decompose`` of a closed row's Poly, read off the row (entry k:
+    the coefficient of s^(d-k) t^k in an (s, t) row, of t^k in a t-row) on
+    ``_symmetry``'s window: [0, d] in bivariate mode, where a symmetric row's
+    support ends at the mirror of its first nonzero, and else the support."""
+    lo = next((k for k, c in enumerate(row) if c), None)
+    if lo is None:
+        raise ZeroPolynomial("the zero polynomial has no palindrome data")
+    if mode != BIVARIATE:  # the row ends at its top t-exponent
+        row = _row_coefficients(row)
+    d = len(row) - 1
+    i, hi = (0, d - lo) if mode == BIVARIATE else (lo, d)
+    return _expansion([row], lo, hi, _asymmetry([row], i, d), mode)
+
+
 class PalindromeInfo(Record):
     """Support window, symmetry verdict and center, in t-exponent terms."""
 
@@ -661,12 +685,7 @@ def _peel(row, lo, hi):
 def _entry(column, mode):
     """One row index read across the q-power rows: an int, or in q-mode the
     list of its q-coefficients without trailing zeros."""
-    if mode != Q_COEFFICIENTS:
-        return column[0]
-    column = list(column)
-    while column and not column[-1]:
-        column.pop()
-    return column
+    return column[0] if mode != Q_COEFFICIENTS else _row_coefficients(list(column))
 
 
 def gamma_decompose(f, mode=UNIVARIATE):

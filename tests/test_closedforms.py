@@ -19,7 +19,6 @@ from gammaexc.closedforms import (
     coeff_tables,
     conj_exc_closed,
     derangement_closed,
-    dexc_closed,
     dexc_jump_tail,
     eulerian,
     eulerian_t,
@@ -36,9 +35,9 @@ from gammaexc.closedforms import (
 )
 from gammaexc.groups import CycleType, partitions
 from gammaexc.oracle import FAMILIES, FamilySpec, closed_family, family_poly
-from gammaexc.poly import (BIVARIATE, D, GammaExpansion, NotPalindromic,
-                           OddCoefficient, Poly, ZeroPolynomial,
-                           gamma_decompose, half, t_coefficients)
+from gammaexc.poly import (BIVARIATE, D, GammaExpansion, NotHomogeneous,
+                           NotPalindromic, OddCoefficient, Poly, UNIVARIATE,
+                           ZeroPolynomial, gamma_decompose, half, t_coefficients)
 
 s, t, u = Poly.gens("s", "t", "u")
 CLASSES = ("all", "plus", "minus")
@@ -49,7 +48,7 @@ CLASS_ENGINES = {
     "step_recurrence aexc": lambda cls: step_recurrence("aexc", 5, cls),
     "step_recurrence bexc": lambda cls: step_recurrence("bexc", 5, cls),
     "step_recurrence dexc": lambda cls: step_recurrence("dexc", 5, cls),
-    "dexc_closed": lambda cls: dexc_closed(5, cls),
+    "_class_row dexc": lambda cls: closedforms._class_row("dexc", 5, cls),
     "CoeffTable.row": lambda cls: coeff_tables(5).row(4, cls),
     "jump4": lambda cls: jump4("aexc", 5, cls),
     "derangement_closed": lambda cls: derangement_closed(5, cls),
@@ -116,8 +115,8 @@ BAD_REQUESTS = {
                              r"^cls must be all/plus/minus, got 'bogus'$"),
     "step_recurrence bdexc": (lambda: step_recurrence("bdexc", 400, "plus"),
                               r"^bdexc has no plus/minus split$"),
-    "dexc_closed": (lambda: dexc_closed(400, "bogus"),
-                    r"^cls must be all/plus/minus, got 'bogus'$"),
+    "_class_row dexc": (lambda: closedforms._class_row("dexc", 400, "bogus"),
+                        r"^cls must be all/plus/minus, got 'bogus'$"),
     "eulerian": (lambda: eulerian("C", 400), r"^kind must be A or B, got 'C'$"),
     "half_sum_closed": (lambda: half_sum_closed("aexc", 400, "bogus"),
                         r"^cls must be plus/minus, got 'bogus'$"),
@@ -392,17 +391,62 @@ class TestGammaClosed:
         assert (code, err) == (0, "") and out.startswith("gamma=[")
 
 
+def _closed_poly(args, n):
+    """``closed_family``'s Poly for a gamma or table request at rank n, and
+    the request's gamma mode; univariate mode reads the s = 1 specialization."""
+    mode = {"uni": UNIVARIATE, "biv": BIVARIATE}.get(args.mode,
+                                                     FAMILIES[args.family].mode)
+    f = closed_family(FamilySpec(args.family, n, args.cls, fixed=args.fixed,
+                                 lam=getattr(args, "lam", None)))
+    return (f.substitute_one("s") if mode == UNIVARIATE and "s" in f.vars
+            else f), mode
+
+
 def _poly_rows(args):
     """``cli._table_rows`` by the Poly route: ``closed_family``, then
     ``t_coefficients`` and ``gamma_decompose``."""
     lo, hi = args.n_range
     for n in range(lo, hi + 1):
-        f = closed_family(FamilySpec(args.family, n, args.cls))
+        f, mode = _closed_poly(args, n)
         try:
-            expansion = gamma_decompose(f, BIVARIATE)
-        except (NotPalindromic, ZeroPolynomial):
+            expansion = gamma_decompose(f, mode)
+        except (NotPalindromic, ZeroPolynomial, NotHomogeneous):
             expansion = None
         yield n, t_coefficients(f), expansion
+
+
+def _poly_input(args, n):
+    """``cli._gamma_input`` by the Poly route, with no closed gamma expansion."""
+    f, mode = _closed_poly(args, n)
+    return mode, None, lambda: f, t_coefficients, gamma_decompose
+
+
+# (family, class, option) of the requests whose answer is a closed row: the
+# six gamma families at their own mode and in univariate mode, aderexc with
+# and without a fixed-point count, and the signed sums
+ROW_REQUESTS = [
+    *(pytest.param(family, cls, "", id=f"{family}-{cls}")
+      for family, classes in GAMMA_FAMILIES.items() for cls in classes),
+    *(pytest.param(family, cls, "--mode uni", id=f"{family}-{cls}-uni")
+      for family, classes in GAMMA_FAMILIES.items() for cls in classes),
+    *(pytest.param("aderexc", cls, "", id=f"aderexc-{cls}") for cls in CLASSES),
+    *(pytest.param("aderexc", cls, f"--fixed {i}", id=f"aderexc-{cls}-fixed{i}")
+      for cls in CLASSES for i in range(4)),
+    *(pytest.param(family, "all", "", id=f"{family}-all")
+      for family in ("sgn_aexc", "sgn_bexc", "sgn_dexc")),
+]
+
+LAMBDAS = [(1,), (2,), (2, 1), (1, 1, 1), (3, 3), (4, 2, 1, 1), (5, 4),
+           (6, 2, 2, 1), (9, 1, 1), (12, 11, 9, 8, 7, 5, 3, 2), (30, 20, 10)]
+
+
+def _ranks(family, option):
+    """The ranks a row request is checked at: aderexc up to 61, the others
+    up to 61 and at 101 and 249..251, each from the family's lowest rank and
+    from a fixed-point count."""
+    low = max(FAMILIES[family].min_n,
+              int(option.split()[-1]) if "--fixed" in option else 0)
+    return [*range(low, 62), *([] if family == "aderexc" else [101, 249, 250, 251])]
 
 
 def _refuse(*args):
@@ -413,17 +457,18 @@ class TestTableRows:
     """``table`` reads the closed rows of the gamma families directly."""
 
     @pytest.mark.parametrize("out", ["csv", "json"])
-    @pytest.mark.parametrize("family, cls", [
-        (family, cls) for family, classes in GAMMA_FAMILIES.items()
-        for cls in classes])
-    def test_equals_the_poly_route(self, monkeypatch, family, cls, out):
+    @pytest.mark.parametrize("family, cls, option", ROW_REQUESTS)
+    def test_equals_the_poly_route(self, monkeypatch, family, cls, option, out):
         # dexc minus at odd n is palindromic, but the gamma engine defers
         # there, so its gammas come from the row peel
-        low = FAMILIES[family].min_n
-        argvs = [f"table --family {family} --class {cls} --n-range {ranks} "
-                 f"--out {out}{mode}".split()
-                 for ranks in (f"{low}..61", "101..101", "249..251")
-                 for mode in ("", " --mode biv")]
+        ranks = _ranks(family, option)
+        spans = [f"{ranks[0]}..61"] + (["101..101", "249..251"] if ranks[-1] > 61
+                                       else [])
+        modes = (("", " --mode biv") if not option
+                 and FAMILIES[family].mode == BIVARIATE else ("",))
+        argvs = [f"table --family {family} --class {cls} --n-range {span} "
+                 f"--out {out} {option}{mode}".split()
+                 for span in spans for mode in modes]
         answers = [_cli(argv) for argv in argvs]
         monkeypatch.setattr(cli, "_table_rows", _poly_rows)
         assert answers == [_cli(argv) for argv in argvs]
@@ -431,7 +476,8 @@ class TestTableRows:
     @pytest.mark.parametrize("n", [5, 15, 25, 101])
     def test_dexc_minus_at_odd_n_peels_its_row(self, monkeypatch, n):
         assert gamma_closed("dexc", n, "minus") is None
-        expected = gamma_decompose(dexc_closed(n, "minus"), BIVARIATE)
+        expected = gamma_decompose(closed_family(FamilySpec("dexc", n, "minus")),
+                                   BIVARIATE)
         monkeypatch.setattr(cli, "gamma_decompose", _refuse)
         code, out, err = _cli(f"table --family dexc --class minus --n-range "
                               f"{n}..{n} --out json".split())
@@ -441,7 +487,7 @@ class TestTableRows:
 
     @pytest.mark.parametrize("option, row_route", [
         ("", True), ("--mode biv", True), ("--engine closed", True),
-        ("--mode uni", False), ("--engine oracle", False)])
+        ("--mode uni", True), ("--engine oracle", False)])
     def test_route_by_mode_and_engine(self, monkeypatch, option, row_route):
         # the Poly route expands each rank's polynomial with gamma_decompose
         calls = []
@@ -468,22 +514,55 @@ class TestTableRows:
         assert _cli(argv) == answer
 
 
+# exported Poly engine -> the (arguments, FamilySpec) pairs at which it must
+# answer what the family table answers; no CLI request reaches these engines
+PINNED_ENGINES = {
+    "eulerian": lambda: [
+        ((kind, n), FamilySpec(family, n))
+        for kind, families in (("A", ("a_des", "aexc")), ("B", ("b_des", "bexc")))
+        for family in families for n in range(FAMILIES[family].min_n, 61)],
+    "half_sum_closed": lambda: [
+        ((half_family, n, cls), FamilySpec(family, n, cls))
+        for family, half_family in (("aexc", "aexc"), ("b_des", "bexc"),
+                                    ("bexc", "bexc"))
+        for cls in ("plus", "minus") for n in range(FAMILIES[family].min_n, 61)]
+    + [(("bexc", n, "minus"), FamilySpec("bdexc", n)) for n in range(61)],
+    "sgn_aexc_closed": lambda: [((n,), FamilySpec("sgn_aexc", n))
+                                for n in range(1, 61)],
+    "sgn_bexc_closed": lambda: [((n,), FamilySpec("sgn_bexc", n)) for n in range(61)],
+    "sgn_dexc_closed": lambda: [((n,), FamilySpec("sgn_dexc", n)) for n in range(61)],
+    "derangement_closed": lambda: [
+        ((n, cls, fixed), FamilySpec("aderexc", n, cls, fixed=fixed))
+        for cls in CLASSES for fixed in (None, 0, 1, 2, 3)
+        for n in range(fixed or 0, 61)],
+    "conj_exc_closed": lambda: [((lam,), FamilySpec("conjexc", n, lam=lam.parts))
+                                for n in range(13) for lam in partitions(n)],
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ENGINES)
+def test_exported_engine_equals_the_family_table(name):
+    engine = getattr(closedforms, name)
+    for args, spec in PINNED_ENGINES[name]():
+        got, want = engine(*args), closed_family(spec)
+        assert (got, got.vars) == (want, want.vars), (name, args)
+
+
 class TestGammaRows:
     """``gamma`` takes ``table``'s row route where the gamma engine defers."""
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("family, cls", [
-        (family, cls) for family, classes in GAMMA_FAMILIES.items()
-        for cls in classes])
-    def test_equals_the_poly_route(self, monkeypatch, family, cls, fmt):
-        # without a row, gamma expands the family's closed Poly
-        argvs = [f"gamma --family {family} --class {cls} --n {n} "
-                 f"--format {fmt}".split()
-                 for n in [*range(FAMILIES[family].min_n, 62), 249, 250, 251]]
+    @pytest.mark.parametrize("family, cls, option", [
+        *ROW_REQUESTS, pytest.param("conjexc", "all", "", id="conjexc-all")])
+    def test_equals_the_poly_route(self, monkeypatch, family, cls, option, fmt):
+        # the Poly route expands closed_family's Poly, with no gamma engine
+        requests = ([f"--n {sum(lam)} --lambda {','.join(map(str, lam))}"
+                     for lam in LAMBDAS] if family == "conjexc"
+                    else [f"--n {n}" for n in _ranks(family, option)])
+        argvs = [f"gamma --family {family} --class {cls} {request} {option} "
+                 f"--format {fmt}".split() for request in requests]
         answers = [_cli(argv) for argv in argvs]
-        real = cli._gamma_input
-        monkeypatch.setattr(cli, "_gamma_input",
-                            lambda args, n: (*real(args, n)[:3], None))
+        monkeypatch.setattr(cli, "_gamma_input", _poly_input)
         assert answers == [_cli(argv) for argv in argvs]
 
     def test_the_witness_and_the_zero_row_keep_their_bytes(self):
@@ -503,6 +582,16 @@ class TestGammaRows:
         argvs += [f"gamma --family {family} --class {cls} --n {n}".split()
                   for family, classes in GAMMA_FAMILIES.items()
                   for cls in classes for n in range(13)]
+        # every other closed row: univariate mode, the derangements, the
+        # conjugacy classes and the signed sums
+        argvs += [f"gamma --family {family} --class {cls} --n {n} {option}".split()
+                  for family, cls, option in
+                  [("bexc", "plus", "--mode uni"), ("dexc", "minus", "--mode uni"),
+                   ("aderexc", "all", ""), ("aderexc", "minus", "--fixed 1"),
+                   ("sgn_aexc", "all", ""), ("sgn_bexc", "all", ""),
+                   ("sgn_dexc", "all", "")] for n in range(1, 13)]
+        argvs += [f"gamma --family conjexc --n {sum(lam)} --lambda "
+                  f"{','.join(map(str, lam))}".split() for lam in LAMBDAS]
         answers = [_cli(argv) for argv in argvs]
         monkeypatch.setattr(poly, "_symmetry", _refuse)
         monkeypatch.setattr(cli, "gamma_decompose", _refuse)

@@ -35,6 +35,19 @@ def _off_at(points, delta):
     return fault
 
 
+def _row_off_at(points):
+    """The fault adding s^(d-1) t, 1 at entry 1, to the row of degree d at
+    the argument tuples ``points``."""
+    def fault(real):
+        def faulted(*args):
+            row = real(*args)
+            return [row[0], row[1] + 1, *row[2:]] if args in points else row
+
+        return faulted
+
+    return fault
+
+
 def _tables_l2_r2_off(real):
     return lambda: {name: (f + _ST if name in ("L2", "R2") else f, center)
                     for name, (f, center) in real().items()}
@@ -107,6 +120,9 @@ def _last_gamma_negated(real):
 _HALF_SUM_OFF = ("closedforms.half_sum_closed + s^3 t at (aexc, 5, minus), "
                  "(bexc, 4, plus)")
 _EULERIAN_OFF = "closedforms.eulerian + s^3 t at (A, 4), (B, 3)"
+_CLASS_ROW_OFF = ("closedforms._class_row + s^(d-1) t at (aexc, 4, all), "
+                  "(aexc, 5, minus), (bexc, 3, all), (bexc, 4, plus), "
+                  "(dexc, 4 and 8, plus)")
 _PEEL_NEGATED = "poly._peel negates its last nonzero gamma"
 _SIGNED_TOP_NEGATED = "closedforms._signed negates its top entry at m = 3"
 _FFT_SHIFTED = "bijections.foata_fft shifts every letter up by one"
@@ -152,11 +168,19 @@ FAULTS = {
          "gamma_calculus.decompose_recompose_roundtrip",
          "typeA.closed_equals_oracle", "typeA.step_equals_half_sum",
          "typeA.palindromic_iff_odd_rank", "typeA.derivative_halving",
-         "typeA.base_polynomials", "typeA.odd_rank_gamma_positive",
          "typeA.even_rank_two_term_split", "typeA.coefficient_triangle",
          "typeB.closed_equals_oracle", "typeB.step_equals_half_sum",
-         "typeB.even_rank_gamma_positive", "typeB.odd_rank_two_term_split",
-         "typeD.bridge_to_typeB")),
+         "typeB.odd_rank_two_term_split", "typeD.bridge_to_typeB")),
+    # the family table reads every class of aexc, bexc and dexc, and the
+    # descent families, off _class_row, not through the Poly engines
+    _CLASS_ROW_OFF: (
+        closedforms, "_class_row",
+        _row_off_at({("aexc", 4, "all"), ("aexc", 5, "minus"), ("bexc", 3, "all"),
+                     ("bexc", 4, "plus"), ("dexc", 4, "plus"), ("dexc", 8, "plus")}),
+        ("typeA.base_polynomials", "typeA.odd_rank_gamma_positive",
+         "typeA.eulerian_recurrence_certified", "typeB.even_rank_gamma_positive",
+         "typeB.eulerian_recurrence_certified", "typeD.base_polynomials",
+         "typeD.even_rank_gamma_positive")),
     "closedforms.step_recurrence + s^3 t at (dexc, 4 and 8, plus), (aexc, 9, plus)": (
         closedforms, "step_recurrence",
         _off_at({("dexc", 4, "plus"), ("dexc", 8, "plus"), ("aexc", 9, "plus")},
@@ -164,29 +188,26 @@ FAULTS = {
         ("typeA.step_equals_half_sum", "typeA.jump_equals_four_steps",
          "typeD.step_equals_oracle", "typeD.odd_rank_two_term_split",
          "typeD.jump_equals_four_steps")),
-    # the family table reads dexc from B_n's row, not from the step memo
-    "closedforms.dexc_closed + s^3 t at (dexc, 4 and 8, plus)": (
-        closedforms, "dexc_closed", _off_at({(4, "plus"), (8, "plus")}, _S3T),
-        ("typeD.base_polynomials", "typeD.even_rank_gamma_positive")),
     _EULERIAN_OFF: (
         closedforms, "eulerian", _off_at({("A", 4), ("B", 3)}, _S3T),
         ("gamma_calculus.product_center_addition",
          "gamma_calculus.derivative_center_shift",
          "gamma_calculus.monomial_multipliers_shift_center",
          "gamma_calculus.decompose_recompose_roundtrip",
-         "typeA.derivative_halving",
-         "typeA.eulerian_recurrence_certified",
-         "typeB.eulerian_recurrence_certified",
-         "typeD.jump_equals_four_steps")),
+         "typeA.derivative_halving", "typeD.jump_equals_four_steps")),
     "closedforms.jump_tables L2, R2 + st": (
         closedforms, "jump_tables", _tables_l2_r2_off,
         ("typeA.jump_table_values", "typeD.jump_table_values")),
-    "closedforms.sgn_bexc_closed + st at n = 2": (
-        closedforms, "sgn_bexc_closed", _off_at({(2,)}, _ST),
+    # the family table reads the signed sums off their rows
+    "closedforms._signed + st at m = 2": (
+        closedforms, "_signed", _row_off_at({(2,)}),
         ("signed_sums.type_b_power",)),
+    "closedforms._sgn_dexc_row + s^2 t at n = 3": (
+        closedforms, "_sgn_dexc_row", _row_off_at({(3,)}),
+        ("signed_sums.type_d_power",)),
     "closedforms.sgn_dexc_closed + st at n = 3": (
         closedforms, "sgn_dexc_closed", _off_at({(3,)}, _ST),
-        ("signed_sums.type_d_power", "signed_sums.type_d_fourth_power_jump")),
+        ("signed_sums.type_d_fourth_power_jump",)),
     _PEEL_NEGATED: (
         poly, "_peel", _last_gamma_negated,
         ("gamma_calculus.product_center_addition",
@@ -282,7 +303,7 @@ FAULTS = {
 # gamma in a split, an odd coefficient to halve) fails the claim at the
 # sample, or the rank and class, that broke it
 WITNESS_STARTS = {
-    (_HALF_SUM_OFF, "typeA.odd_rank_gamma_positive"): "n=5 minus: ",
+    (_CLASS_ROW_OFF, "typeA.odd_rank_gamma_positive"): "n=5 minus: ",
     (_HALF_SUM_OFF, "gamma_calculus.decompose_recompose_roundtrip"):
         "sample 1: ",
     (_EULERIAN_OFF, "typeA.derivative_halving"): "n=4 half the whole: ",

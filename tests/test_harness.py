@@ -595,6 +595,24 @@ def test_negative_range_reaches_the_family_check(argv, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, extra", [
+    (["table", "--family", "aexc", "--n-range", "2..3", "--lambda", "2,1"],
+     "--lambda 2,1"),
+    (["compute", "--family", "aexc", "--n", "3", "--n-range", "2..3"],
+     "--n-range 2..3"),
+    (["table", "--family", "aexc", "--n-range", "2..3", "--", "--n-range", "4..5"],
+     "-- --n-range 4..5"),
+])
+def test_a_value_is_joined_only_to_an_option_of_the_command(argv, extra, capsys):
+    # --n-range and --lambda are joined to their values for the commands that
+    # take them and before any "--"; elsewhere the user's tokens are reported
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {extra}\n")
+
+
 @pytest.mark.parametrize("text", ["-1", "-8", "x"])
 def test_malformed_max_n_is_a_usage_error(text, capsys):
     # a negative cap would run no rank and still report every check passed
@@ -723,6 +741,8 @@ DISPATCH_CORPUS = [
     ["table", "--family", "aexc", "--n-range", "2..3", "--n-range", "-1..2"],
     ["table", "--family", "aexc", "--n-range"],
     ["conjugacy", "--lambda", "2,1", "--lambda", "-2,1"],
+    ["table", "--family", "aexc", "--n-range", "2..3", "--lambda", "2,1"],
+    ["table", "--family", "aexc", "--n-range", "2..3", "--", "--n-range", "4..5"],
     ["verify", "--suite", "bogus"], ["verify", "-h"],
     ["gamma", "--family", "aexc", "--n", "3", "--mode", "bogus"],
     ["gamma", "--family", "aexc", "--class", "plus", "--n", "6"],

@@ -176,7 +176,7 @@ def test_a_slotless_subclass_keeps_the_fields(cls):
      "VerifyLimits() got multiple values for argument 'max_n_a'"),
     (lambda: CheckResult("a.b", "a", "-", "pass", seconds=0.0),
      "CheckResult() missing required argument 'witness'"),
-    (lambda: Family(_domain), "Family() missing required argument 'closed'"),
+    (lambda: Family(), "Family() missing required argument 'domain'"),
     (lambda: PalindromeInfo(True, 1, 4),
      "PalindromeInfo() missing required argument 'cos'"),
     (lambda: Slotless.VerifyLimits(budget=1, bound=2),
