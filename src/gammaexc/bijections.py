@@ -5,8 +5,9 @@ cycle with its smallest element first and sort the cycles by decreasing
 first entries; in the concatenated word, the within-cycle adjacencies are
 ascents exactly at the excedance positions and every cycle boundary is a
 descent, so the word's ascent count equals exc.  Reversing the word turns
-ascents into descents, giving des(fft(p)) = exc(p).  The word is decodable
-(cut before each left-to-right minimum), so the map is a bijection.
+ascents into descents, giving des(fft(p)) = exc(p): one walk of each cycle
+backwards, by increasing least letter.  The word is decodable (cut before
+each left-to-right minimum, in one pass), so the map is a bijection.
 
 The remaining maps move the largest letter around the window: the
 penultimate-to-front bijection and the last-two-swap involution drive the
@@ -27,38 +28,40 @@ class DuplicateEntries(ValueError):
     """Cycle entries must be distinct."""
 
 
-def _write_cycle(image, cycle):
-    """Write the cycle (c_1 ... c_k) into the window ``image``: each entry
-    maps to the next, and c_k to c_1."""
-    prev = cycle[0]
-    for v in cycle[1:]:
-        image[prev - 1] = v
-        prev = v
-    image[prev - 1] = cycle[0]
-
-
 def foata_fft(w):
     """Foata's first fundamental transformation: des(fft(w)) = exc(w)."""
     if type(w) is not Perm:
         w = Perm(w)
-    word = [v for c in reversed(_cycles(w)) for v in c]
-    return Perm._trusted(reversed(word))
+    n = len(w)
+    preimage = [0] * (n + 1)  # letter -> its position in w; 0 once written
+    for i, v in enumerate(w, 1):
+        preimage[v] = i
+    word = []
+    for least in range(1, n + 1):
+        if j := preimage[least]:  # else written with a smaller letter's cycle
+            while j != least:  # the cycle backwards, round to its least letter
+                word.append(j)
+                preimage[j], j = 0, preimage[j]
+            word.append(least)
+    return Perm._trusted(word)
 
 
 def foata_fft_inverse(w):
     """Inverse of ``foata_fft``: exc(fft_inverse(w)) = des(w)."""
     if type(w) is not Perm:
         w = Perm(w)
-    word = w[::-1]
-    n = len(word)
-    image = [0] * n
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or word[i] < word[start]:
-            # the first entry is the cycle's minimum
-            _write_cycle(image, word[start:i])
-            start = i
-    return Perm._trusted(image)
+    image = [0] * (len(w) + 1)  # letter -> its image; entry 0 is scratch
+    least, prev = len(w) + 1, 0
+    for v in reversed(w):
+        # a left-to-right minimum of the word opens a cycle and closes the
+        # one before, whose last letter maps back to that cycle's least
+        if v < least:
+            image[prev], least = least, v
+        else:
+            image[prev] = v
+        prev = v
+    image[prev] = least
+    return Perm._trusted(image[1:])
 
 
 def penultimate_to_front(w):
@@ -107,9 +110,9 @@ def perm_to_long_cycle(w):
     n = len(w) + 1
     if n < 2:
         raise PreconditionViolated("need a permutation of [m] with m >= 1")
-    image = [0] * n
-    _write_cycle(image, [1] + [n + 1 - a for a in w])
-    return Perm._trusted(image)
+    cycle = [1, *(n + 1 - a for a in w)]
+    image = dict(zip(cycle, cycle[1:] + [1]))  # each letter to the next
+    return Perm._trusted(map(image.get, range(1, n + 1)))
 
 
 def long_cycle_to_perm(w):

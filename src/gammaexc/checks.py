@@ -775,9 +775,12 @@ def _check_fft(limits, n):
     letters = list(range(1, n + 1))
     for p in iterate(GroupSpec("S", n), budget=limits.budget):
         image = bijections.foata_fft(p)
-        _same(p, sorted(image), letters)
-        # (des of the image, inverse of the image)
-        _same(p, (des(image), bijections.foata_fft_inverse(image)), (exc(p), p))
+        # the letters first: only an image in S_n reaches the inverse
+        if (sorted(image) != letters or des(image) != exc(p)
+                or bijections.foata_fft_inverse(image) != p):
+            _same(p, sorted(image), letters)
+            # (des of the image, inverse of the image)
+            _same(p, (des(image), bijections.foata_fft_inverse(image)), (exc(p), p))
 
 
 @_register("bijections.penultimate_to_front",

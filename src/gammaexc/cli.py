@@ -78,8 +78,11 @@ def _gamma_input(args, n):
     expansion = (family.gamma(spec) if closed and family.gamma
                  and mode == family.mode else None)
     if closed and mode in (family.mode, UNIVARIATE):
-        return (mode, expansion, functools.partial(family.row, spec),
-                _row_coefficients, _row_expansion)
+        def row():  # a t-row ends at its top t-exponent: trimmed once, here
+            answer = family.row(spec)
+            return answer if mode == BIVARIATE else _row_coefficients(answer)
+
+        return mode, expansion, row, _row_coefficients, _row_expansion
 
     def poly():
         f = _compute(spec, args.engine, args.budget)

@@ -198,8 +198,17 @@ def _cycles(w):
 
 
 def _cycle_lengths(w):
-    """The cycle lengths of a window, weakly decreasing."""
-    return tuple(sorted(map(len, _cycles(w)), reverse=True))
+    """The cycle lengths of a window, weakly decreasing: each cycle counted
+    from its least letter, its other letters zeroed as they are passed."""
+    image, lengths = [0, *w], []
+    for least in range(1, len(w) + 1):
+        if j := image[least]:
+            k = 1
+            while j != least:
+                image[j], j = 0, image[j]
+                k += 1
+            lengths.append(k)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def cyc(w):

@@ -13,19 +13,21 @@ offset, with a sign: a complement is a constant minus its base
 (``_COMPLEMENTS``: nexc = n - exc, asc = max(n - 1, 0) - des).  It pulls
 ``groups.iterate``'s bare windows one permutation p of [n] at a time into a
 tally that only counts the distinct base values, and keys each tally entry
-once.  On kind S the tally runs in C: each base is one ``map`` over a
-``tee`` copy of the stream, and ``Counter(zip(...))`` counts them with the
-length parity.  A signed base has a kernel form, affine in the sign
-indicators: p gives (c, w), and on the window that negates the positions in
-N it is c + sum(w[j] for j in N).  A signed group comes in blocks of 2^(n-1)
-windows, each one class (the parity of |N|) of one p.  The blocks are
-counted per signature (c, the sorted w, inv(p) mod 2, the class), and each
-signature's values are built once, by doubling over the positions.  The
-length and the sign are parities of inv(p), moved by the class for the
-type-B length and the inv_b sign, so one pass tallies the even- and
-odd-length halves apart (``length_halves``).  The reference is
-``_weighted_sum`` over ``iterate``'s lexicographic windows with the
-per-element functions of ``groups``; tests compare the kernel against it.
+once.  On kind S the tally runs in C: each base reads a ``tee`` copy of
+the stream by its stream form (``_A_STREAMS``: nested maps, tested against
+the per-element functions) or by one ``map``, and ``Counter(zip(...))``
+counts them with the length parity.  A signed base has a kernel form,
+affine in the sign indicators: p gives (c, w), and on the window that
+negates the positions in N it is c + sum(w[j] for j in N).  A signed group
+comes in blocks of 2^(n-1) windows, each one class (the parity of |N|) of
+one p.  The blocks are counted per signature (c, the sorted w, inv(p) mod
+2, the class), and each signature's values are built once, by doubling
+over the positions.  The length and the sign are parities of inv(p),
+moved by the class for the type-B length and the inv_b sign, so one pass
+tallies the even- and odd-length halves apart (``length_halves``).  The
+reference is ``_weighted_sum`` over ``iterate``'s lexicographic windows
+with the per-element functions of ``groups``; tests compare the kernel
+against it.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -38,8 +40,8 @@ matching their closed product forms; bivariate variants remain one
 """
 
 from collections import Counter
-from itertools import islice, tee
-from operator import gt, lt, sub
+from itertools import combinations, islice, repeat, starmap, tee
+from operator import eq, getitem, gt, lt, sub
 
 from . import closedforms
 from .groups import (
@@ -241,6 +243,26 @@ def _signed_kernel(n):
     }
 
 
+def _des_stream(ws, n):
+    ws, tails = tee(ws)
+    return map(sum, map(map, repeat(gt), ws,
+                        map(getitem, tails, repeat(slice(1, None)))))
+
+
+# kind-S base statistic -> its values over a stream of windows of [n], as
+# nested maps that run no Python frame per window.  The keys are the
+# functions imported above, so a patched statistic is no key and is mapped
+# as it is.
+_A_STREAMS = {
+    exc: lambda ws, n: map(sum, map(map, repeat(gt), ws, repeat(range(1, n + 1)))),
+    fixed_points: lambda ws, n: map(sum, map(map, repeat(eq), ws,
+                                             repeat(range(1, n + 1)))),
+    des: _des_stream,
+    inv: lambda ws, n: map(sum, map(starmap, repeat(gt),
+                                    map(combinations, ws, repeat(2)))),
+}
+
+
 def _type_a_tally(spec, weight, bases, windows, split):
     """Kind S: (length, negative, base values, count) per distinct entry.
 
@@ -259,7 +281,8 @@ def _type_a_tally(spec, weight, bases, windows, split):
     else:
         parity = [_perm_parities(n) if spec.pos_n is None
                   else _perm_parities(n - 1, n - spec.pos_n)]
-    columns = [*map(map, columns, tee(windows, len(columns))), *parity]
+    columns = [_A_STREAMS[stat](ws, n) if stat in _A_STREAMS else map(stat, ws)
+               for stat, ws in zip(columns, tee(windows, len(columns)))] + parity
     for values, count in Counter(zip(*columns)).items():
         bit = values[-1] % 2  # the bases lead; a parity column is last
         yield split and bit, signs and bit, values, count

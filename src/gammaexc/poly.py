@@ -530,24 +530,24 @@ def _asymmetry(grid, i, j):
 
 
 def _row_coefficients(row):
-    """The row without its trailing zeros: ``t_coefficients`` of a closed
-    row's Poly, or a q-mode entry's dense q-coefficients."""
+    """The row without its trailing zeros, the row itself if it has none:
+    ``t_coefficients`` of a closed row's Poly, or a q-mode entry's dense
+    q-coefficients."""
     top = len(row)
     while top and not row[top - 1]:
         top -= 1
-    return row[:top]
+    return row if top == len(row) else row[:top]
 
 
 def _row_expansion(row, mode):
     """``gamma_decompose`` of a closed row's Poly, read off the row (entry k:
     the coefficient of s^(d-k) t^k in an (s, t) row, of t^k in a t-row) on
     ``_symmetry``'s window: [0, d] in bivariate mode, where a symmetric row's
-    support ends at the mirror of its first nonzero, and else the support."""
+    support ends at the mirror of its first nonzero, and else the support,
+    which a t-row must end at (trimmed by ``_row_coefficients``)."""
     lo = next((k for k, c in enumerate(row) if c), None)
     if lo is None:
         raise ZeroPolynomial("the zero polynomial has no palindrome data")
-    if mode != BIVARIATE:  # the row ends at its top t-exponent
-        row = _row_coefficients(row)
     d = len(row) - 1
     i, hi = (0, d - lo) if mode == BIVARIATE else (lo, d)
     return _expansion([row], lo, hi, _asymmetry([row], i, d), mode)

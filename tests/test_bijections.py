@@ -1,4 +1,5 @@
 import re
+from itertools import permutations
 
 import pytest
 
@@ -19,6 +20,7 @@ from gammaexc.groups import (
     Perm,
     SignedPerm,
     WindowError,
+    _cycles,
     asc,
     cycle_type,
     des,
@@ -67,6 +69,36 @@ class TestFoataFFT:
                 assert foata_fft_inverse(image) == p
                 seen.add(image.window)
             assert len(seen) == sum(1 for _ in iterate(GroupSpec("S", n)))
+
+
+def _cycle_word_fft(w):
+    """The cycle-word definition: each cycle from its least letter, the
+    cycles by decreasing least letter, concatenated and reversed."""
+    return tuple(reversed([v for c in reversed(_cycles(w)) for v in c]))
+
+
+def _cycle_word_fft_inverse(w):
+    """The reversed window cut before each left-to-right minimum, each piece
+    written as a cycle."""
+    word, image, start = tuple(w)[::-1], [0] * len(w), 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or word[i] < word[start]:
+            cycle = word[start:i]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                image[a - 1] = b
+            start = i
+    return tuple(image)
+
+
+class TestFoataWalks:
+    """The one-walk transform and its one-pass inverse against the cycle-word
+    definitions, on every window of S_0..S_8."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_equal_the_cycle_word_definitions(self, n):
+        for w in map(Perm, permutations(range(1, n + 1))):
+            assert tuple(foata_fft(w)) == _cycle_word_fft(w), w
+            assert tuple(foata_fft_inverse(w)) == _cycle_word_fft_inverse(w), w
 
 
 class TestPenultimateToFront:

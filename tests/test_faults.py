@@ -8,6 +8,8 @@ fault that can break it.
 """
 
 import dataclasses
+from itertools import chain, repeat
+from operator import add
 
 import pytest
 
@@ -96,6 +98,16 @@ def _signed_form_off_at(stat, p):
     return fault
 
 
+def _first_exc_off(real):
+    """The fault adding 1 to the first value of each kind-S ``exc`` stream."""
+    form = real[groups.exc]
+
+    def faulted(windows, n):
+        return map(add, form(windows, n), chain((1,), repeat(0)))
+
+    return {**real, groups.exc: faulted}
+
+
 def _top_negated_at_3(real):
     def signed(m):
         row = real(m)
@@ -140,6 +152,9 @@ FAULTS = {
     "oracle.inv returns 0": (
         oracle, "inv", lambda real: lambda w: 0,
         ("typeD.step_equals_oracle", "signed_sums.type_d_power")),
+    "oracle._A_STREAMS' exc stream + 1 on its first window": (
+        oracle, "_A_STREAMS", _first_exc_off,
+        ("typeA.closed_equals_oracle",)),
     "oracle._perm_parities flipped": (
         oracle, "_perm_parities",
         lambda real: lambda n, shift=0: real(n, shift + 1),
@@ -244,6 +259,10 @@ FAULTS = {
         lambda real: lambda w: Perm._trusted(v + 1 for v in real(w)),
         ("bijections.fundamental_transform",
          "bijections.penultimate_to_front")),
+    "bijections.foata_fft_inverse returns its input": (
+        bijections, "foata_fft_inverse", lambda real: lambda w: Perm._trusted(w),
+        ("bijections.fundamental_transform",
+         "bijections.penultimate_to_front")),
     "bijections.swap_last_two returns its input": (
         bijections, "swap_last_two", lambda real: lambda w: w,
         ("bijections.swap_last_two_involution",)),
@@ -291,7 +310,11 @@ FAULTS = {
     "oracle._signed_kernel's wkexc_b form + 1 at p = (2, 1)": (
         oracle, "_signed_kernel", _signed_form_off_at("wkexc_b", (2, 1)),
         ("typeB.weak_excedance_equidistribution",)),
-    # checks binds inv_b_negsum at import, so the fault patches it there
+    # checks binds _cycle_lengths and inv_b_negsum at import, so their
+    # faults patch them there
+    "checks._cycle_lengths reverses its order": (
+        checks, "_cycle_lengths", lambda real: lambda w: real(w)[::-1],
+        ("derangements.conjugacy_product_formula",)),
     "checks.inv_b_negsum + 1 at n = 2": (
         checks, "inv_b_negsum",
         lambda real: lambda w: real(w) + (len(w) == 2),

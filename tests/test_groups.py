@@ -14,6 +14,8 @@ from gammaexc.groups import (
     Perm,
     SignedPerm,
     WindowError,
+    _cycle_lengths,
+    _cycles,
     _perm_parities,
     asc,
     asc_b,
@@ -226,6 +228,12 @@ class TestCycleTypes:
         assert lam.multiplicity(2) == 2
         assert lam.fixed_points == 1
         assert lam.n == 8
+
+    def test_cycle_lengths_are_the_sorted_cycles(self):
+        for n in range(9):
+            for w in permutations(range(1, n + 1)):
+                assert _cycle_lengths(w) == tuple(
+                    sorted(map(len, _cycles(w)), reverse=True)), w
 
 
 class TestPartitions:

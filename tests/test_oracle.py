@@ -1,5 +1,5 @@
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from operator import attrgetter
 
 import pytest
@@ -10,6 +10,8 @@ from gammaexc.groups import (
     BudgetExceeded,
     GroupSpec,
     InvalidSpec,
+    _perm_parities,
+    _perm_windows_pos_n,
     _signed_windows,
     inv,
     inv_b,
@@ -28,6 +30,7 @@ from gammaexc.oracle import (
     UndefinedStatistic,
     UnsupportedClass,
     WeightSpec,
+    _A_STREAMS,
     _COMPLEMENTS,
     _signed_kernel,
     _weighted_sum,
@@ -333,6 +336,25 @@ class TestKernel:
                     assert inv_d(w) == inv(p) + 2 * sum(j - L[j]
                                                         for j in negated)
                     assert inv_b(w) == inv_d(w) + k
+
+
+class TestStreams:
+    """Each kind-S stream form equals ``map`` of its per-element function."""
+
+    STREAMED = ("exc", "fixed_points", "des", "inv")
+
+    def test_the_streamed_bases(self):
+        assert set(_A_STREAMS) == {A_STATISTICS[name] for name in self.STREAMED}
+
+    @pytest.mark.parametrize("name", STREAMED)
+    def test_equals_the_per_element_map(self, name):
+        stat, form = A_STATISTICS[name], _A_STREAMS[A_STATISTICS[name]]
+        for n in range(9):
+            whole = list(permutations(range(1, n + 1)))
+            odd = list(compress(whole, _perm_parities(n, 1)))
+            slices = [list(_perm_windows_pos_n(n, r)) for r in {1, n} if n]
+            for windows in [whole, odd, *slices]:
+                assert list(form(iter(windows), n)) == list(map(stat, windows))
 
 
 class TestSharedForms:
