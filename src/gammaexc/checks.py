@@ -710,7 +710,7 @@ def _check_long_cycles(limits, n):
            ranks=(1, lambda lim: lim.max_n_a))
 def _check_conjugacy(limits, n):
     a, b = tee(iterate(GroupSpec("S", n), limits.budget, by_permutation=True))
-    tally = Counter(zip(map(_cycle_lengths, a), map(exc, b)))
+    tally = Counter(zip(map(_cycle_lengths, a), oracle.stream(exc, b, n)))
     for lam in partitions(n):
         dist = {(e,): c for (parts, e), c in tally.items() if parts == lam.parts}
         _same(f"n={n} type {lam}", Poly(("t",), dist),
@@ -889,7 +889,8 @@ def _check_q_collapse(limits, n):
 
 
 def run_suite(suite, limits=None):
-    """Run a suite (or "all"); returns CheckResults in registry order."""
+    """Run a suite (or "all"); returns CheckResults in registry order.  The
+    checks share one ``oracle.kernel_memo`` block, which ends with the run."""
     limits = limits or VerifyLimits()
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
@@ -909,4 +910,5 @@ def run_suite(suite, limits=None):
         return CheckResult(check.check_id, check.suite, n_range, status,
                            witness, time.perf_counter() - start)
 
-    return [run_one(c) for c in selected]
+    with oracle.kernel_memo():
+        return [run_one(c) for c in selected]

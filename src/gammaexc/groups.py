@@ -130,7 +130,7 @@ class Perm(tuple):
         return type(other) is type(self) and tuple.__eq__(self, other)
 
     def __ne__(self, other):
-        return not self == other
+        return type(other) is not type(self) or tuple.__ne__(self, other)
 
     def __hash__(self):
         return hash((type(self).__name__, tuple(self)))

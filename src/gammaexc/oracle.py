@@ -29,6 +29,11 @@ reference is ``_weighted_sum`` over ``iterate``'s lexicographic windows
 with the per-element functions of ``groups``; tests compare the kernel
 against it.
 
+Inside a ``kernel_memo`` block (``checks.run_suite`` opens one per run) the
+kernel enumerates each exact (spec, weight, budget, split) once and hands a
+repeat the stored answer.  The memo is a ``ContextVar``, per run and per
+context (another thread sees none); it keeps only answers that returned.
+
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
 sums, derangement and conjugacy-class restrictions, and the q-refinements.
@@ -40,6 +45,8 @@ matching their closed product forms; bivariate variants remain one
 """
 
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import combinations, islice, repeat, starmap, tee
 from operator import eq, getitem, gt, lt, sub
 
@@ -263,6 +270,13 @@ _A_STREAMS = {
 }
 
 
+def stream(stat, windows, n):
+    """The kind-S statistic ``stat`` over a stream of windows of [n]: by its
+    stream form in ``_A_STREAMS``, else by ``map``."""
+    form = _A_STREAMS.get(stat)
+    return map(stat, windows) if form is None else form(windows, n)
+
+
 def _type_a_tally(spec, weight, bases, windows, split):
     """Kind S: (length, negative, base values, count) per distinct entry.
 
@@ -281,7 +295,7 @@ def _type_a_tally(spec, weight, bases, windows, split):
     else:
         parity = [_perm_parities(n) if spec.pos_n is None
                   else _perm_parities(n - 1, n - spec.pos_n)]
-    columns = [_A_STREAMS[stat](ws, n) if stat in _A_STREAMS else map(stat, ws)
+    columns = [stream(stat, ws, n)
                for stat, ws in zip(columns, tee(windows, len(columns)))] + parity
     for values, count in Counter(zip(*columns)).items():
         bit = values[-1] % 2  # the bases lead; a parity column is last
@@ -330,15 +344,31 @@ def _signed_tally(spec, weight, bases, windows, split):
         yield length, negative, [packed // place % radix for place in places], count
 
 
+_MEMO = ContextVar("kernel_memo", default=None)  # inputs -> answer, in a block
+
+
+@contextmanager
+def kernel_memo():
+    """In the block and this context, ``_kernel`` answers a repeat from a memo."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def _kernel(spec, weight, budget, split):
-    """The fused kernel: [whole], or [even, odd] by length when ``split``.
+    """The fused kernel: (whole,), or (even, odd) by length when ``split``.
 
     Each exponent reads one base form, an offset and a sign: a complement
     (``_COMPLEMENTS``) is its constant plus the offset minus its base.
     Bases are shared by identity, and the tallies only count their values;
     each distinct tally entry is keyed, checked and signed once here.
     UndefinedStatistic comes first, then BudgetExceeded, by ``iterate``'s
-    rule, before any window."""
+    rule, before any window.  A repeat inside ``kernel_memo`` reads the memo."""
+    memo, inputs = _MEMO.get(), (spec, weight, budget, split)
+    if memo is not None and inputs in memo:
+        return memo[inputs]
     forms, tally = ((A_STATISTICS, _type_a_tally) if spec.kind == "S"
                     else (_signed_kernel(spec.n), _signed_tally))
     reads = []  # (base form, offset, sign) per exponent
@@ -356,7 +386,10 @@ def _kernel(spec, weight, budget, split):
             raise _offset_error(spec, weight)
         terms = halves[length]
         terms[key] = terms.get(key, 0) + (-count if negative else count)
-    return [Poly(weight.variables, terms) for terms in halves[:1 + split]]
+    answer = tuple(Poly(weight.variables, terms) for terms in halves[:1 + split])
+    if memo is not None:
+        memo[inputs] = answer
+    return answer
 
 
 def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):
@@ -370,7 +403,7 @@ def length_halves(spec, weight, *, budget=DEFAULT_BUDGET):
     pass over the whole domain.  The spec must be a whole S, B or D."""
     if spec.parity != "all" or KINDS[spec.kind][1] is None:
         raise InvalidSpec(f"length_halves needs a whole S, B or D domain, got {spec}")
-    return tuple(_kernel(spec, weight, budget, split=True))
+    return _kernel(spec, weight, budget, split=True)
 
 
 def _offset_error(spec, weight):

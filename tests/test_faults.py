@@ -154,7 +154,7 @@ FAULTS = {
         ("typeD.step_equals_oracle", "signed_sums.type_d_power")),
     "oracle._A_STREAMS' exc stream + 1 on its first window": (
         oracle, "_A_STREAMS", _first_exc_off,
-        ("typeA.closed_equals_oracle",)),
+        ("typeA.closed_equals_oracle", "derangements.conjugacy_product_formula")),
     "oracle._perm_parities flipped": (
         oracle, "_perm_parities",
         lambda real: lambda n, shift=0: real(n, shift + 1),

@@ -88,6 +88,16 @@ class TestWindows:
         assert (2, 1) not in {p}
         assert not p == sigma and not sigma == p
 
+    @pytest.mark.parametrize("window", [(2, 1), (1, 2)])
+    def test_not_equal_is_class_exact(self, window):
+        # (2, 1) is p's own window, (1, 2) another one
+        p, sigma, differs = Perm((2, 1)), SignedPerm((2, 1)), window != (2, 1)
+        assert (p != Perm(window)) is (Perm(window) != p) is differs
+        assert (sigma != SignedPerm(window)) is (SignedPerm(window) != sigma) is differs
+        for other in (SignedPerm(window), window):
+            assert (p != other) is (other != p) is True
+        assert (sigma != Perm(window)) is (sigma != window) is True
+
     def test_immutability(self):
         p = Perm((2, 1))
         with pytest.raises(AttributeError):

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -8,12 +9,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from gammaexc import checks, closedforms, oracle
 from gammaexc.checks import Check, REGISTRY, VerifyLimits, run_suite
 from gammaexc.cli import main
+from gammaexc.groups import BudgetExceeded, GroupSpec
 from gammaexc.poly import Poly
 
 # Frozen manifest: every registered check, in registration order.  A check
@@ -290,6 +294,81 @@ class TestOnePassHalves:
         assert (results["derangements.fixed_point_refinement"].status,
                 results["derangements.fixed_point_refinement"].witness) == (
             "fail", "n=1 i=1 plus: 0 != 1")
+
+
+MEMO_LIMITS = VerifyLimits(5, 4, 4)
+
+
+def _outcomes(results):
+    return [(r.check_id, r.status, r.n_range, r.witness) for r in results]
+
+
+class TestRunMemo:
+    """One run asks the oracle each question once, and keeps the answers to
+    itself: the next run, another thread and a caller outside a run
+    enumerate afresh."""
+
+    def test_a_run_reports_what_each_check_finds_alone(self):
+        alone = [(c.check_id, "pass", c.func(MEMO_LIMITS), None) for c in REGISTRY]
+        assert _outcomes(run_suite("all", MEMO_LIMITS)) == alone
+
+    def test_a_run_enumerates_each_question_once(self, monkeypatch):
+        asked, real = collections.Counter(), oracle._signed_tally
+
+        def counting(spec, weight, bases, windows, split):
+            asked[spec, weight, split] += 1
+            return real(spec, weight, bases, windows, split)
+
+        monkeypatch.setattr(oracle, "_signed_tally", counting)
+        run_suite("typeD", MEMO_LIMITS)
+        assert asked and set(asked.values()) == {1}
+        run_suite("typeD", MEMO_LIMITS)
+        assert set(asked.values()) == {2}
+
+    def test_a_fault_patched_between_runs_fails_the_second(self, monkeypatch):
+        assert {r.status for r in run_suite("typeA", MEMO_LIMITS)} == {"pass"}
+        real = oracle._perm_parities
+        monkeypatch.setattr(oracle, "_perm_parities",
+                            lambda n, shift=0: real(n, shift + 1))
+        results = {r.check_id: r for r in run_suite("typeA", MEMO_LIMITS)}
+        assert results["typeA.closed_equals_oracle"].status == "fail"
+
+    def test_a_refused_request_is_refused_again(self):
+        spec, weight = GroupSpec("B", 4), oracle.BEXC_WEIGHT
+        with oracle.kernel_memo():
+            whole = oracle.dist_poly(spec, weight, budget=None)
+            assert oracle.dist_poly(spec, weight, budget=None) is whole
+            for _ in range(2):  # a smaller budget is another question
+                with pytest.raises(BudgetExceeded):
+                    oracle.dist_poly(spec, weight, budget=10)
+        assert oracle.dist_poly(spec, weight, budget=None) is not whole
+
+    def test_threads_keep_their_own_runs(self):
+        want = _outcomes(run_suite("typeD", MEMO_LIMITS))
+        got, outside = [None, None], []
+
+        def run(i):
+            got[i] = _outcomes(run_suite("typeD", MEMO_LIMITS))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        spec, weight = GroupSpec("D", 3), oracle.DEXC_WEIGHT
+        interval, deadline = sys.getswitchinterval(), time.monotonic() + 120
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            while True:  # a third caller, outside any run, while the runs go on
+                first, again = (oracle.dist_poly(spec, weight) for _ in range(2))
+                outside.append((oracle._MEMO.get(), first is again, first == again))
+                if not any(t.is_alive() for t in threads) or time.monotonic() > deadline:
+                    break
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want, want]
+        assert outside and set(outside) == {(None, False, True)}
 
 
 class _Capture(io.StringIO):

@@ -356,6 +356,15 @@ class TestStreams:
             for windows in [whole, odd, *slices]:
                 assert list(form(iter(windows), n)) == list(map(stat, windows))
 
+    @pytest.mark.parametrize("name", sorted(A_STATISTICS))
+    def test_stream_reads_the_form_else_maps(self, name, monkeypatch):
+        stat, windows = A_STATISTICS[name], list(permutations(range(1, 5)))
+        want = list(map(stat, windows))
+        if stat in _A_STREAMS:  # a marked form shows that it was read
+            monkeypatch.setitem(_A_STREAMS, stat, lambda ws, n: (-n for _ in ws))
+            want = [-4] * len(windows)
+        assert list(oracle.stream(stat, iter(windows), 4)) == want
+
 
 class TestSharedForms:
     """The signed kernel reads nexc and asc off the exc and des forms."""
