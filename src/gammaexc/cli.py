@@ -2,11 +2,11 @@
 
 Output is byte-deterministic for fixed inputs: polynomials print with terms
 in a fixed order, JSON uses sorted canonical term lists, and verification
-reports list checks in registry order (timings are only shown on request,
-since they are not deterministic).  Family names, their classes, default
-gamma modes and engines all come from ``oracle.FAMILIES``.  Usage errors
-exit with status 2; failed or erroring verification checks exit with
-status 1.
+reports list checks in registry order (timings are non-deterministic, so
+only ``--timings`` and verify's ``--format json`` show them).  Family names,
+their classes, default gamma modes and engines all come from
+``oracle.FAMILIES``.  Usage errors exit with status 2; failed or erroring
+verification checks exit with status 1.
 """
 
 import argparse
@@ -164,18 +164,25 @@ def _cmd_table(args, out):
     return 0
 
 
+_CHECK_KEYS = ("id", "suite", "range", "status", "witness", "seconds")
+
+
 def _cmd_verify(args, out):
     caps = () if args.max_n is None else ("max_n_a", "max_n_b", "max_n_d")
     limits = checks.VerifyLimits(budget=args.budget,
                                  **dict.fromkeys(caps, args.max_n))
     results = checks.run_suite(args.suite, limits)
-    failed = skipped = 0
+    failed = sum(res.status in ("fail", "error") for res in results)
+    if args.format == "json":  # one object per line, CheckResult's fields
+        out.writelines(json.dumps(dict(zip(_CHECK_KEYS, res._values())),
+                                  separators=(",", ":")) + "\n" for res in results)
+        return 1 if failed else 0
+    skipped = 0
     for res in results:
         stamp = f"  [{res.seconds:7.3f}s]" if args.timings else ""
         out.write(f"{res.status.upper():<7} {res.check_id}  ({res.n_range})"
                   f"{stamp}\n")
         if res.status in ("fail", "error"):
-            failed += 1
             out.write(f"        witness: {res.witness}\n")
         elif res.status == "skipped":
             skipped += 1
@@ -299,7 +306,7 @@ def _parsers():
                            required=True, help="cycle type, e.g. 2,2")
     add_common(conjugacy, with_class=False)
 
-    for p in (compute, gamma, conjugacy):
+    for p in (compute, gamma, conjugacy, verify):
         p.add_argument("--format", choices=["text", "json"], default="text")
     return parser, sub.choices
 

@@ -10,29 +10,28 @@ sign statistic contributing (-1)^stat.
 Every weighted sum runs through one fused kernel, behind ``dist_poly`` and
 ``length_halves``.  It reads each exponent as a base statistic plus an
 offset, with a sign: a complement is a constant minus its base
-(``_COMPLEMENTS``: nexc = n - exc, asc = max(n - 1, 0) - des).  It pulls
-``groups.iterate``'s bare windows one permutation p of [n] at a time into a
-tally that only counts the distinct base values, and keys each tally entry
-once.  On kind S the tally runs in C: each base reads a ``tee`` copy of
-the stream by its stream form (``_A_STREAMS``: nested maps, tested against
-the per-element functions) or by one ``map``, and ``Counter(zip(...))``
-counts them with the length parity.  A signed base has a kernel form,
-affine in the sign indicators: p gives (c, w), and on the window that
-negates the positions in N it is c + sum(w[j] for j in N).  A signed group
+(``_COMPLEMENTS``: nexc = n - exc, asc = max(n - 1, 0) - des).  A tally
+pulls ``groups.iterate``'s bare windows one permutation p of [n] at a time
+and counts only the distinct base values, with inv(p) mod 2 and the class;
+the kernel folds each entry into a weight once.  On kind S the tally runs in
+C: each base reads a ``tee`` copy of the stream by its stream form
+(``_A_STREAMS``: nested maps, tested against the per-element functions) or
+by one ``map``, and ``Counter(zip(...))`` counts them.  A signed base has a
+kernel form, affine in the sign indicators: p gives (c, w), and the window
+negating the positions in N has c + sum(w[j] for j in N).  A signed group
 comes in blocks of 2^(n-1) windows, each one class (the parity of |N|) of
-one p.  The blocks are counted per signature (c, the sorted w, inv(p) mod
-2, the class), and each signature's values are built once, by doubling
-over the positions.  The length and the sign are parities of inv(p),
-moved by the class for the type-B length and the inv_b sign, so one pass
-tallies the even- and odd-length halves apart (``length_halves``).  The
-reference is ``_weighted_sum`` over ``iterate``'s lexicographic windows
-with the per-element functions of ``groups``; tests compare the kernel
-against it.
+one p, counted per signature (c, the sorted w, inv(p) mod 2, the class),
+whose values are built once by doubling over positions.  The length and the
+sign are inv(p) mod 2, moved by the class for the type-B length and the
+inv_b sign, so one tally gives the even- and odd-length halves apart
+(``length_halves``).  Tests compare the kernel against the reference sum
+``_weighted_sum``, which reads the per-element functions of ``groups``.
 
-Inside a ``kernel_memo`` block (``checks.run_suite`` opens one per run) the
-kernel enumerates each exact (spec, weight, budget, split) once and hands a
-repeat the stored answer.  The memo is a ``ContextVar``, per run and per
-context (another thread sees none); it keeps only answers that returned.
+Inside a ``kernel_memo`` block (``checks.run_suite`` opens one per run) a
+tally is walked once per (spec, budget, base names, parity carried) and
+folded for each weight that reads it: the whole, its length halves, its
+signed sums.  The memo is a ``ContextVar``, per run and per context
+(another thread sees none); it keeps only tallies that completed.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -277,79 +276,76 @@ def stream(stat, windows, n):
     return map(stat, windows) if form is None else form(windows, n)
 
 
-def _type_a_tally(spec, weight, bases, windows, split):
-    """Kind S: (length, negative, base values, count) per distinct entry.
+def _parity_is_free(spec):
+    """Whether the tally reads inv(p) mod 2 at no cost: once per p on a signed
+    group, and off the parity string on S_n or its pos_n slice."""
+    return spec.kind != "S" or (spec.parity, spec.fixed_points,
+                                spec.cycle_type) == ("all", None, None)
 
-    The length parity (inv mod 2, and the sign) comes from the parity
-    string where ``iterate`` generates the windows in lexicographic order:
-    S_n's, or the S_(n-1)'s under its ``pos_n`` slice (n at position r adds
-    n - r inversions).  Where a filter drops windows, it is inv itself.
+
+def _type_a_tally(spec, bases, windows, parity):
+    """Kind S: (inv mod 2, class 0, base values, count) per distinct entry.
+
+    ``bases`` maps base names to statistics.  With ``parity``, inv mod 2 is
+    the parity string's where ``iterate`` generates the windows in
+    lexicographic order: S_n's, or the S_(n-1)'s under its ``pos_n`` slice
+    (n at position r adds n - r inversions); where a filter drops windows,
+    an ``inv`` column's.  Without, it reads 0.
     """
-    n, signs = spec.n, weight.sign_stat is not None
+    n = spec.n
     # some column must pull every window, also for a weight with no statistic
-    columns = bases or [len]
-    if not (split or signs):
-        parity = []
-    elif (spec.parity, spec.fixed_points, spec.cycle_type) != ("all", None, None):
-        parity, columns = [], columns + [inv]  # a filter drops windows
-    else:
-        parity = [_perm_parities(n) if spec.pos_n is None
-                  else _perm_parities(n - 1, n - spec.pos_n)]
+    columns, bits = [*bases.values()] or [len], []
+    if parity and not _parity_is_free(spec):
+        columns.append(inv)
+    elif parity:
+        bits = [_perm_parities(n) if spec.pos_n is None
+                else _perm_parities(n - 1, n - spec.pos_n)]
     columns = [stream(stat, ws, n)
-               for stat, ws in zip(columns, tee(windows, len(columns)))] + parity
+               for stat, ws in zip(columns, tee(windows, len(columns)))] + bits
     for values, count in Counter(zip(*columns)).items():
-        bit = values[-1] % 2  # the bases lead; a parity column is last
-        yield split and bit, signs and bit, values, count
+        yield parity and values[-1] % 2, 0, values, count  # parity comes last
 
 
-def _signed_tally(spec, weight, bases, windows, split):
-    """Types B and D: (length, negative, base values, count) per distinct entry.
+def _signed_tally(spec, bases, windows, parity):
+    """Types B and D: (inv(p) mod 2, class, base values, count) per distinct
+    entry; the parity is always carried.
 
-    ``iterate`` streams blocks of 2^(n-1) windows, each one class (the
-    parity of the negated-entry count) of one permutation p, read from the
-    block's first window.  Each base form is computed once per p and packed
-    in base ``radix``, first one most significant.  Packing is linear, so
-    the window negating N has packed values c + sum(w[j] for j in N).
-    Blocks are counted per signature (c, sorted w, inv(p) mod 2, class),
-    and each signature's packed values are built once, by doubling over the
-    positions.  Length and sign are inv(p) mod 2, moved by the class for
-    the type-B length and an inv_b sign.
+    ``bases`` maps base names to kernel forms.  Each is computed once per
+    p, read off its block's first window, and packed in base ``radix``,
+    first one most significant; packing is linear, so the window negating
+    N has packed values c + sum(w[j] for j in N).
     """
     n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
-    signs, sign_moves = weight.sign_stat is not None, weight.sign_stat == "inv_b"
-    length_moves = KINDS[spec.kind][1]
     signatures, last = Counter(), None
     for w in islice(windows, 0, None, 2 ** max(n - 1, 0)):
         p, cls = tuple(map(abs, w)), negs(w) % 2
         if p != last:  # B streams both classes of p one after the other
             last, c, weights = p, 0, [0] * n
-            for base in bases:
+            for base in bases.values():
                 base_c, base_w = base(p)
                 c = c * radix + base_c
                 weights = [x * radix + y for x, y in zip(weights, base_w)]
-            weights, parity = tuple(sorted(weights)), (split or signs) and inv(p) % 2
-        signatures[c, weights, parity, cls] += 1
-    tally = Counter()  # (length parity, negative, packed values) -> count
-    for (c, weights, parity, cls), blocks in signatures.items():
+            weights, bit = tuple(sorted(weights)), inv(p) % 2
+        signatures[c, weights, bit, cls] += 1
+    tally = Counter()  # (inv(p) mod 2, class, packed values) -> count
+    for (c, weights, bit, cls), blocks in signatures.items():
         even, odd = [c], []
         for x in weights:
             even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
-        length = split and (parity + length_moves * cls) % 2
-        negative = signs and (parity + sign_moves * cls) % 2
         for packed in (even, odd)[cls]:
-            tally[length, negative, packed] += blocks
+            tally[bit, cls, packed] += blocks
     places = [radix ** i for i in reversed(range(len(bases)))]
-    for (length, negative, packed), count in tally.items():
-        yield length, negative, [packed // place % radix for place in places], count
+    for (bit, cls, packed), count in tally.items():
+        yield bit, cls, [packed // place % radix for place in places], count
 
 
-_MEMO = ContextVar("kernel_memo", default=None)  # inputs -> answer, in a block
+_MEMO = ContextVar("kernel_memo", default=None)  # inputs -> tally, in a block
 
 
 @contextmanager
 def kernel_memo():
-    """In the block and this context, ``_kernel`` answers a repeat from a memo."""
+    """In the block and this context, ``_kernel`` walks each tally once."""
     token = _MEMO.set({})
     try:
         yield
@@ -360,36 +356,40 @@ def kernel_memo():
 def _kernel(spec, weight, budget, split):
     """The fused kernel: (whole,), or (even, odd) by length when ``split``.
 
-    Each exponent reads one base form, an offset and a sign: a complement
-    (``_COMPLEMENTS``) is its constant plus the offset minus its base.
-    Bases are shared by identity, and the tallies only count their values;
-    each distinct tally entry is keyed, checked and signed once here.
-    UndefinedStatistic comes first, then BudgetExceeded, by ``iterate``'s
-    rule, before any window.  A repeat inside ``kernel_memo`` reads the memo."""
-    memo, inputs = _MEMO.get(), (spec, weight, budget, split)
-    if memo is not None and inputs in memo:
-        return memo[inputs]
-    forms, tally = ((A_STATISTICS, _type_a_tally) if spec.kind == "S"
-                    else (_signed_kernel(spec.n), _signed_tally))
-    reads = []  # (base form, offset, sign) per exponent
+    Each exponent reads a base statistic by name, an offset and a sign: a
+    complement (``_COMPLEMENTS``) is its constant plus the offset minus its
+    base.  Each tally entry is keyed, checked and signed once.  First comes
+    UndefinedStatistic, then BudgetExceeded by ``iterate``'s rule, before
+    any window.  In ``kernel_memo``, a repeat of (spec, budget, base names,
+    parity carried) refolds its stored tally."""
+    signs = weight.sign_stat is not None
+    reads = []  # (base name, offset, sign) per exponent
     for stat, (_, _, off) in zip(_resolve(weight, spec.kind), weight.exponents):
         base, constant = _COMPLEMENTS.get(stat, (stat, None))
-        reads.append((forms[base], off, 1) if constant is None
-                     else (forms[base], constant(spec.n) + off, -1))
-    bases = [*dict.fromkeys(form for form, _, _ in reads)]
-    places = [(bases.index(form), off, sign) for form, off, sign in reads]
-    windows = iterate(spec, budget=budget, by_permutation=True)
+        reads.append((base, off, 1) if constant is None
+                     else (base, constant(spec.n) + off, -1))
+    names = tuple(dict.fromkeys(base for base, _, _ in reads))
+    places = [(names.index(base), off, sign) for base, off, sign in reads]
+    parity = split or signs or _parity_is_free(spec)
+    memo, inputs = _MEMO.get(), (spec, budget, names, parity)
+    entries = None if memo is None else memo.get(inputs)
+    if entries is None:
+        forms, tally = ((A_STATISTICS, _type_a_tally) if spec.kind == "S"
+                        else (_signed_kernel(spec.n), _signed_tally))
+        windows = iterate(spec, budget=budget, by_permutation=True)
+        entries = tally(spec, {name: forms[name] for name in names}, windows, parity)
+        if memo is not None:
+            entries = memo[inputs] = [*entries]
+    length_moves, sign_moves = KINDS[spec.kind][1], weight.sign_stat == "inv_b"
     halves = ({}, {})
-    for length, negative, values, count in tally(spec, weight, bases, windows, split):
+    for bit, cls, values, count in entries:
         key = tuple(off + sign * values[i] for i, off, sign in places)
         if key and min(key) < 0:
             raise _offset_error(spec, weight)
-        terms = halves[length]
+        terms = halves[split and (bit + length_moves * cls) % 2]
+        negative = signs and (bit + sign_moves * cls) % 2
         terms[key] = terms.get(key, 0) + (-count if negative else count)
-    answer = tuple(Poly(weight.variables, terms) for terms in halves[:1 + split])
-    if memo is not None:
-        memo[inputs] = answer
-    return answer
+    return tuple(Poly(weight.variables, terms) for terms in halves[:1 + split])
 
 
 def dist_poly(spec, weight, *, budget=DEFAULT_BUDGET):

@@ -315,9 +315,9 @@ class TestRunMemo:
     def test_a_run_enumerates_each_question_once(self, monkeypatch):
         asked, real = collections.Counter(), oracle._signed_tally
 
-        def counting(spec, weight, bases, windows, split):
-            asked[spec, weight, split] += 1
-            return real(spec, weight, bases, windows, split)
+        def counting(spec, bases, windows, parity):
+            asked[spec, tuple(bases)] += 1  # bases: name -> kernel form
+            return real(spec, bases, windows, parity)
 
         monkeypatch.setattr(oracle, "_signed_tally", counting)
         run_suite("typeD", MEMO_LIMITS)
@@ -333,15 +333,61 @@ class TestRunMemo:
         results = {r.check_id: r for r in run_suite("typeA", MEMO_LIMITS)}
         assert results["typeA.closed_equals_oracle"].status == "fail"
 
-    def test_a_refused_request_is_refused_again(self):
+    def test_a_refused_request_is_refused_again(self, monkeypatch):
         spec, weight = GroupSpec("B", 4), oracle.BEXC_WEIGHT
+        walks, real = [], oracle._signed_tally
+        monkeypatch.setattr(oracle, "_signed_tally",
+                            lambda *args: walks.append(args[0]) or real(*args))
         with oracle.kernel_memo():
             whole = oracle.dist_poly(spec, weight, budget=None)
-            assert oracle.dist_poly(spec, weight, budget=None) is whole
+            assert oracle.dist_poly(spec, weight, budget=None) == whole
+            assert walks == [spec]  # the repeat refolds the stored tally
             for _ in range(2):  # a smaller budget is another question
                 with pytest.raises(BudgetExceeded):
                     oracle.dist_poly(spec, weight, budget=10)
-        assert oracle.dist_poly(spec, weight, budget=None) is not whole
+        assert oracle.dist_poly(spec, weight, budget=None) == whole
+        assert walks == [spec, spec]  # outside the block it walks afresh
+
+    def test_requests_sharing_a_tally_answer_as_alone_in_any_order(self):
+        # per group, requests whose weights read the same bases: the whole,
+        # its halves, signed sums, a pos_n slice and the derangements
+        requests = []
+        for spec, weight, sign in ((GroupSpec("S", 5), oracle.AEXC_WEIGHT, "inv"),
+                                   (GroupSpec("B", 4), oracle.BEXC_WEIGHT, "inv_b"),
+                                   (GroupSpec("D", 4), oracle.DEXC_WEIGHT, "inv_d")):
+            signed = oracle.WeightSpec(weight.exponents, sign_stat=sign)
+            partial = oracle.WeightSpec(weight.exponents[1:])  # one variable
+            halves = [dataclasses.replace(spec, parity=p) for p in ("even", "odd")]
+            requests.append([
+                *((oracle.dist_poly, s, w) for s in [spec, *halves]
+                  for w in (weight, signed, partial)),
+                (oracle.length_halves, spec, weight),
+                (oracle.length_halves, spec, signed)])
+        requests[0] += [
+            (ask, dataclasses.replace(requests[0][0][1], **refine), oracle.T_EXC_WEIGHT)
+            for refine in ({"pos_n": 2}, {"fixed_points": 0})
+            for ask in (oracle.dist_poly, oracle.length_halves)]
+        for group in requests:
+            alone = {r: r[0](*r[1:]) for r in group}
+            for order in (group, group[::-1], *itertools.permutations(group, 2)):
+                with oracle.kernel_memo():
+                    assert [r[0](*r[1:]) for r in order] == [alone[r] for r in order]
+
+    def test_length_halves_then_the_whole_walk_once(self, monkeypatch):
+        walks = collections.Counter()
+        for name in ("_type_a_tally", "_signed_tally"):
+            def counting(spec, *args, real=getattr(oracle, name)):
+                walks[spec] += 1
+                return real(spec, *args)
+
+            monkeypatch.setattr(oracle, name, counting)
+        with oracle.kernel_memo():
+            for spec, weight in ((GroupSpec("S", 5), oracle.AEXC_WEIGHT),
+                                 (GroupSpec("B", 4), oracle.BEXC_WEIGHT),
+                                 (GroupSpec("D", 4), oracle.DEXC_WEIGHT)):
+                even, odd = oracle.length_halves(spec, weight)
+                assert oracle.dist_poly(spec, weight) == even + odd
+        assert walks == dict.fromkeys(walks, 1) and len(walks) == 3
 
     def test_threads_keep_their_own_runs(self):
         want = _outcomes(run_suite("typeD", MEMO_LIMITS))
@@ -542,6 +588,39 @@ class TestCliExtras:
                                  "--max-n", "2", "--timings"])
         assert code == 0
         assert "s]" in out
+
+    @pytest.mark.parametrize("status", ["pass", "skipped", "fail", "error"])
+    def test_verify_json_is_the_text_report(self, request, monkeypatch, status):
+        argv = {"pass": ["--suite", "gamma_calculus", "--max-n", "3"],
+                "skipped": ["--suite", "typeB", "--max-n", "9", "--budget", "10000"],
+                "fail": ["--suite", "typeA", "--max-n", "4"],
+                "error": ["--suite", "all"]}[status]
+        if status == "fail":
+            request.getfixturevalue("wrong_aexc3_minus")
+        if status == "error":
+            monkeypatch.setattr(checks, "REGISTRY", _ERRORING)
+        code, text, _ = _run_cli(["verify", *argv])
+        json_code, out, err = _run_cli(["verify", *argv, "--format", "json"])
+        assert (json_code, err) == (code, "")
+        report, counts = [], collections.Counter()
+        for line in out.splitlines():  # one object per check, in registry order
+            entry = json.loads(line)
+            assert list(entry) == ["id", "suite", "range", "status", "witness",
+                                   "seconds"]
+            assert isinstance(entry["seconds"], float) and entry["seconds"] >= 0
+            report.append(f"{entry['status'].upper():<7} {entry['id']}  "
+                          f"({entry['range']})\n")
+            label = {"fail": "witness", "error": "witness",
+                     "skipped": "reason"}.get(entry["status"])
+            if label:
+                report.append(f"        {label}: {entry['witness']}\n")
+            else:
+                assert entry["witness"] is None
+            counts[entry["status"]] += 1
+        assert counts[status]
+        report.append(f"{counts['pass']} passed, {counts['fail'] + counts['error']}"
+                      f" failed, {counts['skipped']} skipped\n")
+        assert "".join(report) == text
 
     def test_sgnb_family_via_compute(self):
         code, out, _ = _run_cli(["compute", "--family", "sgnb_des_u",
