@@ -10,7 +10,7 @@ enumeration oracle in the test suite.  On top of these: the half sums, with
 type D's halves of B_n, the one-step recurrences that cross-check them, the
 coefficient-triangle recurrences, the four-step jump via the fixed L/R
 tables, the conjugacy-class product formula and the derangement cycle
-recurrence.  Every /2 in a formula is a theorem about integrality, so the
+recurrence at q = 1.  Every /2 in a formula is a theorem about integrality, so the
 division is exact and raises OddCoefficient if it ever is not.
 
 The engines compute on rows: a homogeneous polynomial of degree d in (s, t)
@@ -22,8 +22,8 @@ Poly.  The four-step jump stays on Poly, and so does sgnb_des_u_closed.
 
 A split family's classes follow one rule, ``_class``: "all" is the whole,
 and the even (plus) and odd (minus) halves are (whole +- signed) / 2, the
-signed sum weighting each element by its sign.  That sum is a thunk run
-for a half only, so "all" never pays for a second recurrence or binomial row.
+signed sum weighting each element by its sign: a closed row, the
+derangements' too, built by a thunk run for a half only, so "all" never pays.
 
 ``_EULERIAN`` holds two memos per kind, rank -> list, each with the rank-1 seed
 and the ranks asked for: the low halves f[0..d//2] of the palindromic degree-d
@@ -459,18 +459,17 @@ def conj_exc_closed(lam):
     return _poly(_conj_exc_row(lam), UNIVARIATE)
 
 
-def _derangements_by_cycles(m, q):
-    """The t-coefficient row of d_m(q, t) = sum of q^cyc t^exc over the
-    derangements of [m].
+def _derangements_by_cycles(m):
+    """The t-coefficient row of d_m(t) = sum of t^exc over the derangements of [m].
 
-    d_0 = 1, d_1 = 0, d_k = (k-1) t d_{k-1} + t(1-t) d'_{k-1} + (k-1) q t d_{k-2}:
+    d_0 = 1, d_1 = 0, d_k = (k-1) t d_{k-1} + t(1-t) d'_{k-1} + (k-1) t d_{k-2}:
     k joins a cycle of a derangement of [k-1], or a new 2-cycle.  Run on
-    coefficient rows, so t^j of d_k is j a_j + (k-j) a_{j-1} + (k-1) q b_{j-1}.
+    coefficient rows, so t^j of d_k is j a_j + (k-j) a_{j-1} + (k-1) b_{j-1}.
     """
     older, row = [], [1]  # the rows of d_{k-2} and d_{k-1}
     for k in range(1, m + 1):
         a, b = [0] + row + [0], [0] + older + [0] * k
-        older, row = row, [j * a[j + 1] + (k - j) * a[j] + (k - 1) * q * b[j]
+        older, row = row, [j * a[j + 1] + (k - j) * a[j] + (k - 1) * b[j]
                            for j in range(k + 1)]
     return row
 
@@ -481,8 +480,8 @@ def _derangement_row(n, cls="all", fixed=None):
     i = 0 if fixed is None else fixed
     _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
     read, m = _class(cls), n - i
-    d = read(_derangements_by_cycles(m, 1),
-             lambda: [(-1) ** m * c for c in _derangements_by_cycles(m, -1)])
+    d = read(_derangements_by_cycles(m),
+             lambda: [0, *repeat((-1) ** (m - 1), m - 1), 0] if m else [1])
     return [math.comb(n, i) * c for c in d]
 
 
@@ -491,6 +490,7 @@ def derangement_closed(n, cls="all", fixed=None):
 
     ``fixed=None`` means none; cls keeps the even (plus) or odd (minus) ones.
     With i fixed points the rest is a derangement of m = n - i letters, of sign
-    (-1)^(m - cyc): C(n, i) times d_m(1, t) or (d_m(1, t) +- (-1)^m d_m(-1, t))/2.
+    (-1)^(m - cyc): C(n, i) times d_m(t) or (d_m(t) +- e_m(t))/2, where the
+    signed sum e_m(t) is 1 at m = 0 and (-1)^(m-1) (t + ... + t^(m-1)) after.
     """
     return _poly(_derangement_row(n, cls, fixed), UNIVARIATE)

@@ -26,13 +26,13 @@ validated window tuple.  ``KINDS`` is the one table of the group kinds'
 rules.  ``iterate`` is the one enumerator: it picks one stream of bare
 windows per spec and by default maps ``Perm._trusted`` or
 ``SignedPerm._trusted`` over it.  The oracle's fused kernel reads the bare
-windows one permutation of [n] at a time: ``itertools.permutations`` on
-S_n, ``compress``-ed to a parity half by its inv parities,
-``_perm_parities``; a cycle type's class, generated; on a signed group one
-``compress`` block per permutation and kept class.  Elsewhere, as for a
-fixed-point count or a parity half of a pos_n slice, ``_lexicographic``
-filters.  The per-element functions over ``iterate``'s lexicographic
-elements are the reference for its sums.
+windows one permutation of [n] at a time: one ``compress`` block per
+permutation and kept class on a signed group, a generated class for a
+cycle type.  Every other spec, in either order, takes ``_lexicographic``:
+S_n or a pos_n slice, a half ``compress``-ed by its inv parities
+(``_parities``), then one loop for the filters left.  The per-element
+functions over ``iterate``'s lexicographic elements are the reference for
+its sums.
 """
 
 import math
@@ -445,6 +445,14 @@ def _perm_windows_pos_n(n, r):
         yield reduced[:r - 1] + (n,) + reduced[r - 1:]
 
 
+def _parities(n, r, shift=0):
+    """``_perm_parities`` of S_n, or of its pos_n slice at r: the slice's is
+    S_(n-1)'s shifted by n - r, since n at position r inverts with the n - r
+    letters after it."""
+    return (_perm_parities(n, shift) if r is None
+            else _perm_parities(n - 1, n - r + shift))
+
+
 def _signed_windows(letters, negs_parity=None, prefix=()):
     """``prefix`` followed by each signed window over ``letters``, in
     lexicographic order.
@@ -513,22 +521,17 @@ def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
     they stay bare, one permutation p of [n] at a time: on a signed group in
     blocks of 2^(n-1) windows (the one empty window at n = 0), each one
     class of p (the parity of its negated-entry count); one window per p on
-    kind S, where a class is generated and a half of S_n ``compress``-ed.  A
-    whole S_n is ``itertools.permutations`` either way.  Raises BudgetExceeded
-    when called, before any window, if the scan is too large.
+    kind S, where a cycle type's class is generated and every other spec
+    keeps the lexicographic order.  Raises BudgetExceeded when called,
+    before any window, if the scan is too large.
     """
     if budget is not None and enumeration_cost(spec) > budget:
         raise BudgetExceeded(f"enumerating {spec} visits {enumeration_cost(spec)}"
                              f" windows, over the budget of {budget}")
-    n, r, want = spec.n, spec.pos_n, ("all", "even", "odd").index(spec.parity)
-    if spec == GroupSpec("S", n):  # no filter
-        windows = _perm_windows(n)
-    elif by_permutation and spec.kind != "S":
+    if by_permutation and spec.kind != "S":
         windows = _signed_windows_by_permutation(spec)
-    elif by_permutation and spec.cycle_type and r is None:
+    elif by_permutation and spec.cycle_type and spec.pos_n is None:
         windows = _class_windows(spec)
-    elif by_permutation and want and spec.fixed_points is spec.cycle_type is r is None:
-        windows = compress(_perm_windows(n), _perm_parities(n, want))
     else:
         windows = _lexicographic(spec)
     element = Perm if spec.kind == "S" else SignedPerm
@@ -536,27 +539,24 @@ def iterate(spec, budget=DEFAULT_BUDGET, *, by_permutation=False):
 
 
 def _lexicographic(spec):
-    """``iterate``'s filter loop: bare windows in lexicographic order."""
-    kept, moves = KINDS[spec.kind]
-    if spec.kind == "S":
-        stream = (_perm_windows(spec.n) if spec.pos_n is None
-                  else _perm_windows_pos_n(spec.n, spec.pos_n))
-        length = inv
+    """``iterate``'s bare windows in lexicographic order: a half of S_n or of
+    a pos_n slice ``compress``-ed by ``_parities``, then one loop for the
+    filters left (fixed points, cycle type, a signed half's length), if any."""
+    n, r, (kept, moves) = spec.n, spec.pos_n, KINDS[spec.kind]
+    want = ("all", "even", "odd").index(spec.parity)  # want - 1: the parity kept
+    fixed, lam, length = spec.fixed_points, spec.cycle_type, None
+    if spec.kind != "S":
+        stream = _signed_windows(range(1, n + 1), kept[0] if len(kept) == 1 else None)
+        length = (inv_b if moves else inv_d) if want else None
     else:
-        stream = _signed_windows(range(1, spec.n + 1),
-                                 kept[0] if len(kept) == 1 else None)
-        length = inv_b if moves else inv_d
-    # the S-only filters are None on a signed spec
-    fixed, lam = spec.fixed_points, spec.cycle_type
-    want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
-    for w in stream:
-        if fixed is not None and fixed_points(w) != fixed:
-            continue
-        if lam is not None and _cycle_lengths(w) != lam:
-            continue
-        if want is not None and length(w) % 2 != want:
-            continue
-        yield w
+        stream = _perm_windows(n) if r is None else _perm_windows_pos_n(n, r)
+        if want:
+            stream = compress(stream, _parities(n, r, want))
+    if fixed is lam is length is None:
+        return stream
+    return (w for w in stream if (fixed is None or fixed_points(w) == fixed)
+            and (lam is None or _cycle_lengths(w) == lam)
+            and (length is None or length(w) % 2 == want - 1))
 
 
 def cardinality(spec, budget=DEFAULT_BUDGET):

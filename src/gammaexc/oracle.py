@@ -12,8 +12,9 @@ Every weighted sum runs through one fused kernel, behind ``dist_poly`` and
 offset, with a sign: a complement is a constant minus its base
 (``_COMPLEMENTS``: nexc = n - exc, asc = max(n - 1, 0) - des).  A tally
 pulls ``groups.iterate``'s bare windows one permutation p of [n] at a time
-and counts only the distinct base values, with inv(p) mod 2 and the class;
-the kernel folds each entry into a weight once.  On kind S the tally runs in
+and counts only the distinct base values, with inv(p) mod 2 (on S_n or a
+pos_n slice, ``groups._parities``) and the class; the kernel folds each
+entry into a weight once.  On kind S the tally runs in
 C: each base reads a ``tee`` copy of the stream by its stream form
 (``_A_STREAMS``: nested maps, tested against the per-element functions) or
 by one ``map``, and ``Counter(zip(...))`` counts them.  A signed base has a
@@ -55,7 +56,7 @@ from .groups import (
     GroupSpec,
     InvalidSpec,
     KINDS,
-    _perm_parities,
+    _parities,
     asc,
     asc_b,
     cyc,
@@ -287,10 +288,9 @@ def _type_a_tally(spec, bases, windows, parity):
     """Kind S: (inv mod 2, class 0, base values, count) per distinct entry.
 
     ``bases`` maps base names to statistics.  With ``parity``, inv mod 2 is
-    the parity string's where ``iterate`` generates the windows in
-    lexicographic order: S_n's, or the S_(n-1)'s under its ``pos_n`` slice
-    (n at position r adds n - r inversions); where a filter drops windows,
-    an ``inv`` column's.  Without, it reads 0.
+    ``groups._parities``'s where ``iterate`` streams all of S_n or of a pos_n
+    slice in lexicographic order; where a filter drops windows, an ``inv``
+    column's.  Without, it reads 0.
     """
     n = spec.n
     # some column must pull every window, also for a weight with no statistic
@@ -298,8 +298,7 @@ def _type_a_tally(spec, bases, windows, parity):
     if parity and not _parity_is_free(spec):
         columns.append(inv)
     elif parity:
-        bits = [_perm_parities(n) if spec.pos_n is None
-                else _perm_parities(n - 1, n - spec.pos_n)]
+        bits = [_parities(n, spec.pos_n)]
     columns = [stream(stat, ws, n)
                for stat, ws in zip(columns, tee(windows, len(columns)))] + bits
     for values, count in Counter(zip(*columns)).items():

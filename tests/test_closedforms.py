@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -33,8 +34,9 @@ from gammaexc.closedforms import (
     sgnb_des_u_closed,
     step_recurrence,
 )
-from gammaexc.groups import CycleType, partitions
-from gammaexc.oracle import FAMILIES, FamilySpec, closed_family, family_poly
+from gammaexc.groups import CycleType, GroupSpec, partitions
+from gammaexc.oracle import (FAMILIES, FamilySpec, WeightSpec, closed_family,
+                             dist_poly, family_poly)
 from gammaexc.poly import (BIVARIATE, D, GammaExpansion, NotHomogeneous,
                            NotPalindromic, OddCoefficient, Poly, UNIVARIATE,
                            ZeroPolynomial, gamma_decompose, half, t_coefficients)
@@ -863,6 +865,50 @@ class TestDerangementRecurrence:
             derangement_closed(4, "odd")
 
 
+class TestDerangementSignRow:
+    """The derangements' signed sum, read by the class rule off a closed row,
+    against the cycle recurrence at q = -1 and against the oracle."""
+
+    @staticmethod
+    def _signed(m):
+        plus, minus = map(closedforms._derangement_row, (m, m), ("plus", "minus"))
+        return [a - b for a, b in zip(plus, minus, strict=True)]
+
+    def test_equals_the_cycle_recurrence_at_q_minus_1(self):
+        for m, row in zip(range(151), _derangement_rows(-1)):
+            assert self._signed(m) == [(-1) ** m * c for c in row], m
+
+    @pytest.mark.parametrize("n", [25, 60, 120])
+    def test_every_class_equals_the_recurrence_halves(self, n):
+        rows = [*zip(range(n + 1), _derangement_rows(1), _derangement_rows(-1))]
+        for fixed in range(4):
+            _, whole, at_minus_1 = rows[n - fixed]
+            signed = [(-1) ** (n - fixed) * c for c in at_minus_1]
+            for cls, sign in (("all", 0), ("plus", 1), ("minus", -1)):
+                half = [a + sign * b for a, b in zip(whole, signed)]
+                expected = whole if not sign else [c // 2 for c in half]
+                assert closedforms._derangement_row(n, cls, fixed) \
+                    == [math.comb(n, fixed) * c for c in expected], (fixed, cls)
+
+    def test_equals_the_oracle_signed_sum(self):
+        weight = WeightSpec((("t", "exc", 0),), sign_stat="inv")
+        for n in range(9):
+            oracle = dist_poly(GroupSpec("S", n, fixed_points=0), weight)
+            assert oracle == derangement_closed(n, "plus") \
+                - derangement_closed(n, "minus"), n
+            assert closedforms._poly(self._signed(n), UNIVARIATE) == oracle, n
+
+    def test_each_request_runs_the_recurrence_once(self, monkeypatch):
+        calls, real = [], closedforms._derangements_by_cycles
+        monkeypatch.setattr(closedforms, "_derangements_by_cycles",
+                            lambda m: calls.append(m) or real(m))
+        for cls in CLASSES:
+            for fixed in (None, 2):
+                calls.clear()
+                closed_family(FamilySpec("aderexc", 30, cls, fixed=fixed))
+                assert calls == [30 - (fixed or 0)], (cls, fixed)
+
+
 class TestClosedFamilyDispatch:
     def test_matches_oracle_engine(self):
         cases = [
@@ -949,6 +995,20 @@ def _reference():
             g = grow(m)
             pairs[family][m] = (s * x + t * y + g, t * x + s * y + g)
     return eul, pairs
+
+
+def _derangement_rows(q):
+    """d_m(q, t) = sum of q^cyc t^exc over the derangements of [m], as t-rows
+    for m = 0, 1, 2, ...: d_k = (k-1) t d_{k-1} + t(1-t) d'_{k-1}
+    + (k-1) q t d_{k-2}, the cycle recurrence the engine runs at q = 1 only.
+    At q = -1, (-1)^m d_m(-1, t) is the derangements' signed sum."""
+    older, row = [], [1]  # the rows of d_{k-2} and d_{k-1}
+    yield row
+    for k in count(1):
+        a, b = [0] + row + [0], [0] + older + [0] * k
+        older, row = row, [j * a[j + 1] + (k - j) * a[j] + (k - 1) * q * b[j]
+                           for j in range(k + 1)]
+        yield row
 
 
 def _sign(cls):

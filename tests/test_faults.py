@@ -155,12 +155,14 @@ FAULTS = {
     "oracle._A_STREAMS' exc stream + 1 on its first window": (
         oracle, "_A_STREAMS", _first_exc_off,
         ("typeA.closed_equals_oracle", "derangements.conjugacy_product_formula")),
-    "oracle._perm_parities flipped": (
-        oracle, "_perm_parities",
-        lambda real: lambda n, shift=0: real(n, shift + 1),
+    "oracle._parities flipped": (
+        oracle, "_parities",
+        lambda real: lambda n, r, shift=0: real(n, r, shift + 1),
         ("typeA.closed_equals_oracle", "signed_sums.type_a_power",
          "derangements.fixed_point_refinement")),
-    # iterate reads these two from groups; oracle binds _perm_parities apart
+    # iterate reads these two from groups; oracle binds _parities apart, and
+    # groups._parities reads _perm_parities from groups, so the tally sees
+    # the second one too
     "groups._class_windows drops the last window of each class": (
         groups, "_class_windows", _class_last_dropped,
         ("derangements.long_cycle_distribution",
@@ -296,9 +298,9 @@ FAULTS = {
     "closedforms.derangement_closed + t at (4, all), no fixed count": (
         closedforms, "derangement_closed", _off_at({(4, "all")}, _T),
         ("q_refined.q1_collapse",)),
-    "oracle._perm_parities all zero": (
-        oracle, "_perm_parities",
-        lambda real: lambda n, shift=0: bytes(len(real(n, shift))),
+    "oracle._parities all zero": (
+        oracle, "_parities",
+        lambda real: lambda n, r, shift=0: bytes(len(real(n, r, shift))),
         ("bijections.halving_consequence",)),
     "oracle._signed_kernel's des_b form + 1 at p = (2, 1)": (
         oracle, "_signed_kernel", _signed_form_off_at("des_b", (2, 1)),

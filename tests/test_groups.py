@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from gammaexc import groups
 from gammaexc.closedforms import conj_exc_closed
 from gammaexc.groups import (
     BudgetExceeded,
@@ -334,6 +335,43 @@ class TestIterate:
                     spec = GroupSpec("S", n, parity, pos_n=r)
                     lex = [p.window for p in iterate(spec)]
                     assert list(iterate(spec, by_permutation=True)) == lex, spec
+
+    def test_kind_s_streams_equal_a_per_window_filter(self):
+        # every parity x pos_n x fixed-point x cycle-type spec up to n = 6:
+        # the default order is the lexicographic filter of permutations, and
+        # the bare order too, but for a generated class, which is sorted
+        for n in range(7):
+            rows = [(w, inv(w) % 2, w.index(n) + 1 if n else None,
+                     fixed_points(w), cycle_type(w).parts)
+                    for w in permutations(range(1, n + 1))]
+            for parity, want in (("all", None), ("even", 0), ("odd", 1)):
+                for r in (None, *range(1, n + 1)):
+                    for fixed in (None, *range(n + 1)):
+                        for lam in (None, *(lam.parts for lam in partitions(n))):
+                            spec = GroupSpec("S", n, parity, pos_n=r,
+                                             fixed_points=fixed, cycle_type=lam)
+                            kept = [w for w, bit, at, fix, parts in rows
+                                    if want in (None, bit) and r in (None, at)
+                                    and fixed in (None, fix)
+                                    and lam in (None, parts)]
+                            assert [p.window for p in iterate(spec)] == kept, spec
+                            bare = list(iterate(spec, by_permutation=True))
+                            if lam is not None and r is None:
+                                bare.sort()
+                            assert bare == kept, spec
+
+    def test_kind_s_halves_read_no_inv(self, monkeypatch):
+        specs = (GroupSpec("S", 7, "odd", fixed_points=0),
+                 GroupSpec("S", 7, "even", pos_n=3))
+        expected = {spec: [p.window for p in iterate(spec)] for spec in specs}
+
+        def refuse(w):
+            raise AssertionError(f"inv{w}")
+
+        monkeypatch.setattr(groups, "inv", refuse)
+        for spec in specs:
+            assert [p.window for p in iterate(spec)] == expected[spec]
+            assert list(iterate(spec, by_permutation=True)) == expected[spec]
 
     def test_class_is_streamed(self):
         # the 12-cycles of S_12 are 11! windows: the first comes at once

@@ -327,9 +327,9 @@ class TestRunMemo:
 
     def test_a_fault_patched_between_runs_fails_the_second(self, monkeypatch):
         assert {r.status for r in run_suite("typeA", MEMO_LIMITS)} == {"pass"}
-        real = oracle._perm_parities
-        monkeypatch.setattr(oracle, "_perm_parities",
-                            lambda n, shift=0: real(n, shift + 1))
+        real = oracle._parities
+        monkeypatch.setattr(oracle, "_parities",
+                            lambda n, r, shift=0: real(n, r, shift + 1))
         results = {r.check_id: r for r in run_suite("typeA", MEMO_LIMITS)}
         assert results["typeA.closed_equals_oracle"].status == "fail"
 
