@@ -429,14 +429,17 @@ def _perm_windows(n):
 
 
 def _perm_parities(n, shift=0):
-    """(inv(w) + shift) % 2 for each window w of ``_perm_windows(n)``, as
-    bytes: S_m's is S_(m-1)'s once per first letter, flipped under an even
-    one, because inv(w) sums the Lehmer digits of w's lexicographic rank."""
+    """(inv(w) + shift) % 2 for each window w of ``_perm_windows(n)``: S_m's
+    is S_(m-1)'s once per first letter, flipped under an even one (inv(w) sums
+    w's Lehmer digits); bytes to n = 8, above it S_8's chained per prefix."""
+    low = min(n, 8)  # S_8's, 40320 bytes, is the longest string built
     parities = b"\0", b"\1"  # S_1's, and flipped
-    for m in range(2, n + 1):
+    for m in range(2, low + 1):
         parities = [(a + b) * (m // 2) + a * (m % 2)
                     for a, b in (parities, parities[::-1])]
-    return parities[shift % 2]
+    return parities[shift % 2] if n == low else chain.from_iterable(
+        parities[(shift + sum(digits)) % 2]
+        for digits in product(*map(range, range(n, low, -1))))
 
 
 def _perm_windows_pos_n(n, r):

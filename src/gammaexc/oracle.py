@@ -30,8 +30,8 @@ inv_b sign, so one tally gives the even- and odd-length halves apart
 
 Inside a ``kernel_memo`` block (``checks.run_suite`` opens one per run) a
 tally is walked once per (spec, budget, base names, parity carried) and
-folded for each weight that reads it: the whole, its length halves, its
-signed sums.  The memo is a ``ContextVar``, per run and per context
+folded for each weight that reads it, and a signed p's signature is computed
+once per set of forms.  The memo is a ``ContextVar``, per run and context
 (another thread sees none); it keeps only tallies that completed.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
@@ -48,6 +48,7 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import combinations, islice, repeat, starmap, tee
+from math import factorial, inf
 from operator import eq, getitem, gt, lt, sub
 
 from . import closedforms
@@ -57,6 +58,7 @@ from .groups import (
     InvalidSpec,
     KINDS,
     _parities,
+    _perm_windows,
     asc,
     asc_b,
     cyc,
@@ -309,26 +311,38 @@ def _signed_tally(spec, bases, windows, parity):
     """Types B and D: (inv(p) mod 2, class, base values, count) per distinct
     entry; the parity is always carried.
 
-    ``bases`` maps base names to kernel forms.  Each is computed once per
-    p, read off its block's first window, and packed in base ``radix``,
-    first one most significant; packing is linear, so the window negating
-    N has packed values c + sum(w[j] for j in N).
+    ``bases`` maps base names to kernel forms.  p's signature is (c, the
+    sorted w, inv(p) mod 2), its forms packed in base ``radix``, first one
+    most significant; packing is linear, so the window negating N has packed
+    values c + sum(w[j] for j in N).  A ``kernel_memo`` run holds them per
+    set of forms, interned, in n! slots by p's lexicographic rank, read off
+    ``_perm_windows(n)`` beside the walk; a p out of that order is not held.
     """
     n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
-    signatures, last = Counter(), None
+    memo, forms, end = _MEMO.get(), tuple(bases.values()), (None, (inf,))
+    slots, interned = (None, None) if memo is None else memo.setdefault(
+        forms, ([None] * factorial(n), {}))
+    ranked = enumerate(() if memo is None else _perm_windows(n))
+    (rank, ref), signatures, last = next(ranked, end), Counter(), None
     for w in islice(windows, 0, None, 2 ** max(n - 1, 0)):
-        p, cls = tuple(map(abs, w)), negs(w) % 2
+        p, cls = tuple(map(abs, w)), negs(w) % 2  # p off its block's first window
         if p != last:  # B streams both classes of p one after the other
-            last, c, weights = p, 0, [0] * n
-            for base in bases.values():
-                base_c, base_w = base(p)
-                c = c * radix + base_c
-                weights = [x * radix + y for x, y in zip(weights, base_w)]
-            weights, bit = tuple(sorted(weights)), inv(p) % 2
-        signatures[c, weights, bit, cls] += 1
+            while ref < p:
+                rank, ref = next(ranked, end)
+            last, signature = p, slots[rank] if ref == p else None
+            if signature is None:
+                c, weights = forms[0](p) if forms else (0, [0] * n)
+                for base in forms[1:]:
+                    base_c, base_w = base(p)
+                    c = c * radix + base_c
+                    weights = [x * radix + y for x, y in zip(weights, base_w)]
+                signature = c, tuple(sorted(weights)), inv(p) % 2
+                if ref == p:
+                    signature = slots[rank] = interned.setdefault(signature, signature)
+        signatures[signature, cls] += 1
     tally = Counter()  # (inv(p) mod 2, class, packed values) -> count
-    for (c, weights, bit, cls), blocks in signatures.items():
+    for ((c, weights, bit), cls), blocks in signatures.items():
         even, odd = [c], []
         for x in weights:
             even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
@@ -339,12 +353,13 @@ def _signed_tally(spec, bases, windows, parity):
         yield bit, cls, [packed // place % radix for place in places], count
 
 
-_MEMO = ContextVar("kernel_memo", default=None)  # inputs -> tally, in a block
+_MEMO = ContextVar("kernel_memo", default=None)  # a run's tallies, forms, signatures
 
 
 @contextmanager
 def kernel_memo():
-    """In the block and this context, ``_kernel`` walks each tally once."""
+    """In the block and this context, ``_kernel`` walks each tally once and
+    ``_signed_tally`` computes each p's signature once per set of forms."""
     token = _MEMO.set({})
     try:
         yield
@@ -373,8 +388,10 @@ def _kernel(spec, weight, budget, split):
     memo, inputs = _MEMO.get(), (spec, budget, names, parity)
     entries = None if memo is None else memo.get(inputs)
     if entries is None:
-        forms, tally = ((A_STATISTICS, _type_a_tally) if spec.kind == "S"
-                        else (_signed_kernel(spec.n), _signed_tally))
+        forms, tally = A_STATISTICS, _type_a_tally
+        if spec.kind != "S":  # one set of forms per run and n: D_n reads B_n's
+            held, tally = {} if memo is None else memo, _signed_tally
+            forms = held[spec.n] = held.get(spec.n) or _signed_kernel(spec.n)
         windows = iterate(spec, budget=budget, by_permutation=True)
         entries = tally(spec, {name: forms[name] for name in names}, windows, parity)
         if memo is not None:

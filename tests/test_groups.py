@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -471,6 +472,35 @@ class TestKernelIdentities:
                 inv(p) % 2 for p in permutations(range(1, m + 1)))
             flipped = bytes(1 - b for b in _perm_parities(m))
             assert _perm_parities(m, shift=3) == flipped
+
+    def test_parity_stream_is_the_doubled_bytes_at_every_rank(self):
+        # the reference: S_m's string doubled up from S_1's at every rank,
+        # also above rank 8, where the stream chains S_8's
+        strings = [(b"\0", b"\1")] * 2  # S_0's and S_1's, each with its flip
+        for m in range(2, 11):
+            a, b = strings[-1]
+            strings.append(((a + b) * (m // 2) + a * (m % 2),
+                            (b + a) * (m // 2) + b * (m % 2)))
+        for n in range(11):
+            for shift in (0, 1):
+                assert bytes(_perm_parities(n, shift)) == strings[n][shift], (n, shift)
+                for r in range(1, n + 1) if n <= 9 else ():
+                    want = strings[n - 1][(n - r + shift) % 2]
+                    assert bytes(groups._parities(n, r, shift)) == want, (n, r, shift)
+
+    def test_a_half_reaches_its_first_window_in_little_memory(self):
+        # at n = 11 the whole parity string is 11! bytes; the stream holds
+        # S_8's, 40320 bytes, in either order
+        for by_permutation in (False, True):
+            tracemalloc.start()
+            try:
+                windows = iterate(GroupSpec("S", 11, "odd"), budget=None,
+                                  by_permutation=by_permutation)
+                first, peak = next(windows), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert tuple(first) == (*range(1, 10), 11, 10)
+            assert peak < 8 * 2 ** 20, (by_permutation, peak)
 
     def test_complements(self):
         for n in range(8):

@@ -389,6 +389,88 @@ class TestRunMemo:
                 assert oracle.dist_poly(spec, weight) == even + odd
         assert walks == dict.fromkeys(walks, 1) and len(walks) == 3
 
+    @staticmethod
+    def _signed_specs(n):
+        return [*(GroupSpec(kind, n, parity) for kind in "BD"
+                  for parity in ("all", "even", "odd")), GroupSpec("B-D", n)]
+
+    @staticmethod
+    def _count_form_calls(monkeypatch):
+        """Counts each kernel form's calls per (its first name, p), with one
+        counting wrapper per form object, so D_n's forms stay B_n's."""
+        calls, real = collections.Counter(), oracle._signed_kernel
+
+        def counted(name, form):
+            def counting(p):
+                calls[name, p] += 1
+                return form(p)
+
+            return counting
+
+        def kernel(n):
+            forms, wrappers = real(n), {}
+            for name, form in forms.items():
+                wrappers.setdefault(form, counted(name, form))
+            return {name: wrappers[form] for name, form in forms.items()}
+
+        monkeypatch.setattr(oracle, "_signed_kernel", kernel)
+        return calls
+
+    def _ask_every_signed_domain(self, n):
+        for spec in self._signed_specs(n):
+            for weight in (oracle.BEXC_WEIGHT, oracle.DEXC_WEIGHT, oracle.BDES_WEIGHT):
+                for sign in (None, "inv_b", "inv_d"):
+                    oracle.dist_poly(spec, oracle.WeightSpec(weight.exponents, sign))
+            if spec.parity == "all" and spec.kind != "B-D":
+                oracle.length_halves(spec, oracle.DEXC_WEIGHT)
+
+    def test_a_run_computes_each_signature_once(self, monkeypatch):
+        # B_4, its halves, D_4, its halves and B-D_4 share exc_b's form
+        # (exc_d is the same object) and read des_b's apart
+        calls = self._count_form_calls(monkeypatch)
+        with oracle.kernel_memo():
+            self._ask_every_signed_domain(4)
+        perms = list(itertools.permutations(range(1, 5)))
+        assert calls == {(name, p): 1 for name in ("exc_b", "des_b") for p in perms}
+        calls.clear()
+        self._ask_every_signed_domain(4)  # outside a run every walk computes
+        assert set(calls) == {(name, p) for name in ("exc_b", "des_b") for p in perms}
+        assert min(calls.values()) > 1
+
+    def test_blocks_out_of_lexicographic_order_answer_as_alone(self, monkeypatch):
+        requests = [(spec, weight) for n in range(5) for spec in self._signed_specs(n)
+                    for weight in (oracle.BEXC_WEIGHT, oracle.DEXC_WEIGHT)]
+        alone = [oracle.dist_poly(spec, weight) for spec, weight in requests]
+        real = oracle.iterate
+
+        def reordered(spec, budget, by_permutation):
+            # the odd-numbered blocks in order, then the even-numbered ones
+            # backwards: the run holds some p and meets others out of order
+            windows = [*real(spec, budget, by_permutation=by_permutation)]
+            size = 2 ** max(spec.n - 1, 0)
+            blocks = [windows[i:i + size] for i in range(0, len(windows), size)]
+            return itertools.chain.from_iterable(blocks[1::2] + blocks[::2][::-1])
+
+        monkeypatch.setattr(oracle, "iterate", reordered)
+        assert [oracle.dist_poly(spec, weight) for spec, weight in requests] == alone
+        with oracle.kernel_memo():
+            assert [oracle.dist_poly(s, w) for s, w in requests] == alone
+
+    def test_every_signed_request_in_one_run_equals_the_reference_sum(self):
+        weights = [oracle.WeightSpec((("t", stat, 0),))
+                   for stat in oracle.SIGNED_STATISTICS]
+        weights += [oracle.WeightSpec(weight.exponents, sign)
+                    for weight in (oracle.BEXC_WEIGHT, oracle.BDES_WEIGHT,
+                                   oracle.DEXC_WEIGHT, oracle.SGNB_WEIGHT)
+                    for sign in (None, "inv_b", "inv_d")]
+        with oracle.kernel_memo():
+            for n in range(5):
+                for spec in self._signed_specs(n):
+                    for weight in weights:
+                        want = oracle._weighted_sum(oracle.iterate(spec, budget=None),
+                                                    weight, spec.kind)
+                        assert oracle.dist_poly(spec, weight) == want, (spec, weight)
+
     def test_threads_keep_their_own_runs(self):
         want = _outcomes(run_suite("typeD", MEMO_LIMITS))
         got, outside = [None, None], []
