@@ -429,15 +429,15 @@ def _perm_windows(n):
 
 
 def _perm_parities(n, shift=0):
-    """(inv(w) + shift) % 2 for each window w of ``_perm_windows(n)``: S_m's
-    is S_(m-1)'s once per first letter, flipped under an even one (inv(w) sums
-    w's Lehmer digits); bytes to n = 8, above it S_8's chained per prefix."""
+    """(inv(w) + shift) % 2 for each window w of ``_perm_windows(n)``, as a
+    stream: S_m's is S_(m-1)'s once per first letter, flipped under an even
+    one (inv(w) sums w's Lehmer digits), so S_n's chains S_8's per prefix."""
     low = min(n, 8)  # S_8's, 40320 bytes, is the longest string built
     parities = b"\0", b"\1"  # S_1's, and flipped
     for m in range(2, low + 1):
         parities = [(a + b) * (m // 2) + a * (m % 2)
                     for a, b in (parities, parities[::-1])]
-    return parities[shift % 2] if n == low else chain.from_iterable(
+    return chain.from_iterable(  # up to n = 8, one prefix: the empty one
         parities[(shift + sum(digits)) % 2]
         for digits in product(*map(range, range(n, low, -1))))
 

@@ -314,16 +314,15 @@ def _signed_tally(spec, bases, windows, parity):
     ``bases`` maps base names to kernel forms.  p's signature is (c, the
     sorted w, inv(p) mod 2), its forms packed in base ``radix``, first one
     most significant; packing is linear, so the window negating N has packed
-    values c + sum(w[j] for j in N).  A ``kernel_memo`` run holds them per
-    set of forms, interned, in n! slots by p's lexicographic rank, read off
+    values c + sum(w[j] for j in N).  The run holds them under n by set of
+    forms, interned, in n! slots by p's lexicographic rank, read off
     ``_perm_windows(n)`` beside the walk; a p out of that order is not held.
     """
     n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
-    memo, forms, end = _MEMO.get(), tuple(bases.values()), (None, (inf,))
-    slots, interned = (None, None) if memo is None else memo.setdefault(
-        forms, ([None] * factorial(n), {}))
-    ranked = enumerate(() if memo is None else _perm_windows(n))
+    (_, held), forms, end = _MEMO.get()[n], tuple(bases.values()), (None, (inf,))
+    slots, interned = held.get(forms) or held.setdefault(forms, ([None] * factorial(n), {}))
+    ranked = enumerate(_perm_windows(n))
     (rank, ref), signatures, last = next(ranked, end), Counter(), None
     for w in islice(windows, 0, None, 2 ** max(n - 1, 0)):
         p, cls = tuple(map(abs, w)), negs(w) % 2  # p off its block's first window
@@ -353,7 +352,7 @@ def _signed_tally(spec, bases, windows, parity):
         yield bit, cls, [packed // place % radix for place in places], count
 
 
-_MEMO = ContextVar("kernel_memo", default=None)  # a run's tallies, forms, signatures
+_MEMO = ContextVar("kernel_memo", default=None)  # tallies; per n, forms, signatures
 
 
 @contextmanager
@@ -374,8 +373,11 @@ def _kernel(spec, weight, budget, split):
     complement (``_COMPLEMENTS``) is its constant plus the offset minus its
     base.  Each tally entry is keyed, checked and signed once.  First comes
     UndefinedStatistic, then BudgetExceeded by ``iterate``'s rule, before
-    any window.  In ``kernel_memo``, a repeat of (spec, budget, base names,
-    parity carried) refolds its stored tally."""
+    any window.  In a run (a call outside ``kernel_memo`` is one), a repeat
+    of (spec, budget, base names, parity carried) refolds its stored tally."""
+    if (memo := _MEMO.get()) is None:
+        with kernel_memo():
+            return _kernel(spec, weight, budget, split)
     signs = weight.sign_stat is not None
     reads = []  # (base name, offset, sign) per exponent
     for stat, (_, _, off) in zip(_resolve(weight, spec.kind), weight.exponents):
@@ -385,17 +387,15 @@ def _kernel(spec, weight, budget, split):
     names = tuple(dict.fromkeys(base for base, _, _ in reads))
     places = [(names.index(base), off, sign) for base, off, sign in reads]
     parity = split or signs or _parity_is_free(spec)
-    memo, inputs = _MEMO.get(), (spec, budget, names, parity)
-    entries = None if memo is None else memo.get(inputs)
+    entries = memo.get(inputs := (spec, budget, names, parity))
     if entries is None:
         forms, tally = A_STATISTICS, _type_a_tally
         if spec.kind != "S":  # one set of forms per run and n: D_n reads B_n's
-            held, tally = {} if memo is None else memo, _signed_tally
-            forms = held[spec.n] = held.get(spec.n) or _signed_kernel(spec.n)
+            tally, (forms, _) = _signed_tally, memo.get(spec.n) or memo.setdefault(
+                spec.n, (_signed_kernel(spec.n), {}))  # and their signatures
         windows = iterate(spec, budget=budget, by_permutation=True)
         entries = tally(spec, {name: forms[name] for name in names}, windows, parity)
-        if memo is not None:
-            entries = memo[inputs] = [*entries]
+        entries = memo[inputs] = [*entries]
     length_moves, sign_moves = KINDS[spec.kind][1], weight.sign_stat == "inv_b"
     halves = ({}, {})
     for bit, cls, values, count in entries:

@@ -300,7 +300,7 @@ FAULTS = {
         ("q_refined.q1_collapse",)),
     "oracle._parities all zero": (
         oracle, "_parities",
-        lambda real: lambda n, r, shift=0: bytes(len(real(n, r, shift))),
+        lambda real: lambda n, r, shift=0: bytes(len(bytes(real(n, r, shift)))),
         ("bijections.halving_consequence",)),
     "oracle._signed_kernel's des_b form + 1 at p = (2, 1)": (
         oracle, "_signed_kernel", _signed_form_off_at("des_b", (2, 1)),

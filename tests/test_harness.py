@@ -471,6 +471,17 @@ class TestRunMemo:
                                                     weight, spec.kind)
                         assert oracle.dist_poly(spec, weight) == want, (spec, weight)
 
+    def test_a_statistic_free_weight_answers_at_every_rank_in_either_order(self):
+        # a weight reading no statistic has the same (empty) set of forms at
+        # every rank, so a run must keep the signatures it holds per rank
+        requests = [(spec, oracle.WeightSpec((), sign))
+                    for n in range(1, 5) for spec in self._signed_specs(n)
+                    for sign in (None, "inv_b", "inv_d")]
+        alone = {request: oracle.dist_poly(*request) for request in requests}
+        for order in (requests, requests[::-1]):
+            with oracle.kernel_memo():
+                assert [oracle.dist_poly(*r) for r in order] == [alone[r] for r in order]
+
     def test_threads_keep_their_own_runs(self):
         want = _outcomes(run_suite("typeD", MEMO_LIMITS))
         got, outside = [None, None], []
