@@ -60,6 +60,13 @@ def _require(condition, message):
         raise ValueError(message)
 
 
+def _int(value, name="rank"):
+    """value, once checked to be an int: bool and float are not ranks."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an int")
+    return value
+
+
 # -- rows ------------------------------------------------------------------------
 
 
@@ -136,7 +143,7 @@ def _gamma_step(g, d, c):
 
 def _eulerian_row(kind, n):
     _require(kind in _EULERIAN, f"kind must be A or B, got {kind!r}")
-    _require(n >= 0, "n must be non-negative")
+    _require(_int(n) >= 0, "n must be non-negative")
     if not n:
         return [1]  # rank 0: the one empty window
     rows, _, c, low = _EULERIAN[kind]
@@ -163,25 +170,25 @@ def _sgn_dexc_row(n):
 
 def sgn_aexc_closed(n):
     """Signed type-A excedance sum: (s-t)^(n-1)."""
-    _require(n >= 1, "n must be at least 1")
+    _require(_int(n) >= 1, "n must be at least 1")
     return _poly(_signed(n - 1))
 
 
 def sgn_bexc_closed(n):
     """Signed type-B excedance sum: (s-t)^n."""
-    _require(n >= 0, "n must be non-negative")
+    _require(_int(n) >= 0, "n must be non-negative")
     return _poly(_signed(n))
 
 
 def sgn_dexc_closed(n):
     """Signed type-D excedance sum: (s-t)^n for even n, s(s-t)^(n-1) for odd."""
-    _require(n >= 0, "n must be non-negative")
+    _require(_int(n) >= 0, "n must be non-negative")
     return _poly(_sgn_dexc_row(n))
 
 
 def sgnb_des_u_closed(n):
     """Signed descent-ascent-position sum: (s-t)^n u^n."""
-    _require(n >= 0, "n must be non-negative")
+    _require(_int(n) >= 0, "n must be non-negative")
     return _poly(_signed(n)) * Poly.variable("u") ** n
 
 
@@ -195,7 +202,7 @@ def half_sum_closed(family, n, cls):
     _require(family in ("aexc", "bexc"),
              f"half-sum covers aexc and bexc, not {family!r}")
     low = _EULERIAN["A" if family == "aexc" else "B"][3]
-    _require(n >= low, f"{family} half-sum needs n >= {low}")
+    _require(_int(n) >= low, f"{family} half-sum needs n >= {low}")
     return _poly(_class_row(family, n, cls))
 
 
@@ -261,7 +268,7 @@ def step_recurrence(family, n, cls="all"):
     _require(family in _STEPS, f"unknown family {family!r}")
     kind, whole, signed = _STEPS[family]
     _, _, c, low = _EULERIAN[kind]
-    _require(n >= low, f"{family} step recurrence starts at n = {low}")
+    _require(_int(n) >= low, f"{family} step recurrence starts at n = {low}")
     _require(signed or cls == "all", f"{family} has no plus/minus split")
     read = _class(cls)
     x, y = [1], [0]
@@ -295,7 +302,7 @@ class CoeffTable(Record):
 
     def row(self, n, cls):
         _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
-        _require(1 <= n <= self.n_max, f"row {n} outside 1..{self.n_max}")
+        _require(1 <= _int(n) <= self.n_max, f"row {n} outside 1..{self.n_max}")
         return getattr(self, cls)[n - 1]  # the class names the field
 
     def value(self, n, k, cls):
@@ -304,7 +311,7 @@ class CoeffTable(Record):
 
 
 def coeff_tables(n_max):
-    _require(n_max >= 1, "need n_max >= 1")
+    _require(_int(n_max, "n_max") >= 1, "need n_max >= 1")
     plus, minus = [[1]], [[0]]
     for _ in range(2, n_max + 1):
         # rows n-1 read as homogeneous: a_{n-1,k} is s*a, and
@@ -353,7 +360,7 @@ def dexc_jump_tail(n):
     coefficient is even, which is what makes the halved plus/minus jump
     integral; the jump engine only ever evaluates it at even ranks.
     """
-    _require(n >= 2, "tail defined for n >= 2")
+    _require(_int(n) >= 2, "tail defined for n >= 2")
     tab = _jump_table()
     b_n, b_n1, b_n2 = eulerian("B", n), eulerian("B", n + 1), eulerian("B", n + 2)
     bd_n = half_sum_closed("bexc", n, "minus")
@@ -414,7 +421,7 @@ def jump4(family, n, cls):
     _require(family in _JUMPS, "jump is defined for aexc and dexc")
     _require(cls in ("plus", "minus"), f"cls must be plus/minus, got {cls!r}")
     base = _JUMPS[family][0]
-    if n < min(base) or (n - min(base)) % 2:
+    if _int(n) < min(base) or (n - min(base)) % 2:
         raise MissingBase(f"level {n} is not reachable from the {family} "
                           f"seeds {sorted(base)} in steps of four")
     return _jump_level(family, n + 4)[cls]
@@ -476,9 +483,9 @@ def _derangements_by_cycles(m):
 
 def _derangement_row(n, cls="all", fixed=None):
     """``derangement_closed``'s t-row."""
-    _require(n >= 0, "n must be non-negative")
+    _require(_int(n) >= 0, "n must be non-negative")
     i = 0 if fixed is None else fixed
-    _require(0 <= i <= n, f"fixed={i} outside 0..{n}")
+    _require(0 <= _int(i, "fixed-point count") <= n, f"fixed={i} outside 0..{n}")
     read, m = _class(cls), n - i
     d = read(_derangements_by_cycles(m),
              lambda: [0, *repeat((-1) ** (m - 1), m - 1), 0] if m else [1])

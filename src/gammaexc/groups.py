@@ -37,7 +37,6 @@ its sums.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, compress, product, starmap
 from itertools import permutations as _itertools_permutations
 from operator import eq, gt, le, lt, neg
@@ -358,8 +357,7 @@ def partitions(n):
 KINDS = {"S": ((0,), 0), "B": ((0, 1), 1), "D": ((0,), 0), "B-D": ((1,), None)}
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """One of the summation domains: a group, coset side, or refined subset.
 
     kind: a key of ``KINDS``: "S" (permutations), "B" (signed), "D" (even
@@ -368,39 +366,34 @@ class GroupSpec:
     The remaining filters apply to kind "S" only.
     """
 
-    kind: str
-    n: int
-    parity: str = "all"
-    pos_n: int | None = None
-    fixed_points: int | None = None
-    cycle_type: tuple | None = None
+    __slots__ = ("kind", "n", "parity", "pos_n", "fixed_points", "cycle_type")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in KINDS:
-            raise InvalidSpec(f"unknown kind {self.kind!r}")
-        if type(self.n) is not int:  # bool and float are not ranks
-            raise InvalidSpec(f"rank {self.n!r} is not an int")
-        if self.n < 0:
+    def __init__(self, kind, n, parity="all", pos_n=None, fixed_points=None,
+                 cycle_type=None):
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise InvalidSpec(f"unknown kind {kind!r}")
+        if type(n) is not int:  # bool and float are not ranks
+            raise InvalidSpec(f"rank {n!r} is not an int")
+        if n < 0:
             raise InvalidSpec("n must be non-negative")
-        if self.parity not in ("all", "even", "odd"):
-            raise InvalidSpec(f"parity must be all/even/odd, got {self.parity!r}")
-        if self.parity != "all" and KINDS[self.kind][1] is None:
-            raise InvalidSpec(f"{self.kind} carries no even/odd length split here")
-        if self.kind != "S" and (self.pos_n is not None
-                                 or self.fixed_points is not None
-                                 or self.cycle_type is not None):
+        if parity not in ("all", "even", "odd"):
+            raise InvalidSpec(f"parity must be all/even/odd, got {parity!r}")
+        if parity != "all" and KINDS[kind][1] is None:
+            raise InvalidSpec(f"{kind} carries no even/odd length split here")
+        if kind != "S" and (pos_n is not None or fixed_points is not None
+                            or cycle_type is not None):
             raise InvalidSpec("pos_n/fixed_points/cycle_type apply to kind S only")
-        for name, low in (("pos_n", 1), ("fixed_points", 0)):
-            value = getattr(self, name)
+        for name, value, low in (("pos_n", pos_n, 1), ("fixed_points", fixed_points, 0)):
             if value is not None and type(value) is not int:
                 raise InvalidSpec(f"{name} {value!r} is not an int")
-            if value is not None and not low <= value <= self.n:
-                raise InvalidSpec(f"{name}={value} outside {low}..{self.n}")
-        if self.cycle_type is not None:
-            lam = CycleType(tuple(self.cycle_type))
-            if lam.n != self.n:
-                raise InvalidSpec(f"{lam} is not a partition of {self.n}")
-            object.__setattr__(self, "cycle_type", lam.parts)
+            if value is not None and not low <= value <= n:
+                raise InvalidSpec(f"{name}={value} outside {low}..{n}")
+        if cycle_type is not None:
+            lam = CycleType(tuple(cycle_type))
+            if lam.n != n:
+                raise InvalidSpec(f"{lam} is not a partition of {n}")
+            cycle_type = lam.parts
+        super().__init__(kind, n, parity, pos_n, fixed_points, cycle_type)
 
     def __str__(self):
         tags = [f"{self.kind}_{self.n}"]

@@ -126,13 +126,15 @@ class WeightSpec(Record):
     __slots__ = ("exponents", "sign_stat")
 
     def __init__(self, exponents, sign_stat=None):
-        exps = tuple((v, stat, int(off)) for v, stat, off in exponents)
+        exps = tuple((v, stat, off) for v, stat, off in exponents)
         names = [v for v, _, _ in exps]
         if len(set(names)) != len(names):
             raise InvalidSpec(f"variable assigned twice in {exps}")
-        for v, _, _ in exps:
+        for v, _, off in exps:
             if v not in _VAR_RANK:
                 raise InvalidSpec(f"unknown variable {v!r}")
+            if type(off) is not int:  # bool and float are not offsets
+                raise InvalidSpec(f"offset {off!r} of {v!r} is not an int")
         if sign_stat is not None and sign_stat not in SIGN_STATISTICS:
             raise InvalidSpec(f"sign statistic must be one of {sorted(SIGN_STATISTICS)}")
         super().__init__(tuple(sorted(exps, key=lambda e: _VAR_RANK[e[0]])),

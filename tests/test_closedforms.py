@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import inspect
 import io
 import json
 import math
@@ -62,6 +63,49 @@ def test_engine_rejects_an_unknown_class(engine):
     with pytest.raises(ValueError,
                        match=r"^cls must be (all/)?plus/minus, got 'bogus'$"):
         CLASS_ENGINES[engine]("bogus")
+
+
+# every exported closed engine that takes a rank: (the engine at rank n, a
+# rank it answers at, the name its int-rule message gives the rank)
+RANK_ENGINES = {
+    "coeff_tables": (coeff_tables, 3, "n_max"),
+    "coeff_tables row": (lambda n: coeff_tables(3).row(n, "plus"), 2, "rank"),
+    "derangement_closed": (derangement_closed, 3, "rank"),
+    "derangement_closed fixed": (lambda i: derangement_closed(3, fixed=i), 1,
+                                 "fixed-point count"),
+    "dexc_jump_tail": (dexc_jump_tail, 2, "rank"),
+    "eulerian": (lambda n: eulerian("A", n), 3, "rank"),
+    "eulerian_t": (lambda n: eulerian_t("B", n), 3, "rank"),
+    "half_sum_closed": (lambda n: half_sum_closed("aexc", n, "plus"), 3, "rank"),
+    "jump4": (lambda n: jump4("aexc", n, "plus"), 5, "rank"),
+    "sgn_aexc_closed": (sgn_aexc_closed, 3, "rank"),
+    "sgn_bexc_closed": (sgn_bexc_closed, 2, "rank"),
+    "sgn_dexc_closed": (sgn_dexc_closed, 3, "rank"),
+    "sgnb_des_u_closed": (sgnb_des_u_closed, 2, "rank"),
+    "step_recurrence": (lambda n: step_recurrence("aexc", n, "plus"), 3, "rank"),
+}
+
+
+def test_rank_engines_are_every_exported_closed_engine_with_a_rank():
+    import gammaexc
+
+    exported = {name for name in gammaexc.__all__
+                if inspect.isfunction(value := getattr(gammaexc, name))
+                and value.__module__ == closedforms.__name__
+                and {"n", "n_max"} & set(inspect.signature(value).parameters)}
+    assert exported == {engine.split()[0] for engine in RANK_ENGINES}
+
+
+@pytest.mark.parametrize("engine", RANK_ENGINES)
+@pytest.mark.parametrize("bad", [float, bool, str])
+def test_engine_rank_follows_the_int_rule(engine, bad):
+    call, rank, name = RANK_ENGINES[engine]
+    call(rank)
+    value = bad(rank)  # 3.0, True or "3": never read as a rank
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} {value!r} is not an int"
 
 
 def _memos():

@@ -7,7 +7,6 @@ by a fault or listed in ``NOT_YET_FAULTED``, so a new check comes with a
 fault that can break it.
 """
 
-import dataclasses
 from itertools import chain, repeat
 from operator import add
 
@@ -58,7 +57,8 @@ def _tables_l2_r2_off(real):
 def _even_filter_keeps_all(real):
     def iterate(spec, *args, **kwargs):
         if spec.parity == "even":
-            spec = dataclasses.replace(spec, parity="all")
+            spec = groups.GroupSpec(spec.kind, spec.n, "all", spec.pos_n,
+                                    spec.fixed_points, spec.cycle_type)
         return real(spec, *args, **kwargs)
 
     return iterate

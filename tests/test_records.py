@@ -14,7 +14,7 @@ import pytest
 
 from gammaexc.checks import CheckResult, VerifyLimits
 from gammaexc.closedforms import CoeffTable
-from gammaexc.groups import DEFAULT_BUDGET, CycleType, InvalidSpec
+from gammaexc.groups import DEFAULT_BUDGET, CycleType, GroupSpec, InvalidSpec
 from gammaexc.oracle import FAMILIES, Family, FamilySpec, UnsupportedClass, WeightSpec
 from gammaexc.poly import BIVARIATE, GammaExpansion, PalindromeInfo, UNIVARIATE
 
@@ -32,6 +32,9 @@ SAMPLES = {
     CoeffTable: ((2, ((1,), (1, 0)), ((0,), (0, 1))),
                  "CoeffTable(n_max=2, plus=((1,), (1, 0)), minus=((0,), (0, 1)))"),
     CycleType: (((1, 3, 2),), "CycleType(parts=(3, 2, 1))"),
+    GroupSpec: (("S", 4, "even", None, 0),
+                "GroupSpec(kind='S', n=4, parity='even', pos_n=None, "
+                "fixed_points=0, cycle_type=None)"),
     WeightSpec: (((("s", "nexc", -1), ("t", "exc", 0)), "inv"),
                  "WeightSpec(exponents=(('s', 'nexc', -1), ('t', 'exc', 0)), "
                  "sign_stat='inv')"),
@@ -54,6 +57,7 @@ FIELDS = {
     CheckResult: ("check_id", "suite", "n_range", "status", "witness", "seconds"),
     CoeffTable: ("n_max", "plus", "minus"),
     CycleType: ("parts",),
+    GroupSpec: ("kind", "n", "parity", "pos_n", "fixed_points", "cycle_type"),
     WeightSpec: ("exponents", "sign_stat"),
     FamilySpec: ("family", "n", "cls", "fixed", "lam", "stat"),
     Family: ("domain", "closed", "split", "mode", "min_n", "refinement",
@@ -70,6 +74,7 @@ OTHERS = {
     CheckResult: ("typeB.y", "typeB", "n=2", "fail", "w", 1.0),
     CoeffTable: (1, ((1,),), ((0,),)),
     CycleType: ((2, 2),),
+    GroupSpec: ("S", 3, "all", None, None, [1, 2]),
     WeightSpec: ((("t", "exc", 0),),),
     FamilySpec: ("bexc", 4),
     Family: (_domain, None),
@@ -188,6 +193,13 @@ def test_shared_init_argument_errors_name_the_record(build, message):
     assert type(info.value) is TypeError and str(info.value) == message
 
 
+def test_groupspec_argument_errors_are_its_own_init_errors():
+    with pytest.raises(TypeError) as info:
+        GroupSpec()
+    assert str(info.value) == ("GroupSpec.__init__() missing 2 required "
+                               "positional arguments: 'kind' and 'n'")
+
+
 def test_defaults_and_keywords():
     assert _fields(VerifyLimits()) == (8, 6, 6, DEFAULT_BUDGET)
     assert VerifyLimits(max_n_d=2) == VerifyLimits(8, 6, 2, DEFAULT_BUDGET)
@@ -201,6 +213,10 @@ def test_defaults_and_keywords():
     assert Family(domain=_domain, closed=None, min_n=1).min_n == 1
     assert CycleType(parts=[1, 2]).parts == (2, 1)
     assert CycleType(()).parts == ()
+    assert repr(GroupSpec(*OTHERS[GroupSpec])) == (
+        "GroupSpec(kind='S', n=3, parity='all', pos_n=None, fixed_points=None, "
+        "cycle_type=(2, 1))")
+    assert GroupSpec(kind="B", n=2) == GroupSpec("B", 2, "all", None, None, None)
     assert CheckResult(check_id="a.b", suite="a", n_range="-", status="fail",
                        witness="w", seconds=0.0).witness == "w"
     assert (GammaExpansion(mode=UNIVARIATE, r=0, n=1, gammas=[2]).gammas
@@ -221,6 +237,12 @@ def test_defaults_and_keywords():
      "unknown variable 'x'"),
     (lambda: WeightSpec((("t", "exc", 0),), "cyc"), InvalidSpec,
      "sign statistic must be one of ['inv', 'inv_b', 'inv_d']"),
+    (lambda: WeightSpec((("t", "exc", 0.9),)), InvalidSpec,
+     "offset 0.9 of 't' is not an int"),
+    (lambda: WeightSpec((("s", "nexc", "2"),)), InvalidSpec,
+     "offset '2' of 's' is not an int"),
+    (lambda: WeightSpec((("t", "exc", 0), ("q", "inv", True))), InvalidSpec,
+     "offset True of 'q' is not an int"),
     (lambda: FamilySpec("aexc", 3, "half"), InvalidSpec,
      "class must be all/plus/minus, got 'half'"),
     (lambda: FamilySpec("nope", 3), InvalidSpec,

@@ -10,10 +10,8 @@ import gammaexc
 PACKAGE = pathlib.Path(gammaexc.__file__).parent
 MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")  # __init__ re-exports
-# where a frozen value may set its own fields: the records' shared __init__,
-# and the one dataclass that normalises a field after its generated __init__
-FIELD_SETTERS = {("poly.py", "Record.__init__"),
-                 ("groups.py", "GroupSpec.__post_init__")}
+# where a frozen value may set its own fields: the records' shared __init__
+FIELD_SETTERS = {("poly.py", "Record.__init__")}
 
 
 def _unread_imports(source):
