@@ -341,10 +341,16 @@ def _parts_desc(remaining, max_part):
         yield from ((p,) + rest for rest in _parts_desc(remaining - p, p))
 
 
-def partitions(n):
-    """Partitions of n as CycleTypes, in reverse lexicographic order."""
+def _check_rank(n):
+    if type(n) is not int:  # bool and float are not ranks
+        raise InvalidSpec(f"rank {n!r} is not an int")
     if n < 0:
         raise InvalidSpec("n must be non-negative")
+
+
+def partitions(n):
+    """Partitions of n as CycleTypes, in reverse lexicographic order."""
+    _check_rank(n)
     return (CycleType(parts) for parts in _parts_desc(n, n))
 
 
@@ -372,10 +378,7 @@ class GroupSpec(Record):
                  cycle_type=None):
         if not isinstance(kind, str) or kind not in KINDS:
             raise InvalidSpec(f"unknown kind {kind!r}")
-        if type(n) is not int:  # bool and float are not ranks
-            raise InvalidSpec(f"rank {n!r} is not an int")
-        if n < 0:
-            raise InvalidSpec("n must be non-negative")
+        _check_rank(n)
         if parity not in ("all", "even", "odd"):
             raise InvalidSpec(f"parity must be all/even/odd, got {parity!r}")
         if parity != "all" and KINDS[kind][1] is None:

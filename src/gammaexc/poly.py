@@ -10,7 +10,7 @@ polynomial has an empty term map.
 
 Binary operations align variable lists automatically (missing variables get
 exponent zero), so ``s + q`` is fine; the merged list keeps the canonical
-s < t < u < q order.
+s < t < u < q order.  Equality on equal variable tuples compares term maps.
 
 Gamma machinery conventions.  A univariate f(t) with support in [r, n] is
 *palindromic* when its coefficient sequence is symmetric about (n+r)/2; it
@@ -29,14 +29,17 @@ per power of q.  Peeling is linear, so each row peels on its own, over the
 lower half of its window only; q-mode gammas and witnesses are dense
 q-coefficient tuples.  The peel signs that half, (-1)^k a_k, so that each
 division by 1+t is a prefix sum, and works top down from the middle gamma,
-which f(-1) gives: additions only, one pass per gamma.
+which f(-1) gives: additions only, one pass per gamma.  An expansion
+recomposes the other way, one t-row per power of q: gamma_i adds
+gamma_i C(length-2i, j) at t^(r+i+j), with no Poly product.
 """
 
 import json
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter, neg
+from math import comb
+from operator import add, itemgetter, neg
 
 VARIABLES = ("s", "t", "u", "q")
 _VAR_RANK = {v: i for i, v in enumerate(VARIABLES)}
@@ -246,10 +249,13 @@ class Poly:
             other = Poly._trusted((), {(): other})
         if not isinstance(other, Poly):
             return NotImplemented
+        if self._vars == other._vars:  # no zero coefficient is ever stored
+            return self._terms == other._terms
         return self._canonical_key() == other._canonical_key()
 
-    def __hash__(self):
-        return hash(self._canonical_key())
+    def __hash__(self):  # a constant hashes as the int it equals
+        key = self._canonical_key()
+        return hash(key if key[0] else self.at_ones())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -307,10 +313,10 @@ class Poly:
         if other is None:
             return NotImplemented
         vars, a, b = self._aligned(other)
-        out = {}
+        out, b = {}, list(b.items())
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
+            for e2, c2 in b:
+                exp = tuple(map(add, e1, e2))
                 out[exp] = out.get(exp, 0) + c1 * c2
         return Poly._trusted(vars, out)
 
@@ -620,15 +626,19 @@ class GammaExpansion(Record):
     def recompose(self):
         """The exact polynomial this expansion represents: the sum of
         gamma_i (xt)^(r+i) (x+t)^(length-2i), with x = s in bivariate mode
-        and x = 1 otherwise."""
-        x = Poly.variable("s") if self.mode == BIVARIATE else 1
-        t, total = Poly.variable("t"), Poly.zero()
-        for i, g in enumerate(self.gammas):
-            if isinstance(g, tuple):
-                q = Poly.variable("q")
-                g = sum((c * q ** e for e, c in enumerate(g)), Poly.zero(("q",)))
-            total += g * (x * t) ** (self.r + i) * (x + t) ** (self.length - 2 * i)
-        return total
+        and x = 1 otherwise, built as binomial t-rows (see the module notes)."""
+        r, length, mode = self.r, self.length, self.mode
+        gammas = self.gammas if mode == Q_COEFFICIENTS else [(g,) for g in self.gammas]
+        rows = [[0] * (length + 1) for _ in range(max(map(len, gammas)))]
+        for i, g in enumerate(gammas):  # rows[e][k]: the coefficient of q^e t^(r+k)
+            m = length - 2 * i
+            binomials = [comb(m, j) for j in range(m + 1)]
+            for row, c in zip(rows, g):
+                row[i:i + m + 1] = map(add, row[i:], [c * b for b in binomials])
+        vars = {BIVARIATE: ("s", "t"), Q_COEFFICIENTS: ("t", "q")}.get(mode, ("t",))
+        return Poly._trusted(vars, {
+            (self.n - k, k) if mode == BIVARIATE else (k, e)[:len(vars)]: c
+            for e, row in enumerate(rows) for k, c in enumerate(row, r)})
 
     def to_json_dict(self):
         if self.mode == Q_COEFFICIENTS:

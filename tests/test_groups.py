@@ -266,6 +266,17 @@ class TestPartitions:
         with pytest.raises(InvalidSpec):
             partitions(-1)
 
+    @pytest.mark.parametrize("n, message", [
+        (-1, "n must be non-negative"),
+        (True, "rank True is not an int"),
+        (2.0, "rank 2.0 is not an int"),
+        ("3", "rank '3' is not an int"),
+    ])
+    def test_bad_rank_raises_when_called(self, n, message):
+        # GroupSpec's int rule and wording; the stream is never consumed
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            partitions(n)
+
 
 class TestIterate:
     def test_cardinalities(self):

@@ -12,6 +12,7 @@ from gammaexc.poly import (
     BIVARIATE,
     D,
     EvenLength,
+    GAMMA_MODES,
     GammaExpansion,
     NotGammaPositive,
     NotHomogeneous,
@@ -349,6 +350,93 @@ class TestGammaDecompose:
     def test_q_mode_not_palindromic(self):
         with pytest.raises(NotPalindromic):
             gamma_decompose(q * t + t ** 2, Q_COEFFICIENTS)
+
+
+def _reference_recompose(expansion):
+    """The sum of gamma_i (xt)^(r+i) (x+t)^(length-2i) by Poly powers, with
+    x = s in bivariate mode and x = 1 otherwise: the loop that binomial rows
+    replaced in ``GammaExpansion.recompose``."""
+    x = s if expansion.mode == BIVARIATE else 1
+    total = Poly.zero()
+    for i, g in enumerate(expansion.gammas):
+        if isinstance(g, tuple):
+            g = sum((c * q ** e for e, c in enumerate(g)), Poly.zero(("q",)))
+        total += (g * (x * t) ** (expansion.r + i)
+                  * (x + t) ** (expansion.length - 2 * i))
+    return total
+
+
+@st.composite
+def expansions(draw):
+    """Any valid expansion: every mode, offset and length, gammas with zeros,
+    leading zeros and negative or large entries; q-mode entries are tuples,
+    empty or with trailing zeros."""
+    mode = draw(st.sampled_from(GAMMA_MODES))
+    r, length = draw(st.integers(0, 4)), draw(st.integers(0, 9))
+    entries = st.just(0) | st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
+    if mode == Q_COEFFICIENTS:
+        entries = st.lists(entries, max_size=4).map(tuple)
+    count = length // 2 + 1
+    gammas = draw(st.lists(entries, min_size=count, max_size=count))
+    zeros = draw(st.integers(0, count))
+    gammas[:zeros] = [() if mode == Q_COEFFICIENTS else 0] * zeros
+    n = r + length + (r if mode == BIVARIATE else 0)
+    return GammaExpansion(mode, r, n, gammas)
+
+
+class TestRecomposeByBinomialRows:
+    @settings(max_examples=300, deadline=None)
+    @given(expansions())
+    def test_matches_the_sum_of_poly_powers(self, expansion):
+        got, want = expansion.recompose(), _reference_recompose(expansion)
+        assert got.vars == want.vars
+        assert got.to_json() == want.to_json()
+        assert got == want
+
+
+def _agrees_with_canonical_key(f, g):
+    """f == g, g == f and hash agree with comparing canonical keys."""
+    if isinstance(g, int):
+        same = f._canonical_key() == Poly.const(g)._canonical_key()
+    else:
+        same = f._canonical_key() == g._canonical_key()
+        assert (g == f) is same and (g != f) is not same
+    assert (f == g) is same and (f != g) is not same
+    if same:
+        assert hash(f) == hash(g)
+    return same
+
+
+class TestEqualityByTermMaps:
+    @settings(max_examples=300, deadline=None)
+    @given(polys(), polys(), st.integers(-2, 2))
+    def test_random_pairs(self, f, g, c):
+        _agrees_with_canonical_key(f, g)
+        _agrees_with_canonical_key(f, c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys(), st.sampled_from([(), ("s",), ("t", "u"), ("s", "t", "u", "q")]))
+    def test_equal_polynomials_over_equal_and_other_tuples(self, f, vars):
+        copy = Poly(f.vars, f.terms)  # the same tuple, a new term map
+        widened = f + Poly.zero(vars)  # the merged tuple
+        assert _agrees_with_canonical_key(f, copy)
+        assert _agrees_with_canonical_key(f, widened)
+        assert _agrees_with_canonical_key(copy, widened)
+
+    def test_zero_and_constants_over_any_tuple(self):
+        zeros = [Poly.zero(vars) for vars in ((), ("s",), ("t", "q"))]
+        for f in zeros:
+            for g in [*zeros, 0]:
+                assert _agrees_with_canonical_key(f, g)
+            assert not _agrees_with_canonical_key(f, 1)
+        assert _agrees_with_canonical_key(Poly.const(3, ("s", "t")), 3)
+        assert _agrees_with_canonical_key(Poly.const(3, ("s", "t")),
+                                          Poly.const(3, ("q",)))
+
+    def test_same_terms_over_other_tuples_differ(self):
+        assert not _agrees_with_canonical_key(
+            Poly(("s",), {(1,): 1}), Poly(("t",), {(1,): 1}))
+        assert not _agrees_with_canonical_key(s * t, t * q)
 
 
 class TestOneRowForEveryMode:
