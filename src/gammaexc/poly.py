@@ -179,7 +179,7 @@ class Poly:
                     raise ValueError(
                         f"exponent vector {exp} does not match variables {self._vars}"
                     )
-                if any(e < 0 or not isinstance(e, int) for e in exp):
+                if any(type(e) is not int or e < 0 for e in exp):
                     raise ValueError(f"exponents must be non-negative ints: {exp}")
                 if type(coeff) is not int:  # bool and float are not coefficients
                     raise ValueError(f"coefficients must be ints, got {coeff!r}")
@@ -585,7 +585,7 @@ class GammaExpansion(Record):
     ``mode`` is one of univariate_t / bivariate_st / q_coefficients.  For the
     univariate modes ``n`` is the top degree in t; for bivariate it is the
     total degree.  ``gammas`` holds ints, or dense q-coefficient tuples in
-    q-mode.  The expansion recomposes exactly (see ``recompose``).
+    q-mode; any other entry raises ValueError.  It recomposes exactly (``recompose``).
     """
 
     __slots__ = ("mode", "r", "n", "gammas")
@@ -601,8 +601,10 @@ class GammaExpansion(Record):
         if len(gammas) != length // 2 + 1:
             raise ValueError(f"need {length // 2 + 1} gamma entries for mode={mode}, "
                              f"r={r}, n={n}; got {len(gammas)}")
-        super().__init__(mode, r, n, tuple(g if isinstance(g, int) else tuple(g)
-                                           for g in gammas))
+        q = mode == Q_COEFFICIENTS
+        if q or {*map(type, gammas)} != {int}:  # a bool is no int
+            gammas = [g if type(g) is int and not q else _q_entry(g, q) for g in gammas]
+        super().__init__(mode, r, n, tuple(gammas))
 
     @property
     def center_of_symmetry(self):
@@ -649,12 +651,9 @@ class GammaExpansion(Record):
 
     @classmethod
     def from_json_dict(cls, data):
-        mode = data.get("mode", UNIVARIATE)
-        if mode == Q_COEFFICIENTS:
-            gammas = tuple(tuple(int(c) for c in g) for g in data["gammas"])
-        else:
-            gammas = tuple(int(g) for g in data["gammas"])
-        return cls(mode, int(data["r"]), int(data["n"]), gammas)
+        gammas = [[int(c) for c in g] if isinstance(g, list) else int(g)
+                  for g in data["gammas"]]  # the entries' shape is __init__'s check
+        return cls(data.get("mode", UNIVARIATE), int(data["r"]), int(data["n"]), gammas)
 
     def __str__(self):
         cos = self.center_of_symmetry
@@ -665,6 +664,13 @@ class GammaExpansion(Record):
             for g in self.gammas
         )
         return f"gamma=[{gam}] r={self.r} n={self.n} cos={cos}"
+
+
+def _q_entry(g, q):
+    """A q-mode gamma entry as a tuple of ints; any other entry is refused."""
+    if q and isinstance(g, (tuple, list)) and all(type(c) is int for c in g):
+        return tuple(g)
+    raise ValueError(f"gamma entry {g!r} is not {'a sequence of ints' if q else 'an int'}")
 
 
 def _peel(row, lo, hi):

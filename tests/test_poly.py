@@ -194,6 +194,14 @@ class TestValidation:
          "exponent vector (1,) does not match variables ('s', 't')"),
         (lambda: Poly(("t",), {(-1,): 1}), ValueError,
          "exponents must be non-negative ints: (-1,)"),
+        (lambda: Poly(("t",), {(True,): 1}), ValueError,
+         "exponents must be non-negative ints: (True,)"),
+        (lambda: Poly(("t",), {("a",): 1}), ValueError,
+         "exponents must be non-negative ints: ('a',)"),
+        (lambda: Poly(("t",), {(None,): 1}), ValueError,
+         "exponents must be non-negative ints: (None,)"),
+        (lambda: Poly.from_json('{"vars":["t"],"terms":[{"exp":["1"],"coeff":"1"}]}'),
+         ValueError, "exponents must be non-negative ints: ('1',)"),
         (lambda: Poly.variable("x"), UnknownVariable, "unknown variable 'x'"),
     ])
     def test_message(self, make, error, message):

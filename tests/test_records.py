@@ -16,7 +16,8 @@ from gammaexc.checks import CheckResult, VerifyLimits
 from gammaexc.closedforms import CoeffTable
 from gammaexc.groups import DEFAULT_BUDGET, CycleType, GroupSpec, InvalidSpec
 from gammaexc.oracle import FAMILIES, Family, FamilySpec, UnsupportedClass, WeightSpec
-from gammaexc.poly import BIVARIATE, GammaExpansion, PalindromeInfo, UNIVARIATE
+from gammaexc.poly import (BIVARIATE, GammaExpansion, PalindromeInfo, Q_COEFFICIENTS,
+                           UNIVARIATE)
 
 
 def _domain(fs):
@@ -271,6 +272,24 @@ def test_defaults_and_keywords():
      "bad support: r=2, n=3 for mode bivariate_st"),
     (lambda: GammaExpansion(UNIVARIATE, 0, 4, (1, 2)), ValueError,
      "need 3 gamma entries for mode=univariate_t, r=0, n=4; got 2"),
+    (lambda: GammaExpansion(UNIVARIATE, 0, 0, ((1, 2),)), ValueError,
+     "gamma entry (1, 2) is not an int"),
+    (lambda: GammaExpansion(UNIVARIATE, 0, 0, (True,)), ValueError,
+     "gamma entry True is not an int"),
+    (lambda: GammaExpansion(BIVARIATE, 0, 0, (1.0,)), ValueError,
+     "gamma entry 1.0 is not an int"),
+    (lambda: GammaExpansion(Q_COEFFICIENTS, 0, 0, (3,)), ValueError,
+     "gamma entry 3 is not a sequence of ints"),
+    (lambda: GammaExpansion(Q_COEFFICIENTS, 0, 0, ((1, True),)), ValueError,
+     "gamma entry (1, True) is not a sequence of ints"),
+    (lambda: GammaExpansion(Q_COEFFICIENTS, 0, 0, ("12",)), ValueError,
+     "gamma entry '12' is not a sequence of ints"),
+    (lambda: GammaExpansion.from_json_dict(
+        {"mode": UNIVARIATE, "r": 0, "n": 0, "gammas": [["1"]]}), ValueError,
+     "gamma entry [1] is not an int"),
+    (lambda: GammaExpansion.from_json_dict(
+        {"mode": Q_COEFFICIENTS, "r": 0, "n": 0, "gammas": ["1"]}), ValueError,
+     "gamma entry 1 is not a sequence of ints"),
     (lambda: CoeffTable(2, ((1, 0),), ((0, 1),)), ValueError,
      "plus and minus need rows 1..2, row k of k entries"),
     (lambda: CoeffTable(2, ((1,), (1, 0)), ((0,), (0, 1, 0))), ValueError,
