@@ -3,17 +3,17 @@
 Each check pits an independently computed value (closed form, recurrence,
 fixed table, bijection image) against the enumeration oracle or against the
 gamma machinery, with exact equality everywhere.  A check over a group
-streams it and keeps no set of its windows: a bijection is proven by its
-inverse plus the test that each image lies in the codomain.  A check returns
-the range it covered, or raises ``Mismatch`` whose message is the witness
-showing both sides; ``_same`` and ``_gamma_positive`` are the assertions
-that raise it, and ``_as_mismatch`` turns a polynomial that breaks a claim's
-premise (not palindromic, not homogeneous, a negative gamma, an odd
-coefficient) into one.  ``run_suite`` is the one place that turns an outcome
-into a CheckResult: a return passes, a ``Mismatch`` fails, a range beyond
-the enumeration budget comes back skipped with the reason, and anything else
-a check raises comes back as an error whose witness is the exception, so one
-broken check never hides the rest.
+streams it in chunks of at most ``_CHUNK`` windows and keeps no set of them:
+a bijection is proven by its inverse plus the test that each image lies in
+the codomain.  A check returns the range it covered, or raises ``Mismatch``
+whose message is the witness showing both sides; ``_same`` and
+``_gamma_positive`` are the assertions that raise it, and ``_as_mismatch``
+turns a polynomial that breaks a claim's premise (not palindromic, not
+homogeneous, a negative gamma, an odd coefficient) into one.  ``run_suite``
+is the one place that turns an outcome into a CheckResult: a return passes, a
+``Mismatch`` fails, a range beyond the enumeration budget comes back skipped
+with the reason, and anything else a check raises comes back as an error
+whose witness is the exception, so one broken check never hides the rest.
 
 A check is added in one of two ways.  A claim of a shape the module already
 has is a row, ``_row(id, claim, shape, *args)``, which runs
@@ -30,10 +30,10 @@ look up library engines and build tabulated polynomials only when they run.
 import math
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, tee
+from itertools import islice, permutations, tee
 
 from . import bijections, closedforms, oracle
 from .groups import (
@@ -74,6 +74,7 @@ from .poly import (
 SUITES = ("gamma_calculus", "typeA", "typeB", "typeD", "derangements",
           "bijections", "signed_sums", "q_refined")
 
+_CHUNK = 120  # windows the fundamental transform's check maps at a time
 _S = Poly.variable("s")
 _T = Poly.variable("t")
 
@@ -771,13 +772,21 @@ def _check_partition_counts(limits):
            "the fundamental transformation is a bijection carrying the "
            "excedance count to the descent count", ranks=(1, lambda lim: lim.max_n_a))
 def _check_fft(limits, n):
-    # a left inverse makes it injective: n! images in S_n, so onto S_n
-    letters = list(range(1, n + 1))
-    for p in iterate(GroupSpec("S", n), budget=limits.budget):
-        image = bijections.foata_fft(p)
-        # the letters first: only an image in S_n reaches the inverse
-        if (sorted(image) != letters or des(image) != exc(p)
-                or bijections.foata_fft_inverse(image) != p):
+    # a left inverse makes it injective: n! images in S_n, so onto S_n; a chunk
+    # the maps fail (the inverse class-exactly) or that raises is read per window
+    letters, windows = list(range(1, n + 1)), iterate(GroupSpec("S", n), limits.budget)
+    while chunk := [*islice(windows, _CHUNK)]:
+        with suppress(Exception):
+            images = [*map(bijections.foata_fft, chunk)]
+            if [*map(sorted, images)] == [letters] * len(chunk) and (
+                    [*oracle.stream(des, images, n)] == [*oracle.stream(exc, chunk, n)]):
+                back = [*map(bijections.foata_fft_inverse, images)]
+                if [*map(type, back)] == [*map(type, chunk)] and all(
+                        map(tuple.__eq__, back, chunk)):
+                    continue
+        for p in chunk:
+            image = bijections.foata_fft(p)
+            # the letters first: only an image in S_n reaches the inverse
             _same(p, sorted(image), letters)
             # (des of the image, inverse of the image)
             _same(p, (des(image), bijections.foata_fft_inverse(image)), (exc(p), p))
@@ -891,7 +900,7 @@ def _check_q_collapse(limits, n):
 def run_suite(suite, limits=None):
     """Run a suite (or "all"); returns CheckResults in registry order.  The
     checks share one ``oracle.kernel_memo`` block, which ends with the run:
-    the oracle walks a domain once per set of base statistics it reads."""
+    the oracle walks a domain once per set of statistics, a signed one once."""
     limits = limits or VerifyLimits()
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")

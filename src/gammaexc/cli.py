@@ -21,6 +21,7 @@ from .poly import (
     BIVARIATE,
     NotHomogeneous,
     NotPalindromic,
+    OddCoefficient,
     Q_COEFFICIENTS,
     UNIVARIATE,
     ZeroPolynomial,
@@ -338,7 +339,7 @@ def main(argv=None):
         return args.run(args, sys.stdout)
     except (UsageError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OddCoefficient) else 2  # a bug, not bad input
 
 
 if __name__ == "__main__":

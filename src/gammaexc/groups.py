@@ -37,7 +37,7 @@ its sums.
 
 import math
 from collections import Counter
-from itertools import chain, combinations, compress, product, starmap
+from itertools import chain, combinations, compress, product, repeat, starmap
 from itertools import permutations as _itertools_permutations
 from operator import eq, gt, le, lt, neg
 
@@ -198,8 +198,8 @@ def _cycles(w):
 
 def _cycle_lengths(w):
     """The cycle lengths of a window, weakly decreasing: each cycle counted
-    from its least letter, its other letters zeroed as they are passed."""
-    image, lengths = [0, *w], []
+    from its least letter, its other letters zeroed as passed, till all are."""
+    image, lengths, left = [0, *w], [], len(w)
     for least in range(1, len(w) + 1):
         if j := image[least]:
             k = 1
@@ -207,7 +207,10 @@ def _cycle_lengths(w):
                 image[j], j = 0, image[j]
                 k += 1
             lengths.append(k)
-    return tuple(sorted(lengths, reverse=True))
+            if not (left := left - k):
+                break
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def cyc(w):
@@ -230,7 +233,7 @@ def pos_n(w):
 
 
 def negs(w):
-    return sum(1 for v in w if v < 0)
+    return sum(map(lt, w, repeat(0)))
 
 
 def _brenti_exc(w, fixed_sign):

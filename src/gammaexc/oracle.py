@@ -30,8 +30,9 @@ inv_b sign, so one tally gives the even- and odd-length halves apart
 
 Inside a ``kernel_memo`` block (``checks.run_suite`` opens one per run) a
 tally is walked once per (spec, budget, base names, parity carried) and
-folded for each weight that reads it, and a signed p's signature is computed
-once per set of forms.  The memo is a ``ContextVar``, per run and context
+folded for each weight that reads it, a signed p's signature is computed
+once per set of forms, and a signed domain is walked once: the run holds its
+blocks as rank and class.  The memo is a ``ContextVar``, per run and context
 (another thread sees none); it keeps only tallies that completed.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
@@ -47,9 +48,9 @@ matching their closed product forms; bivariate variants remain one
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import combinations, islice, repeat, starmap, tee
+from itertools import accumulate, combinations, compress, islice, repeat, starmap, tee
 from math import factorial, inf
-from operator import eq, getitem, gt, lt, sub
+from operator import eq, getitem, gt, is_, lt, sub
 
 from . import closedforms
 from .groups import (
@@ -318,30 +319,43 @@ def _signed_tally(spec, bases, windows, parity):
     most significant; packing is linear, so the window negating N has packed
     values c + sum(w[j] for j in N).  The run holds them under n by set of
     forms, interned, in n! slots by p's lexicographic rank, read off
-    ``_perm_windows(n)`` beside the walk; a p out of that order is not held.
+    ``_perm_windows(n)`` beside the walk; a walk in that order is held as
+    bytes, a block's rank step and class, and a block out of it counted apart.
     """
     n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
     (_, held), forms, end = _MEMO.get()[n], tuple(bases.values()), (None, (inf,))
     slots, interned = held.get(forms) or held.setdefault(forms, ([None] * factorial(n), {}))
-    ranked = enumerate(_perm_windows(n))
-    (rank, ref), signatures, last = next(ranked, end), Counter(), None
-    for w in islice(windows, 0, None, 2 ** max(n - 1, 0)):
-        p, cls = tuple(map(abs, w)), negs(w) % 2  # p off its block's first window
-        if p != last:  # B streams both classes of p one after the other
+
+    def signature(p):
+        c, weights = forms[0](p) if forms else (0, [0] * n)
+        for base in forms[1:]:
+            base_c, base_w = base(p)
+            c = c * radix + base_c
+            weights = [x * radix + y for x, y in zip(weights, base_w)]
+        return c, tuple(sorted(weights)), inv(p) % 2
+    signatures = Counter()  # (signature, class) -> blocks
+    steps, classes = held.get(spec, (None, bytearray()))
+    if steps is None:  # each block's rank, as the step from the last one's
+        (rank, ref), steps, last = next(ranked := enumerate(_perm_windows(n)), end), [], 0
+        for w in islice(windows, 0, None, 2 ** max(n - 1, 0)):
+            p, cls = tuple(map(abs, w)), negs(w) % 2  # p off its block's first window
             while ref < p:
                 rank, ref = next(ranked, end)
-            last, signature = p, slots[rank] if ref == p else None
-            if signature is None:
-                c, weights = forms[0](p) if forms else (0, [0] * n)
-                for base in forms[1:]:
-                    base_c, base_w = base(p)
-                    c = c * radix + base_c
-                    weights = [x * radix + y for x, y in zip(weights, base_w)]
-                signature = c, tuple(sorted(weights)), inv(p) % 2
-                if ref == p:
-                    signature = slots[rank] = interned.setdefault(signature, signature)
-        signatures[signature, cls] += 1
+            if ref == p:
+                steps.append(rank - last)
+                classes.append(cls)
+                last = rank
+            else:  # out of order: counted apart, and the walk is not held
+                signatures[signature(p), cls] += 1
+        if not signatures and max(steps, default=0) < 256:  # held, a byte a step
+            held[spec] = bytes(steps), classes
+    lacking = map(is_, map(slots.__getitem__, accumulate(steps)), repeat(None))
+    perms, at = _perm_windows(n), -1
+    for rank in compress(accumulate(steps), lacking):  # lazily: a repeat is filled by then
+        p, at = next(islice(perms, rank - at - 1, None)), rank
+        slots[rank] = interned.setdefault(found := signature(p), found)
+    signatures.update(zip(map(slots.__getitem__, accumulate(steps)), classes))
     tally = Counter()  # (inv(p) mod 2, class, packed values) -> count
     for ((c, weights, bit), cls), blocks in signatures.items():
         even, odd = [c], []
@@ -354,13 +368,13 @@ def _signed_tally(spec, bases, windows, parity):
         yield bit, cls, [packed // place % radix for place in places], count
 
 
-_MEMO = ContextVar("kernel_memo", default=None)  # tallies; per n, forms, signatures
+_MEMO = ContextVar("kernel_memo", default=None)  # tallies; per n, forms, signatures, walks
 
 
 @contextmanager
 def kernel_memo():
     """In the block and this context, ``_kernel`` walks each tally once and
-    ``_signed_tally`` computes each p's signature once per set of forms."""
+    ``_signed_tally`` each signed domain once, and each p's forms once."""
     token = _MEMO.set({})
     try:
         yield

@@ -439,12 +439,19 @@ class Poly:
     @classmethod
     def from_json_dict(cls, data):
         vars = tuple(data["vars"])
-        terms = {tuple(item["exp"]): int(item["coeff"]) for item in data["terms"]}
+        terms = {tuple(t["exp"]): _json_int(t["coeff"], "coeff") for t in data["terms"]}
         return cls(vars, terms)
 
     @classmethod
     def from_json(cls, text):
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_int(v, field, text=True):
+    """An int, or with ``text`` a decimal string, read from JSON; else ValueError."""
+    if type(v) is int or text and type(v) is str and v.removeprefix("-").isdecimal():
+        return int(v)
+    raise ValueError(f"{field} {v!r} is not an int" + " or a decimal string" * text)
 
 
 def D(f):
@@ -651,9 +658,11 @@ class GammaExpansion(Record):
 
     @classmethod
     def from_json_dict(cls, data):
-        gammas = [[int(c) for c in g] if isinstance(g, list) else int(g)
-                  for g in data["gammas"]]  # the entries' shape is __init__'s check
-        return cls(data.get("mode", UNIVARIATE), int(data["r"]), int(data["n"]), gammas)
+        gammas = [[_json_int(c, "gamma entry") for c in g] if isinstance(g, list)
+                  else _json_int(g, "gamma entry")  # the shape is __init__'s check
+                  for g in data["gammas"]]
+        r, n = (_json_int(data[key], key, text=False) for key in ("r", "n"))
+        return cls(data.get("mode", UNIVARIATE), r, n, gammas)
 
     def __str__(self):
         cos = self.center_of_symmetry

@@ -16,7 +16,7 @@ import pytest
 from gammaexc import checks, closedforms, oracle
 from gammaexc.checks import Check, REGISTRY, VerifyLimits, run_suite
 from gammaexc.cli import main
-from gammaexc.groups import BudgetExceeded, GroupSpec
+from gammaexc.groups import BudgetExceeded, GroupSpec, Perm
 from gammaexc.poly import Poly
 
 # Frozen manifest: every registered check, in registration order.  A check
@@ -510,6 +510,33 @@ class TestRunMemo:
         assert outside and set(outside) == {(None, False, True)}
 
 
+def test_a_walked_signed_domain_answers_other_forms_without_a_window(monkeypatch):
+    spec = GroupSpec("B", 4)
+    weights = (oracle.BDES_WEIGHT, oracle.SGNB_WEIGHT,
+               oracle.WeightSpec(oracle.BEXC_WEIGHT.exponents, "inv_b"))
+    alone = [oracle.dist_poly(spec, weight) for weight in weights]
+    pulled, real = collections.Counter(), oracle.iterate  # windows pulled, per spec
+    monkeypatch.setattr(oracle, "iterate", lambda spec, *args, **kwargs: map(
+        lambda w: pulled.update((spec,)) or w, real(spec, *args, **kwargs)))
+    with oracle.kernel_memo():
+        oracle.dist_poly(spec, oracle.BEXC_WEIGHT)
+        assert pulled == {spec: 2 ** 4 * 24}
+        assert [oracle.dist_poly(spec, weight) for weight in weights] == alone
+        assert oracle.length_halves(spec, oracle.BDES_WEIGHT) == (
+            oracle.dist_poly(GroupSpec("B", 4, "even"), oracle.BDES_WEIGHT),
+            oracle.dist_poly(GroupSpec("B", 4, "odd"), oracle.BDES_WEIGHT))
+        assert pulled[spec] == 2 ** 4 * 24  # each half spec walks its own windows
+
+
+def test_a_held_signed_domain_still_refuses_a_smaller_budget():
+    spec = GroupSpec("D", 4)
+    with oracle.kernel_memo():
+        oracle.dist_poly(spec, oracle.DEXC_WEIGHT, budget=None)
+        for weight in (oracle.DEXC_WEIGHT, oracle.BDES_WEIGHT):
+            with pytest.raises(BudgetExceeded):
+                oracle.dist_poly(spec, weight, budget=10)
+
+
 class _Capture(io.StringIO):
     pass
 
@@ -652,6 +679,14 @@ class TestCli:
         code, _, err = _run_cli(["compute", "--family", "aexc", "--n", "9",
                                  "--budget", "100", "--engine", "oracle"])
         assert code == 2
+
+    def test_failed_integrity_check_exits_1(self, monkeypatch):
+        # an odd coefficient to halve signals a bug upstream, not bad input
+        real = closedforms._signed
+        monkeypatch.setattr(closedforms, "_signed",
+                            lambda m: [(row := real(m))[0], row[1] + 1, *row[2:]])
+        assert _run_cli(["compute", "--family", "aexc", "--class", "plus",
+                         "--n", "6"]) == (1, "", "error: coefficient 53 at t^1 is odd\n")
 
 
 class TestCliExtras:
@@ -905,6 +940,29 @@ def test_fundamental_transform_keeps_no_images():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def _raise(_):
+    raise ValueError("no image")
+
+
+# (fault on foata_fft at 2,4,1,6,3,5, the 173rd window of S_6, mid-chunk;
+# the check's status and witness, as the per-window loop names them)
+@pytest.mark.parametrize("image, status, witness", [
+    (lambda image: Perm._trusted((image[1], image[0], *image[2:])), "fail",
+     "2,4,1,6,3,5: (4, Perm(2,4,5,6,1,3)) != (3, Perm(2,4,1,6,3,5))"),
+    (_raise, "error", "ValueError: no image"),
+])
+def test_fundamental_transform_names_a_window_mapped_amiss_mid_chunk(
+        monkeypatch, image, status, witness):
+    from gammaexc import bijections
+
+    real = bijections.foata_fft
+    monkeypatch.setattr(bijections, "foata_fft", lambda w: image(real(w))
+                        if tuple(w) == (2, 4, 1, 6, 3, 5) else real(w))
+    result = next(r for r in run_suite("bijections", VerifyLimits(max_n_a=6))
+                  if r.check_id == "bijections.fundamental_transform")
+    assert (result.status, result.witness) == (status, witness)
 
 
 def test_descent_position_check_reads_the_letters(monkeypatch):

@@ -202,6 +202,15 @@ class TestValidation:
          "exponents must be non-negative ints: (None,)"),
         (lambda: Poly.from_json('{"vars":["t"],"terms":[{"exp":["1"],"coeff":"1"}]}'),
          ValueError, "exponents must be non-negative ints: ('1',)"),
+        # a coefficient reads from an int or a decimal string, as to_json writes it
+        (lambda: Poly.from_json('{"vars":["t"],"terms":[{"exp":[1],"coeff":1.5}]}'),
+         ValueError, "coeff 1.5 is not an int or a decimal string"),
+        (lambda: Poly.from_json('{"vars":["t"],"terms":[{"exp":[1],"coeff":true}]}'),
+         ValueError, "coeff True is not an int or a decimal string"),
+        (lambda: Poly.from_json('{"vars":["t"],"terms":[{"exp":[1],"coeff":" 2"}]}'),
+         ValueError, "coeff ' 2' is not an int or a decimal string"),
+        (lambda: Poly.from_json('{"vars":["t"],"terms":[{"exp":[1],"coeff":"1.0"}]}'),
+         ValueError, "coeff '1.0' is not an int or a decimal string"),
         (lambda: Poly.variable("x"), UnknownVariable, "unknown variable 'x'"),
     ])
     def test_message(self, make, error, message):

@@ -290,6 +290,25 @@ def test_defaults_and_keywords():
     (lambda: GammaExpansion.from_json_dict(
         {"mode": Q_COEFFICIENTS, "r": 0, "n": 0, "gammas": ["1"]}), ValueError,
      "gamma entry 1 is not a sequence of ints"),
+    # a gamma reads from an int or a decimal string, r and n from an int only
+    (lambda: GammaExpansion.from_json_dict(
+        {"mode": UNIVARIATE, "r": 0, "n": 2, "gammas": [1.9, True]}), ValueError,
+     "gamma entry 1.9 is not an int or a decimal string"),
+    (lambda: GammaExpansion.from_json_dict(
+        {"mode": UNIVARIATE, "r": 0, "n": 2, "gammas": ["1", True]}), ValueError,
+     "gamma entry True is not an int or a decimal string"),
+    (lambda: GammaExpansion.from_json_dict(
+        {"mode": Q_COEFFICIENTS, "r": 0, "n": 0, "gammas": [["1", "+2"]]}), ValueError,
+     "gamma entry '+2' is not an int or a decimal string"),
+    (lambda: GammaExpansion.from_json_dict(
+        {"mode": UNIVARIATE, "r": 0.5, "n": 2, "gammas": [1, 1]}), ValueError,
+     "r 0.5 is not an int"),
+    (lambda: GammaExpansion.from_json_dict(
+        {"mode": UNIVARIATE, "r": 0, "n": True, "gammas": [1]}), ValueError,
+     "n True is not an int"),
+    (lambda: GammaExpansion.from_json_dict(
+        {"mode": UNIVARIATE, "r": 0, "n": "2", "gammas": [1, 1]}), ValueError,
+     "n '2' is not an int"),
     (lambda: CoeffTable(2, ((1, 0),), ((0, 1),)), ValueError,
      "plus and minus need rows 1..2, row k of k entries"),
     (lambda: CoeffTable(2, ((1,), (1, 0)), ((0,), (0, 1, 0))), ValueError,
