@@ -33,7 +33,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations, tee
+from itertools import islice, permutations
 
 from . import bijections, closedforms, oracle
 from .groups import (
@@ -710,8 +710,9 @@ def _check_long_cycles(limits, n):
            "set-partition count times the product of long-cycle factors",
            ranks=(1, lambda lim: lim.max_n_a))
 def _check_conjugacy(limits, n):
-    a, b = tee(iterate(GroupSpec("S", n), limits.budget, by_permutation=True))
-    tally = Counter(zip(map(_cycle_lengths, a), oracle.stream(exc, b, n)))
+    excs = oracle._column(GroupSpec("S", n), exc, limits.budget)  # held by a run
+    windows = iterate(GroupSpec("S", n), limits.budget, by_permutation=True)
+    tally = Counter(zip(map(_cycle_lengths, windows), excs))
     for lam in partitions(n):
         dist = {(e,): c for (parts, e), c in tally.items() if parts == lam.parts}
         _same(f"n={n} type {lam}", Poly(("t",), dist),
@@ -775,11 +776,13 @@ def _check_fft(limits, n):
     # a left inverse makes it injective: n! images in S_n, so onto S_n; a chunk
     # the maps fail (the inverse class-exactly) or that raises is read per window
     letters, windows = list(range(1, n + 1)), iterate(GroupSpec("S", n), limits.budget)
+    excs = iter(oracle._column(GroupSpec("S", n), exc, limits.budget))
     while chunk := [*islice(windows, _CHUNK)]:
+        want = [*islice(excs, len(chunk))]  # the chunk's slice of the exc column
         with suppress(Exception):
             images = [*map(bijections.foata_fft, chunk)]
             if [*map(sorted, images)] == [letters] * len(chunk) and (
-                    [*oracle.stream(des, images, n)] == [*oracle.stream(exc, chunk, n)]):
+                    [*oracle.stream(des, images, n)] == want):
                 back = [*map(bijections.foata_fft_inverse, images)]
                 if [*map(type, back)] == [*map(type, chunk)] and all(
                         map(tuple.__eq__, back, chunk)):

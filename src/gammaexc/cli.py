@@ -211,10 +211,12 @@ def _parse_range(text):
     return lo, hi
 
 
-def _parse_max_n(text):
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a rank of 0 or more, got {text!r}")
-    return int(text)
+def _count(noun):  # the argparse type of a count of 0 or more, named noun
+    def parse(text):
+        if text.isdecimal():
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected {noun} of 0 or more, got {text!r}")
+    return parse
 
 
 def _parse_lambda(text):
@@ -240,6 +242,7 @@ def _parsers():
                     "expansions, and a theorem verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = _count("a window count")  # the one type of every --budget
 
     def add_common(p, with_class=True):
         if with_class:
@@ -247,7 +250,7 @@ def _parsers():
                            choices=["all", "plus", "minus"])
         p.add_argument("--engine", choices=["oracle", "closed"], default=None,
                        help="default: closed form when one exists")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
                        help="enumeration budget (windows visited)")
 
     def add_family(p):
@@ -279,10 +282,10 @@ def _parsers():
     verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--suite", default="all",
                         choices=sorted(checks.SUITES) + ["all"])
-    verify.add_argument("--max-n", type=_parse_max_n, default=None,
+    verify.add_argument("--max-n", type=_count("a rank"), default=None,
                         help="cap for every group kind (oversized checks "
                              "are skipped by the budget guard)")
-    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    verify.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock times (non-deterministic)")
 

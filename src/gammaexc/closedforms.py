@@ -125,7 +125,7 @@ _EULERIAN = {"A": ({1: [1]}, {1: [1]}, 1, 1), "B": ({1: [1]}, {1: [1]}, 2, 0)}
 def _held(memo, n, step):
     """memo[n], else stepped by step(value, m) up from the highest m held below."""
     if n not in memo:
-        low = max(m for m in list(memo) if m < n)
+        low = max(filter(n.__gt__, list(memo)))  # one snapshot, scanned in C
         memo[n] = functools.reduce(step, range(low, n), memo[low])
     return memo[n]
 

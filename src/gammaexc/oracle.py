@@ -32,7 +32,9 @@ Inside a ``kernel_memo`` block (``checks.run_suite`` opens one per run) a
 tally is walked once per (spec, budget, base names, parity carried) and
 folded for each weight that reads it, a signed p's signature is computed
 once per set of forms, and a signed domain is walked once: the run holds its
-blocks as rank and class.  The memo is a ``ContextVar``, per run and context
+blocks as rank and class.  On kind S it holds each statistic over a spec as
+a column, read by the checks streaming exc too (``_column``); a bare call's
+block holds none.  The memo is a ``ContextVar``, per run and context
 (another thread sees none); it keeps only tallies that completed.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
@@ -45,7 +47,7 @@ matching their closed product forms; bivariate variants remain one
 ``dist_poly`` call away.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import accumulate, combinations, compress, islice, repeat, starmap, tee
@@ -289,24 +291,44 @@ def _parity_is_free(spec):
                                 spec.cycle_type) == ("all", None, None)
 
 
+def _columns(spec, stats, windows):
+    """The kind-S ``stats`` over the spec's windows, in ``iterate``'s order: a
+    bare call streams each over a ``tee`` copy, a run holds each as a byte per
+    window (below 256 at any enumerable n), the lacking ones filled in step
+    from one pass (one by one, ``tee`` would buffer every window)."""
+    if (held := (_MEMO.get() or {}).get(_COLUMNS)) is None:
+        return [*map(stream, stats, tee(windows, len(stats)), repeat(spec.n))]
+    held = held.setdefault(spec, {})
+    if missing := [*dict.fromkeys(stat for stat in stats if stat not in held)]:
+        filled = [bytearray() for _ in missing]
+        streams = map(stream, missing, tee(windows, len(missing)), repeat(spec.n))
+        deque(zip(*map(map, [col.append for col in filled], streams)), maxlen=0)
+        held.update(zip(missing, filled))
+    return [held[stat] for stat in stats]
+
+
+def _column(spec, stat, budget=DEFAULT_BUDGET):
+    """``_columns`` of one statistic, after ``iterate``'s budget check."""
+    return _columns(spec, [stat], iterate(spec, budget=budget, by_permutation=True))[0]
+
+
 def _type_a_tally(spec, bases, windows, parity):
     """Kind S: (inv mod 2, class 0, base values, count) per distinct entry.
 
     ``bases`` maps base names to statistics.  With ``parity``, inv mod 2 is
     ``groups._parities``'s where ``iterate`` streams all of S_n or of a pos_n
     slice in lexicographic order; where a filter drops windows, an ``inv``
-    column's.  Without, it reads 0.
+    column's.  Without, it reads 0.  The statistics are ``_columns``: held
+    by a run, streamed by a bare call.
     """
     n = spec.n
     # some column must pull every window, also for a weight with no statistic
-    columns, bits = [*bases.values()] or [len], []
+    stats, bits = [*bases.values()] or [len], []
     if parity and not _parity_is_free(spec):
-        columns.append(inv)
+        stats.append(inv)
     elif parity:
         bits = [_parities(n, spec.pos_n)]
-    columns = [stream(stat, ws, n)
-               for stat, ws in zip(columns, tee(windows, len(columns)))] + bits
-    for values, count in Counter(zip(*columns)).items():
+    for values, count in Counter(zip(*_columns(spec, stats, windows), *bits)).items():
         yield parity and values[-1] % 2, 0, values, count  # parity comes last
 
 
@@ -369,13 +391,15 @@ def _signed_tally(spec, bases, windows, parity):
 
 
 _MEMO = ContextVar("kernel_memo", default=None)  # tallies; per n, forms, signatures, walks
+_COLUMNS = "columns"  # the run memo's key of the kind-S columns, per spec and statistic
 
 
 @contextmanager
-def kernel_memo():
-    """In the block and this context, ``_kernel`` walks each tally once and
-    ``_signed_tally`` each signed domain once, and each p's forms once."""
-    token = _MEMO.set({})
+def kernel_memo(columns=True):
+    """In the block and this context, ``_kernel`` walks each tally once,
+    ``_signed_tally`` each signed domain once and each p's forms once, and
+    with ``columns`` (a run's block) ``_columns`` holds kind-S statistics."""
+    token = _MEMO.set({_COLUMNS: {}} if columns else {})
     try:
         yield
     finally:
@@ -389,10 +413,10 @@ def _kernel(spec, weight, budget, split):
     complement (``_COMPLEMENTS``) is its constant plus the offset minus its
     base.  Each tally entry is keyed, checked and signed once.  First comes
     UndefinedStatistic, then BudgetExceeded by ``iterate``'s rule, before
-    any window.  In a run (a call outside ``kernel_memo`` is one), a repeat
-    of (spec, budget, base names, parity carried) refolds its stored tally."""
+    any window.  In a run, a repeat of (spec, budget, base names, parity
+    carried) refolds its stored tally; a bare call opens its own block."""
     if (memo := _MEMO.get()) is None:
-        with kernel_memo():
+        with kernel_memo(columns=False):
             return _kernel(spec, weight, budget, split)
     signs = weight.sign_stat is not None
     reads = []  # (base name, offset, sign) per exponent

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from gammaexc import checks, closedforms, oracle
+from gammaexc import checks, closedforms, groups, oracle
 from gammaexc.checks import Check, REGISTRY, VerifyLimits, run_suite
 from gammaexc.cli import main
 from gammaexc.groups import BudgetExceeded, GroupSpec, Perm
@@ -372,6 +372,21 @@ class TestRunMemo:
             for order in (group, group[::-1], *itertools.permutations(group, 2)):
                 with oracle.kernel_memo():
                     assert [r[0](*r[1:]) for r in order] == [alone[r] for r in order]
+
+    def test_a_run_reads_exc_over_each_window_of_s8_once(self, monkeypatch):
+        # S_8's exc column, computed once, serves the type-A, derangement and
+        # Foata checks; the n-cycles are read once more, for their own
+        # class's spec
+        reads, form = collections.Counter(), oracle._A_STREAMS[groups.exc]
+
+        def counting(windows, n):
+            return form(map(lambda w: reads.update((tuple(w),)) or w, windows), n)
+
+        monkeypatch.setitem(oracle._A_STREAMS, groups.exc, counting)
+        run_suite("all")
+        perms = itertools.permutations(range(1, 9))
+        assert {w: k for w, k in reads.items() if len(w) == 8} == {
+            w: 1 + (groups._cycle_lengths(w) == (8,)) for w in perms}
 
     def test_length_halves_then_the_whole_walk_once(self, monkeypatch):
         walks = collections.Counter()
@@ -907,6 +922,29 @@ def test_malformed_max_n_is_a_usage_error(text, capsys):
     assert exit_info.value.code == 2
     assert (f"argument --max-n: expected a rank of 0 or more, got {text!r}\n"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "typeB"],
+    ["compute", "--family", "aexc", "--n", "3", "--engine", "oracle"],
+])
+@pytest.mark.parametrize("text", ["-1", "x"])
+def test_malformed_budget_is_a_usage_error(argv, text, capsys):
+    # a negative budget would skip every enumerating check and still exit 0
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--budget", text])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: gammaexc {argv[0]} ")
+    assert f"argument --budget: expected a window count of 0 or more, got {text!r}\n" in err
+
+
+def test_budget_zero_refuses_every_window():
+    code, out, _ = _run_cli(["verify", "--suite", "typeB", "--budget", "0"])
+    assert (code, out.splitlines()[-1]) == (0, "3 passed, 0 failed, 6 skipped")
+    assert _run_cli(["compute", "--family", "aexc", "--n", "3", "--engine", "oracle",
+                     "--budget", "0"]) == (
+        2, "", "error: enumerating S_3 visits 6 windows, over the budget of 0\n")
 
 
 def test_max_n_zero_runs_the_fixed_checks():

@@ -454,3 +454,65 @@ class TestKernelErrors:
     def test_length_halves_need_a_whole_group(self, spec):
         with pytest.raises(InvalidSpec, match="length_halves needs a whole"):
             length_halves(spec, WeightSpec(()))
+
+
+@st.composite
+def _s_requests(draw):
+    """Requests over one S_n, n <= 6: dist_poly on the whole, its halves, its
+    pos_n slices, its fixed-point and cycle-type specs, and length_halves on
+    the whole, each with a weight reading exc, fixed_points, des, inv or cyc."""
+    n = draw(st.integers(1, 6))
+    specs = [GroupSpec("S", n, parity) for parity in ("all", "even", "odd")]
+    specs += [GroupSpec("S", n, pos_n=r) for r in range(1, n + 1)]
+    specs += [GroupSpec("S", n, parity, fixed_points=k)
+              for parity in ("all", "even") for k in range(n + 1)]
+    specs += [GroupSpec("S", n, cycle_type=lam.parts) for lam in partitions(n)]
+    weights = st.builds(
+        lambda stats, sign: WeightSpec(tuple(zip("tqs", stats, (0, 0, 0))), sign),
+        st.lists(st.sampled_from(("exc", "fixed_points", "des", "inv", "cyc")),
+                 max_size=3), st.sampled_from((None, "inv")))
+    requests = st.one_of(
+        st.tuples(st.just(dist_poly), st.sampled_from(specs), weights),
+        st.tuples(st.just(length_halves), st.just(specs[0]), weights))
+    return draw(st.lists(requests, min_size=1, max_size=8))
+
+
+class TestHeldColumns:
+    """A run holds each kind-S statistic over a spec as one column; a bare
+    call streams and holds none."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_s_requests())
+    def test_any_order_in_one_run_answers_as_bare(self, requests):
+        bare = [ask(spec, weight) for ask, spec, weight in requests]
+        with oracle.kernel_memo():
+            assert [ask(spec, weight) for ask, spec, weight in requests] == bare
+
+    def test_a_bare_call_streams(self):
+        # streaming, this traces 103,357 bytes at its peak (CPython 3.11),
+        # most of it S_8's parity string; holding its exc and fixed_points
+        # columns would add about 80 KB
+        import tracemalloc
+
+        weight = WeightSpec((("t", "exc", 0), ("q", "fixed_points", 0)))
+        dist_poly(GroupSpec("S", 3), weight)
+        tracemalloc.start()
+        try:
+            dist_poly(GroupSpec("S", 8), weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 103_357 + 8 * 1024
+
+    def test_a_held_column_still_refuses_a_smaller_budget(self):
+        spec = GroupSpec("S", 5)
+        with oracle.kernel_memo():
+            want = dist_poly(spec, T_EXC_WEIGHT, budget=None)
+            assert bytes(oracle._column(spec, groups.exc, None)) == bytes(
+                map(groups.exc, iterate(spec)))
+            for ask in (lambda: dist_poly(spec, T_EXC_WEIGHT, budget=10),
+                        lambda: dist_poly(spec, AEXC_WEIGHT, budget=10),
+                        lambda: oracle._column(spec, groups.exc, 10)):
+                with pytest.raises(BudgetExceeded):
+                    ask()
+            assert dist_poly(spec, T_EXC_WEIGHT, budget=120) == want
