@@ -902,8 +902,8 @@ def _check_q_collapse(limits, n):
 
 def run_suite(suite, limits=None):
     """Run a suite (or "all"); returns CheckResults in registry order.  The
-    checks share one ``oracle.kernel_memo`` block, which ends with the run:
-    the oracle walks a domain once per set of statistics, a signed one once."""
+    checks share one run's ``oracle.kernel_memo`` block: the oracle walks a
+    domain once per set of statistics, S_n once per set of signed forms."""
     limits = limits or VerifyLimits()
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")

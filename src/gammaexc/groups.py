@@ -25,14 +25,14 @@ Each statistic is one function of a window, and a ``Perm`` is one: a
 validated window tuple.  ``KINDS`` is the one table of the group kinds'
 rules.  ``iterate`` is the one enumerator: it picks one stream of bare
 windows per spec and by default maps ``Perm._trusted`` or
-``SignedPerm._trusted`` over it.  The oracle's fused kernel reads the bare
-windows one permutation of [n] at a time: one ``compress`` block per
-permutation and kept class on a signed group, a generated class for a
-cycle type.  Every other spec, in either order, takes ``_lexicographic``:
-S_n or a pos_n slice, a half ``compress``-ed by its inv parities
-(``_parities``), then one loop for the filters left.  The per-element
-functions over ``iterate``'s lexicographic elements are the reference for
-its sums.
+``SignedPerm._trusted`` over it.  The oracle's fused kernel reads bare
+windows one permutation of [n] at a time: a generated class for a cycle
+type, and outside a run one ``compress`` block per p and class that
+``_kept_classes`` keeps on a signed group.  Every other spec, in either
+order, takes ``_lexicographic``: S_n or a pos_n slice, a half
+``compress``-ed by its inv parities (``_parities``), then one loop for the
+filters left.  The per-element functions over ``iterate``'s lexicographic
+elements are the reference for its sums.
 """
 
 import math
@@ -475,24 +475,27 @@ def _signed_windows(letters, negs_parity=None, prefix=()):
         yield from _signed_windows(letters - {v}, negs_parity, prefix + (v,))
 
 
-def _signed_windows_by_permutation(spec):
-    """The spec's signed windows, one permutation p of [n] at a time.
-
-    The permutations come in lexicographic order; each is followed by its
-    kept windows, those with an even number of negated entries first.  The
-    even/odd filter picks whole parity classes of negated entries, because
-    inv_D is congruent to inv(p) and inv_B = inv_D + negs.  ``in_class[q]``
-    masks the windows of ``product(*zip(p, -p))`` in class q.  The blocks
-    are chained in C, so no Python frame runs per window.
-    """
-    in_class = [[sum(negated) % 2 == q
-                 for negated in product((0, 1), repeat=spec.n)] for q in (0, 1)]
+def _kept_classes(spec):
+    """Per inv(p) mod 2, the classes of p's windows (their parities of
+    negated entries) the signed spec keeps: its kind's, and on a half those
+    whose length parity, inv(p) + moves * class (``KINDS``), is the half's."""
     kept, moves = KINDS[spec.kind]
-    want = None if spec.parity == "all" else ("even", "odd").index(spec.parity)
+    return [tuple(q for q in kept if spec.parity == "all"
+                  or (bit + moves * q) % 2 == (spec.parity == "odd")) for bit in (0, 1)]
+
+
+def _signed_windows_by_permutation(spec):
+    """The spec's signed windows, p by p in lexicographic order: the classes
+    of p that ``_kept_classes`` keeps, even first, each masked from
+    ``product(*zip(p, -p))`` by ``in_class`` and chained in C, so no Python
+    frame runs per window."""
+    classes, in_class = _kept_classes(spec), [
+        [sum(negated) % 2 == q for negated in product((0, 1), repeat=spec.n)]
+        for q in (0, 1)]
     return chain.from_iterable(
         compress(product(*zip(p, map(neg, p))), in_class[q])
         for p, length in zip(_perm_windows(spec.n), _perm_parities(spec.n))
-        for q in kept if want is None or (length + moves * q) % 2 == want)
+        for q in classes[length])
 
 
 def _class_windows(spec):

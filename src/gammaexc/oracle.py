@@ -11,31 +11,31 @@ Every weighted sum runs through one fused kernel, behind ``dist_poly`` and
 ``length_halves``.  It reads each exponent as a base statistic plus an
 offset, with a sign: a complement is a constant minus its base
 (``_COMPLEMENTS``: nexc = n - exc, asc = max(n - 1, 0) - des).  A tally
-pulls ``groups.iterate``'s bare windows one permutation p of [n] at a time
-and counts only the distinct base values, with inv(p) mod 2 (on S_n or a
-pos_n slice, ``groups._parities``) and the class; the kernel folds each
-entry into a weight once.  On kind S the tally runs in
-C: each base reads a ``tee`` copy of the stream by its stream form
-(``_A_STREAMS``: nested maps, tested against the per-element functions) or
-by one ``map``, and ``Counter(zip(...))`` counts them.  A signed base has a
-kernel form, affine in the sign indicators: p gives (c, w), and the window
-negating the positions in N has c + sum(w[j] for j in N).  A signed group
-comes in blocks of 2^(n-1) windows, each one class (the parity of |N|) of
-one p, counted per signature (c, the sorted w, inv(p) mod 2, the class),
-whose values are built once by doubling over positions.  The length and the
-sign are inv(p) mod 2, moved by the class for the type-B length and the
-inv_b sign, so one tally gives the even- and odd-length halves apart
-(``length_halves``).  Tests compare the kernel against the reference sum
-``_weighted_sum``, which reads the per-element functions of ``groups``.
+counts only the distinct base values, with inv(p) mod 2 (on S_n or a pos_n
+slice, ``groups._parities``) and the class; the kernel folds each entry into
+a weight once.  On kind S the tally pulls ``groups.iterate``'s bare windows
+and runs in C: each base reads a ``tee`` copy of the stream by its stream
+form (``_A_STREAMS``: nested maps, tested against the per-element functions)
+or by one ``map``, and ``Counter(zip(...))`` counts them.  A signed base has
+a kernel form, affine in the sign indicators: p gives (c, w), and the window
+negating the positions in N has c + sum(w[j] for j in N).  A signed domain
+is each p in the classes (the parity of |N|) ``groups._kept_classes`` keeps
+for inv(p) mod 2, so the tally counts p's signatures (c, the sorted w,
+inv(p) mod 2), whose values it builds once by doubling over positions.  The
+length and the sign are inv(p) mod 2, moved by the class for the type-B
+length and the inv_b sign, so one tally gives the even- and odd-length
+halves apart (``length_halves``).  Tests compare the kernel against the
+reference sum ``_weighted_sum``, which reads the per-element functions of
+``groups``.
 
-Inside a ``kernel_memo`` block (``checks.run_suite`` opens one per run) a
-tally is walked once per (spec, budget, base names, parity carried) and
-folded for each weight that reads it, a signed p's signature is computed
-once per set of forms, and a signed domain is walked once: the run holds its
-blocks as rank and class.  On kind S it holds each statistic over a spec as
-a column, read by the checks streaming exc too (``_column``); a bare call's
-block holds none.  The memo is a ``ContextVar``, per run and context
-(another thread sees none); it keeps only tallies that completed.
+A run, a ``kernel_memo`` block (``checks.run_suite`` opens one), walks a
+tally once per (spec, budget, base names, parity carried) and folds it for
+each weight that reads it.  It counts the signatures over S_n once per n and
+set of forms and reads every signed domain off the count, with no window.
+On kind S it holds each statistic over a spec as a column, read by the
+checks streaming exc too (``_column``).  A bare call holds neither and pulls
+its windows through ``iterate``.  The memo is a ``ContextVar``, per run and
+context (another thread sees none); it keeps only tallies that completed.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -50,9 +50,8 @@ matching their closed product forms; bivariate variants remain one
 from collections import Counter, deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import accumulate, combinations, compress, islice, repeat, starmap, tee
-from math import factorial, inf
-from operator import eq, getitem, gt, is_, lt, sub
+from itertools import chain, combinations, groupby, islice, repeat, starmap, tee
+from operator import eq, getitem, gt, lt, sub
 
 from . import closedforms
 from .groups import (
@@ -60,6 +59,7 @@ from .groups import (
     GroupSpec,
     InvalidSpec,
     KINDS,
+    _kept_classes,
     _parities,
     _perm_windows,
     asc,
@@ -296,9 +296,9 @@ def _columns(spec, stats, windows):
     bare call streams each over a ``tee`` copy, a run holds each as a byte per
     window (below 256 at any enumerable n), the lacking ones filled in step
     from one pass (one by one, ``tee`` would buffer every window)."""
-    if (held := (_MEMO.get() or {}).get(_COLUMNS)) is None:
+    if (memo := _MEMO.get()) is None:
         return [*map(stream, stats, tee(windows, len(stats)), repeat(spec.n))]
-    held = held.setdefault(spec, {})
+    held = memo.setdefault(spec, {})
     if missing := [*dict.fromkeys(stat for stat in stats if stat not in held)]:
         filled = [bytearray() for _ in missing]
         streams = map(stream, missing, tee(windows, len(missing)), repeat(spec.n))
@@ -339,15 +339,13 @@ def _signed_tally(spec, bases, windows, parity):
     ``bases`` maps base names to kernel forms.  p's signature is (c, the
     sorted w, inv(p) mod 2), its forms packed in base ``radix``, first one
     most significant; packing is linear, so the window negating N has packed
-    values c + sum(w[j] for j in N).  The run holds them under n by set of
-    forms, interned, in n! slots by p's lexicographic rank, read off
-    ``_perm_windows(n)`` beside the walk; a walk in that order is held as
-    bytes, a block's rank step and class, and a block out of it counted apart.
-    """
+    values c + sum(w[j] for j in N).  A run counts the signatures over S_n
+    once per n and set of forms, and reads off each the classes that
+    ``_kept_classes`` keeps; a bare call reads p and the class off each
+    block's first window."""
     n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
-    (_, held), forms, end = _MEMO.get()[n], tuple(bases.values()), (None, (inf,))
-    slots, interned = held.get(forms) or held.setdefault(forms, ([None] * factorial(n), {}))
+    forms = tuple(bases.values())
 
     def signature(p):
         c, weights = forms[0](p) if forms else (0, [0] * n)
@@ -356,30 +354,19 @@ def _signed_tally(spec, bases, windows, parity):
             c = c * radix + base_c
             weights = [x * radix + y for x, y in zip(weights, base_w)]
         return c, tuple(sorted(weights)), inv(p) % 2
-    signatures = Counter()  # (signature, class) -> blocks
-    steps, classes = held.get(spec, (None, bytearray()))
-    if steps is None:  # each block's rank, as the step from the last one's
-        (rank, ref), steps, last = next(ranked := enumerate(_perm_windows(n)), end), [], 0
-        for w in islice(windows, 0, None, 2 ** max(n - 1, 0)):
-            p, cls = tuple(map(abs, w)), negs(w) % 2  # p off its block's first window
-            while ref < p:
-                rank, ref = next(ranked, end)
-            if ref == p:
-                steps.append(rank - last)
-                classes.append(cls)
-                last = rank
-            else:  # out of order: counted apart, and the walk is not held
-                signatures[signature(p), cls] += 1
-        if not signatures and max(steps, default=0) < 256:  # held, a byte a step
-            held[spec] = bytes(steps), classes
-    lacking = map(is_, map(slots.__getitem__, accumulate(steps)), repeat(None))
-    perms, at = _perm_windows(n), -1
-    for rank in compress(accumulate(steps), lacking):  # lazily: a repeat is filled by then
-        p, at = next(islice(perms, rank - at - 1, None)), rank
-        slots[rank] = interned.setdefault(found := signature(p), found)
-    signatures.update(zip(map(slots.__getitem__, accumulate(steps)), classes))
+    if (memo := _MEMO.get()) is None:  # p's blocks are adjacent
+        firsts = islice(windows, 0, None, 2 ** max(n - 1, 0))  # 0 or 1 negated: the class
+        signatures = Counter(chain.from_iterable(  # (signature, class) -> blocks
+            zip(repeat(signature(p)), map(negs, blocks))
+            for p, blocks in groupby(firsts, lambda w: tuple(map(abs, w))))).items()
+    else:
+        if (counts := memo.get(held := (n, forms))) is None:
+            counts = memo[held] = Counter(map(signature, _perm_windows(n)))
+        classes = _kept_classes(spec)
+        signatures = (((found, cls), perms) for found, perms in counts.items()
+                      for cls in classes[found[2]])
     tally = Counter()  # (inv(p) mod 2, class, packed values) -> count
-    for ((c, weights, bit), cls), blocks in signatures.items():
+    for ((c, weights, bit), cls), blocks in signatures:
         even, odd = [c], []
         for x in weights:
             even, odd = even + [k + x for k in odd], odd + [k + x for k in even]
@@ -390,16 +377,15 @@ def _signed_tally(spec, bases, windows, parity):
         yield bit, cls, [packed // place % radix for place in places], count
 
 
-_MEMO = ContextVar("kernel_memo", default=None)  # tallies; per n, forms, signatures, walks
-_COLUMNS = "columns"  # the run memo's key of the kind-S columns, per spec and statistic
+_MEMO = ContextVar("kernel_memo", default=None)  # tallies, columns; forms, signatures
 
 
 @contextmanager
-def kernel_memo(columns=True):
-    """In the block and this context, ``_kernel`` walks each tally once,
-    ``_signed_tally`` each signed domain once and each p's forms once, and
-    with ``columns`` (a run's block) ``_columns`` holds kind-S statistics."""
-    token = _MEMO.set({_COLUMNS: {}} if columns else {})
+def kernel_memo():
+    """A run: in the block and this context, ``_kernel`` walks each tally
+    once, ``_signed_tally`` counts the signatures once per set of forms and
+    ``_columns`` holds kind-S statistics; a call outside holds none."""
+    token = _MEMO.set({})
     try:
         yield
     finally:
@@ -414,10 +400,8 @@ def _kernel(spec, weight, budget, split):
     base.  Each tally entry is keyed, checked and signed once.  First comes
     UndefinedStatistic, then BudgetExceeded by ``iterate``'s rule, before
     any window.  In a run, a repeat of (spec, budget, base names, parity
-    carried) refolds its stored tally; a bare call opens its own block."""
-    if (memo := _MEMO.get()) is None:
-        with kernel_memo(columns=False):
-            return _kernel(spec, weight, budget, split)
+    carried) refolds its stored tally; a bare call stores none."""
+    memo = _MEMO.get({})  # a bare call's, dropped on return
     signs = weight.sign_stat is not None
     reads = []  # (base name, offset, sign) per exponent
     for stat, (_, _, off) in zip(_resolve(weight, spec.kind), weight.exponents):
@@ -431,8 +415,8 @@ def _kernel(spec, weight, budget, split):
     if entries is None:
         forms, tally = A_STATISTICS, _type_a_tally
         if spec.kind != "S":  # one set of forms per run and n: D_n reads B_n's
-            tally, (forms, _) = _signed_tally, memo.get(spec.n) or memo.setdefault(
-                spec.n, (_signed_kernel(spec.n), {}))  # and their signatures
+            tally, forms = _signed_tally, memo.get(spec.n) or memo.setdefault(
+                spec.n, _signed_kernel(spec.n))  # and their signature counts
         windows = iterate(spec, budget=budget, by_permutation=True)
         entries = tally(spec, {name: forms[name] for name in names}, windows, parity)
         entries = memo[inputs] = [*entries]

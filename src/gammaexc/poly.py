@@ -447,11 +447,11 @@ class Poly:
         return cls.from_json_dict(json.loads(text))
 
 
-def _json_int(v, field, text=True):
-    """An int, or with ``text`` a decimal string, read from JSON; else ValueError."""
-    if type(v) is int or text and type(v) is str and v.removeprefix("-").isdecimal():
+def _json_int(v, field):
+    """An int, or a decimal string, read from JSON; else ValueError."""
+    if type(v) is int or type(v) is str and v.removeprefix("-").isdecimal():
         return int(v)
-    raise ValueError(f"{field} {v!r} is not an int" + " or a decimal string" * text)
+    raise ValueError(f"{field} {v!r} is not an int or a decimal string")
 
 
 def D(f):
@@ -589,10 +589,10 @@ def palindrome_info(f, mode=UNIVARIATE):
 class GammaExpansion(Record):
     """Coordinates of a palindromic polynomial in the gamma basis.
 
-    ``mode`` is one of univariate_t / bivariate_st / q_coefficients.  For the
-    univariate modes ``n`` is the top degree in t; for bivariate it is the
-    total degree.  ``gammas`` holds ints, or dense q-coefficient tuples in
-    q-mode; any other entry raises ValueError.  It recomposes exactly (``recompose``).
+    ``mode`` is one of univariate_t / bivariate_st / q_coefficients; ``r`` and
+    ``n`` are ints, ``n`` the top degree in t in the univariate modes and the
+    total degree in bivariate.  ``gammas`` holds ints, or dense q-coefficient
+    tuples in q-mode; any other entry raises ValueError.  It recomposes exactly.
     """
 
     __slots__ = ("mode", "r", "n", "gammas")
@@ -600,6 +600,9 @@ class GammaExpansion(Record):
     def __init__(self, mode, r, n, gammas):
         if mode not in GAMMA_MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        for field, value in (("r", r), ("n", n)):
+            if type(value) is not int:  # bool and float are not degrees
+                raise ValueError(f"{field} {value!r} is not an int")
         if r < 0 or n < r:
             raise ValueError(f"bad support: r={r}, n={n}")
         length = (n - r if mode == BIVARIATE else n) - r  # as self.length reads it
@@ -661,8 +664,7 @@ class GammaExpansion(Record):
         gammas = [[_json_int(c, "gamma entry") for c in g] if isinstance(g, list)
                   else _json_int(g, "gamma entry")  # the shape is __init__'s check
                   for g in data["gammas"]]
-        r, n = (_json_int(data[key], key, text=False) for key in ("r", "n"))
-        return cls(data.get("mode", UNIVARIATE), r, n, gammas)
+        return cls(data.get("mode", UNIVARIATE), data["r"], data["n"], gammas)
 
     def __str__(self):
         cos = self.center_of_symmetry

@@ -300,6 +300,12 @@ def test_defaults_and_keywords():
     (lambda: GammaExpansion.from_json_dict(
         {"mode": Q_COEFFICIENTS, "r": 0, "n": 0, "gammas": [["1", "+2"]]}), ValueError,
      "gamma entry '+2' is not an int or a decimal string"),
+    (lambda: GammaExpansion(UNIVARIATE, 1.0, 2.0, [1]), ValueError,
+     "r 1.0 is not an int"),
+    (lambda: GammaExpansion(UNIVARIATE, True, 2, [1]), ValueError,
+     "r True is not an int"),
+    (lambda: GammaExpansion(BIVARIATE, 0, 2.0, [1, 1]), ValueError,
+     "n 2.0 is not an int"),
     (lambda: GammaExpansion.from_json_dict(
         {"mode": UNIVARIATE, "r": 0.5, "n": 2, "gammas": [1, 1]}), ValueError,
      "r 0.5 is not an int"),
