@@ -6,7 +6,8 @@ first entries; in the concatenated word, the within-cycle adjacencies are
 ascents exactly at the excedance positions and every cycle boundary is a
 descent, so the word's ascent count equals exc.  Reversing the word turns
 ascents into descents, giving des(fft(p)) = exc(p): one walk of each cycle
-backwards, by increasing least letter.  The word is decodable (cut before
+forwards from its least letter, by increasing least letter, each letter
+written before the one it follows.  The word is decodable (cut before
 each left-to-right minimum, in one pass), so the map is a bijection.
 
 The remaining maps move the largest letter around the window: the
@@ -32,17 +33,14 @@ def foata_fft(w):
     """Foata's first fundamental transformation: des(fft(w)) = exc(w)."""
     if type(w) is not Perm:
         w = Perm(w)
-    n = len(w)
-    preimage = [0] * (n + 1)  # letter -> its position in w; 0 once written
-    for i, v in enumerate(w, 1):
-        preimage[v] = i
-    word = []
-    for least in range(1, n + 1):
-        if j := preimage[least]:  # else written with a smaller letter's cycle
-            while j != least:  # the cycle backwards, round to its least letter
-                word.append(j)
-                preimage[j], j = 0, preimage[j]
+    image, word = [0, *w], []  # letter -> its image; 0 once written
+    for least in range(1, len(w) + 1):
+        if j := image[least]:  # else written with a smaller letter's cycle
+            start = len(word)
             word.append(least)
+            while j != least:  # the cycle forwards, each letter before the last
+                word.insert(start, j)
+                image[j], j = 0, image[j]
     return Perm._trusted(word)
 
 

@@ -31,8 +31,8 @@ type, and outside a run one ``compress`` block per p and class that
 ``_kept_classes`` keeps on a signed group.  Every other spec, in either
 order, takes ``_lexicographic``: S_n or a pos_n slice, a half
 ``compress``-ed by its inv parities (``_parities``), then one loop for the
-filters left.  The per-element functions over ``iterate``'s lexicographic
-elements are the reference for its sums.
+filters left (``_perm_bytes`` lays S_n's out as bytes).  The per-element
+functions over ``iterate``'s lexicographic elements are the reference.
 """
 
 import math
@@ -441,6 +441,22 @@ def _perm_parities(n, shift=0):
         for digits in product(*map(range, range(n, low, -1))))
 
 
+def _perm_bytes(n):
+    """``_perm_windows(n)`` as one byte string: S_m's is S_(m-1)'s, each window
+    led by a 0 byte (by extended slices), translated once per first letter
+    a: 0 to a, and each letter from a up one higher."""
+    flat = b""
+    for m in range(1, n + 1):  # a first letter's block: (m - 1)! windows, m! bytes
+        size = math.factorial(m)
+        padded, flat, prev = bytearray(size), bytearray(m * size), flat
+        for i in range(1, m):
+            padded[i::m] = prev[i - 1::m - 1]
+        for a in range(1, m + 1):
+            flat[(a - 1) * size:a * size] = padded.translate(
+                bytes([a, *range(1, a), *range(a + 1, m + 1)]).ljust(256, b"\0"))
+    return flat
+
+
 def _perm_windows_pos_n(n, r):
     """Windows of S_n with letter n at position r, in lexicographic order."""
     for reduced in _perm_windows(n - 1):
@@ -488,14 +504,15 @@ def _signed_windows_by_permutation(spec):
     """The spec's signed windows, p by p in lexicographic order: the classes
     of p that ``_kept_classes`` keeps, even first, each masked from
     ``product(*zip(p, -p))`` by ``in_class`` and chained in C, so no Python
-    frame runs per window."""
-    classes, in_class = _kept_classes(spec), [
-        [sum(negated) % 2 == q for negated in product((0, 1), repeat=spec.n)]
-        for q in (0, 1)]
-    return chain.from_iterable(
-        compress(product(*zip(p, map(neg, p))), in_class[q])
-        for p, length in zip(_perm_windows(spec.n), _perm_parities(spec.n))
-        for q in classes[length])
+    frame runs per window; the masks are built on the first pull."""
+    def blocks():
+        classes, in_class = _kept_classes(spec), [
+            [sum(negated) % 2 == q for negated in product((0, 1), repeat=spec.n)]
+            for q in (0, 1)]
+        for p, length in zip(_perm_windows(spec.n), _perm_parities(spec.n)):
+            for q in classes[length]:
+                yield compress(product(*zip(p, map(neg, p))), in_class[q])
+    return chain.from_iterable(blocks())
 
 
 def _class_windows(spec):

@@ -31,11 +31,13 @@ reference sum ``_weighted_sum``, which reads the per-element functions of
 A run, a ``kernel_memo`` block (``checks.run_suite`` opens one), walks a
 tally once per (spec, budget, base names, parity carried) and folds it for
 each weight that reads it.  It counts the signatures over S_n once per n and
-set of forms and reads every signed domain off the count, with no window.
-On kind S it holds each statistic over a spec as a column, read by the
-checks streaming exc too (``_column``).  A bare call holds neither and pulls
-its windows through ``iterate``.  The memo is a ``ContextVar``, per run and
-context (another thread sees none); it keeps only tallies that completed.
+set of forms, inv(p) mod 2 off ``_perm_parities``, and reads every signed
+domain off the count, with no window.  On kind S it holds each statistic
+over a spec as a column, read by the checks streaming exc too (``_column``),
+a whole S_n's exc and fixed_points summed off its window bytes
+(``_positional``).  A bare call holds neither and pulls its windows through
+``iterate``.  The memo is a ``ContextVar``, per run and context (another
+thread sees none); it keeps only tallies that completed.
 
 ``family_poly`` names the standard distributions: type-A/B/D excedance
 polynomials and their even/odd-length halves, descent polynomials, signed
@@ -51,6 +53,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain, combinations, groupby, islice, repeat, starmap, tee
+from math import factorial
 from operator import eq, getitem, gt, lt, sub
 
 from . import closedforms
@@ -61,6 +64,8 @@ from .groups import (
     KINDS,
     _kept_classes,
     _parities,
+    _perm_bytes,
+    _perm_parities,
     _perm_windows,
     asc,
     asc_b,
@@ -276,6 +281,9 @@ _A_STREAMS = {
                                     map(combinations, ws, repeat(2)))),
 }
 
+# kind-S statistic, the count of positions i with pred(w_i, i) -> pred
+_POSITIONAL = {exc: gt, fixed_points: eq}
+
 
 def stream(stat, windows, n):
     """The kind-S statistic ``stat`` over a stream of windows of [n]: by its
@@ -294,17 +302,32 @@ def _parity_is_free(spec):
 def _columns(spec, stats, windows):
     """The kind-S ``stats`` over the spec's windows, in ``iterate``'s order: a
     bare call streams each over a ``tee`` copy, a run holds each as a byte per
-    window (below 256 at any enumerable n), the lacking ones filled in step
-    from one pass (one by one, ``tee`` would buffer every window)."""
+    window (below 256 at any enumerable n): on a whole S_n, n <= 9, a
+    ``_POSITIONAL`` one off its window bytes, the others lacking filled in
+    step from one pass (one by one, ``tee`` would buffer every window)."""
     if (memo := _MEMO.get()) is None:
         return [*map(stream, stats, tee(windows, len(stats)), repeat(spec.n))]
-    held = memo.setdefault(spec, {})
-    if missing := [*dict.fromkeys(stat for stat in stats if stat not in held)]:
+    held, n = memo.setdefault(spec, {}), spec.n
+    missing = [*dict.fromkeys(stat for stat in stats if stat not in held)]
+    if spec == GroupSpec("S", n) and n <= 9 and any(map(_POSITIONAL.get, missing)):
+        flat = _perm_bytes(n)  # S_9's, 3.3 MB, is the longest built; not held
+        held.update((stat, _positional(flat, n, _POSITIONAL[stat]))
+                    for stat in filter(_POSITIONAL.get, missing))
+        missing = [stat for stat in missing if stat not in held]
+    if missing:
         filled = [bytearray() for _ in missing]
         streams = map(stream, missing, tee(windows, len(missing)), repeat(spec.n))
         deque(zip(*map(map, [col.append for col in filled], streams)), maxlen=0)
         held.update(zip(missing, filled))
     return [held[stat] for stat in stats]
+
+
+def _positional(flat, n, pred):
+    """S_n's column of #{i: pred(w_i, i)} off its window bytes: one int of 0/1
+    bytes per position, summed (no byte carries: each count is at most n)."""
+    return sum(int.from_bytes(flat[i::n].translate(
+        bytes(map(pred, range(256), repeat(i + 1)))), "little") for i in range(n)
+    ).to_bytes(factorial(n), "little")
 
 
 def _column(spec, stat, budget=DEFAULT_BUDGET):
@@ -341,27 +364,28 @@ def _signed_tally(spec, bases, windows, parity):
     most significant; packing is linear, so the window negating N has packed
     values c + sum(w[j] for j in N).  A run counts the signatures over S_n
     once per n and set of forms, and reads off each the classes that
-    ``_kept_classes`` keeps; a bare call reads p and the class off each
-    block's first window."""
+    ``_kept_classes`` keeps; a bare call reads p, inv(p) and the class off
+    the first window of each of p's blocks (a half skips some p)."""
     n = spec.n
     radix = n * n + 1  # above every statistic's largest value (inv_b: n^2)
     forms = tuple(bases.values())
 
-    def signature(p):
+    def signature(p, bit):
         c, weights = forms[0](p) if forms else (0, [0] * n)
         for base in forms[1:]:
             base_c, base_w = base(p)
             c = c * radix + base_c
             weights = [x * radix + y for x, y in zip(weights, base_w)]
-        return c, tuple(sorted(weights)), inv(p) % 2
+        return c, tuple(sorted(weights)), bit
     if (memo := _MEMO.get()) is None:  # p's blocks are adjacent
         firsts = islice(windows, 0, None, 2 ** max(n - 1, 0))  # 0 or 1 negated: the class
         signatures = Counter(chain.from_iterable(  # (signature, class) -> blocks
-            zip(repeat(signature(p)), map(negs, blocks))
+            zip(repeat(signature(p, inv(p) % 2)), map(negs, blocks))
             for p, blocks in groupby(firsts, lambda w: tuple(map(abs, w))))).items()
-    else:
+    else:  # every p, so S_n's parities in the windows' order
         if (counts := memo.get(held := (n, forms))) is None:
-            counts = memo[held] = Counter(map(signature, _perm_windows(n)))
+            counts = memo[held] = Counter(
+                map(signature, _perm_windows(n), _perm_parities(n)))
         classes = _kept_classes(spec)
         signatures = (((found, cls), perms) for found, perms in counts.items()
                       for cls in classes[found[2]])

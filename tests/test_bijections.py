@@ -77,6 +77,20 @@ def _cycle_word_fft(w):
     return tuple(reversed([v for c in reversed(_cycles(w)) for v in c]))
 
 
+def _cycle_backwards_fft(w):
+    """Each cycle walked backwards through the inverse, from the letter
+    mapped to its least letter round to that letter, by increasing least."""
+    preimage = {v: i for i, v in enumerate(w, 1)}
+    word = []
+    for cycle in _cycles(w):  # by increasing least letter
+        j = preimage[cycle[0]]
+        while j != cycle[0]:
+            word.append(j)
+            j = preimage[j]
+        word.append(cycle[0])
+    return tuple(word)
+
+
 def _cycle_word_fft_inverse(w):
     """The reversed window cut before each left-to-right minimum, each piece
     written as a cycle."""
@@ -99,6 +113,11 @@ class TestFoataWalks:
         for w in map(Perm, permutations(range(1, n + 1))):
             assert tuple(foata_fft(w)) == _cycle_word_fft(w), w
             assert tuple(foata_fft_inverse(w)) == _cycle_word_fft_inverse(w), w
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_the_forward_walk_writes_each_cycle_backwards(self, n):
+        for w in map(Perm, permutations(range(1, n + 1))):
+            assert tuple(foata_fft(w)) == _cycle_backwards_fft(w), w
 
 
 class TestPenultimateToFront:

@@ -160,20 +160,33 @@ FAULTS = {
         oracle, "_kept_classes", _even_filter_keeps_all,
         ("typeB.totals_and_class_additivity",
          "typeD.totals_and_class_additivity")),
+    # a run reads inv(p) mod 2 off the parity strings, and inv itself only
+    # where a filter drops windows: the parity of a derangement
     "oracle.inv returns 0": (
-        oracle, "inv", lambda real: lambda w: 0,
-        ("typeD.step_equals_oracle", "signed_sums.type_d_power")),
+        oracle, "inv", lambda real: lambda w: 0, ("q_refined.q1_collapse",)),
+    "oracle._perm_parities flipped": (
+        oracle, "_perm_parities",
+        lambda real: lambda n, shift=0: real(n, shift + 1),
+        ("typeB.closed_equals_oracle", "typeD.step_equals_oracle",
+         "signed_sums.type_d_power")),
+    # a run sums a whole S_n's exc column from its window bytes, and streams
+    # exc over the specs a filter thins: halves, classes, derangements
     "oracle._A_STREAMS' exc stream + 1 on its first window": (
         oracle, "_A_STREAMS", _first_exc_off,
-        ("typeA.closed_equals_oracle", "derangements.conjugacy_product_formula")),
+        ("derangements.long_cycle_distribution", "bijections.halving_consequence",
+         "q_refined.q1_collapse")),
+    "oracle._POSITIONAL counts only the excedances by 2 or more": (
+        oracle, "_POSITIONAL", lambda real: {**real, groups.exc: lambda v, i: v > i + 1},
+        ("typeA.closed_equals_oracle", "derangements.conjugacy_product_formula",
+         "derangements.fixed_point_refinement")),
     "oracle._parities flipped": (
         oracle, "_parities",
         lambda real: lambda n, r, shift=0: real(n, r, shift + 1),
         ("typeA.closed_equals_oracle", "signed_sums.type_a_power",
          "derangements.fixed_point_refinement")),
-    # iterate reads these two from groups; oracle binds _parities apart, and
-    # groups._parities reads _perm_parities from groups, so the tally sees
-    # the second one too
+    # iterate reads these two from groups; oracle binds _parities and
+    # _perm_parities apart, and groups._parities reads _perm_parities from
+    # groups, so the kind-S tally sees the second one too
     "groups._class_windows drops the last window of each class": (
         groups, "_class_windows", _class_last_dropped,
         ("derangements.long_cycle_distribution",

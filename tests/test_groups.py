@@ -2,7 +2,7 @@ import math
 import re
 import time
 import tracemalloc
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 
@@ -498,6 +498,11 @@ class TestKernelIdentities:
                 for r in range(1, n + 1) if n <= 9 else ():
                     want = strings[n - 1][(n - r + shift) % 2]
                     assert bytes(groups._parities(n, r, shift)) == want, (n, r, shift)
+
+    def test_window_bytes_list_the_windows_in_lexicographic_order(self):
+        for n in range(9):
+            assert groups._perm_bytes(n) == bytes(chain.from_iterable(
+                permutations(range(1, n + 1)))), n
 
     def test_a_half_reaches_its_first_window_in_little_memory(self):
         # at n = 11 the whole parity string is 11! bytes; the stream holds

@@ -374,19 +374,55 @@ class TestRunMemo:
                     assert [r[0](*r[1:]) for r in order] == [alone[r] for r in order]
 
     def test_a_run_reads_exc_over_each_window_of_s8_once(self, monkeypatch):
-        # S_8's exc column, computed once, serves the type-A, derangement and
-        # Foata checks; the n-cycles are read once more, for their own
-        # class's spec
+        # S_8's exc column, built once off its window bytes, serves the
+        # type-A, derangement and Foata checks; the n-cycles are read once
+        # more, streamed for their own class's spec
         reads, form = collections.Counter(), oracle._A_STREAMS[groups.exc]
+        builds, positional = collections.Counter(), oracle._positional
 
         def counting(windows, n):
             return form(map(lambda w: reads.update((tuple(w),)) or w, windows), n)
 
+        def building(flat, n, pred):
+            builds[n, pred] += 1
+            return positional(flat, n, pred)
+
         monkeypatch.setitem(oracle._A_STREAMS, groups.exc, counting)
+        monkeypatch.setattr(oracle, "_positional", building)
         run_suite("all")
+        assert builds[8, oracle._POSITIONAL[groups.exc]] == 1
         perms = itertools.permutations(range(1, 9))
         assert {w: k for w, k in reads.items() if len(w) == 8} == {
-            w: 1 + (groups._cycle_lengths(w) == (8,)) for w in perms}
+            w: 1 for w in perms if groups._cycle_lengths(w) == (8,)}
+
+    def test_a_run_reads_a_patched_exc_per_window(self, monkeypatch):
+        # a statistic that is not the one keyed in _POSITIONAL and
+        # _A_STREAMS is mapped as it is, over every window
+        reads, real = collections.Counter(), groups.exc
+        monkeypatch.setitem(oracle.A_STATISTICS, "exc",
+                            lambda w: reads.update((tuple(w),)) or real(w))
+        spec = GroupSpec("S", 6)
+        with oracle.kernel_memo():
+            got = oracle.dist_poly(spec, oracle.AEXC_WEIGHT)
+        assert reads == dict.fromkeys(itertools.permutations(range(1, 7)), 1)
+        assert got == oracle._weighted_sum(oracle.iterate(spec), oracle.AEXC_WEIGHT, "S")
+
+    def test_a_run_builds_no_class_mask_for_a_signed_kernel_call(self, monkeypatch):
+        # the masks of _signed_windows_by_permutation are product(..., repeat=n)
+        masks, real = [], groups.product
+
+        def product(*args, **kwargs):
+            if "repeat" in kwargs:
+                masks.append(kwargs["repeat"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "product", product)
+        with oracle.kernel_memo():
+            for spec in self._signed_specs(5):
+                oracle.dist_poly(spec, oracle.BEXC_WEIGHT)
+        assert masks == []
+        oracle.dist_poly(GroupSpec("B", 5), oracle.BEXC_WEIGHT)  # a bare call reads them
+        assert masks == [5, 5]
 
     def test_length_halves_then_the_whole_walk_once(self, monkeypatch):
         walks = collections.Counter()

@@ -371,6 +371,26 @@ class TestStreams:
         assert list(oracle.stream(stat, iter(windows), 4)) == want
 
 
+class TestPositionalColumns:
+    """A run reads each positional statistic over a whole S_n off S_n's
+    window bytes; the column equals ``map`` of its per-element function."""
+
+    POSITIONAL = ("exc", "fixed_points")
+
+    def test_the_positional_bases(self):
+        assert set(oracle._POSITIONAL) == {A_STATISTICS[name] for name in self.POSITIONAL}
+
+    @pytest.mark.parametrize("name", POSITIONAL)
+    def test_equals_the_per_element_map(self, name):
+        stat = A_STATISTICS[name]
+        for n in range(9):
+            want = bytes(map(stat, permutations(range(1, n + 1))))
+            flat = groups._perm_bytes(n)
+            assert oracle._positional(flat, n, oracle._POSITIONAL[stat]) == want, n
+            with oracle.kernel_memo():
+                assert bytes(oracle._column(GroupSpec("S", n), stat)) == want, n
+
+
 class TestSharedForms:
     """The signed kernel reads nexc and asc off the exc and des forms."""
 
