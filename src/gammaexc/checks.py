@@ -710,7 +710,7 @@ def _check_long_cycles(limits, n):
            "set-partition count times the product of long-cycle factors",
            ranks=(1, lambda lim: lim.max_n_a))
 def _check_conjugacy(limits, n):
-    excs = oracle._column(GroupSpec("S", n), exc, limits.budget)  # held by a run
+    excs = oracle._column(GroupSpec("S", n), exc, limits.budget)  # in a run, by position
     windows = iterate(GroupSpec("S", n), limits.budget, by_permutation=True)
     tally = Counter(zip(map(_cycle_lengths, windows), excs))
     for lam in partitions(n):

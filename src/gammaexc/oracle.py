@@ -28,14 +28,14 @@ halves apart (``length_halves``).  Tests compare the kernel against the
 reference sum ``_weighted_sum``, which reads the per-element functions of
 ``groups``.
 
-A run, a ``kernel_memo`` block (``checks.run_suite`` opens one), walks a
-tally once per (spec, budget, base names, parity carried) and folds it for
-each weight that reads it.  It counts the signatures over S_n once per n and
-set of forms, inv(p) mod 2 off ``_perm_parities``, and reads every signed
-domain off the count, with no window.  On kind S it holds each statistic
-over a spec as a column, read by the checks streaming exc too (``_column``),
-a whole S_n's exc and fixed_points summed off its window bytes
-(``_positional``).  A bare call holds neither and pulls its windows through
+A run, a ``kernel_memo`` block (``checks.run_suite`` opens one), holds
+tallies and signature counts only.  It walks a tally once per (spec, budget,
+base names, parity carried) and folds it for each weight that reads it.  It
+counts the signatures over S_n once per n and set of forms, inv(p) mod 2 off
+``_perm_parities``, and reads every signed domain off the count, with no
+window.  On a whole S_n it sums exc and fixed_points off S_n's window bytes
+(``_positional``) on each request; every other kind-S statistic streams, as
+in a bare call, which holds nothing and pulls its windows through
 ``iterate``.  The memo is a ``ContextVar``, per run and context (another
 thread sees none); it keeps only tallies that completed.
 
@@ -49,10 +49,11 @@ matching their closed product forms; bivariate variants remain one
 ``dist_poly`` call away.
 """
 
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import chain, combinations, groupby, islice, repeat, starmap, tee
+from itertools import (chain, combinations, compress, groupby, islice, repeat,
+                       starmap, tee)
 from math import factorial
 from operator import eq, getitem, gt, lt, sub
 
@@ -211,55 +212,52 @@ _COMPLEMENTS = {
 }
 
 
-def _signed_kernel(n):
-    """Kernel forms of the signed base statistics: permutation -> (c, w).
+def _des_b_form(p):
+    # negating p_j adds the descent into j (from p_{j-1}, or from the
+    # prepended 0) unless p has it, and removes p's descent out of j
+    into = map(lt, (0,) + p, p)
+    out = [*map(gt, p, p[1:]), False]
+    return sum(out), list(map(sub, into, out))
 
-    A signed window is a permutation p of [n] with the entries at a set N of
-    positions negated.  Every signed statistic is affine in the sign
-    indicators: on that window it equals c + sum(w[j] for j in N), with j
-    0-based.  The complements are not here: ``_COMPLEMENTS`` reads them off
-    their bases.
-    """
 
-    def des_b(p):
-        # negating p_j adds the descent into j (from p_{j-1}, or from the
-        # prepended 0) unless p has it, and removes p's descent out of j
-        into = map(lt, (0,) + p, p)
-        out = [*map(gt, p, p[1:]), False]
-        return sum(out), list(map(sub, into, out))
+def _excedances(weak):
+    # Let U hold the positions i with p_{p_i} > p_i, and also the fixed
+    # points when weak.  Position i counts iff i is in U and position p_i is
+    # positive, or i is negated and not in U.  So negating j adds [j not in
+    # U] and takes away [j = p_i for some i in U].
+    def form(p):
+        up = [p[v - 1] > v or weak and v == i for i, v in enumerate(p, 1)]
+        hit = {*compress(p, up)}  # the p_i, i in U
+        return sum(up), [(not u) - (j in hit) for j, u in enumerate(up, 1)]
+    return form
 
-    def excedances(weak):
-        # Let U hold the positions i with p_{p_i} > p_i, and also the fixed
-        # points when weak.  Position i counts iff i is in U and position
-        # p_i is positive, or i is negated and not in U.  So negating j adds
-        # [j not in U] and takes away [j = p_i for some i in U].
-        def form(p):
-            up = [p[v - 1] > v or weak and v == i for i, v in enumerate(p, 1)]
-            hit = [False] * n
-            for v, counted in zip(p, up):
-                if counted:
-                    hit[v - 1] = True
-            return sum(up), [(not u) - h for u, h in zip(up, hit)]
-        return form
 
-    def inversions(negs_weight):
-        # inv_D = inv(p) + 2 * sum over j in N of #{i < j: p_i < p_j};
-        # inv_B = inv_D + negs
-        return lambda p: (inv(p), [2 * sum(a < v for a in p[:j]) + negs_weight
-                                   for j, v in enumerate(p)])
+def _inversions(negs_weight):
+    # inv_D = inv(p) + 2 * sum over j in N of #{i < j: p_i < p_j};
+    # inv_B = inv_D + negs
+    return lambda p: (inv(p), [2 * sum(a < v for a in p[:j]) + negs_weight
+                               for j, v in enumerate(p)])
 
-    exc_b, wkexc_b = excedances(False), excedances(True)
-    return {
-        "exc_b": exc_b,
-        "wkexc_b": wkexc_b,
-        "des_b": des_b,
-        "inv_b": inversions(1),
-        "negs": lambda p: (0, [1] * n),
-        "pos_n": lambda p: (pos_n(p), [0] * n),
-        "exc_d": exc_b,
-        "wkexc_d": wkexc_b,
-        "inv_d": inversions(0),
-    }
+
+# Kernel forms of the signed base statistics: permutation p -> (c, w).  A
+# signed window is a permutation p of [n], n = len(p), with the entries at a
+# set N of positions negated.  Every signed statistic is affine in the sign
+# indicators: on that window it equals c + sum(w[j] for j in N), with j
+# 0-based.  The complements are not here: ``_COMPLEMENTS`` reads them off
+# their bases.  Type D's excedance forms are type B's objects, so D_n reads
+# B_n's signature counts.
+_exc_form, _wkexc_form = _excedances(False), _excedances(True)
+_SIGNED_FORMS = {
+    "exc_b": _exc_form,
+    "wkexc_b": _wkexc_form,
+    "des_b": _des_b_form,
+    "inv_b": _inversions(1),
+    "negs": lambda p: (0, [1] * len(p)),
+    "pos_n": lambda p: (pos_n(p), [0] * len(p)),
+    "exc_d": _exc_form,
+    "wkexc_d": _wkexc_form,
+    "inv_d": _inversions(0),
+}
 
 
 def _des_stream(ws, n):
@@ -300,26 +298,17 @@ def _parity_is_free(spec):
 
 
 def _columns(spec, stats, windows):
-    """The kind-S ``stats`` over the spec's windows, in ``iterate``'s order: a
-    bare call streams each over a ``tee`` copy, a run holds each as a byte per
-    window (below 256 at any enumerable n): on a whole S_n, n <= 9, a
-    ``_POSITIONAL`` one off its window bytes, the others lacking filled in
-    step from one pass (one by one, ``tee`` would buffer every window)."""
-    if (memo := _MEMO.get()) is None:
-        return [*map(stream, stats, tee(windows, len(stats)), repeat(spec.n))]
-    held, n = memo.setdefault(spec, {}), spec.n
-    missing = [*dict.fromkeys(stat for stat in stats if stat not in held)]
-    if spec == GroupSpec("S", n) and n <= 9 and any(map(_POSITIONAL.get, missing)):
-        flat = _perm_bytes(n)  # S_9's, 3.3 MB, is the longest built; not held
-        held.update((stat, _positional(flat, n, _POSITIONAL[stat]))
-                    for stat in filter(_POSITIONAL.get, missing))
-        missing = [stat for stat in missing if stat not in held]
-    if missing:
-        filled = [bytearray() for _ in missing]
-        streams = map(stream, missing, tee(windows, len(missing)), repeat(spec.n))
-        deque(zip(*map(map, [col.append for col in filled], streams)), maxlen=0)
-        held.update(zip(missing, filled))
-    return [held[stat] for stat in stats]
+    """The kind-S ``stats`` over the spec's windows, in ``iterate``'s order.
+    In a run, a ``_POSITIONAL`` one over a whole S_n, n <= 9, is summed off
+    S_n's window bytes on each request; every other one streams over its own
+    ``tee`` copy of the windows."""
+    n = spec.n
+    whole = _MEMO.get() is not None and spec == GroupSpec("S", n) and n <= 9
+    preds = [_POSITIONAL.get(stat) if whole else None for stat in stats]
+    flat = any(preds) and _perm_bytes(n)  # S_9's, 3.3 MB, is the longest built
+    copies = iter(tee(windows, preds.count(None)))
+    return [stream(stat, next(copies), n) if pred is None else _positional(flat, n, pred)
+            for stat, pred in zip(stats, preds)]
 
 
 def _positional(flat, n, pred):
@@ -341,8 +330,7 @@ def _type_a_tally(spec, bases, windows, parity):
     ``bases`` maps base names to statistics.  With ``parity``, inv mod 2 is
     ``groups._parities``'s where ``iterate`` streams all of S_n or of a pos_n
     slice in lexicographic order; where a filter drops windows, an ``inv``
-    column's.  Without, it reads 0.  The statistics are ``_columns``: held
-    by a run, streamed by a bare call.
+    column's.  Without, it reads 0.  The statistics are ``_columns``.
     """
     n = spec.n
     # some column must pull every window, also for a weight with no statistic
@@ -401,14 +389,15 @@ def _signed_tally(spec, bases, windows, parity):
         yield bit, cls, [packed // place % radix for place in places], count
 
 
-_MEMO = ContextVar("kernel_memo", default=None)  # tallies, columns; forms, signatures
+_MEMO = ContextVar("kernel_memo", default=None)  # tallies; signature counts
 
 
 @contextmanager
 def kernel_memo():
     """A run: in the block and this context, ``_kernel`` walks each tally
-    once, ``_signed_tally`` counts the signatures once per set of forms and
-    ``_columns`` holds kind-S statistics; a call outside holds none."""
+    once and ``_signed_tally`` counts the signatures once per rank and set of
+    forms; the memo holds those two and nothing else.  A call outside holds
+    neither."""
     token = _MEMO.set({})
     try:
         yield
@@ -437,10 +426,8 @@ def _kernel(spec, weight, budget, split):
     parity = split or signs or _parity_is_free(spec)
     entries = memo.get(inputs := (spec, budget, names, parity))
     if entries is None:
-        forms, tally = A_STATISTICS, _type_a_tally
-        if spec.kind != "S":  # one set of forms per run and n: D_n reads B_n's
-            tally, forms = _signed_tally, memo.get(spec.n) or memo.setdefault(
-                spec.n, _signed_kernel(spec.n))  # and their signature counts
+        tally, forms = ((_type_a_tally, A_STATISTICS) if spec.kind == "S"
+                        else (_signed_tally, _SIGNED_FORMS))
         windows = iterate(spec, budget=budget, by_permutation=True)
         entries = tally(spec, {name: forms[name] for name in names}, windows, parity)
         entries = memo[inputs] = [*entries]

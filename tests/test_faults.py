@@ -82,20 +82,16 @@ def _ranks_reversed(real):
 
 
 def _signed_form_off_at(stat, p):
-    """The fault adding 1 to c in ``_signed_kernel``'s form of ``stat`` at
-    the permutation ``p``."""
+    """The fault adding 1 to c in ``_SIGNED_FORMS``' form of ``stat`` at the
+    permutation ``p``."""
     def fault(real):
-        def kernel(n):
-            forms = real(n)
-            form = forms[stat]
+        form = real[stat]
 
-            def faulted(q):
-                c, w = form(q)
-                return c + (q == p), w
+        def faulted(q):
+            c, w = form(q)
+            return c + (q == p), w
 
-            return {**forms, stat: faulted}
-
-        return kernel
+        return {**real, stat: faulted}
 
     return fault
 
@@ -324,15 +320,15 @@ FAULTS = {
         oracle, "_parities",
         lambda real: lambda n, r, shift=0: bytes(len(bytes(real(n, r, shift)))),
         ("bijections.halving_consequence",)),
-    "oracle._signed_kernel's des_b form + 1 at p = (2, 1)": (
-        oracle, "_signed_kernel", _signed_form_off_at("des_b", (2, 1)),
+    "oracle._SIGNED_FORMS' des_b form + 1 at p = (2, 1)": (
+        oracle, "_SIGNED_FORMS", _signed_form_off_at("des_b", (2, 1)),
         ("typeB.descent_excedance_equidistributed",
          "typeD.descent_restriction_equidistributed")),
-    "oracle._signed_kernel's pos_n form + 1 at p = (1, 2)": (
-        oracle, "_signed_kernel", _signed_form_off_at("pos_n", (1, 2)),
+    "oracle._SIGNED_FORMS' pos_n form + 1 at p = (1, 2)": (
+        oracle, "_SIGNED_FORMS", _signed_form_off_at("pos_n", (1, 2)),
         ("signed_sums.type_b_descent_position",)),
-    "oracle._signed_kernel's wkexc_b form + 1 at p = (2, 1)": (
-        oracle, "_signed_kernel", _signed_form_off_at("wkexc_b", (2, 1)),
+    "oracle._SIGNED_FORMS' wkexc_b form + 1 at p = (2, 1)": (
+        oracle, "_SIGNED_FORMS", _signed_form_off_at("wkexc_b", (2, 1)),
         ("typeB.weak_excedance_equidistribution",)),
     # checks binds _cycle_lengths and inv_b_negsum at import, so their
     # faults patch them there

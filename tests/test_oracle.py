@@ -31,7 +31,7 @@ from gammaexc.oracle import (
     WeightSpec,
     _A_STREAMS,
     _COMPLEMENTS,
-    _signed_kernel,
+    _SIGNED_FORMS,
     _weighted_sum,
     dist_poly,
     family_domain,
@@ -289,7 +289,7 @@ class TestKernel:
     def test_every_signed_statistic_has_a_kernel_form(self):
         # a kernel base or a complement, never both; a type-A statistic's
         # kernel form is its own function
-        bases = set(_signed_kernel(3))
+        bases = set(_SIGNED_FORMS)
         complements = set(_COMPLEMENTS) & set(SIGNED_STATISTICS)
         assert bases | complements == set(SIGNED_STATISTICS)
         assert not bases & complements
@@ -321,7 +321,7 @@ class TestKernel:
         """On every window of B_4, c + sum(w[j] for negated j) is the stat,
         and a complement is 4 minus its base's value."""
         base = _COMPLEMENTS.get(stat, (stat,))[0]
-        form, reference = _signed_kernel(4)[base], SIGNED_STATISTICS[stat]
+        form, reference = _SIGNED_FORMS[base], SIGNED_STATISTICS[stat]
         for w in _signed_windows((1, 2, 3, 4)):
             c, weights = form(tuple(map(abs, w)))
             value = c + sum(x for x, v in zip(weights, w) if v < 0)
@@ -498,8 +498,9 @@ def _s_requests(draw):
 
 
 class TestHeldColumns:
-    """A run holds each kind-S statistic over a spec as one column; a bare
-    call streams and holds none."""
+    """A run holds no kind-S column: it sums a whole S_n's exc and
+    fixed_points off S_n's window bytes on each request and streams every
+    other statistic, as a bare call streams every one."""
 
     @settings(max_examples=60, deadline=None)
     @given(_s_requests())
